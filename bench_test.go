@@ -684,3 +684,74 @@ func BenchmarkSliceSDG(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkTextLayers splits one cold-pipeline operation — parse a
+// never-seen program, analyze it, slice every write criterion with
+// SliceAll, format every slice — into its text layers and the
+// analysis between them, on the cold-pipeline corpus shape:
+// 200-statement progen programs, structured and unstructured. benchgate
+// pins format:analyze and parse:analyze, so the bytes in and the bytes
+// out cannot again come to cost more than the analysis they frame.
+func BenchmarkTextLayers(b *testing.B) {
+	type input struct {
+		src   string
+		prog  *lang.Program
+		crits []core.Criterion
+		a     *core.Analysis
+		sl    []*core.Slice
+	}
+	var ins []*input
+	for seed := int64(1); seed <= 4; seed++ {
+		c := progen.Config{Seed: seed, Stmts: 200}
+		gen := progen.Unstructured(c)
+		if seed%2 == 0 {
+			gen = progen.Structured(c)
+		}
+		in := &input{src: lang.Format(gen, lang.PrintOptions{})}
+		var err error
+		if in.prog, err = lang.Parse(in.src); err != nil {
+			b.Fatal(err)
+		}
+		for _, wc := range progen.WriteCriteria(in.prog) {
+			in.crits = append(in.crits, core.Criterion{Var: wc.Var, Line: wc.Line})
+		}
+		if in.a, err = core.Analyze(in.prog); err != nil {
+			b.Fatal(err)
+		}
+		if in.sl, err = in.a.SliceAll(in.crits); err != nil {
+			b.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	b.Run("parse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, in := range ins {
+				if _, err := lang.Parse(in.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("analyze", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, in := range ins {
+				a, err := core.Analyze(in.prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := a.SliceAll(in.crits); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("format", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, in := range ins {
+				for _, s := range in.sl {
+					s.Format()
+				}
+			}
+		}
+	})
+}

@@ -84,6 +84,7 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		{"undecodable json", "/slice?var=positives&line=14", "POST", "{not json", "application/json", ts, 400, "bad_request"},
 		{"unknown algorithm", "/slice?var=positives&line=14&algo=magic", "POST", fig, "text/plain", ts, 400, "unknown_algorithm"},
 		{"malformed source", "/slice?var=positives&line=14", "POST", "while (", "text/plain", ts, 422, "invalid_program"},
+		{"out-of-range literal", "/slice?var=x&line=1", "POST", "x = 99999999999999999999;\nwrite(x);", "text/plain", ts, 422, "invalid_program"},
 		{"unknown criterion var", "/slice?var=nope&line=14", "POST", fig, "text/plain", ts, 422, "slice_failed"},
 		{"unknown criterion line", "/slice?var=positives&line=999", "POST", fig, "text/plain", ts, 422, "slice_failed"},
 		{"oversized body", "/slice?var=positives&line=14", "POST", fig, "text/plain", tsBody, 413, "body_too_large"},

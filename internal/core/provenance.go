@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"jumpslice/internal/cfg"
@@ -105,6 +107,8 @@ type Provenance struct {
 	// Reasons holds, for each node ID in the slice, at least one
 	// reason, sorted by (Kind, From, NearestPD, NearestLS).
 	Reasons map[int][]Reason
+	// lines caches LineReasons.
+	lines map[int][]string
 }
 
 // Explain computes the provenance of the slice: one or more reason
@@ -119,7 +123,7 @@ type Provenance struct {
 func (s *Slice) Explain() (*Provenance, error) {
 	a := s.Analysis
 	set := s.Nodes
-	p := &Provenance{Slice: s, Reasons: map[int][]Reason{}}
+	p := &Provenance{Slice: s, Reasons: make(map[int][]Reason, set.Len())}
 	add := func(node int, r Reason) {
 		p.Reasons[node] = append(p.Reasons[node], r)
 	}
@@ -225,66 +229,100 @@ func (a *Analysis) candidateEvidence(v int, set interface{ Has(int) bool }) int 
 	return -1
 }
 
-// describe renders one reason with source-line coordinates (the
-// paper's figures speak in lines): "data-dep from 8",
+// appendReason appends one reason rendered with source-line
+// coordinates (the paper's figures speak in lines): "data-dep from 8",
 // "jump-rule(nearest-PD=13, nearest-LS=8)". The Exit node renders as
 // "end" (end of program).
-func (p *Provenance) describe(r Reason) string {
-	a := p.Slice.Analysis
-	loc := func(id int) string {
-		if id == a.CFG.Exit.ID {
-			return "end"
-		}
-		if l := a.CFG.Nodes[id].Line; l > 0 {
-			return fmt.Sprintf("%d", l)
-		}
-		return fmt.Sprintf("n%d", id)
-	}
+func (p *Provenance) appendReason(b []byte, r Reason) []byte {
 	switch r.Kind {
 	case ReasonCriterion, ReasonEntry:
-		return r.Kind.String()
+		return append(b, r.Kind.String()...)
 	case ReasonJumpRule:
-		return fmt.Sprintf("jump-rule(nearest-PD=%s, nearest-LS=%s)", loc(r.NearestPD), loc(r.NearestLS))
+		b = append(b, "jump-rule(nearest-PD="...)
+		b = p.appendLoc(b, r.NearestPD)
+		b = append(b, ", nearest-LS="...)
+		b = p.appendLoc(b, r.NearestLS)
 	case ReasonCondJump, ReasonJumpCandidate:
-		return fmt.Sprintf("%s(pred=%s)", r.Kind, loc(r.From))
+		b = append(b, r.Kind.String()...)
+		b = append(b, "(pred="...)
+		b = p.appendLoc(b, r.From)
 	case ReasonSwitchEnclosure:
-		return fmt.Sprintf("switch-enclosure(stmt=%s)", loc(r.From))
+		b = append(b, "switch-enclosure(stmt="...)
+		b = p.appendLoc(b, r.From)
 	default:
-		return fmt.Sprintf("%s from %s", r.Kind, loc(r.From))
+		b = append(b, r.Kind.String()...)
+		b = append(b, " from "...)
+		return p.appendLoc(b, r.From)
 	}
+	return append(b, ')')
+}
+
+// appendLoc appends node id as its source line, "end" for the Exit
+// node, or "n<id>" for a node without a line.
+func (p *Provenance) appendLoc(b []byte, id int) []byte {
+	a := p.Slice.Analysis
+	if id == a.CFG.Exit.ID {
+		return append(b, "end"...)
+	}
+	if l := a.CFG.Nodes[id].Line; l > 0 {
+		return strconv.AppendInt(b, int64(l), 10)
+	}
+	return strconv.AppendInt(append(b, 'n'), int64(id), 10)
 }
 
 // LineReasons folds the node-level records down to source lines: for
 // each line of the slice, the deduplicated, deterministically ordered
 // reason strings of every node on that line. This is the
 // machine-checkable form the facade and the -explain flag expose.
+//
+// The map is built on the first call and shared by later calls and
+// by Listing, so callers must not modify it.
 func (p *Provenance) LineReasons() map[int][]string {
+	if p.lines != nil {
+		return p.lines
+	}
 	a := p.Slice.Analysis
-	out := map[int][]string{}
-	seen := map[int]map[string]bool{}
 	// Node IDs ascend with listing order, so per-line strings come
 	// out in derivation order before dedup.
-	var ids []int
-	for id := range p.Reasons {
+	ids := make([]int, 0, len(p.Reasons))
+	total := 0
+	for id, rs := range p.Reasons {
 		ids = append(ids, id)
+		total += len(rs)
 	}
 	sort.Ints(ids)
+	// Render every reason into one buffer; the strings are slices of
+	// a single copy of it.
+	type span struct{ line, start, end int }
+	var buf []byte
+	spans := make([]span, 0, total)
 	for _, id := range ids {
 		line := a.CFG.Nodes[id].Line
 		if line <= 0 {
 			continue // Entry and synthesized nodes have no listing line
 		}
-		if seen[line] == nil {
-			seen[line] = map[string]bool{}
-		}
 		for _, r := range p.Reasons[id] {
-			str := p.describe(r)
-			if !seen[line][str] {
-				seen[line][str] = true
-				out[line] = append(out[line], str)
-			}
+			start := len(buf)
+			buf = p.appendReason(buf, r)
+			spans = append(spans, span{line, start, len(buf)})
 		}
 	}
+	all := string(buf)
+	strs := make([]string, 0, len(spans))
+	out := map[int][]string{}
+	// Consecutive spans mostly share a line; each such run becomes one
+	// capacity-capped window of strs.
+	for i := 0; i < len(spans); {
+		line, from := spans[i].line, len(strs)
+		for ; i < len(spans) && spans[i].line == line; i++ {
+			str := all[spans[i].start:spans[i].end]
+			if !slices.Contains(strs[from:], str) && !slices.Contains(out[line], str) {
+				strs = append(strs, str)
+			}
+		}
+		out[line] = append(out[line], strs[from:len(strs):len(strs)]...)
+	}
+	p.lines = out
 	return out
 }
 
@@ -294,44 +332,40 @@ func (p *Provenance) LineReasons() map[int][]string {
 //	2: positives = 0;  // data-dep from 8
 //	7: continue;  // jump-rule(nearest-PD=3, nearest-LS=8)
 func (p *Provenance) Listing() string {
-	a := p.Slice.Analysis
-	texts := lineTexts(a.Prog)
+	texts := lang.LineTexts(p.Slice.Analysis.Prog)
 	reasons := p.LineReasons()
-	var sb strings.Builder
+	var b []byte
 	for _, line := range p.Slice.Lines() {
-		text := strings.TrimRight(texts[line], " \t")
+		var text string
+		if line < len(texts) {
+			text = strings.TrimRight(texts[line], " \t")
+		}
 		if text == "" {
 			text = "?"
 		}
-		fmt.Fprintf(&sb, "%3d: %s", line, text)
-		if rs := reasons[line]; len(rs) > 0 {
-			sb.WriteString("  // ")
-			sb.WriteString(strings.Join(rs, "; "))
+		b = appendLineNumber(b, line)
+		b = append(b, text...)
+		for i, r := range reasons[line] {
+			if i == 0 {
+				b = append(b, "  // "...)
+			} else {
+				b = append(b, "; "...)
+			}
+			b = append(b, r...)
 		}
-		sb.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return sb.String()
+	return string(b)
 }
 
-// lineTexts maps each source line to its pretty-printed statement
-// text (sans line-number prefix and indentation), via the numbered
-// whole-program listing.
-func lineTexts(prog *lang.Program) map[int]string {
-	out := map[int]string{}
-	listing := lang.Format(prog, lang.PrintOptions{LineNumbers: true})
-	for _, raw := range strings.Split(listing, "\n") {
-		s := strings.TrimLeft(raw, " \t")
-		colon := strings.IndexByte(s, ':')
-		if colon <= 0 {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(s[:colon], "%d", &n); err != nil || n <= 0 {
-			continue
-		}
-		if _, ok := out[n]; !ok {
-			out[n] = strings.TrimSpace(s[colon+1:])
-		}
+// appendLineNumber appends the listing prefix of a line, "%3d: ".
+func appendLineNumber(b []byte, line int) []byte {
+	start := len(b)
+	b = strconv.AppendInt(b, int64(line), 10)
+	if pad := 3 - (len(b) - start); pad > 0 {
+		b = append(b, "   "[:pad]...)
+		copy(b[start+pad:], b[start:len(b)-pad])
+		copy(b[start:start+pad], "   ")
 	}
-	return out
+	return append(b, ": "...)
 }

@@ -135,7 +135,7 @@ func (lx *Lexer) Next() Token {
 			lx.advance()
 		}
 		text := lx.src[start:lx.off]
-		if kw, ok := keywords[text]; ok {
+		if kw, ok := keyword(text); ok {
 			return Token{Kind: kw, Pos: pos}
 		}
 		return Token{Kind: IDENT, Text: text, Pos: pos}

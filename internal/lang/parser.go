@@ -1,12 +1,20 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Parser is a recursive-descent parser for the language. Use Parse or
 // MustParse rather than constructing one directly.
 type Parser struct {
-	lx    *Lexer
-	buf   []Token // lookahead buffer
+	lx *Lexer
+	// buf[head:] is the lookahead. next advances head and resets the
+	// buffer once it drains; peekN slides pending tokens to the front
+	// when the buffer is full. The buffer is thus reused, never
+	// reallocated, as tokens are consumed.
+	buf   []Token
+	head  int
 	err   *SyntaxError
 	prog  *Program
 	depth int // current nesting depth, bounded by maxNestingDepth
@@ -84,19 +92,39 @@ func (p *Parser) errorf(pos Pos, format string, args ...any) {
 	}
 }
 
-func (p *Parser) peek() Token { return p.peekN(0) }
+func (p *Parser) peek() Token {
+	if p.head < len(p.buf) {
+		return p.buf[p.head]
+	}
+	return p.peekN(0)
+}
 
 func (p *Parser) peekN(n int) Token {
-	for len(p.buf) <= n {
+	for len(p.buf)-p.head <= n {
+		if p.head > 0 && len(p.buf) == cap(p.buf) {
+			p.buf, p.head = p.buf[:copy(p.buf, p.buf[p.head:])], 0
+		}
 		p.buf = append(p.buf, p.lx.Next())
 	}
-	return p.buf[n]
+	return p.buf[p.head+n]
 }
 
 func (p *Parser) next() Token {
 	t := p.peek()
-	p.buf = p.buf[1:]
+	if p.head++; p.head == len(p.buf) {
+		p.buf, p.head = p.buf[:0], 0
+	}
 	return t
+}
+
+// intLit converts an INT token's digits, reporting a literal outside
+// the int64 range as a syntax error at the literal.
+func (p *Parser) intLit(t Token) int64 {
+	n, err := strconv.ParseInt(t.Text, 10, 64)
+	if err != nil {
+		p.errorf(t.Pos, "integer literal %s out of range", t.Text)
+	}
+	return n
 }
 
 func (p *Parser) expect(k TokenKind) Token {
@@ -122,7 +150,13 @@ func (p *Parser) parseStmt() Stmt {
 	if !p.enter(t.Pos) {
 		return &EmptyStmt{P: t.Pos}
 	}
-	defer p.leave()
+	s := p.parseStmtKind(t)
+	p.leave()
+	return s
+}
+
+// parseStmtKind parses the statement that starts with token t.
+func (p *Parser) parseStmtKind(t Token) Stmt {
 	switch t.Kind {
 	case IDENT:
 		if p.peekN(1).Kind == Colon {
@@ -297,10 +331,7 @@ func (p *Parser) parseSwitch() Stmt {
 			p.next()
 			c := &CaseClause{P: tok.Pos}
 			for {
-				v := p.expect(INT)
-				var n int64
-				fmt.Sscanf(v.Text, "%d", &n)
-				c.Values = append(c.Values, n)
+				c.Values = append(c.Values, p.intLit(p.expect(INT)))
 				if p.peek().Kind != Comma {
 					break
 				}
@@ -377,15 +408,24 @@ func (p *Parser) parseAnd() Expr {
 	return x
 }
 
-var cmpOps = map[TokenKind]string{
-	Eq: "==", Neq: "!=", Lt: "<", Leq: "<=", Gt: ">", Geq: ">=",
-}
-
 func (p *Parser) parseCmp() Expr {
 	x := p.parseAdd()
 	for {
-		op, ok := cmpOps[p.peek().Kind]
-		if !ok {
+		var op string
+		switch p.peek().Kind {
+		case Eq:
+			op = "=="
+		case Neq:
+			op = "!="
+		case Lt:
+			op = "<"
+		case Leq:
+			op = "<="
+		case Gt:
+			op = ">"
+		case Geq:
+			op = ">="
+		default:
 			return x
 		}
 		t := p.next()
@@ -453,9 +493,7 @@ func (p *Parser) parsePrimary() Expr {
 	switch t.Kind {
 	case INT:
 		p.next()
-		var n int64
-		fmt.Sscanf(t.Text, "%d", &n)
-		return &IntLit{P: t.Pos, Value: n}
+		return &IntLit{P: t.Pos, Value: p.intLit(t)}
 	case IDENT:
 		p.next()
 		if p.peek().Kind == LParen {

@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -193,6 +195,37 @@ func TestParseErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Parse(%q): error %q, want substring %q", c.src, err, c.wantSub)
+		}
+	}
+}
+
+// TestParseIntLiteralRange: a literal outside int64 is a syntax error
+// at the literal, not a silent zero. A negative literal is unary minus
+// applied to a positive one, so the most negative int64 cannot be
+// written as a literal either.
+func TestParseIntLiteralRange(t *testing.T) {
+	p := MustParse("x = 9223372036854775807; y = -9223372036854775807;")
+	if v := p.Body[0].(*AssignStmt).Value.(*IntLit).Value; v != math.MaxInt64 {
+		t.Errorf("max literal = %d, want %d", v, int64(math.MaxInt64))
+	}
+	for _, c := range []struct {
+		src string
+		pos Pos
+	}{
+		{"x = 99999999999999999999;", Pos{Line: 1, Col: 5}},
+		{"x = 9223372036854775808;", Pos{Line: 1, Col: 5}},
+		{"x = -9223372036854775808;", Pos{Line: 1, Col: 6}},
+		{"y = 1;\nwrite(2 + 18446744073709551616);", Pos{Line: 2, Col: 11}},
+		{"switch (x) {\ncase 1, 99999999999999999999: ;\n}", Pos{Line: 2, Col: 9}},
+	} {
+		_, err := Parse(c.src)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("Parse(%q) error = %v, want a *SyntaxError", c.src, err)
+			continue
+		}
+		if se.Pos != c.pos || !strings.Contains(se.Msg, "out of range") {
+			t.Errorf("Parse(%q) error = %v, want \"out of range\" at %v", c.src, err, c.pos)
 		}
 	}
 }

@@ -2,7 +2,8 @@ package lang
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
+	"sync"
 )
 
 // PrintOptions controls pretty-printing.
@@ -16,10 +17,50 @@ type PrintOptions struct {
 	Indent string
 }
 
+// The printer appends every line to one byte buffer: no per-line or
+// per-expression strings are built. Buffers are pooled, so printing a
+// program allocates only the result string.
 type printer struct {
 	opts  PrintOptions
-	sb    strings.Builder
+	buf   []byte
 	depth int
+	// record makes end note where each line's text lies in buf, in
+	// spans (see LineTexts).
+	record bool
+	spans  []lineSpan
+}
+
+// lineSpan locates the text of one printed line in the buffer.
+type lineSpan struct{ line, start, end int }
+
+var printers = sync.Pool{New: func() any { return &printer{buf: make([]byte, 0, 4096)} }}
+
+// maxPooledBuf bounds the buffers returned to the pool, so one huge
+// program does not pin its buffer's memory.
+const maxPooledBuf = 64 << 10
+
+func newPrinter(opts PrintOptions) *printer {
+	if opts.Indent == "" {
+		opts.Indent = "    "
+	}
+	pr := printers.Get().(*printer)
+	pr.opts = opts
+	return pr
+}
+
+// done returns the printed text and releases the printer.
+func (pr *printer) done() string {
+	out := string(pr.buf)
+	pr.release()
+	return out
+}
+
+// release returns the printer to the pool; pr must not be used after.
+func (pr *printer) release() {
+	if cap(pr.buf) <= maxPooledBuf {
+		*pr = printer{buf: pr.buf[:0], spans: pr.spans[:0]}
+		printers.Put(pr)
+	}
 }
 
 // Format pretty-prints a whole program: procedure declarations first
@@ -28,142 +69,202 @@ type printer struct {
 // form again even when the input interleaved declarations and
 // statements.
 func Format(p *Program, opts PrintOptions) string {
-	pr := &printer{opts: opts}
-	if pr.opts.Indent == "" {
-		pr.opts.Indent = "    "
+	pr := newPrinter(opts)
+	pr.program(p)
+	return pr.done()
+}
+
+// FormatStmt pretty-prints a single statement subtree.
+func FormatStmt(s Stmt, opts PrintOptions) string {
+	pr := newPrinter(opts)
+	pr.stmt(s)
+	return pr.done()
+}
+
+// LineTexts returns, indexed by source line, the text the listing of
+// p prints on that line — the first such line when a statement spans
+// several — without line-number prefix or indentation: "L3: if (eof())
+// goto L14;", "while (x > 0) {", "L8:" for a label on a compound
+// statement. Lines without a statement map to "". The texts share the
+// memory of one string.
+func LineTexts(p *Program) []string {
+	pr := newPrinter(PrintOptions{})
+	pr.record = true
+	pr.program(p)
+	maxLine := 0
+	for _, sp := range pr.spans {
+		maxLine = max(maxLine, sp.line)
 	}
+	all, texts := string(pr.buf), make([]string, maxLine+1)
+	for _, sp := range pr.spans {
+		if texts[sp.line] == "" {
+			texts[sp.line] = all[sp.start:sp.end]
+		}
+	}
+	pr.release()
+	return texts
+}
+
+func (pr *printer) program(p *Program) {
 	for _, d := range p.Procs {
 		pr.proc(d)
 	}
 	for _, s := range p.Body {
 		pr.stmt(s)
 	}
-	return pr.sb.String()
 }
 
 // proc prints one procedure declaration with its body indented.
 func (pr *printer) proc(d *ProcDecl) {
-	pr.line(d.P, "proc %s(%s) {", d.Name, strings.Join(d.Params, ", "))
+	start := pr.begin(d.P)
+	pr.buf = append(pr.buf, "proc "...)
+	pr.buf = append(pr.buf, d.Name...)
+	pr.buf = append(pr.buf, '(')
+	for i, prm := range d.Params {
+		if i > 0 {
+			pr.buf = append(pr.buf, ", "...)
+		}
+		pr.buf = append(pr.buf, prm...)
+	}
+	pr.buf = append(pr.buf, ") {"...)
+	pr.end(d.P, start)
 	pr.depth++
 	for _, s := range d.Body {
 		pr.stmt(s)
 	}
 	pr.depth--
-	pr.line(Pos{}, "}")
+	pr.text(Pos{}, "}")
 }
 
-// FormatStmt pretty-prints a single statement subtree.
-func FormatStmt(s Stmt, opts PrintOptions) string {
-	pr := &printer{opts: opts}
-	if pr.opts.Indent == "" {
-		pr.opts.Indent = "    "
-	}
-	pr.stmt(s)
-	return pr.sb.String()
-}
-
-func (pr *printer) line(pos Pos, format string, args ...any) {
+// begin starts a line: the line-number prefix, if enabled, and the
+// indentation. It returns the offset where the line's text starts.
+func (pr *printer) begin(pos Pos) int {
 	if pr.opts.LineNumbers {
 		if pos.Line > 0 {
-			fmt.Fprintf(&pr.sb, "%3d: ", pos.Line)
+			// "%3d: "
+			switch {
+			case pos.Line < 10:
+				pr.buf = append(pr.buf, "  "...)
+			case pos.Line < 100:
+				pr.buf = append(pr.buf, ' ')
+			}
+			pr.buf = strconv.AppendInt(pr.buf, int64(pos.Line), 10)
+			pr.buf = append(pr.buf, ": "...)
 		} else {
-			pr.sb.WriteString("     ")
+			pr.buf = append(pr.buf, "     "...)
 		}
 	}
-	pr.sb.WriteString(strings.Repeat(pr.opts.Indent, pr.depth))
-	fmt.Fprintf(&pr.sb, format, args...)
-	pr.sb.WriteByte('\n')
+	for i := 0; i < pr.depth; i++ {
+		pr.buf = append(pr.buf, pr.opts.Indent...)
+	}
+	return len(pr.buf)
+}
+
+// end finishes the line whose text starts at offset start.
+func (pr *printer) end(pos Pos, start int) {
+	if pr.record && pos.Line > 0 {
+		pr.spans = append(pr.spans, lineSpan{pos.Line, start, len(pr.buf)})
+	}
+	pr.buf = append(pr.buf, '\n')
+}
+
+// text prints a line of fixed text.
+func (pr *printer) text(pos Pos, s string) {
+	start := pr.begin(pos)
+	pr.buf = append(pr.buf, s...)
+	pr.end(pos, start)
+}
+
+// header prints a compound statement's header line, "while (x > 0) {":
+// keyword, parenthesized expression, and " {" when brace is set.
+func (pr *printer) header(pos Pos, kw string, e Expr, brace bool) {
+	start := pr.begin(pos)
+	pr.buf = appendHeader(pr.buf, kw, e)
+	if brace {
+		pr.buf = append(pr.buf, " {"...)
+	}
+	pr.end(pos, start)
 }
 
 func (pr *printer) stmt(s Stmt) {
 	switch s := s.(type) {
 	case nil:
-	case *AssignStmt:
-		pr.line(s.P, "%s = %s;", s.Name, ExprString(s.Value))
-	case *ReadStmt:
-		pr.line(s.P, "read(%s);", s.Name)
-	case *WriteStmt:
-		pr.line(s.P, "write(%s);", ExprString(s.Value))
-	case *GotoStmt:
-		pr.line(s.P, "goto %s;", s.Label)
-	case *BreakStmt:
-		pr.line(s.P, "break;")
-	case *ContinueStmt:
-		pr.line(s.P, "continue;")
-	case *ReturnStmt:
-		if s.Value != nil {
-			pr.line(s.P, "return %s;", ExprString(s.Value))
-		} else {
-			pr.line(s.P, "return;")
-		}
-	case *CallStmt:
-		pr.line(s.P, "%s", simpleStmtString(s))
-	case *EmptyStmt:
-		pr.line(s.P, ";")
+	case *AssignStmt, *ReadStmt, *WriteStmt, *GotoStmt, *BreakStmt,
+		*ContinueStmt, *ReturnStmt, *CallStmt, *EmptyStmt:
+		start := pr.begin(s.Pos())
+		pr.buf = appendSimple(pr.buf, s)
+		pr.end(s.Pos(), start)
 	case *LabeledStmt:
 		// The label shares its statement's line in the paper's style
 		// ("8: L8: positives = positives + 1;"), but nested labels and
 		// labels on compound statements are clearer on their own line
 		// only when the inner statement is compound.
+		start := pr.begin(s.P)
+		pr.buf = appendLabels(pr.buf, s)
 		switch inner := Unlabel(s).(type) {
 		case *AssignStmt, *ReadStmt, *WriteStmt, *GotoStmt, *BreakStmt,
 			*ContinueStmt, *ReturnStmt, *CallStmt, *EmptyStmt:
-			pr.line(s.P, "%s%s", labelPrefix(s), simpleStmtString(inner))
+			pr.buf = appendSimple(pr.buf, inner)
+			pr.end(s.P, start)
+			return
 		case *IfStmt:
 			// Inline a labeled conditional jump:
 			// "3: L3: if (eof()) goto L14;".
-			if inner.Else == nil && IsJump(Unlabel(inner.Then)) {
-				if _, wrapped := inner.Then.(*LabeledStmt); !wrapped {
-					pr.line(s.P, "%sif (%s) %s", labelPrefix(s),
-						ExprString(inner.Cond), simpleStmtString(Unlabel(inner.Then)))
-					return
-				}
+			if isCondJump(inner) {
+				pr.buf = appendCondJump(pr.buf, inner)
+				pr.end(s.P, start)
+				return
 			}
-			pr.line(s.P, "%s", strings.TrimSuffix(labelPrefix(s), " "))
-			pr.stmt(inner)
-		default:
-			pr.line(s.P, "%s", strings.TrimSuffix(labelPrefix(s), " "))
-			pr.stmt(Unlabel(s))
 		}
+		pr.buf = pr.buf[:len(pr.buf)-1] // "L3:" alone, no trailing space
+		pr.end(s.P, start)
+		pr.stmt(Unlabel(s))
 	case *BlockStmt:
-		pr.line(s.P, "{")
+		pr.text(s.P, "{")
 		pr.depth++
 		for _, st := range s.List {
 			pr.stmt(st)
 		}
 		pr.depth--
-		pr.line(Pos{}, "}")
+		pr.text(Pos{}, "}")
 	case *IfStmt:
 		// The conditional-jump idiom prints on one line, matching the
 		// paper's "3: L3: if (eof()) goto L14;" style.
-		if s.Else == nil {
-			if j, ok := s.Then.(Stmt); ok && IsJump(Unlabel(j)) {
-				if _, isLabeled := j.(*LabeledStmt); !isLabeled {
-					pr.line(s.P, "if (%s) %s", ExprString(s.Cond), simpleStmtString(Unlabel(j)))
-					return
-				}
-			}
+		if isCondJump(s) {
+			start := pr.begin(s.P)
+			pr.buf = appendCondJump(pr.buf, s)
+			pr.end(s.P, start)
+			return
 		}
-		pr.line(s.P, "if (%s)%s", ExprString(s.Cond), braceOpen(s.Then))
+		pr.header(s.P, "if", s.Cond, isBlock(s.Then))
 		pr.body(s.Then)
 		if s.Else != nil {
-			pr.line(Pos{}, "else%s", braceOpen(s.Else))
+			if isBlock(s.Else) {
+				pr.text(Pos{}, "else {")
+			} else {
+				pr.text(Pos{}, "else")
+			}
 			pr.body(s.Else)
 		}
 	case *WhileStmt:
-		pr.line(s.P, "while (%s)%s", ExprString(s.Cond), braceOpen(s.Body))
+		pr.header(s.P, "while", s.Cond, isBlock(s.Body))
 		pr.body(s.Body)
 	case *SwitchStmt:
-		pr.line(s.P, "switch (%s) {", ExprString(s.Tag))
+		pr.header(s.P, "switch", s.Tag, true)
 		for _, c := range s.Cases {
 			if c.IsDefault {
-				pr.line(c.P, "default:")
+				pr.text(c.P, "default:")
 			} else {
-				vals := make([]string, len(c.Values))
+				start := pr.begin(c.P)
+				pr.buf = append(pr.buf, "case "...)
 				for i, v := range c.Values {
-					vals[i] = fmt.Sprintf("%d", v)
+					if i > 0 {
+						pr.buf = append(pr.buf, ", "...)
+					}
+					pr.buf = strconv.AppendInt(pr.buf, v, 10)
 				}
-				pr.line(c.P, "case %s:", strings.Join(vals, ", "))
+				pr.buf = append(pr.buf, ':')
+				pr.end(c.P, start)
 			}
 			pr.depth++
 			for _, st := range c.Body {
@@ -171,100 +272,130 @@ func (pr *printer) stmt(s Stmt) {
 			}
 			pr.depth--
 		}
-		pr.line(Pos{}, "}")
+		pr.text(Pos{}, "}")
 	default:
-		pr.line(s.Pos(), "/* unknown statement %T */", s)
+		pr.text(s.Pos(), "/* unknown statement "+typeName(s)+" */")
 	}
 }
 
 // body prints the body of an if/while arm: blocks inline their braces,
 // other statements are indented one level.
 func (pr *printer) body(s Stmt) {
+	pr.depth++
 	if blk, ok := s.(*BlockStmt); ok {
-		pr.depth++
 		for _, st := range blk.List {
 			pr.stmt(st)
 		}
 		pr.depth--
-		pr.line(Pos{}, "}")
+		pr.text(Pos{}, "}")
 		return
 	}
-	pr.depth++
 	pr.stmt(s)
 	pr.depth--
 }
 
-func braceOpen(s Stmt) string {
-	if _, ok := s.(*BlockStmt); ok {
-		return " {"
-	}
-	return ""
+func isBlock(s Stmt) bool {
+	_, ok := s.(*BlockStmt)
+	return ok
 }
 
-// labelPrefix renders the (possibly nested) labels of s: "L8: ".
-func labelPrefix(s Stmt) string {
-	var sb strings.Builder
+// isCondJump reports whether s is the conditional-jump idiom printed
+// on one line: an else-less if whose then-arm is an unlabeled jump.
+func isCondJump(s *IfStmt) bool {
+	if s.Else != nil || s.Then == nil {
+		return false
+	}
+	if _, labeled := s.Then.(*LabeledStmt); labeled {
+		return false
+	}
+	return IsJump(s.Then)
+}
+
+// appendCondJump appends "if (cond) goto L;".
+func appendCondJump(b []byte, s *IfStmt) []byte {
+	b = appendHeader(b, "if", s.Cond)
+	b = append(b, ' ')
+	return appendSimple(b, s.Then)
+}
+
+// appendHeader appends "kw (e)".
+func appendHeader(b []byte, kw string, e Expr) []byte {
+	b = append(b, kw...)
+	b = append(b, " ("...)
+	b = appendExpr(b, e)
+	return append(b, ')')
+}
+
+// appendLabels appends the (possibly nested) labels of s: "L8: ".
+func appendLabels(b []byte, s Stmt) []byte {
 	for {
 		l, ok := s.(*LabeledStmt)
 		if !ok {
-			return sb.String()
+			return b
 		}
-		sb.WriteString(l.Label)
-		sb.WriteString(": ")
+		b = append(b, l.Label...)
+		b = append(b, ": "...)
 		s = l.Stmt
 	}
 }
 
-// simpleStmtString renders a simple (non-compound) statement without a
-// trailing newline, for inlining after a label.
-func simpleStmtString(s Stmt) string {
+// appendSimple appends a simple (non-compound) statement, without a
+// trailing newline.
+func appendSimple(b []byte, s Stmt) []byte {
 	switch s := s.(type) {
 	case *AssignStmt:
-		return fmt.Sprintf("%s = %s;", s.Name, ExprString(s.Value))
+		b = append(b, s.Name...)
+		b = append(b, " = "...)
+		b = appendExpr(b, s.Value)
 	case *ReadStmt:
-		return fmt.Sprintf("read(%s);", s.Name)
+		b = append(b, "read("...)
+		b = append(b, s.Name...)
+		b = append(b, ')')
 	case *WriteStmt:
-		return fmt.Sprintf("write(%s);", ExprString(s.Value))
+		b = append(b, "write("...)
+		b = appendExpr(b, s.Value)
+		b = append(b, ')')
 	case *GotoStmt:
-		return fmt.Sprintf("goto %s;", s.Label)
+		b = append(b, "goto "...)
+		b = append(b, s.Label...)
 	case *BreakStmt:
-		return "break;"
+		b = append(b, "break"...)
 	case *ContinueStmt:
-		return "continue;"
+		b = append(b, "continue"...)
 	case *ReturnStmt:
+		b = append(b, "return"...)
 		if s.Value != nil {
-			return fmt.Sprintf("return %s;", ExprString(s.Value))
+			b = append(b, ' ')
+			b = appendExpr(b, s.Value)
 		}
-		return "return;"
 	case *CallStmt:
-		args := make([]string, len(s.Args))
-		for i, a := range s.Args {
-			args[i] = ExprString(a)
-		}
-		return fmt.Sprintf("call %s(%s);", s.Name, strings.Join(args, ", "))
+		b = append(b, "call "...)
+		b = appendCall(b, s.Name, s.Args)
 	case *EmptyStmt:
-		return ";"
+	default:
+		return append(b, "/* "+typeName(s)+" */"...)
 	}
-	return fmt.Sprintf("/* %T */", s)
+	return append(b, ';')
 }
 
 // StmtString renders a one-line summary of a statement: simple
 // statements in full, compound statements as their header ("if (x <=
 // 0)", "switch (c())"). Used by graph visualizations and diagnostics.
 func StmtString(s Stmt) string {
-	s2 := Unlabel(s)
-	switch s2 := s2.(type) {
+	var b []byte
+	switch s2 := Unlabel(s).(type) {
 	case *IfStmt:
-		return fmt.Sprintf("if (%s)", ExprString(s2.Cond))
+		b = appendHeader(b, "if", s2.Cond)
 	case *WhileStmt:
-		return fmt.Sprintf("while (%s)", ExprString(s2.Cond))
+		b = appendHeader(b, "while", s2.Cond)
 	case *SwitchStmt:
-		return fmt.Sprintf("switch (%s)", ExprString(s2.Tag))
+		b = appendHeader(b, "switch", s2.Tag)
 	case *BlockStmt:
 		return "{...}"
 	default:
-		return labelPrefix(s) + simpleStmtString(s2)
+		b = appendSimple(appendLabels(b, s), s2)
 	}
+	return string(b)
 }
 
 // precedence levels for minimal parenthesization when printing.
@@ -291,37 +422,57 @@ func exprPrec(e Expr) int {
 }
 
 // ExprString renders an expression with minimal parentheses.
-func ExprString(e Expr) string {
+func ExprString(e Expr) string { return string(appendExpr(nil, e)) }
+
+func appendExpr(b []byte, e Expr) []byte {
 	switch e := e.(type) {
 	case nil:
-		return ""
+		return b
 	case *IntLit:
-		return fmt.Sprintf("%d", e.Value)
+		return strconv.AppendInt(b, e.Value, 10)
 	case *Ident:
-		return e.Name
+		return append(b, e.Name...)
 	case *CallExpr:
-		args := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = ExprString(a)
-		}
-		return fmt.Sprintf("%s(%s)", e.Name, strings.Join(args, ", "))
+		return appendCall(b, e.Name, e.Args)
 	case *UnaryExpr:
-		x := ExprString(e.X)
-		if exprPrec(e.X) < exprPrec(e) {
-			x = "(" + x + ")"
-		}
-		return e.Op + x
+		b = append(b, e.Op...)
+		return appendOperand(b, e.X, exprPrec(e.X) < exprPrec(e))
 	case *BinaryExpr:
-		x, y := ExprString(e.X), ExprString(e.Y)
-		if exprPrec(e.X) < exprPrec(e) {
-			x = "(" + x + ")"
-		}
+		prec := exprPrec(e)
+		b = appendOperand(b, e.X, exprPrec(e.X) < prec)
+		b = append(b, ' ')
+		b = append(b, e.Op...)
+		b = append(b, ' ')
 		// Right operand needs parens at equal precedence too, since
 		// all operators here are left-associative.
-		if exprPrec(e.Y) <= exprPrec(e) {
-			y = "(" + y + ")"
-		}
-		return fmt.Sprintf("%s %s %s", x, e.Op, y)
+		return appendOperand(b, e.Y, exprPrec(e.Y) <= prec)
 	}
-	return fmt.Sprintf("/* %T */", e)
+	return append(b, "/* "+typeName(e)+" */"...)
 }
+
+// appendOperand appends e, parenthesized when paren is set.
+func appendOperand(b []byte, e Expr, paren bool) []byte {
+	if !paren {
+		return appendExpr(b, e)
+	}
+	b = append(b, '(')
+	b = appendExpr(b, e)
+	return append(b, ')')
+}
+
+// appendCall appends "name(a, b)".
+func appendCall(b []byte, name string, args []Expr) []byte {
+	b = append(b, name...)
+	b = append(b, '(')
+	for i, a := range args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendExpr(b, a)
+	}
+	return append(b, ')')
+}
+
+// typeName names a node type the printer does not know, for the
+// placeholder comment it prints instead.
+func typeName(x any) string { return fmt.Sprintf("%T", x) }

@@ -117,21 +117,40 @@ func (k TokenKind) String() string {
 	return fmt.Sprintf("TokenKind(%d)", int(k))
 }
 
-var keywords = map[string]TokenKind{
-	"if":       KwIf,
-	"else":     KwElse,
-	"while":    KwWhile,
-	"switch":   KwSwitch,
-	"case":     KwCase,
-	"default":  KwDefault,
-	"goto":     KwGoto,
-	"break":    KwBreak,
-	"continue": KwContinue,
-	"return":   KwReturn,
-	"read":     KwRead,
-	"write":    KwWrite,
-	"proc":     KwProc,
-	"call":     KwCall,
+// keyword reports whether an identifier-shaped word is a keyword,
+// and which.
+func keyword(text string) (TokenKind, bool) {
+	switch text {
+	case "if":
+		return KwIf, true
+	case "else":
+		return KwElse, true
+	case "while":
+		return KwWhile, true
+	case "switch":
+		return KwSwitch, true
+	case "case":
+		return KwCase, true
+	case "default":
+		return KwDefault, true
+	case "goto":
+		return KwGoto, true
+	case "break":
+		return KwBreak, true
+	case "continue":
+		return KwContinue, true
+	case "return":
+		return KwReturn, true
+	case "read":
+		return KwRead, true
+	case "write":
+		return KwWrite, true
+	case "proc":
+		return KwProc, true
+	case "call":
+		return KwCall, true
+	}
+	return IDENT, false
 }
 
 // Pos is a source position. Lines and columns are 1-based; the line
