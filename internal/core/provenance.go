@@ -320,7 +320,11 @@ func (p *Provenance) LineReasons() map[int][]string {
 				strs = append(strs, str)
 			}
 		}
-		out[line] = append(out[line], strs[from:len(strs):len(strs)]...)
+		if prev, ok := out[line]; ok {
+			out[line] = append(prev, strs[from:]...)
+		} else {
+			out[line] = strs[from:len(strs):len(strs)]
+		}
 	}
 	p.lines = out
 	return out
@@ -343,7 +347,7 @@ func (p *Provenance) Listing() string {
 		if text == "" {
 			text = "?"
 		}
-		b = appendLineNumber(b, line)
+		b = lang.AppendLineNumber(b, line)
 		b = append(b, text...)
 		for i, r := range reasons[line] {
 			if i == 0 {
@@ -356,16 +360,4 @@ func (p *Provenance) Listing() string {
 		b = append(b, '\n')
 	}
 	return string(b)
-}
-
-// appendLineNumber appends the listing prefix of a line, "%3d: ".
-func appendLineNumber(b []byte, line int) []byte {
-	start := len(b)
-	b = strconv.AppendInt(b, int64(line), 10)
-	if pad := 3 - (len(b) - start); pad > 0 {
-		b = append(b, "   "[:pad]...)
-		copy(b[start+pad:], b[start:len(b)-pad])
-		copy(b[start:start+pad], "   ")
-	}
-	return append(b, ": "...)
 }

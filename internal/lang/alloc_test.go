@@ -1,6 +1,8 @@
 package lang_test
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"jumpslice/internal/lang"
@@ -48,4 +50,38 @@ func TestParseLookaheadAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { lang.Parse(src) }); n >= float64(tokens) {
 		t.Errorf("Parse = %v allocs for %d tokens, want fewer than one per token", n, tokens)
 	}
+}
+
+// TestFormatConcurrent: the pooled buffers pass between goroutines, so
+// concurrent printing of different programs must give each caller its
+// own text — the same as printing them one at a time.
+func TestFormatConcurrent(t *testing.T) {
+	var progs []*lang.Program
+	var want []string
+	var wantTexts [][]string
+	for seed := int64(1); seed <= 8; seed++ {
+		p := progen.Unstructured(progen.Config{Seed: seed, Stmts: 60})
+		progs = append(progs, p)
+		want = append(want, lang.Format(p, lang.PrintOptions{LineNumbers: true}))
+		wantTexts = append(wantTexts, lang.LineTexts(p))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(progs)
+				if got := lang.Format(progs[k], lang.PrintOptions{LineNumbers: true}); got != want[k] {
+					t.Errorf("goroutine %d: Format(program %d) differs from the serial result", g, k)
+					return
+				}
+				if texts := lang.LineTexts(progs[k]); !slices.Equal(texts, wantTexts[k]) {
+					t.Errorf("goroutine %d: LineTexts(program %d) differs from the serial result", g, k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

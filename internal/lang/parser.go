@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -122,7 +123,7 @@ func (p *Parser) next() Token {
 func (p *Parser) intLit(t Token) int64 {
 	n, err := strconv.ParseInt(t.Text, 10, 64)
 	if err != nil {
-		p.errorf(t.Pos, "integer literal %s out of range", t.Text)
+		p.errorf(t.Pos, "integer literal out of range (max %d)", int64(math.MaxInt64))
 	}
 	return n
 }

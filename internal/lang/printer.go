@@ -141,15 +141,7 @@ func (pr *printer) proc(d *ProcDecl) {
 func (pr *printer) begin(pos Pos) int {
 	if pr.opts.LineNumbers {
 		if pos.Line > 0 {
-			// "%3d: "
-			switch {
-			case pos.Line < 10:
-				pr.buf = append(pr.buf, "  "...)
-			case pos.Line < 100:
-				pr.buf = append(pr.buf, ' ')
-			}
-			pr.buf = strconv.AppendInt(pr.buf, int64(pos.Line), 10)
-			pr.buf = append(pr.buf, ": "...)
+			pr.buf = AppendLineNumber(pr.buf, pos.Line)
 		} else {
 			pr.buf = append(pr.buf, "     "...)
 		}
@@ -158,6 +150,20 @@ func (pr *printer) begin(pos Pos) int {
 		pr.buf = append(pr.buf, pr.opts.Indent...)
 	}
 	return len(pr.buf)
+}
+
+// AppendLineNumber appends the prefix a numbered listing gives a
+// positive source line: the line right-aligned in three columns, then
+// ": ".
+func AppendLineNumber(b []byte, line int) []byte {
+	switch {
+	case line < 10:
+		b = append(b, "  "...)
+	case line < 100:
+		b = append(b, ' ')
+	}
+	b = strconv.AppendInt(b, int64(line), 10)
+	return append(b, ": "...)
 }
 
 // end finishes the line whose text starts at offset start.
