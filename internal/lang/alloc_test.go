@@ -30,7 +30,7 @@ func allocProgram(t *testing.T) (*lang.Program, string) {
 func TestFormatAllocs(t *testing.T) {
 	prog, _ := allocProgram(t)
 	for _, opts := range []lang.PrintOptions{{}, {LineNumbers: true}} {
-		if n := testing.AllocsPerRun(20, func() { lang.Format(prog, opts) }); n > 4 {
+		if n := testing.AllocsPerRun(20, func() { _ = lang.Format(prog, opts) }); n > 4 {
 			t.Errorf("Format(%+v) = %v allocs per program, want <= 4", opts, n)
 		}
 	}
@@ -47,7 +47,7 @@ func TestParseLookaheadAllocs(t *testing.T) {
 	}
 	// What Parse allocates is the AST, fewer objects than tokens; a
 	// per-token allocation in the lookahead would push it past.
-	if n := testing.AllocsPerRun(10, func() { lang.Parse(src) }); n >= float64(tokens) {
+	if n := testing.AllocsPerRun(10, func() { _, _ = lang.Parse(src) }); n >= float64(tokens) {
 		t.Errorf("Parse = %v allocs for %d tokens, want fewer than one per token", n, tokens)
 	}
 }
