@@ -1,14 +1,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"jumpslice/internal/lang"
+	"jumpslice/internal/progen"
 	"jumpslice/internal/slicecache"
 )
 
@@ -242,5 +248,70 @@ func TestCacheCoalescing(t *testing.T) {
 	}
 	if counts["miss"]+counts["hit"]+counts["coalesced"] != n {
 		t.Errorf("X-Cache verdicts %v: unknown verdicts present", counts)
+	}
+}
+
+// TestCacheSDGHit asserts algo=sdg rides the analysis cache: a repeat
+// answers X-Cache: hit with the same body, and the summary-edge
+// worklist, which the miss ran before caching, does not run again.
+func TestCacheSDGHit(t *testing.T) {
+	s, ts := newTestServer(t)
+	const query = "var=sum&line=10&algo=sdg&explain=1"
+	resp1, sr1 := postSlice(t, ts, query, sdgTestProgram)
+	if got := resp1.Header.Get("X-Cache"); got != "miss" {
+		t.Errorf("first sdg request X-Cache = %q, want miss", got)
+	}
+	edges := s.reg.Counter("sdg.summary_edges").Value()
+	if edges == 0 {
+		t.Fatal("the miss computed no summary edges")
+	}
+	resp2, sr2 := postSlice(t, ts, query, sdgTestProgram)
+	if got := resp2.Header.Get("X-Cache"); got != "hit" {
+		t.Errorf("repeated sdg request X-Cache = %q, want hit", got)
+	}
+	if got := s.reg.Counter("sdg.summary_edges").Value(); got != edges {
+		t.Errorf("sdg.summary_edges moved on a hit: %d → %d", edges, got)
+	}
+	sr1.Request, sr1.DurationNS, sr2.Request, sr2.DurationNS = 0, 0, 0, 0
+	if !reflect.DeepEqual(sr1, sr2) {
+		t.Errorf("cached sdg response differs:\n%+v\n%+v", sr1, sr2)
+	}
+}
+
+// TestSDGDeadlineThenRetry expires a request's deadline while the
+// daemon builds a large multi-procedure program's analysis, then
+// repeats the request without a deadline: the abandoned build must
+// neither be cached nor be joined, so the retry succeeds.
+func TestSDGDeadlineThenRetry(t *testing.T) {
+	s, _ := newTestServer(t)
+	p := progen.MultiProc(progen.Config{Seed: 1, Stmts: 200, Procs: 8})
+	wcs := progen.MainWriteCriteria(p)
+	if len(wcs) == 0 {
+		t.Fatal("generated program has no main write criteria")
+	}
+	src := lang.Format(p, lang.PrintOptions{})
+	url := fmt.Sprintf("/slice?var=%s&line=%d&algo=sdg", wcs[0].Var, wcs[0].Line)
+	post := func(ctx context.Context) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, url, strings.NewReader(src)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if rec := post(ctx); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("deadline-expired request: status %d, want 503: %s", rec.Code, rec.Body)
+	}
+	rec := post(context.Background())
+	if rec.Code != http.StatusOK {
+		t.Fatalf("retry: status %d, want 200: %s", rec.Code, rec.Body)
+	}
+	var sr sliceResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Algorithm != "sdg" || len(sr.Lines) == 0 {
+		t.Errorf("retry answered %q with lines %v", sr.Algorithm, sr.Lines)
 	}
 }

@@ -16,20 +16,25 @@
 //	                    If-None-Match with 304, and report the analysis
 //	                    cache's verdict in X-Cache: hit, miss, or
 //	                    coalesced (joined another request's in-flight
-//	                    analysis).
+//	                    analysis). Every algorithm, algo=sdg included,
+//	                    goes through the one cached analysis of the
+//	                    program; only sdg accepts procedure
+//	                    declarations.
 //	POST /session       open an incremental editor session: the body
 //	                    is the program source (raw, or JSON
 //	                    {"source":..}); the response carries the
 //	                    session ID and the analysis stays warm in the
 //	                    cache (budget-accounted, evictable).
 //	PATCH /session/{id} apply one edit and re-slice: ?var= &line=
-//	                    (&algo= &explain=) pick the criterion; the
+//	                    (&algo= &explain=) pick the criterion, any
+//	                    algorithm /slice serves, sdg included; the
 //	                    body is JSON {"edit":{"op":"replace",
 //	                    "line":N,"text":".."}} for a one-line edit,
 //	                    or a full source replacement. X-Incremental
 //	                    reports the reuse tier (patched, partial,
-//	                    full) and the response body includes the
-//	                    lines added/removed against the pre-edit
+//	                    full; always full for programs with
+//	                    procedures) and the response body includes
+//	                    the lines added/removed against the pre-edit
 //	                    slice. A failed edit leaves the session
 //	                    unchanged.
 //	DELETE /session/{id} close the session, releasing its cache
@@ -823,18 +828,14 @@ func (s *server) failErr(w http.ResponseWriter, r *http.Request, stage string, e
 var knownAlgos = []string{"agrawal", "agrawal-lst", "structured", "conservative", "conventional", "sdg"}
 
 // parseSliceRequest decodes either request form, enforcing the body
-// byte limit. Every error is a client fault with its own status:
-// oversized body 413, undecodable body or missing criterion 400,
-// unknown algorithm 400.
+// byte limit; query parameters override the JSON body's criterion.
+// Every error is a client fault with its own status: oversized body
+// 413, undecodable body or missing criterion 400, unknown algorithm
+// 400.
 func (s *server) parseSliceRequest(w http.ResponseWriter, r *http.Request) (*sliceRequest, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	body, err := s.readBody(w, r)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, httpErrorf(http.StatusRequestEntityTooLarge, "body_too_large",
-				"request body exceeds the %d byte limit", mbe.Limit)
-		}
-		return nil, httpErrorf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		return nil, err
 	}
 	req := &sliceRequest{}
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
@@ -844,45 +845,21 @@ func (s *server) parseSliceRequest(w http.ResponseWriter, r *http.Request) (*sli
 	} else {
 		req.Source = string(body)
 	}
-	q := r.URL.Query()
-	if v := q.Get("var"); v != "" {
-		req.Var = v
-	}
-	if v := q.Get("line"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, httpErrorf(http.StatusBadRequest, "bad_request", "bad line %q: %v", v, err)
-		}
-		req.Line = n
-	}
-	if v := q.Get("algo"); v != "" {
-		req.Algo = v
-	}
-	if req.Algo == "" {
-		req.Algo = "agrawal"
-	}
-	switch {
-	case strings.TrimSpace(req.Source) == "":
+	if strings.TrimSpace(req.Source) == "" {
 		return nil, httpErrorf(http.StatusBadRequest, "bad_request", "empty program source")
-	case req.Var == "":
-		return nil, httpErrorf(http.StatusBadRequest, "bad_request", "missing criterion variable (var)")
-	case req.Line <= 0:
-		return nil, httpErrorf(http.StatusBadRequest, "bad_request", "missing or non-positive criterion line (line)")
 	}
-	known := false
-	for _, a := range knownAlgos {
-		known = known || a == req.Algo
+	c, algo, err := parseCriterion(r.URL.Query(), core.Criterion{Var: req.Var, Line: req.Line}, req.Algo)
+	if err != nil {
+		return nil, err
 	}
-	if !known {
-		return nil, httpErrorf(http.StatusBadRequest, "unknown_algorithm",
-			"unknown algorithm %q (want %s)", req.Algo, strings.Join(knownAlgos, ", "))
-	}
+	req.Var, req.Line, req.Algo = c.Var, c.Line, algo
 	return req, nil
 }
 
-// coreSlice dispatches the algorithms the daemon serves: the paper's
-// three (Figures 7, 12, 13), the LST-driven Figure 7 variant, and the
-// conventional baseline. parseSliceRequest validated the name.
+// coreSlice dispatches the intraprocedural algorithms the daemon
+// serves: the paper's three (Figures 7, 12, 13), the LST-driven
+// Figure 7 variant, and the conventional baseline. parseCriterion
+// validated the name; renderSlice serves sdg.
 func coreSlice(a *core.Analysis, algo string, c core.Criterion) (*core.Slice, error) {
 	switch algo {
 	case "agrawal":
@@ -954,12 +931,8 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	ctx := r.Context()
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
 	id := requestID(r)
 	tr := s.tracerFor(r)
 	ri := reqInfoFrom(r)
@@ -982,30 +955,56 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if req.Algo == "sdg" {
-		s.handleSliceSDG(ctx, w, r, req, explain, rkey, id, ri, start, tr)
-		return
-	}
-
 	a := s.analysisFor(ctx, w, r, req.Source, tr)
 	if a == nil {
 		return // analysisFor already answered
 	}
 	ri.setStmts(len(lang.Statements(a.Prog)))
-	sl, err := coreSlice(a, req.Algo, core.Criterion{Var: req.Var, Line: req.Line})
+	resp, _ := s.renderSlice(w, r, a, req.Algo, core.Criterion{Var: req.Var, Line: req.Line}, explain)
+	if resp == nil {
+		return // renderSlice already answered
+	}
+	resp.Request = id
+	resp.DurationNS = time.Since(start).Nanoseconds()
+	ri.setSliceLines(len(resp.Lines))
+	s.storeResult(rkey, resp)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// renderSlice computes one slice of a as the response body /slice and
+// PATCH /session/{id} share, less request and duration_ns, plus the
+// intraprocedural Slice behind it (nil for sdg) for the session
+// delta. A nil body means the failure was already answered.
+func (s *server) renderSlice(w http.ResponseWriter, r *http.Request, a *core.Analysis, algo string, c core.Criterion, explain bool) (*sliceResponse, *core.Slice) {
+	resp := &sliceResponse{Var: c.Var, Line: c.Line}
+	if algo == "sdg" {
+		ps, err := a.ProgramSet()
+		var sl *core.InterSlice
+		if err == nil {
+			sl, err = ps.SliceInterproc(c)
+		}
+		if err != nil {
+			s.failErr(w, r, "slice", err)
+			return nil, nil
+		}
+		resp.Algorithm, resp.Lines, resp.Traversals, resp.Text = sl.Algorithm, sl.Lines(), sl.Traversals, sl.Format()
+		for _, u := range ps.Units {
+			for _, nid := range sl.PerProc[u.Index].JumpsAdded {
+				resp.JumpLines = append(resp.JumpLines, u.Sub.CFG.Nodes[nid].Line)
+			}
+		}
+		sort.Ints(resp.JumpLines)
+		if explain {
+			resp.Reasons = sl.EdgeReasons()
+		}
+		return resp, nil
+	}
+	sl, err := coreSlice(a, algo, c)
 	if err != nil {
 		s.failErr(w, r, "slice", err)
-		return
+		return nil, nil
 	}
-	resp := &sliceResponse{
-		Request:    id,
-		Algorithm:  sl.Algorithm,
-		Var:        req.Var,
-		Line:       req.Line,
-		Lines:      sl.Lines(),
-		Traversals: sl.Traversals,
-		Text:       sl.Format(),
-	}
+	resp.Algorithm, resp.Lines, resp.Traversals, resp.Text = sl.Algorithm, sl.Lines(), sl.Traversals, sl.Format()
 	for _, nid := range sl.JumpsAdded {
 		resp.JumpLines = append(resp.JumpLines, a.CFG.Nodes[nid].Line)
 	}
@@ -1014,79 +1013,38 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				s.failErr(w, r, "explain", err)
-				return
+				return nil, nil
 			}
 			s.fail(w, r, http.StatusInternalServerError, "explain_failed", "explain: %v", err)
-			return
+			return nil, nil
 		}
 		resp.Reasons = p.LineReasons()
 		resp.Listing = p.Listing()
 	}
-	resp.DurationNS = time.Since(start).Nanoseconds()
-	ri.setSliceLines(len(resp.Lines))
-	s.storeResult(rkey, resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleSliceSDG serves algo=sdg: the interprocedural (system
-// dependence graph) slice. Programs here may declare procedures, so
-// the request goes through core.AnalyzeProgramSet rather than the
-// single-procedure analysis cache — the ETag (full source + criterion
-// + algorithm) already content-addresses every procedure text, so 304
-// revalidation works unchanged. Explain reports the interprocedural
-// edge evidence (call, param-in, param-out, summary) per slice line.
-func (s *server) handleSliceSDG(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, explain bool, rkey slicecache.ResultKey, id uint64, ri *reqInfo, start time.Time, tr *obs.Tracer) {
-	prog, err := lang.Parse(req.Source)
-	if err != nil {
-		s.failErr(w, r, "analyze", httpErrorf(http.StatusUnprocessableEntity, "invalid_program", "parse: %v", err))
-		return
-	}
-	stmts := len(lang.Statements(prog))
-	if stmts > s.cfg.MaxStmts {
-		s.failErr(w, r, "analyze", httpErrorf(http.StatusRequestEntityTooLarge, "program_too_large",
-			"program has %d statements, over the %d limit", stmts, s.cfg.MaxStmts))
-		return
-	}
-	ps, err := core.AnalyzeProgramSetObservedContext(ctx, prog, s.reg, tr)
-	if err != nil {
-		s.failErr(w, r, "analyze", err)
-		return
-	}
-	ri.setStmts(stmts)
-	sl, err := ps.SliceInterproc(core.Criterion{Var: req.Var, Line: req.Line})
-	if err != nil {
-		s.failErr(w, r, "slice", err)
-		return
-	}
-	resp := &sliceResponse{
-		Request:    id,
-		Algorithm:  sl.Algorithm,
-		Var:        req.Var,
-		Line:       req.Line,
-		Lines:      sl.Lines(),
-		Traversals: sl.Traversals,
-		Text:       sl.Format(),
-	}
-	for _, u := range ps.Units {
-		for _, nid := range sl.PerProc[u.Index].JumpsAdded {
-			resp.JumpLines = append(resp.JumpLines, u.Sub.CFG.Nodes[nid].Line)
-		}
-	}
-	sort.Ints(resp.JumpLines)
-	if explain {
-		resp.Reasons = sl.EdgeReasons()
-	}
-	resp.DurationNS = time.Since(start).Nanoseconds()
-	ri.setSliceLines(len(resp.Lines))
-	s.storeResult(rkey, resp)
-	writeJSON(w, http.StatusOK, resp)
+	return resp, sl
 }
 
 // buildAnalysis is the uncached analysis path — parse, size gate,
-// full pipeline — shared by the direct and cache-mediated routes. Its
-// errors are httpErrors (client faults keep their status through the
-// cache's negative entries) or pipeline errors for failErr to map.
+// full pipeline, detach — shared by the direct and cache-mediated
+// routes and by session opens, for programs with and without
+// procedures. Its errors are httpErrors (client faults keep their
+// status through the cache's negative entries) or pipeline errors for
+// failErr to map.
 func (s *server) buildAnalysis(ctx context.Context, source string, tr *obs.Tracer) (*core.Analysis, error) {
+	prog, err := s.parseProgram(source)
+	if err != nil {
+		return nil, err
+	}
+	a, err := core.AnalyzeObservedContext(ctx, prog, s.reg, tr)
+	if err != nil {
+		return nil, err
+	}
+	return s.detach(a)
+}
+
+// parseProgram parses a request's program under the statement-count
+// limit; its errors are client-fault httpErrors.
+func (s *server) parseProgram(source string) (*lang.Program, error) {
 	prog, err := lang.Parse(source)
 	if err != nil {
 		return nil, httpErrorf(http.StatusUnprocessableEntity, "invalid_program", "parse: %v", err)
@@ -1095,39 +1053,51 @@ func (s *server) buildAnalysis(ctx context.Context, source string, tr *obs.Trace
 		return nil, httpErrorf(http.StatusRequestEntityTooLarge, "program_too_large",
 			"program has %d statements, over the %d limit", n, s.cfg.MaxStmts)
 	}
-	return core.AnalyzeObservedContext(ctx, prog, s.reg, tr)
+	return prog, nil
 }
 
 // analysisFor produces the request's analysis, through the cache when
-// one is configured. On the cached path the build runs detached (the
-// cache owns its context and the result outlives this request) and
-// the hit is rebound to this request's deadline and trace; parse and
-// size-limit faults ride the cache's negative entries, so repeated
-// malformed programs are refused from memory. A nil return means the
-// response — error or 304 — was already written.
+// one is configured, bound to this request's deadline and trace. On
+// the cached path the build runs under the cache's own context (the
+// result outlives this request); parse and size-limit faults ride the
+// cache's negative entries, so repeated malformed programs are
+// refused from memory. A nil return means the response — error or
+// 304 — was already written.
 func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http.Request, source string, tr *obs.Tracer) *core.Analysis {
+	var a *core.Analysis
+	var err error
 	if s.cache == nil {
-		a, err := s.buildAnalysis(ctx, source, tr)
-		if err != nil {
-			s.failErr(w, r, "analyze", err)
-			return nil
-		}
-		return a
+		a, err = s.buildAnalysis(ctx, source, tr)
+	} else {
+		var outcome slicecache.Outcome
+		a, outcome, err = s.cache.Get(ctx, source, func(bctx context.Context) (*core.Analysis, error) {
+			return s.buildAnalysis(bctx, source, tr)
+		})
+		w.Header().Set("X-Cache", outcome.String())
+		tr.Instant("cache."+outcome.String(), 1)
 	}
-	cached, outcome, err := s.cache.Get(ctx, source, func(bctx context.Context) (*core.Analysis, error) {
-		a, err := s.buildAnalysis(bctx, source, tr)
-		if err != nil {
-			return nil, err
-		}
-		return a.Rebind(nil, s.reg, nil), nil
-	})
-	w.Header().Set("X-Cache", outcome.String())
-	tr.Instant("cache."+outcome.String(), 1)
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
 		return nil
 	}
-	return cached.Rebind(ctx, s.reg, tr)
+	return a.Rebind(ctx, s.reg, tr)
+}
+
+// detach readies an analysis for the cache: a program with
+// procedures gets its SDG summary edges now, so nothing writes to an
+// analysis concurrent requests share, and the result is bound to no
+// request.
+func (s *server) detach(a *core.Analysis) (*core.Analysis, error) {
+	if len(a.Prog.Procs) > 0 {
+		ps, err := a.ProgramSet()
+		if err == nil {
+			err = ps.EnsureSummaries()
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return a.Rebind(nil, s.reg, nil), nil
 }
 
 // sliceETag derives the strong validator for a slice request: the

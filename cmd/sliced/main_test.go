@@ -485,7 +485,7 @@ func TestSliceSDGRejectsProcsOnIntraproceduralAlgos(t *testing.T) {
 		t.Fatal("intraprocedural algo accepted a multi-procedure program")
 	}
 	data, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(data), "AnalyzeProgramSet") {
-		t.Errorf("error should direct to interprocedural analysis: %s", data)
+	if !strings.Contains(string(data), "algo=sdg") {
+		t.Errorf("error should direct to the interprocedural slicer: %s", data)
 	}
 }

@@ -117,7 +117,7 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	reqInfoFrom(r).setStmts(len(lang.Statements(a.Prog)))
 	id := strconv.FormatInt(s.sessID.Add(1), 10)
-	s.cache.PutKey(slicecache.SessionKey(id), source, a.Rebind(nil, s.reg, nil))
+	s.cache.PutKey(slicecache.SessionKey(id), source, a)
 	s.smu.Lock()
 	s.sessions[id] = &session{id: id, source: source}
 	s.smu.Unlock()
@@ -140,7 +140,7 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	crit, algo, err := parseCriterion(r.URL.Query())
+	crit, algo, err := parseCriterion(r.URL.Query(), core.Criterion{}, "")
 	if err != nil {
 		s.failErr(w, r, "request", err)
 		return
@@ -185,18 +185,16 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		prog, _ = incremental.SpliceLine(prev.Prog, req.Edit.Line, req.Edit.Text)
 	}
 	if prog == nil {
-		prog, err = lang.Parse(newSrc)
-		if err != nil {
-			s.failErr(w, r, "analyze", httpErrorf(http.StatusUnprocessableEntity, "invalid_program", "parse: %v", err))
-			return
-		}
-		if n := len(lang.Statements(prog)); n > s.cfg.MaxStmts {
-			s.failErr(w, r, "analyze", httpErrorf(http.StatusRequestEntityTooLarge, "program_too_large",
-				"program has %d statements, over the %d limit", n, s.cfg.MaxStmts))
+		if prog, err = s.parseProgram(newSrc); err != nil {
+			s.failErr(w, r, "analyze", err)
 			return
 		}
 	}
 	a, stats, err := core.ReanalyzeProgram(ctx, prev, prog, s.reg, tr)
+	var detached *core.Analysis
+	if err == nil {
+		detached, err = s.detach(a)
+	}
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
 		return
@@ -207,41 +205,17 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	// The edit is committed before slicing: the session now holds the
 	// new program whether or not the criterion below resolves.
 	sess.source = newSrc
-	s.cache.PutKey(key, newSrc, a.Rebind(nil, s.reg, nil))
+	s.cache.PutKey(key, newSrc, detached)
 
-	sl, err := coreSlice(a, algo, crit)
-	if err != nil {
-		s.failErr(w, r, "slice", err)
-		return
+	body, sl := s.renderSlice(w, r, a, algo, crit, explain)
+	if body == nil {
+		return // renderSlice already answered
 	}
-	resp := &sessionPatchResponse{
-		Session:     sess.id,
-		Incremental: stats,
-		sliceResponse: sliceResponse{
-			Request:    id,
-			Algorithm:  sl.Algorithm,
-			Var:        crit.Var,
-			Line:       crit.Line,
-			Lines:      sl.Lines(),
-			Traversals: sl.Traversals,
-			Text:       sl.Format(),
-		},
-	}
-	for _, nid := range sl.JumpsAdded {
-		resp.JumpLines = append(resp.JumpLines, a.CFG.Nodes[nid].Line)
-	}
+	resp := &sessionPatchResponse{sliceResponse: *body, Session: sess.id, Incremental: stats}
 	if prev != nil {
-		resp.LinesAdded, resp.LinesRemoved = sliceDelta(prev, a, algo, crit, sl)
+		resp.LinesAdded, resp.LinesRemoved = sliceDelta(prev, a, algo, crit, sl, resp.Lines)
 	}
-	if explain {
-		p, err := sl.Explain()
-		if err != nil {
-			s.failErr(w, r, "explain", err)
-			return
-		}
-		resp.Reasons = p.LineReasons()
-		resp.Listing = p.Listing()
-	}
+	resp.Request = id
 	resp.DurationNS = time.Since(start).Nanoseconds()
 	ri.setSliceLines(len(resp.Lines))
 	writeJSON(w, http.StatusOK, resp)
@@ -285,11 +259,25 @@ func (req *patchRequest) apply(source string) (string, error) {
 }
 
 // sliceDelta reports the line-level delta between the pre- and
-// post-edit slices of one criterion, walked through the
-// allocation-free set-difference view. The pre-edit slice is computed
+// post-edit slices of one criterion. The pre-edit slice is computed
 // against the previous (still warm) analysis; a criterion the old
-// program cannot resolve yields no delta.
-func sliceDelta(prev, cur *core.Analysis, algo string, crit core.Criterion, sl *core.Slice) (added, removed []int) {
+// program cannot resolve yields no delta. Intraprocedural slices are
+// compared node by node through the allocation-free set-difference
+// view; sdg slices (sl nil), whose node numbering is per procedure,
+// by their line sets.
+func sliceDelta(prev, cur *core.Analysis, algo string, crit core.Criterion, sl *core.Slice, lines []int) (added, removed []int) {
+	if sl == nil {
+		ps, err := prev.ProgramSet()
+		if err != nil {
+			return nil, nil
+		}
+		psl, err := ps.SliceInterproc(crit)
+		if err != nil {
+			return nil, nil
+		}
+		old := psl.Lines()
+		return missingLines(lines, old), missingLines(old, lines)
+	}
 	psl, err := coreSlice(prev, algo, crit)
 	if err != nil || psl.Nodes.Cap() != sl.Nodes.Cap() {
 		return nil, nil
@@ -297,6 +285,18 @@ func sliceDelta(prev, cur *core.Analysis, algo string, crit core.Criterion, sl *
 	added = deltaLines(sl.Nodes.Diff(psl.Nodes), cur)
 	removed = deltaLines(psl.Nodes.Diff(sl.Nodes), prev)
 	return added, removed
+}
+
+// missingLines returns the lines of the sorted list a that the sorted
+// list b lacks.
+func missingLines(a, b []int) []int {
+	var out []int
+	for _, l := range a {
+		if i := sort.SearchInts(b, l); i == len(b) || b[i] != l {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // deltaLines maps a node-set difference to its sorted distinct lines.
@@ -404,10 +404,13 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	return body, nil
 }
 
-// parseCriterion validates the var/line/algo query parameters shared
-// by /slice and PATCH /session/{id}.
-func parseCriterion(q url.Values) (core.Criterion, string, error) {
-	c := core.Criterion{Var: q.Get("var")}
+// parseCriterion overlays the var/line/algo query parameters on c
+// and algo (a JSON body's values, or zero) and validates the result:
+// the one criterion validator /slice and PATCH /session/{id} share.
+func parseCriterion(q url.Values, c core.Criterion, algo string) (core.Criterion, string, error) {
+	if v := q.Get("var"); v != "" {
+		c.Var = v
+	}
 	if v := q.Get("line"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -415,7 +418,9 @@ func parseCriterion(q url.Values) (core.Criterion, string, error) {
 		}
 		c.Line = n
 	}
-	algo := q.Get("algo")
+	if v := q.Get("algo"); v != "" {
+		algo = v
+	}
 	if algo == "" {
 		algo = "agrawal"
 	}

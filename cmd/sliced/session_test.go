@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -254,6 +255,33 @@ func TestSessionDeltaReporting(t *testing.T) {
 	}
 	if len(pr.LinesRemoved) != 1 || pr.LinesRemoved[0] != 3 {
 		t.Errorf("lines_removed = %v, want [3]", pr.LinesRemoved)
+	}
+}
+
+// TestSessionSDG: sessions serve algo=sdg. An edit of a program with
+// procedures re-analyzes in full, answers exactly what a cold /slice
+// of the edited text answers, and reports the line-set delta.
+func TestSessionSDG(t *testing.T) {
+	_, ts := newTestServer(t)
+	id := openSession(t, ts, sdgTestProgram)
+
+	// call add(sum, a) → call add(sum, cnt): the slice on sum@10
+	// trades read(a) (line 4) for cnt = 0 (line 7).
+	const query = "var=sum&line=10&algo=sdg"
+	resp := patchEdit(t, ts, id, query, 8, "call add(sum, cnt);")
+	if got := resp.Header.Get("X-Incremental"); got != "full" {
+		t.Errorf("X-Incremental = %q, want full", got)
+	}
+	var pr sessionPatchResponse
+	decodeInto(t, resp, http.StatusOK, &pr)
+	if fmt.Sprint(pr.LinesAdded) != "[7]" || fmt.Sprint(pr.LinesRemoved) != "[4]" {
+		t.Errorf("delta +%v -%v, want +[7] -[4]", pr.LinesAdded, pr.LinesRemoved)
+	}
+	_, cold := postSlice(t, ts, query, strings.Replace(sdgTestProgram, "call add(sum, a);", "call add(sum, cnt);", 1))
+	got := pr.sliceResponse
+	got.Request, got.DurationNS, cold.Request, cold.DurationNS = 0, 0, 0, 0
+	if !reflect.DeepEqual(got, *cold) {
+		t.Errorf("session sdg slice differs from a cold /slice:\n%+v\n%+v", got, *cold)
 	}
 }
 

@@ -101,19 +101,18 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	c := core.Criterion{Var: *varName, Line: *line}
+	a, err := core.Analyze(prog)
+	if err != nil {
+		return err
+	}
 
-	// The SDG algorithm has its own analysis entry point (and is the
-	// only algorithm accepting programs with procedure declarations).
+	// The SDG algorithm is the only one accepting programs with
+	// procedure declarations.
 	if *algo == "sdg" {
 		if *graph != "" || *flatten || *restructureFlag {
 			return fmt.Errorf("-graph, -flatten and -restructure are not supported with -algo sdg")
 		}
-		return runSDG(out, prog, c, *lines, *stats, *explain)
-	}
-
-	a, err := core.Analyze(prog)
-	if err != nil {
-		return err
+		return runSDG(out, a, c, *lines, *stats, *explain)
 	}
 
 	if *restructureFlag {
@@ -198,8 +197,8 @@ func run(args []string, out io.Writer) error {
 }
 
 // runSDG computes and prints the interprocedural (HRB two-pass) slice.
-func runSDG(out io.Writer, prog *lang.Program, c core.Criterion, lines, stats, explain bool) error {
-	ps, err := core.AnalyzeProgramSet(prog)
+func runSDG(out io.Writer, a *core.Analysis, c core.Criterion, lines, stats, explain bool) error {
+	ps, err := a.ProgramSet()
 	if err != nil {
 		return err
 	}

@@ -124,15 +124,18 @@ type Analysis struct {
 	// — is shared by every Rebind view of this Analysis, and so the
 	// Analysis struct itself stays free of locks and legal to copy.
 	batch *batchState
+	// set holds the program set behind ProgramSet, shared by every
+	// Rebind view for the same reasons (see setState).
+	set *setState
 
 	// rec is the observability recorder every slicing call reports to
-	// (obs.Nop unless AnalyzeRecorded attached a collecting one), and
+	// (obs.Nop unless AnalyzeObservedContext attached a collecting one), and
 	// m holds the pre-resolved instruments so hot paths pay a single
 	// nil-check per event when recording is disabled.
 	rec obs.Recorder
 	m   coreMetrics
 
-	// tr is the request-scoped tracer (nil unless AnalyzeObserved
+	// tr is the request-scoped tracer (nil unless AnalyzeObservedContext
 	// attached one). Every trace emission below is nil-checked inside
 	// the tracer, so the untraced hot path pays the same single-branch
 	// cost as the unrecorded one.
@@ -200,47 +203,35 @@ type batchState struct {
 
 // Analyze parses nothing: it takes an already-parsed program and
 // derives the flowgraph, postdominator tree, dependence graphs, and
-// lexical successor tree. Equivalent to AnalyzeRecorded with the
-// no-op recorder.
+// lexical successor tree. Equivalent to AnalyzeObservedContext with
+// no context, recorder or tracer.
 func Analyze(prog *lang.Program) (*Analysis, error) {
-	return AnalyzeRecorded(prog, obs.Nop)
+	return AnalyzeObservedContext(context.Background(), prog, nil, nil)
 }
 
-// AnalyzeRecorded is Analyze with an observability recorder attached:
-// each construction phase is timed under a "phase.analyze.*" span
-// (cfg → postdominators → cdg → dataflow → pdg → lst → worklists;
-// the batch condensation, built lazily, reports under
-// "phase.analyze.condense"), and every slicing call on the returned
-// Analysis reports its fixpoint traversals, jump examinations and
-// slice sizes to the same recorder. A nil recorder means obs.Nop.
-func AnalyzeRecorded(prog *lang.Program, rec obs.Recorder) (*Analysis, error) {
-	return AnalyzeObserved(prog, rec, nil)
-}
-
-// AnalyzeObserved is AnalyzeRecorded with a request-scoped tracer
-// attached as well: every phase span also lands in the trace as an
-// event, and each slicing call on the returned Analysis emits its
-// traversal passes, jump admissions (with the nearest-postdominator/
-// lexical-successor evidence of the Figure 7 rule), closure-cache
-// activity and finished slices to the same tracer. A nil tracer means
-// no tracing — the metrics-only behaviour of AnalyzeRecorded.
-func AnalyzeObserved(prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, error) {
-	return AnalyzeObservedContext(context.Background(), prog, rec, tr)
-}
-
-// AnalyzeObservedContext is AnalyzeObserved bound to a request
-// context: the construction phases check ctx at every phase boundary,
-// and every slicing call on the returned Analysis — the Figure
-// 7/12/13 fixpoint loops, the dependence-closure engines, SliceAll —
-// keeps checking it cooperatively (see cancel.go for the cadences).
-// When ctx is canceled or its deadline expires, the in-flight call
-// journals a cancellation trace event, counts it under
-// core.cancellations, and returns an error wrapping ctx.Err(). A
-// context that can never be canceled (context.Background) disables
-// the checks.
+// AnalyzeObservedContext is Analyze under a request context, a
+// recorder (nil means obs.Nop) and a tracer (nil means none). Each
+// construction phase is timed under a "phase.analyze.*" span and
+// traced (cfg → postdominators → cdg → dataflow → pdg → lst →
+// worklists; the lazy batch condensation reports under
+// "phase.analyze.condense"), and every slicing call on the result
+// reports its traversals, jump admissions with their Figure 7
+// evidence, closure-cache activity and slice sizes to both.
+//
+// ctx is checked at every phase boundary and, cooperatively, by every
+// slicing call (see cancel.go for the cadences). When it is canceled
+// or its deadline expires, the in-flight call journals a cancellation
+// trace event, counts it under core.cancellations, and returns an
+// error wrapping ctx.Err(). A context that can never be canceled
+// disables the checks.
+//
+// A program that declares procedures is analyzed per procedure and
+// its system dependence graph built (see ProgramSet); the result
+// carries the whole program in Prog and the main body's structures,
+// and only the sdg slicer applies to it.
 func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, error) {
 	if len(prog.Procs) > 0 {
-		return nil, fmt.Errorf("core: program declares procedures; use AnalyzeProgramSet for interprocedural analysis")
+		return analyzeProcs(ctx, prog, rec, tr)
 	}
 	rec = obs.OrNop(rec)
 	// phase times one construction phase on both sinks: the metrics
@@ -261,6 +252,7 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 		Prog:  prog,
 		CFG:   g,
 		batch: &batchState{},
+		set:   &setState{},
 		rec:   rec,
 		tr:    tr,
 	}
@@ -363,14 +355,6 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 	endTotal()
 	return a, nil
 }
-
-// Recorder returns the observability recorder attached at analysis
-// time (obs.Nop when none was).
-func (a *Analysis) Recorder() obs.Recorder { return a.rec }
-
-// Tracer returns the tracer attached at analysis time (nil when none
-// was; the nil tracer is a valid no-op).
-func (a *Analysis) Tracer() *obs.Tracer { return a.tr }
 
 // filterLiveJumps projects a tree preorder onto the live jump nodes,
 // preserving order — the only nodes the Figure 7 traversals act on.
@@ -532,7 +516,13 @@ func (a *Analysis) CriterionNodes(c Criterion) ([]int, error) {
 // statements seed the closure (the usual case: "write(positives)").
 // Otherwise the seeds are the definitions of the variable reaching the
 // line, which matches Weiser's "value of var at loc" reading.
+//
+// It is the one gate every intraprocedural algorithm passes: an
+// analysis of a program with procedures is refused here.
 func (a *Analysis) resolveCriterion(c Criterion) ([]int, error) {
+	if len(a.Prog.Procs) > 0 {
+		return nil, fmt.Errorf("core: program declares procedures; only the sdg algorithm (algo=sdg) slices it")
+	}
 	nodes := a.CFG.NodesAtLine(c.Line)
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("core: no statement at line %d", c.Line)

@@ -19,9 +19,10 @@ import (
 // point returns an error wrapping context.Canceled or
 // context.DeadlineExceeded for the caller to classify.
 //
-// An Analysis built without a context (Analyze, AnalyzeRecorded,
-// AnalyzeObserved) pays a single nil-check per cadence interval —
-// BenchmarkSliceAll gates that this stays within the perf envelope.
+// An Analysis built without a cancelable context (Analyze, or
+// AnalyzeObservedContext with context.Background) pays a single
+// nil-check per cadence interval — BenchmarkSliceAll gates that this
+// stays within the perf envelope.
 
 // cancelCheckJumps is the fixpoint-loop cadence: the jump-detection
 // worklist loops consult the context once per this many candidate

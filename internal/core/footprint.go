@@ -18,12 +18,31 @@ package core
 //   - the reaching-definitions bitsets: 2 sets (In/Out) per node, one
 //     word per 64 definition sites, plus the definition index.
 //
+// An analysis of a program with procedures is charged for every
+// unit plus its system dependence graph, summary edges included once
+// computed; the daemon computes them before caching the analysis.
+//
 // The lazily-built batch condensation and its memoized component
-// closures are intentionally excluded: they are not present on the
-// cached single-request path, and charging for them would make an
-// entry's cost change after insertion, which a consistent ledger
-// cannot allow.
+// closures, and the lazily-built one-unit program set of a
+// procedure-free program, are intentionally excluded: they are not
+// present on the cached single-request path, and charging for them
+// would make an entry's cost change after insertion, which a
+// consistent ledger cannot allow.
 func (a *Analysis) Footprint() int64 {
+	if len(a.Prog.Procs) > 0 {
+		// Units are procedure-free, so each charges as above; the SDG
+		// adds a vertex record with its dependence row header, and
+		// one Dep with append slack per edge.
+		st := a.set.ps.SDG.Stats()
+		total := int64(st.Verts) * 96
+		for _, n := range st.Edges {
+			total += int64(n) * 24
+		}
+		for _, u := range a.set.ps.Units {
+			total += u.Sub.Footprint()
+		}
+		return total
+	}
 	n := int64(a.CFG.NumNodes())
 	var edges int64
 	for v := 0; v < int(n); v++ {

@@ -53,37 +53,20 @@ func resolveIncrMetrics(rec obs.Recorder) incrMetrics {
 	}
 }
 
-// Reanalyze re-derives an Analysis for newSrc, reusing whatever the
-// previous analysis proves still valid. The result is always exactly
-// what Analyze(Parse(newSrc)) would produce — reuse never depends on
-// the differ being clever, only on the structural safety checks
-// holding — so callers can treat it as a faster Analyze. prev may be
-// nil (a plain cold analysis).
-func Reanalyze(prev *Analysis, newSrc string) (*Analysis, *IncrStats, error) {
-	prog, err := lang.Parse(newSrc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ReanalyzeProgram(context.Background(), prev, prog, nil, nil)
-}
-
-// ReanalyzeObservedContext is Reanalyze with the full observability
-// surface of AnalyzeObservedContext.
-func ReanalyzeObservedContext(ctx context.Context, prev *Analysis, newSrc string, rec obs.Recorder, tr *obs.Tracer) (*Analysis, *IncrStats, error) {
-	prog, err := lang.Parse(newSrc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ReanalyzeProgram(ctx, prev, prog, rec, tr)
-}
-
-// ReanalyzeProgram is the parse-free core of Reanalyze, for callers
-// that already hold the new program's AST (e.g. from
-// incremental.SpliceLine, which avoids the full reparse that would
-// otherwise dominate a one-line edit).
+// ReanalyzeProgram re-derives an Analysis for prog, reusing whatever
+// the previous analysis proves still valid. The result is always
+// exactly what AnalyzeObservedContext(ctx, prog, rec, tr) would
+// produce — reuse never depends on the differ being clever, only on
+// the structural safety checks holding — so callers can treat it as a
+// faster analysis. prev may be nil (a plain cold analysis). prog may
+// come from a full parse or from incremental.SpliceLine, which avoids
+// the reparse that would otherwise dominate a one-line edit.
 //
 // Tier decision:
 //
+//   - A program with procedures on either side is analyzed cold
+//     ("full"): reuse is per flowgraph, and such a program has one
+//     per procedure.
 //   - The ASTs are diffed statement by statement. Any structural
 //     difference — statement inserted, deleted, kind changed, label or
 //     goto target or case value changed — falls back to a cold
@@ -128,6 +111,9 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	if prev == nil {
 		return full("no previous analysis")
 	}
+	if len(prog.Procs) > 0 || len(prev.Prog.Procs) > 0 {
+		return full("program declares procedures")
+	}
 	sc := incremental.Diff(prev.Prog, prog)
 	stats.Edits = sc.Edits
 	if !sc.SameShape {
@@ -149,6 +135,7 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		Prog:  prog,
 		CFG:   g2,
 		batch: &batchState{},
+		set:   &setState{},
 		rec:   rec,
 		tr:    tr,
 	}

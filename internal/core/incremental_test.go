@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -52,6 +53,11 @@ func editSrcLine(t *testing.T, src string, line int, text string) string {
 	}
 	lines[line-1] = text
 	return strings.Join(lines, "\n")
+}
+
+// reanalyze parses newSrc and re-analyzes it against prev.
+func reanalyze(prev *Analysis, newSrc string) (*Analysis, *IncrStats, error) {
+	return ReanalyzeProgram(context.Background(), prev, lang.MustParse(newSrc), nil, nil)
 }
 
 func analyzeSrc(t *testing.T, src string) *Analysis {
@@ -153,7 +159,7 @@ func writeCriteria(p *lang.Program, cap int) []Criterion {
 
 func TestReanalyzeIdenticalIsPatched(t *testing.T) {
 	prev := analyzeSrc(t, fig8src)
-	a, stats, err := Reanalyze(prev, fig8src)
+	a, stats, err := reanalyze(prev, fig8src)
 	if err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
@@ -170,7 +176,7 @@ func TestReanalyzeIdenticalIsPatched(t *testing.T) {
 func TestReanalyzeExpressionEditIsPatched(t *testing.T) {
 	prev := analyzeSrc(t, fig8src)
 	newSrc := editSrcLine(t, fig8src, 6, "sum = sum + f1(x) + 1;")
-	a, stats, err := Reanalyze(prev, newSrc)
+	a, stats, err := reanalyze(prev, newSrc)
 	if err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
@@ -190,7 +196,7 @@ func TestReanalyzeExpressionEditIsPatched(t *testing.T) {
 func TestReanalyzeDefEditIsPartial(t *testing.T) {
 	prev := analyzeSrc(t, fig8src)
 	newSrc := editSrcLine(t, fig8src, 2, "others = 0;")
-	a, stats, err := Reanalyze(prev, newSrc)
+	a, stats, err := reanalyze(prev, newSrc)
 	if err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
@@ -204,7 +210,7 @@ func TestReanalyzeDefEditIsPartial(t *testing.T) {
 func TestReanalyzeStructuralEditIsFull(t *testing.T) {
 	prev := analyzeSrc(t, fig8src)
 	newSrc := fig8src + "write(sum);\n"
-	a, stats, err := Reanalyze(prev, newSrc)
+	a, stats, err := reanalyze(prev, newSrc)
 	if err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
@@ -219,19 +225,12 @@ func TestReanalyzeStructuralEditIsFull(t *testing.T) {
 }
 
 func TestReanalyzeNilPreviousIsFull(t *testing.T) {
-	a, stats, err := Reanalyze(nil, fig8src)
+	a, stats, err := reanalyze(nil, fig8src)
 	if err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
 	if stats.Outcome != "full" || a == nil {
 		t.Fatalf("nil previous: stats = %+v", stats)
-	}
-}
-
-func TestReanalyzeParseErrorPropagates(t *testing.T) {
-	prev := analyzeSrc(t, fig8src)
-	if _, _, err := Reanalyze(prev, "if ("); err == nil {
-		t.Fatal("Reanalyze of unparsable source: expected error")
 	}
 }
 
@@ -268,7 +267,7 @@ func TestReanalyzeCondensationPatched(t *testing.T) {
 		t.Fatalf("warming SliceAll: %v", err)
 	}
 	newSrc := editSrcLine(t, straightSrc, 5, "e = d - a + b;")
-	a, stats, err := Reanalyze(prev, newSrc)
+	a, stats, err := reanalyze(prev, newSrc)
 	if err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
@@ -285,12 +284,12 @@ func TestReanalyzeCondensationPatched(t *testing.T) {
 // exports: reused/recomputed phase counts per tier, and fallbacks.
 func TestReanalyzeCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	prev, err := AnalyzeRecorded(lang.MustParse(fig8src), reg)
+	prev, err := AnalyzeObservedContext(context.Background(), lang.MustParse(fig8src), reg, nil)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	newSrc := editSrcLine(t, fig8src, 6, "sum = sum + f1(x) + 1;")
-	if _, _, err := ReanalyzeObservedContext(prev.Context(), prev, newSrc, reg, nil); err != nil {
+	if _, _, err := ReanalyzeProgram(prev.Context(), prev, lang.MustParse(newSrc), reg, nil); err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
 	if got := reg.Counter("incr.reused").Value(); got < 5 {
@@ -302,7 +301,7 @@ func TestReanalyzeCounters(t *testing.T) {
 	if got := reg.Counter("incr.fallbacks").Value(); got != 0 {
 		t.Fatalf("incr.fallbacks = %d, want 0", got)
 	}
-	if _, _, err := ReanalyzeObservedContext(prev.Context(), prev, fig8src+"write(sum);\n", reg, nil); err != nil {
+	if _, _, err := ReanalyzeProgram(prev.Context(), prev, lang.MustParse(fig8src+"write(sum);\n"), reg, nil); err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
 	if got := reg.Counter("incr.fallbacks").Value(); got != 1 {
@@ -324,7 +323,7 @@ func TestReanalyzePreviousSurvives(t *testing.T) {
 		t.Fatalf("Agrawal: %v", err)
 	}
 	newSrc := editSrcLine(t, fig8src, 6, "sum = sum + f1(x) + 1;")
-	if _, _, err := Reanalyze(prev, newSrc); err != nil {
+	if _, _, err := reanalyze(prev, newSrc); err != nil {
 		t.Fatalf("Reanalyze: %v", err)
 	}
 	requireSameSlices(t, "donor after reanalyze", prev, analyzeSrc(t, fig8src), crits)
@@ -449,7 +448,7 @@ func TestReanalyzePropertyByteIdentity(t *testing.T) {
 						t.Fatalf("%s seed %d step %d: warm SliceAll: %v", corpus.name, seed, step, err)
 					}
 					newSrc, wantTier := mutate(rng, src)
-					inc, stats, err := Reanalyze(cur, newSrc)
+					inc, stats, err := reanalyze(cur, newSrc)
 					if err != nil {
 						t.Fatalf("%s seed %d step %d: Reanalyze: %v\nsource:\n%s", corpus.name, seed, step, err, newSrc)
 					}

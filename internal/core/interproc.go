@@ -33,19 +33,19 @@ type ProcUnit struct {
 	Name string
 	// Decl is the source declaration; nil for main.
 	Decl *lang.ProcDecl
-	// Sub is the full single-procedure analysis of the body: the
-	// procedure's statements under a synthetic Program, so every
-	// intraprocedural structure (CFG, PDT, CDG, RD, PDG, LST) and
-	// every intraprocedural algorithm applies unchanged.
+	// Sub is the full single-procedure analysis of the body (the
+	// procedure's statements under a synthetic Program, or a view of
+	// a procedure-free analysis itself), so every intraprocedural
+	// structure and algorithm applies unchanged.
 	Sub *Analysis
 }
 
-// ProgramSet is the interprocedural analogue of Analysis: the
-// per-procedure analyses of a multi-procedure program plus their
-// system dependence graph. Build it once with AnalyzeProgramSet, then
-// compute any number of slices from it; the SDG's summary edges are
-// computed lazily on the first slice and cached, so repeat slices of
-// the same set skip the interprocedural fixpoint entirely.
+// ProgramSet is the interprocedural view of an Analysis: the
+// per-procedure analyses of its program plus their system dependence
+// graph; a procedure-free program is the one-unit case, on which
+// SliceInterproc produces the Agrawal slice. The SDG's summary edges
+// are computed once, on the first slice of any view, so repeat slices
+// skip the interprocedural fixpoint entirely.
 type ProgramSet struct {
 	Prog *lang.Program
 	// Units holds the procedures in declaration order, then main
@@ -58,8 +58,9 @@ type ProgramSet struct {
 	tr  *obs.Tracer
 	sm  sdgMetrics
 
-	summaryOnce sync.Once
-	summaryErr  error
+	// summaries serializes the summary worklist, the SDG's only
+	// writer after Build, across every view of the set.
+	summaries *sync.Mutex
 }
 
 // sdgMetrics is the ProgramSet's pre-resolved instrument set.
@@ -77,49 +78,64 @@ func (m *sdgMetrics) resolve(rec obs.Recorder) {
 	m.jumpsAdmitted = rec.Counter("sdg.jumps_admitted")
 }
 
-// AnalyzeProgramSet analyzes a program that may declare procedures.
-// Programs without procedures are legal — the set then has a single
-// unit (main) and SliceInterproc degenerates to the intraprocedural
-// Agrawal algorithm, producing the identical slice.
+// setState is the request-free program set shared by an Analysis and
+// its Rebind views: seeded at analysis time for a program with
+// procedures, built on first use for a procedure-free one.
+type setState struct {
+	once sync.Once
+	ps   *ProgramSet
+	err  error
+}
+
+// AnalyzeProgramSet analyzes a program that may declare procedures
+// and returns its program set. Summary edges are left to the first
+// slice.
 func AnalyzeProgramSet(prog *lang.Program) (*ProgramSet, error) {
-	return AnalyzeProgramSetObservedContext(context.Background(), prog, obs.Nop, nil)
+	a, err := Analyze(prog)
+	if err != nil {
+		return nil, err
+	}
+	return a.ProgramSet()
 }
 
-// AnalyzeProgramSetObserved is AnalyzeProgramSet with a recorder and
-// tracer attached; both are passed through to every per-procedure
-// analysis, so the usual phase.analyze.* spans are reported once per
-// unit.
-func AnalyzeProgramSetObserved(prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*ProgramSet, error) {
-	return AnalyzeProgramSetObservedContext(context.Background(), prog, rec, tr)
+// ProgramSet returns the analysis's program set, bound to this view's
+// context, recorder and tracer: criteria resolve, and closures and
+// the summary worklist cancel, through them.
+func (a *Analysis) ProgramSet() (*ProgramSet, error) {
+	st := a.set
+	st.once.Do(func() {
+		st.ps, st.err = newProgramSet(a.Prog, []*ProcUnit{{Sub: a.Rebind(nil, nil, nil)}}, a.rec, a.tr)
+	})
+	if st.err != nil {
+		return nil, st.err
+	}
+	v := *st.ps
+	v.rec, v.tr = a.rec, a.tr
+	v.sm.resolve(a.rec)
+	v.Units = make([]*ProcUnit, len(st.ps.Units))
+	for i, u := range st.ps.Units {
+		cp := *u
+		cp.Sub = u.Sub.Rebind(a.ctx, a.rec, a.tr)
+		v.Units[i] = &cp
+	}
+	return &v, nil
 }
 
-// AnalyzeProgramSetObservedContext is AnalyzeProgramSetObserved bound
-// to a request context, which cancels both the per-procedure analyses
-// and every later closure walk on the set (including summary
-// computation).
-func AnalyzeProgramSetObservedContext(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*ProgramSet, error) {
-	rec = obs.OrNop(rec)
-	sp := rec.StartSpan("phase.analyze.sdg")
-	ts := tr.StartSpan("phase.analyze.sdg")
-	defer func() { ts.End(); sp.End() }()
-
-	ps := &ProgramSet{Prog: prog, rec: rec, tr: tr}
-	ps.sm.resolve(rec)
+// analyzeProcs is AnalyzeObservedContext for a program with
+// procedures: each body is analyzed as its own single-procedure
+// program, the SDG is built over them, and the main unit's analysis,
+// widened to the whole program, carries the set.
+func analyzeProcs(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, error) {
+	var units []*ProcUnit
 	analyzeBody := func(name string, decl *lang.ProcDecl, body []lang.Stmt, labels map[string]*lang.LabeledStmt) error {
-		synthetic := &lang.Program{Body: body, Labels: labels}
-		sub, err := AnalyzeObservedContext(ctx, synthetic, rec, tr)
+		sub, err := AnalyzeObservedContext(ctx, &lang.Program{Body: body, Labels: labels}, rec, tr)
 		if err != nil {
 			if name == "" {
 				return fmt.Errorf("core: analyzing main: %w", err)
 			}
 			return fmt.Errorf("core: analyzing proc %s: %w", name, err)
 		}
-		ps.Units = append(ps.Units, &ProcUnit{
-			Index: len(ps.Units),
-			Name:  name,
-			Decl:  decl,
-			Sub:   sub,
-		})
+		units = append(units, &ProcUnit{Name: name, Decl: decl, Sub: sub.Rebind(nil, nil, nil)})
 		return nil
 	}
 	for _, d := range prog.Procs {
@@ -130,9 +146,28 @@ func AnalyzeProgramSetObservedContext(ctx context.Context, prog *lang.Program, r
 	if err := analyzeBody("", nil, prog.Body, prog.Labels); err != nil {
 		return nil, err
 	}
+	ps, err := newProgramSet(prog, units, rec, tr)
+	if err != nil {
+		return nil, err
+	}
+	a := ps.MainUnit().Sub.Rebind(ctx, rec, tr)
+	a.Prog = prog
+	a.set = &setState{}
+	a.set.once.Do(func() { a.set.ps = ps })
+	return a, nil
+}
 
-	infos := make([]*sdg.ProcInfo, len(ps.Units))
-	for i, u := range ps.Units {
+// newProgramSet builds the SDG over already-analyzed units, numbering
+// them in order.
+func newProgramSet(prog *lang.Program, units []*ProcUnit, rec obs.Recorder, tr *obs.Tracer) (*ProgramSet, error) {
+	rec = obs.OrNop(rec)
+	sp := rec.StartSpan("phase.analyze.sdg")
+	ts := tr.StartSpan("phase.analyze.sdg")
+	defer func() { ts.End(); sp.End() }()
+
+	infos := make([]*sdg.ProcInfo, len(units))
+	for i, u := range units {
+		u.Index = i
 		info := &sdg.ProcInfo{
 			Name:  u.Name,
 			CFG:   u.Sub.CFG,
@@ -159,22 +194,11 @@ func AnalyzeProgramSetObservedContext(ctx context.Context, prog *lang.Program, r
 	if err != nil {
 		return nil, err
 	}
-	ps.SDG = g
-	return ps, nil
+	return &ProgramSet{Prog: prog, Units: units, SDG: g, summaries: &sync.Mutex{}}, nil
 }
 
 // MainUnit returns the unit of the top-level statements.
 func (ps *ProgramSet) MainUnit() *ProcUnit { return ps.Units[len(ps.Units)-1] }
-
-// Unit returns the unit of the named procedure ("" for main).
-func (ps *ProgramSet) Unit(name string) *ProcUnit {
-	for _, u := range ps.Units {
-		if u.Name == name {
-			return u
-		}
-	}
-	return nil
-}
 
 // UnitAtLine returns the unit whose body contains the source line.
 func (ps *ProgramSet) UnitAtLine(line int) *ProcUnit {
@@ -186,20 +210,26 @@ func (ps *ProgramSet) UnitAtLine(line int) *ProcUnit {
 	return nil
 }
 
-// EnsureSummaries runs the HRB summary-edge worklist if it has not
-// run yet; SliceInterproc calls it implicitly, so the only reason to
-// call it directly is to front-load the cost (or measure it).
+// EnsureSummaries runs the HRB summary-edge worklist unless a view of
+// the set has completed it; SliceInterproc calls it implicitly, so
+// call it directly only to front-load (or measure) the cost. A
+// canceled run is not remembered: the next call resumes it.
 func (ps *ProgramSet) EnsureSummaries() error {
-	ps.summaryOnce.Do(func() {
-		sp := ps.rec.StartSpan("phase.sdg.summaries")
-		ts := ps.tr.StartSpan("phase.sdg.summaries")
-		defer func() { ts.End(); sp.End() }()
-		edges, rounds, err := ps.SDG.ComputeSummaries(ps.MainUnit().Sub.cancelf)
-		ps.sm.summaryEdges.Add(int64(edges))
-		ps.sm.summaryRounds.Add(int64(rounds))
-		ps.summaryErr = err
-	})
-	return ps.summaryErr
+	ps.summaries.Lock()
+	defer ps.summaries.Unlock()
+	if ps.SDG.SummariesComputed() {
+		return nil
+	}
+	sp := ps.rec.StartSpan("phase.sdg.summaries")
+	ts := ps.tr.StartSpan("phase.sdg.summaries")
+	defer func() { ts.End(); sp.End() }()
+	edges, rounds, err := ps.SDG.ComputeSummaries(ps.MainUnit().Sub.cancelf)
+	if err != nil {
+		return err
+	}
+	ps.sm.summaryEdges.Add(int64(edges))
+	ps.sm.summaryRounds.Add(int64(rounds))
+	return nil
 }
 
 // InterSlice is the result of an interprocedural slice: the global

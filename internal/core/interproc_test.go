@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"jumpslice/internal/lang"
 	"jumpslice/internal/paper"
+	"jumpslice/internal/progen"
 )
 
 func mustSet(t *testing.T, src string) *ProgramSet {
@@ -171,32 +175,128 @@ write(prod);
 }
 
 func TestSliceInterprocPaperFiguresMatchAgrawal(t *testing.T) {
-	// Every paper figure is a single-procedure program; the SDG slice
-	// must be byte-identical to the Figure 7 slice on all of them.
+	// A procedure-free program is the one-unit case of its program
+	// set: on every paper figure, and on every write criterion of the
+	// 240-program corpus, the set accessor's SDG slice must be
+	// byte-identical to the Figure 7 slice.
 	for _, f := range paper.All() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			a := analyzeFig(t, f)
-			c := crit(f)
-			want, err := a.Agrawal(c)
-			if err != nil {
-				t.Fatalf("agrawal: %v", err)
-			}
-			ps, err := AnalyzeProgramSet(f.Parse())
-			if err != nil {
-				t.Fatalf("analyze set: %v", err)
-			}
-			got, err := ps.SliceInterproc(c)
-			if err != nil {
-				t.Fatalf("sdg: %v", err)
-			}
-			if got.Format() != want.Format() {
-				t.Errorf("sdg slice differs from agrawal\nsdg:\n%s\nagrawal:\n%s", got.Format(), want.Format())
-			}
-			if g, w := got.JumpsAdded, len(want.JumpsAdded); g != w {
-				t.Errorf("sdg admitted %d jumps, agrawal %d", g, w)
-			}
+			requireSDGMatchesAgrawal(t, f.Name, analyzeFig(t, f), []Criterion{crit(f)})
 		})
+	}
+	batchCases(t, 120, func(t *testing.T, corpus string, seed int64, a *Analysis, crits []Criterion) {
+		requireSDGMatchesAgrawal(t, fmt.Sprintf("%s seed %d", corpus, seed), a, crits)
+	})
+}
+
+func requireSDGMatchesAgrawal(t *testing.T, label string, a *Analysis, crits []Criterion) {
+	t.Helper()
+	ps, err := a.ProgramSet()
+	if err != nil {
+		t.Fatalf("%s: program set: %v", label, err)
+	}
+	for _, c := range crits {
+		want, err := a.Agrawal(c)
+		if err != nil {
+			t.Fatalf("%s %s: agrawal: %v", label, c, err)
+		}
+		got, err := ps.SliceInterproc(c)
+		if err != nil {
+			t.Fatalf("%s %s: sdg: %v", label, c, err)
+		}
+		if got.Format() != want.Format() {
+			t.Errorf("%s %s: sdg slice differs from agrawal\nsdg:\n%s\nagrawal:\n%s", label, c, got.Format(), want.Format())
+		}
+		if g, w := got.JumpsAdded, len(want.JumpsAdded); g != w {
+			t.Errorf("%s %s: sdg admitted %d jumps, agrawal %d", label, c, g, w)
+		}
+	}
+}
+
+// TestAnalyzeProcsRefusesIntraprocedural pins the one gate: an
+// analysis of a program with procedures serves the sdg slicer, and
+// every intraprocedural algorithm refuses it, naming the sdg slicer.
+func TestAnalyzeProcsRefusesIntraprocedural(t *testing.T) {
+	a, err := Analyze(lang.MustParse(twoProcSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Criterion{Var: "sum", Line: 10}
+	for name, run := range map[string]func(Criterion) (*Slice, error){
+		"agrawal":      a.Agrawal,
+		"agrawal-lst":  a.AgrawalLST,
+		"structured":   a.AgrawalStructured,
+		"conservative": a.AgrawalConservative,
+		"conventional": a.Conventional,
+	} {
+		if _, err := run(c); err == nil || !strings.Contains(err.Error(), "algo=sdg") {
+			t.Errorf("%s on a program with procedures: err = %v, want a refusal naming algo=sdg", name, err)
+		}
+	}
+	ps, err := a.ProgramSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ps.SliceInterproc(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(s.Lines()) != "[2 4 6 8 10]" {
+		t.Errorf("sdg lines = %v, want [2 4 6 8 10]", s.Lines())
+	}
+	if main := ps.MainUnit().Sub.Footprint(); a.Footprint() <= main {
+		t.Errorf("footprint %d does not exceed the main unit's %d", a.Footprint(), main)
+	}
+}
+
+// TestSummariesResumeAfterCancel: a view whose context cancels the
+// summary worklist fails its slice, and a later view under a live
+// context completes the worklist and slices exactly like a set that
+// never saw a cancellation.
+func TestSummariesResumeAfterCancel(t *testing.T) {
+	p := progen.MultiProc(progen.Config{Seed: 3, Stmts: 60, Procs: 6})
+	wcs := progen.MainWriteCriteria(p)
+	if len(wcs) == 0 {
+		t.Fatal("no main write criteria")
+	}
+	c := Criterion{Var: wcs[0].Var, Line: wcs[0].Line}
+	ref, err := AnalyzeProgramSet(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.SliceInterproc(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The worklist checks the context once per round: a budget of two
+	// checks cancels it at the start of its third round.
+	a := MustAnalyze(p)
+	ctx := newCountdownCtx(2)
+	dead, err := a.Rebind(ctx, nil, nil).ProgramSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dead.SliceInterproc(c); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled view: err = %v, want context.Canceled", err)
+	}
+	if a.set.ps.SDG.SummariesComputed() || a.set.ps.SDG.Stats().SummaryEdges == 0 {
+		t.Fatalf("the cancellation did not land midway through the summary worklist (%+v)", a.set.ps.SDG.Stats())
+	}
+	live, err := a.Rebind(context.Background(), nil, nil).ProgramSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := live.SliceInterproc(c)
+	if err != nil {
+		t.Fatalf("live view after a canceled one: %v", err)
+	}
+	if got.Format() != want.Format() || fmt.Sprint(got.V2) != fmt.Sprint(want.V2) {
+		t.Errorf("slice after a canceled worklist differs:\n%s\nwant:\n%s", got.Format(), want.Format())
+	}
+	if g, w := live.SDG.Stats().SummaryEdges, ref.SDG.Stats().SummaryEdges; g != w {
+		t.Errorf("summary edges %d after resume, %d without cancellation", g, w)
 	}
 }
 

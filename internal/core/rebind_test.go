@@ -3,9 +3,11 @@ package core_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"jumpslice/internal/core"
+	"jumpslice/internal/lang"
 	"jumpslice/internal/obs"
 	"jumpslice/internal/paper"
 	"jumpslice/internal/progen"
@@ -46,7 +48,7 @@ func TestRebindSlicesIdentical(t *testing.T) {
 func TestRebindSharesBatchCondensation(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := progen.Structured(progen.Config{Seed: 3, Stmts: 40})
-	a, err := core.AnalyzeRecorded(p, reg)
+	a, err := core.AnalyzeObservedContext(context.Background(), p, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +121,54 @@ func TestFootprintDeterministic(t *testing.T) {
 	}
 	if v := a1.Rebind(nil, nil, nil); v.Footprint() != a1.Footprint() {
 		t.Errorf("rebound view footprint %d differs from base %d", v.Footprint(), a1.Footprint())
+	}
+}
+
+// TestRebindViewsShareProgramSet slices one analysis's program set
+// from many views at once, before any view has built the one-unit set
+// or run the summary worklist: every view must get the reference
+// slice, and the shared state must be built race-free (run with
+// -race).
+func TestRebindViewsShareProgramSet(t *testing.T) {
+	for _, p := range []*lang.Program{
+		progen.MultiProc(progen.Config{Seed: 4, Stmts: 20, Procs: 4}),
+		progen.Structured(progen.Config{Seed: 4, Stmts: 40}),
+	} {
+		wcs := progen.MainWriteCriteria(p)
+		c := core.Criterion{Var: wcs[len(wcs)-1].Var, Line: wcs[len(wcs)-1].Line}
+		ref, err := core.AnalyzeProgramSet(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.SliceInterproc(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		a := core.MustAnalyze(p).Rebind(nil, reg, nil)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ps, err := a.Rebind(context.Background(), reg, nil).ProgramSet()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := ps.SliceInterproc(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Format() != want.Format() {
+					t.Errorf("view slice differs:\n%s\nwant:\n%s", got.Format(), want.Format())
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := reg.Counter("sdg.summary_edges").Value(), int64(ref.SDG.Stats().SummaryEdges); got != want {
+			t.Errorf("sdg.summary_edges = %d across views, want %d (one worklist run)", got, want)
+		}
 	}
 }

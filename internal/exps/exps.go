@@ -747,7 +747,11 @@ func SDG(o Options) ([]SDGRow, error) {
 		}
 		parts, err := runSeeds(ctx, o.Seeds, o.Parallel, func(seed int64) (totals, error) {
 			p := progen.MultiProc(progen.Config{Seed: seed, Stmts: o.Stmts, Procs: np})
-			ps, err := core.AnalyzeProgramSetObservedContext(ctx, p, o.Recorder, o.Tracer)
+			a, err := core.AnalyzeObservedContext(ctx, p, o.Recorder, o.Tracer)
+			if err != nil {
+				return totals{}, fmt.Errorf("seed %d: %w", seed, err)
+			}
+			ps, err := a.ProgramSet()
 			if err != nil {
 				return totals{}, fmt.Errorf("seed %d: %w", seed, err)
 			}

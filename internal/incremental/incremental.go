@@ -566,7 +566,8 @@ func editScript(old, new *lang.Program) []Edit {
 // The result is structurally identical to reparsing the whole edited
 // source. SpliceLine returns ok=false — and callers fall back to a
 // full reparse — whenever that equivalence cannot be guaranteed
-// cheaply: the text spans lines, is not exactly one unlabeled simple
+// cheaply: p declares procedures (the splice rebuilds only the main
+// body), the text spans lines, is not exactly one unlabeled simple
 // statement (gotos fail their standalone parse because the label is
 // out of scope, which conveniently routes label-sensitive edits to
 // the fallback), the line does not hold exactly one simple statement
@@ -576,7 +577,7 @@ func editScript(old, new *lang.Program) []Edit {
 // standalone parse; nothing downstream of parsing reads columns, so
 // this is unobservable.
 func SpliceLine(p *lang.Program, line int, text string) (*lang.Program, bool) {
-	if strings.ContainsAny(text, "\n\r") {
+	if len(p.Procs) > 0 || strings.ContainsAny(text, "\n\r") {
 		return nil, false
 	}
 	np, err := lang.Parse(text)

@@ -39,6 +39,9 @@ import (
 
 // Program restructures a whole program into pc-loop form.
 func Program(prog *lang.Program) (*lang.Program, error) {
+	if len(prog.Procs) > 0 {
+		return nil, fmt.Errorf("restructure: programs with procedure declarations are not supported")
+	}
 	g, err := cfg.Build(prog)
 	if err != nil {
 		return nil, err

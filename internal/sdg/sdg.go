@@ -179,22 +179,21 @@ type Graph struct {
 
 	deps [][]Dep
 
-	stmtVert     [][]int                   // [proc][node] -> vertex
-	formalIn     [][]int                   // [proc][param] -> vertex
-	formalOut    [][]int                   // [proc][param] -> vertex
-	actualIn     []map[int][]int           // [proc][call node] -> per-arg vertices
-	actualOutIdx []map[int]map[int]int     // [proc][call node][arg index] -> vertex
-	actualOutVar []map[int]map[string]int  // [proc][call node][var] -> vertex
-	argVars      []map[int][][]string      // [proc][call node] -> per-arg variable sets
-	calleeOf     []map[int]int             // [proc][call node] -> callee proc
-	sites        [][]Site                  // [callee] -> call sites
+	stmtVert     [][]int                  // [proc][node] -> vertex
+	formalIn     [][]int                  // [proc][param] -> vertex
+	formalOut    [][]int                  // [proc][param] -> vertex
+	actualIn     []map[int][]int          // [proc][call node] -> per-arg vertices
+	actualOutIdx []map[int]map[int]int    // [proc][call node][arg index] -> vertex
+	actualOutVar []map[int]map[string]int // [proc][call node][var] -> vertex
+	argVars      []map[int][][]string     // [proc][call node] -> per-arg variable sets
+	calleeOf     []map[int]int            // [proc][call node] -> callee proc
+	sites        [][]Site                 // [callee] -> call sites
 	byName       map[string]int
 
 	edgeCount [NumEdgeKinds]int
 
-	summariesDone  bool
-	summaryEdges   int
-	summaryRounds  int
+	summariesDone bool
+	summaryRounds int
 }
 
 // Stats reports graph size for metrics and explain payloads.
@@ -478,11 +477,17 @@ func defines(n *cfg.Node, v string) bool {
 // formal-out, find the formal-ins reachable along same-level
 // realizable paths and install the matching actual-out → actual-in
 // summary edges at every call site; repeat (new summary edges can
-// extend same-level paths in callers) until a fixpoint. Idempotent:
-// later calls return the recorded totals without re-running.
+// extend same-level paths in callers) until a fixpoint. It reports
+// the graph's summary edge count and the completing run's worklist
+// rounds. Idempotent: later calls return the recorded totals without
+// re-running. cancel (nil to disable) is consulted once per worklist
+// round and inside each closure walk; a canceled run leaves only
+// valid summary edges behind, so calling again completes the same
+// fixpoint. It is the one writer of the graph after Build; the caller
+// keeps it from running alongside readers.
 func (g *Graph) ComputeSummaries(cancel func() error) (edges, rounds int, err error) {
 	if g.summariesDone {
-		return g.summaryEdges, g.summaryRounds, nil
+		return g.edgeCount[EdgeSummary], g.summaryRounds, nil
 	}
 	known := make([][][]bool, len(g.Procs))
 	inList := make([]bool, len(g.Procs))
@@ -498,15 +503,20 @@ func (g *Graph) ComputeSummaries(cancel func() error) (edges, rounds int, err er
 		}
 	}
 	for len(wl) > 0 {
+		if cancel != nil {
+			if err := cancel(); err != nil {
+				return g.edgeCount[EdgeSummary], rounds, err
+			}
+		}
 		qi := wl[0]
 		wl = wl[1:]
 		inList[qi] = false
-		g.summaryRounds++
+		rounds++
 		changed := false
 		for j := range g.Procs[qi].Params {
 			reach, err := g.Closure([]int{g.formalOut[qi][j]}, SameLevel, cancel)
 			if err != nil {
-				return g.summaryEdges, g.summaryRounds, err
+				return g.edgeCount[EdgeSummary], rounds, err
 			}
 			for k := range g.Procs[qi].Params {
 				if known[qi][j][k] || !reach.Has(g.formalIn[qi][k]) {
@@ -517,7 +527,6 @@ func (g *Graph) ComputeSummaries(cancel func() error) (edges, rounds int, err er
 				for _, site := range g.sites[qi] {
 					if aov, ok := g.actualOutIdx[site.Proc][site.Node][j]; ok {
 						g.addDep(aov, g.actualIn[site.Proc][site.Node][k], EdgeSummary)
-						g.summaryEdges++
 					}
 				}
 			}
@@ -533,7 +542,8 @@ func (g *Graph) ComputeSummaries(cancel func() error) (edges, rounds int, err er
 		}
 	}
 	g.summariesDone = true
-	return g.summaryEdges, g.summaryRounds, nil
+	g.summaryRounds = rounds
+	return g.edgeCount[EdgeSummary], rounds, nil
 }
 
 // SummariesComputed reports whether ComputeSummaries has run.
@@ -606,35 +616,6 @@ func (g *Graph) StmtVert(pi, node int) int { return g.stmtVert[pi][node] }
 
 // EntryVert returns the statement vertex of a procedure's Entry node.
 func (g *Graph) EntryVert(pi int) int { return g.entryVert(pi) }
-
-// ProcIndex resolves a procedure name ("" does not resolve).
-func (g *Graph) ProcIndex(name string) (int, bool) {
-	i, ok := g.byName[name]
-	return i, ok
-}
-
-// ActualInVerts returns the actual-in vertices of a call node, in
-// argument order (nil if the node is not a call).
-func (g *Graph) ActualInVerts(pi, node int) []int { return g.actualIn[pi][node] }
-
-// ActualOutVerts returns the actual-out vertices of a call node in
-// ascending argument order.
-func (g *Graph) ActualOutVerts(pi, node int) []int {
-	m := g.actualOutIdx[pi][node]
-	if len(m) == 0 {
-		return nil
-	}
-	idx := make([]int, 0, len(m))
-	for j := range m {
-		idx = append(idx, j)
-	}
-	sort.Ints(idx)
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = m[j]
-	}
-	return out
-}
 
 // ActualOutVertByVar returns the actual-out vertex carrying variable v
 // at a call node, if the call copies v back out.
@@ -728,7 +709,7 @@ func (g *Graph) Stats() Stats {
 		Procs:         len(g.Procs),
 		Verts:         len(g.Verts),
 		Edges:         map[string]int{},
-		SummaryEdges:  g.summaryEdges,
+		SummaryEdges:  g.edgeCount[EdgeSummary],
 		SummaryRounds: g.summaryRounds,
 	}
 	for k, n := range g.edgeCount {

@@ -285,7 +285,9 @@ func (c *Cache) Get(ctx context.Context, source string, build func(context.Conte
 			return a, Hit, nil
 		}
 	}
-	if f := sh.flights[key]; f != nil {
+	// A flight every waiter has left is being canceled: start afresh
+	// rather than join it.
+	if f := sh.flights[key]; f != nil && f.waiters > 0 {
 		f.waiters++
 		sh.mu.Unlock()
 		c.count(&c.stats.Coalesced, c.m.coalesced)
@@ -313,7 +315,9 @@ func (c *Cache) run(bctx context.Context, sh *shard, key Key, f *flight, srcLen 
 	f.a, f.err = a, err
 
 	sh.mu.Lock()
-	delete(sh.flights, key)
+	if sh.flights[key] == f {
+		delete(sh.flights, key)
+	}
 	switch {
 	case err == nil:
 		c.insertLocked(sh, &entry{key: key, a: a, cost: srcLen + a.Footprint() + entryOverhead})

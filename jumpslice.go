@@ -104,6 +104,9 @@ func New(source string) (*Slicer, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(prog.Procs) > 0 {
+		return nil, fmt.Errorf("jumpslice: program declares procedures; the facade slices single-procedure programs")
+	}
 	a, err := core.Analyze(prog)
 	if err != nil {
 		return nil, err
