@@ -65,8 +65,7 @@ func TestGate(t *testing.T) {
 
 func TestPhasesOf(t *testing.T) {
 	reg := obs.NewRegistry()
-	sp := reg.StartSpan("phase.analyze")
-	sp.End()
+	obs.Observer{Reg: reg}.StartSpan("phase.analyze").End()
 	reg.Histogram("core.slice_nodes", obs.UnitCount).Observe(12)
 	phases := PhasesOf(reg.Snapshot())
 	if len(phases) != 1 || phases[0].Name != "phase.analyze" || phases[0].Count != 1 {
@@ -85,7 +84,7 @@ func TestEndToEndGate(t *testing.T) {
 
 	// Metrics snapshot with one phase histogram.
 	reg := obs.NewRegistry()
-	reg.StartSpan("phase.analyze").End()
+	obs.Observer{Reg: reg}.StartSpan("phase.analyze").End()
 	metricsPath := filepath.Join(dir, "metrics.json")
 	data, err := json.Marshal(reg.Snapshot())
 	if err != nil {

@@ -109,7 +109,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	// The registry is attached whenever any output wants metrics; the
-	// experiments themselves run with the no-op recorder otherwise.
+	// experiments themselves run with no registry otherwise.
 	var reg *obs.Registry
 	o := exps.Options{Seeds: *seeds, Stmts: *stmts, Parallel: *parallel, Context: ctx}
 	if *metricsPath != "" || *jsonPath != "" {

@@ -207,7 +207,7 @@ func TestDynamicTable(t *testing.T) {
 }
 
 // TestMetricsParallelDeterminism is the observability determinism
-// guarantee: with a recorder attached, the tables and the metrics
+// guarantee: with a registry attached, the tables and the metrics
 // snapshot are byte-identical at any parallelism — counters and
 // histogram observation counts are commutative atomic sums reduced in
 // a fixed order. Only the wall-clock *content* of the nanosecond span

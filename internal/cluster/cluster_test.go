@@ -321,3 +321,25 @@ func TestFillerWaiterCancellation(t *testing.T) {
 		t.Fatalf("surviving waiter: %v", err)
 	}
 }
+
+// A nil registry is a valid, disabled metrics sink for the membership
+// table and the filler: probing and filling work and record nothing.
+func TestNilRegistryIsDisabled(t *testing.T) {
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer healthy.Close()
+	var reg *obs.Registry
+	p := NewPeers("self:1", []string{addrOf(healthy)}, ProbeOptions{Interval: time.Hour, Recorder: reg})
+	p.Start()
+	defer p.Close()
+	waitFor(t, "peer up", func() bool { return p.Up(addrOf(healthy)) })
+
+	ts := fillServer(t, map[string][]byte{"k1": []byte(`{"v":"x"}`)}, nil, nil)
+	defer ts.Close()
+	f := NewFiller(FillOptions{Recorder: reg})
+	res, err := f.Fill(context.Background(), "k1", []string{addrOf(ts)}, nil)
+	if err != nil || string(res.Data) != `{"v":"x"}` {
+		t.Fatalf("fill with nil registry: %v", err)
+	}
+}

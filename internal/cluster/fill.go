@@ -47,7 +47,7 @@ type FillOptions struct {
 	// Client overrides the HTTP client (tests); nil builds one.
 	Client *http.Client
 	// Recorder receives the cluster.fill_* counters.
-	Recorder obs.Recorder
+	Recorder *obs.Registry
 }
 
 // FillResult is a successful peer fill: the serialized record and the
@@ -99,7 +99,7 @@ func NewFiller(opts FillOptions) *Filler {
 	if f.client == nil {
 		f.client = &http.Client{Timeout: opts.Timeout}
 	}
-	rec := obs.OrNop(opts.Recorder)
+	rec := opts.Recorder
 	f.fills = rec.Counter("cluster.fills")
 	f.hits = rec.Counter("cluster.fill_hits")
 	f.misses = rec.Counter("cluster.fill_misses")

@@ -27,7 +27,7 @@ type ProbeOptions struct {
 	Client *http.Client
 	// Recorder receives cluster.peers / cluster.peers_up gauges and
 	// the cluster.probe_transitions counter.
-	Recorder obs.Recorder
+	Recorder *obs.Registry
 }
 
 // PeerState is one peer's health as /debug/cluster reports it.
@@ -104,7 +104,7 @@ func NewPeers(self string, addrs []string, opts ProbeOptions) *Peers {
 		p.order = append(p.order, a)
 	}
 	sort.Strings(p.order)
-	rec := obs.OrNop(opts.Recorder)
+	rec := opts.Recorder
 	rec.Gauge("cluster.peers").Set(int64(len(p.order)))
 	p.peersUp = rec.Gauge("cluster.peers_up")
 	p.transitions = rec.Counter("cluster.probe_transitions")

@@ -80,7 +80,7 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 	for {
 		traversals++
 		a.m.traversals.Add(1)
-		a.tr.Traversal("fig7", traversals)
+		a.o.Tr.Traversal("fig7", traversals)
 		if err := a.checkCancel("fig7"); err != nil {
 			return nil, nil, traversals, err
 		}
@@ -106,7 +106,7 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 			jumpsAdded = append(jumpsAdded, v)
 			rules = append(rules, JumpRule{NearestPD: pd, NearestLS: ls})
 			a.m.jumpsAdmitted.Add(1)
-			a.tr.JumpAdmitted("fig7", v, pd, ls)
+			a.o.Tr.JumpAdmitted("fig7", v, pd, ls)
 			changed = true
 		}
 		if !changed {
@@ -148,7 +148,7 @@ func (a *Analysis) AgrawalLST(c Criterion) (*Slice, error) {
 	return s, nil
 }
 
-// recordSlice reports a finished slice to the recorder and the trace:
+// recordSlice reports a finished slice to the registry and the trace:
 // one slice counted, its final node count observed, one trace event
 // named after the algorithm. A single nil-check each when recording
 // and tracing are disabled.
@@ -157,8 +157,8 @@ func (a *Analysis) recordSlice(algo string, set *bits.Set) {
 	if a.m.sliceNodes != nil {
 		a.m.sliceNodes.Observe(int64(set.Len()))
 	}
-	if a.tr != nil {
-		a.tr.SliceDone(algo, set.Len())
+	if a.o.Tr != nil {
+		a.o.Tr.SliceDone(algo, set.Len())
 	}
 }
 

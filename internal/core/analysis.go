@@ -128,18 +128,15 @@ type Analysis struct {
 	// Rebind view for the same reasons (see setState).
 	set *setState
 
-	// rec is the observability recorder every slicing call reports to
-	// (obs.Nop unless AnalyzeObservedContext attached a collecting one), and
-	// m holds the pre-resolved instruments so hot paths pay a single
-	// nil-check per event when recording is disabled.
-	rec obs.Recorder
-	m   coreMetrics
-
-	// tr is the request-scoped tracer (nil unless AnalyzeObservedContext
-	// attached one). Every trace emission below is nil-checked inside
-	// the tracer, so the untraced hot path pays the same single-branch
-	// cost as the unrecorded one.
-	tr *obs.Tracer
+	// o is the observer every phase span and slicing call reports to:
+	// the metrics registry and the request-scoped tracer, both nil
+	// unless AnalyzeObservedContext or Rebind was given them. m holds
+	// the instruments pre-resolved from o.Reg (see observe), so hot
+	// paths pay a single nil-check per event when recording is
+	// disabled; every trace emission is nil-checked inside the tracer,
+	// so the untraced hot path pays the same single-branch cost.
+	o obs.Observer
+	m coreMetrics
 
 	// ctx is the request context the Analysis was built under (nil
 	// unless AnalyzeObservedContext attached a cancelable one), and
@@ -151,7 +148,7 @@ type Analysis struct {
 }
 
 // coreMetrics is the Analysis's pre-resolved instrument set. All
-// fields are nil under obs.Nop; every obs instrument method is
+// fields are nil on a nil registry; every obs instrument method is
 // nil-safe.
 type coreMetrics struct {
 	// slices counts slicing calls (any algorithm in this package).
@@ -171,16 +168,30 @@ type coreMetrics struct {
 	// cancellations counts cooperative cancellations honoured: each
 	// time a canceled context aborted an analysis or slicing call.
 	cancellations *obs.Counter
+	// closure is what the batch engine reports each condensation
+	// lookup to: the closure-cache counters and this view's tracer.
+	closure pdg.Instruments
 }
 
-// resolve pre-resolves the Analysis's instruments from its recorder.
-func (m *coreMetrics) resolve(rec obs.Recorder) {
-	m.slices = rec.Counter("core.slices")
-	m.traversals = rec.Counter("core.fixpoint_traversals")
-	m.jumpsExamined = rec.Counter("core.jumps_examined")
-	m.jumpsAdmitted = rec.Counter("core.jumps_admitted")
-	m.sliceNodes = rec.Histogram("core.slice_nodes", obs.UnitCount)
-	m.cancellations = rec.Counter("core.cancellations")
+// observe binds the Analysis to o. The instruments are re-resolved
+// only when the registry changes — m always holds a.o.Reg's — so
+// rebinding a cached analysis to another request of the daemon whose
+// registry it was built with resolves nothing.
+func (a *Analysis) observe(o obs.Observer) {
+	if o.Reg != a.o.Reg {
+		r, m := o.Reg, &a.m
+		m.slices = r.Counter("core.slices")
+		m.traversals = r.Counter("core.fixpoint_traversals")
+		m.jumpsExamined = r.Counter("core.jumps_examined")
+		m.jumpsAdmitted = r.Counter("core.jumps_admitted")
+		m.sliceNodes = r.Histogram("core.slice_nodes", obs.UnitCount)
+		m.cancellations = r.Counter("core.cancellations")
+		m.closure.Requests = r.Counter("pdg.closure_requests")
+		m.closure.Hits = r.Counter("pdg.closure_hits")
+		m.closure.Builds = r.Counter("pdg.closure_builds")
+	}
+	a.o = o
+	a.m.closure.Tracer = o.Tr
 }
 
 // condJumpPair records a conditional jump statement: the predicate
@@ -204,19 +215,20 @@ type batchState struct {
 // Analyze parses nothing: it takes an already-parsed program and
 // derives the flowgraph, postdominator tree, dependence graphs, and
 // lexical successor tree. Equivalent to AnalyzeObservedContext with
-// no context, recorder or tracer.
+// no context, registry or tracer.
 func Analyze(prog *lang.Program) (*Analysis, error) {
 	return AnalyzeObservedContext(context.Background(), prog, nil, nil)
 }
 
 // AnalyzeObservedContext is Analyze under a request context, a
-// recorder (nil means obs.Nop) and a tracer (nil means none). Each
-// construction phase is timed under a "phase.analyze.*" span and
-// traced (cfg → postdominators → cdg → dataflow → pdg → lst →
-// worklists; the lazy batch condensation reports under
-// "phase.analyze.condense"), and every slicing call on the result
-// reports its traversals, jump admissions with their Figure 7
-// evidence, closure-cache activity and slice sizes to both.
+// metrics registry and a tracer (nil for either means none), folded
+// into one obs.Observer. Each construction phase is timed by one
+// "phase.analyze.*" span whose duration feeds both sinks (cfg →
+// postdominators → cdg → dataflow → pdg → lst → worklists; the lazy
+// batch condensation reports under "phase.analyze.condense"), and
+// every slicing call on the result reports its traversals, jump
+// admissions with their Figure 7 evidence, closure-cache activity and
+// slice sizes to both.
 //
 // ctx is checked at every phase boundary and, cooperatively, by every
 // slicing call (see cancel.go for the cadences). When it is canceled
@@ -229,22 +241,15 @@ func Analyze(prog *lang.Program) (*Analysis, error) {
 // its system dependence graph built (see ProgramSet); the result
 // carries the whole program in Prog and the main body's structures,
 // and only the sdg slicer applies to it.
-func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, error) {
+func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Registry, tr *obs.Tracer) (*Analysis, error) {
+	o := obs.Observer{Reg: reg, Tr: tr}
 	if len(prog.Procs) > 0 {
-		return analyzeProcs(ctx, prog, rec, tr)
+		return analyzeProcs(ctx, prog, o)
 	}
-	rec = obs.OrNop(rec)
-	// phase times one construction phase on both sinks: the metrics
-	// histogram and, when tracing, the event journal.
-	phase := func(name string) func() {
-		sp := rec.StartSpan(name)
-		ts := tr.StartSpan(name)
-		return func() { ts.End(); sp.End() }
-	}
-	endTotal := phase("phase.analyze")
-	end := phase("phase.analyze.cfg")
+	total := o.StartSpan("phase.analyze")
+	sp := o.StartSpan("phase.analyze.cfg")
 	g, err := cfg.Build(prog)
-	end()
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -253,45 +258,43 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 		CFG:   g,
 		batch: &batchState{},
 		set:   &setState{},
-		rec:   rec,
-		tr:    tr,
 	}
-	a.m.resolve(rec)
+	a.observe(o)
 	a.bindContext(ctx)
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.postdominators")
+	sp = o.StartSpan("phase.analyze.postdominators")
 	a.PDT = dom.PostDominators(g, g.Exit.ID)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.cdg")
+	sp = o.StartSpan("phase.analyze.cdg")
 	a.CDG = cdg.Build(g, a.PDT)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.dataflow")
+	sp = o.StartSpan("phase.analyze.dataflow")
 	a.RD = dataflow.Reach(g)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.pdg")
+	sp = o.StartSpan("phase.analyze.pdg")
 	a.PDG = pdg.Build(g, a.CDG, a.RD)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.lst")
+	sp = o.StartSpan("phase.analyze.lst")
 	a.LST = lst.Build(g)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.worklists")
+	sp = o.StartSpan("phase.analyze.worklists")
 	a.live = make([]bool, len(g.Nodes))
 	for id := range g.Reachable() {
 		a.live[id] = true
@@ -351,8 +354,8 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 			a.switchNodes = append(a.switchNodes, id)
 		}
 	}
-	end()
-	endTotal()
+	sp.End()
+	total.End()
 	return a, nil
 }
 

@@ -68,6 +68,6 @@ func (a *Analysis) checkCancel(where string) error {
 // detection site.
 func (a *Analysis) canceled(where string, err error) error {
 	a.m.cancellations.Add(1)
-	a.tr.Canceled(where)
+	a.o.Tr.Canceled(where)
 	return fmt.Errorf("core: %s: %w", where, err)
 }

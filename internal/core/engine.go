@@ -46,16 +46,19 @@ func (e bfsEngine) grow(set *bits.Set, seed int) (bool, error) {
 }
 func (e bfsEngine) closuresNormalized() bool { return false }
 
+// condEngine reports each lookup on the shared condensation to the
+// calling view's instruments.
 type condEngine struct {
 	c      *pdg.Condensation
 	cancel func() error
+	in     *pdg.Instruments
 }
 
 func (e condEngine) backwardClosure(seeds []int) (*bits.Set, error) {
-	return e.c.BackwardClosureCancel(seeds, e.cancel)
+	return e.c.BackwardClosureCancel(seeds, e.cancel, e.in)
 }
 func (e condEngine) grow(set *bits.Set, seed int) (bool, error) {
-	return e.c.GrowClosureCancel(set, seed, e.cancel)
+	return e.c.GrowClosureCancel(set, seed, e.cancel, e.in)
 }
 func (e condEngine) closuresNormalized() bool { return true }
 
@@ -81,9 +84,7 @@ func (a *Analysis) batchEngine() depEngine {
 		if a.batch.cond.Load() != nil {
 			return // pre-seeded by the incremental engine
 		}
-		sp := a.rec.StartSpan("phase.analyze.condense")
-		ts := a.tr.StartSpan("phase.analyze.condense")
-		defer func() { ts.End(); sp.End() }()
+		defer a.o.StartSpan("phase.analyze.condense").End()
 		n := a.CFG.NumNodes()
 		aug := make([][]int, n)
 		extra := make(map[int][]int, len(a.condJumps)+len(a.switchNodes))
@@ -104,13 +105,7 @@ func (a *Analysis) batchEngine() depEngine {
 				aug[v] = deps
 			}
 		}
-		cond := pdg.Condense(aug)
-		cond.Instrument(
-			a.rec.Counter("pdg.closure_requests"),
-			a.rec.Counter("pdg.closure_hits"),
-			a.rec.Counter("pdg.closure_builds"))
-		cond.Trace(a.tr)
-		a.batch.cond.Store(cond)
+		a.batch.cond.Store(pdg.Condense(aug))
 	})
-	return condEngine{a.batch.cond.Load(), a.cancelf}
+	return condEngine{a.batch.cond.Load(), a.cancelf, &a.m.closure}
 }

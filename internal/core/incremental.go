@@ -45,7 +45,7 @@ type incrMetrics struct {
 	reused, recomputed, fallbacks *obs.Counter
 }
 
-func resolveIncrMetrics(rec obs.Recorder) incrMetrics {
+func resolveIncrMetrics(rec *obs.Registry) incrMetrics {
 	return incrMetrics{
 		reused:     rec.Counter("incr.reused"),
 		recomputed: rec.Counter("incr.recomputed"),
@@ -55,7 +55,7 @@ func resolveIncrMetrics(rec obs.Recorder) incrMetrics {
 
 // ReanalyzeProgram re-derives an Analysis for prog, reusing whatever
 // the previous analysis proves still valid. The result is always
-// exactly what AnalyzeObservedContext(ctx, prog, rec, tr) would
+// exactly what AnalyzeObservedContext(ctx, prog, reg, tr) would
 // produce — reuse never depends on the differ being clever, only on
 // the structural safety checks holding — so callers can treat it as a
 // faster analysis. prev may be nil (a plain cold analysis). prog may
@@ -86,12 +86,10 @@ func resolveIncrMetrics(rec obs.Recorder) incrMetrics {
 // The freshly built flowgraph is verified node-for-node against the
 // previous one before anything is reused, so a differ bug degrades to
 // a full run, never to a wrong slice.
-func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, *IncrStats, error) {
-	rec = obs.OrNop(rec)
-	im := resolveIncrMetrics(rec)
-	sp := rec.StartSpan("phase.reanalyze")
-	ts := tr.StartSpan("phase.reanalyze")
-	defer func() { ts.End(); sp.End() }()
+func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, reg *obs.Registry, tr *obs.Tracer) (*Analysis, *IncrStats, error) {
+	o := obs.Observer{Reg: reg, Tr: tr}
+	im := resolveIncrMetrics(reg)
+	defer o.StartSpan("phase.reanalyze").End()
 
 	stats := &IncrStats{}
 	full := func(reason string) (*Analysis, *IncrStats, error) {
@@ -101,7 +99,7 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		stats.PhasesRecomputed = numPhases
 		im.fallbacks.Add(1)
 		im.recomputed.Add(numPhases)
-		a, err := AnalyzeObservedContext(ctx, prog, rec, tr)
+		a, err := AnalyzeObservedContext(ctx, prog, reg, tr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -136,10 +134,8 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		CFG:   g2,
 		batch: &batchState{},
 		set:   &setState{},
-		rec:   rec,
-		tr:    tr,
 	}
-	a.m.resolve(rec)
+	a.observe(o)
 	a.bindContext(ctx)
 	if err := a.checkCancel("reanalyze"); err != nil {
 		return nil, nil, err
@@ -254,11 +250,6 @@ func (a *Analysis) patchCondensation(prev *Analysis, changed map[int][]int, stat
 	if !ok {
 		return
 	}
-	q.Instrument(
-		a.rec.Counter("pdg.closure_requests"),
-		a.rec.Counter("pdg.closure_hits"),
-		a.rec.Counter("pdg.closure_builds"))
-	q.Trace(a.tr)
 	a.batch.cond.Store(q)
 	stats.CondensationPatched = true
 	stats.PhasesReused++ // the condensation survived as an eighth phase

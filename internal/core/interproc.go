@@ -54,9 +54,8 @@ type ProgramSet struct {
 	// SDG is the system dependence graph over the units.
 	SDG *sdg.Graph
 
-	rec obs.Recorder
-	tr  *obs.Tracer
-	sm  sdgMetrics
+	o  obs.Observer
+	sm sdgMetrics
 
 	// summaries serializes the summary worklist, the SDG's only
 	// writer after Build, across every view of the set.
@@ -71,7 +70,7 @@ type sdgMetrics struct {
 	jumpsAdmitted *obs.Counter
 }
 
-func (m *sdgMetrics) resolve(rec obs.Recorder) {
+func (m *sdgMetrics) resolve(rec *obs.Registry) {
 	m.slices = rec.Counter("sdg.slices")
 	m.summaryEdges = rec.Counter("sdg.summary_edges")
 	m.summaryRounds = rec.Counter("sdg.summary_rounds")
@@ -99,23 +98,23 @@ func AnalyzeProgramSet(prog *lang.Program) (*ProgramSet, error) {
 }
 
 // ProgramSet returns the analysis's program set, bound to this view's
-// context, recorder and tracer: criteria resolve, and closures and
+// context, registry and tracer: criteria resolve, and closures and
 // the summary worklist cancel, through them.
 func (a *Analysis) ProgramSet() (*ProgramSet, error) {
 	st := a.set
 	st.once.Do(func() {
-		st.ps, st.err = newProgramSet(a.Prog, []*ProcUnit{{Sub: a.Rebind(nil, nil, nil)}}, a.rec, a.tr)
+		st.ps, st.err = newProgramSet(a.Prog, []*ProcUnit{{Sub: a.Rebind(nil, nil, nil)}}, a.o)
 	})
 	if st.err != nil {
 		return nil, st.err
 	}
 	v := *st.ps
-	v.rec, v.tr = a.rec, a.tr
-	v.sm.resolve(a.rec)
+	v.o = a.o
+	v.sm.resolve(a.o.Reg)
 	v.Units = make([]*ProcUnit, len(st.ps.Units))
 	for i, u := range st.ps.Units {
 		cp := *u
-		cp.Sub = u.Sub.Rebind(a.ctx, a.rec, a.tr)
+		cp.Sub = u.Sub.Rebind(a.ctx, a.o.Reg, a.o.Tr)
 		v.Units[i] = &cp
 	}
 	return &v, nil
@@ -125,10 +124,10 @@ func (a *Analysis) ProgramSet() (*ProgramSet, error) {
 // procedures: each body is analyzed as its own single-procedure
 // program, the SDG is built over them, and the main unit's analysis,
 // widened to the whole program, carries the set.
-func analyzeProcs(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, error) {
+func analyzeProcs(ctx context.Context, prog *lang.Program, o obs.Observer) (*Analysis, error) {
 	var units []*ProcUnit
 	analyzeBody := func(name string, decl *lang.ProcDecl, body []lang.Stmt, labels map[string]*lang.LabeledStmt) error {
-		sub, err := AnalyzeObservedContext(ctx, &lang.Program{Body: body, Labels: labels}, rec, tr)
+		sub, err := AnalyzeObservedContext(ctx, &lang.Program{Body: body, Labels: labels}, o.Reg, o.Tr)
 		if err != nil {
 			if name == "" {
 				return fmt.Errorf("core: analyzing main: %w", err)
@@ -146,11 +145,11 @@ func analyzeProcs(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr 
 	if err := analyzeBody("", nil, prog.Body, prog.Labels); err != nil {
 		return nil, err
 	}
-	ps, err := newProgramSet(prog, units, rec, tr)
+	ps, err := newProgramSet(prog, units, o)
 	if err != nil {
 		return nil, err
 	}
-	a := ps.MainUnit().Sub.Rebind(ctx, rec, tr)
+	a := ps.MainUnit().Sub.Rebind(ctx, o.Reg, o.Tr)
 	a.Prog = prog
 	a.set = &setState{}
 	a.set.once.Do(func() { a.set.ps = ps })
@@ -159,11 +158,8 @@ func analyzeProcs(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr 
 
 // newProgramSet builds the SDG over already-analyzed units, numbering
 // them in order.
-func newProgramSet(prog *lang.Program, units []*ProcUnit, rec obs.Recorder, tr *obs.Tracer) (*ProgramSet, error) {
-	rec = obs.OrNop(rec)
-	sp := rec.StartSpan("phase.analyze.sdg")
-	ts := tr.StartSpan("phase.analyze.sdg")
-	defer func() { ts.End(); sp.End() }()
+func newProgramSet(prog *lang.Program, units []*ProcUnit, o obs.Observer) (*ProgramSet, error) {
+	defer o.StartSpan("phase.analyze.sdg").End()
 
 	infos := make([]*sdg.ProcInfo, len(units))
 	for i, u := range units {
@@ -220,9 +216,7 @@ func (ps *ProgramSet) EnsureSummaries() error {
 	if ps.SDG.SummariesComputed() {
 		return nil
 	}
-	sp := ps.rec.StartSpan("phase.sdg.summaries")
-	ts := ps.tr.StartSpan("phase.sdg.summaries")
-	defer func() { ts.End(); sp.End() }()
+	defer ps.o.StartSpan("phase.sdg.summaries").End()
 	edges, rounds, err := ps.SDG.ComputeSummaries(ps.MainUnit().Sub.cancelf)
 	if err != nil {
 		return err
@@ -378,8 +372,8 @@ func (ps *ProgramSet) SliceInterproc(c Criterion) (*InterSlice, error) {
 	}
 	ps.sm.slices.Add(1)
 	ps.sm.jumpsAdmitted.Add(int64(s.JumpsAdded))
-	if ps.tr != nil {
-		ps.tr.SliceDone("sdg", v2.Len())
+	if ps.o.Tr != nil {
+		ps.o.Tr.SliceDone("sdg", v2.Len())
 	}
 	return s, nil
 }

@@ -52,7 +52,7 @@ func (a *Analysis) AgrawalStructured(c Criterion) (*Slice, error) {
 	for {
 		s.Traversals++
 		a.m.traversals.Add(1)
-		a.tr.Traversal("fig12", s.Traversals)
+		a.o.Tr.Traversal("fig12", s.Traversals)
 		if err := a.checkCancel("fig12"); err != nil {
 			return nil, err
 		}
@@ -89,7 +89,7 @@ func (a *Analysis) AgrawalStructured(c Criterion) (*Slice, error) {
 			s.JumpsAdded = append(s.JumpsAdded, v)
 			s.JumpRules = append(s.JumpRules, JumpRule{NearestPD: pd, NearestLS: ls})
 			a.m.jumpsAdmitted.Add(1)
-			a.tr.JumpAdmitted("fig12", v, pd, ls)
+			a.o.Tr.JumpAdmitted("fig12", v, pd, ls)
 			changed = true
 		}
 		if !changed {
@@ -137,7 +137,7 @@ func (a *Analysis) AgrawalConservative(c Criterion) (*Slice, error) {
 		changed = false
 		pass++
 		a.m.traversals.Add(1)
-		a.tr.Traversal("fig13", pass)
+		a.o.Tr.Traversal("fig13", pass)
 		if err := a.checkCancel("fig13"); err != nil {
 			return nil, err
 		}
@@ -159,7 +159,7 @@ func (a *Analysis) AgrawalConservative(c Criterion) (*Slice, error) {
 				a.m.jumpsAdmitted.Add(1)
 				// Figure 13 admits by the candidate rule, not the
 				// nearest-PD/nearest-LS test; no evidence to carry.
-				a.tr.JumpAdmitted("fig13", j.ID, -1, -1)
+				a.o.Tr.JumpAdmitted("fig13", j.ID, -1, -1)
 				changed = true
 			}
 		}

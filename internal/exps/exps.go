@@ -49,7 +49,7 @@ type Options struct {
 	// counts, jump admissions, closure cache hits. All workers share
 	// it — the instruments are atomic, and sums commute, so the
 	// counter state is identical at any Parallel.
-	Recorder obs.Recorder
+	Recorder *obs.Registry
 	// Tracer, when non-nil, journals structured trace events (phase
 	// spans, traversal passes, jump admissions with rule evidence,
 	// cache activity) for every seed into its flight recorder. All
@@ -100,7 +100,7 @@ type Report struct {
 	E7       []IncrRow      `json:"incremental,omitempty"`
 	E8       []SDGRow       `json:"sdg,omitempty"`
 	E9       []ClusterRow   `json:"cluster,omitempty"`
-	// Metrics is the recorder snapshot taken after the run, when the
+	// Metrics is the registry snapshot taken after the run, when the
 	// caller attached an Options.Recorder: phase timings, traversal
 	// and jump counters, closure cache statistics.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
@@ -316,7 +316,7 @@ func (o Options) analyze(ctx context.Context, p *lang.Program) (*core.Analysis, 
 }
 
 // analyzeSeed builds the per-seed case every experiment starts from,
-// recording the analysis phases on the run's recorder (nil for none).
+// recording the analysis phases on the run's registry (nil for none).
 // The context cancels the analysis cooperatively at phase boundaries.
 func analyzeSeed(ctx context.Context, gen func(int64) *lang.Program, seed int64, o Options) (seedCase, error) {
 	p := gen(seed)

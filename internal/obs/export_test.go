@@ -49,7 +49,7 @@ jumpslice_phase_analyze_ns_count 2
 
 // TestPrometheusCacheNamesGolden pins the wire names of the slice
 // cache's instruments (internal/slicecache resolves these from its
-// recorder): counters render with _total, the resident-size gauges
+// registry): counters render with _total, the resident-size gauges
 // render bare, and gauges sort between counters and histograms. CI's
 // sliced-smoke job greps for jumpslice_cache_hits_total, so this
 // golden is the contract that name never drifts.

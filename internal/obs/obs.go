@@ -1,20 +1,21 @@
 // Package obs is the repository's dependency-free observability core:
-// atomic counters, fixed-bucket histograms, and a Span phase timer,
-// collected behind a pluggable Recorder.
+// atomic counters, fixed-bucket histograms, and an Observer whose one
+// Span per phase feeds the metrics registry and the request trace.
 //
-// The design optimizes for the disabled case. Nop is the default
-// Recorder: it hands out nil *Counter / nil *Histogram and zero Spans,
-// and every instrument method is nil-safe — so a hot path that was
-// instrumented with a pre-resolved counter pays exactly one nil-check
-// per event when recording is off, no interface call, no allocation,
-// no time.Now. Instrumented packages resolve their instruments once
-// (at Analysis construction, say) and hold the pointers:
+// The design optimizes for the disabled case. The nil *Registry hands
+// out nil *Counter / nil *Histogram, the zero Observer hands out zero
+// Spans, and every instrument method is nil-safe — so a hot path that
+// was instrumented with a pre-resolved counter pays exactly one
+// nil-check per event when recording is off, no interface call, no
+// allocation, no time.Now. Instrumented packages resolve their
+// instruments once (at Analysis construction, say) and hold the
+// pointers:
 //
-//	examined := rec.Counter("core.jumps_examined") // nil under Nop
+//	examined := reg.Counter("core.jumps_examined") // nil on a nil registry
 //	...
 //	examined.Add(1) // one predictable branch when disabled
 //
-// Registry is the collecting implementation. All instruments are safe
+// Registry is the collecting sink. All instruments are safe
 // for concurrent use (atomics; the name→instrument maps take a mutex
 // only at resolution time), so one Registry can be shared across a
 // worker pool and its totals are independent of scheduling order —
@@ -32,7 +33,7 @@
 //	bucket 47 (overflow)   values v >= 2^46, unbounded
 //
 // Fixed buckets make Observe two atomic adds with no allocation, and
-// make merging across recorders element-wise addition. For
+// make merging across registries element-wise addition. For
 // UnitNanoseconds histograms bucket 46's upper bound (2^46 ns) is
 // about 20 hours; for UnitCount histograms it is far beyond any node
 // set this repository produces, so the overflow bucket is empty in
@@ -125,20 +126,17 @@ func (g *Gauge) Value() int64 {
 // full scheme.
 const NumBuckets = 48
 
-// numBuckets is the internal alias predating the exported constant.
-const numBuckets = NumBuckets
-
 // Histogram is a fixed-bucket histogram over int64 observations with
 // power-of-two bucket boundaries: bucket 0 counts values <= 0, bucket
 // i >= 1 counts values v with 2^(i-1) <= v < 2^i, and the last bucket
 // absorbs everything larger. Fixed buckets mean Observe is two atomic
-// adds and no allocation, and merging across recorders is element-wise
+// adds and no allocation, and merging across registries is element-wise
 // addition. The nil histogram is a valid no-op.
 type Histogram struct {
 	unit    Unit
 	count   atomic.Int64
 	sum     atomic.Int64
-	buckets [numBuckets]atomic.Int64
+	buckets [NumBuckets]atomic.Int64
 }
 
 // bucketOf maps a value to its bucket index.
@@ -147,8 +145,8 @@ func bucketOf(v int64) int {
 		return 0
 	}
 	b := bits.Len64(uint64(v)) // 2^(b-1) <= v < 2^b
-	if b >= numBuckets {
-		return numBuckets - 1
+	if b >= NumBuckets {
+		return NumBuckets - 1
 	}
 	return b
 }
@@ -179,63 +177,55 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Span times one phase. Obtain it from Recorder.StartSpan and call
-// End when the phase finishes; the elapsed nanoseconds are recorded
-// into the named duration histogram. The zero Span (what Nop hands
-// out) is a no-op whose End neither reads the clock nor records.
+// Observer is one request's observability handle: the metrics
+// registry its spans and counters aggregate into, and the tracer that
+// journals its events. Either may be nil, and the zero Observer
+// records nothing. Instrumented code holds one Observer value instead
+// of threading the two sinks side by side, so every phase is timed by
+// exactly one Span.
+type Observer struct {
+	Reg *Registry
+	Tr  *Tracer
+}
+
+// Span times one phase for every sink of an Observer. The zero Span
+// (what the zero Observer hands out) is a no-op whose End neither
+// reads the clock nor records.
 type Span struct {
 	h     *Histogram
+	tr    *Tracer
+	name  string
 	start time.Time
 }
 
-// End stops the span, records its duration, and returns it. On a
-// no-op span it returns 0 without touching the clock.
+// StartSpan starts a phase span, reading the clock once. On the zero
+// Observer it returns the zero Span without reading the clock.
+func (o Observer) StartSpan(name string) Span {
+	if o == (Observer{}) {
+		return Span{}
+	}
+	return Span{h: o.Reg.Histogram(name, UnitNanoseconds), tr: o.Tr, name: name, start: time.Now()}
+}
+
+// End stops the span and feeds its one duration to every sink: the
+// registry's duration histogram of the span's name, the tracer's
+// flight recorder as a span event, and the tracer's SpanLog when it
+// has one. It returns the duration; on a no-op span it returns 0
+// without touching the clock.
 func (s Span) End() time.Duration {
-	if s.h == nil {
+	if s.h == nil && s.tr == nil {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.h.Observe(int64(d))
+	s.tr.span(s.name, s.start, d)
 	return d
 }
 
-// Recorder hands out named instruments. Implementations: *Registry
-// (collecting) and Nop (disabled; returns nil instruments and zero
-// Spans, which every instrument method accepts).
-type Recorder interface {
-	// Counter returns the named counter, creating it on first use.
-	Counter(name string) *Counter
-	// Gauge returns the named gauge, creating it on first use.
-	Gauge(name string) *Gauge
-	// Histogram returns the named histogram with the given unit,
-	// creating it on first use. The unit is fixed at creation.
-	Histogram(name string, unit Unit) *Histogram
-	// StartSpan starts a phase timer whose End records elapsed
-	// nanoseconds into the duration histogram of the same name.
-	StartSpan(name string) Span
-}
-
-// Nop is the default Recorder: records nothing, allocates nothing.
-var Nop Recorder = nopRecorder{}
-
-type nopRecorder struct{}
-
-func (nopRecorder) Counter(string) *Counter           { return nil }
-func (nopRecorder) Gauge(string) *Gauge               { return nil }
-func (nopRecorder) Histogram(string, Unit) *Histogram { return nil }
-func (nopRecorder) StartSpan(string) Span             { return Span{} }
-
-// OrNop returns r, or Nop when r is nil — the normalization every
-// instrumented constructor applies to its recorder argument.
-func OrNop(r Recorder) Recorder {
-	if r == nil {
-		return Nop
-	}
-	return r
-}
-
-// Registry is the collecting Recorder. The zero value is not usable;
-// call NewRegistry.
+// Registry is the collecting metrics sink. The nil *Registry is the
+// disabled one: it hands out nil instruments, which every instrument
+// method accepts, so a component given no registry pays one nil-check
+// per event. A usable Registry comes from NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -243,7 +233,7 @@ type Registry struct {
 	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty collecting Recorder.
+// NewRegistry returns an empty collecting registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
@@ -252,8 +242,12 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use (nil on
+// a nil registry).
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	c := r.counters[name]
 	if c == nil {
@@ -264,8 +258,12 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use (nil on a
+// nil registry).
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	g := r.gauges[name]
 	if g == nil {
@@ -277,8 +275,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given
-// unit on first use (later units are ignored; the first wins).
+// unit on first use (later units are ignored; the first wins). Nil on
+// a nil registry.
 func (r *Registry) Histogram(name string, unit Unit) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	h := r.hists[name]
 	if h == nil {
@@ -287,12 +289,6 @@ func (r *Registry) Histogram(name string, unit Unit) *Histogram {
 	}
 	r.mu.Unlock()
 	return h
-}
-
-// StartSpan starts a phase timer recording into the duration
-// histogram named name.
-func (r *Registry) StartSpan(name string) Span {
-	return Span{h: r.Histogram(name, UnitNanoseconds), start: time.Now()}
 }
 
 // CounterSnapshot is one counter's state in a Snapshot.
@@ -369,7 +365,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	for name, h := range r.hists {
 		hs := HistogramSnapshot{Name: name, Unit: h.unit, Count: h.count.Load(), Sum: h.sum.Load()}
-		for i := 0; i < numBuckets; i++ {
+		for i := 0; i < NumBuckets; i++ {
 			if n := h.buckets[i].Load(); n != 0 {
 				hs.Buckets = append(hs.Buckets, Bucket{Le: BucketUpperBound(i), Count: n})
 			}

@@ -31,25 +31,25 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 }
 
-func TestNopRecorder(t *testing.T) {
-	if Nop.Counter("x") != nil {
-		t.Error("Nop.Counter != nil")
+// TestNilRegistryIsDisabled pins the disabled sinks: a nil registry
+// hands out nil instruments, and the zero Observer hands out the zero
+// Span without reading the clock.
+func TestNilRegistryIsDisabled(t *testing.T) {
+	var r *Registry
+	if r.Counter("x") != nil {
+		t.Error("nil registry Counter != nil")
 	}
-	if Nop.Gauge("x") != nil {
-		t.Error("Nop.Gauge != nil")
+	if r.Gauge("x") != nil {
+		t.Error("nil registry Gauge != nil")
 	}
-	if Nop.Histogram("x", UnitCount) != nil {
-		t.Error("Nop.Histogram != nil")
+	if r.Histogram("x", UnitCount) != nil {
+		t.Error("nil registry Histogram != nil")
 	}
-	if sp := Nop.StartSpan("x"); sp.h != nil || !sp.start.IsZero() {
-		t.Error("Nop.StartSpan not zero")
+	if sp := (Observer{}).StartSpan("x"); sp != (Span{}) {
+		t.Error("zero Observer StartSpan not zero")
 	}
-	if OrNop(nil) != Nop {
-		t.Error("OrNop(nil) != Nop")
-	}
-	r := NewRegistry()
-	if OrNop(r) != Recorder(r) {
-		t.Error("OrNop(r) != r")
+	if sp := (Observer{Reg: r}).StartSpan("x"); sp != (Span{}) {
+		t.Error("nil-registry Observer StartSpan not zero")
 	}
 }
 
@@ -88,7 +88,7 @@ func TestCounterAndHistogram(t *testing.T) {
 
 func TestSpanRecords(t *testing.T) {
 	r := NewRegistry()
-	sp := r.StartSpan("phase.x")
+	sp := Observer{Reg: r}.StartSpan("phase.x")
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d <= 0 {
@@ -107,7 +107,7 @@ func TestSnapshotDeterministicOrderAndScrub(t *testing.T) {
 			r.Counter(n).Add(1)
 		}
 		r.Histogram("z.sizes", UnitCount).Observe(9)
-		sp := r.StartSpan("a.phase")
+		sp := Observer{Reg: r}.StartSpan("a.phase")
 		sp.End()
 		data, err := json.Marshal(r.Snapshot().Scrub())
 		if err != nil {

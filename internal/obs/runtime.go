@@ -12,7 +12,8 @@ import (
 	"time"
 )
 
-// RuntimeSampler periodically samples runtime vitals into a Recorder.
+// RuntimeSampler periodically samples runtime vitals into a Registry
+// (a nil one records nothing).
 // Construct with StartRuntimeSampler; call Stop to halt the sampling
 // goroutine (idempotent on a nil sampler).
 type RuntimeSampler struct {
@@ -32,11 +33,10 @@ type RuntimeSampler struct {
 //	runtime.gc_pause_ns       histogram individual GC stop-the-world
 //	                                    pauses (each pause observed
 //	                                    exactly once)
-func StartRuntimeSampler(r Recorder, interval time.Duration) *RuntimeSampler {
+func StartRuntimeSampler(rec *Registry, interval time.Duration) *RuntimeSampler {
 	if interval < 100*time.Millisecond {
 		interval = 100 * time.Millisecond
 	}
-	rec := OrNop(r)
 	goroutines := rec.Gauge("runtime.goroutines")
 	gomaxprocs := rec.Gauge("runtime.gomaxprocs")
 	heapAlloc := rec.Gauge("runtime.heap_alloc_bytes")

@@ -99,3 +99,10 @@ func TestScrubDropsRuntimeAndHTTP(t *testing.T) {
 		t.Errorf("scrub dropped deterministic instruments: counters=%v gauges=%v hists=%v", counters, gauges, hists)
 	}
 }
+
+// A nil registry is a valid, disabled sink: the sampler runs and
+// stops without recording anywhere.
+func TestRuntimeSamplerNilRegistry(t *testing.T) {
+	var reg *Registry
+	StartRuntimeSampler(reg, 100*time.Millisecond).Stop()
+}

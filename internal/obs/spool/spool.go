@@ -76,8 +76,8 @@ type Options struct {
 	// QueueDepth bounds the enqueue queue; a full queue drops (and
 	// counts) instead of blocking. <=0 means DefaultQueueDepth.
 	QueueDepth int
-	// Recorder receives the spool.* instruments (obs.Nop when nil).
-	Recorder obs.Recorder
+	// Recorder receives the spool.* instruments (none when nil).
+	Recorder *obs.Registry
 }
 
 // op is one unit of writer work: a record to persist, or (when sync
@@ -156,16 +156,16 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // counterOr resolves a named counter from r, falling back to a
-// private one when the recorder declines (obs.Nop returns nil), so
+// private one when there is no registry (a nil one returns nil), so
 // the spool's own accounting never depends on a registry.
-func counterOr(r obs.Recorder, name string) *obs.Counter {
+func counterOr(r *obs.Registry, name string) *obs.Counter {
 	if c := r.Counter(name); c != nil {
 		return c
 	}
 	return &obs.Counter{}
 }
 
-func gaugeOr(r obs.Recorder, name string) *obs.Gauge {
+func gaugeOr(r *obs.Registry, name string) *obs.Gauge {
 	if g := r.Gauge(name); g != nil {
 		return g
 	}
@@ -193,7 +193,7 @@ func Open(opts Options) (*Spool, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = DefaultQueueDepth
 	}
-	rec := obs.OrNop(opts.Recorder)
+	rec := opts.Recorder
 	s := &Spool{
 		dir:           opts.Dir,
 		maxBytes:      opts.MaxBytes,

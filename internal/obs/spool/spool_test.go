@@ -518,3 +518,15 @@ func TestRawLinesAreStoredJSON(t *testing.T) {
 		t.Fatal("record not found")
 	}
 }
+
+// A nil registry is a valid, disabled metrics sink: the spool keeps
+// its own accounting and writes every record.
+func TestNilRegistryIsDisabled(t *testing.T) {
+	var reg *obs.Registry
+	s := openTest(t, t.TempDir(), Options{Recorder: reg})
+	s.Enqueue(ev(1, "/slice", 200, 5e6))
+	s.Sync()
+	if st := s.Stats(); st.Enqueued != 1 || st.Written != 1 {
+		t.Errorf("stats with nil registry: %+v", st)
+	}
+}

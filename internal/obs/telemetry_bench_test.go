@@ -52,6 +52,23 @@ func BenchmarkSpanLogTee(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sl := &SpanLog{}
 		tr := NewTracer(fr).ForRequest(uint64(i)).WithSpans(sl)
-		tr.StartSpan("phase.analyze").End()
+		Observer{Tr: tr}.StartSpan("phase.analyze").End()
+	}
+}
+
+// BenchmarkFlightEventsWrapped snapshots a daemon-sized ring (65536
+// slots) filled to half a lap past full, so the head sits mid-ring.
+func BenchmarkFlightEventsWrapped(b *testing.B) {
+	const capacity = 1 << 16
+	fr := NewFlightRecorder(capacity)
+	tr := NewTracer(fr)
+	for i := 0; i < capacity+capacity/2; i++ {
+		tr.Instant("e", int64(i))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(fr.Events()) != capacity {
+			b.Fatal("short snapshot")
+		}
 	}
 }

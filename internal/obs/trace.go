@@ -16,10 +16,12 @@ package obs
 // The same discipline as the metrics side applies: the nil *Tracer is
 // a valid no-op, every method starts with one nil-check, and no clock
 // is read and nothing is allocated when tracing is off. Instrumented
-// code holds a *Tracer (nil by default) next to its pre-resolved
-// instruments.
+// code holds the *Tracer (nil by default) inside its Observer, whose
+// one Span per phase publishes the span event here.
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -169,18 +171,21 @@ func (f *FlightRecorder) Events() []Event {
 	if f == nil {
 		return nil
 	}
+	// Slot i holds the event whose Seq is ≡ i mod cap, so walking the
+	// ring once from the slot the next write will take visits the
+	// buffered events in publication order. Only a write racing the
+	// walk can break that order; the rare snapshot it does is sorted.
 	out := make([]Event, 0, len(f.slots))
+	start := f.head.Load() & f.mask
+	sorted := true
 	for i := range f.slots {
-		if e := f.slots[i].Load(); e != nil {
+		if e := f.slots[(start+uint64(i))&f.mask].Load(); e != nil {
+			sorted = sorted && (len(out) == 0 || out[len(out)-1].Seq < e.Seq)
 			out = append(out, *e)
 		}
 	}
-	// Slots hold distinct sequence numbers (slot index ≡ Seq mod cap),
-	// so sorting by Seq restores publication order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Seq < out[j-1].Seq; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	if !sorted {
+		slices.SortFunc(out, func(x, y Event) int { return cmp.Compare(x.Seq, y.Seq) })
 	}
 	return out
 }
@@ -241,14 +246,6 @@ func (t *Tracer) WithSpans(l *SpanLog) *Tracer {
 		return t
 	}
 	return &Tracer{fr: t.fr, req: t.req, spans: l}
-}
-
-// Recorder returns the underlying flight recorder (nil on nil).
-func (t *Tracer) Recorder() *FlightRecorder {
-	if t == nil {
-		return nil
-	}
-	return t.fr
 }
 
 // emit stamps and publishes one event.
@@ -327,39 +324,21 @@ func (t *Tracer) SliceDone(name string, nodes int) {
 	t.emit(KindSlice, name, -1, -1, -1, int64(nodes))
 }
 
-// TraceSpan times one phase for the trace, the tracing twin of Span.
-// The zero TraceSpan (what a nil Tracer hands out) is a no-op whose
-// End neither reads the clock nor publishes.
-type TraceSpan struct {
-	t     *Tracer
-	name  string
-	start time.Time
-}
-
-// StartSpan starts a phase span. On a nil tracer it returns the zero
-// (no-op) TraceSpan without reading the clock.
-func (t *Tracer) StartSpan(name string) TraceSpan {
+// span publishes a completed phase span, started at start and lasting
+// d, and tees it into the tracer's SpanLog. No-op on nil.
+func (t *Tracer) span(name string, start time.Time, d time.Duration) {
 	if t == nil {
-		return TraceSpan{}
-	}
-	return TraceSpan{t: t, name: name, start: time.Now()}
-}
-
-// End publishes the completed span.
-func (s TraceSpan) End() {
-	if s.t == nil {
 		return
 	}
-	dur := int64(time.Since(s.start))
-	s.t.fr.publish(&Event{
-		Req:  s.t.req,
+	t.fr.publish(&Event{
+		Req:  t.req,
 		Kind: KindSpan,
-		Name: s.name,
-		TS:   s.start.UnixNano(),
-		Dur:  dur,
+		Name: name,
+		TS:   start.UnixNano(),
+		Dur:  int64(d),
 		Node: -1,
 		PD:   -1,
 		LS:   -1,
 	})
-	s.t.spans.Add(s.name, dur)
+	t.spans.Add(name, int64(d))
 }

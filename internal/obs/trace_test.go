@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilTracerIsNoOp(t *testing.T) {
@@ -16,16 +17,9 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.CacheHit(0)
 	tr.CacheBuild(0)
 	tr.SliceDone("agrawal", 9)
-	sp := tr.StartSpan("phase")
-	if sp.t != nil || !sp.start.IsZero() {
-		t.Error("nil tracer StartSpan not zero")
-	}
-	sp.End()
+	tr.span("phase", time.Now(), time.Millisecond)
 	if tr.ForRequest(7) != nil {
 		t.Error("nil tracer ForRequest != nil")
-	}
-	if tr.Recorder() != nil {
-		t.Error("nil tracer Recorder != nil")
 	}
 	if NewTracer(nil) != nil {
 		t.Error("NewTracer(nil) != nil")
@@ -66,6 +60,29 @@ func TestFlightRecorderEvictsOldest(t *testing.T) {
 		if e.N != int64(e.Seq) {
 			t.Errorf("event seq %d carries n = %d", e.Seq, e.N)
 		}
+	}
+}
+
+// TestFlightRecorderEventsEveryHeadOffset checks Events at every
+// fill level of a 64-slot ring through three laps: the snapshot is
+// the contiguous ascending run of Seq ending at Written()-1, whether
+// or not the ring has wrapped and wherever its head stands.
+func TestFlightRecorderEventsEveryHeadOffset(t *testing.T) {
+	const capacity = 64
+	fr := NewFlightRecorder(capacity)
+	tr := NewTracer(fr)
+	for written := 0; written < 3*capacity; written++ {
+		evs := fr.Events()
+		want := min(written, capacity)
+		if len(evs) != want {
+			t.Fatalf("written %d: %d events, want %d", written, len(evs), want)
+		}
+		for i, e := range evs {
+			if wantSeq := uint64(written - want + i); e.Seq != wantSeq {
+				t.Fatalf("written %d: event %d has seq %d, want %d", written, i, e.Seq, wantSeq)
+			}
+		}
+		tr.Instant("e", int64(written))
 	}
 }
 
@@ -130,8 +147,7 @@ func TestTracerEventFieldsAndRequestScope(t *testing.T) {
 	r1 := root.ForRequest(1)
 	r2 := root.ForRequest(2)
 
-	sp := r1.StartSpan("phase.analyze")
-	sp.End()
+	Observer{Tr: r1}.StartSpan("phase.analyze").End()
 	r1.Traversal("fig7", 2)
 	r1.JumpAdmitted("fig7", 7, 13, 8)
 	r2.SliceDone("agrawal", 42)
@@ -190,8 +206,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 func TestChromeTraceSchema(t *testing.T) {
 	fr := NewFlightRecorder(64)
 	tr := NewTracer(fr).ForRequest(5)
-	sp := tr.StartSpan("phase.analyze")
-	sp.End()
+	Observer{Tr: tr}.StartSpan("phase.analyze").End()
 	tr.JumpAdmitted("fig7", 7, 13, 8)
 
 	var buf bytes.Buffer

@@ -99,8 +99,8 @@ func TestSpanLogCollects(t *testing.T) {
 	fr := NewFlightRecorder(16)
 	sl := &SpanLog{}
 	tr := NewTracer(fr).ForRequest(7).WithSpans(sl)
-	tr.StartSpan("cfg").End()
-	tr.StartSpan("pdg").End()
+	Observer{Tr: tr}.StartSpan("cfg").End()
+	Observer{Tr: tr}.StartSpan("pdg").End()
 	spans := sl.Spans()
 	if len(spans) != 2 || spans[0].Name != "cfg" || spans[1].Name != "pdg" {
 		t.Fatalf("Spans = %+v, want cfg then pdg", spans)
@@ -122,7 +122,7 @@ func TestSpanLogSurvivesForRequest(t *testing.T) {
 	fr := NewFlightRecorder(16)
 	sl := &SpanLog{}
 	tr := NewTracer(fr).WithSpans(sl).ForRequest(9)
-	tr.StartSpan("dataflow").End()
+	Observer{Tr: tr}.StartSpan("dataflow").End()
 	if got := sl.Spans(); len(got) != 1 || got[0].Name != "dataflow" {
 		t.Fatalf("Spans = %+v, want [dataflow]", got)
 	}
@@ -136,7 +136,7 @@ func TestSpanLogNilSafe(t *testing.T) {
 	}
 	// WithSpans(nil) leaves the tracer usable and un-teed.
 	tr := NewTracer(NewFlightRecorder(4)).WithSpans(nil)
-	tr.StartSpan("x").End()
+	Observer{Tr: tr}.StartSpan("x").End()
 	// Nil tracer stays nil through WithSpans.
 	var nilTr *Tracer
 	if nilTr.WithSpans(&SpanLog{}) != nil {

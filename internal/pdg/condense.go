@@ -29,18 +29,25 @@ type Condensation struct {
 
 	mu      sync.Mutex
 	closure []*bits.Set // closure[c] = backward closure of c's members; nil until demanded
-
-	// Cache instrumentation (nil-safe; see Instrument). A request is
-	// one closure lookup (ClosureOf / a BackwardClosure seed); a hit
-	// is a request answered from an already-memoized component
-	// closure; a build is one component closure being materialized.
-	requests, hits, builds *obs.Counter
-
-	// tracer, when non-nil (see Trace), receives one event per cache
-	// hit and per component-closure build, giving request traces the
-	// cache behaviour the aggregate counters only total up.
-	tracer *obs.Tracer
 }
+
+// Instruments is one caller's closure-cache instrumentation, passed
+// on every lookup (as the cancel callback is) rather than stored on
+// the condensation, so a condensation shared by several request views
+// reports each lookup to the view that made it. A request is one
+// closure lookup (ClosureOf / a BackwardClosure seed); a hit is a
+// request answered from an already-memoized component closure; a
+// build is one component closure being materialized. Tracer receives
+// one event per hit and per build, giving request traces the cache
+// behaviour the counters only total up. Nil fields record nothing,
+// and so does a nil *Instruments.
+type Instruments struct {
+	Requests, Hits, Builds *obs.Counter
+	Tracer                 *obs.Tracer
+}
+
+// uninstrumented stands in for a nil *Instruments.
+var uninstrumented Instruments
 
 // Condensation returns the SCC condensation of the graph's dependence
 // edges, building it on first use and caching it (and its memoized
@@ -196,14 +203,7 @@ func (c *Condensation) Patched(rows map[int][]int) (*Condensation, bool) {
 			keep = cn
 		}
 	}
-	q := &Condensation{
-		comp:     c.comp,
-		comps:    c.comps,
-		requests: c.requests,
-		hits:     c.hits,
-		builds:   c.builds,
-		tracer:   c.tracer,
-	}
+	q := &Condensation{comp: c.comp, comps: c.comps}
 	q.adj = make([][]int, len(c.adj))
 	copy(q.adj, c.adj)
 	q.succs = make([][]int, len(c.succs))
@@ -233,20 +233,6 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
-// Instrument attaches cache counters (any may be nil, and the
-// counters of obs.Nop are): requests counts closure lookups, hits the
-// lookups answered from a memoized component closure, and builds the
-// component closures materialized. Call it before the condensation is
-// shared across goroutines; the counters themselves are atomic.
-func (c *Condensation) Instrument(requests, hits, builds *obs.Counter) {
-	c.requests, c.hits, c.builds = requests, hits, builds
-}
-
-// Trace attaches a tracer emitting per-lookup cache events (nil
-// detaches; the nil tracer is a no-op). Like Instrument, call it
-// before the condensation is shared across goroutines.
-func (c *Condensation) Trace(t *obs.Tracer) { c.tracer = t }
-
 // NumComponents returns the number of strongly connected components.
 func (c *Condensation) NumComponents() int { return len(c.comps) }
 
@@ -264,7 +250,7 @@ const cancelCheckComps = 64
 // caller-owned set instead. Safe for concurrent use.
 func (c *Condensation) ClosureOf(n int) *bits.Set {
 	c.mu.Lock()
-	s, _ := c.ensure(c.comp[n], nil)
+	s, _ := c.ensure(c.comp[n], nil, nil)
 	c.mu.Unlock()
 	return s
 }
@@ -280,12 +266,16 @@ func (c *Condensation) ClosureOf(n int) *bits.Set {
 // cancel, when non-nil, is consulted every cancelCheckComps component
 // builds; a non-nil error abandons the sweep. Components already
 // built stay memoized — they are complete for themselves — so a later
-// request resumes where the canceled one stopped.
-func (c *Condensation) ensure(target int, cancel func() error) (*bits.Set, error) {
-	c.requests.Add(1)
+// request resumes where the canceled one stopped. The request, and
+// every hit and build it causes, is reported to in.
+func (c *Condensation) ensure(target int, cancel func() error, in *Instruments) (*bits.Set, error) {
+	if in == nil {
+		in = &uninstrumented
+	}
+	in.Requests.Add(1)
 	if s := c.closure[target]; s != nil {
-		c.hits.Add(1)
-		c.tracer.CacheHit(target)
+		in.Hits.Add(1)
+		in.Tracer.CacheHit(target)
 		return s, nil
 	}
 	n := len(c.comp)
@@ -310,8 +300,8 @@ func (c *Condensation) ensure(target int, cancel func() error) (*bits.Set, error
 			s.UnionWith(c.closure[d])
 		}
 		c.closure[i] = s
-		c.builds.Add(1)
-		c.tracer.CacheBuild(i)
+		in.Builds.Add(1)
+		in.Tracer.CacheBuild(i)
 	}
 	return c.closure[target], nil
 }
@@ -320,19 +310,20 @@ func (c *Condensation) ensure(target int, cancel func() error) (*bits.Set, error
 // Graph.BackwardClosure: the union of the memoized component closures
 // of the seeds. Word-parallel, and O(words) per seed once warm.
 func (c *Condensation) BackwardClosure(seeds []int) *bits.Set {
-	out, _ := c.BackwardClosureCancel(seeds, nil)
+	out, _ := c.BackwardClosureCancel(seeds, nil, nil)
 	return out
 }
 
 // BackwardClosureCancel is BackwardClosure with cooperative
-// cancellation: the closure fill consults cancel (nil disables the
-// checks) and abandons the request on a non-nil error, returning it.
-func (c *Condensation) BackwardClosureCancel(seeds []int, cancel func() error) (*bits.Set, error) {
+// cancellation and instrumentation: the closure fill consults cancel
+// (nil disables the checks) and abandons the request on a non-nil
+// error, returning it, and each seed's lookup is reported to in.
+func (c *Condensation) BackwardClosureCancel(seeds []int, cancel func() error, in *Instruments) (*bits.Set, error) {
 	out := bits.New(len(c.comp))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range seeds {
-		cs, err := c.ensure(c.comp[s], cancel)
+		cs, err := c.ensure(c.comp[s], cancel, in)
 		if err != nil {
 			return nil, err
 		}
@@ -348,11 +339,11 @@ func (c *Condensation) GrowClosure(set *bits.Set, seed int) bool {
 	return set.UnionWith(c.ClosureOf(seed))
 }
 
-// GrowClosureCancel is GrowClosure with cooperative cancellation (see
-// BackwardClosureCancel).
-func (c *Condensation) GrowClosureCancel(set *bits.Set, seed int, cancel func() error) (bool, error) {
+// GrowClosureCancel is GrowClosure with cooperative cancellation and
+// instrumentation (see BackwardClosureCancel).
+func (c *Condensation) GrowClosureCancel(set *bits.Set, seed int, cancel func() error, in *Instruments) (bool, error) {
 	c.mu.Lock()
-	cs, err := c.ensure(c.comp[seed], cancel)
+	cs, err := c.ensure(c.comp[seed], cancel, in)
 	c.mu.Unlock()
 	if err != nil {
 		return false, err

@@ -72,7 +72,7 @@ type Options struct {
 	// Puts are rejected rather than letting one record pin a segment.
 	MaxRecordBytes int64
 	// Recorder receives the disk.* counters and gauges.
-	Recorder obs.Recorder
+	Recorder *obs.Registry
 }
 
 // Stats is a point-in-time account of the store.
@@ -130,7 +130,7 @@ type metrics struct {
 	segments             *obs.Gauge
 }
 
-func (m *metrics) resolve(rec obs.Recorder) {
+func (m *metrics) resolve(rec *obs.Registry) {
 	m.hits = rec.Counter("disk.hits")
 	m.misses = rec.Counter("disk.misses")
 	m.writes = rec.Counter("disk.writes")
@@ -164,7 +164,7 @@ func Open(opts Options) (*Store, error) {
 		index:  map[Key]loc{},
 		nextID: 1,
 	}
-	s.m.resolve(obs.OrNop(opts.Recorder))
+	s.m.resolve(opts.Recorder)
 	s.stats.MaxBytes = opts.MaxBytes
 
 	ids, err := listSegments(opts.Dir)

@@ -238,3 +238,20 @@ func TestDiskRejectsOversizedRecord(t *testing.T) {
 		t.Fatal("oversized record accepted")
 	}
 }
+
+// A nil registry is a valid, disabled metrics sink: the store still
+// answers and keeps its own Stats.
+func TestNilRegistryIsDisabled(t *testing.T) {
+	var reg *obs.Registry
+	s := mustOpen(t, Options{Dir: t.TempDir(), Recorder: reg})
+	defer s.Close()
+	if err := s.Put(keyN(1), payloadN(1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := s.Get(keyN(1)); !ok || !bytes.Equal(data, payloadN(1, 64)) {
+		t.Fatal("record lost with nil registry")
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Writes != 1 {
+		t.Errorf("stats with nil registry: %+v", st)
+	}
+}

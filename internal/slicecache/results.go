@@ -67,7 +67,7 @@ type ResultOptions struct {
 	// memory evictions demote, and disk hits promote back into memory.
 	Disk *disk.Store
 	// Recorder receives the result.* counters and gauges.
-	Recorder obs.Recorder
+	Recorder *obs.Registry
 }
 
 // resultEntry is one resident record in the memory LRU.
@@ -110,7 +110,7 @@ func NewResultCache(opts ResultOptions) *ResultCache {
 		disk:    opts.Disk,
 		entries: map[ResultKey]*resultEntry{},
 	}
-	rec := obs.OrNop(opts.Recorder)
+	rec := opts.Recorder
 	rc.hits = rec.Counter("result.hits")
 	rc.misses = rec.Counter("result.misses")
 	rc.diskHits = rec.Counter("result.disk_hits")

@@ -32,7 +32,7 @@
 // bind a cached Analysis to their own request with core.Rebind before
 // slicing. The cache reports hits, misses, coalesced waiters, negative
 // hits, evictions and resident bytes both through Stats and, when an
-// obs.Recorder is attached, through the metric names pinned by the
+// obs.Registry is attached, through the metric names pinned by the
 // Prometheus goldens (jumpslice_cache_hits_total and friends).
 package slicecache
 
@@ -110,7 +110,7 @@ type Options struct {
 	// gauges (cache.hits, cache.misses, cache.coalesced,
 	// cache.evictions, cache.neg_hits, cache.resident_bytes,
 	// cache.entries).
-	Recorder obs.Recorder
+	Recorder *obs.Registry
 	// Now overrides the clock (negative-TTL tests); nil means
 	// time.Now.
 	Now func() time.Time
@@ -156,14 +156,14 @@ type Cache struct {
 }
 
 // cacheMetrics is the pre-resolved instrument set; all fields are nil
-// under obs.Nop, and every obs method is nil-safe.
+// on a nil registry, and every obs method is nil-safe.
 type cacheMetrics struct {
 	hits, misses, coalesced *obs.Counter
 	negHits, evictions      *obs.Counter
 	bytes, entries          *obs.Gauge
 }
 
-func (m *cacheMetrics) resolve(rec obs.Recorder) {
+func (m *cacheMetrics) resolve(rec *obs.Registry) {
 	m.hits = rec.Counter("cache.hits")
 	m.misses = rec.Counter("cache.misses")
 	m.coalesced = rec.Counter("cache.coalesced")
@@ -246,7 +246,7 @@ func New(opts Options) *Cache {
 		}
 	}
 	c.stats.MaxBytes = perShard * int64(shards)
-	c.m.resolve(obs.OrNop(opts.Recorder))
+	c.m.resolve(opts.Recorder)
 	return c
 }
 

@@ -364,7 +364,7 @@ func TestWaiterCancellation(t *testing.T) {
 	close(gate)
 }
 
-// TestMetrics asserts the cache mirrors its stats into the recorder
+// TestMetrics asserts the cache mirrors its stats into the registry
 // under the pinned instrument names.
 func TestMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -435,5 +435,28 @@ func TestZeroOptions(t *testing.T) {
 	// Non-power-of-two shard counts round up.
 	if got := slicecache.New(slicecache.Options{Shards: 5}).ShardCount(); got != 8 {
 		t.Errorf("Shards:5 rounded to %d, want 8", got)
+	}
+}
+
+// TestNilRegistryIsDisabled asserts a nil *obs.Registry is a valid,
+// disabled metrics sink for both cache tiers: each still serves and
+// keeps its own Stats.
+func TestNilRegistryIsDisabled(t *testing.T) {
+	var reg *obs.Registry
+	src, build := buildFig5(t)
+	c := slicecache.New(slicecache.Options{Recorder: reg})
+	for _, want := range []slicecache.Outcome{slicecache.Miss, slicecache.Hit} {
+		if _, out, err := c.Get(context.Background(), src, build); err != nil || out != want {
+			t.Fatalf("Get: outcome=%v err=%v, want %v", out, err, want)
+		}
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats with nil registry = %+v", st)
+	}
+	rc := slicecache.NewResultCache(slicecache.ResultOptions{Recorder: reg})
+	key := slicecache.ResultKeyOf("src", "x")
+	rc.Put(key, []byte("record"))
+	if data, src := rc.Get(key); src != slicecache.ResultMemory || string(data) != "record" {
+		t.Errorf("result cache with nil registry: %q from %v", data, src)
 	}
 }
