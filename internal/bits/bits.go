@@ -28,6 +28,26 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// NewSlab returns count empty sets, each able to hold members
+// 0..n-1, carved from one shared backing allocation. Dense analyses
+// that keep one set per node or per variable use it to pay three
+// allocations instead of two per set; the sets are independent for
+// every operation (none can grow into a neighbour).
+func NewSlab(count, n int) []*Set {
+	if n < 0 || count < 0 {
+		panic(fmt.Sprintf("bits.NewSlab: negative size %d x %d", count, n))
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*w)
+	sets := make([]Set, count)
+	out := make([]*Set, count)
+	for i := range sets {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // Cap returns the capacity of the set (the n given to New).
 func (s *Set) Cap() int { return s.n }
 
@@ -205,6 +225,29 @@ func (s *Set) AppendMembers(dst []int) []int {
 		for w != 0 {
 			dst = append(dst, wi*wordBits+bits.TrailingZeros64(w))
 			w &= w - 1
+		}
+	}
+	return dst
+}
+
+// AppendMaskedMembers appends to dst, in increasing order, every
+// member of s that also belongs to at least one of masks (all of s's
+// capacity), and returns the extended slice: the members of
+// s ∩ (masks[0] ∪ masks[1] ∪ …) without materializing the union.
+func (s *Set) AppendMaskedMembers(dst []int, masks []*Set) []int {
+	for _, m := range masks {
+		s.sameCap(m)
+	}
+	for wi, w := range s.words {
+		if w == 0 {
+			continue
+		}
+		var u uint64
+		for _, m := range masks {
+			u |= m.words[wi]
+		}
+		for w &= u; w != 0; w &= w - 1 {
+			dst = append(dst, wi*wordBits+bits.TrailingZeros64(w))
 		}
 	}
 	return dst

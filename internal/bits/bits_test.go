@@ -250,3 +250,57 @@ func TestAppendMembers(t *testing.T) {
 		t.Errorf("Members = %v, want [5 70]", s.Members())
 	}
 }
+
+// TestNewSlabSetsAreIndependent fills every set of a slab to capacity
+// in turn and checks its neighbours never see a member, including at
+// a capacity that leaves a partial last word.
+func TestNewSlabSetsAreIndependent(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		sets := NewSlab(4, n)
+		for i, s := range sets {
+			if s.Cap() != n {
+				t.Fatalf("n=%d: set %d capacity %d", n, i, s.Cap())
+			}
+			for j := 0; j < n; j++ {
+				s.Add(j)
+			}
+			other := New(n)
+			for j := 0; j < n; j++ {
+				other.Add(j)
+			}
+			s.UnionWith(other)
+			for k, o := range sets {
+				if want := 0; k > i && o.Len() != want {
+					t.Fatalf("n=%d: filling set %d leaked %d members into set %d", n, i, o.Len(), k)
+				}
+			}
+		}
+	}
+}
+
+// Property: AppendMaskedMembers is the members of s ∩ (m0 ∪ m1 ∪ m2),
+// ascending, appended after whatever dst held.
+func TestAppendMaskedMembersMatchesIntersection(t *testing.T) {
+	const n = 150
+	mk := func(xs []uint8) *Set {
+		s := New(n)
+		for _, x := range xs {
+			s.Add(int(x) % n)
+		}
+		return s
+	}
+	prop := func(xs, m0, m1, m2 []uint8, k uint8) bool {
+		s := mk(xs)
+		masks := []*Set{mk(m0), mk(m1), mk(m2)}[:k%4]
+		u := New(n)
+		for _, m := range masks {
+			u.UnionWith(m)
+		}
+		u.IntersectWith(s)
+		want := append([]int{-1}, u.Members()...)
+		return reflect.DeepEqual(s.AppendMaskedMembers([]int{-1}, masks), want)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -17,7 +17,8 @@
 package cdg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/dom"
@@ -31,39 +32,37 @@ type Dep struct {
 	Label string
 }
 
-// Graph is the control dependence graph of a flowgraph.
+// Graph is the control dependence graph of a flowgraph. Its three
+// relations are compressed sparse row tables (row n of a table is
+// flat[off[n]:off[n+1]]), built once and shared by every query.
 type Graph struct {
 	CFG *cfg.Graph
 	PDT *dom.Tree
 
-	parents  [][]Dep // parents[n]: deps of node n, sorted by (From, Label)
-	children [][]int // children[a]: nodes control dependent on a, sorted
+	parentOff []int
+	parents   []Dep // deps of node n, sorted by (From, Label)
+	idOff     []int
+	ids       []int // controlling node IDs of n, de-duplicated and sorted
+	childOff  []int
+	children  []int // nodes control dependent on a, sorted
 }
 
 // Build computes the control dependence graph given the flowgraph and
 // its postdominator tree (rooted at Exit).
+//
+// The dependences the edge walk records are grouped by node with a
+// counting sort into one flat table; each (short) row is then sorted
+// by (From, Label) and its repeats dropped as adjacent duplicates.
+// Rows are visited in node order, so children come out sorted.
 func Build(g *cfg.Graph, pdt *dom.Tree) *Graph {
-	cd := &Graph{
-		CFG:      g,
-		PDT:      pdt,
-		parents:  make([][]Dep, len(g.Nodes)),
-		children: make([][]int, len(g.Nodes)),
-	}
+	nn := len(g.Nodes)
+	cd := &Graph{CFG: g, PDT: pdt}
 
-	type key struct {
+	type rec struct {
 		node int
 		dep  Dep
 	}
-	seen := map[key]bool{}
-	add := func(node int, d Dep) {
-		k := key{node, d}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		cd.parents[node] = append(cd.parents[node], d)
-	}
-
+	recs := make([]rec, 0, 2*nn)
 	for _, a := range g.Nodes {
 		for _, e := range a.Out {
 			s := e.To
@@ -83,7 +82,7 @@ func Build(g *cfg.Graph, pdt *dom.Tree) *Graph {
 			// this branch.
 			stop := pdt.Idom[a.ID]
 			for v := s; v != stop; v = pdt.Idom[v] {
-				add(v, Dep{From: a.ID, Label: e.Label})
+				recs = append(recs, rec{v, Dep{From: a.ID, Label: e.Label}})
 				if v == pdt.Root {
 					break
 				}
@@ -91,55 +90,99 @@ func Build(g *cfg.Graph, pdt *dom.Tree) *Graph {
 		}
 	}
 
-	childSeen := map[[2]int]bool{}
-	for n := range cd.parents {
-		sort.Slice(cd.parents[n], func(i, j int) bool {
-			a, b := cd.parents[n][i], cd.parents[n][j]
-			if a.From != b.From {
-				return a.From < b.From
+	// Group by node: off[n+1] counts node n's records, then the
+	// prefix sums make off[n] its row start.
+	off := make([]int, nn+1)
+	for _, r := range recs {
+		off[r.node+1]++
+	}
+	for n := 1; n <= nn; n++ {
+		off[n] += off[n-1]
+	}
+	flat := make([]Dep, len(recs))
+	cur := make([]int, nn)
+	copy(cur, off)
+	for _, r := range recs {
+		flat[cur[r.node]] = r.dep
+		cur[r.node]++
+	}
+
+	// Order each row by (From, Label) and drop repeats, compacting the
+	// table in place; derive the ID rows and count children on the way.
+	cd.parentOff = make([]int, nn+1)
+	cd.idOff = make([]int, nn+1)
+	cd.ids = make([]int, 0, len(recs))
+	nchild := cur // reused: per-node child counts
+	for i := range nchild {
+		nchild[i] = 0
+	}
+	w := 0
+	for n := 0; n < nn; n++ {
+		row := flat[off[n]:off[n+1]]
+		if len(row) > 1 {
+			slices.SortFunc(row, func(a, b Dep) int {
+				return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Label, b.Label))
+			})
+		}
+		cd.parentOff[n] = w
+		cd.idOff[n] = len(cd.ids)
+		for i, d := range row {
+			if i > 0 && d == row[i-1] {
+				continue
 			}
-			return a.Label < b.Label
-		})
-		for _, d := range cd.parents[n] {
-			k := [2]int{d.From, n}
-			if !childSeen[k] {
-				childSeen[k] = true
-				cd.children[d.From] = append(cd.children[d.From], n)
+			flat[w] = d
+			w++
+			if i == 0 || d.From != row[i-1].From {
+				cd.ids = append(cd.ids, d.From)
+				nchild[d.From]++
 			}
 		}
 	}
-	for a := range cd.children {
-		sort.Ints(cd.children[a])
+	cd.parentOff[nn] = w
+	cd.idOff[nn] = len(cd.ids)
+	cd.parents = flat[:w:w]
+
+	cd.childOff = make([]int, nn+1)
+	for a := 0; a < nn; a++ {
+		cd.childOff[a+1] = cd.childOff[a] + nchild[a]
+		nchild[a] = cd.childOff[a]
+	}
+	cd.children = make([]int, len(cd.ids))
+	for n := 0; n < nn; n++ {
+		for _, a := range cd.ids[cd.idOff[n]:cd.idOff[n+1]] {
+			cd.children[nchild[a]] = n
+			nchild[a]++
+		}
 	}
 	return cd
 }
 
 // Parents returns the direct control dependences of node n, sorted.
 // The slice is shared; callers must not modify it.
-func (cd *Graph) Parents(n int) []Dep { return cd.parents[n] }
+func (cd *Graph) Parents(n int) []Dep {
+	lo, hi := cd.parentOff[n], cd.parentOff[n+1]
+	return cd.parents[lo:hi:hi]
+}
 
 // ParentIDs returns just the controlling node IDs of n, de-duplicated
 // and sorted (a node control dependent on both branches of a predicate
-// lists it once).
+// lists it once). The slice is shared; callers must not modify it.
 func (cd *Graph) ParentIDs(n int) []int {
-	ps := cd.parents[n]
-	out := make([]int, 0, len(ps))
-	for _, d := range ps {
-		if len(out) == 0 || out[len(out)-1] != d.From {
-			out = append(out, d.From)
-		}
-	}
-	return out
+	lo, hi := cd.idOff[n], cd.idOff[n+1]
+	return cd.ids[lo:hi:hi]
 }
 
 // Children returns the nodes directly control dependent on a, sorted.
 // The slice is shared; callers must not modify it.
-func (cd *Graph) Children(a int) []int { return cd.children[a] }
+func (cd *Graph) Children(a int) []int {
+	lo, hi := cd.childOff[a], cd.childOff[a+1]
+	return cd.children[lo:hi:hi]
+}
 
 // DependsOn reports whether n is directly control dependent on a.
 func (cd *Graph) DependsOn(n, a int) bool {
-	for _, d := range cd.parents[n] {
-		if d.From == a {
+	for _, d := range cd.ParentIDs(n) {
+		if d == a {
 			return true
 		}
 	}

@@ -257,9 +257,10 @@ func (g *Graph) NodesAtLine(line int) []*Node {
 	return out
 }
 
-// Reachable returns the set of node IDs reachable from Entry.
-func (g *Graph) Reachable() map[int]bool {
-	seen := map[int]bool{}
+// Reachable reports, for each node ID, whether the node is reachable
+// from Entry.
+func (g *Graph) Reachable() []bool {
+	seen := make([]bool, len(g.Nodes))
 	var stack []int
 	stack = append(stack, g.Entry.ID)
 	seen[g.Entry.ID] = true

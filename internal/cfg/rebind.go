@@ -19,35 +19,23 @@ import "jumpslice/internal/lang"
 // changed case value relabels switch edges without moving any node,
 // which the differ rejects as a shape mismatch before Rebind runs.)
 //
-// The edge slices (Out, In) and label lists are shared with prev —
-// they are immutable once a graph is built — and are capacity-clipped
-// so a later AddEdge on either graph cannot alias the other. The
-// statement→node index is left for NodeFor to build lazily; most
-// rebound graphs are only ever queried by node ID.
+// Nodes are immutable once a graph is built, so the rebound graph
+// shares with prev every node whose statement p kept (the same
+// statement value, which a splice such as incremental.SpliceLine
+// preserves outside the edited path) and whose jump target is shared
+// too. Only the other nodes are copied, with their edge slices (Out,
+// In) and label lists shared and capacity-clipped. A rebound graph
+// must therefore never be extended with AddEdge. The statement→node
+// index is left for NodeFor to build lazily; most rebound graphs are
+// only ever queried by node ID.
 func Rebind(prev *Graph, p *lang.Program) (*Graph, bool) {
 	n := len(prev.Nodes)
 	g := &Graph{
 		Prog:      p,
 		Nodes:     make([]*Node, n),
 		LabelNode: make(map[string]*Node, len(prev.LabelNode)),
-		arena:     make([]Node, n),
 	}
-	for i, pn := range prev.Nodes {
-		nn := &g.arena[i]
-		*nn = *pn
-		nn.Stmt = nil
-		nn.Out = pn.Out[:len(pn.Out):len(pn.Out)]
-		nn.In = pn.In[:len(pn.In):len(pn.In)]
-		nn.Labels = pn.Labels[:len(pn.Labels):len(pn.Labels)]
-		g.Nodes[i] = nn
-	}
-	for i, pn := range prev.Nodes {
-		if pn.Target != nil {
-			g.Nodes[i].Target = g.Nodes[pn.Target.ID]
-		}
-	}
-	g.Entry = g.Nodes[prev.Entry.ID]
-	g.Exit = g.Nodes[prev.Exit.ID]
+	copy(g.Nodes, prev.Nodes)
 
 	r := &rebinder{g: g, next: 2} // Build creates Entry (0) and Exit (1) first
 	for _, s := range p.Body {
@@ -64,6 +52,28 @@ func Rebind(prev *Graph, p *lang.Program) (*Graph, bool) {
 	if r.labelsSeen != len(prev.LabelNode) {
 		return nil, false
 	}
+	// A jump whose target was copied must point at the copy, which
+	// makes the jump itself a copy when it was shared; a label chain
+	// (a labeled jump targeted by another) can take a few rounds.
+	for changed := true; changed; {
+		changed = false
+		for i, nd := range g.Nodes {
+			if nd.Target == nil || g.Nodes[nd.Target.ID] == nd.Target {
+				continue
+			}
+			if nd == prev.Nodes[i] {
+				nd = r.copyNode(nd)
+				g.Nodes[i] = nd
+			}
+			nd.Target = g.Nodes[nd.Target.ID]
+			changed = true
+		}
+	}
+	for label, nd := range g.LabelNode {
+		g.LabelNode[label] = g.Nodes[nd.ID]
+	}
+	g.Entry = g.Nodes[prev.Entry.ID]
+	g.Exit = g.Nodes[prev.Exit.ID]
 	// Belt and braces for jumps: each goto must resolve through the
 	// rebuilt label map to the node its edge already points at.
 	for _, gt := range r.gotos {
@@ -84,10 +94,17 @@ type rebinder struct {
 	gotos      []pendingGoto
 	// labelAt counts labels attached per node so wrapper order can be
 	// checked against the node's (shared) label list.
-	labelAt map[*Node]int
+	labelAt map[int]int
+	// free is the unused tail of the current block copied nodes are
+	// carved from; blocks double from a small first one, so an edit
+	// copying a handful of nodes allocates little and a rebind
+	// copying every node allocates a few blocks.
+	free  []Node
+	block int // size of the last block
 }
 
-// take claims the next node position for s, verifying the kind.
+// take claims the next node position for s, verifying the kind, and
+// binds s to it — sharing the donor node when it already holds s.
 func (r *rebinder) take(kind Kind, s lang.Stmt) (*Node, bool) {
 	if r.next >= len(r.g.Nodes) {
 		return nil, false
@@ -96,10 +113,30 @@ func (r *rebinder) take(kind Kind, s lang.Stmt) (*Node, bool) {
 	if n.Kind != kind {
 		return nil, false
 	}
+	if line := s.Pos().Line; n.Stmt != s || n.Line != line {
+		n = r.copyNode(n)
+		n.Stmt = s
+		n.Line = line
+		r.g.Nodes[r.next] = n
+	}
 	r.next++
-	n.Stmt = s
-	n.Line = s.Pos().Line
 	return n, true
+}
+
+// copyNode returns a private copy of a donor node, its edge and label
+// slices shared but capacity-clipped.
+func (r *rebinder) copyNode(pn *Node) *Node {
+	if len(r.free) == 0 {
+		r.block = min(max(2*r.block, 4), len(r.g.Nodes))
+		r.free = make([]Node, r.block)
+	}
+	nn := &r.free[0]
+	r.free = r.free[1:]
+	*nn = *pn
+	nn.Out = pn.Out[:len(pn.Out):len(pn.Out)]
+	nn.In = pn.In[:len(pn.In):len(pn.In)]
+	nn.Labels = pn.Labels[:len(pn.Labels):len(pn.Labels)]
+	return nn
 }
 
 // walk rebinds s's subtree and returns s's entry node — the node
@@ -186,13 +223,13 @@ func (r *rebinder) walk(s lang.Stmt) (*Node, bool) {
 		// The node's label list is shared with prev; the wrapper chain
 		// must re-attach the same labels in the same order.
 		if r.labelAt == nil {
-			r.labelAt = make(map[*Node]int)
+			r.labelAt = make(map[int]int)
 		}
-		i := r.labelAt[target]
+		i := r.labelAt[target.ID]
 		if i >= len(target.Labels) || target.Labels[i] != s.Label {
 			return nil, false
 		}
-		r.labelAt[target] = i + 1
+		r.labelAt[target.ID] = i + 1
 		r.labelsSeen++
 		r.g.LabelNode[s.Label] = target
 		return target, true

@@ -114,3 +114,68 @@ write(x);
 		}
 	}
 }
+
+// TestRebindAfterSpliceSharesUntouchedNodes re-splices every
+// splicable line of the paper's goto figure and of generated
+// unstructured programs (labeled statements that gotos target
+// included) and checks the rebound graph against a fresh Build. It
+// must share every node whose statement the splice kept and whose
+// target is shared, copy the rest, keep every jump target inside the
+// rebound graph, and leave the donor graph untouched.
+func TestRebindAfterSpliceSharesUntouchedNodes(t *testing.T) {
+	srcs := []string{paper.Fig3().Source}
+	for seed := int64(0); seed < 6; seed++ {
+		srcs = append(srcs, lang.Format(progen.Unstructured(progen.Config{Seed: seed, Stmts: 40}), lang.PrintOptions{}))
+	}
+	spliced, retargeted := 0, 0
+	for i, src := range srcs {
+		p := lang.MustParse(src)
+		prev, err := cfg.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for line := 1; line <= len(prev.Nodes)+1; line++ {
+			s := lang.StmtAtLine(p, line)
+			if s == nil {
+				continue
+			}
+			p2, ok := incremental.SpliceLine(p, line, lang.StmtString(lang.Unlabel(s)))
+			if !ok {
+				continue
+			}
+			spliced++
+			name := fmt.Sprintf("program %d line %d", i, line)
+			got, ok := cfg.Rebind(prev, p2)
+			if !ok {
+				t.Fatalf("%s: Rebind refused a splice", name)
+			}
+			want, err := cfg.Build(p2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameGraph(t, name, p2, got, want)
+			shared := 0
+			for id, n := range got.Nodes {
+				if n.Target != nil && got.Nodes[n.Target.ID] != n.Target {
+					t.Fatalf("%s: node %d targets a node outside the rebound graph", name, id)
+				}
+				if n == prev.Nodes[id] {
+					shared++
+				} else if n.Stmt == prev.Nodes[id].Stmt {
+					retargeted++ // kept its statement; copied for its target
+				}
+			}
+			if shared < len(got.Nodes)/2 {
+				t.Errorf("%s: only %d of %d nodes shared", name, shared, len(got.Nodes))
+			}
+			fresh, err := cfg.Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameGraph(t, name+" (donor)", p, prev, fresh)
+		}
+	}
+	if spliced < 50 || retargeted == 0 {
+		t.Fatalf("%d splices exercised, %d jumps retargeted at a copied node; want both", spliced, retargeted)
+	}
+}

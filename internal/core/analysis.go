@@ -246,7 +246,7 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Re
 	if len(prog.Procs) > 0 {
 		return analyzeProcs(ctx, prog, o)
 	}
-	total := o.StartSpan("phase.analyze")
+	defer o.StartSpan("phase.analyze").End() // on every return path
 	sp := o.StartSpan("phase.analyze.cfg")
 	g, err := cfg.Build(prog)
 	sp.End()
@@ -295,10 +295,7 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Re
 		return nil, err
 	}
 	sp = o.StartSpan("phase.analyze.worklists")
-	a.live = make([]bool, len(g.Nodes))
-	for id := range g.Reachable() {
-		a.live[id] = true
-	}
+	a.live = g.Reachable()
 	a.enclosingSwitch = make([]int, len(g.Nodes))
 	for i := range a.enclosingSwitch {
 		a.enclosingSwitch[i] = -1
@@ -355,7 +352,6 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Re
 		}
 	}
 	sp.End()
-	total.End()
 	return a, nil
 }
 

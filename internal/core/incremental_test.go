@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"jumpslice/internal/incremental"
@@ -334,6 +335,74 @@ func TestReanalyzePreviousSurvives(t *testing.T) {
 	if !before.Nodes.Equal(after.Nodes) {
 		t.Fatal("Reanalyze mutated the donor analysis")
 	}
+}
+
+// TestReanalyzeConcurrentWithDonorSlicing derives patched
+// re-analyses of one warmed donor while other goroutines slice the
+// donor: the rebound flowgraph shares the donor's nodes, the PDG its
+// row tables and the patched condensation its components, so all of
+// the donor's state must stay read-only. Every result must match a
+// cold analysis (run with -race).
+func TestReanalyzeConcurrentWithDonorSlicing(t *testing.T) {
+	prev := MustAnalyze(progen.Unstructured(progen.Config{Seed: 3, Stmts: 60}))
+	var crits []Criterion
+	for _, wc := range progen.WriteCriteria(prev.Prog) {
+		crits = append(crits, Criterion{Var: wc.Var, Line: wc.Line})
+	}
+	formats := func(a *Analysis) (string, error) {
+		sl, err := a.SliceAll(crits)
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		for _, s := range sl {
+			sb.WriteString(s.Format())
+		}
+		return sb.String(), nil
+	}
+	want, err := formats(prev) // also warms the condensation Patched reuses
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edits []*lang.Program
+	for _, s := range lang.Statements(prev.Prog) {
+		if as, ok := lang.Unlabel(s).(*lang.AssignStmt); ok {
+			if p2, ok := incremental.SpliceLine(prev.Prog, as.Pos().Line, fmt.Sprintf("%s = %s + 1;", as.Name, as.Name)); ok {
+				edits = append(edits, p2)
+			}
+		}
+	}
+	if len(edits) < 4 {
+		t.Fatalf("only %d splicable assignments", len(edits))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				if got, err := formats(prev); err != nil || got != want {
+					t.Errorf("donor slices changed under concurrent re-analysis (err %v)", err)
+				}
+				return
+			}
+			p2 := edits[i%len(edits)]
+			a, stats, err := ReanalyzeProgram(context.Background(), prev, p2, nil, nil)
+			if err != nil || stats.Outcome != "patched" {
+				t.Errorf("edit %d: err %v, stats %+v", i, err, stats)
+				return
+			}
+			got, err := formats(a)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if cold, err := formats(MustAnalyze(p2)); err != nil || got != cold {
+				t.Errorf("edit %d: incremental slices differ from a cold analysis (err %v)", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 // ---------------------------------------------------------------------

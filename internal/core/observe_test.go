@@ -104,6 +104,43 @@ func TestObserverSinksAgree(t *testing.T) {
 	}
 }
 
+// TestCanceledAnalyzeClosesTotalSpan analyzes Figure 5 under an
+// already-canceled context: the analysis stops at its first phase
+// boundary, and the phase.analyze total span it opened must still be
+// closed exactly once in every sink — the metrics histogram, the
+// flight recorder and the request's SpanLog.
+func TestCanceledAnalyzeClosesTotalSpan(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	reg := obs.NewRegistry()
+	fr := obs.NewFlightRecorder(1 << 10)
+	spans := &obs.SpanLog{}
+	tr := obs.NewTracer(fr).ForRequest(1).WithSpans(spans)
+	if _, err := core.AnalyzeObservedContext(ctx, paper.Fig5().Parse(), reg, tr); err == nil {
+		t.Fatal("analysis under a canceled context succeeded")
+	}
+	const name = "phase.analyze"
+	var hist, log, flight int64
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == name {
+			hist = h.Count
+		}
+	}
+	for _, p := range spans.Spans() {
+		if p.Name == name {
+			log++
+		}
+	}
+	for _, e := range fr.Events() {
+		if e.Kind == obs.KindSpan && e.Name == name {
+			flight++
+		}
+	}
+	if hist != 1 || log != 1 || flight != 1 {
+		t.Errorf("%s spans: histogram %d, SpanLog %d, flight recorder %d; want 1 each", name, hist, log, flight)
+	}
+}
+
 // TestRebindCacheEventsPerView checks that closure-cache events on a
 // condensation shared by several views carry the request of the view
 // whose lookup caused them — not the request of whichever view built

@@ -72,3 +72,21 @@ func BenchmarkFlightEventsWrapped(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFlightRequestEventsWrapped is the /debug/trace?id= lookup
+// on the same wrapped daemon-sized ring, here written by requests of
+// 40 events each: one request's events out of 65536 buffered.
+func BenchmarkFlightRequestEventsWrapped(b *testing.B) {
+	const capacity, perReq = 1 << 16, 40
+	fr := NewFlightRecorder(capacity)
+	for i := 0; i < capacity+capacity/2; i++ {
+		NewTracer(fr).ForRequest(uint64(i/perReq)).Instant("e", int64(i))
+	}
+	req := uint64(capacity / perReq) // a request in the middle of the ring
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(fr.RequestEvents(req)) != perReq {
+			b.Fatal("short request view")
+		}
+	}
+}

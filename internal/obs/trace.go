@@ -171,15 +171,29 @@ func (f *FlightRecorder) Events() []Event {
 	if f == nil {
 		return nil
 	}
+	return f.collect(make([]Event, 0, len(f.slots)), 0, true)
+}
+
+// RequestEvents returns the buffered events of one request, oldest
+// first. Only that request's events are copied.
+func (f *FlightRecorder) RequestEvents(req uint64) []Event {
+	if f == nil {
+		return nil
+	}
+	return f.collect(nil, req, false)
+}
+
+// collect appends to out, in publication order, every buffered event
+// (all) or those of request req.
+func (f *FlightRecorder) collect(out []Event, req uint64, all bool) []Event {
 	// Slot i holds the event whose Seq is ≡ i mod cap, so walking the
 	// ring once from the slot the next write will take visits the
 	// buffered events in publication order. Only a write racing the
 	// walk can break that order; the rare snapshot it does is sorted.
-	out := make([]Event, 0, len(f.slots))
 	start := f.head.Load() & f.mask
 	sorted := true
 	for i := range f.slots {
-		if e := f.slots[(start+uint64(i))&f.mask].Load(); e != nil {
+		if e := f.slots[(start+uint64(i))&f.mask].Load(); e != nil && (all || e.Req == req) {
 			sorted = sorted && (len(out) == 0 || out[len(out)-1].Seq < e.Seq)
 			out = append(out, *e)
 		}
@@ -188,19 +202,6 @@ func (f *FlightRecorder) Events() []Event {
 		slices.SortFunc(out, func(x, y Event) int { return cmp.Compare(x.Seq, y.Seq) })
 	}
 	return out
-}
-
-// RequestEvents returns the buffered events of one request, oldest
-// first.
-func (f *FlightRecorder) RequestEvents(req uint64) []Event {
-	all := f.Events()
-	out := all[:0]
-	for _, e := range all {
-		if e.Req == req {
-			out = append(out, e)
-		}
-	}
-	return out[:len(out):len(out)]
 }
 
 // Tracer publishes events into a FlightRecorder, stamped with one

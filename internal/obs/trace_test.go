@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,33 @@ func TestFlightRecorderEventsEveryHeadOffset(t *testing.T) {
 			}
 		}
 		tr.Instant("e", int64(written))
+	}
+}
+
+// TestFlightRecorderRequestEventsEveryHeadOffset checks that the
+// per-request view equals that request's events filtered out of the
+// full snapshot, at every head position of a wrapping ring, for
+// requests with events buffered, evicted and never seen.
+func TestFlightRecorderRequestEventsEveryHeadOffset(t *testing.T) {
+	const capacity = 64
+	fr := NewFlightRecorder(capacity)
+	for written := 0; written < 3*capacity; written++ {
+		all := fr.Events()
+		for req := uint64(0); req < 5; req++ {
+			var want []Event
+			for _, e := range all {
+				if e.Req == req {
+					want = append(want, e)
+				}
+			}
+			if got := fr.RequestEvents(req); !slices.Equal(got, want) {
+				t.Fatalf("written %d, request %d: %d events %v, want %d %v",
+					written, req, len(got), got, len(want), want)
+			}
+		}
+		// Requests come in runs of 5 events, so old requests get
+		// evicted as the ring wraps; request 4 only ever appears late.
+		NewTracer(fr).ForRequest(uint64(written/5)%5).Instant("e", int64(written))
 	}
 }
 

@@ -21,11 +21,14 @@ import (
 // invariant is what makes the lazy closure fill in ensure simple and
 // single-pass.
 type Condensation struct {
-	adj [][]int // the condensed relation: adj[n] = nodes n depends on
-
 	comp  []int   // comp[n] = component index of node n
 	comps [][]int // comps[c] = member nodes of component c, ascending
-	succs [][]int // succs[c] = components c's members depend on (deduped, c excluded)
+	// succOff/succFlat hold, as compressed sparse rows, the components
+	// each component's members depend on (deduped, itself excluded):
+	// component c's are succFlat[succOff[c]:succOff[c+1]]. Pointer-free,
+	// so Patched's copy is a plain memmove the collector never scans.
+	succOff  []int
+	succFlat []int
 
 	mu      sync.Mutex
 	closure []*bits.Set // closure[c] = backward closure of c's members; nil until demanded
@@ -53,7 +56,13 @@ var uninstrumented Instruments
 // edges, building it on first use and caching it (and its memoized
 // component closures) on the Graph for every later call.
 func (p *Graph) Condensation() *Condensation {
-	p.condOnce.Do(func() { p.cond = Condense(p.deps) })
+	p.condOnce.Do(func() {
+		adj := make([][]int, len(p.CFG.Nodes))
+		for n := range adj {
+			adj[n] = p.Deps(n)
+		}
+		p.cond = Condense(adj)
+	})
 	return p.cond
 }
 
@@ -71,10 +80,7 @@ func (p *Graph) Condensation() *Condensation {
 // large inputs.
 func Condense(adj [][]int) *Condensation {
 	n := len(adj)
-	c := &Condensation{
-		adj:  adj,
-		comp: make([]int, n),
-	}
+	c := &Condensation{comp: make([]int, n)}
 	const unvisited = -1
 	index := make([]int, n)   // discovery index, -1 = unvisited
 	lowlink := make([]int, n) // Tarjan lowlink
@@ -148,22 +154,24 @@ func Condense(adj [][]int) *Condensation {
 
 	// Condensation edges, deduped with a stamp array. Tarjan's
 	// emission order guarantees every successor index is smaller.
-	c.succs = make([][]int, len(c.comps))
+	c.succOff = make([]int, len(c.comps)+1)
 	stamp := make([]int, len(c.comps))
 	for i := range stamp {
 		stamp[i] = -1
 	}
 	for cid, members := range c.comps {
+		c.succOff[cid] = len(c.succFlat)
 		for _, v := range members {
 			for _, d := range adj[v] {
 				dc := c.comp[d]
 				if dc != cid && stamp[dc] != cid {
 					stamp[dc] = cid
-					c.succs[cid] = append(c.succs[cid], dc)
+					c.succFlat = append(c.succFlat, dc)
 				}
 			}
 		}
 	}
+	c.succOff[len(c.comps)] = len(c.succFlat)
 	c.closure = make([]*bits.Set, len(c.comps))
 	return c
 }
@@ -184,7 +192,8 @@ func Condense(adj [][]int) *Condensation {
 // slices of the previous analysis. The patched condensation shares
 // the memoized closures of every component below the smallest edited
 // one (they cannot reach an edited row; closures are read-only by
-// contract) and drops the rest for lazy rebuild.
+// contract) and drops the rest for lazy rebuild. Everything else it
+// holds is either shared or pointer-free.
 func (c *Condensation) Patched(rows map[int][]int) (*Condensation, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,13 +212,18 @@ func (c *Condensation) Patched(rows map[int][]int) (*Condensation, bool) {
 			keep = cn
 		}
 	}
-	q := &Condensation{comp: c.comp, comps: c.comps}
-	q.adj = make([][]int, len(c.adj))
-	copy(q.adj, c.adj)
-	q.succs = make([][]int, len(c.succs))
-	copy(q.succs, c.succs)
+	// An edited node is its component's only member, so its new row
+	// alone determines the component's successors. The edited rows
+	// are spliced into a copy of the successor table between the
+	// unchanged runs; when no row changes length the offsets are
+	// shared.
+	type succEdit struct {
+		cid  int
+		succ []int
+	}
+	eds := make([]succEdit, 0, len(rows))
+	sameLen := true
 	for n, row := range rows {
-		q.adj[n] = row
 		cn := c.comp[n]
 		var sc []int
 		for _, d := range row {
@@ -217,7 +231,31 @@ func (c *Condensation) Patched(rows map[int][]int) (*Condensation, bool) {
 				sc = append(sc, dc)
 			}
 		}
-		q.succs[cn] = sc
+		sameLen = sameLen && len(sc) == len(c.succs(cn))
+		eds = append(eds, succEdit{cn, sc})
+		for i := len(eds) - 1; i > 0 && eds[i].cid < eds[i-1].cid; i-- {
+			eds[i], eds[i-1] = eds[i-1], eds[i]
+		}
+	}
+	q := &Condensation{comp: c.comp, comps: c.comps, succOff: c.succOff}
+	q.succFlat = make([]int, 0, len(c.succFlat)+len(rows))
+	done := 0
+	for _, e := range eds {
+		q.succFlat = append(q.succFlat, c.succFlat[done:c.succOff[e.cid]]...)
+		q.succFlat = append(q.succFlat, e.succ...)
+		done = c.succOff[e.cid+1]
+	}
+	q.succFlat = append(q.succFlat, c.succFlat[done:]...)
+	if !sameLen {
+		q.succOff = make([]int, len(c.succOff))
+		shift := 0
+		for cid, k := 0, 0; cid < len(c.succOff); cid++ {
+			q.succOff[cid] = c.succOff[cid] + shift
+			if k < len(eds) && eds[k].cid == cid {
+				shift += len(eds[k].succ) - len(c.succs(cid))
+				k++
+			}
+		}
 	}
 	q.closure = make([]*bits.Set, len(c.closure))
 	copy(q.closure[:keep], c.closure[:keep])
@@ -231,6 +269,11 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
+}
+
+// succs returns the components component cid's members depend on.
+func (c *Condensation) succs(cid int) []int {
+	return c.succFlat[c.succOff[cid]:c.succOff[cid+1]]
 }
 
 // NumComponents returns the number of strongly connected components.
@@ -296,7 +339,7 @@ func (c *Condensation) ensure(target int, cancel func() error, in *Instruments) 
 		for _, v := range c.comps[i] {
 			s.Add(v)
 		}
-		for _, d := range c.succs[i] {
+		for _, d := range c.succs(i) {
 			s.UnionWith(c.closure[d])
 		}
 		c.closure[i] = s

@@ -70,7 +70,7 @@ func TestCondensationTopologicalOrder(t *testing.T) {
 					t.Errorf("%s: comp[%d] = %d, member of %d", f.Name, v, c.comp[v], cid)
 				}
 			}
-			for _, d := range c.succs[cid] {
+			for _, d := range c.succs(cid) {
 				if d >= cid {
 					t.Errorf("%s: component %d depends on %d (not topological)", f.Name, cid, d)
 				}

@@ -10,6 +10,7 @@ import (
 	"jumpslice/internal/dom"
 	"jumpslice/internal/lang"
 	"jumpslice/internal/paper"
+	"jumpslice/internal/progen"
 )
 
 // TestRederiveMatchesBuild checks that replacing one node's
@@ -141,4 +142,71 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestRederiveChainMatchesModel derives a long chain of graphs, each
+// from the previous one with a few rows replaced — an editing session
+// — past several overlay flattenings, and checks every row of every
+// graph in the chain against a plain [][]int model, and that no
+// derivation disturbs the graph it was derived from.
+func TestRederiveChainMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g, p := build(t, lang.Format(progen.Unstructured(progen.Config{Seed: 5, Stmts: 40}), lang.PrintOptions{}))
+	n := len(g.Nodes)
+	flattened := 0
+	type snapshot struct{ data, deps [][]int }
+	snap := func(q *Graph) snapshot {
+		var s snapshot
+		for v := 0; v < n; v++ {
+			s.data = append(s.data, append([]int(nil), q.DataDeps(v)...))
+			s.deps = append(s.deps, append([]int(nil), q.Deps(v)...))
+		}
+		return s
+	}
+	check := func(step int, q *Graph, want snapshot) {
+		t.Helper()
+		for v := 0; v < n; v++ {
+			if !equalInts(q.DataDeps(v), want.data[v]) || !equalInts(q.Deps(v), want.deps[v]) {
+				t.Fatalf("step %d node %d: rows %v / %v, want %v / %v",
+					step, v, q.DataDeps(v), q.Deps(v), want.data[v], want.deps[v])
+			}
+		}
+	}
+	type link struct {
+		g    *Graph
+		want snapshot
+	}
+	chain := []link{{p, snap(p)}}
+	for step := 1; step <= 4*maxOverlay; step++ {
+		prev := chain[len(chain)-1]
+		model := snapshot{append([][]int(nil), prev.want.data...), append([][]int(nil), prev.want.deps...)}
+		edits := map[int][]int{}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			v := rng.Intn(n)
+			row := randRow(rng, n)
+			edits[v] = row
+			model.data[v] = row
+			var merged []int
+			for d := 0; d < n; d++ {
+				if containsInt(row, d) || containsInt(p.CDG.ParentIDs(v), d) {
+					merged = append(merged, d)
+				}
+			}
+			model.deps[v] = merged
+		}
+		q := prev.g.Rederive(g, p.CDG, edits)
+		if len(q.over) > maxOverlay {
+			t.Fatalf("step %d: overlay grew to %d rows", step, len(q.over))
+		}
+		if len(q.over) < len(prev.g.over) {
+			flattened++
+		}
+		chain = append(chain, link{q, model})
+		for i, l := range chain {
+			check(step*1000+i, l.g, l.want)
+		}
+	}
+	if flattened == 0 {
+		t.Fatal("the chain never flattened its overlay")
+	}
 }

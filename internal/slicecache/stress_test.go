@@ -69,7 +69,7 @@ func TestStressConcurrent(t *testing.T) {
 		Recorder: reg,
 	})
 
-	inflight := make([]atomic.Bool, keys)   // singleflight tripwire
+	inflight := make([]atomic.Bool, keys) // singleflight tripwire
 	buildCount := make([]atomic.Int64, keys)
 	build := func(i int) func(context.Context) (*core.Analysis, error) {
 		return func(ctx context.Context) (*core.Analysis, error) {
