@@ -314,7 +314,7 @@ func (s *server) writeRecord(w http.ResponseWriter, r *http.Request, data []byte
 	}
 	ri := reqInfoFrom(r)
 	ri.setSliceLines(len(resp.Lines))
-	writeJSON(w, http.StatusOK, &resp)
+	writeResponse(w, http.StatusOK, &resp)
 	return true
 }
 

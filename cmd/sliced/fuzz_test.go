@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
@@ -9,6 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"jumpslice/internal/core"
+	"jumpslice/internal/incremental"
 )
 
 // FuzzHandleSlice drives the /slice handler with arbitrary bodies and
@@ -75,6 +79,32 @@ func FuzzHandleSlice(f *testing.F) {
 			}
 			if ae.Error.Code == "" || ae.Error.Status != rec.Code {
 				t.Fatalf("malformed envelope for status %d: %+v", rec.Code, ae.Error)
+			}
+		}
+	})
+}
+
+// FuzzAppendResponse compares the response appender with
+// encoding/json on arbitrary strings and reason keys, in every
+// response type the appender encodes.
+func FuzzAppendResponse(f *testing.F) {
+	f.Add("write(x);", "data-dep from 3", 10, -9, true)
+	f.Add("if (a < b && c > d)\n", "\t\"\\  \xff\xc3\x01\x7f", -1, 10, false)
+	f.Fuzz(func(t *testing.T, text, reason string, k1, k2 int, emptyList bool) {
+		r := &sliceResponse{
+			Algorithm: reason, Var: text, Line: k1, Lines: []int{k1, k2}, Text: text, Listing: reason,
+			Reasons: map[int][]string{k1: {text, reason}, k2: nil},
+		}
+		if emptyList {
+			r.Reasons[k2] = []string{}
+		}
+		p := &sessionPatchResponse{sliceResponse: *r, Session: text, Incremental: &core.IncrStats{
+			Outcome: reason, Fallback: text,
+			Edits: []incremental.Edit{{Op: incremental.Op(k1), Line: k2, Text: text}},
+		}}
+		for _, v := range []jsonResponse{r, p, &sessionResponse{Session: text}, &apiError{Error: errorBody{Code: text, Message: reason}}} {
+			if got, want := appended(v), referenceJSON(t, v); !bytes.Equal(got, want) {
+				t.Fatalf("%T: appender\n%s\nencoding/json\n%s", v, got, want)
 			}
 		}
 	})

@@ -760,6 +760,8 @@ type errorBody struct {
 // fault the abort was.
 const statusClientClosedRequest = 499
 
+// writeJSON encodes an arbitrary value through encoding/json, for the
+// /debug endpoints; the serving path's responses use writeResponse.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -780,7 +782,7 @@ func (s *server) fail(w http.ResponseWriter, r *http.Request, status int, code, 
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, apiError{Error: errorBody{
+	writeResponse(w, status, &apiError{Error: errorBody{
 		Code:      code,
 		Message:   fmt.Sprintf(format, args...),
 		Status:    status,
@@ -968,7 +970,7 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	resp.DurationNS = time.Since(start).Nanoseconds()
 	ri.setSliceLines(len(resp.Lines))
 	s.storeResult(rkey, resp)
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, http.StatusOK, resp)
 }
 
 // renderSlice computes one slice of a as the response body /slice and

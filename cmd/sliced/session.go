@@ -121,7 +121,7 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	s.smu.Lock()
 	s.sessions[id] = &session{id: id, source: source}
 	s.smu.Unlock()
-	writeJSON(w, http.StatusCreated, sessionResponse{
+	writeResponse(w, http.StatusCreated, &sessionResponse{
 		Session:    id,
 		Request:    requestID(r),
 		Statements: len(lang.Statements(a.Prog)),
@@ -218,7 +218,7 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	resp.Request = id
 	resp.DurationNS = time.Since(start).Nanoseconds()
 	ri.setSliceLines(len(resp.Lines))
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, http.StatusOK, resp)
 }
 
 // handleSessionDelete (DELETE /session/{id}) closes the session and
@@ -232,7 +232,7 @@ func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	delete(s.sessions, sess.id)
 	s.smu.Unlock()
 	s.cache.DeleteKey(slicecache.SessionKey(sess.id))
-	writeJSON(w, http.StatusOK, sessionResponse{
+	writeResponse(w, http.StatusOK, &sessionResponse{
 		Session: sess.id,
 		Request: requestID(r),
 		Deleted: true,
