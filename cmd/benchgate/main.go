@@ -61,6 +61,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -196,14 +197,12 @@ type RatioResult struct {
 	Max   float64 `json:"max"`
 }
 
-// GateRatios evaluates ratio assertions against one run's benchmarks.
-// A gate naming a benchmark the run did not produce is an error — a
+// GateRatios evaluates ratio assertions against one run's benchmarks,
+// each benchmark judged on its median ns/op over repeated lines
+// (`go test -count n`). A gate naming a benchmark the run did not produce is an error — a
 // silently skipped assertion would pass forever.
 func GateRatios(benchmarks []Benchmark, gates []ratioGate) ([]RatioResult, error) {
-	byName := make(map[string]float64, len(benchmarks))
-	for _, b := range benchmarks {
-		byName[b.Name] = b.NsPerOp
-	}
+	byName := medianNsPerOp(benchmarks)
 	out := make([]RatioResult, 0, len(gates))
 	for _, g := range gates {
 		num, ok := byName[g.Num]
@@ -434,23 +433,44 @@ func PhasesOf(snap *obs.Snapshot) []Phase {
 }
 
 // Gate compares PR benchmarks against the baseline and returns every
-// shared benchmark whose ns/op exceeds baseline*maxRatio, plus how
-// many were compared. Benchmarks present on only one side are
+// shared benchmark whose median ns/op exceeds baseline*maxRatio, plus
+// how many were compared. Benchmarks present on only one side are
 // ignored — adding or retiring a benchmark must not break the gate.
 func Gate(baseline, pr []Benchmark, maxRatio float64) (regressions []Regression, compared int) {
-	base := make(map[string]float64, len(baseline))
-	for _, b := range baseline {
-		base[b.Name] = b.NsPerOp
-	}
+	base, cur := medianNsPerOp(baseline), medianNsPerOp(pr)
 	for _, p := range pr {
 		b, ok := base[p.Name]
-		if !ok || b <= 0 {
+		c, first := cur[p.Name]
+		if !ok || b <= 0 || !first {
 			continue
 		}
+		delete(cur, p.Name) // judge each name once, in input order
 		compared++
-		if p.NsPerOp > b*maxRatio {
-			regressions = append(regressions, Regression{Name: p.Name, Base: b, PR: p.NsPerOp})
+		if c > b*maxRatio {
+			regressions = append(regressions, Regression{Name: p.Name, Base: b, PR: c})
 		}
 	}
 	return regressions, compared
+}
+
+// medianNsPerOp maps each benchmark name to the median ns/op of its
+// result lines (the mean of the middle two for an even count), so a
+// benchmark run with -count n is judged on its middle run, not on
+// whichever line came last.
+func medianNsPerOp(benchmarks []Benchmark) map[string]float64 {
+	runs := make(map[string][]float64, len(benchmarks))
+	for _, b := range benchmarks {
+		runs[b.Name] = append(runs[b.Name], b.NsPerOp)
+	}
+	out := make(map[string]float64, len(runs))
+	for name, v := range runs {
+		sort.Float64s(v)
+		m := len(v) / 2
+		if len(v)%2 == 0 {
+			out[name] = (v[m-1] + v[m]) / 2
+		} else {
+			out[name] = v[m]
+		}
+	}
+	return out
 }

@@ -288,6 +288,52 @@ func TestGateRatios(t *testing.T) {
 	}
 }
 
+// TestMedianOfRepeatedLines: a benchmark run with -count n is judged
+// on its median ns/op, by both the ratio and the baseline gate — not
+// on whichever repeated line came last.
+func TestMedianOfRepeatedLines(t *testing.T) {
+	got := medianNsPerOp([]Benchmark{
+		{Name: "BenchmarkOdd", NsPerOp: 90}, {Name: "BenchmarkEven", NsPerOp: 4},
+		{Name: "BenchmarkOdd", NsPerOp: 10}, {Name: "BenchmarkEven", NsPerOp: 1},
+		{Name: "BenchmarkOdd", NsPerOp: 30}, {Name: "BenchmarkEven", NsPerOp: 2},
+		{Name: "BenchmarkOne", NsPerOp: 7}, {Name: "BenchmarkEven", NsPerOp: 100},
+	})
+	want := map[string]float64{"BenchmarkOdd": 30, "BenchmarkEven": 3, "BenchmarkOne": 7}
+	if len(got) != len(want) {
+		t.Fatalf("medians = %v, want %v", got, want)
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("median %s = %g, want %g", name, got[name], w)
+		}
+	}
+
+	// One noisy repeat (the last line, 0.065) must not fail a ratio
+	// whose median (30/1000) holds.
+	var runs []Benchmark
+	for _, incr := range []float64{29, 31, 30, 24, 65} {
+		runs = append(runs, Benchmark{Name: "BenchmarkIncr", NsPerOp: incr}, Benchmark{Name: "BenchmarkCold", NsPerOp: 1000})
+	}
+	res, err := GateRatios(runs, []ratioGate{{Num: "BenchmarkIncr", Den: "BenchmarkCold", Max: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Ratio != 0.03 {
+		t.Errorf("ratio = %+v, want the median 30/1000", res)
+	}
+
+	// The baseline gate compares medians too, once per name: a
+	// baseline median of 30 against the run's 30.
+	regs, compared := Gate([]Benchmark{{Name: "BenchmarkIncr", NsPerOp: 20}, {Name: "BenchmarkIncr", NsPerOp: 40}}, runs, 2.0)
+	if compared != 1 || len(regs) != 0 {
+		t.Errorf("Gate = %v, %d compared; want one name, no regression", regs, compared)
+	}
+	regs, _ = Gate([]Benchmark{{Name: "BenchmarkIncr", NsPerOp: 10}}, runs, 2.0)
+	if len(regs) != 1 || regs[0].PR != 30 || regs[0].Base != 10 {
+		t.Errorf("Gate = %v, want one regression at the median 30 vs 10", regs)
+	}
+}
+
 // TestRatioGateEndToEnd drives run() with -ratio: a holding ratio
 // passes and lands in the report; a broken ratio fails the run and
 // must not ratify a baseline via -update.

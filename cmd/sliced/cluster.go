@@ -247,10 +247,8 @@ func (s *server) relayProxy(w http.ResponseWriter, resp *http.Response, owner st
 // memory, disk, then peer fill — reporting whether a response was
 // written. A false return means every tier missed and the caller must
 // compute; rkey is where the computed record should then be stored.
+// It requires a result tier (s.results non-nil).
 func (s *server) serveResult(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, rkey slicecache.ResultKey, id uint64, start time.Time) bool {
-	if s.results == nil {
-		return false
-	}
 	if data, src := s.results.Get(rkey); src != slicecache.ResultMiss {
 		tier := "result"
 		if src == slicecache.ResultDisk {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -361,5 +362,87 @@ func TestFailpointsDisabledInProduction(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("status %d with failpoints disabled, want 200", resp.StatusCode)
+	}
+}
+
+// TestReadBodyLengths: the body reader sizes its buffer from
+// Content-Length but never trusts it. An honest length, a chunked
+// body (no length), a body shorter or longer than its declared length
+// all read exactly the bytes sent; any of them past the limit answers
+// 413 body_too_large.
+func TestReadBodyLengths(t *testing.T) {
+	cfg := testConfig(64)
+	cfg.MaxBody = 64
+	s := newServer(cfg, io.Discard)
+	for _, c := range []struct {
+		name     string
+		body     string
+		declared int64 // -1: chunked
+		tooLarge bool
+	}{
+		{"honest", strings.Repeat("a", 40), 40, false},
+		{"honest at the limit", strings.Repeat("a", 64), 64, false},
+		{"chunked", strings.Repeat("b", 40), -1, false},
+		{"chunked over the limit", strings.Repeat("b", 65), -1, true},
+		{"shorter than declared", strings.Repeat("c", 10), 30, false},
+		{"longer than declared", strings.Repeat("d", 50), 10, false},
+		{"longer than declared, over the limit", strings.Repeat("e", 100), 10, true},
+		{"declared over the limit", strings.Repeat("f", 100), 100, true},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/slice", strings.NewReader(c.body))
+		r.ContentLength = c.declared
+		body, err := s.readBody(httptest.NewRecorder(), r)
+		if c.tooLarge {
+			var he *httpError
+			if !errors.As(err, &he) || he.code != "body_too_large" || he.status != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s: err = %v, want 413 body_too_large", c.name, err)
+			}
+			continue
+		}
+		if err != nil || string(body) != c.body {
+			t.Errorf("%s: read %q, %v; want the %d bytes sent", c.name, body, err, len(c.body))
+		}
+	}
+
+	// Over the wire: a body of unknown length goes out chunked.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, n := range []int{40, 65} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/session", io.MultiReader(strings.NewReader(strings.Repeat("x", n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		// 40 bytes of "x" is not a program (422); 65 is over the limit.
+		if want := map[int]int{40: http.StatusUnprocessableEntity, 65: http.StatusRequestEntityTooLarge}[n]; resp.StatusCode != want {
+			t.Errorf("chunked %d-byte body: status %d, want %d", n, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestReadBodyOneAllocation: with an honest Content-Length the body
+// buffer is allocated once, not grown by doubling.
+func TestReadBodyOneAllocation(t *testing.T) {
+	s := newServer(testConfig(64), io.Discard)
+	src := strings.Repeat("x = x + 1;\n", 1000)
+	sr := strings.NewReader(src)
+	r := httptest.NewRequest(http.MethodPost, "/slice", nil)
+	r.Body = io.NopCloser(sr)
+	r.ContentLength = int64(len(src))
+	w := httptest.NewRecorder()
+	n := testing.AllocsPerRun(20, func() {
+		sr.Reset(src)
+		if body, err := s.readBody(w, r); err != nil || len(body) != len(src) {
+			t.Fatalf("read %d bytes, %v", len(body), err)
+		}
+	})
+	// The limit reader and the body buffer; io.ReadAll grows its
+	// buffer from 512 bytes by doubling.
+	if n > 2 {
+		t.Errorf("readBody = %v allocations, want <= 2", n)
 	}
 }

@@ -952,16 +952,21 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil || s.results != nil {
 		w.Header().Set("X-Sliced-Route", "local")
 	}
-	rkey := resultKeyFor(req, explain)
-	if s.serveResult(ctx, w, r, req, rkey, id, start) {
-		return
+	// The result-record address hashes the whole source, so it is
+	// derived only when a result tier exists to look it up in.
+	var rkey slicecache.ResultKey
+	if s.results != nil {
+		rkey = resultKeyFor(req, explain)
+		if s.serveResult(ctx, w, r, req, rkey, id, start) {
+			return
+		}
 	}
 
 	a := s.analysisFor(ctx, w, r, req.Source, tr)
 	if a == nil {
 		return // analysisFor already answered
 	}
-	ri.setStmts(len(lang.Statements(a.Prog)))
+	ri.setStmts(lang.CountStatements(a.Prog))
 	resp, _ := s.renderSlice(w, r, a, req.Algo, core.Criterion{Var: req.Var, Line: req.Line}, explain)
 	if resp == nil {
 		return // renderSlice already answered
@@ -1051,7 +1056,7 @@ func (s *server) parseProgram(source string) (*lang.Program, error) {
 	if err != nil {
 		return nil, httpErrorf(http.StatusUnprocessableEntity, "invalid_program", "parse: %v", err)
 	}
-	if n := len(lang.Statements(prog)); n > s.cfg.MaxStmts {
+	if n := lang.CountStatements(prog); n > s.cfg.MaxStmts {
 		return nil, httpErrorf(http.StatusRequestEntityTooLarge, "program_too_large",
 			"program has %d statements, over the %d limit", n, s.cfg.MaxStmts)
 	}

@@ -115,7 +115,8 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, r, "analyze", err)
 		return
 	}
-	reqInfoFrom(r).setStmts(len(lang.Statements(a.Prog)))
+	stmts := lang.CountStatements(a.Prog)
+	reqInfoFrom(r).setStmts(stmts)
 	id := strconv.FormatInt(s.sessID.Add(1), 10)
 	s.cache.PutKey(slicecache.SessionKey(id), source, a)
 	s.smu.Lock()
@@ -124,7 +125,7 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	writeResponse(w, http.StatusCreated, &sessionResponse{
 		Session:    id,
 		Request:    requestID(r),
-		Statements: len(lang.Statements(a.Prog)),
+		Statements: stmts,
 	})
 }
 
@@ -200,7 +201,7 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Incremental", stats.Outcome)
-	ri.setStmts(len(lang.Statements(a.Prog)))
+	ri.setStmts(lang.CountStatements(a.Prog))
 
 	// The edit is committed before slicing: the session now holds the
 	// new program whether or not the criterion below resolves.
@@ -391,8 +392,12 @@ func (s *server) readPatch(w http.ResponseWriter, r *http.Request) (*patchReques
 }
 
 // readBody drains the request body under the configured byte limit.
+// A declared Content-Length within the limit sizes the buffer, so the
+// usual request is read in one allocation. The limit reader stays in
+// place either way: a chunked body, or one that runs past its declared
+// length, still answers 413 once it crosses the limit.
 func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	body, err := readSized(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), r.ContentLength, s.cfg.MaxBody)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -402,6 +407,26 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 		return nil, httpErrorf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
 	}
 	return body, nil
+}
+
+// readSized reads rd to EOF like io.ReadAll, into a buffer sized for
+// the declared length n when 0 < n <= limit. The spare byte past n
+// lets the read see EOF without growing the buffer.
+func readSized(rd io.Reader, n, limit int64) ([]byte, error) {
+	if n <= 0 || n > limit {
+		return io.ReadAll(rd)
+	}
+	body := make([]byte, n+1)
+	m, err := io.ReadFull(rd, body)
+	switch err {
+	case io.EOF, io.ErrUnexpectedEOF:
+		return body[:m], nil // the declared length, or a short body
+	case nil:
+		// Longer than declared: the rest, still under the limit.
+		rest, err := io.ReadAll(rd)
+		return append(body, rest...), err
+	}
+	return nil, err
 }
 
 // parseCriterion overlays the var/line/algo query parameters on c

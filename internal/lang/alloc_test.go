@@ -85,3 +85,23 @@ func TestFormatConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCountStatements: CountStatements agrees with
+// len(Statements(p)) over the progen corpus — structured,
+// unstructured and multi-procedure programs — and allocates nothing.
+func TestCountStatements(t *testing.T) {
+	var progs []*lang.Program
+	for seed := int64(1); seed <= 40; seed++ {
+		c := progen.Config{Seed: seed, Stmts: 10 + int(seed)*5, Procs: 3}
+		progs = append(progs, progen.Structured(c), progen.Unstructured(c), progen.MultiProc(c))
+	}
+	for i, p := range progs {
+		if got, want := lang.CountStatements(p), len(lang.Statements(p)); got != want {
+			t.Errorf("program %d: CountStatements = %d, len(Statements) = %d", i, got, want)
+		}
+	}
+	prog, _ := allocProgram(t)
+	if n := testing.AllocsPerRun(20, func() { _ = lang.CountStatements(prog) }); n != 0 {
+		t.Errorf("CountStatements = %v allocs, want 0", n)
+	}
+}

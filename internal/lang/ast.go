@@ -512,6 +512,20 @@ func Statements(p *Program) []Stmt {
 	return out
 }
 
+// CountStatements returns len(Statements(p)) without building the
+// list.
+func CountStatements(p *Program) int {
+	n := 0
+	WalkProgram(p, func(s Stmt) {
+		switch s.(type) {
+		case *LabeledStmt, *EmptyStmt, *BlockStmt:
+		default:
+			n++
+		}
+	})
+	return n
+}
+
 // StmtAtLine returns the first non-wrapper statement whose position is
 // on the given source line, or nil. Compound statements match on the
 // line of their keyword (the paper numbers an if or while by its
