@@ -40,10 +40,13 @@ type jsonEnc struct {
 	keys  []int // scratch for sorting map keys
 }
 
-var jsonEncs = sync.Pool{New: func() any { return &jsonEnc{buf: make([]byte, 0, 4096)} }}
+// Pooled buffers start at maxPooledJSON, so a response that fits is
+// appended without growing; one that grew past it (a large explain
+// response) is dropped rather than pooled, so it does not pin its
+// memory. A smaller start would let append's growth overshoot the
+// bound on responses just under it and drop those buffers too.
+var jsonEncs = sync.Pool{New: func() any { return &jsonEnc{buf: make([]byte, 0, maxPooledJSON)} }}
 
-// maxPooledJSON bounds the buffers returned to the pool, so one huge
-// response does not pin its memory.
 const maxPooledJSON = 64 << 10
 
 // jsonResponse is a response the appender can encode.

@@ -503,9 +503,7 @@ func WalkProgram(p *Program, fn func(Stmt)) {
 func Statements(p *Program) []Stmt {
 	var out []Stmt
 	WalkProgram(p, func(s Stmt) {
-		switch s.(type) {
-		case *LabeledStmt, *EmptyStmt, *BlockStmt:
-		default:
+		if listed(s) {
 			out = append(out, s)
 		}
 	})
@@ -517,13 +515,21 @@ func Statements(p *Program) []Stmt {
 func CountStatements(p *Program) int {
 	n := 0
 	WalkProgram(p, func(s Stmt) {
-		switch s.(type) {
-		case *LabeledStmt, *EmptyStmt, *BlockStmt:
-		default:
+		if listed(s) {
 			n++
 		}
 	})
 	return n
+}
+
+// listed reports whether Statements lists s: wrappers, blocks and
+// empty statements have no behaviour of their own.
+func listed(s Stmt) bool {
+	switch s.(type) {
+	case *LabeledStmt, *EmptyStmt, *BlockStmt:
+		return false
+	}
+	return true
 }
 
 // StmtAtLine returns the first non-wrapper statement whose position is
