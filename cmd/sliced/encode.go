@@ -116,6 +116,11 @@ func (e *jsonEnc) intField(name string, v int64) {
 	e.buf = strconv.AppendInt(e.buf, v, 10)
 }
 
+func (e *jsonEnc) uintField(name string, v uint64) {
+	e.key(name)
+	e.buf = strconv.AppendUint(e.buf, v, 10)
+}
+
 func (e *jsonEnc) boolField(name string, v bool) {
 	e.key(name)
 	e.buf = strconv.AppendBool(e.buf, v)
@@ -256,8 +261,7 @@ func (r *sliceResponse) appendJSON(e *jsonEnc) {
 // appendFields appends the members of a slice response to an open
 // object, in declaration order, honouring the omitempty tags.
 func (r *sliceResponse) appendFields(e *jsonEnc) {
-	e.key("request")
-	e.buf = strconv.AppendUint(e.buf, r.Request, 10)
+	e.uintField("request", r.Request)
 	e.stringField("algorithm", r.Algorithm)
 	e.stringField("var", r.Var)
 	e.intField("line", int64(r.Line))
@@ -322,8 +326,7 @@ func appendIncrStats(e *jsonEnc, st *core.IncrStats) {
 func (r *sessionResponse) appendJSON(e *jsonEnc) {
 	e.open('{')
 	e.stringField("session", r.Session)
-	e.key("request")
-	e.buf = strconv.AppendUint(e.buf, r.Request, 10)
+	e.uintField("request", r.Request)
 	if r.Statements != 0 {
 		e.intField("statements", int64(r.Statements))
 	}
@@ -340,8 +343,7 @@ func (r *apiError) appendJSON(e *jsonEnc) {
 	e.stringField("code", r.Error.Code)
 	e.stringField("message", r.Error.Message)
 	e.intField("status", int64(r.Error.Status))
-	e.key("request_id")
-	e.buf = strconv.AppendUint(e.buf, r.Error.RequestID, 10)
+	e.uintField("request_id", r.Error.RequestID)
 	e.close('}')
 	e.close('}')
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"jumpslice/internal/core"
@@ -273,4 +274,30 @@ func BenchmarkWriteSliceResponse(b *testing.B) {
 			writeJSON(w, http.StatusOK, resp)
 		}
 	})
+}
+
+// TestWriteResponseConcurrent: goroutines sharing the encoder pool
+// each get their own buffer, so concurrent responses never mix.
+func TestWriteResponseConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	resps := make([]*sliceResponse, 8)
+	want := make([][]byte, len(resps))
+	for i := range resps {
+		r := randSliceResponse(rng)
+		resps[i], want[i] = &r, referenceJSON(t, &r)
+	}
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				if got := appended(resps[i]); !bytes.Equal(got, want[i]) {
+					t.Errorf("goroutine %d: response differs from encoding/json", i)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }
