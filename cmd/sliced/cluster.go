@@ -76,10 +76,9 @@ type clusterState struct {
 func (s *server) openCluster() error {
 	if s.cfg.DiskDir != "" {
 		st, err := disk.Open(disk.Options{
-			Dir:          s.cfg.DiskDir,
-			MaxBytes:     s.cfg.DiskBytes,
-			SegmentBytes: s.cfg.DiskSegment,
-			Recorder:     s.reg,
+			Dir:      s.cfg.DiskDir,
+			MaxBytes: s.cfg.DiskBytes,
+			Recorder: s.reg,
 		})
 		if err != nil {
 			return err

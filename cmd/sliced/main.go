@@ -85,9 +85,9 @@
 //
 // -spool-dir enables the durable telemetry spool: every wide event
 // (span log included) is journaled asynchronously into rotating
-// gzip-compressed JSONL segments under a hard -spool-bytes disk
-// budget, so the request history survives restarts and crashes and
-// can be queried offline with cmd/slicequery. The enqueue is a
+// segments of CRC-framed, deflate-compressed JSON lines under a hard
+// -spool-bytes disk budget, so the request history survives restarts
+// and crashes and can be queried offline with cmd/slicequery. The enqueue is a
 // non-blocking bounded queue — the request path never waits on the
 // disk; a backed-up spool drops records and counts them in the
 // jumpslice_spool_* series and /debug/spool.
@@ -228,7 +228,6 @@ func main() {
 	flag.IntVar(&cfg.FillCandidates, "fill-candidates", cfg.FillCandidates, "ring-adjacent peers a cache fill tries")
 	flag.StringVar(&cfg.DiskDir, "disk-dir", cfg.DiskDir, "disk-backed result tier directory for warm restarts (empty disables)")
 	flag.Int64Var(&cfg.DiskBytes, "disk-bytes", cfg.DiskBytes, "disk result tier budget in bytes (oldest segments reclaimed)")
-	flag.Int64Var(&cfg.DiskSegment, "disk-segment", cfg.DiskSegment, "disk result tier segment roll size in bytes")
 	flag.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes")
 	flag.Parse()
 	if *peers != "" {
@@ -312,11 +311,10 @@ type config struct {
 	FillTimeout    time.Duration
 	FillCandidates int
 	// DiskDir enables the disk-backed result tier (warm restarts) when
-	// non-empty; DiskBytes is its budget, DiskSegment the segment roll
-	// size, ResultBytes the in-memory result tier's budget.
+	// non-empty; DiskBytes is its budget, ResultBytes the in-memory
+	// result tier's budget.
 	DiskDir     string
 	DiskBytes   int64
-	DiskSegment int64
 	ResultBytes int64
 }
 
@@ -340,7 +338,6 @@ func defaultConfig() config {
 		FillTimeout:    500 * time.Millisecond,
 		FillCandidates: 2,
 		DiskBytes:      disk.DefaultMaxBytes,
-		DiskSegment:    disk.DefaultSegmentBytes,
 		ResultBytes:    32 << 20,
 	}
 }
@@ -966,7 +963,7 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	if a == nil {
 		return // analysisFor already answered
 	}
-	ri.setStmts(lang.CountStatements(a.Prog))
+	ri.setStmts(a.Stmts)
 	resp, _ := s.renderSlice(w, r, a, req.Algo, core.Criterion{Var: req.Var, Line: req.Line}, explain)
 	if resp == nil {
 		return // renderSlice already answered
@@ -1038,7 +1035,7 @@ func (s *server) renderSlice(w http.ResponseWriter, r *http.Request, a *core.Ana
 // status through the cache's negative entries) or pipeline errors for
 // failErr to map.
 func (s *server) buildAnalysis(ctx context.Context, source string, tr *obs.Tracer) (*core.Analysis, error) {
-	prog, err := s.parseProgram(source)
+	prog, n, err := s.parseProgram(source)
 	if err != nil {
 		return nil, err
 	}
@@ -1046,21 +1043,23 @@ func (s *server) buildAnalysis(ctx context.Context, source string, tr *obs.Trace
 	if err != nil {
 		return nil, err
 	}
-	return s.detach(a)
+	return s.detach(a, n)
 }
 
 // parseProgram parses a request's program under the statement-count
-// limit; its errors are client-fault httpErrors.
-func (s *server) parseProgram(source string) (*lang.Program, error) {
+// limit and returns its statement count; its errors are client-fault
+// httpErrors.
+func (s *server) parseProgram(source string) (*lang.Program, int, error) {
 	prog, err := lang.Parse(source)
 	if err != nil {
-		return nil, httpErrorf(http.StatusUnprocessableEntity, "invalid_program", "parse: %v", err)
+		return nil, 0, httpErrorf(http.StatusUnprocessableEntity, "invalid_program", "parse: %v", err)
 	}
-	if n := lang.CountStatements(prog); n > s.cfg.MaxStmts {
-		return nil, httpErrorf(http.StatusRequestEntityTooLarge, "program_too_large",
+	n := lang.CountStatements(prog)
+	if n > s.cfg.MaxStmts {
+		return nil, 0, httpErrorf(http.StatusRequestEntityTooLarge, "program_too_large",
 			"program has %d statements, over the %d limit", n, s.cfg.MaxStmts)
 	}
-	return prog, nil
+	return prog, n, nil
 }
 
 // analysisFor produces the request's analysis, through the cache when
@@ -1092,9 +1091,9 @@ func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http
 
 // detach readies an analysis for the cache: a program with
 // procedures gets its SDG summary edges now, so nothing writes to an
-// analysis concurrent requests share, and the result is bound to no
-// request.
-func (s *server) detach(a *core.Analysis) (*core.Analysis, error) {
+// analysis concurrent requests share, the program's statement count
+// stmts is recorded, and the result is bound to no request.
+func (s *server) detach(a *core.Analysis, stmts int) (*core.Analysis, error) {
 	if len(a.Prog.Procs) > 0 {
 		ps, err := a.ProgramSet()
 		if err == nil {
@@ -1104,7 +1103,9 @@ func (s *server) detach(a *core.Analysis) (*core.Analysis, error) {
 			return nil, err
 		}
 	}
-	return a.Rebind(nil, s.reg, nil), nil
+	d := a.Rebind(nil, s.reg, nil)
+	d.Stmts = stmts
+	return d, nil
 }
 
 // sliceETag derives the strong validator for a slice request: the

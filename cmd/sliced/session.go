@@ -115,8 +115,7 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, r, "analyze", err)
 		return
 	}
-	stmts := lang.CountStatements(a.Prog)
-	reqInfoFrom(r).setStmts(stmts)
+	reqInfoFrom(r).setStmts(a.Stmts)
 	id := strconv.FormatInt(s.sessID.Add(1), 10)
 	s.cache.PutKey(slicecache.SessionKey(id), source, a)
 	s.smu.Lock()
@@ -125,7 +124,7 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	writeResponse(w, http.StatusCreated, &sessionResponse{
 		Session:    id,
 		Request:    requestID(r),
-		Statements: stmts,
+		Statements: a.Stmts,
 	})
 }
 
@@ -182,11 +181,15 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	// through a parse; ReanalyzeProgram decides what survives either
 	// way, and falls back to the full pipeline when prev is nil.
 	var prog *lang.Program
+	var stmts int
 	if prev != nil && req.Edit != nil {
+		// A splice swaps one simple statement for one, so the
+		// statement count carries over.
 		prog, _ = incremental.SpliceLine(prev.Prog, req.Edit.Line, req.Edit.Text)
+		stmts = prev.Stmts
 	}
 	if prog == nil {
-		if prog, err = s.parseProgram(newSrc); err != nil {
+		if prog, stmts, err = s.parseProgram(newSrc); err != nil {
 			s.failErr(w, r, "analyze", err)
 			return
 		}
@@ -194,14 +197,14 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	a, stats, err := core.ReanalyzeProgram(ctx, prev, prog, s.reg, tr)
 	var detached *core.Analysis
 	if err == nil {
-		detached, err = s.detach(a)
+		detached, err = s.detach(a, stmts)
 	}
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
 		return
 	}
 	w.Header().Set("X-Incremental", stats.Outcome)
-	ri.setStmts(lang.CountStatements(a.Prog))
+	ri.setStmts(stmts)
 
 	// The edit is committed before slicing: the session now holds the
 	// new program whether or not the criterion below resolves.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"jumpslice/internal/lang"
 	"jumpslice/internal/obs"
 )
 
@@ -463,6 +464,68 @@ func TestSessionPatchWideEvent(t *testing.T) {
 	open := getRequests(t, ts.URL, "?endpoint=/session")
 	if open.Count != 1 || open.Requests[0].Stmts == 0 {
 		t.Errorf("session open event: %+v", open.Requests)
+	}
+}
+
+// The statement count is recorded once per analysis, so every event
+// that reuses one — a cache hit, a spliced or reparsed session edit —
+// must still stamp the program's exact count.
+func TestWideEventStmtsMatchProgram(t *testing.T) {
+	_, ts := newTestServer(t)
+	prog, err := lang.Parse(fig5(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lang.CountStatements(prog)
+	postSlice(t, ts, "var=positives&line=14", fig5(t))
+	postSlice(t, ts, "var=positives&line=14", fig5(t))
+
+	resp, err := http.Post(ts.URL+"/session", "text/plain", strings.NewReader(fig5(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened sessionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&opened); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if opened.Statements != want {
+		t.Errorf("session open reports %d statements, want %d", opened.Statements, want)
+	}
+	for _, edit := range []struct{ ctype, body string }{
+		{"application/json", `{"edit":{"op":"replace","line":1,"text":"sum = 1;"}}`},
+		{"text/plain", fig5(t)},
+	} {
+		req, err := http.NewRequest("PATCH",
+			ts.URL+"/session/"+opened.Session+"?var=positives&line=14", strings.NewReader(edit.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", edit.ctype)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("PATCH %s: status %d", edit.ctype, resp.StatusCode)
+		}
+	}
+
+	page := getRequests(t, ts.URL, "")
+	var n int
+	for _, ev := range page.Requests {
+		if ev.Endpoint == "/slice" || strings.HasPrefix(ev.Endpoint, "/session") {
+			n++
+			if ev.Stmts != want {
+				t.Errorf("%s %s (cache %q, incremental %q): stmts = %d, want %d",
+					ev.Method, ev.Endpoint, ev.Cache, ev.Incremental, ev.Stmts, want)
+			}
+		}
+	}
+	if n != 5 {
+		t.Errorf("%d slicing events, want 5", n)
 	}
 }
 

@@ -72,6 +72,11 @@ type Analysis struct {
 	// LST is the lexical successor tree — the one extra structure the
 	// paper's algorithm needs.
 	LST *lst.Tree
+	// Stmts is Prog's statement count (lang.CountStatements). Analyze
+	// leaves it zero; a caller that has counted already, as one that
+	// checks a size limit before analyzing does, records it here so a
+	// cached analysis never walks its program again for it.
+	Stmts int
 
 	// live[n] reports whether node n is reachable from Entry. Dead
 	// statements never execute, so the jump-detection phases consider

@@ -1,34 +1,26 @@
 package spool
 
 // Reading spool directories: segment discovery, sidecar indexes, and
-// crash-tolerant record iteration. This is the offline half the
-// writer never touches — cmd/slicequery and the recovery pass in Open
-// are its consumers.
+// record iteration — the offline half, for cmd/slicequery and Open's
+// recovery pass.
 
 import (
 	"bufio"
-	"compress/gzip"
+	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"jumpslice/internal/obs"
+	"jumpslice/internal/seglog"
 )
 
-// File name conventions of a spool directory.
-const (
-	// SegmentSuffix is the suffix of segment data files
-	// (seg-NNNNNNNN.jsonl.gz).
-	SegmentSuffix = ".jsonl.gz"
-	// IndexSuffix is the suffix of sidecar index files
-	// (seg-NNNNNNNN.idx.json).
-	IndexSuffix = ".idx.json"
-)
+// IndexSuffix is the suffix a segment's sidecar index adds to the
+// segment's file name (seg-NNNNNNNN.log.idx.json).
+const IndexSuffix = ".idx.json"
 
 // Index is a sealed segment's sidecar: enough metadata to decide
 // whether the segment can possibly match a time-range or request-ID
@@ -54,30 +46,32 @@ type Index struct {
 }
 
 // note folds one record into the index bounds.
-func (x *Index) note(ev *obs.WideEvent, first bool) {
-	if first {
-		x.MinTSNS, x.MaxTSNS = ev.TimeNS, ev.TimeNS
-		x.MinReq, x.MaxReq = ev.Req, ev.Req
-	} else {
-		if ev.TimeNS < x.MinTSNS {
-			x.MinTSNS = ev.TimeNS
-		}
-		if ev.TimeNS > x.MaxTSNS {
-			x.MaxTSNS = ev.TimeNS
-		}
-		if ev.Req < x.MinReq {
-			x.MinReq = ev.Req
-		}
-		if ev.Req > x.MaxReq {
-			x.MaxReq = ev.Req
-		}
+func (x *Index) note(ev *obs.WideEvent) {
+	if x.Records == 0 {
+		x.MinTSNS, x.MaxTSNS, x.MinReq, x.MaxReq = ev.TimeNS, ev.TimeNS, ev.Req, ev.Req
 	}
+	x.MinTSNS, x.MaxTSNS = min(x.MinTSNS, ev.TimeNS), max(x.MaxTSNS, ev.TimeNS)
+	x.MinReq, x.MaxReq = min(x.MinReq, ev.Req), max(x.MaxReq, ev.Req)
 	x.Records++
 }
 
 // indexPath maps a segment data path to its sidecar path.
 func indexPath(segPath string) string {
-	return strings.TrimSuffix(segPath, SegmentSuffix) + IndexSuffix
+	return segPath + IndexSuffix
+}
+
+// readIndex parses a sidecar, or returns nil when there is none (the
+// segment is unsealed) or it does not parse.
+func readIndex(path string) *Index {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil
+	}
+	idx := &Index{}
+	if json.Unmarshal(data, idx) != nil {
+		return nil
+	}
+	return idx
 }
 
 // writeIndex writes the sidecar atomically (temp file + rename), so a
@@ -112,40 +106,26 @@ type SegmentInfo struct {
 // Segments lists a spool directory's segments, oldest (lowest
 // sequence) first, pairing each with its sidecar index when present.
 func Segments(dir string) ([]SegmentInfo, error) {
-	entries, err := os.ReadDir(dir)
+	segs, err := seglog.List(dir)
 	if err != nil {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
-	var out []SegmentInfo
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, SegmentSuffix) {
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name, "seg-%d", &seq); err != nil {
-			continue
-		}
-		info := SegmentInfo{Path: filepath.Join(dir, name), Seq: seq}
-		idxPath := indexPath(info.Path)
-		if data, err := os.ReadFile(idxPath); err == nil {
-			idx := &Index{}
-			if json.Unmarshal(data, idx) == nil {
-				info.Index = idx
-				info.IndexPath = idxPath
-			}
+	out := make([]SegmentInfo, 0, len(segs))
+	for _, seg := range segs {
+		info := SegmentInfo{Path: seg.Path, Seq: uint64(seg.ID), Index: readIndex(indexPath(seg.Path))}
+		if info.Index != nil {
+			info.IndexPath = indexPath(seg.Path)
 		}
 		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil
 }
 
-// ReadSegment streams a segment's records through fn. Truncation — a
-// crash mid-batch, or reading the active segment while the writer is
-// alive — is not an error: iteration stops cleanly at the last intact
-// record. A non-nil error from fn aborts and is returned; ErrStop
-// ends iteration early without error.
+// ReadSegment streams a segment's records through fn. A torn or
+// corrupt frame — a crash mid-write, or reading the active segment
+// while the writer is alive — is not an error: iteration stops
+// cleanly at the last intact record. A non-nil error from fn aborts
+// and is returned; ErrStop ends iteration early without error.
 func ReadSegment(path string, fn func(ev *obs.WideEvent) error) error {
 	err := readSegmentRaw(path, func(line []byte, ev *obs.WideEvent) error { return fn(ev) })
 	if errors.Is(err, ErrStop) {
@@ -159,52 +139,27 @@ func ReadSegment(path string, fn func(ev *obs.WideEvent) error) error {
 var ErrStop = errors.New("spool: stop")
 
 func readSegmentRaw(path string, fn func(line []byte, ev *obs.WideEvent) error) error {
-	f, err := os.Open(path)
+	frames, err := seglog.Frames(path)
 	if err != nil {
 		return fmt.Errorf("spool: %w", err)
 	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil // empty active segment: nothing flushed yet
-		}
-		return fmt.Errorf("spool: %s: %w", path, err)
-	}
-	// Multistream handling is gzip's default; a truncated final
-	// stream surfaces as ErrUnexpectedEOF from Read, which the
-	// scanner loop below treats as end-of-data.
-	sc := bufio.NewScanner(gz)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := bufio.NewScanner(flate.NewReader(bytes.NewReader(bytes.Join(frames, nil))))
+	sc.Buffer(nil, maxLine)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
 		ev := &obs.WideEvent{}
-		if err := json.Unmarshal(line, ev); err != nil {
-			// A partial final line from an unflushed batch; everything
-			// before it was intact.
-			return nil
+		if err := json.Unmarshal(sc.Bytes(), ev); err != nil {
+			return fmt.Errorf("spool: %s: %w", path, err)
 		}
-		if err := fn(line, ev); err != nil {
+		if err := fn(sc.Bytes(), ev); err != nil {
 			return err
 		}
 	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !isTruncatedGzip(err) {
+	// The stream is never closed, so where the intact frames end the
+	// decompressor reports an unexpected EOF: that is the segment's end.
+	if err := sc.Err(); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return fmt.Errorf("spool: %s: %w", path, err)
 	}
 	return nil
-}
-
-// isTruncatedGzip reports whether err is the flate/gzip noise a
-// truncated (crash- or mid-write-read) stream produces.
-func isTruncatedGzip(err error) bool {
-	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, gzip.ErrChecksum) {
-		return true
-	}
-	return strings.Contains(err.Error(), "unexpected EOF") ||
-		strings.Contains(err.Error(), "corrupt input")
 }
 
 // Filter selects records for Scan. The zero Filter matches every

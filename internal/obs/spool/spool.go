@@ -3,50 +3,50 @@
 // event the daemon serves, so the evidence for an incident survives
 // the process that produced it.
 //
-// The in-memory telemetry (flight recorder, request ring, SLO
-// windows) is deliberately lossy and dies with the process; the spool
-// is its durable shadow. Records — obs.WideEvent values, span log
-// included — are enqueued on the request hot path into a bounded
-// queue with a non-blocking send: the enqueue never stalls a request,
-// never allocates, and when the queue is full the record is dropped
-// and counted rather than making the caller wait on a disk. A single
-// writer goroutine drains the queue in batches into gzip-compressed
-// JSONL segment files, one JSON object per line, rotating to a new
-// segment when the compressed size crosses the segment threshold.
+// Records — obs.WideEvent values, span log included — are enqueued on
+// the request hot path into a bounded queue with a non-blocking send:
+// the enqueue never stalls a request, never allocates, and when the
+// queue is full the record is dropped and counted rather than making
+// the caller wait on a disk.
 //
-// Each sealed segment gets a sidecar index (seg-NNNNNNNN.idx.json)
-// recording its record count, compressed size, and the time and
-// request-ID ranges it covers, so an offline reader (cmd/slicequery)
-// can skip whole segments without decompressing them. The directory
-// as a whole lives under a hard byte budget: after every seal the
-// oldest sealed segments are reclaimed until the spool fits. The
-// active segment is flushed (gzip sync point) after every drained
-// batch, so even a crash mid-segment loses at most the last unflushed
-// batch; Open recovers an unsealed segment left by a crash by
-// re-reading it and writing the index it never got.
+// A single writer goroutine stores the records as frames of a seglog
+// directory, which owns the files, rotation, the byte budget and the
+// crash rule. Each segment holds one deflate stream of JSON lines: the
+// writer compresses a record's line, flushes the stream, and appends
+// the flushed bytes as one frame. So every record reaches the OS as it
+// is written, a torn tail loses at most one record, and compression
+// still spans records. A deflate stream cannot be resumed, so every
+// Open starts a fresh segment.
 //
-// All spool activity is observable: spool.* counters and gauges
-// (enqueued, written, dropped, rotations, reclaimed segments/bytes,
-// resident bytes, segment count) are mirrored into the Recorder given
-// at Open, and Stats returns the same numbers plus the active segment
-// pointer for /debug/spool and post-mortem bundles. The spool.*
-// instruments are scheduling-dependent (drops, rotation timing) and
-// are removed by obs.Scrub like the runtime.* and http.* families.
+// Each sealed segment gets a sidecar index (seg-NNNNNNNN.log.idx.json)
+// recording its record count, size, and the time and request-ID
+// ranges it covers, so an offline reader (cmd/slicequery) can skip
+// whole segments without decompressing them; reclaiming a segment
+// removes its sidecar. Open gives a segment a crash left unsealed the
+// index it never got.
+//
+// The spool.* counters and gauges mirror the spool's activity into the
+// Recorder given at Open, and Stats returns the same numbers for
+// /debug/spool and post-mortem bundles. They are scheduling-dependent
+// and are removed by obs.Scrub like the runtime.* and http.* families.
 //
 // The nil *Spool is a valid no-op on every method, matching the obs
 // package's one-nil-check discipline.
 package spool
 
 import (
-	"compress/gzip"
+	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"jumpslice/internal/obs"
+	"jumpslice/internal/seglog"
 )
 
 // Defaults for Options fields left zero.
@@ -59,6 +59,10 @@ const (
 	// DefaultQueueDepth is the default bounded-queue capacity.
 	DefaultQueueDepth = 4096
 )
+
+// maxLine bounds one stored record: its JSON line and newline, as a
+// reader scans them, and so also its compressed frame.
+const maxLine = 1 << 20
 
 // Options configures Open.
 type Options struct {
@@ -81,8 +85,8 @@ type Options struct {
 }
 
 // op is one unit of writer work: a record to persist, or (when sync
-// is non-nil) a barrier — the writer flushes everything drained so
-// far to the OS and closes sync.
+// is non-nil) a barrier — the writer closes sync once everything
+// before it is written.
 type op struct {
 	ev   obs.WideEvent
 	sync chan struct{}
@@ -93,10 +97,9 @@ type op struct {
 type Spool struct {
 	dir      string
 	maxBytes int64
-	segBytes int64
+	log      *seglog.Log
 
-	// Instruments: always non-nil (private fallbacks when the
-	// Recorder declines), so Stats works without a registry.
+	// Instruments: always non-nil, so Stats works without a Recorder.
 	enqueued      *obs.Counter
 	written       *obs.Counter
 	dropped       *obs.Counter
@@ -109,81 +112,29 @@ type Spool struct {
 	// closing guards the queue against sends after Close; Enqueue
 	// holds it shared (a few ns) so Close can't close the channel
 	// under an in-flight send.
-	mu     sync.RWMutex
-	closed bool
-	queue  chan op
-	done   chan struct{} // writer goroutine exited
+	mu       sync.RWMutex
+	closed   bool
+	queue    chan op
+	done     chan struct{} // writer goroutine exited
+	closeErr error         // set by the writer before done closes
 
-	// shared is the writer-owned summary Stats reads.
-	shared struct {
-		sync.Mutex
-		sealed      []sealedSegment // oldest first
-		activePath  string
-		activeBytes int64
-		activeRecs  int64
-	}
+	activeRecs atomic.Int64 // records in the active segment, for Stats
 
 	w writerState // owned by the writer goroutine exclusively
 }
 
-// sealedSegment is one finished segment in the reclamation ledger.
-type sealedSegment struct {
-	path    string
-	idxPath string
-	bytes   int64
-}
-
 // writerState is the writer goroutine's private encoding state.
 type writerState struct {
-	seq   uint64
-	f     *os.File
-	cw    *countingWriter
-	gz    *gzip.Writer
-	idx   Index
-	dirty bool // records written since the last gzip flush
-}
-
-// countingWriter counts compressed bytes on their way to the file.
-type countingWriter struct {
-	f *os.File
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.f.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// counterOr resolves a named counter from r, falling back to a
-// private one when there is no registry (a nil one returns nil), so
-// the spool's own accounting never depends on a registry.
-func counterOr(r *obs.Registry, name string) *obs.Counter {
-	if c := r.Counter(name); c != nil {
-		return c
-	}
-	return &obs.Counter{}
-}
-
-func gaugeOr(r *obs.Registry, name string) *obs.Gauge {
-	if g := r.Gauge(name); g != nil {
-		return g
-	}
-	return &obs.Gauge{}
+	idx Index // active segment's index so far
+	buf bytes.Buffer
+	zw  *flate.Writer // the active segment's stream, into buf
 }
 
 // Open creates or reopens a spool directory and starts the writer.
-// An unsealed segment left behind by a crash is recovered: its
-// surviving records are counted and it gets the index it never got,
-// marked recovered. Numbering continues after the highest existing
-// segment.
+// A segment left unsealed by a crash is recovered: its surviving
+// records are counted and it gets the index it never got, marked
+// recovered. Records then go to a fresh segment.
 func Open(opts Options) (*Spool, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("spool: no directory given")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("spool: %w", err)
-	}
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
@@ -193,74 +144,73 @@ func Open(opts Options) (*Spool, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = DefaultQueueDepth
 	}
+	log, err := seglog.Open(seglog.Options{
+		Dir:           opts.Dir,
+		SegmentBytes:  opts.SegmentBytes,
+		MaxBytes:      opts.MaxBytes,
+		MaxFrameBytes: maxLine,
+	}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("spool: %w", err)
+	}
 	rec := opts.Recorder
+	if rec == nil {
+		// A private registry keeps the spool's own accounting, which
+		// Stats reports, without a Recorder.
+		rec = obs.NewRegistry()
+	}
 	s := &Spool{
 		dir:           opts.Dir,
 		maxBytes:      opts.MaxBytes,
-		segBytes:      opts.SegmentBytes,
-		enqueued:      counterOr(rec, "spool.enqueued"),
-		written:       counterOr(rec, "spool.written"),
-		dropped:       counterOr(rec, "spool.dropped"),
-		rotations:     counterOr(rec, "spool.rotations"),
-		reclaimedSegs: counterOr(rec, "spool.reclaimed_segments"),
-		reclaimedB:    counterOr(rec, "spool.reclaimed_bytes"),
-		residentGauge: gaugeOr(rec, "spool.resident_bytes"),
-		segmentsGauge: gaugeOr(rec, "spool.segments"),
+		log:           log,
+		enqueued:      rec.Counter("spool.enqueued"),
+		written:       rec.Counter("spool.written"),
+		dropped:       rec.Counter("spool.dropped"),
+		rotations:     rec.Counter("spool.rotations"),
+		reclaimedSegs: rec.Counter("spool.reclaimed_segments"),
+		reclaimedB:    rec.Counter("spool.reclaimed_bytes"),
+		residentGauge: rec.Gauge("spool.resident_bytes"),
+		segmentsGauge: rec.Gauge("spool.segments"),
 		queue:         make(chan op, opts.QueueDepth),
 		done:          make(chan struct{}),
 	}
 	if err := s.recover(); err != nil {
+		log.Close()
 		return nil, err
 	}
-	if err := s.openSegment(); err != nil {
-		return nil, err
+	if err := log.Roll(); err != nil {
+		log.Close()
+		return nil, fmt.Errorf("spool: %w", err)
 	}
+	s.w.zw, _ = flate.NewWriter(&s.w.buf, flate.DefaultCompression) // only an invalid level errors
+	s.startSegment()
 	s.reclaim()
 	s.publishGauges()
 	go s.writeLoop()
 	return s, nil
 }
 
-// recover scans the directory, rebuilds the sealed-segment ledger,
-// writes a recovery index for any unsealed segment a previous process
-// left behind, and positions the sequence counter past everything.
+// recover gives every segment a previous process left unsealed — one
+// with records but no sidecar — the index it never got.
 func (s *Spool) recover() error {
-	segs, err := Segments(s.dir)
+	segs, err := seglog.List(s.dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("spool: %w", err)
 	}
 	for _, seg := range segs {
-		if seg.Seq >= s.w.seq {
-			s.w.seq = seg.Seq + 1
+		if seg.Bytes == 0 || readIndex(indexPath(seg.Path)) != nil {
+			continue
 		}
-		if seg.Index == nil {
-			// A crash left this segment unsealed: count what survived
-			// and give it the index it never got.
-			idx := Index{Segment: filepath.Base(seg.Path), Recovered: true}
-			first := true
-			_ = ReadSegment(seg.Path, func(ev *obs.WideEvent) error {
-				idx.note(ev, first)
-				first = false
-				return nil
-			})
-			fi, err := os.Stat(seg.Path)
-			if err != nil {
-				return fmt.Errorf("spool: recovering %s: %w", seg.Path, err)
-			}
-			idx.Bytes = fi.Size()
-			idx.SealedNS = time.Now().UnixNano()
-			idxPath := indexPath(seg.Path)
-			if err := writeIndex(idxPath, &idx); err != nil {
-				return err
-			}
-			seg.Index = &idx
-			seg.IndexPath = idxPath
-		}
-		s.shared.sealed = append(s.shared.sealed, sealedSegment{
-			path:    seg.Path,
-			idxPath: seg.IndexPath,
-			bytes:   seg.Index.Bytes,
+		idx := Index{Segment: filepath.Base(seg.Path), Recovered: true}
+		_ = ReadSegment(seg.Path, func(ev *obs.WideEvent) error {
+			idx.note(ev)
+			return nil
 		})
+		idx.Bytes = seg.Bytes
+		idx.SealedNS = time.Now().UnixNano()
+		if err := writeIndex(indexPath(seg.Path), &idx); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -289,7 +239,7 @@ func (s *Spool) Enqueue(ev obs.WideEvent) bool {
 }
 
 // Sync blocks until every record enqueued before the call is written
-// and flushed to the OS — the test and shutdown barrier. No-op on nil.
+// to the OS — the test and shutdown barrier. No-op on nil.
 func (s *Spool) Sync() {
 	if s == nil {
 		return
@@ -321,199 +271,105 @@ func (s *Spool) Close() error {
 	close(s.queue)
 	s.mu.Unlock()
 	<-s.done
-	return nil
+	return s.closeErr
 }
 
-// writeLoop is the writer goroutine: drain a batch, flush, rotate
-// when the active segment crosses the threshold.
+// writeLoop is the writer goroutine: write each record as it comes,
+// answer barriers, and seal the last segment when the queue closes.
 func (s *Spool) writeLoop() {
 	defer close(s.done)
 	for o := range s.queue {
-		s.handle(o)
-		// Drain whatever queued up behind it without blocking, then
-		// flush once: one gzip sync point per batch, not per record.
-	drain:
-		for {
-			select {
-			case o2, ok := <-s.queue:
-				if !ok {
-					s.finish()
-					return
-				}
-				s.handle(o2)
-			default:
-				break drain
-			}
+		if o.sync != nil {
+			close(o.sync)
+			continue
 		}
-		s.flush()
-		if s.w.cw.n >= s.segBytes {
-			s.seal()
-			if err := s.openSegment(); err != nil {
-				// The disk is gone; further records will be written
-				// nowhere, but the daemon must keep serving. Count
-				// them as drops.
-				s.w.f = nil
-			}
-			s.reclaim()
-			s.publishGauges()
-		}
+		s.write(&o.ev)
 	}
-	s.finish()
+	s.closeErr = s.finish()
 }
 
-// handle applies one op in the writer goroutine.
-func (s *Spool) handle(o op) {
-	if o.sync != nil {
-		s.flush()
-		close(o.sync)
+// write stores one record as one frame: its JSON line, compressed
+// into the segment's stream and flushed.
+func (s *Spool) write(ev *obs.WideEvent) {
+	line, err := json.Marshal(ev)
+	if err != nil || len(line) >= maxLine {
+		s.dropped.Add(1) // too long a line would make the segment unreadable
 		return
 	}
-	if s.w.f == nil {
-		s.dropped.Add(1)
-		return
-	}
-	data, err := json.Marshal(&o.ev)
+	// Writes into a bytes.Buffer cannot fail.
+	s.w.buf.Reset()
+	s.w.zw.Write(line)
+	s.w.zw.Write([]byte{'\n'})
+	s.w.zw.Flush()
+	f, rolled, err := s.log.Append(s.w.buf.Bytes())
 	if err != nil {
+		// The record never reached the file, so the next one must not
+		// refer back to it. A fresh stream may follow a flushed one in
+		// the same segment: a flush ends on a block boundary.
+		s.w.zw.Reset(&s.w.buf)
 		s.dropped.Add(1)
 		return
 	}
-	if _, err := s.w.gz.Write(data); err != nil {
-		s.dropped.Add(1)
-		return
-	}
-	s.w.gz.Write([]byte{'\n'})
-	s.w.idx.note(&o.ev, s.w.idx.Records == 0)
-	s.w.dirty = true
+	s.w.idx.note(ev)
+	s.w.idx.Bytes = f.Off + int64(f.Len)
+	s.activeRecs.Store(s.w.idx.Records)
 	s.written.Add(1)
-}
-
-// flush pushes buffered compressed bytes to the OS (a gzip sync
-// point), making everything written so far readable by a concurrent
-// or post-mortem reader.
-func (s *Spool) flush() {
-	if s.w.f == nil || !s.w.dirty {
-		return
+	if rolled {
+		s.seal()
+		s.startSegment()
+		s.reclaim()
 	}
-	s.w.gz.Flush()
-	s.w.dirty = false
-	s.shared.Lock()
-	s.shared.activeBytes = s.w.cw.n
-	s.shared.activeRecs = s.w.idx.Records
-	s.shared.Unlock()
 	s.publishGauges()
 }
 
-// openSegment starts a fresh active segment.
-func (s *Spool) openSegment() error {
-	name := fmt.Sprintf("seg-%08d%s", s.w.seq, SegmentSuffix)
-	path := filepath.Join(s.dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("spool: %w", err)
-	}
-	s.w.seq++
-	s.w.f = f
-	s.w.cw = &countingWriter{f: f}
-	s.w.gz = gzip.NewWriter(s.w.cw)
-	s.w.idx = Index{Segment: name}
-	s.w.dirty = false
-	s.shared.Lock()
-	s.shared.activePath = path
-	s.shared.activeBytes = 0
-	s.shared.activeRecs = 0
-	s.shared.Unlock()
-	return nil
+// startSegment begins the index and the stream of the log's active
+// segment.
+func (s *Spool) startSegment() {
+	s.w.idx = Index{Segment: filepath.Base(s.log.Stats().Active)}
+	s.w.zw.Reset(&s.w.buf)
+	s.activeRecs.Store(0)
 }
 
-// seal finishes the active segment: close the gzip stream, sync the
-// file, write the sidecar index (atomically, via rename), and move
-// the segment into the sealed ledger. An active segment that never
-// received a record is deleted instead — an empty segment earns no
-// index and no disk residency.
+// seal writes the sidecar index of the segment just finished
+// (atomically, via rename).
 func (s *Spool) seal() {
-	if s.w.f == nil {
-		return
-	}
-	if s.w.idx.Records == 0 {
-		path := filepath.Join(s.dir, s.w.idx.Segment)
-		s.w.gz.Close()
-		s.w.f.Close()
-		os.Remove(path)
-		s.shared.Lock()
-		s.shared.activePath = ""
-		s.shared.activeBytes = 0
-		s.shared.activeRecs = 0
-		s.shared.Unlock()
-		s.w.f = nil
-		return
-	}
-	s.w.gz.Close()
-	s.w.f.Sync()
-	s.w.f.Close()
-	path := filepath.Join(s.dir, s.w.idx.Segment)
-	s.w.idx.Bytes = s.w.cw.n
 	s.w.idx.SealedNS = time.Now().UnixNano()
-	idxPath := indexPath(path)
-	if err := writeIndex(idxPath, &s.w.idx); err != nil {
-		// The segment itself is intact; a missing index only costs a
-		// recovery pass on the next Open.
-		idxPath = ""
-	}
-	s.shared.Lock()
-	s.shared.sealed = append(s.shared.sealed, sealedSegment{path: path, idxPath: idxPath, bytes: s.w.cw.n})
-	s.shared.activePath = ""
-	s.shared.activeBytes = 0
-	s.shared.activeRecs = 0
-	s.shared.Unlock()
-	s.w.f = nil
+	// The segment itself is intact; a missing index only costs a
+	// recovery pass on the next Open.
+	_ = writeIndex(indexPath(filepath.Join(s.dir, s.w.idx.Segment)), &s.w.idx)
 	s.rotations.Add(1)
 }
 
-// finish seals on shutdown, even a short segment, so Close always
-// leaves a fully indexed directory.
-func (s *Spool) finish() {
-	s.flush()
-	s.seal()
+// finish closes the log on shutdown and seals its last segment, so
+// Close always leaves a fully indexed directory. A segment that never
+// received a record earns no index and no disk residency.
+func (s *Spool) finish() error {
+	err := s.log.Close()
+	if s.w.idx.Records > 0 {
+		s.seal()
+	}
+	s.activeRecs.Store(0)
 	s.reclaim()
 	s.publishGauges()
+	return err
 }
 
-// reclaim removes oldest sealed segments until the directory fits the
-// byte budget. The active segment is never reclaimed.
+// reclaim removes oldest sealed segments, with their sidecars, until
+// the directory fits the byte budget. The active segment is never
+// reclaimed.
 func (s *Spool) reclaim() {
-	s.shared.Lock()
-	defer s.shared.Unlock()
-	total := s.shared.activeBytes
-	for _, seg := range s.shared.sealed {
-		total += seg.bytes
-	}
-	for total > s.maxBytes && len(s.shared.sealed) > 0 {
-		oldest := s.shared.sealed[0]
-		s.shared.sealed = s.shared.sealed[1:]
-		os.Remove(oldest.path)
-		if oldest.idxPath != "" {
-			os.Remove(oldest.idxPath)
-		}
-		total -= oldest.bytes
+	for _, seg := range s.log.Reclaim() {
+		os.Remove(indexPath(seg.Path)) // absent for a segment never sealed
 		s.reclaimedSegs.Add(1)
-		s.reclaimedB.Add(oldest.bytes)
+		s.reclaimedB.Add(seg.Bytes)
 	}
 }
 
-// publishGauges refreshes the level instruments from the ledger.
+// publishGauges refreshes the level instruments from the log.
 func (s *Spool) publishGauges() {
-	s.shared.Lock()
-	total := s.shared.activeBytes
-	n := len(s.shared.sealed)
-	if s.shared.activePath != "" {
-		n++
-	}
-	for _, seg := range s.shared.sealed {
-		total += seg.bytes
-	}
-	s.shared.Unlock()
-	s.residentGauge.Set(total)
-	s.segmentsGauge.Set(int64(n))
+	st := s.log.Stats()
+	s.residentGauge.Set(st.Bytes)
+	s.segmentsGauge.Set(int64(st.Segments))
 }
 
 // Stats is a point-in-time view of the spool for /debug/spool,
@@ -524,7 +380,7 @@ type Stats struct {
 	ResidentBytes int64  `json:"resident_bytes"`
 	MaxBytes      int64  `json:"max_bytes"`
 	// ActiveSegment is the path of the segment currently being
-	// written ("" between rotation and reopen, or after Close).
+	// written ("" after Close).
 	ActiveSegment string `json:"active_segment,omitempty"`
 	ActiveRecords int64  `json:"active_records"`
 	Enqueued      int64  `json:"enqueued"`
@@ -554,17 +410,10 @@ func (s *Spool) Stats() Stats {
 		QueueLen:      len(s.queue),
 		QueueCap:      cap(s.queue),
 	}
-	s.shared.Lock()
-	st.ActiveSegment = s.shared.activePath
-	st.ActiveRecords = s.shared.activeRecs
-	st.ResidentBytes = s.shared.activeBytes
-	st.Segments = len(s.shared.sealed)
-	if s.shared.activePath != "" {
-		st.Segments++
-	}
-	for _, seg := range s.shared.sealed {
-		st.ResidentBytes += seg.bytes
-	}
-	s.shared.Unlock()
+	ls := s.log.Stats()
+	st.ActiveSegment = ls.Active
+	st.ActiveRecords = s.activeRecs.Load()
+	st.ResidentBytes = ls.Bytes
+	st.Segments = ls.Segments
 	return st
 }

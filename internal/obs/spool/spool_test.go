@@ -265,8 +265,8 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	s.Sync()
 	// Simulate a crash: the active segment was flushed but never
-	// sealed — no gzip trailer, no index. Copy the live bytes aside,
-	// "restart" on a fresh view of the directory.
+	// sealed — no index. Copy the live bytes aside, "restart" on a
+	// fresh view of the directory.
 	segs, err := Segments(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -528,5 +528,25 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	s.Sync()
 	if st := s.Stats(); st.Enqueued != 1 || st.Written != 1 {
 		t.Errorf("stats with nil registry: %+v", st)
+	}
+}
+
+// A record whose line is too long for a reader to scan is dropped and
+// counted, so it cannot make the rest of its segment unreadable.
+func TestOversizedRecordDropped(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{})
+	big := ev(1, "/slice", 200, 1e6)
+	for i := 0; len(big.Phases) < 40000; i++ {
+		big.Phases = append(big.Phases, obs.PhaseDur{Name: "phase.analyze.cfg", NS: int64(i)})
+	}
+	s.Enqueue(big)
+	s.Enqueue(ev(2, "/slice", 200, 1e6))
+	s.Close()
+	if st := s.Stats(); st.Written != 1 || st.Dropped != 1 {
+		t.Errorf("written %d, dropped %d; want 1 and 1", st.Written, st.Dropped)
+	}
+	if got := collect(t, dir, Filter{}); len(got) != 1 || got[0].Req != 2 {
+		t.Errorf("scan after an oversized record: %+v", got)
 	}
 }

@@ -9,7 +9,15 @@ import (
 	"testing"
 
 	"jumpslice/internal/obs"
+	"jumpslice/internal/seglog"
 )
+
+// headerSize is the bytes before a record's data: the frame header
+// and the key.
+const headerSize = seglog.HeaderSize + keySize
+
+// segPath is the path of the store's segment id.
+func segPath(dir string, id int64) string { return seglog.Path(dir, id) }
 
 func keyN(n int) Key {
 	return Key(sha256.Sum256([]byte(fmt.Sprintf("key-%d", n))))
