@@ -44,32 +44,6 @@ func TestCacheMissThenHit(t *testing.T) {
 	}
 }
 
-// TestCacheOff asserts -cache-off removes the header and the /debug
-// surface reports disabled.
-func TestCacheOff(t *testing.T) {
-	cfg := testConfig(1 << 10)
-	cfg.CacheOff = true
-	_, ts := newTestServerConfig(t, cfg)
-	resp, _ := postSlice(t, ts, "var=positives&line=14", fig5(t))
-	if got := resp.Header.Get("X-Cache"); got != "" {
-		t.Errorf("X-Cache = %q with the cache off, want absent", got)
-	}
-	dbg, err := http.Get(ts.URL + "/debug/cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dbg.Body.Close()
-	var state struct {
-		Enabled bool `json:"enabled"`
-	}
-	if err := json.NewDecoder(dbg.Body).Decode(&state); err != nil {
-		t.Fatal(err)
-	}
-	if state.Enabled {
-		t.Error("/debug/cache reports enabled with -cache-off")
-	}
-}
-
 // TestETagRoundTrip asserts the conditional-request protocol: a 200
 // carries a strong ETag, replaying it in If-None-Match answers 304
 // with no body, and a different request tuple gets a different tag.

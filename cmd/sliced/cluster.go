@@ -235,7 +235,7 @@ func (s *server) relayProxy(w http.ResponseWriter, resp *http.Response, owner st
 			h.Set(name, v)
 		}
 	}
-	h.Set("X-Sliced-Route", "proxied")
+	h.Set("X-Sliced-Route", obs.RouteProxied)
 	h.Set("X-Sliced-Peer", owner)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
@@ -285,7 +285,7 @@ func (s *server) serveResult(ctx context.Context, w http.ResponseWriter, r *http
 	if err != nil {
 		return false // fills are best-effort; compute locally
 	}
-	if !s.writeRecord(w, r, res.Data, "peer-fill", res.Peer, id, start) {
+	if !s.writeRecord(w, r, res.Data, obs.RoutePeerFill, res.Peer, id, start) {
 		return false
 	}
 	c.fillServes.Add(1)
@@ -305,8 +305,8 @@ func (s *server) writeRecord(w http.ResponseWriter, r *http.Request, data []byte
 	resp.Request = id
 	resp.DurationNS = time.Since(start).Nanoseconds()
 	w.Header().Set("X-Cache", tier)
-	if tier == "peer-fill" {
-		w.Header().Set("X-Sliced-Route", "peer-fill")
+	if tier == obs.RoutePeerFill {
+		w.Header().Set("X-Sliced-Route", obs.RoutePeerFill)
 		w.Header().Set("X-Sliced-Peer", peer)
 	}
 	ri := reqInfoFrom(r)

@@ -48,8 +48,7 @@
 //	GET  /debug/trace   ?id=N renders one request's events as Chrome
 //	                    trace_event JSON (chrome://tracing, Perfetto).
 //	GET  /debug/cache   the analysis cache's live counters and byte
-//	                    ledger as JSON ({"enabled":false} when the
-//	                    cache is off).
+//	                    ledger as JSON.
 //	GET  /debug/requests the wide-event ring: one JSON record per
 //	                    recent request with status, duration, phase
 //	                    timings, cache/incremental tiers, and outcome
@@ -145,7 +144,6 @@
 //	                 source, so repeated and concurrent requests for
 //	                 the same program skip the whole pipeline; N
 //	                 concurrent identical requests run one analysis.
-//	-cache-off       disable the analysis cache entirely.
 //
 // A panic while serving one request is recovered, logged with its
 // stack, and answered as a 500 naming the request ID; the daemon
@@ -209,7 +207,6 @@ func main() {
 	flag.IntVar(&cfg.MaxStmts, "max-stmts", cfg.MaxStmts, "parsed statement count limit per program")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /slice requests before shedding load")
 	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "analysis cache budget in bytes")
-	flag.BoolVar(&cfg.CacheOff, "cache-off", cfg.CacheOff, "disable the analysis cache")
 	flag.StringVar(&cfg.LogFormat, "log-format", cfg.LogFormat, "access log format: text or json (one wide event per line)")
 	flag.IntVar(&cfg.Requests, "requests", cfg.Requests, "wide-event ring capacity served at /debug/requests")
 	flag.DurationVar(&cfg.SLOWindow, "slo-window", cfg.SLOWindow, "sliding SLO window span (10 rotating buckets)")
@@ -264,7 +261,6 @@ type config struct {
 	MaxStmts    int           // parsed statement-count limit
 	MaxInflight int           // /slice admission slots before shedding
 	CacheBytes  int64         // analysis cache budget; <=0 means the default
-	CacheOff    bool          // disable the analysis cache
 	// LogFormat selects the access log encoding: "text" (one
 	// key=value line per request) or "json" (the request's wide event
 	// as one JSON object per line). Both carry the same fields.
@@ -434,7 +430,7 @@ type server struct {
 	mux    *http.ServeMux
 	sem    chan struct{} // admission slots; acquired for the whole /slice handler
 	// cache memoizes completed analyses by content hash of the program
-	// source; nil when disabled. Cached analyses are detached — each
+	// source. Cached analyses are detached — each
 	// request binds its own view with Rebind.
 	cache *slicecache.Cache
 	// sessions maps open editor-session IDs to their source text; each
@@ -514,12 +510,10 @@ func newServer(cfg config, logw io.Writer) *server {
 		"full":    s.reg.Counter("http.incr.full"),
 	}
 	s.build = readBuildDetails()
-	if !cfg.CacheOff {
-		s.cache = slicecache.New(slicecache.Options{
-			MaxBytes: cfg.CacheBytes,
-			Recorder: s.reg,
-		})
-	}
+	s.cache = slicecache.New(slicecache.Options{
+		MaxBytes: cfg.CacheBytes,
+		Recorder: s.reg,
+	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/slice", s.methods(map[string]http.HandlerFunc{
 		http.MethodPost: s.gated(s.handleSlice),
@@ -661,7 +655,7 @@ func (s *server) recoverPanics(next http.Handler) http.Handler {
 			}
 			id := requestID(r)
 			s.logger.Printf("req=%d panic: %v\n%s", id, p, debug.Stack())
-			reqInfoFrom(r).setOutcome("panic")
+			reqInfoFrom(r).setOutcome(obs.OutcomePanic)
 			s.postmortemOnPanic()
 			s.fail(w, r, http.StatusInternalServerError, "internal",
 				"internal error serving request %d; see server log", id)
@@ -703,7 +697,7 @@ func (s *server) gated(next http.HandlerFunc) http.HandlerFunc {
 			next(w, r)
 		default:
 			s.shed.Add(1)
-			reqInfoFrom(r).setOutcome("shed")
+			reqInfoFrom(r).setOutcome(obs.OutcomeShed)
 			s.fail(w, r, http.StatusServiceUnavailable, "overloaded",
 				"all %d slicing slots busy; retry shortly", cap(s.sem))
 		}
@@ -947,7 +941,7 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cluster != nil || s.results != nil {
-		w.Header().Set("X-Sliced-Route", "local")
+		w.Header().Set("X-Sliced-Route", obs.RouteLocal)
 	}
 	// The result-record address hashes the whole source, so it is
 	// derived only when a result tier exists to look it up in.
@@ -1062,26 +1056,18 @@ func (s *server) parseProgram(source string) (*lang.Program, int, error) {
 	return prog, n, nil
 }
 
-// analysisFor produces the request's analysis, through the cache when
-// one is configured, bound to this request's deadline and trace. On
-// the cached path the build runs under the cache's own context (the
-// result outlives this request); parse and size-limit faults ride the
-// cache's negative entries, so repeated malformed programs are
-// refused from memory. A nil return means the response — error or
-// 304 — was already written.
+// analysisFor produces the request's analysis through the cache,
+// bound to this request's deadline and trace. The build runs under
+// the cache's own context (the result outlives this request); parse
+// and size-limit faults ride the cache's negative entries, so
+// repeated malformed programs are refused from memory. A nil return
+// means the response — error or 304 — was already written.
 func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http.Request, source string, tr *obs.Tracer) *core.Analysis {
-	var a *core.Analysis
-	var err error
-	if s.cache == nil {
-		a, err = s.buildAnalysis(ctx, source, tr)
-	} else {
-		var outcome slicecache.Outcome
-		a, outcome, err = s.cache.Get(ctx, source, func(bctx context.Context) (*core.Analysis, error) {
-			return s.buildAnalysis(bctx, source, tr)
-		})
-		w.Header().Set("X-Cache", outcome.String())
-		tr.Instant("cache."+outcome.String(), 1)
-	}
+	a, outcome, err := s.cache.Get(ctx, source, func(bctx context.Context) (*core.Analysis, error) {
+		return s.buildAnalysis(bctx, source, tr)
+	})
+	w.Header().Set("X-Cache", outcome.String())
+	tr.Instant("cache."+outcome.String(), 1)
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
 		return nil
@@ -1143,10 +1129,6 @@ func etagMatches(header, etag string) bool {
 // handleCache reports the analysis cache's live state: the counters,
 // the exact byte ledger, and the configured budget.
 func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
-		return
-	}
 	writeJSON(w, http.StatusOK, struct {
 		Enabled bool             `json:"enabled"`
 		Stats   slicecache.Stats `json:"stats"`

@@ -93,13 +93,7 @@ func (s *server) writePostmortem(reason string) (string, error) {
 		return dir, err
 	}
 	if err := writeBundleFile(dir, "requests.jsonl", func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		for i := range events {
-			if err := enc.Encode(&events[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return obs.WriteJSONL(f, events)
 	}); err != nil {
 		return dir, err
 	}

@@ -173,7 +173,7 @@ func TestPostmortemBundleGoldenSchema(t *testing.T) {
 	// The bundle promised the spool was synced: the active segment it
 	// points at must hold the served request on disk right now.
 	found := false
-	err = spool.Scan(cfg.SpoolDir, spool.Filter{Endpoint: "/slice"}, func(ev *obs.WideEvent, _ []byte) error {
+	err = spool.Scan(cfg.SpoolDir, obs.Filter{Endpoint: "/slice"}, func(ev *obs.WideEvent, _ []byte) error {
 		found = true
 		return spool.ErrStop
 	})
@@ -316,7 +316,7 @@ func TestSpoolWiring(t *testing.T) {
 
 	s.spool.Sync()
 	var got []obs.WideEvent
-	err = spool.Scan(cfg.SpoolDir, spool.Filter{}, func(ev *obs.WideEvent, _ []byte) error {
+	err = spool.Scan(cfg.SpoolDir, obs.Filter{}, func(ev *obs.WideEvent, _ []byte) error {
 		got = append(got, *ev)
 		return nil
 	})

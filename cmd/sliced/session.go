@@ -97,11 +97,6 @@ type patchRequest struct {
 // parks the analysis in the cache under the new session's key, and
 // returns the session ID for subsequent PATCH traffic.
 func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		s.fail(w, r, http.StatusServiceUnavailable, "sessions_disabled",
-			"sessions require the analysis cache; restart without -cache-off")
-		return
-	}
 	source, err := s.readSource(w, r)
 	if err != nil {
 		s.failErr(w, r, "request", err)

@@ -285,16 +285,6 @@ func TestSessionSDG(t *testing.T) {
 	}
 }
 
-// TestSessionRequiresCache: with the cache disabled there is nowhere
-// to account session residency, so POST /session refuses.
-func TestSessionRequiresCache(t *testing.T) {
-	cfg := testConfig(1 << 12)
-	cfg.CacheOff = true
-	_, ts := newTestServerConfig(t, cfg)
-	resp := do(t, http.MethodPost, ts.URL+"/session", "text/plain", fig5(t))
-	expectAPIError(t, resp, http.StatusServiceUnavailable, "sessions_disabled")
-}
-
 // TestSessionBadRequests covers the request-shape faults around the
 // session surface.
 func TestSessionBadRequests(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -132,15 +133,15 @@ func outcomeOf(ri *reqInfo, status int) string {
 	}
 	switch {
 	case status == statusClientClosedRequest:
-		return "canceled"
+		return obs.OutcomeCanceled
 	case code == "timeout":
-		return "timeout"
+		return obs.OutcomeTimeout
 	case status >= 500:
-		return "error"
+		return obs.OutcomeError
 	case status >= 400:
-		return "client_error"
+		return obs.OutcomeClientError
 	}
-	return "ok"
+	return obs.OutcomeOK
 }
 
 // instrument is the outermost middleware: it assigns the request ID,
@@ -187,7 +188,7 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		}
 		s.requests.Record(ev)
 		s.spool.Enqueue(ev)
-		s.slo.Observe(ev.Endpoint, ev.Status, ev.Outcome == "shed", dur, id)
+		s.slo.Observe(ev.Endpoint, ev.Status, ev.Outcome == obs.OutcomeShed, dur, id)
 		if c := s.incrTier[ev.Incremental]; c != nil {
 			c.Add(1)
 		}
@@ -254,98 +255,12 @@ func (s *server) logAccess(ev *obs.WideEvent) {
 //	              local, proxied, peer-fill)
 //	?n=N          at most the newest N matching events
 func (s *server) handleRequests(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	intParam := func(name string, min, max int) (int, bool, error) {
-		vs, present := q[name]
-		if !present {
-			return 0, false, nil
-		}
-		v := ""
-		if len(vs) > 0 {
-			v = vs[0]
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < min || (max > 0 && n > max) {
-			return 0, true, httpErrorf(http.StatusUnprocessableEntity, "invalid_parameter",
-				"parameter %s must be an integer in [%d, %d], got %q", name, min, max, v)
-		}
-		return n, true, nil
-	}
-	status, haveStatus, err := intParam("status", 100, 599)
+	f, n, err := requestsQuery(r.URL.Query())
 	if err != nil {
-		s.failErr(w, r, "request", err)
+		s.fail(w, r, http.StatusUnprocessableEntity, "invalid_parameter", "parameter %v", err)
 		return
 	}
-	minMS, haveMinMS, err := intParam("min_ms", 0, 0)
-	if err != nil {
-		s.failErr(w, r, "request", err)
-		return
-	}
-	n, haveN, err := intParam("n", 0, 0)
-	if err != nil {
-		s.failErr(w, r, "request", err)
-		return
-	}
-	endpoint, haveEndpoint := "", false
-	if vs, present := q["endpoint"]; present {
-		haveEndpoint = true
-		if len(vs) > 0 {
-			endpoint = vs[0]
-		}
-		if endpoint == "" {
-			s.fail(w, r, http.StatusUnprocessableEntity, "invalid_parameter",
-				"parameter endpoint must name a route (e.g. /slice), got %q", endpoint)
-			return
-		}
-	}
-	outcome, haveOutcome := "", false
-	if vs, present := q["outcome"]; present {
-		haveOutcome = true
-		if len(vs) > 0 {
-			outcome = vs[0]
-		}
-		if !validOutcomes[outcome] {
-			s.fail(w, r, http.StatusUnprocessableEntity, "invalid_parameter",
-				"parameter outcome must be one of ok|client_error|error|shed|timeout|canceled|panic, got %q", outcome)
-			return
-		}
-	}
-	route, haveRoute := "", false
-	if vs, present := q["route"]; present {
-		haveRoute = true
-		if len(vs) > 0 {
-			route = vs[0]
-		}
-		if !validRoutes[route] {
-			s.fail(w, r, http.StatusUnprocessableEntity, "invalid_parameter",
-				"parameter route must be one of local|proxied|peer-fill, got %q", route)
-			return
-		}
-	}
-
-	all := s.requests.Events()
-	matched := make([]obs.WideEvent, 0, len(all))
-	for _, e := range all {
-		if haveStatus && e.Status != status {
-			continue
-		}
-		if haveMinMS && e.DurationNS < int64(minMS)*int64(time.Millisecond) {
-			continue
-		}
-		if haveEndpoint && e.Endpoint != endpoint {
-			continue
-		}
-		if haveOutcome && e.Outcome != outcome {
-			continue
-		}
-		if haveRoute && e.Route != route {
-			continue
-		}
-		matched = append(matched, e)
-	}
-	if haveN && n < len(matched) {
-		matched = matched[len(matched)-n:]
-	}
+	matched := s.requests.Query(f, n)
 	writeJSON(w, http.StatusOK, struct {
 		Written  uint64          `json:"written"`
 		Capacity int             `json:"capacity"`
@@ -354,19 +269,52 @@ func (s *server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	}{s.requests.Written(), s.requests.Cap(), len(matched), matched})
 }
 
-// validOutcomes is the closed outcome taxonomy every wide event's
-// Outcome field draws from (see outcomeOf). The ?outcome= filter
-// validates against it so a typo answers 422, not an empty result.
-var validOutcomes = map[string]bool{
-	"ok": true, "client_error": true, "error": true, "shed": true,
-	"timeout": true, "canceled": true, "panic": true,
-}
-
-// validRoutes is the closed routing taxonomy cluster mode stamps on
-// wide events (see cluster.go); the ?route= filter validates against
-// it the same way ?outcome= does.
-var validRoutes = map[string]bool{
-	"local": true, "proxied": true, "peer-fill": true,
+// requestsQuery parses /debug/requests' parameters into the filter
+// and the row limit (-1 when unlimited). A parameter that is present
+// must be valid, even when empty.
+func requestsQuery(q url.Values) (f obs.Filter, n int, err error) {
+	intParam := func(name string, min, max int) (int, error) {
+		v := q.Get(name)
+		i, err := strconv.Atoi(v)
+		if err != nil || i < min || (max > 0 && i > max) {
+			return 0, fmt.Errorf("%s must be an integer in [%d, %d], got %q", name, min, max, v)
+		}
+		return i, nil
+	}
+	n = -1
+	if q.Has("status") {
+		if f.Status, err = intParam("status", 100, 599); err != nil {
+			return f, n, err
+		}
+	}
+	if q.Has("min_ms") {
+		ms, err := intParam("min_ms", 0, 0)
+		if err != nil {
+			return f, n, err
+		}
+		f.MinDurNS = int64(ms) * int64(time.Millisecond)
+	}
+	if q.Has("n") {
+		if n, err = intParam("n", 0, 0); err != nil {
+			return f, n, err
+		}
+	}
+	if q.Has("endpoint") {
+		if f.Endpoint = q.Get("endpoint"); f.Endpoint == "" {
+			return f, n, fmt.Errorf("endpoint must name a route (e.g. /slice), got %q", f.Endpoint)
+		}
+	}
+	if q.Has("outcome") {
+		f.Outcome = q.Get("outcome")
+		if err = obs.CheckOutcome(f.Outcome); err != nil {
+			return f, n, err
+		}
+	}
+	if q.Has("route") {
+		f.Route = q.Get("route")
+		err = obs.CheckRoute(f.Route)
+	}
+	return f, n, err
 }
 
 // handleSpool (GET /debug/spool) reports the durable telemetry

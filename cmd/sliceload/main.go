@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,6 +54,7 @@ import (
 	"time"
 
 	"jumpslice/internal/lang"
+	"jumpslice/internal/obs"
 	"jumpslice/internal/progen"
 )
 
@@ -313,23 +315,13 @@ func percentiles(ns []int64) Percentiles {
 	if len(ns) == 0 {
 		return Percentiles{}
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	rank := func(q float64) int64 {
-		i := int(q*float64(len(ns))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(ns) {
-			i = len(ns) - 1
-		}
-		return ns[i]
-	}
+	slices.Sort(ns)
 	return Percentiles{
 		Samples: int64(len(ns)),
-		P50NS:   rank(0.50),
-		P95NS:   rank(0.95),
-		P99NS:   rank(0.99),
-		P999NS:  rank(0.999),
+		P50NS:   obs.NearestRank(ns, 0.50),
+		P95NS:   obs.NearestRank(ns, 0.95),
+		P99NS:   obs.NearestRank(ns, 0.99),
+		P999NS:  obs.NearestRank(ns, 0.999),
 		MaxNS:   ns[len(ns)-1],
 	}
 }

@@ -190,6 +190,16 @@ func TestPercentilesExact(t *testing.T) {
 	if p.P50NS != 500 || p.P95NS != 950 || p.P99NS != 990 || p.P999NS != 999 || p.MaxNS != 1000 {
 		t.Fatalf("percentiles over 1..1000 = %+v", p)
 	}
+	// 1..1070: q·n is fractional for p99 (1059.3), so nearest rank is
+	// its ceiling, the 1060th sample; rounding would give the 1059th.
+	ns = make([]int64, 1070)
+	for i := range ns {
+		ns[i] = int64(i + 1)
+	}
+	p = percentiles(ns)
+	if p.P50NS != 535 || p.P95NS != 1017 || p.P99NS != 1060 || p.P999NS != 1069 || p.MaxNS != 1070 {
+		t.Fatalf("percentiles over 1..1070 = %+v", p)
+	}
 	if got := percentiles(nil); got != (Percentiles{}) {
 		t.Fatalf("empty input: %+v", got)
 	}

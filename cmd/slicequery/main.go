@@ -21,7 +21,9 @@
 //	           the stored JSON record verbatim (byte-for-byte what
 //	           the daemon wrote)
 //
-// Filters (combine freely; all must match):
+// Filters (combine freely; all must match). They build the same
+// obs.Filter that GET /debug/requests applies to the daemon's
+// in-memory ring, so both select the same requests:
 //
 //	-since T / -until T   bound the arrival time; T is RFC3339, a
 //	                      unix-nanosecond integer, or a Go duration
@@ -44,7 +46,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -60,17 +61,17 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	// Buffered, so a short report leaves in one write: a reader that
+	// stops early (| grep -q) then cannot kill the process with SIGPIPE
+	// halfway through.
+	out := bufio.NewWriter(os.Stdout)
+	code := run(os.Args[1:], out, os.Stderr)
+	if err := out.Flush(); err != nil && code == 0 {
+		fmt.Fprintln(os.Stderr, "slicequery:", err)
+		code = 1
+	}
+	os.Exit(code)
 }
-
-// validOutcomes mirrors the daemon's closed outcome taxonomy.
-var validOutcomes = map[string]bool{
-	"ok": true, "client_error": true, "error": true, "shed": true,
-	"timeout": true, "canceled": true, "panic": true,
-}
-
-// validRoutes mirrors the clustered daemon's route taxonomy.
-var validRoutes = map[string]bool{"local": true, "proxied": true, "peer-fill": true}
 
 // record is one matching event plus the raw stored bytes it was
 // parsed from (the daemon's exact json.Marshal output).
@@ -116,13 +117,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return fail("exactly one of -spool or -bundle is required")
 	}
-	if *outcome != "" && !validOutcomes[*outcome] {
-		return fail("-outcome must be one of ok|client_error|error|shed|timeout|canceled|panic, got %q", *outcome)
+	if *outcome != "" {
+		if err := obs.CheckOutcome(*outcome); err != nil {
+			return fail("-%v", err)
+		}
 	}
-	if *route != "" && !validRoutes[*route] {
-		return fail("-route must be one of local|proxied|peer-fill, got %q", *route)
+	if *route != "" {
+		if err := obs.CheckRoute(*route); err != nil {
+			return fail("-%v", err)
+		}
 	}
-	f := spool.Filter{
+	f := obs.Filter{
 		Endpoint: *endpoint,
 		Status:   *status,
 		Outcome:  *outcome,
@@ -142,17 +147,18 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	var recs []record
+	keep := func(ev *obs.WideEvent, line []byte) error {
+		recs = append(recs, record{ev: *ev, raw: append([]byte(nil), line...)})
+		return nil
+	}
 	source := ""
 	switch {
 	case *spoolDir != "":
 		source = fmt.Sprintf("spool %s", *spoolDir)
-		err = spool.Scan(*spoolDir, f, func(ev *obs.WideEvent, line []byte) error {
-			recs = append(recs, record{ev: *ev, raw: append([]byte(nil), line...)})
-			return nil
-		})
+		err = spool.Scan(*spoolDir, f, keep)
 	default:
 		source = fmt.Sprintf("bundle %s", *bundleDir)
-		recs, err = readBundle(*bundleDir, &f)
+		err = readBundle(*bundleDir, &f, keep)
 	}
 	if err != nil {
 		return fail("%v", err)
@@ -201,36 +207,19 @@ func parseTime(s string) (int64, error) {
 	return 0, fmt.Errorf("want RFC3339 time, unix nanoseconds, or a duration like 15m, got %q", s)
 }
 
-// readBundle loads a post-mortem bundle's requests.jsonl, applying
-// the same filter semantics a spool scan would.
-func readBundle(dir string, f *spool.Filter) ([]record, error) {
+// readBundle streams a post-mortem bundle's requests.jsonl through
+// fn, with the same filter a spool scan applies.
+func readBundle(dir string, f *obs.Filter, fn func(ev *obs.WideEvent, line []byte) error) error {
 	path := filepath.Join(dir, "requests.jsonl")
 	file, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer file.Close()
-	var recs []record
-	sc := bufio.NewScanner(file)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev obs.WideEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if !f.Match(&ev) {
-			continue
-		}
-		recs = append(recs, record{ev: ev, raw: append([]byte(nil), line...)})
+	if err := obs.ReadJSONL(file, f, fn); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return recs, nil
+	return nil
 }
 
 func findRequest(recs []record, id uint64) *record {
@@ -240,22 +229,6 @@ func findRequest(recs []record, id uint64) *record {
 		}
 	}
 	return nil
-}
-
-// pct returns the exact p-th percentile of sorted durations
-// (nearest-rank method).
-func pct(sorted []int64, p float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p/100*float64(len(sorted))+0.999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 func fmtDur(ns int64) string {
@@ -345,7 +318,7 @@ func printSummary(w io.Writer, source string, recs []record) {
 
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	fmt.Fprintf(w, "latency: p50=%s p90=%s p99=%s max=%s\n",
-		fmtDur(pct(durs, 50)), fmtDur(pct(durs, 90)), fmtDur(pct(durs, 99)), fmtDur(durs[len(durs)-1]))
+		fmtDur(obs.NearestRank(durs, 0.50)), fmtDur(obs.NearestRank(durs, 0.90)), fmtDur(obs.NearestRank(durs, 0.99)), fmtDur(durs[len(durs)-1]))
 
 	eps := make([]string, 0, len(byEP))
 	for ep := range byEP {
@@ -363,7 +336,7 @@ func printSummary(w io.Writer, source string, recs []record) {
 		st := byEP[ep]
 		sort.Slice(st.durs, func(i, j int) bool { return st.durs[i] < st.durs[j] })
 		fmt.Fprintf(w, "  %-18s %7d %7d %10s %10s\n",
-			ep, st.count, st.errs, fmtDur(pct(st.durs, 50)), fmtDur(pct(st.durs, 99)))
+			ep, st.count, st.errs, fmtDur(obs.NearestRank(st.durs, 0.50)), fmtDur(obs.NearestRank(st.durs, 0.99)))
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package dataflow implements the classic bit-vector dataflow analyses
-// the slicer needs: reaching definitions (from which flow/data
-// dependence edges are derived) and live variables (used by ablation
-// experiments and diagnostics).
+// Package dataflow implements the bit-vector dataflow analysis the
+// slicer needs: reaching definitions, from which flow/data dependence
+// edges are derived.
 //
 // Analyses run over the cfg.Graph. A "definition" is a (node,
 // variable) pair: assignments and read statements define their target
@@ -425,79 +424,4 @@ func (r *ReachingDefs) WithGraph(g *cfg.Graph) *ReachingDefs {
 	q := *r
 	q.g = g
 	return &q
-}
-
-// LiveVars is the result of live-variable analysis: In[n] holds the
-// variables live on entry to node n.
-type LiveVars struct {
-	Vars []string
-	In   []*bits.Set
-	Out  []*bits.Set
-
-	varIdx map[string]int
-}
-
-// Live computes live variables with the standard backward iteration:
-// in(n) = use(n) ∪ (out(n) − def(n)), out(n) = ∪ in(s) over
-// successors.
-func Live(g *cfg.Graph) *LiveVars {
-	names := lang.VarNames(g.Prog)
-	lv := &LiveVars{Vars: names, varIdx: map[string]int{}}
-	for i, v := range names {
-		lv.varIdx[v] = i
-	}
-	nv := len(names)
-	nn := len(g.Nodes)
-	use := make([]*bits.Set, nn)
-	def := make([]*bits.Set, nn)
-	lv.In = make([]*bits.Set, nn)
-	lv.Out = make([]*bits.Set, nn)
-	for i := 0; i < nn; i++ {
-		use[i] = bits.New(nv)
-		def[i] = bits.New(nv)
-		lv.In[i] = bits.New(nv)
-		lv.Out[i] = bits.New(nv)
-	}
-	for i, n := range g.Nodes {
-		for _, v := range usesOf(n) {
-			if idx, ok := lv.varIdx[v]; ok {
-				use[i].Add(idx)
-			}
-		}
-		for _, v := range defsOf(n) {
-			if idx, ok := lv.varIdx[v]; ok {
-				def[i].Add(idx)
-			}
-		}
-	}
-	tmp := bits.New(nv)
-	for changed := true; changed; {
-		changed = false
-		for i := nn - 1; i >= 0; i-- {
-			lv.Out[i].Clear()
-			for _, e := range g.Nodes[i].Out {
-				lv.Out[i].UnionWith(lv.In[e.To])
-			}
-			tmp.Copy(lv.Out[i])
-			tmp.DifferenceWith(def[i])
-			tmp.UnionWith(use[i])
-			if !tmp.Equal(lv.In[i]) {
-				lv.In[i].Copy(tmp)
-				changed = true
-			}
-		}
-	}
-	return lv
-}
-
-// LiveIn reports whether variable v is live on entry to node n.
-func (lv *LiveVars) LiveIn(n int, v string) bool {
-	i, ok := lv.varIdx[v]
-	return ok && lv.In[n].Has(i)
-}
-
-// LiveOut reports whether variable v is live on exit from node n.
-func (lv *LiveVars) LiveOut(n int, v string) bool {
-	i, ok := lv.varIdx[v]
-	return ok && lv.Out[n].Has(i)
 }

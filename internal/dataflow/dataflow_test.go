@@ -141,43 +141,3 @@ L: write(x);`)
 		t.Errorf("write should only see x=1 (x=2 is dead code); got %v", got)
 	}
 }
-
-func TestLiveVariables(t *testing.T) {
-	g := build(t, "read(a);\nb = a + 1;\nc = 5;\nwrite(b);")
-	lv := Live(g)
-	read := g.NodesAtLine(1)[0]
-	if !lv.LiveOut(read.ID, "a") {
-		t.Error("a should be live after read(a)")
-	}
-	assignC := g.NodesAtLine(3)[0]
-	if lv.LiveOut(assignC.ID, "c") {
-		t.Error("c is never used; should be dead")
-	}
-	if !lv.LiveIn(assignC.ID, "b") {
-		t.Error("b should be live across c = 5")
-	}
-	if lv.LiveIn(read.ID, "a") {
-		t.Error("a is defined before use; should not be live at entry of read")
-	}
-}
-
-func TestLiveThroughLoop(t *testing.T) {
-	g := build(t, "s = 0;\nwhile (c()) {\ns = s + 1;\n}\nwrite(s);")
-	lv := Live(g)
-	init := g.NodesAtLine(1)[0]
-	if !lv.LiveOut(init.ID, "s") {
-		t.Error("s should be live out of its initialization")
-	}
-	body := g.NodesAtLine(3)[0]
-	if !lv.LiveOut(body.ID, "s") {
-		t.Error("s should be live out of the loop body (used next iteration and after)")
-	}
-}
-
-func TestLiveUnknownVariable(t *testing.T) {
-	g := build(t, "x = 1;")
-	lv := Live(g)
-	if lv.LiveIn(0, "nosuch") || lv.LiveOut(0, "nosuch") {
-		t.Error("unknown variables are never live")
-	}
-}

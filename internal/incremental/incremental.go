@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"strings"
 
-	"jumpslice/internal/cfg"
 	"jumpslice/internal/lang"
 )
 
@@ -442,23 +441,6 @@ func (h *fnv64) header(s lang.Stmt) {
 		h.byte('R')
 		h.expr(s.Value)
 	}
-}
-
-// Fingerprint returns a stable structural hash of a statement's
-// shallow content — kind, labels, defined variable, header expression,
-// case arms — independent of source positions and of nested statement
-// bodies. Statements keep their fingerprint across edits elsewhere in
-// the program, which is what lets the edit script anchor unchanged
-// prefixes and suffixes.
-func Fingerprint(s lang.Stmt) uint64 {
-	inner, labels := unwrap(s)
-	h := fnvOffset
-	for _, l := range labels {
-		h.byte('L')
-		h.str(l)
-	}
-	h.header(inner)
-	return uint64(h)
 }
 
 // flat is one node-bearing statement of the flattened program.
@@ -911,34 +893,6 @@ func replaceInList(list []lang.Stmt, target, repl lang.Stmt) ([]lang.Stmt, bool)
 		}
 	}
 	return nil, false
-}
-
-// ---------------------------------------------------------------------
-// Flowgraph shape verification.
-
-// SameShapeCFG reports whether two built flowgraphs are structurally
-// identical: same node count, and per node the same kind, labels, and
-// out-edges (successor ID and edge label). The reuse engine runs this
-// over the old and freshly rebuilt graphs as a belt-and-braces gate
-// after the AST diff — reuse must never depend on the differ being
-// right, only on this check being sound.
-func SameShapeCFG(a, b *cfg.Graph) bool {
-	if len(a.Nodes) != len(b.Nodes) {
-		return false
-	}
-	for i, an := range a.Nodes {
-		bn := b.Nodes[i]
-		if an.Kind != bn.Kind || !equalStrings(an.Labels, bn.Labels) || len(an.Out) != len(bn.Out) {
-			return false
-		}
-		for k, ae := range an.Out {
-			be := bn.Out[k]
-			if ae.To != be.To || ae.Label != be.Label {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------

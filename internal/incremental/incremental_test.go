@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"jumpslice/internal/cfg"
 	"jumpslice/internal/lang"
 )
 
@@ -185,27 +184,6 @@ func TestSpliceLineRefusals(t *testing.T) {
 	}
 }
 
-func buildCFG(t *testing.T, p *lang.Program) *cfg.Graph {
-	t.Helper()
-	g, err := cfg.Build(p)
-	if err != nil {
-		t.Fatalf("cfg.Build: %v", err)
-	}
-	return g
-}
-
-func TestSameShapeCFG(t *testing.T) {
-	a := buildCFG(t, parse(t, base))
-	b := buildCFG(t, parse(t, editLine(t, base, 6, "sum = sum - f1(x);")))
-	if !SameShapeCFG(a, b) {
-		t.Fatal("expression edit should keep CFG shape")
-	}
-	c := buildCFG(t, parse(t, editLine(t, base, 7, "goto L14;")))
-	if SameShapeCFG(a, c) {
-		t.Fatal("goto retarget must change CFG shape")
-	}
-}
-
 func TestFingerprintStability(t *testing.T) {
 	a := parse(t, base)
 	b := parse(t, "x = 0;\n"+base) // everything shifts down one line
@@ -216,11 +194,11 @@ func TestFingerprintStability(t *testing.T) {
 	for i := range as {
 		// Fingerprints ignore positions but label wrappers are not
 		// visible through lang.Statements; compare bare statements.
-		if Fingerprint(as[i]) != Fingerprint(bs[i]) {
+		if newFlat(as[i], nil).full != newFlat(bs[i], nil).full {
 			t.Fatalf("fingerprint of statement %d not position-stable", i)
 		}
 	}
-	if Fingerprint(as[0]) == Fingerprint(as[1]) {
+	if newFlat(as[0], nil).full == newFlat(as[1], nil).full {
 		t.Fatal("distinct statements should fingerprint differently")
 	}
 }

@@ -1,6 +1,6 @@
 package obs
 
-// Exporters: trace events as JSONL and Chrome trace_event JSON, and
+// Exporters: events as JSONL, trace events as Chrome trace_event JSON, and
 // Registry snapshots in the Prometheus text exposition format.
 
 import (
@@ -12,8 +12,9 @@ import (
 )
 
 // WriteJSONL writes one JSON object per event, one event per line —
-// the /debug/flight wire format, greppable and `jq`-able.
-func WriteJSONL(w io.Writer, events []Event) error {
+// the /debug/flight wire format for trace events and the
+// requests.jsonl format for wide events, greppable and `jq`-able.
+func WriteJSONL[T any](w io.Writer, events []T) error {
 	enc := json.NewEncoder(w)
 	for i := range events {
 		if err := enc.Encode(&events[i]); err != nil {

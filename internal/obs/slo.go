@@ -33,6 +33,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -274,6 +275,19 @@ type SLOSnapshot struct {
 	Buckets    int           `json:"buckets"`
 	Objectives SLOObjectives `json:"objectives"`
 	Endpoints  []EndpointSLO `json:"endpoints"`
+}
+
+// NearestRank returns the q-quantile (0 < q ≤ 1) of ascending values
+// by the nearest-rank method: the ⌈q·n⌉-th smallest value, 0 when
+// there are none. The ceiling forgives the float64 product a relative
+// error far above its rounding, so a product exact in decimal (0.99 ×
+// 1000) gives rank q·n and not one more.
+func NearestRank(sorted []int64, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(q * float64(len(sorted)) * (1 - 1e-12)))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // quantileUpperBound returns the histogram-estimated inclusive upper

@@ -237,3 +237,27 @@ func TestWriteSLOPrometheus(t *testing.T) {
 		t.Errorf("nil snapshot wrote %q (%v)", sb.String(), err)
 	}
 }
+
+// TestNearestRank checks the ⌈q·n⌉-th smallest value against integer
+// arithmetic for every sample count up to 2000, including the counts
+// where q·n is an integer that float64 cannot represent exactly.
+func TestNearestRank(t *testing.T) {
+	vals := make([]int64, 2000)
+	for i := range vals {
+		vals[i] = int64(i + 1)
+	}
+	for _, q := range []struct {
+		f        float64
+		num, den int
+	}{{0.5, 1, 2}, {0.9, 9, 10}, {0.95, 19, 20}, {0.99, 99, 100}, {0.999, 999, 1000}} {
+		for n := 1; n <= len(vals); n++ {
+			want := int64((q.num*n + q.den - 1) / q.den)
+			if got := NearestRank(vals[:n], q.f); got != want {
+				t.Fatalf("NearestRank(1..%d, %g) = %d, want %d", n, q.f, got, want)
+			}
+		}
+	}
+	if got := NearestRank(nil, 0.99); got != 0 {
+		t.Errorf("empty input: %d", got)
+	}
+}

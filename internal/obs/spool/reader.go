@@ -5,7 +5,6 @@ package spool
 // recovery pass.
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/json"
@@ -127,7 +126,7 @@ func Segments(dir string) ([]SegmentInfo, error) {
 // cleanly at the last intact record. A non-nil error from fn aborts
 // and is returned; ErrStop ends iteration early without error.
 func ReadSegment(path string, fn func(ev *obs.WideEvent) error) error {
-	err := readSegmentRaw(path, func(line []byte, ev *obs.WideEvent) error { return fn(ev) })
+	err := readSegment(path, &obs.Filter{}, func(ev *obs.WideEvent, _ []byte) error { return fn(ev) })
 	if errors.Is(err, ErrStop) {
 		return nil
 	}
@@ -138,50 +137,30 @@ func ReadSegment(path string, fn func(ev *obs.WideEvent) error) error {
 // without reporting an error.
 var ErrStop = errors.New("spool: stop")
 
-func readSegmentRaw(path string, fn func(line []byte, ev *obs.WideEvent) error) error {
+// readSegment streams a segment's records matching f through fn with
+// their raw stored lines. fn's own error is returned as it is.
+func readSegment(path string, f *obs.Filter, fn func(ev *obs.WideEvent, raw []byte) error) error {
 	frames, err := seglog.Frames(path)
 	if err != nil {
 		return fmt.Errorf("spool: %w", err)
 	}
-	sc := bufio.NewScanner(flate.NewReader(bytes.NewReader(bytes.Join(frames, nil))))
-	sc.Buffer(nil, maxLine)
-	for sc.Scan() {
-		ev := &obs.WideEvent{}
-		if err := json.Unmarshal(sc.Bytes(), ev); err != nil {
-			return fmt.Errorf("spool: %s: %w", path, err)
-		}
-		if err := fn(sc.Bytes(), ev); err != nil {
-			return err
-		}
-	}
+	var fnErr error
+	err = obs.ReadJSONL(flate.NewReader(bytes.NewReader(bytes.Join(frames, nil))), f, func(ev *obs.WideEvent, raw []byte) error {
+		fnErr = fn(ev, raw)
+		return fnErr
+	})
+	switch {
 	// The stream is never closed, so where the intact frames end the
 	// decompressor reports an unexpected EOF: that is the segment's end.
-	if err := sc.Err(); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("spool: %s: %w", path, err)
+	case err == nil, fnErr != nil, errors.Is(err, io.ErrUnexpectedEOF):
+		return fnErr
 	}
-	return nil
-}
-
-// Filter selects records for Scan. The zero Filter matches every
-// record.
-type Filter struct {
-	// SinceNS/UntilNS bound TimeNS (inclusive); zero means unbounded.
-	SinceNS int64
-	UntilNS int64
-	// Endpoint, Status, Outcome, Route match exactly when set;
-	// MinDurNS is the minimum duration; Req, when nonzero, selects one
-	// request ID.
-	Endpoint string
-	Status   int
-	Outcome  string
-	Route    string
-	MinDurNS int64
-	Req      uint64
+	return fmt.Errorf("spool: %s: %w", path, err)
 }
 
 // matchIndex reports whether a sealed segment can possibly hold a
-// matching record; unsealed segments always can.
-func (f *Filter) matchIndex(x *Index) bool {
+// record matching f; unsealed segments always can.
+func matchIndex(f *obs.Filter, x *Index) bool {
 	if x == nil {
 		return true
 	}
@@ -197,55 +176,21 @@ func (f *Filter) matchIndex(x *Index) bool {
 	return true
 }
 
-// Match reports whether one record passes the filter.
-func (f *Filter) Match(ev *obs.WideEvent) bool {
-	if f.SinceNS != 0 && ev.TimeNS < f.SinceNS {
-		return false
-	}
-	if f.UntilNS != 0 && ev.TimeNS > f.UntilNS {
-		return false
-	}
-	if f.Endpoint != "" && ev.Endpoint != f.Endpoint {
-		return false
-	}
-	if f.Status != 0 && ev.Status != f.Status {
-		return false
-	}
-	if f.Outcome != "" && ev.Outcome != f.Outcome {
-		return false
-	}
-	if f.Route != "" && ev.Route != f.Route {
-		return false
-	}
-	if f.MinDurNS != 0 && ev.DurationNS < f.MinDurNS {
-		return false
-	}
-	if f.Req != 0 && ev.Req != f.Req {
-		return false
-	}
-	return true
-}
-
 // Scan streams every matching record of a spool directory through fn
 // in segment order (oldest segment first, record order within), using
 // sidecar indexes to skip segments that cannot match. fn receives the
 // record and its raw stored JSON line (valid only during the call);
 // returning ErrStop ends the whole scan early without error.
-func Scan(dir string, f Filter, fn func(ev *obs.WideEvent, raw []byte) error) error {
+func Scan(dir string, f obs.Filter, fn func(ev *obs.WideEvent, raw []byte) error) error {
 	segs, err := Segments(dir)
 	if err != nil {
 		return err
 	}
 	for _, seg := range segs {
-		if !f.matchIndex(seg.Index) {
+		if !matchIndex(&f, seg.Index) {
 			continue
 		}
-		err := readSegmentRaw(seg.Path, func(line []byte, ev *obs.WideEvent) error {
-			if !f.Match(ev) {
-				return nil
-			}
-			return fn(ev, line)
-		})
+		err := readSegment(seg.Path, &f, fn)
 		if errors.Is(err, ErrStop) {
 			return nil
 		}

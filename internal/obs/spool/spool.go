@@ -60,10 +60,6 @@ const (
 	DefaultQueueDepth = 4096
 )
 
-// maxLine bounds one stored record: its JSON line and newline, as a
-// reader scans them, and so also its compressed frame.
-const maxLine = 1 << 20
-
 // Options configures Open.
 type Options struct {
 	// Dir is the spool directory; it is created if missing.
@@ -148,7 +144,7 @@ func Open(opts Options) (*Spool, error) {
 		Dir:           opts.Dir,
 		SegmentBytes:  opts.SegmentBytes,
 		MaxBytes:      opts.MaxBytes,
-		MaxFrameBytes: maxLine,
+		MaxFrameBytes: obs.MaxLine, // a record's frame never outgrows its line
 	}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("spool: %w", err)
@@ -292,7 +288,7 @@ func (s *Spool) writeLoop() {
 // into the segment's stream and flushed.
 func (s *Spool) write(ev *obs.WideEvent) {
 	line, err := json.Marshal(ev)
-	if err != nil || len(line) >= maxLine {
+	if err != nil || len(line) >= obs.MaxLine {
 		s.dropped.Add(1) // too long a line would make the segment unreadable
 		return
 	}

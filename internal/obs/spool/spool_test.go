@@ -42,7 +42,7 @@ func openTest(t *testing.T, dir string, opts Options) *Spool {
 	return s
 }
 
-func collect(t *testing.T, dir string, f Filter) []obs.WideEvent {
+func collect(t *testing.T, dir string, f obs.Filter) []obs.WideEvent {
 	t.Helper()
 	var out []obs.WideEvent
 	if err := Scan(dir, f, func(e *obs.WideEvent, raw []byte) error {
@@ -66,14 +66,14 @@ func TestRoundTrip(t *testing.T) {
 	s.Sync()
 
 	// The flushed active segment is readable while the spool is open.
-	got := collect(t, dir, Filter{})
+	got := collect(t, dir, obs.Filter{})
 	if len(got) != len(want) {
 		t.Fatalf("live read: got %d records, want %d", len(got), len(want))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got = collect(t, dir, Filter{})
+	got = collect(t, dir, obs.Filter{})
 	if len(got) != len(want) {
 		t.Fatalf("got %d records, want %d", len(got), len(want))
 	}
@@ -139,7 +139,7 @@ func TestRotationAndIndex(t *testing.T) {
 	if total != n {
 		t.Errorf("indexes count %d records, want %d", total, n)
 	}
-	if got := collect(t, dir, Filter{}); len(got) != n {
+	if got := collect(t, dir, obs.Filter{}); len(got) != n {
 		t.Errorf("scan found %d records, want %d", len(got), n)
 	}
 }
@@ -154,16 +154,16 @@ func TestScanUsesIndexPruning(t *testing.T) {
 	s.Close()
 
 	// Request-ID pruning: exactly one record matches.
-	got := collect(t, dir, Filter{Req: 57})
+	got := collect(t, dir, obs.Filter{Req: 57})
 	if len(got) != 1 || got[0].Req != 57 {
 		t.Fatalf("Filter{Req:57}: %+v", got)
 	}
 	// Time-range pruning (TimeNS = req*1000).
-	got = collect(t, dir, Filter{SinceNS: 90_000})
+	got = collect(t, dir, obs.Filter{SinceNS: 90_000})
 	if len(got) != 11 {
 		t.Errorf("SinceNS: got %d, want 11", len(got))
 	}
-	got = collect(t, dir, Filter{UntilNS: 10_000})
+	got = collect(t, dir, obs.Filter{UntilNS: 10_000})
 	if len(got) != 10 {
 		t.Errorf("UntilNS: got %d, want 10", len(got))
 	}
@@ -173,22 +173,22 @@ func TestFilterMatch(t *testing.T) {
 	e := ev(7, "/slice", 503, 9e6)
 	e.Outcome = "shed"
 	cases := []struct {
-		f    Filter
+		f    obs.Filter
 		want bool
 	}{
-		{Filter{}, true},
-		{Filter{Endpoint: "/slice"}, true},
-		{Filter{Endpoint: "/metrics"}, false},
-		{Filter{Status: 503}, true},
-		{Filter{Status: 200}, false},
-		{Filter{Outcome: "shed"}, true},
-		{Filter{Outcome: "ok"}, false},
-		{Filter{MinDurNS: 1e6}, true},
-		{Filter{MinDurNS: 1e9}, false},
-		{Filter{Req: 7}, true},
-		{Filter{Req: 8}, false},
-		{Filter{SinceNS: 8000}, false},
-		{Filter{UntilNS: 6000}, false},
+		{obs.Filter{}, true},
+		{obs.Filter{Endpoint: "/slice"}, true},
+		{obs.Filter{Endpoint: "/metrics"}, false},
+		{obs.Filter{Status: 503}, true},
+		{obs.Filter{Status: 200}, false},
+		{obs.Filter{Outcome: "shed"}, true},
+		{obs.Filter{Outcome: "ok"}, false},
+		{obs.Filter{MinDurNS: 1e6}, true},
+		{obs.Filter{MinDurNS: 1e9}, false},
+		{obs.Filter{Req: 7}, true},
+		{obs.Filter{Req: 8}, false},
+		{obs.Filter{SinceNS: 8000}, false},
+		{obs.Filter{UntilNS: 6000}, false},
 	}
 	for i, c := range cases {
 		if got := c.f.Match(&e); got != c.want {
@@ -215,7 +215,7 @@ func TestDiskBudgetReclaimsOldest(t *testing.T) {
 		t.Errorf("resident %d bytes over the %d budget", st.ResidentBytes, 2048)
 	}
 	// The survivors are the newest records.
-	got := collect(t, dir, Filter{})
+	got := collect(t, dir, obs.Filter{})
 	if len(got) == 0 || len(got) == 500 {
 		t.Fatalf("survivors: %d", len(got))
 	}
@@ -306,7 +306,7 @@ func TestCrashRecovery(t *testing.T) {
 	// New records land in a new, higher-numbered segment.
 	s2.Enqueue(ev(21, "/slice", 200, 1e6))
 	s2.Close()
-	got := collect(t, crashed, Filter{})
+	got := collect(t, crashed, obs.Filter{})
 	if len(got) != 21 {
 		t.Errorf("after recovery + append: %d records, want 21", len(got))
 	}
@@ -432,7 +432,7 @@ func TestConcurrentStress(t *testing.T) {
 				// must never error on a vanished segment's records —
 				// but an os-level open of a removed file is fine to
 				// surface, so only assert it doesn't panic.
-				Scan(dir, Filter{}, func(e *obs.WideEvent, raw []byte) error { return nil })
+				Scan(dir, obs.Filter{}, func(e *obs.WideEvent, raw []byte) error { return nil })
 			}
 		}
 	}()
@@ -454,7 +454,7 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	// Every surviving record parses and carries its phases.
 	n := 0
-	if err := Scan(dir, Filter{}, func(e *obs.WideEvent, raw []byte) error {
+	if err := Scan(dir, obs.Filter{}, func(e *obs.WideEvent, raw []byte) error {
 		if e.Req == 0 || len(e.Phases) != 2 {
 			t.Errorf("mangled record: %+v", e)
 		}
@@ -482,7 +482,7 @@ func TestScanStopsEarly(t *testing.T) {
 	}
 	s.Close()
 	n := 0
-	if err := Scan(dir, Filter{}, func(e *obs.WideEvent, raw []byte) error {
+	if err := Scan(dir, obs.Filter{}, func(e *obs.WideEvent, raw []byte) error {
 		n++
 		if n == 3 {
 			return ErrStop
@@ -504,7 +504,7 @@ func TestRawLinesAreStoredJSON(t *testing.T) {
 	s.Close()
 	want, _ := json.Marshal(&e)
 	found := false
-	Scan(dir, Filter{Req: 9}, func(got *obs.WideEvent, raw []byte) error {
+	Scan(dir, obs.Filter{Req: 9}, func(got *obs.WideEvent, raw []byte) error {
 		found = true
 		if string(raw) != string(want) {
 			t.Errorf("raw line:\n got %s\nwant %s", raw, want)
@@ -546,7 +546,7 @@ func TestOversizedRecordDropped(t *testing.T) {
 	if st := s.Stats(); st.Written != 1 || st.Dropped != 1 {
 		t.Errorf("written %d, dropped %d; want 1 and 1", st.Written, st.Dropped)
 	}
-	if got := collect(t, dir, Filter{}); len(got) != 1 || got[0].Req != 2 {
+	if got := collect(t, dir, obs.Filter{}); len(got) != 1 || got[0].Req != 2 {
 		t.Errorf("scan after an oversized record: %+v", got)
 	}
 }

@@ -17,10 +17,62 @@ package obs
 // plain mutex costs nothing measurable and keeps readers exactly
 // consistent. The nil *RequestLog and nil *SpanLog are valid no-ops,
 // matching the package's one-nil-check discipline.
+//
+// This file is also the one place that knows how recorded events are
+// queried: the outcome and route taxonomies, the Filter that
+// /debug/requests, the spool and slicequery all match with, and the
+// reader of the JSON-lines format (WriteJSONL's, and the JSON access
+// log's) that the spool and post-mortem bundles store.
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
+	"slices"
+	"strings"
 	"sync"
 )
+
+// The outcome taxonomy: how a request ended (WideEvent.Outcome).
+const (
+	OutcomeOK          = "ok"
+	OutcomeClientError = "client_error"
+	OutcomeError       = "error"
+	OutcomeShed        = "shed"     // refused by the admission gate
+	OutcomeTimeout     = "timeout"  // analysis deadline exceeded
+	OutcomeCanceled    = "canceled" // client disconnected
+	OutcomePanic       = "panic"    // recovered panic
+)
+
+// The route taxonomy: how cluster routing placed a request
+// (WideEvent.Route).
+const (
+	RouteLocal    = "local"     // served by this node
+	RouteProxied  = "proxied"   // forwarded to the ring owner
+	RoutePeerFill = "peer-fill" // served from a record fetched off a peer
+)
+
+var (
+	outcomes = []string{OutcomeOK, OutcomeClientError, OutcomeError, OutcomeShed, OutcomeTimeout, OutcomeCanceled, OutcomePanic}
+	routes   = []string{RouteLocal, RouteProxied, RoutePeerFill}
+)
+
+// CheckOutcome reports an error unless o is one of the outcome
+// taxonomy, so a filter with a typo is refused instead of matching
+// nothing. The error reads "outcome must be one of ...", ready for a
+// surface to prefix with its own name for the parameter.
+func CheckOutcome(o string) error { return checkIn("outcome", o, outcomes) }
+
+// CheckRoute is CheckOutcome for the route taxonomy.
+func CheckRoute(r string) error { return checkIn("route", r, routes) }
+
+func checkIn(field, v string, set []string) error {
+	if slices.Contains(set, v) {
+		return nil
+	}
+	return fmt.Errorf("%s must be one of %s, got %q", field, strings.Join(set, "|"), v)
+}
 
 // PhaseDur is one completed phase of a request: the span name as the
 // tracer published it, and its elapsed nanoseconds.
@@ -66,8 +118,8 @@ func (l *SpanLog) Spans() []PhaseDur {
 }
 
 // WideEvent is the canonical one-record-per-request summary. Fields
-// that do not apply to a request (a /metrics scrape has no algorithm,
-// a cache-off daemon has no tier) are empty and omitted from JSON.
+// that do not apply to a request (a /metrics scrape has no algorithm
+// and no cache tier) are empty and omitted from JSON.
 type WideEvent struct {
 	// Req is the request ID — the same number X-Request-ID carries, so
 	// the event joins against /debug/trace?id= and the access log.
@@ -86,9 +138,8 @@ type WideEvent struct {
 	Status     int   `json:"status"`
 	DurationNS int64 `json:"duration_ns"`
 	BytesOut   int64 `json:"bytes_out"`
-	// Outcome classifies how the request ended: "ok", "client_error",
-	// "error", "shed" (admission gate), "timeout" (analysis deadline),
-	// "canceled" (client disconnect), or "panic" (recovered).
+	// Outcome classifies how the request ended: one of the Outcome*
+	// constants.
 	Outcome string `json:"outcome"`
 	// ErrorCode is the envelope code of a non-2xx response
 	// ("invalid_program", "overloaded", ...).
@@ -105,11 +156,9 @@ type WideEvent struct {
 	// "full").
 	Cache       string `json:"cache,omitempty"`
 	Incremental string `json:"incremental,omitempty"`
-	// Route says how cluster routing placed the request: "local"
-	// (served by this node), "proxied" (forwarded to the ring owner),
-	// or "peer-fill" (served locally from a record fetched off a
-	// peer). Empty outside cluster mode. Peer names the other node
-	// involved: the proxy target or the fill source.
+	// Route says how cluster routing placed the request: one of the
+	// Route* constants, empty outside cluster mode. Peer names the
+	// other node involved: the proxy target or the fill source.
 	Route string `json:"route,omitempty"`
 	Peer  string `json:"peer,omitempty"`
 	// Phases are the request's completed pipeline phase durations, in
@@ -166,22 +215,89 @@ func (l *RequestLog) Cap() int {
 
 // Events returns a copy of the buffered events, oldest first (nil on
 // a nil log).
-func (l *RequestLog) Events() []WideEvent {
+func (l *RequestLog) Events() []WideEvent { return l.Query(Filter{}, -1) }
+
+// Query returns the buffered events that match f, oldest first: the
+// newest n of them, or all of them when n < 0. It matches under the
+// ring's lock, so only the matches are copied (nil on a nil log).
+func (l *RequestLog) Query(f Filter, n int) []WideEvent {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.written
 	capc := uint64(len(l.slots))
-	if n > capc {
-		out := make([]WideEvent, 0, capc)
-		start := n % capc // oldest surviving slot
-		out = append(out, l.slots[start:]...)
-		out = append(out, l.slots[:start]...)
-		return out
+	held := int(min(l.written, capc))
+	if n < 0 || n > held {
+		n = held
 	}
-	out := make([]WideEvent, n)
-	copy(out, l.slots[:n])
+	out := make([]WideEvent, 0, n)
+	for i := uint64(1); i <= uint64(held) && len(out) < n; i++ {
+		if e := &l.slots[(l.written-i)%capc]; f.Match(e) {
+			out = append(out, *e)
+		}
+	}
+	slices.Reverse(out)
 	return out
+}
+
+// Filter selects recorded wide events. The zero Filter matches every
+// event.
+type Filter struct {
+	// SinceNS/UntilNS bound TimeNS (inclusive); zero means unbounded.
+	SinceNS int64
+	UntilNS int64
+	// Endpoint, Status, Outcome, Route match exactly when set;
+	// MinDurNS is the minimum duration; Req, when nonzero, selects one
+	// request ID.
+	Endpoint string
+	Status   int
+	Outcome  string
+	Route    string
+	MinDurNS int64
+	Req      uint64
+}
+
+// Match reports whether one event passes the filter.
+func (f *Filter) Match(ev *WideEvent) bool {
+	return (f.SinceNS == 0 || ev.TimeNS >= f.SinceNS) &&
+		(f.UntilNS == 0 || ev.TimeNS <= f.UntilNS) &&
+		(f.Endpoint == "" || ev.Endpoint == f.Endpoint) &&
+		(f.Status == 0 || ev.Status == f.Status) &&
+		(f.Outcome == "" || ev.Outcome == f.Outcome) &&
+		(f.Route == "" || ev.Route == f.Route) &&
+		(f.MinDurNS == 0 || ev.DurationNS >= f.MinDurNS) &&
+		(f.Req == 0 || ev.Req == f.Req)
+}
+
+// MaxLine bounds one JSON-lines record, newline included: ReadJSONL
+// cannot read a longer line, so the spool drops such a record instead
+// of storing it.
+const MaxLine = 1 << 20
+
+// ReadJSONL streams the wide events of a JSON-lines stream (one
+// WriteJSONL or access-log record per line) through fn. Each
+// non-blank line is decoded and, when it matches f, handed over with
+// its raw bytes, valid only during the call. A line that does not
+// decode, a read error, or an error from fn ends the stream and is
+// returned as it is.
+func ReadJSONL(r io.Reader, f *Filter, fn func(ev *WideEvent, raw []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, MaxLine)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		ev := &WideEvent{}
+		if err := json.Unmarshal(line, ev); err != nil {
+			return err
+		}
+		if f.Match(ev) {
+			if err := fn(ev, line); err != nil {
+				return err
+			}
+		}
+	}
+	return sc.Err()
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -172,5 +173,91 @@ func TestWideEventJSONShape(t *testing.T) {
 	}
 	if back.Cache != "hit" || back.Incremental != "patched" || len(back.Phases) != 1 {
 		t.Fatalf("round trip lost fields: %+v", back)
+	}
+}
+
+// TestRequestLogQuery checks that a query keeps the newest n matches,
+// oldest first, across the ring's wrap.
+func TestRequestLogQuery(t *testing.T) {
+	l := NewRequestLog(6)
+	for i := 1; i <= 9; i++ { // 4..9 survive; even ones are 5xx
+		l.Record(WideEvent{Req: uint64(i), Status: 200 + 300*(1-i%2)})
+	}
+	reqs := func(evs []WideEvent) []uint64 {
+		out := []uint64{}
+		for _, e := range evs {
+			out = append(out, e.Req)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		f    Filter
+		n    int
+		want []uint64
+	}{
+		{Filter{}, -1, []uint64{4, 5, 6, 7, 8, 9}},
+		{Filter{Status: 500}, -1, []uint64{4, 6, 8}},
+		{Filter{Status: 500}, 2, []uint64{6, 8}},
+		{Filter{Status: 200}, 10, []uint64{5, 7, 9}},
+		{Filter{}, 0, []uint64{}},
+		{Filter{Req: 2}, -1, []uint64{}},
+	} {
+		got := l.Query(c.f, c.n)
+		if got == nil || !slices.Equal(reqs(got), c.want) {
+			t.Errorf("Query(%+v, %d) = %v, want %v", c.f, c.n, reqs(got), c.want)
+		}
+	}
+	var nilLog *RequestLog
+	if nilLog.Query(Filter{}, -1) != nil {
+		t.Error("nil RequestLog Query is not nil")
+	}
+}
+
+// TestReadJSONLRoundTrip writes events with WriteJSONL and reads them
+// back: blank lines are skipped, the filter applies, the raw line is
+// the stored bytes, and a malformed line is an error.
+func TestReadJSONLRoundTrip(t *testing.T) {
+	evs := []WideEvent{
+		{Req: 1, Endpoint: "/slice", Status: 200, Outcome: OutcomeOK},
+		{Req: 2, Endpoint: "/slice", Status: 503, Outcome: OutcomeShed},
+		{Req: 3, Endpoint: "/healthz", Status: 200, Outcome: OutcomeOK},
+	}
+	var buf strings.Builder
+	if err := WriteJSONL(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	var got []uint64
+	err := ReadJSONL(strings.NewReader("\n"+buf.String()+"\n"), &Filter{Endpoint: "/slice"}, func(ev *WideEvent, raw []byte) error {
+		if want := strings.TrimSuffix(lines[ev.Req-1], "\n"); string(raw) != want {
+			t.Errorf("raw line %q, want %q", raw, want)
+		}
+		got = append(got, ev.Req)
+		return nil
+	})
+	if err != nil || !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("ReadJSONL = %v, %v; want [1 2]", got, err)
+	}
+	if err := ReadJSONL(strings.NewReader("{\"req\":1}\nnot json\n"), &Filter{}, func(*WideEvent, []byte) error { return nil }); err == nil {
+		t.Error("malformed line read without error")
+	}
+}
+
+func TestCheckTaxonomies(t *testing.T) {
+	for _, o := range []string{"ok", "client_error", "error", "shed", "timeout", "canceled", "panic"} {
+		if err := CheckOutcome(o); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, r := range []string{"local", "proxied", "peer-fill"} {
+		if err := CheckRoute(r); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := CheckOutcome("OK"); err == nil || err.Error() != `outcome must be one of ok|client_error|error|shed|timeout|canceled|panic, got "OK"` {
+		t.Errorf("CheckOutcome(OK) = %v", err)
+	}
+	if err := CheckRoute(""); err == nil || err.Error() != `route must be one of local|proxied|peer-fill, got ""` {
+		t.Errorf("CheckRoute(\"\") = %v", err)
 	}
 }
