@@ -37,12 +37,12 @@
 //	-cpuprofile FILE  write a runtime/pprof CPU profile of the run
 //	-memprofile FILE  write a heap profile at exit
 //
-// With -cache the run shares one analysis cache across its
-// experiments: every table regenerates the same (seed, stmts)
-// programs, so an -exp all run analyzes each program once and later
-// experiments rebind the cached analysis instead of re-running the
-// pipeline. -cache-bytes bounds the cache; the run's closing summary
-// and -json reports carry the reuse and byte accounting.
+// Every run shares one analysis cache across its experiments: every
+// table regenerates the same (seed, stmts) programs, so an -exp all
+// run analyzes each program once and later experiments rebind the
+// cached analysis instead of re-running the pipeline. The run's
+// closing summary and -json reports carry the reuse and byte
+// accounting.
 //
 // The experiment engines live in internal/exps; this command only
 // parses flags and renders tables.
@@ -85,8 +85,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	stmts := fs.Int("stmts", 30, "approximate statements per program")
 	parallel := fs.Int("parallel", exps.DefaultParallel(), "worker pool size for corpus evaluation")
 	jsonPath := fs.String("json", "", "also write results as JSON to this file")
-	cache := fs.Bool("cache", false, "share one analysis cache across the run's experiments")
-	cacheBytes := fs.Int64("cache-bytes", slicecache.DefaultMaxBytes, "analysis cache budget in bytes (with -cache)")
 	metricsPath := fs.String("metrics", "", "write the pipeline metrics snapshot as JSON to this file")
 	tracePath := fs.String("trace", "", "write the run's trace as Chrome trace_event JSON to this file")
 	flight := fs.Int("flight", 1<<16, "flight recorder capacity in events (used with -trace)")
@@ -126,9 +124,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fr = obs.NewFlightRecorder(*flight)
 		o.Tracer = obs.NewTracer(fr)
 	}
-	if *cache {
-		o.Cache = slicecache.New(slicecache.Options{MaxBytes: *cacheBytes, Recorder: o.Recorder})
-	}
+	o.Cache = slicecache.New(slicecache.Options{Recorder: o.Recorder})
 	report := &exps.Report{Seeds: o.Seeds, Stmts: o.Stmts, Parallel: o.Parallel}
 
 	steps := map[string]func() error{
@@ -227,16 +223,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		report.Metrics = reg.Snapshot()
 	}
 	report.Trace = exps.TraceStatsOf(fr)
-	if o.Cache != nil {
-		st := o.Cache.Stats()
-		report.Cache = &st
-		// Printed totals are scheduling-independent: misses count the
-		// distinct programs analyzed (singleflight guarantees one build
-		// per key) and hits+coalesced count every analysis avoided,
-		// however the worker pool interleaved.
-		fmt.Fprintf(out, "\ncache: %d analyses reused (%d built, %d bytes resident)\n",
-			st.Hits+st.Coalesced, st.Misses, st.Bytes)
-	}
+	st := o.Cache.Stats()
+	report.Cache = &st
+	// Printed totals are scheduling-independent: misses count the
+	// distinct programs analyzed (singleflight guarantees one build per
+	// key) and hits+coalesced count every analysis avoided, however the
+	// worker pool interleaved.
+	fmt.Fprintf(out, "\ncache: %d analyses reused (%d built, %d bytes resident)\n",
+		st.Hits+st.Coalesced, st.Misses, st.Bytes)
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {

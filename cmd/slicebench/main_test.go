@@ -84,14 +84,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCacheParallelMatchesSerial extends the byte-identical-tables
-// guarantee to cached runs: with -cache, a parallel run prints the
-// same tables and the same cache summary as a serial one. The summary
-// only exposes scheduling-independent totals — misses count distinct
-// programs (singleflight runs one build per key) and hits+coalesced
-// count every reuse, however the pool interleaved them.
+// guarantee to the run's shared analysis cache: a parallel run prints
+// the same tables and the same cache summary as a serial one. The
+// summary only exposes scheduling-independent totals — misses count
+// distinct programs (singleflight runs one build per key) and
+// hits+coalesced count every reuse, however the pool interleaved them.
 func TestCacheParallelMatchesSerial(t *testing.T) {
 	var serial, parallel strings.Builder
-	args := []string{"-exp", "all", "-seeds", "4", "-stmts", "15", "-cache"}
+	args := []string{"-exp", "all", "-seeds", "4", "-stmts", "15"}
 	if err := run(context.Background(), append(args, "-parallel", "1"), &serial); err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +120,15 @@ func TestCacheParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCacheReuseAcrossExperiments asserts the point of -cache: an -all
-// run analyzes each generated program once and reuses it for every
-// later experiment, and the -json report embeds the accounting.
+// TestCacheReuseAcrossExperiments asserts the point of the shared
+// analysis cache: an -all run analyzes each generated program once and
+// reuses it for every later experiment, and the -json report embeds
+// the accounting.
 func TestCacheReuseAcrossExperiments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	var sb strings.Builder
 	if err := run(context.Background(), []string{"-exp", "all", "-seeds", "4", "-stmts", "15",
-		"-cache", "-json", path}, &sb); err != nil {
+		"-json", path}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -139,7 +140,7 @@ func TestCacheReuseAcrossExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	if report.Cache == nil {
-		t.Fatal("-cache -json report has no cache snapshot")
+		t.Fatal("-json report has no cache snapshot")
 	}
 	st := report.Cache
 	// E1, E2, E4 and E6 each analyze 4 seeds × 2 corpora over the same

@@ -110,8 +110,9 @@ type Report struct {
 	// remained buffered.
 	Trace *TraceStats `json:"trace,omitempty"`
 	// Cache is the analysis cache's closing snapshot, when the run
-	// was given an Options.Cache (cmd/slicebench -cache): how many
-	// analyses were reused versus built, and the resident byte ledger.
+	// was given an Options.Cache (cmd/slicebench always gives one):
+	// how many analyses were reused versus built, and the resident
+	// byte ledger.
 	Cache *slicecache.Stats `json:"cache,omitempty"`
 }
 

@@ -1,58 +1,66 @@
 package slicecache
 
-import "fmt"
+import (
+	"container/list"
+	"fmt"
+)
 
 // VerifyAccounting cross-checks every internal invariant the cache's
-// byte ledger rests on, under all shard locks:
+// byte ledger rests on, under the cache's lock:
 //
-//   - a shard's bytes equal the sum of its resident entries' costs;
-//   - a shard's bytes never exceed its budget (an oversized entry is
-//     evicted in the same critical section that inserted it);
-//   - the LRU list and the key map hold exactly the same entries, and
-//     the list's forward and backward links agree.
+//   - the ledger's bytes equal the sum of the resident entries' costs;
+//   - the bytes never exceed the budget (an oversized entry is refused);
+//   - the LRU list and the key index hold exactly the same entries;
+//   - the list's forward and backward links agree.
 //
 // Exported to the test package only.
 func (c *Cache) VerifyAccounting() error {
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		err := sh.verifyLocked(i)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (sh *shard) verifyLocked(i int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l := c.lru
 	var sum int64
 	listed := 0
-	var prev *entry
-	for e := sh.head; e != nil; e = e.next {
-		if e.prev != prev {
-			return fmt.Errorf("shard %d: broken back link at entry %d", i, listed)
+	var prev *list.Element
+	for el := l.order.Front(); el != nil; el = el.Next() {
+		if el.Prev() != prev {
+			return fmt.Errorf("broken back link at entry %d", listed)
 		}
-		if sh.entries[e.key] != e {
-			return fmt.Errorf("shard %d: listed entry missing from map", i)
+		e := el.Value.(*lruEntry[Key, entry])
+		if l.index[e.key] != el {
+			return fmt.Errorf("listed entry %d missing from the index", listed)
 		}
 		sum += e.cost
 		listed++
-		prev = e
+		prev = el
 	}
-	if sh.tail != prev {
-		return fmt.Errorf("shard %d: tail does not terminate the list", i)
+	if l.order.Back() != prev {
+		return fmt.Errorf("tail does not terminate the list")
 	}
-	if listed != len(sh.entries) {
-		return fmt.Errorf("shard %d: %d listed entries vs %d mapped", i, listed, len(sh.entries))
+	if listed != l.len() {
+		return fmt.Errorf("%d listed entries vs %d indexed", listed, l.len())
 	}
-	if sum != sh.bytes {
-		return fmt.Errorf("shard %d: ledger %d bytes, entries sum to %d", i, sh.bytes, sum)
+	if sum != l.bytes {
+		return fmt.Errorf("ledger %d bytes, entries sum to %d", l.bytes, sum)
 	}
-	if sh.bytes > sh.max {
-		return fmt.Errorf("shard %d: resident %d bytes over budget %d", i, sh.bytes, sh.max)
+	if l.bytes > l.max {
+		return fmt.Errorf("resident %d bytes over budget %d", l.bytes, l.max)
 	}
 	return nil
 }
 
-// ShardCount is exported for tests that reason about per-shard budgets.
-func (c *Cache) ShardCount() int { return len(c.shards) }
+// Contains reports whether a positive entry for source is resident,
+// without touching LRU order or stats.
+func (c *Cache) Contains(source string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el := c.lru.index[KeyOf(source)]
+	return el != nil && el.Value.(*lruEntry[Key, entry]).val.err == nil
+}
+
+// Contains reports whether key is resident in memory, without touching
+// LRU order.
+func (rc *ResultCache) Contains(key ResultKey) bool {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.lru.index[key] != nil
+}

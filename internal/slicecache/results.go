@@ -70,30 +70,16 @@ type ResultOptions struct {
 	Recorder *obs.Registry
 }
 
-// resultEntry is one resident record in the memory LRU.
-type resultEntry struct {
-	key  ResultKey
-	data []byte
-	prev *resultEntry
-	next *resultEntry
-}
-
 // ResultCache is a two-tier store of serialized result records:
 // byte-budgeted memory LRU over an optional disk segment store. All
 // methods are safe for concurrent use.
 type ResultCache struct {
-	max  int64
 	disk *disk.Store
 
-	mu      sync.Mutex
-	entries map[ResultKey]*resultEntry
-	bytes   int64
-	head    *resultEntry
-	tail    *resultEntry
+	mu  sync.Mutex
+	lru *lru[ResultKey, []byte]
 
-	hits, misses, diskHits *obs.Counter
-	puts, evictions        *obs.Counter
-	bytesG, entriesG       *obs.Gauge
+	hits, misses, diskHits, puts *obs.Counter
 }
 
 // resultOverhead charges map slot, links and key per resident record.
@@ -105,34 +91,27 @@ func NewResultCache(opts ResultOptions) *ResultCache {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = 32 << 20
 	}
-	rc := &ResultCache{
-		max:     opts.MaxBytes,
-		disk:    opts.Disk,
-		entries: map[ResultKey]*resultEntry{},
-	}
 	rec := opts.Recorder
-	rc.hits = rec.Counter("result.hits")
-	rc.misses = rec.Counter("result.misses")
-	rc.diskHits = rec.Counter("result.disk_hits")
-	rc.puts = rec.Counter("result.puts")
-	rc.evictions = rec.Counter("result.evictions")
-	rc.bytesG = rec.Gauge("result.resident_bytes")
-	rc.entriesG = rec.Gauge("result.entries")
-	return rc
+	return &ResultCache{
+		disk:     opts.Disk,
+		lru:      newLRU[ResultKey, []byte](opts.MaxBytes, rec, "result"),
+		hits:     rec.Counter("result.hits"),
+		misses:   rec.Counter("result.misses"),
+		diskHits: rec.Counter("result.disk_hits"),
+		puts:     rec.Counter("result.puts"),
+	}
 }
 
 // Get returns the record for key and the tier that held it. A disk
 // hit is promoted back into memory.
 func (rc *ResultCache) Get(key ResultKey) ([]byte, ResultSource) {
 	rc.mu.Lock()
-	if e := rc.entries[key]; e != nil {
-		rc.touchLocked(e)
-		data := e.data
-		rc.mu.Unlock()
+	data, ok := rc.lru.get(key)
+	rc.mu.Unlock()
+	if ok {
 		rc.hits.Add(1)
 		return data, ResultMemory
 	}
-	rc.mu.Unlock()
 	if rc.disk != nil {
 		if data, ok := rc.disk.Get(disk.Key(key)); ok {
 			rc.diskHits.Add(1)
@@ -142,14 +121,6 @@ func (rc *ResultCache) Get(key ResultKey) ([]byte, ResultSource) {
 	}
 	rc.misses.Add(1)
 	return nil, ResultMiss
-}
-
-// Contains reports whether key is resident in memory, without
-// touching LRU order. Debug/test use.
-func (rc *ResultCache) Contains(key ResultKey) bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.entries[key] != nil
 }
 
 // Put stores a record in memory and writes it through to the disk
@@ -165,95 +136,17 @@ func (rc *ResultCache) Put(key ResultKey, data []byte) {
 
 // insert adds (or refreshes) a memory entry and evicts from the LRU
 // tail to fit the budget. Evictions demote to disk — a no-op for
-// records already written through.
+// records already written through. A record larger than the whole
+// tier is refused and counted as an eviction; only its disk copy
+// remains.
 func (rc *ResultCache) insert(key ResultKey, data []byte) {
-	cost := int64(len(data)) + resultOverhead
-	if cost > rc.max {
-		return // larger than the whole tier: skip memory, keep disk copy
-	}
-	type demotion struct {
-		key  ResultKey
-		data []byte
-	}
-	var demote []demotion
 	rc.mu.Lock()
-	if old := rc.entries[key]; old != nil {
-		rc.removeLocked(old)
-	}
-	e := &resultEntry{key: key, data: data}
-	rc.entries[key] = e
-	rc.pushFrontLocked(e)
-	rc.bytes += cost
-	rc.bytesG.Add(cost)
-	rc.entriesG.Add(1)
-	for rc.bytes > rc.max && rc.tail != nil {
-		victim := rc.tail
-		rc.removeLocked(victim)
-		rc.evictions.Add(1)
-		if rc.disk != nil {
-			demote = append(demote, demotion{victim.key, victim.data})
-		}
-	}
+	evicted := rc.lru.put(key, data, int64(len(data))+resultOverhead)
 	rc.mu.Unlock()
-	for _, d := range demote {
-		rc.disk.Put(disk.Key(d.key), d.data)
-	}
-}
-
-// removeLocked unlinks and uncharges e. Caller holds rc.mu.
-func (rc *ResultCache) removeLocked(e *resultEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		rc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		rc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	delete(rc.entries, e.key)
-	cost := int64(len(e.data)) + resultOverhead
-	rc.bytes -= cost
-	rc.bytesG.Add(-cost)
-	rc.entriesG.Add(-1)
-}
-
-// touchLocked moves e to the LRU head. Caller holds rc.mu.
-func (rc *ResultCache) touchLocked(e *resultEntry) {
-	if rc.head == e {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		rc.tail = e.prev
-	}
-	e.prev = nil
-	e.next = rc.head
-	if rc.head != nil {
-		rc.head.prev = e
-	}
-	rc.head = e
-	if rc.tail == nil {
-		rc.tail = e
-	}
-}
-
-// pushFrontLocked links e as most recently used. Caller holds rc.mu.
-func (rc *ResultCache) pushFrontLocked(e *resultEntry) {
-	e.prev = nil
-	e.next = rc.head
-	if rc.head != nil {
-		rc.head.prev = e
-	}
-	rc.head = e
-	if rc.tail == nil {
-		rc.tail = e
+	if rc.disk != nil {
+		for _, e := range evicted {
+			rc.disk.Put(disk.Key(e.key), e.val)
+		}
 	}
 }
 
@@ -269,5 +162,5 @@ type ResultStats struct {
 func (rc *ResultCache) ResultStats() ResultStats {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return ResultStats{Entries: len(rc.entries), Bytes: rc.bytes, Max: rc.max}
+	return ResultStats{Entries: rc.lru.len(), Bytes: rc.lru.bytes, Max: rc.lru.max}
 }

@@ -40,43 +40,32 @@ func SessionKey(id string) Key {
 // same LRU, so it may be evicted under pressure — callers must treat
 // GetKey misses as "rebuild", not as errors.
 func (c *Cache) PutKey(k Key, source string, a *core.Analysis) {
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	c.insertLocked(sh, &entry{key: k, a: a, cost: int64(len(source)) + a.Footprint() + entryOverhead})
-	sh.mu.Unlock()
+	cost := int64(len(source)) + a.Footprint() + entryOverhead
+	c.mu.Lock()
+	c.insertLocked(k, entry{a: a}, cost)
+	c.mu.Unlock()
 }
 
 // GetKey returns the analysis stored under k, if still resident, and
 // refreshes its LRU position. Lookups count as cache hits/misses like
 // content traffic.
 func (c *Cache) GetKey(k Key) (*core.Analysis, bool) {
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	e := sh.entries[k]
-	if e == nil || e.err != nil {
-		sh.mu.Unlock()
-		c.count(&c.stats.Misses, c.m.misses)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.lru.get(k)
+	if !ok || e.err != nil {
+		c.countLocked(&c.stats.Misses, c.misses)
 		return nil, false
 	}
-	sh.touchLocked(e)
-	a := e.a
-	sh.mu.Unlock()
-	c.count(&c.stats.Hits, c.m.hits)
-	return a, true
+	c.countLocked(&c.stats.Hits, c.hits)
+	return e.a, true
 }
 
 // DeleteKey drops the entry under k, refunding its bytes; it reports
 // whether an entry was resident. A deliberate delete is not an
 // eviction, so only the resident gauges move.
 func (c *Cache) DeleteKey(k Key) bool {
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	e := sh.entries[k]
-	if e != nil {
-		sh.removeLocked(e)
-		c.m.bytes.Add(-e.cost)
-		c.m.entries.Add(-1)
-	}
-	sh.mu.Unlock()
-	return e != nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.remove(k)
 }

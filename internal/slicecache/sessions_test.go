@@ -115,7 +115,7 @@ func TestSessionSharedBudgetUnderPressure(t *testing.T) {
 	probe := analyzeSrc(t, srcs[0])
 	cost := int64(len(srcs[0])) + probe.Footprint() + 512
 	// Room for roughly three entries: every insert fights for space.
-	c := slicecache.New(slicecache.Options{MaxBytes: 3 * cost, Shards: 1})
+	c := slicecache.New(slicecache.Options{MaxBytes: 3 * cost})
 
 	const iters = 40
 	var wg sync.WaitGroup

@@ -10,12 +10,14 @@
 //   - Keys are content hashes: SHA-256 over the program source plus a
 //     version tag naming the algorithm set, so a pipeline change
 //     invalidates every stale entry by construction (KeyOf).
-//   - Storage is a sharded, byte-accounted LRU. Each shard owns a
-//     fraction of the byte budget behind its own mutex, so concurrent
-//     requests for different programs do not serialize; entry cost is
-//     the analysis's deterministic Footprint plus the source length,
-//     and the ledger — Stats().Bytes — always equals the sum of
-//     resident entry costs.
+//   - Storage is one byte-accounted LRU (the same list the ResultCache
+//     uses) behind one mutex, which also guards the singleflight table
+//     and the counters. Entry cost is the analysis's deterministic
+//     Footprint plus the source length, and the ledger — Stats().Bytes
+//     — always equals the sum of resident entry costs. An entry
+//     costlier than the whole budget is refused and counted as an
+//     eviction: its caller still gets the analysis, and every resident
+//     entry stays.
 //   - A singleflight layer coalesces concurrent identical requests: N
 //     goroutines asking for the same key trigger exactly one analysis
 //     and share the result. Each waiter keeps its own context — a
@@ -97,15 +99,8 @@ func (o Outcome) String() string {
 
 // Options configures a Cache.
 type Options struct {
-	// MaxBytes is the total byte budget across all shards; <= 0 means
-	// DefaultMaxBytes. Each shard owns MaxBytes/Shards.
+	// MaxBytes is the byte budget; <= 0 means DefaultMaxBytes.
 	MaxBytes int64
-	// Shards is the shard count, rounded up to a power of two; <= 0
-	// means DefaultShards.
-	Shards int
-	// NegTTL bounds how long a negative (error) entry is served;
-	// <= 0 means DefaultNegTTL.
-	NegTTL time.Duration
 	// Recorder, when non-nil, receives the cache's counters and
 	// gauges (cache.hits, cache.misses, cache.coalesced,
 	// cache.evictions, cache.neg_hits, cache.resident_bytes,
@@ -116,10 +111,10 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Defaults for Options zero values.
+// Defaults: the byte budget for a zero Options.MaxBytes, and how long
+// a negative (error) entry is served.
 const (
 	DefaultMaxBytes = 64 << 20
-	DefaultShards   = 16
 	DefaultNegTTL   = 2 * time.Second
 )
 
@@ -141,54 +136,31 @@ type Stats struct {
 	MaxBytes  int64 `json:"max_bytes"`
 }
 
-// Cache is the sharded content-addressed analysis cache. All methods
-// are safe for concurrent use.
+// Cache is the content-addressed analysis cache. All methods are safe
+// for concurrent use.
 type Cache struct {
-	shards []*shard
-	mask   uint64
-	negTTL time.Duration
-	now    func() time.Time
+	now func() time.Time
+	// Metric mirrors of the stats counters (the lru mirrors its own
+	// ledger); nil on a nil registry, and every obs method is nil-safe.
+	hits, misses, coalesced, negHits *obs.Counter
 
-	mu    sync.Mutex // guards the aggregate stats below
-	stats Stats
-
-	m cacheMetrics
-}
-
-// cacheMetrics is the pre-resolved instrument set; all fields are nil
-// on a nil registry, and every obs method is nil-safe.
-type cacheMetrics struct {
-	hits, misses, coalesced *obs.Counter
-	negHits, evictions      *obs.Counter
-	bytes, entries          *obs.Gauge
-}
-
-func (m *cacheMetrics) resolve(rec *obs.Registry) {
-	m.hits = rec.Counter("cache.hits")
-	m.misses = rec.Counter("cache.misses")
-	m.coalesced = rec.Counter("cache.coalesced")
-	m.negHits = rec.Counter("cache.neg_hits")
-	m.evictions = rec.Counter("cache.evictions")
-	m.bytes = rec.Gauge("cache.resident_bytes")
-	m.entries = rec.Gauge("cache.entries")
+	mu      sync.Mutex // guards everything below
+	lru     *lru[Key, entry]
+	flights map[Key]*flight
+	stats   Stats // counters; Stats fills in the ledger from lru
 }
 
 // entry is one resident cache line: a detached analysis (positive) or
-// a build error with an expiry (negative). Entries form a per-shard
-// intrusive LRU list, most recent at head.
+// a build error with an expiry (negative).
 type entry struct {
-	key  Key
-	a    *core.Analysis
-	err  error
-	cost int64
-	exp  time.Time // zero for positive entries
-	prev *entry
-	next *entry
+	a   *core.Analysis
+	err error
+	exp time.Time // zero for positive entries
 }
 
 // flight is one in-progress analysis shared by every concurrent Get
-// of its key. waiters is guarded by the owning shard's mutex; a and
-// err are published by closing done.
+// of its key. waiters is guarded by the cache's mutex; a and err are
+// published by closing done.
 type flight struct {
 	done    chan struct{}
 	a       *core.Analysis
@@ -197,64 +169,26 @@ type flight struct {
 	cancel  context.CancelFunc
 }
 
-// shard is one lock domain: a fraction of the key space and the byte
-// budget.
-type shard struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	entries map[Key]*entry
-	flights map[Key]*flight
-	head    *entry // most recently used
-	tail    *entry // least recently used; next eviction victim
-}
-
 // New builds a Cache from opts (the zero Options is usable).
 func New(opts Options) *Cache {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	if opts.NegTTL <= 0 {
-		opts.NegTTL = DefaultNegTTL
-	}
+	rec := opts.Recorder
 	c := &Cache{
-		shards: make([]*shard, shards),
-		mask:   uint64(shards - 1),
-		negTTL: opts.NegTTL,
-		now:    opts.Now,
+		now:       opts.Now,
+		hits:      rec.Counter("cache.hits"),
+		misses:    rec.Counter("cache.misses"),
+		coalesced: rec.Counter("cache.coalesced"),
+		negHits:   rec.Counter("cache.neg_hits"),
+		lru:       newLRU[Key, entry](opts.MaxBytes, rec, "cache"),
+		flights:   map[Key]*flight{},
+		stats:     Stats{MaxBytes: opts.MaxBytes},
 	}
 	if c.now == nil {
 		c.now = time.Now
 	}
-	perShard := opts.MaxBytes / int64(shards)
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			max:     perShard,
-			entries: map[Key]*entry{},
-			flights: map[Key]*flight{},
-		}
-	}
-	c.stats.MaxBytes = perShard * int64(shards)
-	c.m.resolve(opts.Recorder)
 	return c
-}
-
-// shardOf routes a key to its shard by the key's leading bytes —
-// SHA-256 output is uniform, so any byte window balances the shards.
-func (c *Cache) shardOf(k Key) *shard {
-	idx := uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24
-	return c.shards[idx&c.mask]
 }
 
 // Get returns the analysis of source, running build at most once per
@@ -264,74 +198,69 @@ func (c *Cache) shardOf(k Key) *shard {
 // remains, and is canceled when the last one detaches. The returned
 // analysis is detached — Rebind it before slicing on behalf of a
 // request. A non-context build error is returned to every waiter and
-// cached negatively for the configured TTL.
+// cached negatively for DefaultNegTTL.
 func (c *Cache) Get(ctx context.Context, source string, build func(context.Context) (*core.Analysis, error)) (*core.Analysis, Outcome, error) {
 	key := KeyOf(source)
-	sh := c.shardOf(key)
 
-	sh.mu.Lock()
-	if e := sh.entries[key]; e != nil {
-		if e.err != nil && c.now().After(e.exp) {
-			c.evictLocked(sh, e) // expired negative entry: rebuild below
-		} else {
-			sh.touchLocked(e)
-			a, err := e.a, e.err
-			sh.mu.Unlock()
-			if err != nil {
-				c.count(&c.stats.NegHits, c.m.negHits)
-				return nil, Hit, err
+	c.mu.Lock()
+	if e, ok := c.lru.get(key); ok {
+		if e.err == nil || !c.now().After(e.exp) {
+			if e.err != nil {
+				c.countLocked(&c.stats.NegHits, c.negHits)
+			} else {
+				c.countLocked(&c.stats.Hits, c.hits)
 			}
-			c.count(&c.stats.Hits, c.m.hits)
-			return a, Hit, nil
+			c.mu.Unlock()
+			return e.a, Hit, e.err
 		}
+		c.lru.evict(key) // expired negative entry: rebuild below
 	}
 	// A flight every waiter has left is being canceled: start afresh
 	// rather than join it.
-	if f := sh.flights[key]; f != nil && f.waiters > 0 {
+	if f := c.flights[key]; f != nil && f.waiters > 0 {
 		f.waiters++
-		sh.mu.Unlock()
-		c.count(&c.stats.Coalesced, c.m.coalesced)
-		return c.wait(ctx, sh, f, Coalesced)
+		c.countLocked(&c.stats.Coalesced, c.coalesced)
+		c.mu.Unlock()
+		return c.wait(ctx, f, Coalesced)
 	}
 	// Miss: this caller leads. The build runs under its own cancelable
 	// context rooted in Background, so the leader's own cancellation
 	// does not take the shared computation down with it.
 	bctx, cancel := context.WithCancel(context.Background())
 	f := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
-	sh.flights[key] = f
-	sh.mu.Unlock()
-	c.count(&c.stats.Misses, c.m.misses)
-	go c.run(bctx, sh, key, f, int64(len(source)), build)
-	return c.wait(ctx, sh, f, Miss)
+	c.flights[key] = f
+	c.countLocked(&c.stats.Misses, c.misses)
+	c.mu.Unlock()
+	go c.run(bctx, key, f, int64(len(source)), build)
+	return c.wait(ctx, f, Miss)
 }
 
 // run executes one flight's build and publishes the result: into the
 // LRU (positively or negatively) and to every waiter via done.
-func (c *Cache) run(bctx context.Context, sh *shard, key Key, f *flight, srcLen int64, build func(context.Context) (*core.Analysis, error)) {
+func (c *Cache) run(bctx context.Context, key Key, f *flight, srcLen int64, build func(context.Context) (*core.Analysis, error)) {
 	a, err := build(bctx)
 	if err == nil && a == nil {
 		err = errors.New("slicecache: build returned neither analysis nor error")
 	}
 	f.a, f.err = a, err
 
-	sh.mu.Lock()
-	if sh.flights[key] == f {
-		delete(sh.flights, key)
+	// An abandoned build says nothing about the content.
+	keep := !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+	e, cost := entry{a: a, err: err}, srcLen+entryOverhead
+	if err == nil {
+		cost += a.Footprint()
+	} else {
+		cost += int64(len(err.Error()))
+		e.exp = c.now().Add(DefaultNegTTL)
 	}
-	switch {
-	case err == nil:
-		c.insertLocked(sh, &entry{key: key, a: a, cost: srcLen + a.Footprint() + entryOverhead})
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// An abandoned build says nothing about the content.
-	default:
-		c.insertLocked(sh, &entry{
-			key:  key,
-			err:  err,
-			cost: srcLen + int64(len(err.Error())) + entryOverhead,
-			exp:  c.now().Add(c.negTTL),
-		})
+	c.mu.Lock()
+	if c.flights[key] == f {
+		delete(c.flights, key)
 	}
-	sh.mu.Unlock()
+	if keep {
+		c.insertLocked(key, e, cost)
+	}
+	c.mu.Unlock()
 	close(f.done)
 	f.cancel() // release the build context; a no-op if already canceled
 }
@@ -339,7 +268,7 @@ func (c *Cache) run(bctx context.Context, sh *shard, key Key, f *flight, srcLen 
 // wait blocks until the flight completes or ctx is canceled. A
 // completed flight always wins the race against cancellation, so a
 // result that is ready is never thrown away.
-func (c *Cache) wait(ctx context.Context, sh *shard, f *flight, out Outcome) (*core.Analysis, Outcome, error) {
+func (c *Cache) wait(ctx context.Context, f *flight, out Outcome) (*core.Analysis, Outcome, error) {
 	var cancelc <-chan struct{}
 	if ctx != nil {
 		cancelc = ctx.Done()
@@ -353,10 +282,10 @@ func (c *Cache) wait(ctx context.Context, sh *shard, f *flight, out Outcome) (*c
 			return f.a, out, f.err
 		default:
 		}
-		sh.mu.Lock()
+		c.mu.Lock()
 		f.waiters--
 		last := f.waiters == 0
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		if last {
 			f.cancel()
 		}
@@ -364,112 +293,29 @@ func (c *Cache) wait(ctx context.Context, sh *shard, f *flight, out Outcome) (*c
 	}
 }
 
-// count bumps one aggregate stat and its mirror counter.
-func (c *Cache) count(field *int64, ctr *obs.Counter) {
-	c.mu.Lock()
+// countLocked bumps one counter and its metric mirror. Caller holds
+// c.mu.
+func (c *Cache) countLocked(field *int64, ctr *obs.Counter) {
 	*field++
-	c.mu.Unlock()
 	ctr.Add(1)
 }
 
-// evictLocked removes e from its shard and settles every ledger: the
-// eviction counter and the resident-bytes/entries gauges move in the
-// same critical section as the shard's own byte count, so the gauges
-// always equal the exact cross-shard sums. Caller holds sh.mu.
-func (c *Cache) evictLocked(sh *shard, e *entry) {
-	sh.removeLocked(e)
-	c.count(&c.stats.Evictions, c.m.evictions)
-	c.m.bytes.Add(-e.cost)
-	c.m.entries.Add(-1)
-}
-
-// insertLocked adds e to the shard (replacing any stale entry with
-// the same key), charges its cost, and evicts from the LRU tail until
-// the shard fits its budget. An entry costlier than the whole shard
-// budget is inserted and immediately evicted — returned to its
-// waiters but never resident. Caller holds sh.mu.
-func (c *Cache) insertLocked(sh *shard, e *entry) {
-	if old := sh.entries[e.key]; old != nil {
-		c.evictLocked(sh, old)
-	}
-	sh.entries[e.key] = e
-	sh.pushFrontLocked(e)
-	sh.bytes += e.cost
-	c.m.bytes.Add(e.cost)
-	c.m.entries.Add(1)
-	for sh.bytes > sh.max && sh.tail != nil {
-		c.evictLocked(sh, sh.tail)
-	}
-}
-
-// touchLocked moves e to the LRU head. Caller holds sh.mu.
-func (sh *shard) touchLocked(e *entry) {
-	if sh.head == e {
-		return
-	}
-	sh.unlinkLocked(e)
-	sh.pushFrontLocked(e)
-}
-
-// pushFrontLocked links e as the most recently used entry.
-func (sh *shard) pushFrontLocked(e *entry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-// unlinkLocked removes e from the LRU list only.
-func (sh *shard) unlinkLocked(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// removeLocked evicts e: unlinks it, drops it from the map, refunds
-// its cost. Caller holds sh.mu and accounts the eviction.
-func (sh *shard) removeLocked(e *entry) {
-	sh.unlinkLocked(e)
-	delete(sh.entries, e.key)
-	sh.bytes -= e.cost
+// insertLocked stores e under k. Every entry the insert pushes out
+// counts as an eviction: the one it replaces, the ones evicted to fit
+// the budget, and e itself when it is costlier than the whole budget —
+// then it is returned to its waiters but never resident. Caller holds
+// c.mu.
+func (c *Cache) insertLocked(k Key, e entry, cost int64) {
+	c.lru.evict(k)
+	c.lru.put(k, e, cost)
 }
 
 // Stats returns a consistent point-in-time account: the counters and
-// an exact sum of resident entries and bytes across shards.
+// the exact count and cost of resident entries.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	s := c.stats
-	c.mu.Unlock()
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		s.Bytes += sh.bytes
-		s.Entries += len(sh.entries)
-		sh.mu.Unlock()
-	}
+	s.Evictions, s.Bytes, s.Entries = c.lru.evictions, c.lru.bytes, c.lru.len()
 	return s
-}
-
-// Contains reports whether a positive entry for source is resident,
-// without touching LRU order or stats. Debug/test use.
-func (c *Cache) Contains(source string) bool {
-	key := KeyOf(source)
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e := sh.entries[key]
-	ok := e != nil && e.err == nil
-	sh.mu.Unlock()
-	return ok
 }

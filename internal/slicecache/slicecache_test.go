@@ -13,6 +13,7 @@ import (
 	"jumpslice/internal/lang"
 	"jumpslice/internal/obs"
 	"jumpslice/internal/paper"
+	"jumpslice/internal/progen"
 	"jumpslice/internal/slicecache"
 )
 
@@ -107,12 +108,11 @@ func TestMissThenHit(t *testing.T) {
 }
 
 // TestNegativeCaching asserts build errors are cached and served for
-// NegTTL, then rebuilt after expiry — under an injected clock.
+// DefaultNegTTL, then rebuilt after expiry — under an injected clock.
 func TestNegativeCaching(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	c := slicecache.New(slicecache.Options{
-		NegTTL: time.Second,
-		Now:    func() time.Time { return clock },
+		Now: func() time.Time { return clock },
 	})
 	boom := errors.New("parse error: unbalanced block")
 	builds := 0
@@ -129,7 +129,7 @@ func TestNegativeCaching(t *testing.T) {
 	if builds != 1 {
 		t.Fatalf("build ran %d times within TTL, want 1", builds)
 	}
-	clock = clock.Add(2 * time.Second)
+	clock = clock.Add(slicecache.DefaultNegTTL + time.Second)
 	if _, out, err := c.Get(context.Background(), "bad src", build); !errors.Is(err, boom) || out != slicecache.Miss {
 		t.Fatalf("after TTL: outcome=%v err=%v, want rebuilt miss", out, err)
 	}
@@ -177,9 +177,9 @@ func TestLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One shard, budget for roughly two entries.
+	// Budget for roughly two entries.
 	per := a.Footprint() + int64(len(src)) + 256
-	c := slicecache.New(slicecache.Options{MaxBytes: 2*per + per/2, Shards: 1})
+	c := slicecache.New(slicecache.Options{MaxBytes: 2*per + per/2})
 	mk := func(tag string) string { return src + "\n# " + tag } // distinct keys, same parse
 	wrap := func(s string) func(context.Context) (*core.Analysis, error) {
 		return func(ctx context.Context) (*core.Analysis, error) { return build(ctx) }
@@ -213,7 +213,7 @@ func TestLRUEviction(t *testing.T) {
 // is still returned to its caller but never becomes resident.
 func TestOversizedEntry(t *testing.T) {
 	src, build := buildFig5(t)
-	c := slicecache.New(slicecache.Options{MaxBytes: 64, Shards: 1})
+	c := slicecache.New(slicecache.Options{MaxBytes: 64})
 	a, out, err := c.Get(context.Background(), src, build)
 	if err != nil || a == nil || out != slicecache.Miss {
 		t.Fatalf("Get: a=%v outcome=%v err=%v", a, out, err)
@@ -226,6 +226,132 @@ func TestOversizedEntry(t *testing.T) {
 	}
 	if err := c.VerifyAccounting(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// buildOf returns a build function that parses and analyzes src,
+// detached for caching.
+func buildOf(src string) func(context.Context) (*core.Analysis, error) {
+	return func(ctx context.Context) (*core.Analysis, error) {
+		p, err := lang.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		a, err := core.AnalyzeObservedContext(ctx, p, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		return a.Rebind(nil, nil, nil), nil
+	}
+}
+
+// TestLargeAnalysisStaysResident asserts the budget is one pool: with
+// the default Options and small analyses already resident, a
+// 3018-statement analysis (Footprint 4.57 MB, well under the 64 MiB
+// budget) is a hit on its second Get, and no resident entry is
+// evicted to make room for it.
+func TestLargeAnalysisStaysResident(t *testing.T) {
+	c := slicecache.New(slicecache.Options{})
+	var small []string
+	for i := 0; i < 200; i++ {
+		src := fmt.Sprintf("read(x);\nx = x + %d;\nwrite(x);\n", i)
+		if _, _, err := c.Get(context.Background(), src, buildOf(src)); err != nil {
+			t.Fatal(err)
+		}
+		small = append(small, src)
+	}
+	big := lang.Format(progen.Structured(progen.Config{Seed: 7, Stmts: 1800}), lang.PrintOptions{})
+	for _, want := range []slicecache.Outcome{slicecache.Miss, slicecache.Hit} {
+		if _, out, err := c.Get(context.Background(), big, buildOf(big)); err != nil || out != want {
+			t.Fatalf("Get(big): outcome=%v err=%v, want %v", out, err, want)
+		}
+	}
+	st := c.Stats()
+	if st.Evictions != 0 || st.Entries != len(small)+1 {
+		t.Fatalf("stats = %+v, want %d entries and no evictions", st, len(small)+1)
+	}
+	for i, src := range small {
+		if !c.Contains(src) {
+			t.Fatalf("small analysis %d evicted by the large one", i)
+		}
+	}
+	if err := c.VerifyAccounting(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOversizedEntryLeavesResidents asserts an entry costlier than the
+// whole budget is refused without disturbing what is resident: through
+// Get, PutKey and ResultCache.Put, every resident entry stays, the
+// byte ledger does not move, and each refusal counts as one eviction.
+func TestOversizedEntryLeavesResidents(t *testing.T) {
+	bigSrc := lang.Format(progen.Structured(progen.Config{Seed: 7, Stmts: 300}), lang.PrintOptions{})
+	bigA := analyzeSrc(t, bigSrc)
+	bigCost := int64(len(bigSrc)) + bigA.Footprint() + 256
+
+	c := slicecache.New(slicecache.Options{MaxBytes: bigCost - 1})
+	var small []string
+	for i := 0; i < 64; i++ {
+		src := fmt.Sprintf("read(x);\nx = x + %d;\nwrite(x);\n", i)
+		if _, _, err := c.Get(context.Background(), src, buildOf(src)); err != nil {
+			t.Fatal(err)
+		}
+		small = append(small, src)
+	}
+	before := c.Stats()
+	if before.Entries != len(small) || before.Evictions != 0 {
+		t.Fatalf("small analyses do not all fit the budget: %+v", before)
+	}
+	check := func(via string, wantEvictions int64) {
+		t.Helper()
+		st := c.Stats()
+		if st.Bytes != before.Bytes || st.Entries != before.Entries || st.Evictions != wantEvictions {
+			t.Fatalf("after oversized %s: stats = %+v, want bytes %d, %d entries, %d evictions",
+				via, st, before.Bytes, before.Entries, wantEvictions)
+		}
+		for i, src := range small {
+			if !c.Contains(src) {
+				t.Fatalf("oversized %s evicted resident entry %d", via, i)
+			}
+		}
+		if err := c.VerifyAccounting(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a, out, err := c.Get(context.Background(), bigSrc, buildOf(bigSrc))
+	if err != nil || a == nil || out != slicecache.Miss {
+		t.Fatalf("Get(big): a=%v outcome=%v err=%v", a, out, err)
+	}
+	if c.Contains(bigSrc) {
+		t.Fatal("oversized analysis became resident")
+	}
+	check("Get", 1)
+
+	k := slicecache.SessionKey("big")
+	c.PutKey(k, bigSrc, bigA)
+	if _, ok := c.GetKey(k); ok {
+		t.Fatal("oversized session analysis became resident")
+	}
+	check("PutKey", 2)
+
+	reg := obs.NewRegistry()
+	rc := slicecache.NewResultCache(slicecache.ResultOptions{MaxBytes: 4096, Recorder: reg})
+	keys := []slicecache.ResultKey{slicecache.ResultKeyOf("a"), slicecache.ResultKeyOf("b")}
+	for _, key := range keys {
+		rc.Put(key, make([]byte, 1000))
+	}
+	rbefore := rc.ResultStats()
+	huge := slicecache.ResultKeyOf("huge")
+	rc.Put(huge, make([]byte, 8192))
+	if got := rc.ResultStats(); got != rbefore {
+		t.Fatalf("after oversized ResultCache.Put: %+v, want %+v", got, rbefore)
+	}
+	if rc.Contains(huge) || !rc.Contains(keys[0]) || !rc.Contains(keys[1]) {
+		t.Fatal("oversized record became resident or evicted a resident record")
+	}
+	if got := reg.Counter("result.evictions").Value(); got != 1 {
+		t.Fatalf("result.evictions = %d, want 1 for the refused record", got)
 	}
 }
 
@@ -371,7 +497,6 @@ func TestMetrics(t *testing.T) {
 	clock := time.Unix(0, 0)
 	c := slicecache.New(slicecache.Options{
 		Recorder: reg,
-		NegTTL:   time.Second,
 		Now:      func() time.Time { return clock },
 	})
 	src, build := buildFig5(t)
@@ -428,13 +553,6 @@ func TestZeroOptions(t *testing.T) {
 	st := c.Stats()
 	if st.MaxBytes != slicecache.DefaultMaxBytes {
 		t.Errorf("MaxBytes = %d, want %d", st.MaxBytes, slicecache.DefaultMaxBytes)
-	}
-	if c.ShardCount() != slicecache.DefaultShards {
-		t.Errorf("shards = %d, want %d", c.ShardCount(), slicecache.DefaultShards)
-	}
-	// Non-power-of-two shard counts round up.
-	if got := slicecache.New(slicecache.Options{Shards: 5}).ShardCount(); got != 8 {
-		t.Errorf("Shards:5 rounded to %d, want 8", got)
 	}
 }
 

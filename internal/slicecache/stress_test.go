@@ -61,11 +61,10 @@ func TestStressConcurrent(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	// Budget for roughly a third of the working set in one shard:
-	// evictions are constant, and every insert races with lookups.
+	// Budget for roughly a third of the working set: evictions are
+	// constant, and every insert races with lookups.
 	c := slicecache.New(slicecache.Options{
 		MaxBytes: budget / 3,
-		Shards:   1,
 		Recorder: reg,
 	})
 
