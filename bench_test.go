@@ -426,6 +426,63 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleCriterion measures what one request for one slice
+// costs on a cached analysis — the daemon's per-request work — split
+// into its layers: the conventional closure, the Figure 7 repair on
+// top of it, and printing the Figure 7 slice. The programs are
+// 400-statement structured progen programs (switches included) on
+// four seeds, each sliced on its last write criterion. benchgate pins
+// agrawal:conventional, so the repair's invariant bookkeeping stays
+// proportional to what the repair adds rather than to the program's
+// switch-enclosed node count.
+func BenchmarkSingleCriterion(b *testing.B) {
+	type task struct {
+		a *core.Analysis
+		c core.Criterion
+		s *core.Slice
+	}
+	var tasks []task
+	for seed := int64(1); seed <= 4; seed++ {
+		p := progen.Structured(progen.Config{Seed: seed, Stmts: 400})
+		a, err := core.Analyze(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		crits := progen.WriteCriteria(p)
+		c := core.Criterion{Var: crits[len(crits)-1].Var, Line: crits[len(crits)-1].Line}
+		s, err := a.Agrawal(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks = append(tasks, task{a, c, s})
+	}
+	b.Run("conventional", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, tk := range tasks {
+				if _, err := tk.a.Conventional(tk.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("agrawal", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, tk := range tasks {
+				if _, err := tk.a.Agrawal(tk.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("format", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, tk := range tasks {
+				_ = tk.s.Format()
+			}
+		}
+	})
+}
+
 // BenchmarkCDGAblation compares the two control dependence
 // constructions (FOW edge walk vs Cytron postdominance frontiers).
 func BenchmarkCDGAblation(b *testing.B) {

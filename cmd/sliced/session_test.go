@@ -352,3 +352,32 @@ func TestPatchJSONWithoutContentType(t *testing.T) {
 		t.Errorf("JSON open parsed %d statements, want 2", sr.Statements)
 	}
 }
+
+// TestSessionPatchIsNotAnEviction: a PATCH stores the edited analysis
+// under the session's key, replacing the previous one. That is a
+// removal, not an eviction — with the cache nowhere near its budget,
+// /debug/cache and /metrics must report no evictions after three
+// edits.
+func TestSessionPatchIsNotAnEviction(t *testing.T) {
+	_, ts := newTestServer(t)
+	id := openSession(t, ts, fig5(t))
+	for i := 1; i <= 3; i++ {
+		resp := patchEdit(t, ts, id, "var=positives&line=14", 2, fmt.Sprintf("positives = %d;", i))
+		decodeInto(t, resp, http.StatusOK, nil)
+	}
+
+	resp := do(t, http.MethodGet, ts.URL+"/debug/cache", "", "")
+	var state struct {
+		Stats slicecache.Stats `json:"stats"`
+	}
+	decodeInto(t, resp, http.StatusOK, &state)
+	if state.Stats.Evictions != 0 || state.Stats.Entries != 1 {
+		t.Errorf("after 3 PATCHes: evictions %d, entries %d; want 0 and 1", state.Stats.Evictions, state.Stats.Entries)
+	}
+	mresp := do(t, http.MethodGet, ts.URL+"/metrics", "", "")
+	defer mresp.Body.Close()
+	metrics, _ := io.ReadAll(mresp.Body)
+	if m := regexp.MustCompile(`jumpslice_cache_evictions_total (\d+)`).FindSubmatch(metrics); m == nil || string(m[1]) != "0" {
+		t.Errorf("want jumpslice_cache_evictions_total 0 in /metrics:\n%s", metrics)
+	}
+}

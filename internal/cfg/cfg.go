@@ -123,6 +123,17 @@ func (n *Node) Succs() []int {
 	return out
 }
 
+// FirstStmt is the node ID of the program's first statement. Build
+// creates Entry (ID 0) and Exit (ID 1) first, then one node per
+// node-bearing statement — every statement except label wrappers and
+// non-empty blocks — in preorder, a compound before its branches. The
+// statement with preorder ordinal k therefore has node ID FirstStmt+k,
+// and Rebind, which binds each statement to the node of the same
+// position, keeps that numbering. lang.FormatProjection walks
+// statements in the same order, so a slice prints from its node set
+// with no statement-to-node lookups.
+const FirstStmt = 2
+
 // Graph is a control flowgraph.
 type Graph struct {
 	Prog  *lang.Program
@@ -388,7 +399,8 @@ func BuildSized(p *lang.Program, hint int) (*Graph, error) {
 
 	// Pass 1: create a node for every node-bearing statement, in
 	// lexical order so node IDs follow source order (the paper's
-	// preorder tie-breaks then match line order).
+	// preorder tie-breaks then match line order) and statement
+	// ordinal k gets ID FirstStmt+k.
 	for _, s := range p.Body {
 		b.createNodes(s)
 	}

@@ -127,10 +127,18 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 // possibly with a different number of traversals. It exists for the
 // equivalence experiments.
 func (a *Analysis) AgrawalLST(c Criterion) (*Slice, error) {
-	conv, err := a.Conventional(c)
+	return a.agrawalLSTWith(c, a.engine())
+}
+
+// agrawalLSTWith is AgrawalLST parameterized by the closure engine.
+// Its conventional base slice is reported as a slice of its own, as
+// the Conventional entry point reports it.
+func (a *Analysis) agrawalLSTWith(c Criterion, eng depEngine) (*Slice, error) {
+	conv, err := a.conventionalWith(c, eng)
 	if err != nil {
 		return nil, err
 	}
+	a.recordSlice("conventional", conv.Nodes)
 	set := conv.Nodes
 	s := &Slice{
 		Analysis:  a,
@@ -138,7 +146,7 @@ func (a *Analysis) AgrawalLST(c Criterion) (*Slice, error) {
 		Algorithm: "agrawal-lst",
 		Nodes:     set,
 	}
-	jumps, rules, traversals, err := a.repairJumps(set, a.jumpsLST, a.engine())
+	jumps, rules, traversals, err := a.repairJumps(set, a.jumpsLST, eng)
 	if err != nil {
 		return nil, fmt.Errorf("core: LST-driven algorithm: %w", err)
 	}
@@ -167,8 +175,9 @@ func (a *Analysis) recordSlice(algo string, set *bits.Set) {
 // conditional-jump adaptation invariant (a predicate pulled in by the
 // closure brings its associated jump along — Figure 8's predicate 9).
 func (a *Analysis) addJumpWithClosure(set *bits.Set, v int, eng depEngine) error {
-	if _, err := eng.grow(set, v); err != nil {
+	added, err := eng.grow(set, v, nil)
+	if err != nil {
 		return err
 	}
-	return a.normalizeSlice(set, eng)
+	return a.normalizeSlice(set, added, eng)
 }

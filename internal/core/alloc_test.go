@@ -25,3 +25,31 @@ func TestAnalyzeAllocs(t *testing.T) {
 		t.Errorf("core.Analyze allocates %.0f times, ceiling 1500", n)
 	}
 }
+
+// TestFormatAllocs pins the cost of printing a slice: Format prints
+// straight from the original AST, so it allocates the listing string
+// and the projection it hands the printer, which holds up to four
+// retargeted labels inline. Printing through a materialized copy of
+// the program allocated 352 times on this slice.
+func TestFormatAllocs(t *testing.T) {
+	prog := progen.Structured(progen.Config{Seed: 3, Stmts: 120})
+	a, err := core.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crits := progen.WriteCriteria(prog)
+	c := core.Criterion{Var: crits[len(crits)-1].Var, Line: crits[len(crits)-1].Line}
+	s, err := a.Agrawal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled printers at random")
+	}
+	_ = s.Format() // warm the printer pool
+	n := testing.AllocsPerRun(20, func() { _ = s.Format() })
+	t.Logf("Slice.Format on a %d-node slice: %.0f allocations", s.Nodes.Len(), n)
+	if n > 2 {
+		t.Errorf("Slice.Format allocates %.0f times, ceiling 2", n)
+	}
+}

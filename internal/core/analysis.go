@@ -30,7 +30,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -116,6 +116,11 @@ type Analysis struct {
 	// predicate and the single jump statement forming its body, in
 	// ascending predicate node order.
 	condJumps []condJumpPair
+	// condJumpOf indexes condJumps by node: condJumpOf[p] is the jump
+	// node of the conditional jump whose predicate is node p, or -1.
+	// With enclosingSwitch it lets normalizeSlice check one node's
+	// invariants in constant time.
+	condJumpOf []int
 	// switchNodes lists the node IDs with enclosingSwitch >= 0,
 	// ascending.
 	switchNodes []int
@@ -341,10 +346,13 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Re
 	}
 	a.jumpsPDT = a.filterLiveJumps(a.PDT.Preorder())
 	a.jumpsLST = a.filterLiveJumps(a.LST.Preorder())
+	a.condJumpOf = make([]int, len(g.Nodes))
 	for _, n := range g.Nodes {
+		a.condJumpOf[n.ID] = -1
 		if n.Kind == cfg.KindPredicate {
 			if j := a.conditionalJumpOf(n); j != nil {
 				a.condJumps = append(a.condJumps, condJumpPair{n.ID, j.ID})
+				a.condJumpOf[n.ID] = j.ID
 			}
 		}
 		if n.Kind == cfg.KindGoto {
@@ -451,19 +459,33 @@ func (s *Slice) Has(id int) bool { return s.Nodes.Has(id) }
 // Lines returns the sorted source lines of the slice's statements
 // (Entry and Exit excluded). This is the representation the paper's
 // figures use.
+//
+// Node IDs follow statement preorder, so in a parsed program the
+// lines come out of the node set already ascending, and a repeat (a
+// conditional jump's predicate and jump share a line) is always the
+// previous line; one pass with one allocation suffices. A program
+// whose positions do not ascend with its statements is sorted after.
 func (s *Slice) Lines() []int {
-	seen := map[int]bool{}
+	nodes := s.Analysis.CFG.Nodes
+	lines := make([]int, 0, s.Nodes.Len())
+	ascending := true
 	for id := s.Nodes.NextSet(0); id >= 0; id = s.Nodes.NextSet(id + 1) {
-		n := s.Analysis.CFG.Nodes[id]
-		if n.Line > 0 {
-			seen[n.Line] = true
+		l := nodes[id].Line
+		if l <= 0 {
+			continue
 		}
-	}
-	lines := make([]int, 0, len(seen))
-	for l := range seen {
+		if k := len(lines); k > 0 {
+			if l == lines[k-1] {
+				continue
+			}
+			ascending = ascending && l > lines[k-1]
+		}
 		lines = append(lines, l)
 	}
-	sort.Ints(lines)
+	if !ascending {
+		slices.Sort(lines)
+		lines = slices.Compact(lines)
+	}
 	return lines
 }
 

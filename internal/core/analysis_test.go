@@ -6,6 +6,7 @@ import (
 
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/paper"
+	"jumpslice/internal/progen"
 )
 
 func TestStructuredClassification(t *testing.T) {
@@ -199,5 +200,38 @@ func TestSumSliceOfFigure1(t *testing.T) {
 	want := []int{1, 3, 4, 5, 6, 8, 9, 10, 11}
 	if got := s.Lines(); !reflect.DeepEqual(got, want) {
 		t.Errorf("sum slice = %v, want %v", got, want)
+	}
+}
+
+// TestFootprintChargesOneReachTable: reaching definitions keep only
+// the In table once the fixpoint is reached, so the footprint's
+// definition term is exactly the bytes In holds — half the two-table
+// (In and Out) charge it made when both were kept.
+func TestFootprintChargesOneReachTable(t *testing.T) {
+	a, err := Analyze(progen.Structured(progen.Config{Seed: 7, Stmts: 4000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, defs := int64(a.CFG.NumNodes()), int64(len(a.RD.Defs))
+	var held int64
+	for _, in := range a.RD.In {
+		held += int64((in.Cap()+63)/64) * 8
+	}
+	term := reachSetBytes(n, defs)
+	if term != held {
+		t.Errorf("definition term %d bytes, In holds %d", term, held)
+	}
+	twoTables := 2 * n * ((defs + 63) / 64) * 8
+	if 2*term != twoTables {
+		t.Errorf("definition term %d bytes is not half the two-table charge %d", term, twoTables)
+	}
+	t.Logf("%d nodes, %d definitions: definition term %d bytes (was %d), footprint %d bytes", n, defs, term, twoTables, a.Footprint())
+
+	// The conditional-jump index is one int per node, and the charge
+	// follows the field: without it the analysis weighs 8n less.
+	without := *a
+	without.condJumpOf = nil
+	if d := a.Footprint() - without.Footprint(); d != 8*n {
+		t.Errorf("condJumpOf charged %d bytes, want %d (8 per node)", d, 8*n)
 	}
 }

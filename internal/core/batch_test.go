@@ -30,7 +30,7 @@ func seedRepairJumps(a *Analysis, set *bits.Set) (jumpsAdded []int, traversals i
 				continue
 			}
 			a.PDG.GrowClosure(set, v)
-			if err := a.normalizeSlice(set, bfsEngine{p: a.PDG}); err != nil {
+			if err := passNormalize(a, set, bfsEngine{p: a.PDG}); err != nil {
 				panic(err)
 			}
 			jumpsAdded = append(jumpsAdded, v)

@@ -43,7 +43,7 @@ func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) 
 	// also covers criteria in dead code, whose statements have no
 	// dependence path to anything.
 	set.Add(a.CFG.Entry.ID)
-	if err := a.normalizeSlice(set, eng); err != nil {
+	if err := a.normalizeSlice(set, nil, eng); err != nil {
 		return nil, err
 	}
 	return &Slice{
@@ -56,7 +56,7 @@ func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) 
 }
 
 // normalizeSlice closes a slice set under the two invariants every
-// slice of this package maintains, iterating to a joint fixpoint:
+// slice of this package maintains:
 //
 //  1. The conditional-jump adaptation (Section 3): when the predicate
 //     of a conditional jump statement such as "if (e) goto L" is in
@@ -74,67 +74,46 @@ func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) 
 //     that must not happen (and the lexical-successor test of Figure
 //     7 implicitly assumes it does not).
 //
-// Both passes run over worklists precomputed at Analyze time (the
-// conditional-jump pairs and the switch-enclosed nodes) rather than
-// scanning every CFG node; the worklists preserve node order, so the
-// fixpoint reached is identical.
+// work lists the members that may violate an invariant: only what the
+// last closure added when the rest of the set is already closed, or
+// nil for a set of unknown origin, which checks every member. Each is
+// checked against the two per-node indexes (condJumpOf and
+// enclosingSwitch), and each closure an invariant forces pushes its
+// own additions, so the loop visits every added node once instead of
+// rescanning all conditional jumps and switch-enclosed nodes per
+// pass. The least fixpoint is unique, so the set reached is the
+// pass-based loop's (normalize_oracle_test.go keeps that loop and
+// pins them equal).
 //
 // Engines whose closures bake the invariants in as dependence edges
-// (the batch condensation) are already at the fixpoint, so the passes
-// are skipped outright.
-func (a *Analysis) normalizeSlice(set *bits.Set, eng depEngine) error {
+// (the batch condensation) are already at the fixpoint, so the loop
+// is skipped outright.
+func (a *Analysis) normalizeSlice(set *bits.Set, work []int, eng depEngine) error {
 	if eng.closuresNormalized() {
 		return nil
 	}
-	for {
-		if err := a.checkCancel("normalize"); err != nil {
-			return err
-		}
-		changed, err := a.condJumpAdaptationOnce(set, eng)
-		if err != nil {
-			return err
-		}
-		swChanged, err := a.enforceSwitchEnclosureOnce(set, eng)
-		if err != nil {
-			return err
-		}
-		if !changed && !swChanged {
-			return nil
-		}
+	if err := a.checkCancel("normalize"); err != nil {
+		return err
 	}
-}
-
-// condJumpAdaptationOnce performs one pass of invariant 1, reporting
-// whether anything was added.
-func (a *Analysis) condJumpAdaptationOnce(set *bits.Set, eng depEngine) (bool, error) {
-	changed := false
-	for _, cj := range a.condJumps {
-		if set.Has(cj.pred) && !set.Has(cj.jump) {
-			if _, err := eng.grow(set, cj.jump); err != nil {
-				return false, err
+	if work == nil {
+		work = set.AppendMembers(make([]int, 0, set.Len()))
+	}
+	var err error
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		if j := a.condJumpOf[v]; j >= 0 && !set.Has(j) {
+			if work, err = eng.grow(set, j, work); err != nil {
+				return err
 			}
-			changed = true
 		}
-	}
-	return changed, nil
-}
-
-// enforceSwitchEnclosureOnce performs one pass of invariant 2,
-// reporting whether anything was added.
-func (a *Analysis) enforceSwitchEnclosureOnce(set *bits.Set, eng depEngine) (bool, error) {
-	changed := false
-	for _, id := range a.switchNodes {
-		if !set.Has(id) {
-			continue
-		}
-		if sw := a.enclosingSwitch[id]; !set.Has(sw) {
-			if _, err := eng.grow(set, sw); err != nil {
-				return false, err
+		if sw := a.enclosingSwitch[v]; sw >= 0 && !set.Has(sw) {
+			if work, err = eng.grow(set, sw, work); err != nil {
+				return err
 			}
-			changed = true
 		}
 	}
-	return changed, nil
+	return nil
 }
 
 // conditionalJumpOf returns the jump node of a conditional jump
@@ -173,7 +152,7 @@ func (a *Analysis) RetargetLabels(set *bits.Set) map[string]int {
 // their own slice sets. The error is non-nil only when the Analysis's
 // context was canceled mid-normalization.
 func (a *Analysis) NormalizeSlice(set *bits.Set) error {
-	return a.normalizeSlice(set, a.engine())
+	return a.normalizeSlice(set, nil, a.engine())
 }
 
 // retargetLabels applies the paper's final step: "For each goto

@@ -25,8 +25,12 @@ import (
 type depEngine interface {
 	// backwardClosure returns the closure of the seeds as a fresh set.
 	backwardClosure(seeds []int) (*bits.Set, error)
-	// grow unions seed's closure into set, reporting whether set grew.
-	grow(set *bits.Set, seed int) (bool, error)
+	// grow unions seed's closure into set. An engine whose closures
+	// are not normalized appends every node it added to added and
+	// returns the extended slice: normalizeSlice's worklist. A
+	// normalized engine may return added unchanged, since nothing
+	// reads it.
+	grow(set *bits.Set, seed int, added []int) ([]int, error)
 	// closuresNormalized reports whether closures from this engine
 	// already satisfy the slice invariants (conditional-jump
 	// adaptation and switch enclosure), making normalizeSlice a no-op.
@@ -41,8 +45,8 @@ type bfsEngine struct {
 func (e bfsEngine) backwardClosure(seeds []int) (*bits.Set, error) {
 	return e.p.BackwardClosureCancel(seeds, e.cancel)
 }
-func (e bfsEngine) grow(set *bits.Set, seed int) (bool, error) {
-	return e.p.GrowClosureCancel(set, seed, e.cancel)
+func (e bfsEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
+	return e.p.GrowClosureCancel(set, seed, added, e.cancel)
 }
 func (e bfsEngine) closuresNormalized() bool { return false }
 
@@ -57,8 +61,9 @@ type condEngine struct {
 func (e condEngine) backwardClosure(seeds []int) (*bits.Set, error) {
 	return e.c.BackwardClosureCancel(seeds, e.cancel, e.in)
 }
-func (e condEngine) grow(set *bits.Set, seed int) (bool, error) {
-	return e.c.GrowClosureCancel(set, seed, e.cancel, e.in)
+func (e condEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
+	_, err := e.c.GrowClosureCancel(set, seed, e.cancel, e.in)
+	return added, err
 }
 func (e condEngine) closuresNormalized() bool { return true }
 

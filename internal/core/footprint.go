@@ -13,9 +13,10 @@ package core
 //     parallel array the Analysis keeps (PDT/LST parent and children
 //     arrays, CDG adjacency headers, live/enclosingSwitch, the
 //     precomputed worklists), plus the retained AST statement;
+//   - the conditional-jump index condJumpOf, one int per node;
 //   - per-edge cost: the PDG adjacency lists (data + merged deps) and
 //     their CDG/CFG counterparts;
-//   - the reaching-definitions bitsets: 2 sets (In/Out) per node, one
+//   - the reaching-definitions bitsets: one set (In) per node, one
 //     word per 64 definition sites, plus the definition index.
 //
 // An analysis of a program with procedures is charged for every
@@ -50,7 +51,6 @@ func (a *Analysis) Footprint() int64 {
 		edges += int64(len(a.CFG.Succs(v)))
 	}
 	defs := int64(len(a.RD.Defs))
-	words := (defs + 63) / 64
 
 	const (
 		perNode = 320 // cfg.Node + tree/worklist slots + AST statement
@@ -58,5 +58,12 @@ func (a *Analysis) Footprint() int64 {
 		perDef  = 64  // dataflow.Def index entry
 		fixed   = 512 // struct headers of the Analysis and its graphs
 	)
-	return fixed + n*perNode + edges*perEdge + defs*perDef + 2*n*words*8
+	condJumpIndex := int64(len(a.condJumpOf)) * 8
+	return fixed + n*perNode + edges*perEdge + defs*perDef + condJumpIndex + reachSetBytes(n, defs)
+}
+
+// reachSetBytes is the footprint's definition term: the one n×defs
+// bit table (In) reaching definitions keep.
+func reachSetBytes(nodes, defs int64) int64 {
+	return nodes * ((defs + 63) / 64) * 8
 }

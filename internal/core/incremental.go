@@ -161,6 +161,7 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	a.jumpsPDT = prev.jumpsPDT
 	a.jumpsLST = prev.jumpsLST
 	a.condJumps = prev.condJumps
+	a.condJumpOf = prev.condJumpOf
 	a.switchNodes = prev.switchNodes
 	a.gotoNodes = make([]*cfg.Node, len(prev.gotoNodes))
 	for i, n := range prev.gotoNodes {
@@ -194,18 +195,9 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		stats.PhasesReused = 5     // postdominators, cdg, dataflow, lst, worklists
 		stats.PhasesRecomputed = 2 // cfg, pdg rows
 		a.RD = prev.RD.WithGraph(g2)
-		changed := make(map[int][]int, len(sc.Replaced))
-		for _, r := range sc.Replaced {
-			// Resolve through the previous graph's statement index —
-			// positions are identical across a same-shape rebind, and
-			// prev's index is already built while g2's would have to be
-			// materialized just for this lookup.
-			pn := prev.CFG.NodeFor(r.Old)
-			if pn == nil {
-				return full("edited statement has no flowgraph node")
-			}
-			n := g2.Nodes[pn.ID]
-			changed[n.ID] = a.RD.DataDepsOf(n)
+		changed, ok := editedRows(g2, a.RD, sc.Replaced)
+		if !ok {
+			return full("edited statement has no flowgraph node")
 		}
 		a.PDG = prev.PDG.Rederive(g2, a.CDG, changed)
 		a.patchCondensation(prev, changed, stats)
@@ -213,6 +205,29 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	im.reused.Add(int64(stats.PhasesReused))
 	im.recomputed.Add(int64(stats.PhasesRecomputed))
 	return a, stats, nil
+}
+
+// editedRows returns the data dependence rows of the nodes of g
+// bearing the replaced statements, resolved in one pass over g's
+// nodes: a rebound graph has no statement index (Slice.Format prints
+// without one), and building it would cost a map insert per node. ok
+// is false if some replaced statement has no node.
+func editedRows(g *cfg.Graph, rd *dataflow.ReachingDefs, replaced []incremental.Replacement) (map[int][]int, bool) {
+	want := make(map[lang.Stmt]bool, len(replaced))
+	for _, r := range replaced {
+		want[lang.Unlabel(r.New)] = true
+	}
+	changed := make(map[int][]int, len(replaced))
+	for _, n := range g.Nodes {
+		if len(want) == 0 {
+			break
+		}
+		if n.Stmt != nil && want[n.Stmt] {
+			delete(want, n.Stmt)
+			changed[n.ID] = rd.DataDepsOf(n)
+		}
+	}
+	return changed, len(want) == 0
 }
 
 // patchCondensation tries to carry the previous analysis's batch

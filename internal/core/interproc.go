@@ -429,14 +429,14 @@ func (e funcEngine) closuresNormalized() bool { return true }
 func (e funcEngine) backwardClosure(seeds []int) (*bits.Set, error) {
 	set := bits.New(e.u.Sub.CFG.NumNodes())
 	for _, v := range seeds {
-		if _, err := e.grow(set, v); err != nil {
+		if _, err := e.grow(set, v, nil); err != nil {
 			return nil, err
 		}
 	}
 	return set, nil
 }
 
-func (e funcEngine) grow(set *bits.Set, seed int) (bool, error) {
+func (e funcEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
 	s, g := e.s, e.s.Set.SDG
 	cancel := e.u.Sub.cancelf
 	gv := g.StmtVert(e.u.Index, seed)
@@ -445,30 +445,28 @@ func (e funcEngine) grow(set *bits.Set, seed int) (bool, error) {
 		// first-pass vertices down through pass two.
 		before := s.V1.Clone()
 		if _, err := g.GrowInto(s.V1, []int{gv}, sdg.PassOne, cancel); err != nil {
-			return false, err
+			return added, err
 		}
 		delta := s.V1.Clone()
 		delta.DifferenceWith(before)
 		// Vertices already in V2 are pass-two-closed there, so
 		// GrowInto skipping them as seeds is exact.
 		if _, err := g.GrowInto(s.V2, delta.Members(), sdg.PassTwo, cancel); err != nil {
-			return false, err
+			return added, err
 		}
 	} else {
 		if _, err := g.GrowInto(s.V2, []int{gv}, sdg.PassTwo, cancel); err != nil {
-			return false, err
+			return added, err
 		}
 	}
 	// Project the grown global slice back onto this unit's node set
 	// (the set repairJumps is iterating).
-	grew := false
 	for _, n := range e.u.Sub.CFG.Nodes {
 		if !set.Has(n.ID) && s.V2.Has(g.StmtVert(e.u.Index, n.ID)) {
 			set.Add(n.ID)
-			grew = true
 		}
 	}
-	return grew, nil
+	return added, nil
 }
 
 // Lines returns the sorted union of the per-unit slice lines — the

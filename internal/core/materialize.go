@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"jumpslice/internal/bits"
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/lang"
 )
@@ -30,20 +31,7 @@ import (
 // paper's figure listings.
 func (s *Slice) Materialize() *lang.Program {
 	a := s.Analysis
-	m := &materializer{
-		slice:  s,
-		labels: map[int][]string{},
-	}
-	for label, nodeID := range s.Relabeled {
-		m.labels[nodeID] = append(m.labels[nodeID], label)
-	}
-	// Relabeled is a map; fix the attachment order of labels sharing a
-	// target so materialization is a pure function of the slice (the
-	// daemon's ETag and the cache's byte-identical-response property
-	// both assume deterministic output).
-	for _, ls := range m.labels {
-		sort.Strings(ls)
-	}
+	m := &materializer{slice: s, proj: newSliceProjection(s)}
 
 	out := &lang.Program{Labels: map[string]*lang.LabeledStmt{}}
 	for _, st := range a.Prog.Body {
@@ -52,7 +40,7 @@ func (s *Slice) Materialize() *lang.Program {
 		}
 	}
 	// Labels re-attached past the end of the program.
-	for _, label := range m.labels[a.CFG.Exit.ID] {
+	for _, label := range m.proj.labelsAt(a.CFG.Exit.ID) {
 		out.Body = append(out.Body, &lang.LabeledStmt{
 			Label: label,
 			Stmt:  &lang.EmptyStmt{},
@@ -73,17 +61,72 @@ func (s *Slice) Materialize() *lang.Program {
 	return out
 }
 
-// Format pretty-prints the materialized slice with the original line
-// numbers, matching the paper's figure style.
+// Format pretty-prints the slice with the original line numbers,
+// matching the paper's figure style. The text is lang.Format of
+// Materialize's program, printed straight from the original AST: the
+// projection reads each statement's membership off the node set by
+// its preorder ordinal (cfg.FirstStmt), so no pruned copy is built and
+// no statement is looked up by pointer.
 func (s *Slice) Format() string {
-	return lang.Format(s.Materialize(), lang.PrintOptions{LineNumbers: true})
+	p := newSliceProjection(s)
+	return lang.FormatProjection(s.Analysis.Prog, p, p.labelsAt(s.Analysis.CFG.Exit.ID), lang.PrintOptions{LineNumbers: true})
 }
+
+// sliceProjection is a slice as the printer sees it: its node set and
+// its retargeted labels grouped by the node they attach in front of.
+type sliceProjection struct {
+	nodes *bits.Set
+	// labels[i] re-attaches to node labelNode[i]. Relabeled is a map;
+	// the pairs are sorted by node, then label, so the projection is a
+	// pure function of the slice (the daemon's ETag and the cache's
+	// byte-identical-response property both assume deterministic
+	// output).
+	labelNode []int
+	labels    []string
+	// A slice rarely retargets more labels than these hold.
+	nodeBuf  [4]int
+	labelBuf [4]string
+}
+
+func newSliceProjection(s *Slice) *sliceProjection {
+	p := &sliceProjection{nodes: s.Nodes}
+	p.labelNode, p.labels = p.nodeBuf[:0], p.labelBuf[:0]
+	for label, id := range s.Relabeled {
+		i := len(p.labels)
+		p.labelNode, p.labels = append(p.labelNode, id), append(p.labels, label)
+		for ; i > 0 && (p.labelNode[i-1] > id || p.labelNode[i-1] == id && p.labels[i-1] > label); i-- {
+			p.labelNode[i], p.labels[i] = p.labelNode[i-1], p.labels[i-1]
+		}
+		p.labelNode[i], p.labels[i] = id, label
+	}
+	return p
+}
+
+// labelsAt returns the labels retargeted onto node id, sorted; nil for
+// none.
+func (p *sliceProjection) labelsAt(id int) []string {
+	if len(p.labelNode) == 0 {
+		return nil
+	}
+	lo := sort.SearchInts(p.labelNode, id)
+	hi := lo
+	for hi < len(p.labelNode) && p.labelNode[hi] == id {
+		hi++
+	}
+	if lo == hi {
+		return nil
+	}
+	return p.labels[lo:hi:hi]
+}
+
+func (p *sliceProjection) Keep(ord int) bool       { return p.nodes.Has(cfg.FirstStmt + ord) }
+func (p *sliceProjection) Labels(ord int) []string { return p.labelsAt(cfg.FirstStmt + ord) }
 
 type materializer struct {
 	slice *Slice
-	// labels maps node IDs to retargeted labels that must be attached
-	// in front of that node's statement.
-	labels map[int][]string
+	// proj holds the retargeted labels to attach in front of each
+	// node's statement.
+	proj *sliceProjection
 }
 
 // inSlice reports whether the statement's own node is in the slice.
@@ -116,7 +159,7 @@ func (m *materializer) wrapRetargeted(st lang.Stmt, node *cfg.Node) lang.Stmt {
 	if node == nil {
 		return st
 	}
-	labels := m.labels[node.ID]
+	labels := m.proj.labelsAt(node.ID)
 	// Attach in reverse so the first label ends up outermost; the
 	// order among multiple retargeted labels is not semantically
 	// significant.

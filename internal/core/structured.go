@@ -33,10 +33,15 @@ var ErrUnstructured = fmt.Errorf("program contains non-structured jump statement
 //     passes used.
 //   - Added jumps carry their dependence closure (see the loop body).
 func (a *Analysis) AgrawalStructured(c Criterion) (*Slice, error) {
+	return a.structuredWith(c, a.engine())
+}
+
+// structuredWith is AgrawalStructured parameterized by the closure
+// engine.
+func (a *Analysis) structuredWith(c Criterion, eng depEngine) (*Slice, error) {
 	if !a.Structured() {
 		return nil, fmt.Errorf("core: Figure 12 algorithm: %w", ErrUnstructured)
 	}
-	eng := a.engine()
 	conv, err := a.conventionalWith(c, eng)
 	if err != nil {
 		return nil, err
@@ -112,10 +117,15 @@ func (a *Analysis) AgrawalStructured(c Criterion) (*Slice, error) {
 // 14-b) but never misses a needed one, and the rule can be applied
 // on the fly while the conventional slice is being computed.
 func (a *Analysis) AgrawalConservative(c Criterion) (*Slice, error) {
+	return a.conservativeWith(c, a.engine())
+}
+
+// conservativeWith is AgrawalConservative parameterized by the
+// closure engine.
+func (a *Analysis) conservativeWith(c Criterion, eng depEngine) (*Slice, error) {
 	if !a.Structured() {
 		return nil, fmt.Errorf("core: Figure 13 algorithm: %w", ErrUnstructured)
 	}
-	eng := a.engine()
 	conv, err := a.conventionalWith(c, eng)
 	if err != nil {
 		return nil, err

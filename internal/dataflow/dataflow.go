@@ -52,9 +52,10 @@ type ReachingDefs struct {
 	// sets below refers to Defs[i].
 	Defs []Def
 	// In[n] is the set of definitions reaching the entry of node n.
+	// It is the only node×definition table kept: every query reads
+	// In, and the out sets the fixpoint iterates on are dropped once
+	// it is reached.
 	In []*bits.Set
-	// Out[n] is the set of definitions leaving node n.
-	Out []*bits.Set
 
 	vars    map[string]int // variable name -> dense variable ID
 	varDefs []*bits.Set    // varDefs[v]: the definitions of variable v
@@ -111,7 +112,7 @@ func Reach(g *cfg.Graph) *ReachingDefs {
 		r.varDefs[v].Add(d)
 	}
 	r.In = bits.NewSlab(nn, nd)
-	r.Out = bits.NewSlab(nn, nd)
+	out := bits.NewSlab(nn, nd) // out[n]: the definitions leaving node n
 
 	// Sets only grow from the empty start, so in(n) accumulates the
 	// predecessors' outs without being cleared, and out(n) is
@@ -125,7 +126,7 @@ func Reach(g *cfg.Graph) *ReachingDefs {
 			in := r.In[n]
 			grew := first
 			for _, p := range g.Nodes[n].In {
-				if in.UnionWith(r.Out[p]) {
+				if in.UnionWith(out[p]) {
 					grew = true
 				}
 			}
@@ -140,7 +141,7 @@ func Reach(g *cfg.Graph) *ReachingDefs {
 			for d := lo; d < hi; d++ {
 				tmp.Add(d)
 			}
-			if r.Out[n].UnionWith(tmp) {
+			if out[n].UnionWith(tmp) {
 				changed = true
 			}
 		}
@@ -417,7 +418,7 @@ func (r *ReachingDefs) DataDepsOf(n *cfg.Node) []int {
 // WithGraph returns a view of the same reaching-definitions result
 // bound to a different flowgraph, which must be shape-identical to
 // the analyzed one (same node IDs, kinds, and definition sites). The
-// In/Out sets and definition index are shared — they are immutable
+// In sets and definition index are shared — they are immutable
 // after Reach — so the view is free; it exists so a reused dataflow
 // result answers queries about nodes of a freshly rebuilt graph.
 func (r *ReachingDefs) WithGraph(g *cfg.Graph) *ReachingDefs {

@@ -215,14 +215,14 @@ func (p *Graph) BackwardClosure(seeds []int) *bits.Set {
 // non-nil error, returning it.
 func (p *Graph) BackwardClosureCancel(seeds []int, cancel func() error) (*bits.Set, error) {
 	out := bits.New(len(p.CFG.Nodes))
-	var stack []int
+	var queue []int
 	for _, s := range seeds {
 		if !out.Has(s) {
 			out.Add(s)
-			stack = append(stack, s)
+			queue = append(queue, s)
 		}
 	}
-	if err := p.drain(out, stack, cancel); err != nil {
+	if _, err := p.drain(out, queue, 0, cancel); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -233,45 +233,46 @@ func (p *Graph) BackwardClosureCancel(seeds []int, cancel func() error) (*bits.S
 // Agrawal's Figure 7 uses this when a jump statement is added to the
 // slice: "Add the transitive closure of the dependence of J to Slice".
 func (p *Graph) GrowClosure(set *bits.Set, seed int) bool {
-	changed, _ := p.GrowClosureCancel(set, seed, nil)
-	return changed
+	added, _ := p.GrowClosureCancel(set, seed, nil, nil)
+	return len(added) > 0
 }
 
 // GrowClosureCancel is GrowClosure with cooperative cancellation (see
-// BackwardClosureCancel). On cancellation the set holds a partial
-// closure and must be discarded by the caller.
-func (p *Graph) GrowClosureCancel(set *bits.Set, seed int, cancel func() error) (bool, error) {
+// BackwardClosureCancel) that also reports what it added: every node
+// the closure brings into set, seed first, is appended to added, and
+// the extended slice is returned. A caller closing the slice under
+// further invariants visits exactly these nodes instead of rescanning
+// the set. On cancellation the set holds a partial closure and must be
+// discarded by the caller.
+func (p *Graph) GrowClosureCancel(set *bits.Set, seed int, added []int, cancel func() error) ([]int, error) {
 	if set.Has(seed) {
-		return false, nil
+		return added, nil
 	}
 	set.Add(seed)
-	if err := p.drain(set, []int{seed}, cancel); err != nil {
-		return false, err
-	}
-	return true, nil
+	return p.drain(set, append(added, seed), len(added), cancel)
 }
 
-// drain runs the backward BFS from the stacked nodes into set,
-// consulting cancel every cancelCheckNodes pops.
-func (p *Graph) drain(set *bits.Set, stack []int, cancel func() error) error {
+// drain runs the backward BFS from the queued nodes queue[from:] into
+// set, appending each node it adds to the queue, and returns the
+// queue: queue[from:] is then everything the walk added. It consults
+// cancel every cancelCheckNodes pops.
+func (p *Graph) drain(set *bits.Set, queue []int, from int, cancel func() error) ([]int, error) {
 	budget := cancelCheckNodes
-	for len(stack) > 0 {
+	for i := from; i < len(queue); i++ {
 		if cancel != nil {
 			if budget--; budget <= 0 {
 				budget = cancelCheckNodes
 				if err := cancel(); err != nil {
-					return err
+					return queue, err
 				}
 			}
 		}
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, d := range p.Deps(n) {
+		for _, d := range p.Deps(queue[i]) {
 			if !set.Has(d) {
 				set.Add(d)
-				stack = append(stack, d)
+				queue = append(queue, d)
 			}
 		}
 	}
-	return nil
+	return queue, nil
 }

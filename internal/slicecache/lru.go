@@ -72,9 +72,12 @@ func (l *lru[K, V]) evict(k K) {
 
 // put stores v under k as the most recently used entry, replacing any
 // entry already under k, then evicts from the tail until the budget
-// holds and returns the evicted entries. An entry costlier than the
-// whole budget is refused and counted as one eviction: the stale
-// entry under k is dropped, and every other resident entry stays.
+// holds and returns the evicted entries. The entry it replaces is
+// removed, not evicted: a session's PATCH stores the edited analysis
+// over the previous one with no memory pressure at all. An entry
+// costlier than the whole budget is refused and counted as one
+// eviction: the stale entry under k is dropped, and every other
+// resident entry stays.
 func (l *lru[K, V]) put(k K, v V, cost int64) (evicted []*lruEntry[K, V]) {
 	l.remove(k)
 	if cost > l.max {

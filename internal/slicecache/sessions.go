@@ -42,7 +42,7 @@ func SessionKey(id string) Key {
 func (c *Cache) PutKey(k Key, source string, a *core.Analysis) {
 	cost := int64(len(source)) + a.Footprint() + entryOverhead
 	c.mu.Lock()
-	c.insertLocked(k, entry{a: a}, cost)
+	c.lru.put(k, entry{a: a}, cost)
 	c.mu.Unlock()
 }
 

@@ -258,7 +258,7 @@ func (c *Cache) run(bctx context.Context, key Key, f *flight, srcLen int64, buil
 		delete(c.flights, key)
 	}
 	if keep {
-		c.insertLocked(key, e, cost)
+		c.lru.put(key, e, cost)
 	}
 	c.mu.Unlock()
 	close(f.done)
@@ -298,16 +298,6 @@ func (c *Cache) wait(ctx context.Context, f *flight, out Outcome) (*core.Analysi
 func (c *Cache) countLocked(field *int64, ctr *obs.Counter) {
 	*field++
 	ctr.Add(1)
-}
-
-// insertLocked stores e under k. Every entry the insert pushes out
-// counts as an eviction: the one it replaces, the ones evicted to fit
-// the budget, and e itself when it is costlier than the whole budget —
-// then it is returned to its waiters but never resident. Caller holds
-// c.mu.
-func (c *Cache) insertLocked(k Key, e entry, cost int64) {
-	c.lru.evict(k)
-	c.lru.put(k, e, cost)
 }
 
 // Stats returns a consistent point-in-time account: the counters and
