@@ -51,15 +51,21 @@ import (
 // says.
 const routedFromHeader = "X-Sliced-Routed-From"
 
+// fillCandidates is how many ring-adjacent peers a cache fill tries,
+// and probeTimeout the peer health probe's deadline.
+const (
+	fillCandidates = 2
+	probeTimeout   = 500 * time.Millisecond
+)
+
 // clusterState is the daemon's routing fabric; nil when -peers is
 // unset.
 type clusterState struct {
-	self       string
-	ring       *cluster.Ring
-	peers      *cluster.Peers
-	filler     *cluster.Filler
-	candidates int
-	client     *http.Client // proxy transport
+	self   string
+	ring   *cluster.Ring
+	peers  *cluster.Peers
+	filler *cluster.Filler
+	client *http.Client // proxy transport
 
 	localServes *obs.Counter
 	proxied     *obs.Counter
@@ -102,15 +108,14 @@ func (s *server) openCluster() error {
 	nodes := append(append([]string{}, s.cfg.PeerList...), s.cfg.Self)
 	peers := cluster.NewPeers(s.cfg.Self, s.cfg.PeerList, cluster.ProbeOptions{
 		Interval: s.cfg.ProbeInterval,
-		Timeout:  s.cfg.ProbeTimeout,
+		Timeout:  probeTimeout,
 		Recorder: s.reg,
 	})
 	c := &clusterState{
-		self:       s.cfg.Self,
-		ring:       cluster.NewRing(nodes, s.cfg.Vnodes),
-		peers:      peers,
-		candidates: s.cfg.FillCandidates,
-		client:     &http.Client{Timeout: s.cfg.Timeout + 5*time.Second},
+		self:   s.cfg.Self,
+		ring:   cluster.NewRing(nodes, s.cfg.Vnodes),
+		peers:  peers,
+		client: &http.Client{Timeout: s.cfg.Timeout + 5*time.Second},
 
 		localServes: s.reg.Counter("cluster.local_serves"),
 		proxied:     s.reg.Counter("cluster.proxied"),
@@ -267,8 +272,8 @@ func (s *server) serveResult(ctx context.Context, w http.ResponseWriter, r *http
 	// of this program's key) that are currently up.
 	key := slicecache.KeyOf(req.Source)
 	var candidates []string
-	for _, cand := range c.ring.Candidates(key[:], c.candidates+1, c.self) {
-		if len(candidates) < c.candidates && c.peers.Up(cand) {
+	for _, cand := range c.ring.Candidates(key[:], fillCandidates+1, c.self) {
+		if len(candidates) < fillCandidates && c.peers.Up(cand) {
 			candidates = append(candidates, cand)
 		}
 	}

@@ -41,7 +41,6 @@ func startCluster(t *testing.T, n int, mutate func(i int, cfg *config)) []*clust
 		cfg.PeerList = append([]string{}, addrs...)
 		cfg.Self = addrs[i]
 		cfg.ProbeInterval = 20 * time.Millisecond
-		cfg.ProbeTimeout = 500 * time.Millisecond
 		cfg.FillTimeout = 2 * time.Second
 		if mutate != nil {
 			mutate(i, &cfg)

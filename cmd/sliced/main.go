@@ -220,9 +220,7 @@ func main() {
 	flag.StringVar(&cfg.Self, "self", cfg.Self, "this node's address as it appears in -peers (defaults to -addr)")
 	flag.IntVar(&cfg.Vnodes, "vnodes", cfg.Vnodes, "consistent-hash virtual nodes per node")
 	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "peer health probe cadence")
-	flag.DurationVar(&cfg.ProbeTimeout, "probe-timeout", cfg.ProbeTimeout, "peer health probe timeout")
 	flag.DurationVar(&cfg.FillTimeout, "fill-timeout", cfg.FillTimeout, "per-hop peer cache fill deadline")
-	flag.IntVar(&cfg.FillCandidates, "fill-candidates", cfg.FillCandidates, "ring-adjacent peers a cache fill tries")
 	flag.StringVar(&cfg.DiskDir, "disk-dir", cfg.DiskDir, "disk-backed result tier directory for warm restarts (empty disables)")
 	flag.Int64Var(&cfg.DiskBytes, "disk-bytes", cfg.DiskBytes, "disk result tier budget in bytes (oldest segments reclaimed)")
 	flag.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes")
@@ -298,14 +296,11 @@ type config struct {
 	PeerList []string
 	Self     string
 	// Vnodes is the consistent-hash virtual-node count per node;
-	// ProbeInterval/ProbeTimeout drive the peer health prober;
-	// FillTimeout is the per-hop peer-fill deadline and FillCandidates
-	// how many ring-adjacent peers a fill tries.
-	Vnodes         int
-	ProbeInterval  time.Duration
-	ProbeTimeout   time.Duration
-	FillTimeout    time.Duration
-	FillCandidates int
+	// ProbeInterval is the peer health prober's cadence; FillTimeout
+	// is the per-hop peer-fill deadline.
+	Vnodes        int
+	ProbeInterval time.Duration
+	FillTimeout   time.Duration
 	// DiskDir enables the disk-backed result tier (warm restarts) when
 	// non-empty; DiskBytes is its budget, ResultBytes the in-memory
 	// result tier's budget.
@@ -327,14 +322,12 @@ func defaultConfig() config {
 		SLOWindow:   time.Minute,
 		// Runtime health is cheap (one ReadMemStats per sample) and on
 		// by default; -runtime-sample 0 turns it off.
-		RuntimeSample:  5 * time.Second,
-		Vnodes:         cluster.DefaultVnodes,
-		ProbeInterval:  time.Second,
-		ProbeTimeout:   500 * time.Millisecond,
-		FillTimeout:    500 * time.Millisecond,
-		FillCandidates: 2,
-		DiskBytes:      disk.DefaultMaxBytes,
-		ResultBytes:    32 << 20,
+		RuntimeSample: 5 * time.Second,
+		Vnodes:        cluster.DefaultVnodes,
+		ProbeInterval: time.Second,
+		FillTimeout:   500 * time.Millisecond,
+		DiskBytes:     disk.DefaultMaxBytes,
+		ResultBytes:   32 << 20,
 	}
 }
 

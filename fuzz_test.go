@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -24,8 +25,10 @@ var critRe = regexp.MustCompile(`criterion:\s*(\w+)@(\d+)`)
 // every slicing algorithm, provenance — with arbitrary programs and
 // criteria. The invariants: no panic or hang anywhere; a computed
 // slice materializes to source that parses again (a slice is a
-// projection of the program); and the Figure 7 slice's provenance is
-// computable whenever the slice is.
+// projection of the program); the Figure 7 slice's provenance is
+// computable whenever the slice is; and the per-call engine and the
+// batch condensation, which walk the same slicing relation, return the
+// same Figure 7 slice.
 func FuzzSliceExplain(f *testing.F) {
 	files, _ := filepath.Glob("testdata/*.mc")
 	for i, fn := range files {
@@ -43,6 +46,10 @@ func FuzzSliceExplain(f *testing.F) {
 	}
 	f.Add("x = 1; write(x);", "x", 2, uint8(0))
 	f.Add("while (!eof()) { read(x); if (x) break; } write(x);", "x", 4, uint8(1))
+	// A conditional goto (its predicate brings the jump) and a default
+	// reached by fall-through, which postdominates the dispatch (the
+	// statement brings its switch).
+	f.Add("read(n);\nread(x);\nif (n > 5) goto M;\nswitch (n) {\ncase 1: x = x + 1;\ndefault: y = n; }\nM: write(y);\n", "y", 7, uint8(0))
 
 	f.Fuzz(func(t *testing.T, src, variable string, line int, algoPick uint8) {
 		if len(src) > 4096 {
@@ -70,6 +77,14 @@ func FuzzSliceExplain(f *testing.F) {
 				algo, err, src, text)
 		}
 		if algo == Agrawal {
+			all, err := s.analysis.SliceAll([]core.Criterion{{Var: variable, Line: line}})
+			if err != nil {
+				t.Fatalf("SliceAll failed where Agrawal succeeded: %v\nprogram:\n%s", err, src)
+			}
+			if b := all[0]; !b.Nodes.Equal(sl.Nodes) || !slices.Equal(b.JumpsAdded, sl.JumpsAdded) || b.Traversals != sl.Traversals {
+				t.Fatalf("Agrawal %v jumps %v in %d traversals, SliceAll %v jumps %v in %d\nprogram:\n%s",
+					sl.Nodes, sl.JumpsAdded, sl.Traversals, b.Nodes, b.JumpsAdded, b.Traversals, src)
+			}
 			ex, err := s.Explain(variable, line)
 			if err != nil {
 				t.Fatalf("Explain failed for a sliceable criterion: %v\nprogram:\n%s", err, src)

@@ -100,7 +100,7 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 			if pd == ls {
 				continue
 			}
-			if err := a.addJumpWithClosure(set, v, eng); err != nil {
+			if err := eng.grow(set, v); err != nil {
 				return nil, nil, traversals, err
 			}
 			jumpsAdded = append(jumpsAdded, v)
@@ -131,14 +131,11 @@ func (a *Analysis) AgrawalLST(c Criterion) (*Slice, error) {
 }
 
 // agrawalLSTWith is AgrawalLST parameterized by the closure engine.
-// Its conventional base slice is reported as a slice of its own, as
-// the Conventional entry point reports it.
 func (a *Analysis) agrawalLSTWith(c Criterion, eng depEngine) (*Slice, error) {
 	conv, err := a.conventionalWith(c, eng)
 	if err != nil {
 		return nil, err
 	}
-	a.recordSlice("conventional", conv.Nodes)
 	set := conv.Nodes
 	s := &Slice{
 		Analysis:  a,
@@ -168,16 +165,4 @@ func (a *Analysis) recordSlice(algo string, set *bits.Set) {
 	if a.o.Tr != nil {
 		a.o.Tr.SliceDone(algo, set.Len())
 	}
-}
-
-// addJumpWithClosure adds jump node v to the slice together with the
-// transitive closure of its data and control dependences, keeping the
-// conditional-jump adaptation invariant (a predicate pulled in by the
-// closure brings its associated jump along — Figure 8's predicate 9).
-func (a *Analysis) addJumpWithClosure(set *bits.Set, v int, eng depEngine) error {
-	added, err := eng.grow(set, v, nil)
-	if err != nil {
-		return err
-	}
-	return a.normalizeSlice(set, added, eng)
 }

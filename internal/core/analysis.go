@@ -86,50 +86,45 @@ type Analysis struct {
 	// which cannot affect any criterion.
 	live []bool
 
-	// enclosingSwitch maps each node ID to the node ID of the switch
-	// tag immediately enclosing its statement, or -1. It backs the
-	// switch-enclosure invariant (see normalizeSlice): a C case body
-	// statement can postdominate its switch's dispatch (fall-through
-	// into default), in which case it is not control dependent on the
-	// switch — yet a slice containing it without the switch is not a
-	// projection, and the paper's lexical-successor test implicitly
-	// assumes projections (footnote 2: deleting a compound deletes
-	// its body). if and while bodies cannot postdominate their
-	// predicates in structured code, so only switches need this.
+	// condJumpOf and enclosingSwitch are the per-node edge tables of
+	// the two slice invariants; every closure walks them as edges of
+	// the slicing relation (see depEngine), and they are the invariants'
+	// only encoding.
+	//
+	// condJumpOf[p] is the jump node of the conditional jump statement
+	// ("if (e) goto L") whose predicate is node p, or -1: Section 3's
+	// adaptation, "the predicate will not serve any purpose in the
+	// slice without the accompanying jump".
+	//
+	// enclosingSwitch[n] is the switch tag node immediately enclosing
+	// node n's statement, or -1. A C case body statement can
+	// postdominate its switch's dispatch (fall-through into default),
+	// in which case it is not control dependent on the switch — yet a
+	// slice containing it without the switch is not a projection, and
+	// the paper's lexical-successor test implicitly assumes
+	// projections (footnote 2: deleting a compound deletes its body).
+	// if and while bodies cannot postdominate their predicates in
+	// structured code, so only switches need this.
+	condJumpOf      []int
 	enclosingSwitch []int
 
-	// Precomputed worklists for the jump-detection and normalization
-	// phases. The Figure 7 traversal only ever acts on live jump
-	// nodes, so the preorders are filtered to those once here instead
-	// of re-scanning (and re-filtering) every tree node per traversal;
-	// likewise normalizeSlice only acts on conditional-jump predicates
-	// and on switch-enclosed statements, so those are listed once
-	// instead of scanning all CFG nodes per fixpoint pass. Relative
-	// order is preserved, so traversal results are unchanged.
+	// Precomputed worklists for the jump-detection phases. The Figure
+	// 7 traversal only ever acts on live jump nodes, so the preorders
+	// are filtered to those once here instead of re-scanning (and
+	// re-filtering) every tree node per traversal. Relative order is
+	// preserved, so traversal results are unchanged.
 
 	// jumpsPDT lists the live jump node IDs in postdominator-tree
 	// preorder (Figure 7's traversal order); jumpsLST is its lexical-
 	// successor-tree twin (the paper's alternative driver).
 	jumpsPDT []int
 	jumpsLST []int
-	// condJumps lists each conditional-jump pair: an if-with-no-else
-	// predicate and the single jump statement forming its body, in
-	// ascending predicate node order.
-	condJumps []condJumpPair
-	// condJumpOf indexes condJumps by node: condJumpOf[p] is the jump
-	// node of the conditional jump whose predicate is node p, or -1.
-	// With enclosingSwitch it lets normalizeSlice check one node's
-	// invariants in constant time.
-	condJumpOf []int
-	// switchNodes lists the node IDs with enclosingSwitch >= 0,
-	// ascending.
-	switchNodes []int
 	// gotoNodes lists the goto statement nodes, in node order, for
 	// label retargeting.
 	gotoNodes []*cfg.Node
 
-	// batch holds the lazily-built condensation of the invariant-
-	// augmented dependence relation backing SliceAll (see batchEngine).
+	// batch holds the lazily-built condensation of the slicing
+	// relation backing SliceAll (see batchEngine).
 	// It sits behind a pointer so the condensation — and its sync.Once
 	// — is shared by every Rebind view of this Analysis, and so the
 	// Analysis struct itself stays free of locks and legal to copy.
@@ -202,12 +197,6 @@ func (a *Analysis) observe(o obs.Observer) {
 	}
 	a.o = o
 	a.m.closure.Tracer = o.Tr
-}
-
-// condJumpPair records a conditional jump statement: the predicate
-// node of "if (e) goto L" and its jump node.
-type condJumpPair struct {
-	pred, jump int
 }
 
 // batchState is the shared lazily-built batch-engine state of one
@@ -351,17 +340,11 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Re
 		a.condJumpOf[n.ID] = -1
 		if n.Kind == cfg.KindPredicate {
 			if j := a.conditionalJumpOf(n); j != nil {
-				a.condJumps = append(a.condJumps, condJumpPair{n.ID, j.ID})
 				a.condJumpOf[n.ID] = j.ID
 			}
 		}
 		if n.Kind == cfg.KindGoto {
 			a.gotoNodes = append(a.gotoNodes, n)
-		}
-	}
-	for id, sw := range a.enclosingSwitch {
-		if sw >= 0 {
-			a.switchNodes = append(a.switchNodes, id)
 		}
 	}
 	sp.End()

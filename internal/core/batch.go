@@ -6,7 +6,7 @@ import "fmt"
 // in one batch, in input order. The result for each criterion is
 // byte-identical to an individual Agrawal call — same node set, same
 // traversal count, same jump-addition order — but the batch shares a
-// single SCC condensation of the PDG: backward closures become
+// single SCC condensation of the slicing relation: closures become
 // word-parallel unions of memoized per-component bitsets instead of
 // per-node graph walks, so the marginal cost of each further
 // criterion drops sharply (BenchmarkSliceAll measures the gap).

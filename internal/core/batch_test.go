@@ -30,9 +30,7 @@ func seedRepairJumps(a *Analysis, set *bits.Set) (jumpsAdded []int, traversals i
 				continue
 			}
 			a.PDG.GrowClosure(set, v)
-			if err := passNormalize(a, set, bfsEngine{p: a.PDG}); err != nil {
-				panic(err)
-			}
+			passNormalize(a, set)
 			jumpsAdded = append(jumpsAdded, v)
 			changed = true
 		}

@@ -27,8 +27,15 @@ func (a *Analysis) Conventional(c Criterion) (*Slice, error) {
 }
 
 // conventionalWith is Conventional parameterized by the closure
-// engine, shared by the single-criterion and batch entry points.
+// engine, shared by the single-criterion and batch entry points. The
+// closure walks the slicing relation (see depEngine), so the slice
+// already satisfies the conditional-jump adaptation and switch
+// enclosure. The context is checked once up front: a closure smaller
+// than the engines' cadence never consults it.
 func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) {
+	if err := a.checkCancel("closure"); err != nil {
+		return nil, err
+	}
 	seeds, err := a.resolveCriterion(c)
 	if err != nil {
 		return nil, err
@@ -43,9 +50,6 @@ func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) 
 	// also covers criteria in dead code, whose statements have no
 	// dependence path to anything.
 	set.Add(a.CFG.Entry.ID)
-	if err := a.normalizeSlice(set, nil, eng); err != nil {
-		return nil, err
-	}
 	return &Slice{
 		Analysis:  a,
 		Criterion: c,
@@ -53,67 +57,6 @@ func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) 
 		Nodes:     set,
 		Relabeled: a.retargetLabels(set),
 	}, nil
-}
-
-// normalizeSlice closes a slice set under the two invariants every
-// slice of this package maintains:
-//
-//  1. The conditional-jump adaptation (Section 3): when the predicate
-//     of a conditional jump statement such as "if (e) goto L" is in
-//     the slice, the associated jump is included too (with the
-//     closure of its dependences). A closure can pull in further
-//     conditional-jump predicates — the paper's Figure 8, where
-//     including jumps 11 and 13 pulls in predicate 9, whose own goto
-//     must then be included.
-//  2. The switch-enclosure invariant: a statement inside a switch
-//     brings the switch tag (with its dependence closure). A case
-//     body statement that postdominates the dispatch — fall-through
-//     into a default, say — is not control dependent on the switch,
-//     so the dependence closure alone can strand it outside its
-//     enclosing construct; a slice is a projection of the program, so
-//     that must not happen (and the lexical-successor test of Figure
-//     7 implicitly assumes it does not).
-//
-// work lists the members that may violate an invariant: only what the
-// last closure added when the rest of the set is already closed, or
-// nil for a set of unknown origin, which checks every member. Each is
-// checked against the two per-node indexes (condJumpOf and
-// enclosingSwitch), and each closure an invariant forces pushes its
-// own additions, so the loop visits every added node once instead of
-// rescanning all conditional jumps and switch-enclosed nodes per
-// pass. The least fixpoint is unique, so the set reached is the
-// pass-based loop's (normalize_oracle_test.go keeps that loop and
-// pins them equal).
-//
-// Engines whose closures bake the invariants in as dependence edges
-// (the batch condensation) are already at the fixpoint, so the loop
-// is skipped outright.
-func (a *Analysis) normalizeSlice(set *bits.Set, work []int, eng depEngine) error {
-	if eng.closuresNormalized() {
-		return nil
-	}
-	if err := a.checkCancel("normalize"); err != nil {
-		return err
-	}
-	if work == nil {
-		work = set.AppendMembers(make([]int, 0, set.Len()))
-	}
-	var err error
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		if j := a.condJumpOf[v]; j >= 0 && !set.Has(j) {
-			if work, err = eng.grow(set, j, work); err != nil {
-				return err
-			}
-		}
-		if sw := a.enclosingSwitch[v]; sw >= 0 && !set.Has(sw) {
-			if work, err = eng.grow(set, sw, work); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // conditionalJumpOf returns the jump node of a conditional jump
@@ -147,12 +90,28 @@ func (a *Analysis) RetargetLabels(set *bits.Set) map[string]int {
 	return a.retargetLabels(set)
 }
 
-// NormalizeSlice exposes the slice invariants (conditional-jump
-// adaptation and switch enclosure) to baseline algorithms that build
-// their own slice sets. The error is non-nil only when the Analysis's
-// context was canceled mid-normalization.
+// NormalizeSlice closes a slice set built by other means — a
+// baseline's, or a dynamic slice — under the two slice invariants
+// every slice of this package keeps: the conditional-jump adaptation
+// and switch enclosure (see condJumpOf and enclosingSwitch). One pass
+// over the members collects each invariant target missing from the
+// set, and one walk of the slicing relation grows them; the walk
+// closes everything it adds under both invariants, so the members the
+// set started with are the only ones to check. Those members need not
+// be dependence-closed (Weiser's dataflow slice is not). The error is
+// non-nil only when the Analysis's context was canceled mid-closure.
 func (a *Analysis) NormalizeSlice(set *bits.Set) error {
-	return a.normalizeSlice(set, nil, a.engine())
+	inv := a.invariants()
+	var missing []int
+	for v := set.NextSet(0); v >= 0; v = set.NextSet(v + 1) {
+		for _, t := range inv {
+			if d := t[v]; d >= 0 && !set.Has(d) {
+				missing = append(missing, d)
+			}
+		}
+	}
+	_, err := a.PDG.Grow(set, missing, a.cancelf, inv...)
+	return err
 }
 
 // retargetLabels applies the paper's final step: "For each goto

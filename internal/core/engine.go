@@ -15,8 +15,8 @@ import (
 //     bitset work shared across criteria; right for batch slicing).
 //
 // The two are interchangeable by construction — both compute the same
-// least fixpoint over the same dependence relation — and the batch
-// property tests assert it.
+// least fixpoint over the same slicing relation (below) — and the
+// batch property tests assert it.
 //
 // Both engines carry the Analysis's cancellation callback (nil unless
 // the Analysis was built with a cancelable context), and their
@@ -25,92 +25,79 @@ import (
 type depEngine interface {
 	// backwardClosure returns the closure of the seeds as a fresh set.
 	backwardClosure(seeds []int) (*bits.Set, error)
-	// grow unions seed's closure into set. An engine whose closures
-	// are not normalized appends every node it added to added and
-	// returns the extended slice: normalizeSlice's worklist. A
-	// normalized engine may return added unchanged, since nothing
-	// reads it.
-	grow(set *bits.Set, seed int, added []int) ([]int, error)
-	// closuresNormalized reports whether closures from this engine
-	// already satisfy the slice invariants (conditional-jump
-	// adaptation and switch enclosure), making normalizeSlice a no-op.
-	closuresNormalized() bool
+	// grow unions seed's closure into set.
+	grow(set *bits.Set, seed int) error
 }
 
-type bfsEngine struct {
-	p      *pdg.Graph
-	cancel func() error
-}
+// Both engines walk one slicing relation: the PDG's dependences plus
+// the two slice invariants as edges, read off the per-node tables
+// condJumpOf (Section 3's conditional-jump adaptation: a predicate of
+// "if (e) goto L" brings its jump) and enclosingSwitch (a statement
+// inside a switch brings the switch tag). A closure over it satisfies
+// both invariants by construction — including when it pulls in a
+// further conditional-jump predicate, as including jumps 11 and 13 of
+// the paper's Figure 8 pulls in predicate 9, whose own goto must then
+// follow — so Figure 7 needs nothing beyond "add J and the transitive
+// closure of J's dependences".
+
+// bfsEngine walks the relation per call from the Analysis's tables.
+type bfsEngine struct{ a *Analysis }
 
 func (e bfsEngine) backwardClosure(seeds []int) (*bits.Set, error) {
-	return e.p.BackwardClosureCancel(seeds, e.cancel)
+	set := bits.New(e.a.CFG.NumNodes())
+	_, err := e.a.PDG.Grow(set, seeds, e.a.cancelf, e.a.invariants()...)
+	return set, err
 }
-func (e bfsEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
-	return e.p.GrowClosureCancel(set, seed, added, e.cancel)
+func (e bfsEngine) grow(set *bits.Set, seed int) error {
+	_, err := e.a.PDG.Grow(set, []int{seed}, e.a.cancelf, e.a.invariants()...)
+	return err
 }
-func (e bfsEngine) closuresNormalized() bool { return false }
 
-// condEngine reports each lookup on the shared condensation to the
-// calling view's instruments.
+// condEngine unions the condensed relation's memoized closures,
+// reporting each lookup on the shared condensation to the calling
+// view's instruments.
 type condEngine struct {
-	c      *pdg.Condensation
-	cancel func() error
-	in     *pdg.Instruments
+	a *Analysis
+	c *pdg.Condensation
 }
 
 func (e condEngine) backwardClosure(seeds []int) (*bits.Set, error) {
-	return e.c.BackwardClosureCancel(seeds, e.cancel, e.in)
+	set := bits.New(e.a.CFG.NumNodes())
+	_, err := e.c.Grow(set, seeds, e.a.cancelf, &e.a.m.closure)
+	return set, err
 }
-func (e condEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
-	_, err := e.c.GrowClosureCancel(set, seed, e.cancel, e.in)
-	return added, err
+func (e condEngine) grow(set *bits.Set, seed int) error {
+	_, err := e.c.Grow(set, []int{seed}, e.a.cancelf, &e.a.m.closure)
+	return err
 }
-func (e condEngine) closuresNormalized() bool { return true }
+
+// invariants returns the per-node edge tables of the two slice
+// invariants, in the order every closure and every condensed or SDG
+// row takes them: condJumpOf, then enclosingSwitch.
+func (a *Analysis) invariants() [][]int { return [][]int{a.condJumpOf, a.enclosingSwitch} }
+
+// relationRow returns node v's row of the slicing relation.
+func (a *Analysis) relationRow(v int) []int { return a.PDG.Row(v, a.invariants()...) }
 
 // engine returns the per-call BFS engine, the default for the
 // single-criterion entry points.
-func (a *Analysis) engine() depEngine { return bfsEngine{a.PDG, a.cancelf} }
+func (a *Analysis) engine() depEngine { return bfsEngine{a} }
 
 // batchEngine returns the condensation-backed engine, building the
-// condensation on first use and caching it on the Analysis so every
-// batch call — and every criterion within one — shares the memoized
-// component closures.
-//
-// The condensed relation is the PDG's dependence edges augmented with
-// the two invariants normalizeSlice maintains, encoded as edges:
-// predicate → its conditional jump (Section 3's adaptation) and
-// statement → its enclosing switch tag. A slice built as a union of
-// closures over the augmented relation is closed under both
-// invariants by construction — the same least fixpoint the BFS
-// engine's grow-then-normalize loop computes — so the batch path
-// skips the normalization passes entirely.
+// condensation of the slicing relation on first use and caching it on
+// the Analysis so every batch call — and every criterion within one —
+// shares the memoized component closures.
 func (a *Analysis) batchEngine() depEngine {
 	a.batch.once.Do(func() {
 		if a.batch.cond.Load() != nil {
 			return // pre-seeded by the incremental engine
 		}
 		defer a.o.StartSpan("phase.analyze.condense").End()
-		n := a.CFG.NumNodes()
-		aug := make([][]int, n)
-		extra := make(map[int][]int, len(a.condJumps)+len(a.switchNodes))
-		for _, cj := range a.condJumps {
-			extra[cj.pred] = append(extra[cj.pred], cj.jump)
+		rows := make([][]int, a.CFG.NumNodes())
+		for v := range rows {
+			rows[v] = a.relationRow(v)
 		}
-		for _, id := range a.switchNodes {
-			extra[id] = append(extra[id], a.enclosingSwitch[id])
-		}
-		for v := 0; v < n; v++ {
-			deps := a.PDG.Deps(v)
-			if add := extra[v]; len(add) > 0 {
-				merged := make([]int, 0, len(deps)+len(add))
-				merged = append(merged, deps...)
-				merged = append(merged, add...)
-				aug[v] = merged
-			} else {
-				aug[v] = deps
-			}
-		}
-		a.batch.cond.Store(pdg.Condense(aug))
+		a.batch.cond.Store(pdg.Condense(rows))
 	})
-	return condEngine{a.batch.cond.Load(), a.cancelf, &a.m.closure}
+	return condEngine{a, a.batch.cond.Load()}
 }

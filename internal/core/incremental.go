@@ -153,16 +153,14 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	lt.CFG = g2
 	a.LST = &lt
 
-	// Worklists: live, switch enclosure, jump preorders and
-	// conditional-jump pairs are all functions of shape and node IDs;
+	// Worklists: live, the invariant tables and the jump preorders
+	// are all functions of shape and node IDs;
 	// goto nodes are pointers and re-resolve into the new graph.
 	a.live = prev.live
 	a.enclosingSwitch = prev.enclosingSwitch
 	a.jumpsPDT = prev.jumpsPDT
 	a.jumpsLST = prev.jumpsLST
-	a.condJumps = prev.condJumps
 	a.condJumpOf = prev.condJumpOf
-	a.switchNodes = prev.switchNodes
 	a.gotoNodes = make([]*cfg.Node, len(prev.gotoNodes))
 	for i, n := range prev.gotoNodes {
 		a.gotoNodes[i] = g2.Nodes[n.ID]
@@ -211,20 +209,21 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 // bearing the replaced statements, resolved in one pass over g's
 // nodes: a rebound graph has no statement index (Slice.Format prints
 // without one), and building it would cost a map insert per node. ok
-// is false if some replaced statement has no node.
-func editedRows(g *cfg.Graph, rd *dataflow.ReachingDefs, replaced []incremental.Replacement) (map[int][]int, bool) {
+// is false if some replaced statement has no node. The rows come out
+// in node order, one per node.
+func editedRows(g *cfg.Graph, rd *dataflow.ReachingDefs, replaced []incremental.Replacement) ([]pdg.Row, bool) {
 	want := make(map[lang.Stmt]bool, len(replaced))
 	for _, r := range replaced {
 		want[lang.Unlabel(r.New)] = true
 	}
-	changed := make(map[int][]int, len(replaced))
+	changed := make([]pdg.Row, 0, len(replaced))
 	for _, n := range g.Nodes {
 		if len(want) == 0 {
 			break
 		}
 		if n.Stmt != nil && want[n.Stmt] {
 			delete(want, n.Stmt)
-			changed[n.ID] = rd.DataDepsOf(n)
+			changed = append(changed, pdg.Row{Node: n.ID, Deps: rd.DataDepsOf(n)})
 		}
 	}
 	return changed, len(want) == 0
@@ -237,29 +236,18 @@ func editedRows(g *cfg.Graph, rd *dataflow.ReachingDefs, replaced []incremental.
 // is never modified; Patched refuses any edit that might merge or
 // split a component, in which case the new analysis simply rebuilds
 // its condensation lazily on the next SliceAll.
-func (a *Analysis) patchCondensation(prev *Analysis, changed map[int][]int, stats *IncrStats) {
+func (a *Analysis) patchCondensation(prev *Analysis, changed []pdg.Row, stats *IncrStats) {
 	prevCond := prev.batch.cond.Load()
 	if prevCond == nil {
 		return
 	}
-	// Augment the edited rows exactly as batchEngine augments the full
-	// relation: dependence row, then the conditional-jump edge, then
-	// the switch-enclosure edge. Extras are shape-derived and did not
-	// change — only the dependence part of each edited row did.
-	rows := make(map[int][]int, len(changed))
-	for id := range changed {
-		deps := a.PDG.Deps(id)
-		row := make([]int, 0, len(deps)+2)
-		row = append(row, deps...)
-		for _, cj := range a.condJumps {
-			if cj.pred == id {
-				row = append(row, cj.jump)
-			}
-		}
-		if sw := a.enclosingSwitch[id]; sw >= 0 {
-			row = append(row, sw)
-		}
-		rows[id] = row
+	// The edited nodes' rows of the slicing relation, built as
+	// batchEngine builds every row. The invariant tables are
+	// shape-derived and did not change — only the dependence part of
+	// each edited row did.
+	rows := make([]pdg.Row, len(changed))
+	for i, r := range changed {
+		rows[i] = pdg.Row{Node: r.Node, Deps: a.relationRow(r.Node)}
 	}
 	q, ok := prevCond.Patched(rows)
 	if !ok {

@@ -165,24 +165,18 @@ func newProgramSet(prog *lang.Program, units []*ProcUnit, o obs.Observer) (*Prog
 	for i, u := range units {
 		u.Index = i
 		info := &sdg.ProcInfo{
-			Name:  u.Name,
-			CFG:   u.Sub.CFG,
-			CDG:   u.Sub.CDG,
-			RD:    u.Sub.RD,
-			Extra: map[int][]int{},
+			Name: u.Name,
+			CFG:  u.Sub.CFG,
+			CDG:  u.Sub.CDG,
+			RD:   u.Sub.RD,
+			// The two slice invariants as edges, as every core
+			// closure walks them (see depEngine): closures over the
+			// SDG are normalized by construction.
+			Extra: u.Sub.invariants(),
 		}
 		if u.Decl != nil {
 			info.Params = u.Decl.Params
 			info.DeclLine = u.Decl.P.Line
-		}
-		// The two slice invariants the engines encode as extra
-		// dependence edges (see batchEngine): closures over the SDG
-		// are normalized by construction.
-		for _, cj := range u.Sub.condJumps {
-			info.Extra[cj.pred] = append(info.Extra[cj.pred], cj.jump)
-		}
-		for _, id := range u.Sub.switchNodes {
-			info.Extra[id] = append(info.Extra[id], u.Sub.enclosingSwitch[id])
 		}
 		infos[i] = info
 	}
@@ -424,19 +418,17 @@ type funcEngine struct {
 	u *ProcUnit
 }
 
-func (e funcEngine) closuresNormalized() bool { return true }
-
 func (e funcEngine) backwardClosure(seeds []int) (*bits.Set, error) {
 	set := bits.New(e.u.Sub.CFG.NumNodes())
 	for _, v := range seeds {
-		if _, err := e.grow(set, v, nil); err != nil {
+		if err := e.grow(set, v); err != nil {
 			return nil, err
 		}
 	}
 	return set, nil
 }
 
-func (e funcEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
+func (e funcEngine) grow(set *bits.Set, seed int) error {
 	s, g := e.s, e.s.Set.SDG
 	cancel := e.u.Sub.cancelf
 	gv := g.StmtVert(e.u.Index, seed)
@@ -445,18 +437,18 @@ func (e funcEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
 		// first-pass vertices down through pass two.
 		before := s.V1.Clone()
 		if _, err := g.GrowInto(s.V1, []int{gv}, sdg.PassOne, cancel); err != nil {
-			return added, err
+			return err
 		}
 		delta := s.V1.Clone()
 		delta.DifferenceWith(before)
 		// Vertices already in V2 are pass-two-closed there, so
 		// GrowInto skipping them as seeds is exact.
 		if _, err := g.GrowInto(s.V2, delta.Members(), sdg.PassTwo, cancel); err != nil {
-			return added, err
+			return err
 		}
 	} else {
 		if _, err := g.GrowInto(s.V2, []int{gv}, sdg.PassTwo, cancel); err != nil {
-			return added, err
+			return err
 		}
 	}
 	// Project the grown global slice back onto this unit's node set
@@ -466,7 +458,7 @@ func (e funcEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
 			set.Add(n.ID)
 		}
 	}
-	return added, nil
+	return nil
 }
 
 // Lines returns the sorted union of the per-unit slice lines — the

@@ -12,87 +12,49 @@ import (
 	"jumpslice/internal/progen"
 )
 
-// passNormalize is the pass-based normalization normalizeSlice
-// replaced, kept as the property tests' oracle: after every closure it
-// rescans every conditional-jump pair and every switch-enclosed node,
-// growing each violated invariant's target, until a pass adds
-// nothing.
-func passNormalize(a *Analysis, set *bits.Set, eng depEngine) error {
+// passNormalize is the pass-based normalization, kept as the property
+// tests' oracle for the slicing relation: it never walks an invariant
+// as an edge, but after every plain dependence closure rescans every
+// conditional-jump predicate and every switch-enclosed node, growing
+// each violated invariant's target, until a pass adds nothing.
+func passNormalize(a *Analysis, set *bits.Set) {
 	for {
-		changed, err := condJumpAdaptationOnce(a, set, eng)
-		if err != nil {
-			return err
-		}
-		swChanged, err := enforceSwitchEnclosureOnce(a, set, eng)
-		if err != nil {
-			return err
-		}
-		if !changed && !swChanged {
-			return nil
-		}
-	}
-}
-
-// condJumpAdaptationOnce performs one pass of invariant 1, reporting
-// whether anything was added.
-func condJumpAdaptationOnce(a *Analysis, set *bits.Set, eng depEngine) (bool, error) {
-	changed := false
-	for _, cj := range a.condJumps {
-		if set.Has(cj.pred) && !set.Has(cj.jump) {
-			if _, err := eng.grow(set, cj.jump, nil); err != nil {
-				return false, err
+		changed := false
+		for p, j := range a.condJumpOf {
+			if j >= 0 && set.Has(p) && !set.Has(j) {
+				a.PDG.GrowClosure(set, j)
+				changed = true
 			}
-			changed = true
 		}
-	}
-	return changed, nil
-}
-
-// enforceSwitchEnclosureOnce performs one pass of invariant 2,
-// reporting whether anything was added.
-func enforceSwitchEnclosureOnce(a *Analysis, set *bits.Set, eng depEngine) (bool, error) {
-	changed := false
-	for _, id := range a.switchNodes {
-		if !set.Has(id) {
-			continue
-		}
-		if sw := a.enclosingSwitch[id]; !set.Has(sw) {
-			if _, err := eng.grow(set, sw, nil); err != nil {
-				return false, err
+		for id, sw := range a.enclosingSwitch {
+			if sw >= 0 && set.Has(id) && !set.Has(sw) {
+				a.PDG.GrowClosure(set, sw)
+				changed = true
 			}
-			changed = true
+		}
+		if !changed {
+			return
 		}
 	}
-	return changed, nil
 }
 
-// passEngine runs every algorithm of this package on the oracle: it
-// is the BFS engine with the pass-based normalization folded into each
-// closure, and it reports its closures as normalized so the
-// production worklist never runs. Every closure the algorithms take
-// is followed by a normalization in both formulations (the Entry node
-// conventionalWith adds afterwards takes part in no invariant), so the
-// two must agree step for step.
-type passEngine struct {
-	a   *Analysis
-	bfs bfsEngine
-}
-
-func (e passEngine) closuresNormalized() bool { return true }
+// passEngine runs every algorithm of this package on the oracle:
+// plain pdg.GrowClosure dependence closures, each followed by
+// passNormalize. Every closure the algorithms take is normalized in
+// both formulations (the Entry node conventionalWith adds afterwards
+// takes part in no invariant), so the two must agree step for step.
+type passEngine struct{ a *Analysis }
 
 func (e passEngine) backwardClosure(seeds []int) (*bits.Set, error) {
-	set, err := e.bfs.backwardClosure(seeds)
-	if err != nil {
-		return nil, err
-	}
-	return set, passNormalize(e.a, set, e.bfs)
+	set := e.a.PDG.BackwardClosure(seeds)
+	passNormalize(e.a, set)
+	return set, nil
 }
 
-func (e passEngine) grow(set *bits.Set, seed int, added []int) ([]int, error) {
-	if _, err := e.bfs.grow(set, seed, nil); err != nil {
-		return added, err
-	}
-	return added, passNormalize(e.a, set, e.bfs)
+func (e passEngine) grow(set *bits.Set, seed int) error {
+	e.a.PDG.GrowClosure(set, seed)
+	passNormalize(e.a, set)
+	return nil
 }
 
 // oracleCorpus is the property tests' program set: the structured
@@ -111,12 +73,12 @@ func oracleCorpus(t *testing.T, seeds int) []*lang.Program {
 	return append(progs, paper.Fig8().Parse(), paper.Fig14().Parse())
 }
 
-// TestPropertyWorklistNormalizeMatchesPasses pins the worklist
-// normalization to the pass-based oracle: for every write criterion of
-// the corpus, each single-criterion algorithm on the BFS engine
+// TestPropertyRelationClosureMatchesPasses pins the closures over the
+// slicing relation to the pass-based oracle: for every write criterion
+// of the corpus, each single-criterion algorithm on the BFS engine
 // returns the node set, JumpsAdded, JumpRules and Traversals it
 // returns when every closure is normalized by the oracle instead.
-func TestPropertyWorklistNormalizeMatchesPasses(t *testing.T) {
+func TestPropertyRelationClosureMatchesPasses(t *testing.T) {
 	type algo struct {
 		name string
 		run  func(a *Analysis, c Criterion, eng depEngine) (*Slice, error)
@@ -134,7 +96,7 @@ func TestPropertyWorklistNormalizeMatchesPasses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: analyze: %v", i, err)
 		}
-		oracle := passEngine{a, bfsEngine{p: a.PDG}}
+		oracle := passEngine{a}
 		for _, wc := range progen.WriteCriteria(p) {
 			c := Criterion{Var: wc.Var, Line: wc.Line}
 			for _, al := range algos {
@@ -144,26 +106,23 @@ func TestPropertyWorklistNormalizeMatchesPasses(t *testing.T) {
 					if errors.Is(werr, ErrUnstructured) && errors.Is(gerr, ErrUnstructured) {
 						continue
 					}
-					t.Fatalf("program %d %s %s: oracle err %v, worklist err %v", i, c, al.name, werr, gerr)
+					t.Fatalf("program %d %s %s: oracle err %v, relation err %v", i, c, al.name, werr, gerr)
 				}
 				cases++
 				if !got.Nodes.Equal(want.Nodes) {
-					t.Errorf("program %d %s %s: worklist nodes %v, oracle %v", i, c, al.name, got.Nodes, want.Nodes)
+					t.Errorf("program %d %s %s: relation nodes %v, oracle %v", i, c, al.name, got.Nodes, want.Nodes)
 				}
 				if !reflect.DeepEqual(got.JumpsAdded, want.JumpsAdded) {
-					t.Errorf("program %d %s %s: worklist jumps %v, oracle %v", i, c, al.name, got.JumpsAdded, want.JumpsAdded)
+					t.Errorf("program %d %s %s: relation jumps %v, oracle %v", i, c, al.name, got.JumpsAdded, want.JumpsAdded)
 				}
 				if !reflect.DeepEqual(got.JumpRules, want.JumpRules) {
-					t.Errorf("program %d %s %s: worklist rules %v, oracle %v", i, c, al.name, got.JumpRules, want.JumpRules)
+					t.Errorf("program %d %s %s: relation rules %v, oracle %v", i, c, al.name, got.JumpRules, want.JumpRules)
 				}
 				if got.Traversals != want.Traversals {
-					t.Errorf("program %d %s %s: worklist traversals %d, oracle %d", i, c, al.name, got.Traversals, want.Traversals)
+					t.Errorf("program %d %s %s: relation traversals %d, oracle %d", i, c, al.name, got.Traversals, want.Traversals)
 				}
 				if al.name == "conventional" {
-					raw, err := a.PDG.BackwardClosureCancel(mustSeeds(t, a, c), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					raw := a.PDG.BackwardClosure(mustSeeds(t, a, c))
 					raw.Add(a.CFG.Entry.ID)
 					if !raw.Equal(got.Nodes) {
 						grew++
@@ -198,11 +157,7 @@ func TestPropertyNormalizeSliceMatchesPasses(t *testing.T) {
 		n := a.CFG.NumNodes()
 		var bases []*bits.Set
 		for _, wc := range progen.WriteCriteria(p) {
-			raw, err := a.PDG.BackwardClosureCancel(mustSeeds(t, a, Criterion{Var: wc.Var, Line: wc.Line}), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bases = append(bases, raw)
+			bases = append(bases, a.PDG.BackwardClosure(mustSeeds(t, a, Criterion{Var: wc.Var, Line: wc.Line})))
 		}
 		for k := 0; k < 4; k++ {
 			set := bits.New(n)
@@ -215,9 +170,7 @@ func TestPropertyNormalizeSliceMatchesPasses(t *testing.T) {
 		}
 		for j, base := range bases {
 			want, got := base.Clone(), base.Clone()
-			if err := passNormalize(a, want, bfsEngine{p: a.PDG}); err != nil {
-				t.Fatal(err)
-			}
+			passNormalize(a, want)
 			if err := a.NormalizeSlice(got); err != nil {
 				t.Fatal(err)
 			}

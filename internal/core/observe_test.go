@@ -260,3 +260,42 @@ func sliceAllOrFail(t *testing.T, a *core.Analysis, c core.Criterion) []*core.Sl
 	}
 	return out
 }
+
+// TestEachEntryPointRecordsOneSlice pins the slice accounting of the
+// five single-criterion entry points: one call adds exactly 1 to
+// core.slices and one observation, the returned slice's size, to
+// core.slice_nodes. An algorithm built on the conventional slice
+// computes that slice as its base, not as a slice of its own.
+func TestEachEntryPointRecordsOneSlice(t *testing.T) {
+	f := paper.Fig14() // structured, so Figures 12 and 13 apply
+	c := core.Criterion{Var: f.Criterion.Var, Line: f.Criterion.Line}
+	for _, tc := range []struct {
+		name string
+		run  func(*core.Analysis, core.Criterion) (*core.Slice, error)
+	}{
+		{"conventional", (*core.Analysis).Conventional},
+		{"agrawal", (*core.Analysis).Agrawal},
+		{"agrawal-lst", (*core.Analysis).AgrawalLST},
+		{"agrawal-structured", (*core.Analysis).AgrawalStructured},
+		{"agrawal-conservative", (*core.Analysis).AgrawalConservative},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			a, err := core.AnalyzeObservedContext(context.Background(), f.Parse(), reg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := tc.run(a, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Counter("core.slices").Value(); got != 1 {
+				t.Errorf("core.slices = %d after one call, want 1", got)
+			}
+			h := reg.Histogram("core.slice_nodes", obs.UnitCount)
+			if h.Count() != 1 || h.Sum() != int64(s.Nodes.Len()) {
+				t.Errorf("core.slice_nodes: %d observations summing to %d, want 1 of %d", h.Count(), h.Sum(), s.Nodes.Len())
+			}
+		})
+	}
+}

@@ -146,9 +146,11 @@ func (s *Slice) Explain() (*Provenance, error) {
 		add(entry, Reason{Kind: ReasonEntry, From: -1, NearestPD: -1, NearestLS: -1})
 	}
 
-	// Dependence edges out of slice members: t in slice and t
-	// dependent on s justifies s. Iterating members in ascending
-	// order keeps record order deterministic before the final sort.
+	// Edges of the slicing relation out of slice members: t in slice
+	// and t dependent on s — or bringing s by the conditional-jump
+	// adaptation (Section 3) or switch enclosure — justifies s.
+	// Iterating members in ascending order keeps record order
+	// deterministic before the final sort.
 	for t := set.NextSet(0); t >= 0; t = set.NextSet(t + 1) {
 		for _, d := range a.PDG.DataDeps(t) {
 			if set.Has(d) {
@@ -159,6 +161,12 @@ func (s *Slice) Explain() (*Provenance, error) {
 			if set.Has(d) {
 				add(d, Reason{Kind: ReasonControlDep, From: t, NearestPD: -1, NearestLS: -1})
 			}
+		}
+		if j := a.condJumpOf[t]; j >= 0 && set.Has(j) {
+			add(j, Reason{Kind: ReasonCondJump, From: t, NearestPD: -1, NearestLS: -1})
+		}
+		if sw := a.enclosingSwitch[t]; sw >= 0 && set.Has(sw) {
+			add(sw, Reason{Kind: ReasonSwitchEnclosure, From: t, NearestPD: -1, NearestLS: -1})
 		}
 	}
 
@@ -180,20 +188,6 @@ func (s *Slice) Explain() (*Provenance, error) {
 			if from := a.candidateEvidence(j, set); from >= 0 {
 				add(j, Reason{Kind: ReasonJumpCandidate, From: from, NearestPD: -1, NearestLS: -1})
 			}
-		}
-	}
-
-	// The conditional-jump adaptation (Section 3).
-	for _, cj := range a.condJumps {
-		if set.Has(cj.pred) && set.Has(cj.jump) {
-			add(cj.jump, Reason{Kind: ReasonCondJump, From: cj.pred, NearestPD: -1, NearestLS: -1})
-		}
-	}
-
-	// The switch-enclosure invariant.
-	for _, id := range a.switchNodes {
-		if sw := a.enclosingSwitch[id]; set.Has(id) && set.Has(sw) {
-			add(sw, Reason{Kind: ReasonSwitchEnclosure, From: id, NearestPD: -1, NearestLS: -1})
 		}
 	}
 

@@ -88,7 +88,7 @@ func (a *Analysis) structuredWith(c Criterion, eng depEngine) (*Slice, error) {
 			// data dependence the property's argument never mentions)
 			// and widened (switch fall-through) candidates whose
 			// guards are outside the slice.
-			if err := a.addJumpWithClosure(set, v, eng); err != nil {
+			if err := eng.grow(set, v); err != nil {
 				return nil, err
 			}
 			s.JumpsAdded = append(s.JumpsAdded, v)
@@ -162,7 +162,7 @@ func (a *Analysis) conservativeWith(c Criterion, eng depEngine) (*Slice, error) 
 				}
 			}
 			if a.directCandidate(j.ID, set) || a.switchCandidate(j.ID, set) {
-				if err := a.addJumpWithClosure(set, j.ID, eng); err != nil {
+				if err := eng.grow(set, j.ID); err != nil {
 					return nil, err
 				}
 				s.JumpsAdded = append(s.JumpsAdded, j.ID)

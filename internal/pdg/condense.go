@@ -38,7 +38,7 @@ type Condensation struct {
 // on every lookup (as the cancel callback is) rather than stored on
 // the condensation, so a condensation shared by several request views
 // reports each lookup to the view that made it. A request is one
-// closure lookup (ClosureOf / a BackwardClosure seed); a hit is a
+// closure lookup (one seed of a Grow); a hit is a
 // request answered from an already-memoized component closure; a
 // build is one component closure being materialized. Tracer receives
 // one event per hit and per build, giving request traces the cache
@@ -52,27 +52,11 @@ type Instruments struct {
 // uninstrumented stands in for a nil *Instruments.
 var uninstrumented Instruments
 
-// Condensation returns the SCC condensation of the graph's dependence
-// edges, building it on first use and caching it (and its memoized
-// component closures) on the Graph for every later call.
-func (p *Graph) Condensation() *Condensation {
-	p.condOnce.Do(func() {
-		adj := make([][]int, len(p.CFG.Nodes))
-		for n := range adj {
-			adj[n] = p.Deps(n)
-		}
-		p.cond = Condense(adj)
-	})
-	return p.cond
-}
-
 // Condense builds the condensation of an arbitrary dependence
 // relation given as adjacency lists (adj[n] = the nodes n depends
-// on). Callers that need closure under extra, non-PDG invariants —
-// core's conditional-jump adaptation and switch enclosure — encode
-// them as additional edges and condense the augmented relation, which
-// makes every memoized closure satisfy the invariants by
-// construction.
+// on). core condenses its slicing relation (Graph.Row: the
+// dependences plus the two slice invariants as edges), so every
+// memoized closure satisfies the invariants by construction.
 //
 // The SCC pass is an iterative Tarjan over the relation. The explicit
 // stack keeps deep dependence chains (one per statement in a
@@ -177,8 +161,8 @@ func Condense(adj [][]int) *Condensation {
 }
 
 // Patched returns a condensation equivalent to condensing the
-// relation that differs from c's only at the given rows (rows[n] is
-// node n's new full adjacency row), or ok=false when the edit might
+// relation that differs from c's only at the given rows (each row is
+// its node's new full adjacency row), or ok=false when the edit might
 // merge or split a component. The safety precondition, checked per
 // edited node n: n's component is a singleton, and every dependence
 // in the new row lies in a strictly smaller component (or is n
@@ -194,16 +178,16 @@ func Condense(adj [][]int) *Condensation {
 // one (they cannot reach an edited row; closures are read-only by
 // contract) and drops the rest for lazy rebuild. Everything else it
 // holds is either shared or pointer-free.
-func (c *Condensation) Patched(rows map[int][]int) (*Condensation, bool) {
+func (c *Condensation) Patched(rows []Row) (*Condensation, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keep := len(c.comps)
-	for n, row := range rows {
-		cn := c.comp[n]
+	for _, r := range rows {
+		n, cn := r.Node, c.comp[r.Node]
 		if len(c.comps[cn]) != 1 {
 			return nil, false
 		}
-		for _, d := range row {
+		for _, d := range r.Deps {
 			if d != n && c.comp[d] >= cn {
 				return nil, false
 			}
@@ -223,10 +207,10 @@ func (c *Condensation) Patched(rows map[int][]int) (*Condensation, bool) {
 	}
 	eds := make([]succEdit, 0, len(rows))
 	sameLen := true
-	for n, row := range rows {
-		cn := c.comp[n]
+	for _, r := range rows {
+		cn := c.comp[r.Node]
 		var sc []int
-		for _, d := range row {
+		for _, d := range r.Deps {
 			if dc := c.comp[d]; dc != cn && !containsInt(sc, dc) {
 				sc = append(sc, dc)
 			}
@@ -276,27 +260,10 @@ func (c *Condensation) succs(cid int) []int {
 	return c.succFlat[c.succOff[cid]:c.succOff[cid+1]]
 }
 
-// NumComponents returns the number of strongly connected components.
-func (c *Condensation) NumComponents() int { return len(c.comps) }
-
-// Component returns the component index of node n.
-func (c *Condensation) Component(n int) int { return c.comp[n] }
-
 // cancelCheckComps is the closure-fill cadence of cooperative
 // cancellation: the ascending component sweep consults its cancel
 // callback once per this many component builds.
 const cancelCheckComps = 64
-
-// ClosureOf returns the backward dependence closure of node n — the
-// exact set BackwardClosure([]int{n}) computes — as a memoized bitset.
-// The returned set is shared and must not be modified; union it into a
-// caller-owned set instead. Safe for concurrent use.
-func (c *Condensation) ClosureOf(n int) *bits.Set {
-	c.mu.Lock()
-	s, _ := c.ensure(c.comp[n], nil, nil)
-	c.mu.Unlock()
-	return s
-}
 
 // ensure fills in closure[target] (and, amortized, every component it
 // transitively depends on). Because component indices are topological
@@ -349,47 +316,25 @@ func (c *Condensation) ensure(target int, cancel func() error, in *Instruments) 
 	return c.closure[target], nil
 }
 
-// BackwardClosure is the condensation-backed equivalent of
-// Graph.BackwardClosure: the union of the memoized component closures
-// of the seeds. Word-parallel, and O(words) per seed once warm.
-func (c *Condensation) BackwardClosure(seeds []int) *bits.Set {
-	out, _ := c.BackwardClosureCancel(seeds, nil, nil)
-	return out
-}
-
-// BackwardClosureCancel is BackwardClosure with cooperative
-// cancellation and instrumentation: the closure fill consults cancel
+// Grow is the condensation-backed equivalent of Graph.Grow over the
+// condensed relation: it unions the memoized closures of the seeds'
+// components into set and reports whether set changed. Word-parallel,
+// and O(words) per seed once warm. The closure fill consults cancel
 // (nil disables the checks) and abandons the request on a non-nil
 // error, returning it, and each seed's lookup is reported to in.
-func (c *Condensation) BackwardClosureCancel(seeds []int, cancel func() error, in *Instruments) (*bits.Set, error) {
-	out := bits.New(len(c.comp))
+// Safe for concurrent use.
+func (c *Condensation) Grow(set *bits.Set, seeds []int, cancel func() error, in *Instruments) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	changed := false
 	for _, s := range seeds {
 		cs, err := c.ensure(c.comp[s], cancel, in)
 		if err != nil {
-			return nil, err
+			return changed, err
 		}
-		out.UnionWith(cs)
+		if set.UnionWith(cs) {
+			changed = true
+		}
 	}
-	return out, nil
-}
-
-// GrowClosure is the condensation-backed equivalent of
-// Graph.GrowClosure: it unions seed's memoized closure into set and
-// reports whether set changed.
-func (c *Condensation) GrowClosure(set *bits.Set, seed int) bool {
-	return set.UnionWith(c.ClosureOf(seed))
-}
-
-// GrowClosureCancel is GrowClosure with cooperative cancellation and
-// instrumentation (see BackwardClosureCancel).
-func (c *Condensation) GrowClosureCancel(set *bits.Set, seed int, cancel func() error, in *Instruments) (bool, error) {
-	c.mu.Lock()
-	cs, err := c.ensure(c.comp[seed], cancel, in)
-	c.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return set.UnionWith(cs), nil
+	return changed, nil
 }

@@ -37,7 +37,7 @@ func TestRederiveMatchesBuild(t *testing.T) {
 
 		// Rederive every node's row one at a time from the original.
 		for id := range g.Nodes {
-			got := p.Rederive(g2, cd, map[int][]int{id: rd.DataDepsOf(g2.Nodes[id])})
+			got := p.Rederive(g2, cd, []Row{{id, rd.DataDepsOf(g2.Nodes[id])}})
 			for n := range g.Nodes {
 				if !equalInts(got.Deps(n), want.Deps(n)) {
 					t.Fatalf("%s: Rederive(%d).Deps(%d) = %v, want %v", f.Name, id, n, got.Deps(n), want.Deps(n))
@@ -63,12 +63,12 @@ func TestPatchedMatchesCondense(t *testing.T) {
 		// Warm a random subset of closures so sharing below the edit
 		// point is exercised.
 		for i := 0; i < n; i += 1 + rng.Intn(3) {
-			c.ClosureOf(i)
+			closure(c, i)
 		}
 		// Propose a new row for one node.
 		target := rng.Intn(n)
 		row := randRow(rng, n)
-		patched, ok := c.Patched(map[int][]int{target: row})
+		patched, ok := c.Patched([]Row{{target, row}})
 		adj2 := make([][]int, n)
 		copy(adj2, adj)
 		adj2[target] = row
@@ -91,14 +91,14 @@ func TestPatchedMatchesCondense(t *testing.T) {
 		}
 		accepted++
 		for v := 0; v < n; v++ {
-			if !patched.ClosureOf(v).Equal(cold.ClosureOf(v)) {
-				t.Fatalf("trial %d: patched ClosureOf(%d) = %v, cold = %v",
-					trial, v, patched.ClosureOf(v), cold.ClosureOf(v))
+			if got, want := closure(patched, v), closure(cold, v); !got.Equal(want) {
+				t.Fatalf("trial %d: patched closure of %d = %v, cold = %v",
+					trial, v, got, want)
 			}
 		}
 		// The original condensation must be untouched.
 		for v := 0; v < n; v++ {
-			if !c.ClosureOf(v).Equal(Condense(adj).ClosureOf(v)) {
+			if !closure(c, v).Equal(closure(Condense(adj), v)) {
 				t.Fatalf("trial %d: Patched mutated the original", trial)
 			}
 		}
@@ -194,7 +194,11 @@ func TestRederiveChainMatchesModel(t *testing.T) {
 			}
 			model.deps[v] = merged
 		}
-		q := prev.g.Rederive(g, p.CDG, edits)
+		rows := make([]Row, 0, len(edits))
+		for v, row := range edits {
+			rows = append(rows, Row{v, row})
+		}
+		q := prev.g.Rederive(g, p.CDG, rows)
 		if len(q.over) > maxOverlay {
 			t.Fatalf("step %d: overlay grew to %d rows", step, len(q.over))
 		}

@@ -8,7 +8,6 @@ package pdg
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"jumpslice/internal/bits"
 	"jumpslice/internal/cdg"
@@ -27,11 +26,6 @@ type Graph struct {
 	// node listed here reads its rows from the overlay, not from
 	// data/deps, which stay shared with the graph derived from.
 	over []overlayRow
-
-	// cond is the lazily-built SCC condensation with its memoized
-	// component closures; see Condensation.
-	condOnce sync.Once
-	cond     *Condensation
 }
 
 // rows is a compressed sparse row table: row n is
@@ -46,6 +40,14 @@ type rows struct {
 func (r rows) row(n int) []int {
 	lo, hi := r.off[n], r.off[n+1]
 	return r.flat[lo:hi:hi]
+}
+
+// Row is one node's replacement row of a node-indexed relation: the
+// input of Rederive (data dependences) and of Condensation.Patched
+// (full adjacency). A list of rows names each node at most once.
+type Row struct {
+	Node int
+	Deps []int
 }
 
 // overlayRow is one node's replacement rows.
@@ -114,20 +116,20 @@ func appendMerged(dst, a, b []int) []int {
 
 // Rederive returns a graph over a shape-identical flowgraph that
 // shares every dependence row of p except those of the nodes in
-// newDataDeps, whose rows are replaced and re-merged with control
+// newDataDeps, whose data rows are replaced and re-merged with control
 // dependence. It is the incremental engine's PDG step: after a
 // same-shape edit, only the edited statements' data-dependence rows
 // can differ, so rebuilding the whole graph is wasted work. The
 // result shares p's row tables outright and overlays only the edited
 // rows (flattening once a chain of derivations has overlaid more than
-// maxOverlay). p is not modified; the returned graph's condensation
-// is rebuilt lazily unless the caller patches one in.
-func (p *Graph) Rederive(g *cfg.Graph, cd *cdg.Graph, newDataDeps map[int][]int) *Graph {
+// maxOverlay). p is not modified.
+func (p *Graph) Rederive(g *cfg.Graph, cd *cdg.Graph, newDataDeps []Row) *Graph {
 	q := &Graph{CFG: g, CDG: cd, data: p.data, deps: p.deps}
 	over := make([]overlayRow, len(p.over), len(p.over)+len(newDataDeps))
 	copy(over, p.over)
-	for n, dd := range newDataDeps {
-		o := overlayRow{node: n, data: dd, deps: appendMerged(nil, dd, cd.ParentIDs(n))}
+	for _, r := range newDataDeps {
+		n := r.Node
+		o := overlayRow{node: n, data: r.Deps, deps: appendMerged(nil, r.Deps, cd.ParentIDs(n))}
 		if i, ok := searchOverlay(over, n); ok {
 			over[i] = o
 		} else {
@@ -194,8 +196,29 @@ func (p *Graph) Deps(n int) []int {
 	return p.deps.row(n)
 }
 
+// Row returns node n's row of the slicing relation: its dependences
+// followed by extra[k][n] for each per-node edge table that has an
+// edge there (a non-negative entry). Without such an edge it is Deps(n)
+// itself, shared; otherwise a fresh slice.
+func (p *Graph) Row(n int, extra ...[]int) []int {
+	deps := p.Deps(n)
+	var row []int
+	for _, t := range extra {
+		if d := t[n]; d >= 0 {
+			if row == nil {
+				row = append(make([]int, 0, len(deps)+len(extra)), deps...)
+			}
+			row = append(row, d)
+		}
+	}
+	if row == nil {
+		return deps
+	}
+	return row
+}
+
 // cancelCheckNodes is the BFS cadence of cooperative cancellation:
-// the closure walks consult their cancel callback once per this many
+// the closure walk consults its cancel callback once per this many
 // node pops, keeping the per-pop cost of an attached context to one
 // counter decrement.
 const cancelCheckNodes = 1024
@@ -205,27 +228,9 @@ const cancelCheckNodes = 1024
 // data and control dependence — the conventional slicing engine). The
 // seeds themselves are included.
 func (p *Graph) BackwardClosure(seeds []int) *bits.Set {
-	out, _ := p.BackwardClosureCancel(seeds, nil)
-	return out
-}
-
-// BackwardClosureCancel is BackwardClosure with cooperative
-// cancellation: every cancelCheckNodes node visits the walk calls
-// cancel (nil disables the checks) and abandons the closure on a
-// non-nil error, returning it.
-func (p *Graph) BackwardClosureCancel(seeds []int, cancel func() error) (*bits.Set, error) {
 	out := bits.New(len(p.CFG.Nodes))
-	var queue []int
-	for _, s := range seeds {
-		if !out.Has(s) {
-			out.Add(s)
-			queue = append(queue, s)
-		}
-	}
-	if _, err := p.drain(out, queue, 0, cancel); err != nil {
-		return nil, err
-	}
-	return out, nil
+	p.Grow(out, seeds, nil)
+	return out
 }
 
 // GrowClosure extends an existing slice set in place with the backward
@@ -233,46 +238,52 @@ func (p *Graph) BackwardClosureCancel(seeds []int, cancel func() error) (*bits.S
 // Agrawal's Figure 7 uses this when a jump statement is added to the
 // slice: "Add the transitive closure of the dependence of J to Slice".
 func (p *Graph) GrowClosure(set *bits.Set, seed int) bool {
-	added, _ := p.GrowClosureCancel(set, seed, nil, nil)
-	return len(added) > 0
+	changed, _ := p.Grow(set, []int{seed}, nil)
+	return changed
 }
 
-// GrowClosureCancel is GrowClosure with cooperative cancellation (see
-// BackwardClosureCancel) that also reports what it added: every node
-// the closure brings into set, seed first, is appended to added, and
-// the extended slice is returned. A caller closing the slice under
-// further invariants visits exactly these nodes instead of rescanning
-// the set. On cancellation the set holds a partial closure and must be
-// discarded by the caller.
-func (p *Graph) GrowClosureCancel(set *bits.Set, seed int, added []int, cancel func() error) ([]int, error) {
-	if set.Has(seed) {
-		return added, nil
+// Grow is the one backward closure walk: it adds to set every node
+// reachable from the seeds along the slicing relation — the
+// dependence edges, plus an edge n → extra[k][n] for each per-node
+// table in extra whose entry at n is non-negative — and reports
+// whether set changed. Seeds already in set are taken as closed and
+// are not walked again, so growing a closed set by a jump costs only
+// what the jump adds.
+//
+// Every cancelCheckNodes pops the walk calls cancel (nil disables the
+// checks) and abandons the closure on a non-nil error, returning it;
+// set then holds a partial closure the caller must discard.
+func (p *Graph) Grow(set *bits.Set, seeds []int, cancel func() error, extra ...[]int) (bool, error) {
+	var queue []int
+	for _, s := range seeds {
+		if !set.Has(s) {
+			set.Add(s)
+			queue = append(queue, s)
+		}
 	}
-	set.Add(seed)
-	return p.drain(set, append(added, seed), len(added), cancel)
-}
-
-// drain runs the backward BFS from the queued nodes queue[from:] into
-// set, appending each node it adds to the queue, and returns the
-// queue: queue[from:] is then everything the walk added. It consults
-// cancel every cancelCheckNodes pops.
-func (p *Graph) drain(set *bits.Set, queue []int, from int, cancel func() error) ([]int, error) {
 	budget := cancelCheckNodes
-	for i := from; i < len(queue); i++ {
+	for i := 0; i < len(queue); i++ {
 		if cancel != nil {
 			if budget--; budget <= 0 {
 				budget = cancelCheckNodes
 				if err := cancel(); err != nil {
-					return queue, err
+					return true, err
 				}
 			}
 		}
-		for _, d := range p.Deps(queue[i]) {
+		v := queue[i]
+		for _, d := range p.Deps(v) {
 			if !set.Has(d) {
 				set.Add(d)
 				queue = append(queue, d)
 			}
 		}
+		for _, t := range extra {
+			if d := t[v]; d >= 0 && !set.Has(d) {
+				set.Add(d)
+				queue = append(queue, d)
+			}
+		}
 	}
-	return queue, nil
+	return len(queue) > 0, nil
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"jumpslice/internal/bits"
 	"jumpslice/internal/cdg"
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/dataflow"
@@ -105,6 +106,41 @@ func TestGrowClosureIncremental(t *testing.T) {
 	}
 	if p.GrowClosure(set, w5.ID) {
 		t.Error("second GrowClosure should be a no-op")
+	}
+}
+
+// TestGrowFollowsExtraTables checks that Grow walks a per-node edge
+// table like a dependence, transitively, and that Row lists the same
+// edge after the node's dependences.
+func TestGrowFollowsExtraTables(t *testing.T) {
+	g, p := build(t, "a = 1;\nb = 2;\nc = b;\nwrite(a);")
+	id := func(line int) int { return g.NodesAtLine(line)[0].ID }
+	extra := make([]int, len(g.Nodes))
+	for i := range extra {
+		extra[i] = -1
+	}
+	extra[id(1)] = id(3) // a = 1 brings c = b, which depends on b = 2
+	set := p.BackwardClosure([]int{id(4)})
+	if set.Has(id(3)) {
+		t.Fatal("c = b in the plain closure of write(a)")
+	}
+	set = bits.New(len(g.Nodes))
+	if changed, err := p.Grow(set, []int{id(4)}, nil, extra); !changed || err != nil {
+		t.Fatalf("Grow = %v, %v", changed, err)
+	}
+	for _, l := range []int{1, 2, 3, 4} {
+		if !set.Has(id(l)) {
+			t.Errorf("closure over the extra table misses line %d", l)
+		}
+	}
+	if changed, _ := p.Grow(set, []int{id(1)}, nil, extra); changed {
+		t.Error("growing a closed set by a member changed it")
+	}
+	if row := p.Row(id(1), extra); len(row) == 0 || row[len(row)-1] != id(3) {
+		t.Errorf("Row(a = 1) = %v, want the extra edge to %d last", row, id(3))
+	}
+	if row := p.Row(id(3), extra); !equalInts(row, p.Deps(id(3))) {
+		t.Errorf("Row(c = b) = %v, want its dependences %v", row, p.Deps(id(3)))
 	}
 }
 

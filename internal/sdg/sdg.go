@@ -159,9 +159,10 @@ type Site struct {
 }
 
 // ProcInfo is the per-procedure input to Build: the analyses core
-// already ran on the procedure body, plus the invariant edges its
-// batch engine would add (Extra[n] lists the extra dependence targets
-// of node n).
+// already ran on the procedure body, plus the per-node edge tables of
+// its slice invariants (each Extra table maps a node to one further
+// dependence target, or -1 for none), the same edges every core
+// closure walks.
 type ProcInfo struct {
 	Name     string
 	Params   []string
@@ -169,7 +170,7 @@ type ProcInfo struct {
 	CFG      *cfg.Graph
 	CDG      *cdg.Graph
 	RD       *dataflow.ReachingDefs
-	Extra    map[int][]int
+	Extra    [][]int
 }
 
 // Graph is the system dependence graph.
@@ -182,7 +183,7 @@ type Graph struct {
 	stmtVert     [][]int                  // [proc][node] -> vertex
 	formalIn     [][]int                  // [proc][param] -> vertex
 	formalOut    [][]int                  // [proc][param] -> vertex
-	actualIn     []map[int][]int          // [proc][call node] -> per-arg vertices
+	actualIn     [][][]int                // [proc][node] -> per-arg vertices (nil off calls)
 	actualOutIdx []map[int]map[int]int    // [proc][call node][arg index] -> vertex
 	actualOutVar []map[int]map[string]int // [proc][call node][var] -> vertex
 	argVars      []map[int][][]string     // [proc][call node] -> per-arg variable sets
@@ -219,7 +220,7 @@ func Build(procs []*ProcInfo) (*Graph, error) {
 		stmtVert:     make([][]int, len(procs)),
 		formalIn:     make([][]int, len(procs)),
 		formalOut:    make([][]int, len(procs)),
-		actualIn:     make([]map[int][]int, len(procs)),
+		actualIn:     make([][][]int, len(procs)),
 		actualOutIdx: make([]map[int]map[int]int, len(procs)),
 		actualOutVar: make([]map[int]map[string]int, len(procs)),
 		argVars:      make([]map[int][][]string, len(procs)),
@@ -261,7 +262,7 @@ func (g *Graph) allocVerts() error {
 			g.formalIn[pi][j] = add(Vertex{Kind: VertFormalIn, Proc: pi, Node: entryID, Index: j, Var: param})
 			g.formalOut[pi][j] = add(Vertex{Kind: VertFormalOut, Proc: pi, Node: entryID, Index: j, Var: param})
 		}
-		g.actualIn[pi] = map[int][]int{}
+		g.actualIn[pi] = make([][]int, p.CFG.NumNodes())
 		g.actualOutIdx[pi] = map[int]map[int]int{}
 		g.actualOutVar[pi] = map[int]map[string]int{}
 		g.argVars[pi] = map[int][][]string{}
@@ -357,8 +358,10 @@ func (g *Graph) buildEdges() {
 			for _, parent := range p.CDG.ParentIDs(n.ID) {
 				g.addDep(sv, g.stmtVert[pi][parent], EdgeControl)
 			}
-			for _, t := range p.Extra[n.ID] {
-				g.addDep(sv, g.stmtVert[pi][t], EdgeInvariant)
+			for _, tab := range p.Extra {
+				if t := tab[n.ID]; t >= 0 {
+					g.addDep(sv, g.stmtVert[pi][t], EdgeInvariant)
+				}
 			}
 			if n.Kind == cfg.KindCall {
 				continue
