@@ -28,12 +28,11 @@
 //	                  identical at any -parallel
 //	-trace FILE       journal trace events (phase spans, traversal
 //	                  passes, jump admissions with rule evidence,
-//	                  closure-cache activity) into a flight recorder
-//	                  sized by -flight and write them as Chrome
+//	                  closure-cache activity) into a 65536-event
+//	                  flight recorder and write them as Chrome
 //	                  trace_event JSON, loadable in chrome://tracing
 //	                  and Perfetto; -json reports then carry the
 //	                  flight recorder's written/dropped accounting
-//	-flight N         flight recorder capacity in events (with -trace)
 //	-cpuprofile FILE  write a runtime/pprof CPU profile of the run
 //	-memprofile FILE  write a heap profile at exit
 //
@@ -87,7 +86,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	jsonPath := fs.String("json", "", "also write results as JSON to this file")
 	metricsPath := fs.String("metrics", "", "write the pipeline metrics snapshot as JSON to this file")
 	tracePath := fs.String("trace", "", "write the run's trace as Chrome trace_event JSON to this file")
-	flight := fs.Int("flight", 1<<16, "flight recorder capacity in events (used with -trace)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -121,7 +119,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	var fr *obs.FlightRecorder
 	if *tracePath != "" {
-		fr = obs.NewFlightRecorder(*flight)
+		fr = obs.NewFlightRecorder(obs.FlightCapacity)
 		o.Tracer = obs.NewTracer(fr)
 	}
 	o.Cache = slicecache.New(slicecache.Options{Recorder: o.Recorder})

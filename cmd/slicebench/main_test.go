@@ -286,7 +286,7 @@ func TestTraceFlag(t *testing.T) {
 	jsonPath := filepath.Join(dir, "out.json")
 	var sb strings.Builder
 	err := run(context.Background(), []string{"-exp", "traversals", "-seeds", "4", "-stmts", "15",
-		"-trace", tracePath, "-flight", "1024", "-json", jsonPath}, &sb)
+		"-trace", tracePath, "-json", jsonPath}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +327,8 @@ func TestTraceFlag(t *testing.T) {
 	if report.Trace == nil {
 		t.Fatal("report.Trace missing with -trace set")
 	}
-	if report.Trace.Capacity != 1024 {
-		t.Errorf("trace capacity = %d, want 1024", report.Trace.Capacity)
+	if report.Trace.Capacity != obs.FlightCapacity {
+		t.Errorf("trace capacity = %d, want %d", report.Trace.Capacity, obs.FlightCapacity)
 	}
 	if report.Trace.Written == 0 {
 		t.Error("flight recorder wrote no events")

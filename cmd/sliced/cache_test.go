@@ -132,7 +132,7 @@ func TestDebugCacheEndpoint(t *testing.T) {
 // 422 invalid_program both cold and from memory, and an oversized one
 // keeps its 413.
 func TestNegativeCacheReplay(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.MaxStmts = 10
 	s, ts := newTestServerConfig(t, cfg)
 
@@ -171,7 +171,7 @@ func TestNegativeCacheReplay(t *testing.T) {
 // split between coalesced (joined the in-flight analysis) and hit
 // (arrived after it finished) — both verdicts mean "reused".
 func TestCacheCoalescing(t *testing.T) {
-	cfg := testConfig(1 << 12)
+	cfg := testConfig()
 	cfg.MaxInflight = 64
 	_, ts := newTestServerConfig(t, cfg)
 	src, v, line := bigProgram(t, 3000)

@@ -52,9 +52,11 @@ import (
 const routedFromHeader = "X-Sliced-Routed-From"
 
 // fillCandidates is how many ring-adjacent peers a cache fill tries,
-// and probeTimeout the peer health probe's deadline.
+// fillTimeout the deadline of one fill hop, and probeTimeout the peer
+// health probe's deadline.
 const (
 	fillCandidates = 2
+	fillTimeout    = 500 * time.Millisecond
 	probeTimeout   = 500 * time.Millisecond
 )
 
@@ -113,7 +115,7 @@ func (s *server) openCluster() error {
 	})
 	c := &clusterState{
 		self:   s.cfg.Self,
-		ring:   cluster.NewRing(nodes, s.cfg.Vnodes),
+		ring:   cluster.NewRing(nodes),
 		peers:  peers,
 		client: &http.Client{Timeout: s.cfg.Timeout + 5*time.Second},
 
@@ -123,7 +125,7 @@ func (s *server) openCluster() error {
 		fillServes:  s.reg.Counter("cluster.fill_serves"),
 	}
 	c.filler = cluster.NewFiller(cluster.FillOptions{
-		Timeout:  s.cfg.FillTimeout,
+		Timeout:  fillTimeout,
 		MaxBytes: s.cfg.MaxBody * 16,
 		Validate: validateRecord,
 		Peers:    peers,
@@ -131,7 +133,7 @@ func (s *server) openCluster() error {
 	})
 	peers.Start()
 	s.cluster = c
-	s.logger.Printf("cluster mode: self=%s peers=%d vnodes=%d", c.self, len(s.cfg.PeerList), s.cfg.Vnodes)
+	s.logger.Printf("cluster mode: self=%s peers=%d vnodes=%d", c.self, len(s.cfg.PeerList), cluster.Vnodes)
 	return nil
 }
 
@@ -161,7 +163,8 @@ func validateRecord(data []byte) error {
 }
 
 // resultKeyFor derives the result-record address for one request: the
-// full tuple the response content depends on (mirrors sliceETag).
+// full tuple the response content depends on. The slicer is
+// deterministic, so the same address is the response's strong ETag.
 func resultKeyFor(req *sliceRequest, explain bool) slicecache.ResultKey {
 	return slicecache.ResultKeyOf(req.Source, req.Var, strconv.Itoa(req.Line), req.Algo, strconv.FormatBool(explain))
 }
@@ -404,7 +407,7 @@ func (s *server) handleClusterDebug(w http.ResponseWriter, r *http.Request) {
 	if c := s.cluster; c != nil {
 		out.Enabled = true
 		out.Self = c.self
-		out.Vnodes = c.ring.Vnodes()
+		out.Vnodes = cluster.Vnodes
 		out.Nodes = c.ring.Nodes()
 		out.Peers = c.peers.States()
 	}

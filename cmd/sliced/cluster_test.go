@@ -37,11 +37,10 @@ func startCluster(t *testing.T, n int, mutate func(i int, cfg *config)) []*clust
 	}
 	nodes := make([]*clusterNode, n)
 	for i := range lns {
-		cfg := testConfig(1 << 12)
+		cfg := testConfig()
 		cfg.PeerList = append([]string{}, addrs...)
 		cfg.Self = addrs[i]
 		cfg.ProbeInterval = 20 * time.Millisecond
-		cfg.FillTimeout = 2 * time.Second
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
@@ -301,7 +300,7 @@ func TestClusterOwnerDownDegradesToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	self := ln.Addr().String()
-	cfg := testConfig(1 << 12)
+	cfg := testConfig()
 	cfg.PeerList = []string{self, "127.0.0.1:1", "127.0.0.1:2"}
 	cfg.Self = self
 	cfg.ProbeInterval = 10 * time.Millisecond
@@ -328,7 +327,7 @@ func TestClusterOwnerDownDegradesToLocal(t *testing.T) {
 // only.
 func TestFillEndpointValidation(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(1 << 12)
+	cfg := testConfig()
 	cfg.DiskDir = dir
 	s := newServer(cfg, io.Discard)
 	if err := s.openCluster(); err != nil {
@@ -370,7 +369,7 @@ func TestFillEndpointValidation(t *testing.T) {
 func TestClusterWarmRestartFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	boot := func() (*server, *httptest.Server, func()) {
-		cfg := testConfig(1 << 12)
+		cfg := testConfig()
 		cfg.DiskDir = dir
 		s := newServer(cfg, io.Discard)
 		if err := s.openCluster(); err != nil {

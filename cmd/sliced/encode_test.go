@@ -220,7 +220,7 @@ func explainResponse(t testing.TB) *sliceResponse {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(testConfig(64), io.Discard)
+	s := newServer(testConfig(), io.Discard)
 	rec := httptest.NewRecorder()
 	resp, _ := s.renderSlice(rec, httptest.NewRequest("POST", "/slice", nil), a, "agrawal", core.Criterion{Var: c.Var, Line: c.Line}, true)
 	if resp == nil || len(resp.Reasons) < 10 {

@@ -40,7 +40,6 @@ func FuzzHandleSlice(f *testing.F) {
 			return // bound per-exec analysis cost
 		}
 		cfg := defaultConfig()
-		cfg.Flight = 64
 		cfg.Timeout = 0 // a fuzz exec must never 503 on time
 		cfg.MaxBody = 1 << 17
 		cfg.MaxStmts = 2000

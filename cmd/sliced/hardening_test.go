@@ -57,13 +57,13 @@ func bigProgram(t *testing.T, stmts int) (src, critVar string, critLine int) {
 // surface to its status code and machine-readable error code. None of
 // them may surface as a 500 or as a plain-text body.
 func TestErrorEnvelopeTable(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.MaxStmts = 10 // make fig5 (≈15 statements) oversized for one case
 	small, tsSmall := newTestServerConfig(t, cfg)
 	_ = small
 	_, ts := newTestServer(t)
 
-	cfgBody := testConfig(1 << 10)
+	cfgBody := testConfig()
 	cfgBody.MaxBody = 64
 	_, tsBody := newTestServerConfig(t, cfgBody)
 
@@ -138,7 +138,7 @@ func TestErrorEnvelopeTable(t *testing.T) {
 // answered 503 with Retry-After while the in-flight one keeps its
 // slot and completes successfully once unblocked.
 func TestOverloadSheds(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.MaxInflight = 1
 	s, ts := newTestServerConfig(t, cfg)
 
@@ -212,7 +212,7 @@ func TestOverloadSheds(t *testing.T) {
 // cooperatively, observable as a "cancel" trace event in the flight
 // recorder and a core.cancellations tick in /metrics.
 func TestClientDisconnectCancelsAnalysis(t *testing.T) {
-	cfg := testConfig(1 << 12)
+	cfg := testConfig()
 	cfg.Timeout = time.Minute // only the disconnect should cancel
 	s, ts := newTestServerConfig(t, cfg)
 
@@ -288,7 +288,7 @@ func TestClientDisconnectCancelsAnalysis(t *testing.T) {
 // per-request budget is already unmeetable answers 503 "timeout", not
 // a hang and not a 4xx blaming the client.
 func TestRequestTimeoutAnswers503(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.Timeout = time.Nanosecond
 	_, ts := newTestServerConfig(t, cfg)
 
@@ -346,7 +346,7 @@ func TestInjectedPanicIsolated(t *testing.T) {
 // TestFailpointsDisabledInProduction asserts the failure-injection
 // header is inert unless the test-only flag armed it.
 func TestFailpointsDisabledInProduction(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.Failpoints = false
 	_, ts := newTestServerConfig(t, cfg)
 
@@ -371,7 +371,7 @@ func TestFailpointsDisabledInProduction(t *testing.T) {
 // all read exactly the bytes sent; any of them past the limit answers
 // 413 body_too_large.
 func TestReadBodyLengths(t *testing.T) {
-	cfg := testConfig(64)
+	cfg := testConfig()
 	cfg.MaxBody = 64
 	s := newServer(cfg, io.Discard)
 	for _, c := range []struct {
@@ -427,7 +427,7 @@ func TestReadBodyLengths(t *testing.T) {
 // TestReadBodyOneAllocation: with an honest Content-Length the body
 // buffer is allocated once, not grown by doubling.
 func TestReadBodyOneAllocation(t *testing.T) {
-	s := newServer(testConfig(64), io.Discard)
+	s := newServer(testConfig(), io.Discard)
 	src := strings.Repeat("x = x + 1;\n", 1000)
 	sr := strings.NewReader(src)
 	r := httptest.NewRequest(http.MethodPost, "/slice", nil)

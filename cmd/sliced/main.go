@@ -42,18 +42,20 @@
 //	GET  /metrics       Prometheus text exposition (v0.0.4) of the
 //	                    metrics registry: slice/traversal/jump
 //	                    counters and phase histograms.
-//	GET  /debug/flight  the flight recorder's buffered events as
-//	                    JSONL, oldest first (?n= limits to the last
-//	                    n events).
+//	GET  /debug/flight  the flight recorder's buffered events (the
+//	                    last 65536) as JSONL, oldest first (?n=
+//	                    limits to the last n events).
 //	GET  /debug/trace   ?id=N renders one request's events as Chrome
 //	                    trace_event JSON (chrome://tracing, Perfetto).
 //	GET  /debug/cache   the analysis cache's live counters and byte
 //	                    ledger as JSON.
-//	GET  /debug/requests the wide-event ring: one JSON record per
-//	                    recent request with status, duration, phase
-//	                    timings, cache/incremental tiers, and outcome
-//	                    (?status= ?min_ms= ?endpoint= ?n= filter it).
-//	GET  /debug/slo     per-endpoint sliding-window SLO view:
+//	GET  /debug/requests the wide-event ring: one JSON record for each
+//	                    of the last 1024 requests with status,
+//	                    duration, phase timings, cache/incremental
+//	                    tiers, and outcome (?status= ?min_ms=
+//	                    ?endpoint= ?n= filter it).
+//	GET  /debug/slo     per-endpoint SLO view over a one-minute
+//	                    sliding window (10 rotating buckets):
 //	                    percentiles, error/shed rates, burn rates
 //	                    against the -slo objectives, and per-bucket
 //	                    slowest-request exemplars.
@@ -75,10 +77,9 @@
 //
 // The access log emits one line per request (-log-format text or
 // json; the JSON form is the same wide event /debug/requests serves).
-// -slo sets objectives (e.g. p99=50ms,err=1%), -slo-window the
-// sliding window span, -requests the ring capacity, -runtime-sample
-// the runtime health sampling interval, and -pprof exposes
-// net/http/pprof under /debug/pprof/.
+// -slo sets objectives (e.g. p99=50ms,err=1%), -runtime-sample the
+// runtime health sampling interval, and -pprof exposes net/http/pprof
+// under /debug/pprof/.
 //
 // # Durability
 //
@@ -103,10 +104,10 @@
 // -peers turns the daemon into one node of a static fleet (the flag
 // is the full membership, identical on every node; -self names this
 // node's entry, defaulting to -addr). Requests are routed by the
-// program's SHA-256 content address over a consistent-hash ring
-// (-vnodes virtual nodes per node): a request landing on a non-owner
-// is proxied to the owner, and an owner's local miss first tries a
-// one-hop peer fill (-fill-timeout per hop) before computing.
+// program's SHA-256 content address over a consistent-hash ring (128
+// virtual nodes per node): a request landing on a non-owner is
+// proxied to the owner, and an owner's local miss first tries a
+// one-hop peer fill (500 ms per hop) before computing.
 // X-Sliced-Node, X-Sliced-Route (local, proxied, peer-fill) and
 // X-Sliced-Peer on every response say who served it and how; health
 // probes (-probe-interval) gate hops, never ownership, so a dead
@@ -125,7 +126,9 @@
 // # Operational limits
 //
 // The serving path is hardened against slow, huge, and hostile
-// requests; every limit is a flag:
+// requests; every limit is a flag, and a limit that admits nothing
+// (-max-body, -max-stmts or -max-inflight below 1) is refused at
+// startup with exit status 2:
 //
 //	-timeout D       per-request analysis deadline (default 10s).
 //	                 The deadline — and a client disconnect — cancels
@@ -157,8 +160,8 @@
 //
 // Usage:
 //
-//	sliced [-addr 127.0.0.1:8080] [-flight 65536] [-timeout 10s]
-//	       [-max-body 1048576] [-max-stmts 20000] [-max-inflight 16]
+//	sliced [-addr 127.0.0.1:8080] [-timeout 10s] [-max-body 1048576]
+//	       [-max-stmts 20000] [-max-inflight 16]
 //
 //	curl -sS --data-binary @testdata/fig5-a.mc \
 //	    'http://127.0.0.1:8080/slice?var=positives&line=14'
@@ -166,8 +169,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -189,6 +190,7 @@ import (
 	"syscall"
 	"time"
 
+	"jumpslice/internal/baselines"
 	"jumpslice/internal/cluster"
 	"jumpslice/internal/core"
 	"jumpslice/internal/lang"
@@ -199,61 +201,93 @@ import (
 )
 
 func main() {
-	cfg := defaultConfig()
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	flag.IntVar(&cfg.Flight, "flight", cfg.Flight, "flight recorder capacity in events")
-	flag.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "per-request analysis deadline (0 disables)")
-	flag.Int64Var(&cfg.MaxBody, "max-body", cfg.MaxBody, "request body limit in bytes")
-	flag.IntVar(&cfg.MaxStmts, "max-stmts", cfg.MaxStmts, "parsed statement count limit per program")
-	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /slice requests before shedding load")
-	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "analysis cache budget in bytes")
-	flag.StringVar(&cfg.LogFormat, "log-format", cfg.LogFormat, "access log format: text or json (one wide event per line)")
-	flag.IntVar(&cfg.Requests, "requests", cfg.Requests, "wide-event ring capacity served at /debug/requests")
-	flag.DurationVar(&cfg.SLOWindow, "slo-window", cfg.SLOWindow, "sliding SLO window span (10 rotating buckets)")
-	slo := flag.String("slo", "", "SLO objectives, e.g. p99=50ms,err=1% (enables burn rates)")
-	flag.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "serve net/http/pprof under /debug/pprof/")
-	flag.DurationVar(&cfg.RuntimeSample, "runtime-sample", cfg.RuntimeSample, "runtime health sampling interval (0 disables)")
-	flag.StringVar(&cfg.SpoolDir, "spool-dir", cfg.SpoolDir, "durable telemetry spool directory (empty disables)")
-	flag.Int64Var(&cfg.SpoolBytes, "spool-bytes", cfg.SpoolBytes, "spool disk budget in bytes (oldest segments reclaimed)")
-	flag.StringVar(&cfg.PostmortemDir, "postmortem-dir", cfg.PostmortemDir, "post-mortem bundle directory for SIGUSR1/panic/fatal-exit snapshots (empty disables)")
-	peers := flag.String("peers", "", "comma-separated host:port list of every node in the fleet, self included (empty disables clustering)")
-	flag.StringVar(&cfg.Self, "self", cfg.Self, "this node's address as it appears in -peers (defaults to -addr)")
-	flag.IntVar(&cfg.Vnodes, "vnodes", cfg.Vnodes, "consistent-hash virtual nodes per node")
-	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "peer health probe cadence")
-	flag.DurationVar(&cfg.FillTimeout, "fill-timeout", cfg.FillTimeout, "per-hop peer cache fill deadline")
-	flag.StringVar(&cfg.DiskDir, "disk-dir", cfg.DiskDir, "disk-backed result tier directory for warm restarts (empty disables)")
-	flag.Int64Var(&cfg.DiskBytes, "disk-bytes", cfg.DiskBytes, "disk result tier budget in bytes (oldest segments reclaimed)")
-	flag.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes")
-	flag.Parse()
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.PeerList = append(cfg.PeerList, p)
-			}
-		}
-		if cfg.Self == "" {
-			cfg.Self = *addr
-		}
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	obj, err := obs.ParseObjectives(*slo)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sliced: -slo:", err)
+		fmt.Fprintln(os.Stderr, "sliced:", err)
 		os.Exit(2)
 	}
-	cfg.Objectives = obj
-	if cfg.LogFormat != "text" && cfg.LogFormat != "json" {
-		fmt.Fprintf(os.Stderr, "sliced: -log-format: unknown format %q (want text or json)\n", cfg.LogFormat)
-		os.Exit(2)
-	}
-	if err := serve(*addr, cfg); err != nil {
+	if err := serve(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "sliced:", err)
 		os.Exit(1)
 	}
 }
 
-// config carries the daemon's operational limits.
+// newFlagSet binds every flag to its field of cfg, whose values are
+// the defaults the usage text shows.
+func newFlagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("sliced", flag.ContinueOnError)
+	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
+	fs.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "per-request analysis deadline (0 disables)")
+	fs.Int64Var(&cfg.MaxBody, "max-body", cfg.MaxBody, "request body limit in bytes")
+	fs.IntVar(&cfg.MaxStmts, "max-stmts", cfg.MaxStmts, "parsed statement count limit per program")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /slice requests before shedding load")
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "analysis cache budget in bytes")
+	fs.StringVar(&cfg.LogFormat, "log-format", cfg.LogFormat, "access log format: text or json (one wide event per line)")
+	fs.Func("slo", "SLO `objectives`, e.g. p99=50ms,err=1% (enables burn rates)", func(v string) (err error) {
+		cfg.Objectives, err = obs.ParseObjectives(v)
+		return err
+	})
+	fs.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "serve net/http/pprof under /debug/pprof/")
+	fs.DurationVar(&cfg.RuntimeSample, "runtime-sample", cfg.RuntimeSample, "runtime health sampling interval (0 disables)")
+	fs.StringVar(&cfg.SpoolDir, "spool-dir", cfg.SpoolDir, "durable telemetry spool directory (empty disables)")
+	fs.Int64Var(&cfg.SpoolBytes, "spool-bytes", cfg.SpoolBytes, "spool disk budget in bytes (oldest segments reclaimed)")
+	fs.StringVar(&cfg.PostmortemDir, "postmortem-dir", cfg.PostmortemDir, "post-mortem bundle directory for SIGUSR1/panic/fatal-exit snapshots (empty disables)")
+	fs.Func("peers", "comma-separated `host:port` list of every node in the fleet, self included (empty disables clustering)", func(v string) error {
+		cfg.PeerList = nil
+		for _, p := range strings.Split(v, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				cfg.PeerList = append(cfg.PeerList, p)
+			}
+		}
+		return nil
+	})
+	fs.StringVar(&cfg.Self, "self", cfg.Self, "this node's address as it appears in -peers (defaults to -addr)")
+	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "peer health probe cadence")
+	fs.StringVar(&cfg.DiskDir, "disk-dir", cfg.DiskDir, "disk-backed result tier directory for warm restarts (empty disables)")
+	fs.Int64Var(&cfg.DiskBytes, "disk-bytes", cfg.DiskBytes, "disk result tier budget in bytes (oldest segments reclaimed)")
+	fs.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes")
+	return fs
+}
+
+// parseFlags parses the command line over defaultConfig. A limit that
+// admits nothing and an unknown log format are errors, not silently
+// replaced by their defaults.
+func parseFlags(args []string) (config, error) {
+	cfg := defaultConfig()
+	if err := newFlagSet(&cfg).Parse(args); err != nil {
+		return cfg, err
+	}
+	switch {
+	case cfg.MaxBody <= 0:
+		return cfg, fmt.Errorf("-max-body: %d admits no request body", cfg.MaxBody)
+	case cfg.MaxStmts <= 0:
+		return cfg, fmt.Errorf("-max-stmts: %d admits no program", cfg.MaxStmts)
+	case cfg.MaxInflight <= 0:
+		return cfg, fmt.Errorf("-max-inflight: %d admits no request", cfg.MaxInflight)
+	case cfg.LogFormat != "text" && cfg.LogFormat != "json":
+		return cfg, fmt.Errorf("-log-format: unknown format %q (want text or json)", cfg.LogFormat)
+	}
+	if len(cfg.PeerList) > 0 && cfg.Self == "" {
+		cfg.Self = cfg.Addr
+	}
+	return cfg, nil
+}
+
+// Fixed sizes of the in-memory telemetry: the flight recorder holds
+// obs.FlightCapacity events, /debug/requests the last requestRing
+// wide events, and /debug/slo a sloWindow split into 10 buckets.
+const (
+	requestRing = 1024
+	sloWindow   = time.Minute
+)
+
+// config carries the daemon's operational limits; defaultConfig holds
+// each one's default.
 type config struct {
-	Flight      int           // flight recorder capacity in events
+	Addr        string        // listen address
 	Timeout     time.Duration // per-request analysis deadline; <=0 disables
 	MaxBody     int64         // request body byte limit
 	MaxStmts    int           // parsed statement-count limit
@@ -263,11 +297,7 @@ type config struct {
 	// key=value line per request) or "json" (the request's wide event
 	// as one JSON object per line). Both carry the same fields.
 	LogFormat string
-	// Requests is the wide-event ring capacity behind /debug/requests.
-	Requests int
-	// SLOWindow is the sliding SLO window span (split into 10
-	// rotating buckets); Objectives are the parsed -slo targets.
-	SLOWindow  time.Duration
+	// Objectives are the parsed -slo targets.
 	Objectives obs.SLOObjectives
 	// Pprof serves net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
@@ -295,12 +325,8 @@ type config struct {
 	// -addr).
 	PeerList []string
 	Self     string
-	// Vnodes is the consistent-hash virtual-node count per node;
-	// ProbeInterval is the peer health prober's cadence; FillTimeout
-	// is the per-hop peer-fill deadline.
-	Vnodes        int
+	// ProbeInterval is the peer health prober's cadence.
 	ProbeInterval time.Duration
-	FillTimeout   time.Duration
 	// DiskDir enables the disk-backed result tier (warm restarts) when
 	// non-empty; DiskBytes is its budget, ResultBytes the in-memory
 	// result tier's budget.
@@ -311,21 +337,17 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		Flight:      1 << 16,
+		Addr:        "127.0.0.1:8080",
 		Timeout:     10 * time.Second,
 		MaxBody:     1 << 20,
 		MaxStmts:    20000,
 		MaxInflight: 2 * runtime.GOMAXPROCS(0),
 		CacheBytes:  slicecache.DefaultMaxBytes,
 		LogFormat:   "text",
-		Requests:    1024,
-		SLOWindow:   time.Minute,
 		// Runtime health is cheap (one ReadMemStats per sample) and on
 		// by default; -runtime-sample 0 turns it off.
 		RuntimeSample: 5 * time.Second,
-		Vnodes:        cluster.DefaultVnodes,
 		ProbeInterval: time.Second,
-		FillTimeout:   500 * time.Millisecond,
 		DiskBytes:     disk.DefaultMaxBytes,
 		ResultBytes:   32 << 20,
 	}
@@ -333,9 +355,9 @@ func defaultConfig() config {
 
 // serve runs the daemon until SIGINT/SIGTERM, then drains in-flight
 // requests and returns nil on a clean shutdown.
-func serve(addr string, cfg config) error {
+func serve(cfg config) error {
 	s := newServer(cfg, os.Stderr)
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return err
 	}
@@ -464,39 +486,18 @@ type server struct {
 }
 
 func newServer(cfg config, logw io.Writer) *server {
-	if cfg.Flight <= 0 {
-		cfg.Flight = 1 << 16
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 1 << 20
-	}
-	if cfg.MaxStmts <= 0 {
-		cfg.MaxStmts = 20000
-	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 1024
-	}
-	if cfg.SLOWindow <= 0 {
-		cfg.SLOWindow = time.Minute
-	}
-	if cfg.LogFormat == "" {
-		cfg.LogFormat = "text"
-	}
 	s := &server{
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
-		fr:       obs.NewFlightRecorder(cfg.Flight),
+		fr:       obs.NewFlightRecorder(obs.FlightCapacity),
 		logger:   log.New(logw, "", log.LstdFlags|log.Lmicroseconds),
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		unblock:  make(chan struct{}),
 		sessions: map[string]*session{},
 	}
 	s.tr = obs.NewTracer(s.fr)
-	s.requests = obs.NewRequestLog(cfg.Requests)
-	s.slo = obs.NewSLOTracker(cfg.SLOWindow, 10, cfg.Objectives)
+	s.requests = obs.NewRequestLog(requestRing)
+	s.slo = obs.NewSLOTracker(sloWindow, 10, cfg.Objectives)
 	s.incrTier = map[string]*obs.Counter{
 		"patched": s.reg.Counter("http.incr.patched"),
 		"partial": s.reg.Counter("http.incr.partial"),
@@ -810,7 +811,9 @@ func (s *server) failErr(w http.ResponseWriter, r *http.Request, stage string, e
 	}
 }
 
-// knownAlgos are the /slice algo values coreSlice dispatches.
+// knownAlgos are the /slice algo values the daemon serves: sdg and
+// the paper's five intraprocedural algorithms (Figures 7, 12 and 13,
+// the LST-driven Figure 7 variant, and the conventional slicer).
 var knownAlgos = []string{"agrawal", "agrawal-lst", "structured", "conservative", "conventional", "sdg"}
 
 // parseSliceRequest decodes either request form, enforcing the body
@@ -840,26 +843,6 @@ func (s *server) parseSliceRequest(w http.ResponseWriter, r *http.Request) (*sli
 	}
 	req.Var, req.Line, req.Algo = c.Var, c.Line, algo
 	return req, nil
-}
-
-// coreSlice dispatches the intraprocedural algorithms the daemon
-// serves: the paper's three (Figures 7, 12, 13), the LST-driven
-// Figure 7 variant, and the conventional baseline. parseCriterion
-// validated the name; renderSlice serves sdg.
-func coreSlice(a *core.Analysis, algo string, c core.Criterion) (*core.Slice, error) {
-	switch algo {
-	case "agrawal":
-		return a.Agrawal(c)
-	case "agrawal-lst":
-		return a.AgrawalLST(c)
-	case "structured":
-		return a.AgrawalStructured(c)
-	case "conservative":
-		return a.AgrawalConservative(c)
-	case "conventional":
-		return a.Conventional(c)
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", algo)
 }
 
 // failpoint implements the X-Sliced-Fail test header (only when
@@ -906,12 +889,13 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, r, "request", err)
 		return
 	}
-	// The slicer is deterministic, so the request tuple identifies the
-	// slice content and makes a valid strong validator. (The request
-	// and duration_ns response fields vary per request; they are
-	// delivery metadata, not content — the semantic payload a client
-	// revalidates is the slice itself.)
-	etag := sliceETag(req, explain)
+	// The slicer is deterministic, so the request tuple's result-record
+	// address identifies the slice content and makes a valid strong
+	// validator. (The request and duration_ns response fields vary per
+	// request; they are delivery metadata, not content — the semantic
+	// payload a client revalidates is the slice itself.)
+	rkey := resultKeyFor(req, explain)
+	etag := `"` + rkey.Hex() + `"`
 	w.Header().Set("ETag", etag)
 	if inm := r.Header.Get("If-None-Match"); etagMatches(inm, etag) {
 		w.WriteHeader(http.StatusNotModified)
@@ -936,14 +920,8 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil || s.results != nil {
 		w.Header().Set("X-Sliced-Route", obs.RouteLocal)
 	}
-	// The result-record address hashes the whole source, so it is
-	// derived only when a result tier exists to look it up in.
-	var rkey slicecache.ResultKey
-	if s.results != nil {
-		rkey = resultKeyFor(req, explain)
-		if s.serveResult(ctx, w, r, req, rkey, id, start) {
-			return
-		}
+	if s.results != nil && s.serveResult(ctx, w, r, req, rkey, id, start) {
+		return
 	}
 
 	a := s.analysisFor(ctx, w, r, req.Source, tr)
@@ -990,7 +968,7 @@ func (s *server) renderSlice(w http.ResponseWriter, r *http.Request, a *core.Ana
 		}
 		return resp, nil
 	}
-	sl, err := coreSlice(a, algo, c)
+	sl, err := baselines.Slice(a, algo, c)
 	if err != nil {
 		s.failErr(w, r, "slice", err)
 		return nil, nil
@@ -1085,19 +1063,6 @@ func (s *server) detach(a *core.Analysis, stmts int) (*core.Analysis, error) {
 	d := a.Rebind(nil, s.reg, nil)
 	d.Stmts = stmts
 	return d, nil
-}
-
-// sliceETag derives the strong validator for a slice request: the
-// content hash of everything the response's semantic payload depends
-// on — program source, criterion, algorithm, and whether provenance
-// was requested.
-func sliceETag(req *sliceRequest, explain bool) string {
-	h := sha256.New()
-	for _, part := range []string{"sliced-etag-v1", req.Source, req.Var, strconv.Itoa(req.Line), req.Algo, strconv.FormatBool(explain)} {
-		h.Write([]byte(part))
-		h.Write([]byte{0})
-	}
-	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
 }
 
 // etagMatches implements If-None-Match for a single strong validator:

@@ -3,12 +3,15 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -30,18 +33,17 @@ func fig5(t *testing.T) string {
 	return string(data)
 }
 
-// testConfig is the default daemon configuration for tests: a small
-// flight recorder and failpoints armed.
-func testConfig(flight int) config {
+// testConfig is the default daemon configuration for tests, with
+// failpoints armed.
+func testConfig() config {
 	cfg := defaultConfig()
-	cfg.Flight = flight
 	cfg.Failpoints = true
 	return cfg
 }
 
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	return newTestServerConfig(t, testConfig(1<<12))
+	return newTestServerConfig(t, testConfig())
 }
 
 func newTestServerConfig(t *testing.T, cfg config) (*server, *httptest.Server) {
@@ -347,7 +349,7 @@ func TestConcurrentSlices(t *testing.T) {
 	// Enough admission slots for every worker: this test exercises
 	// data races, not load shedding, and the default 2×GOMAXPROCS can
 	// shed on single-CPU machines.
-	cfg := testConfig(1 << 12)
+	cfg := testConfig()
 	cfg.MaxInflight = workers
 	s, ts := newTestServerConfig(t, cfg)
 	src := fig5(t)
@@ -391,7 +393,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(testConfig(1<<10), io.Discard)
+	s := newServer(testConfig(), io.Discard)
 	done := make(chan error, 1)
 	go func() { done <- serveOn(ln, s) }()
 
@@ -487,5 +489,64 @@ func TestSliceSDGRejectsProcsOnIntraproceduralAlgos(t *testing.T) {
 	data, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(data), "algo=sdg") {
 		t.Errorf("error should direct to the interprocedural slicer: %s", data)
+	}
+}
+
+// TestParseFlags pins the command line: exactly the 19 flags, each
+// default written once (in defaultConfig), the flags CI passes
+// accepted, and limits that admit nothing refused instead of silently
+// replaced.
+func TestParseFlags(t *testing.T) {
+	var names []string
+	cfg := defaultConfig()
+	newFlagSet(&cfg).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	sort.Strings(names)
+	want := []string{"addr", "cache-bytes", "disk-bytes", "disk-dir", "log-format",
+		"max-body", "max-inflight", "max-stmts", "peers", "postmortem-dir", "pprof",
+		"probe-interval", "result-bytes", "runtime-sample", "self", "slo",
+		"spool-bytes", "spool-dir", "timeout"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("flags = %v\nwant    %v", names, want)
+	}
+
+	got, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, defaultConfig()) {
+		t.Errorf("parsed defaults = %+v\nwant %+v", got, defaultConfig())
+	}
+
+	// The command lines of CI's sliced-smoke and cluster-smoke jobs.
+	got, err = parseFlags([]string{"-addr", "127.0.0.1:8321", "-slo", "p99=50ms,err=1%",
+		"-runtime-sample", "1s", "-log-format", "json", "-spool-dir", "/tmp/spool",
+		"-postmortem-dir", "/tmp/pm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Objectives.Latency != 50*time.Millisecond || got.LogFormat != "json" || got.RuntimeSample != time.Second {
+		t.Errorf("sliced-smoke flags parsed as %+v", got)
+	}
+	got, err = parseFlags([]string{"-addr", "127.0.0.1:8331", "-peers", "127.0.0.1:8331, 127.0.0.1:8332",
+		"-disk-dir", "/tmp/disk", "-probe-interval", "200ms", "-max-inflight", "32"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.PeerList, []string{"127.0.0.1:8331", "127.0.0.1:8332"}) ||
+		got.Self != "127.0.0.1:8331" || got.MaxInflight != 32 || got.ProbeInterval != 200*time.Millisecond {
+		t.Errorf("cluster-smoke flags parsed as %+v", got)
+	}
+
+	for _, args := range [][]string{
+		{"-max-inflight", "0"},
+		{"-max-body", "-1"},
+		{"-max-stmts", "0"},
+		{"-log-format", "xml"},
+		{"-slo", "p99"},
+		{"-flight", "64"},
+	} {
+		if _, err := parseFlags(args); err == nil {
+			t.Errorf("parseFlags(%q) accepted", args)
+		}
 	}
 }

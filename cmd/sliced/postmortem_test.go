@@ -67,7 +67,7 @@ func TestPostmortemBundleGoldenSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.SpoolDir = t.TempDir()
 	cfg.PostmortemDir = t.TempDir()
 	s := newServer(cfg, io.Discard)
@@ -231,7 +231,7 @@ func readJSONL(t *testing.T, path string) []obs.WideEvent {
 // TestPostmortemOnPanicOncePerProcess pins the bundle rate limit: the
 // first recovered panic writes a bundle, the second does not.
 func TestPostmortemOnPanicOncePerProcess(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.PostmortemDir = t.TempDir()
 	s, ts := newTestServerConfig(t, cfg)
 
@@ -277,7 +277,7 @@ func TestPostmortemOnPanicOncePerProcess(t *testing.T) {
 // -postmortem-dir unset, writing a bundle is an error, not a surprise
 // directory in the working tree.
 func TestWritePostmortemDisabled(t *testing.T) {
-	s := newServer(testConfig(1<<10), io.Discard)
+	s := newServer(testConfig(), io.Discard)
 	if _, err := s.writePostmortem("sigusr1"); err == nil {
 		t.Fatal("writePostmortem succeeded with no -postmortem-dir")
 	}
@@ -292,7 +292,7 @@ func TestWritePostmortemDisabled(t *testing.T) {
 // instrument middleware land in the on-disk spool, and /debug/spool
 // reports the spool's health.
 func TestSpoolWiring(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.SpoolDir = t.TempDir()
 	s, ts := newTestServerConfig(t, cfg)
 	if err := s.openSpool(); err != nil {

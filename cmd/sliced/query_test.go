@@ -19,7 +19,7 @@ import (
 // and requires every filter to select the same request IDs from
 // /debug/requests, a spool scan, and the bundle's requests.jsonl.
 func TestOneFilterThreeSurfaces(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.MaxInflight = 1
 	cfg.SpoolDir = t.TempDir()
 	cfg.PostmortemDir = t.TempDir()

@@ -101,7 +101,7 @@ func responseCorpus() map[string]string {
 // result tier, so a repeated request is answered from its stored
 // record.
 func digestServer() *server {
-	s := newServer(testConfig(1<<10), io.Discard)
+	s := newServer(testConfig(), io.Discard)
 	s.results = slicecache.NewResultCache(slicecache.ResultOptions{MaxBytes: 64 << 20, Recorder: s.reg})
 	return s
 }

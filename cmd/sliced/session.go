@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"jumpslice/internal/baselines"
 	"jumpslice/internal/core"
 	"jumpslice/internal/incremental"
 	"jumpslice/internal/lang"
@@ -277,7 +278,7 @@ func sliceDelta(prev, cur *core.Analysis, algo string, crit core.Criterion, sl *
 		old := psl.Lines()
 		return missingLines(lines, old), missingLines(old, lines)
 	}
-	psl, err := coreSlice(prev, algo, crit)
+	psl, err := baselines.Slice(prev, algo, crit)
 	if err != nil || psl.Nodes.Cap() != sl.Nodes.Cap() {
 		return nil, nil
 	}

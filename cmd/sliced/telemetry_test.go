@@ -260,7 +260,7 @@ func TestRequestsFilterValidation(t *testing.T) {
 }
 
 func TestSLOViewAndExemplarTrace(t *testing.T) {
-	cfg := testConfig(1 << 12)
+	cfg := testConfig()
 	cfg.Objectives = obs.SLOObjectives{Quantile: 0.99, Latency: 50 * time.Millisecond, ErrRate: 0.01}
 	_, ts := newTestServerConfig(t, cfg)
 	for i := 0; i < 3; i++ {
@@ -313,7 +313,7 @@ func TestSLOViewAndExemplarTrace(t *testing.T) {
 }
 
 func TestMetricsCarrySLOSeries(t *testing.T) {
-	cfg := testConfig(1 << 12)
+	cfg := testConfig()
 	cfg.Objectives = obs.SLOObjectives{Quantile: 0.99, Latency: 50 * time.Millisecond, ErrRate: 0.01}
 	_, ts := newTestServerConfig(t, cfg)
 	postSlice(t, ts, "var=positives&line=14", fig5(t))
@@ -337,7 +337,7 @@ func TestMetricsCarrySLOSeries(t *testing.T) {
 }
 
 func TestShedOutcomeInWideEvent(t *testing.T) {
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.MaxInflight = 1
 	s, ts := newTestServerConfig(t, cfg)
 
@@ -532,7 +532,7 @@ func TestWideEventStmtsMatchProgram(t *testing.T) {
 func TestAccessLogFormats(t *testing.T) {
 	// Text format: one key=value line per request.
 	var buf syncBuffer
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	s := newServer(cfg, &buf)
 	ts := newLoggingTestServer(t, s)
 	postSlice(t, ts, "var=positives&line=14", fig5(t))
@@ -545,7 +545,7 @@ func TestAccessLogFormats(t *testing.T) {
 
 	// JSON format: the same wide event as one JSON object per line.
 	var jbuf syncBuffer
-	jcfg := testConfig(1 << 10)
+	jcfg := testConfig()
 	jcfg.LogFormat = "json"
 	js := newServer(jcfg, &jbuf)
 	jts := newLoggingTestServer(t, js)
@@ -613,7 +613,7 @@ func TestPprofGatedByFlag(t *testing.T) {
 		t.Errorf("pprof without -pprof: status %d, want 404", resp.StatusCode)
 	}
 
-	cfg := testConfig(1 << 10)
+	cfg := testConfig()
 	cfg.Pprof = true
 	_, pts := newTestServerConfig(t, cfg)
 	resp, err = http.Get(pts.URL + "/debug/pprof/")

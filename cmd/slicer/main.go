@@ -253,37 +253,17 @@ func printStats(out io.Writer, s *core.Slice) {
 	}
 }
 
-// runAlgo dispatches the algorithm by name.
+// runAlgo dispatches the algorithm by name; dynamic slicing, the one
+// algorithm that runs the program, reads its input stream.
 func runAlgo(a *core.Analysis, c core.Criterion, algo, input string) (*core.Slice, error) {
-	switch algo {
-	case "dynamic":
-		in, err := parseInput(input)
-		if err != nil {
-			return nil, err
-		}
-		return dynslice.Slice(a, c, dynslice.Options{Input: in})
-	case "conventional":
-		return a.Conventional(c)
-	case "agrawal":
-		return a.Agrawal(c)
-	case "agrawal-lst":
-		return a.AgrawalLST(c)
-	case "structured":
-		return a.AgrawalStructured(c)
-	case "conservative":
-		return a.AgrawalConservative(c)
-	case "weiser":
-		return baselines.Weiser(a, c)
-	case "ball-horwitz":
-		return baselines.BallHorwitz(a, c)
-	case "lyle":
-		return baselines.Lyle(a, c)
-	case "gallagher":
-		return baselines.Gallagher(a, c)
-	case "jzr":
-		return baselines.JiangZhouRobson(a, c)
+	if algo != "dynamic" {
+		return baselines.Slice(a, algo, c)
 	}
-	return nil, fmt.Errorf("unknown algorithm %q", algo)
+	in, err := parseInput(input)
+	if err != nil {
+		return nil, err
+	}
+	return dynslice.Slice(a, c, dynslice.Options{Input: in})
 }
 
 // parseInput parses "3,-1,4" into an input stream; empty means no

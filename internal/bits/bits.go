@@ -176,18 +176,6 @@ func (s *Set) ForEach(fn func(i int)) {
 	}
 }
 
-// ForEachWord calls fn for each nonzero word of the set, passing the
-// word index (members in the word are wi*64 + bit offsets). It is the
-// word-granular counterpart of ForEach for callers that can process
-// 64 members at a time.
-func (s *Set) ForEachWord(fn func(wi int, w uint64)) {
-	for wi, w := range s.words {
-		if w != 0 {
-			fn(wi, w)
-		}
-	}
-}
-
 // NextSet returns the smallest member >= i, or -1 if there is none.
 // It enables allocation- and closure-free iteration:
 //

@@ -210,29 +210,6 @@ func TestNextSetMatchesForEach(t *testing.T) {
 	}
 }
 
-func TestForEachWord(t *testing.T) {
-	s := New(300)
-	for _, i := range []int{1, 64, 65, 299} {
-		s.Add(i)
-	}
-	rebuilt := New(300)
-	words := 0
-	s.ForEachWord(func(wi int, w uint64) {
-		words++
-		for b := 0; b < 64; b++ {
-			if w&(1<<uint(b)) != 0 {
-				rebuilt.Add(wi*64 + b)
-			}
-		}
-	})
-	if words != 3 {
-		t.Errorf("ForEachWord visited %d words, want 3 (zero words must be skipped)", words)
-	}
-	if !rebuilt.Equal(s) {
-		t.Errorf("ForEachWord rebuilt %v, want %v", rebuilt, s)
-	}
-}
-
 func TestAppendMembers(t *testing.T) {
 	s := New(100)
 	s.Add(5)

@@ -31,11 +31,11 @@ import (
 	"strconv"
 )
 
-// DefaultVnodes is the virtual-node count per physical node. 128
-// points per node keeps the expected load imbalance within a few
-// percent of even while the ring stays small enough to rebuild
-// instantly on configuration change.
-const DefaultVnodes = 128
+// Vnodes is the virtual-node count per physical node. 128 points per
+// node keep the expected load imbalance within a few percent of even
+// while the ring stays small enough to rebuild instantly on
+// configuration change.
+const Vnodes = 128
 
 // Ring is an immutable consistent-hash ring over a static node list.
 // Every node in the fleet builds the same ring from the same -peers
@@ -44,7 +44,6 @@ const DefaultVnodes = 128
 type Ring struct {
 	points []ringPoint // sorted by hash
 	nodes  []string    // deduplicated, sorted
-	vnodes int
 }
 
 type ringPoint struct {
@@ -52,13 +51,10 @@ type ringPoint struct {
 	node int32 // index into nodes
 }
 
-// NewRing builds a ring with vnodes virtual points per node (<= 0
-// means DefaultVnodes). Duplicate node names collapse; the input
-// order does not matter — two rings over the same set are identical.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+// NewRing builds a ring with Vnodes virtual points per node.
+// Duplicate node names collapse; the input order does not matter —
+// two rings over the same set are identical.
+func NewRing(nodes []string) *Ring {
 	seen := make(map[string]bool, len(nodes))
 	uniq := make([]string, 0, len(nodes))
 	for _, n := range nodes {
@@ -70,11 +66,10 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	sort.Strings(uniq)
 	r := &Ring{
 		nodes:  uniq,
-		vnodes: vnodes,
-		points: make([]ringPoint, 0, len(uniq)*vnodes),
+		points: make([]ringPoint, 0, len(uniq)*Vnodes),
 	}
 	for i, node := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < Vnodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: pointHash(node, v),
 				node: int32(i),
@@ -118,9 +113,6 @@ func keyHash(key []byte) uint64 {
 // Nodes returns the ring's node list (sorted, deduplicated). Callers
 // must not mutate it.
 func (r *Ring) Nodes() []string { return r.nodes }
-
-// Vnodes returns the virtual-node count per node.
-func (r *Ring) Vnodes() int { return r.vnodes }
 
 // Owner returns the node owning key: the first virtual point at or
 // after the key's hash, wrapping at the top of the ring. An empty

@@ -203,27 +203,3 @@ func finish(a *core.Analysis, c core.Criterion, set *bits.Set) (*core.Slice, err
 		Relabeled:  a.RetargetLabels(set),
 	}, nil
 }
-
-// Occurrences returns how many times the criterion statement executed
-// on the given input — useful for choosing LastOccurrenceOnly.
-func Occurrences(a *core.Analysis, c core.Criterion, input []int64) (int, error) {
-	seeds, err := a.CriterionNodes(c)
-	if err != nil {
-		return 0, err
-	}
-	res, err := interp.RunCFG(a.CFG, interp.Options{Input: input, CollectTrace: true})
-	if err != nil {
-		return 0, err
-	}
-	seedSet := map[int]bool{}
-	for _, s := range seeds {
-		seedSet[s] = true
-	}
-	count := 0
-	for _, id := range res.Trace {
-		if seedSet[id] {
-			count++
-		}
-	}
-	return count, nil
-}

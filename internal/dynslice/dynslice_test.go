@@ -204,13 +204,6 @@ i = i + 1;
 }`)
 	c := core.Criterion{Var: "s", Line: 6}
 	in := []int64{10, 20, 30}
-	n, err := Occurrences(a, c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("occurrences = %d, want 3", n)
-	}
 	all, err := Slice(a, c, Options{Input: in})
 	if err != nil {
 		t.Fatal(err)

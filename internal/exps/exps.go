@@ -260,15 +260,15 @@ type AlgoEntry struct {
 // Algorithms lists the algorithms each experiment sweeps.
 func Algorithms() []AlgoEntry {
 	return []AlgoEntry{
-		{"conventional", false, func(a *core.Analysis, c core.Criterion) (*core.Slice, error) { return a.Conventional(c) }},
-		{"agrawal (Fig 7)", false, func(a *core.Analysis, c core.Criterion) (*core.Slice, error) { return a.Agrawal(c) }},
-		{"structured (Fig 12)", true, func(a *core.Analysis, c core.Criterion) (*core.Slice, error) { return a.AgrawalStructured(c) }},
-		{"conservative (Fig 13)", true, func(a *core.Analysis, c core.Criterion) (*core.Slice, error) { return a.AgrawalConservative(c) }},
-		{"weiser", false, baselines.Weiser},
-		{"ball-horwitz", false, baselines.BallHorwitz},
-		{"lyle", false, baselines.Lyle},
-		{"gallagher", false, baselines.Gallagher},
-		{"jiang-zhou-robson", false, baselines.JiangZhouRobson},
+		{"conventional", false, baselines.ByName["conventional"]},
+		{"agrawal (Fig 7)", false, baselines.ByName["agrawal"]},
+		{"structured (Fig 12)", true, baselines.ByName["structured"]},
+		{"conservative (Fig 13)", true, baselines.ByName["conservative"]},
+		{"weiser", false, baselines.ByName["weiser"]},
+		{"ball-horwitz", false, baselines.ByName["ball-horwitz"]},
+		{"lyle", false, baselines.ByName["lyle"]},
+		{"gallagher", false, baselines.ByName["gallagher"]},
+		{"jiang-zhou-robson", false, baselines.ByName["jzr"]},
 	}
 }
 
@@ -1014,7 +1014,7 @@ func Cluster(o Options) ([]ClusterRow, error) {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("node-%02d:7070", i)
 		}
-		ring := cluster.NewRing(nodes, cluster.DefaultVnodes)
+		ring := cluster.NewRing(nodes)
 
 		owners := make([]string, len(keys))
 		perNode := map[string]int{}
@@ -1050,7 +1050,7 @@ func Cluster(o Options) ([]ClusterRow, error) {
 		}
 
 		// Churn: node 0 leaves, how many keys move?
-		smaller := cluster.NewRing(nodes[1:], cluster.DefaultVnodes)
+		smaller := cluster.NewRing(nodes[1:])
 		moved := 0
 		for i, k := range keys {
 			if smaller.Owner(k) != owners[i] {

@@ -572,40 +572,3 @@ func VarNames(p *Program) []string {
 	sort.Strings(names)
 	return names
 }
-
-// IntrinsicNames returns the sorted set of intrinsic function names
-// called anywhere in the program.
-func IntrinsicNames(p *Program) []string {
-	seen := map[string]bool{}
-	collect := func(e Expr) {
-		for _, n := range ExprCalls(nil, e) {
-			seen[n] = true
-		}
-	}
-	WalkProgram(p, func(s Stmt) {
-		switch s := s.(type) {
-		case *AssignStmt:
-			collect(s.Value)
-		case *WriteStmt:
-			collect(s.Value)
-		case *IfStmt:
-			collect(s.Cond)
-		case *WhileStmt:
-			collect(s.Cond)
-		case *SwitchStmt:
-			collect(s.Tag)
-		case *ReturnStmt:
-			collect(s.Value)
-		case *CallStmt:
-			for _, a := range s.Args {
-				collect(a)
-			}
-		}
-	})
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

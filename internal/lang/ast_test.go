@@ -126,9 +126,6 @@ func TestVarNamesAndIntrinsics(t *testing.T) {
 	if got := VarNames(p); !reflect.DeepEqual(got, []string{"x", "y", "z"}) {
 		t.Errorf("VarNames = %v", got)
 	}
-	if got := IntrinsicNames(p); !reflect.DeepEqual(got, []string{"eof", "f1", "g"}) {
-		t.Errorf("IntrinsicNames = %v", got)
-	}
 }
 
 func TestUnlabelNested(t *testing.T) {

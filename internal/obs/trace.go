@@ -126,6 +126,10 @@ type FlightRecorder struct {
 	head  atomic.Uint64 // events ever published
 }
 
+// FlightCapacity is the flight recorder size sliced and slicebench's
+// -trace use: 65536 events, at 8 bytes per slot a 512 KiB ring.
+const FlightCapacity = 1 << 16
+
 // NewFlightRecorder returns a recorder keeping the most recent
 // capacity events (rounded up to a power of two; minimum 1).
 func NewFlightRecorder(capacity int) *FlightRecorder {

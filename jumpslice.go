@@ -154,29 +154,11 @@ func (s *Slicer) Slice(variable string, line int) (*Result, error) {
 
 // coreSlice dispatches an algorithm by name.
 func (s *Slicer) coreSlice(algo Algorithm, c core.Criterion) (*core.Slice, error) {
-	switch algo {
-	case Conventional:
-		return s.analysis.Conventional(c)
-	case Agrawal:
-		return s.analysis.Agrawal(c)
-	case AgrawalLST:
-		return s.analysis.AgrawalLST(c)
-	case Structured:
-		return s.analysis.AgrawalStructured(c)
-	case Conservative:
-		return s.analysis.AgrawalConservative(c)
-	case BallHorwitz:
-		return baselines.BallHorwitz(s.analysis, c)
-	case Weiser:
-		return baselines.Weiser(s.analysis, c)
-	case Lyle:
-		return baselines.Lyle(s.analysis, c)
-	case Gallagher:
-		return baselines.Gallagher(s.analysis, c)
-	case JiangZhouRobson:
-		return baselines.JiangZhouRobson(s.analysis, c)
+	run, ok := baselines.ByName[string(algo)]
+	if !ok {
+		return nil, fmt.Errorf("jumpslice: unknown algorithm %q", algo)
 	}
-	return nil, fmt.Errorf("jumpslice: unknown algorithm %q", algo)
+	return run(s.analysis, c)
 }
 
 // SliceWith computes the slice of (variable, line) with the chosen
