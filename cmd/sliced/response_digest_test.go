@@ -24,49 +24,56 @@ import (
 // corpus: a SHA-256 per program over the /slice response of every
 // write criterion, with and without explain (algo=sdg for the
 // procedure programs, every intraprocedural algorithm for the paper's
-// figures), plus the session and error-envelope scenarios below. The
-// request ID and duration_ns are pinned, so the digests cover
-// everything else in the body. The response encoder may be rewritten
+// figures), plus the session and error-envelope scenarios below. A
+// procedure program's explain responses, and the session's sdg explain
+// edit, have entries of their own (name-explain), apart from the text
+// responses. The request ID and duration_ns are pinned, so the digests
+// cover everything else in the body. The response encoder may be rewritten
 // for speed, but the bytes it produces may not change: a rewrite must
 // pass this test without regenerating it.
 var responseDigests = map[string]string{
-	"errors":             "53cd3a67f6e89e83dda35e9018ce0485de1b189b3905e6580f21facc7e448957",
-	"multiproc-1":        "0d8b5d5b8a1cbfde3b9464e58f1dae266107e14b7ee8ec405a33623a71a3e511",
-	"multiproc-2":        "8757d9b85f5c323c6ed200ff5cdfcafb91a598a4d389c3bb201623f9675634e5",
-	"multiproc-3":        "adf9dfdce1a53d2346a6e90510b34835ca8ca8821e618543a62f417351e92d7d",
-	"multiproc-4":        "63aacd4721b4eb50be2f61468f2c78dec8b6092821c7c91d688458d266f05165",
-	"paper-Figure-1-a":   "31a998aaf7103ea5f6318ed910794edbc28755470c81265456e4cc71ead61cb9",
-	"paper-Figure-10-a":  "866e6473bfb4d69429fc345a300bfc852eccc22a98f6642513e7e40c48e65438",
-	"paper-Figure-14-a":  "ea55b77f0e11a35042bd62cf0fb321b575d1e56306d9731ed7e2b321b6a125c3",
-	"paper-Figure-16-a":  "a4999a95dacab8d3228f1d9c83a697cc65efc8e54765f89a45a10bcad87e80ae",
-	"paper-Figure-3-a":   "6ae9f0387c315fb2ea6704e522fba99af9c570b17d984a63d892e2789baa0047",
-	"paper-Figure-5-a":   "77acea91dc595a9101780df68d5d7af5e93eddef286273fdb6c0e88e1c7674ee",
-	"paper-Figure-8-a":   "39fa5f78f5152524b652f56c9398eee8dbe30e9b2aa40725d27c605cb1c8d1b5",
-	"session":            "3779d5392e63c055d1231ec116442238ef1ea3c81d6aa8c313ffbbfa5fc26687",
-	"structured-120-1":   "2d2260acead30643bc15e879bd3a5004ae2c7235e296c398e487ecb0b4b59df1",
-	"structured-120-2":   "168c860662e00909e2957565c8e47cbb871cb2a26e7aa24183c9eae8cbb0ed3e",
-	"structured-120-3":   "9f3a71ee7ff91860cad7085d0f52bbb8c1fdd1ea412f273b1fa577c39b64d7de",
-	"structured-200-1":   "4a3ec84541b81b1b8ae15c2ab8f23bad8a8dfb785697492e156b11d8a2bc351c",
-	"structured-200-2":   "ffe4624ad44d26ba247ec441ea95a356c099a16e09a2ae6673fc8e8a267a17f5",
-	"structured-200-3":   "9a47f54b26f0f824d4e3276538ef7b7bd6832841ca7c02aa9e677fe8f378012a",
-	"structured-40-1":    "c043fffd8ea24da90d6611b29ec29420709d28e160ed5dc9beb8b8f1135335a2",
-	"structured-40-2":    "6be6b4006a482d3db16e480d8cdf18bb65460d7da77e7c88cca13a2d1a5851b9",
-	"structured-40-3":    "8f0c4134b8ac40148e95f09409a4d5bcba467f126502a9746e1df9b5e8a2ee5d",
-	"structured-400-1":   "377b1ec66f891dafc3e3f01fb5fb81652249f124d65fe68f9b5dd4b90f602976",
-	"structured-400-2":   "d648d9a014219d8c9eaa6e9d9f11fa4ce6bc4a3bb0620cd285df36e54347dd02",
-	"structured-400-3":   "cdd3fe5581bfb43936f8480ed5b381c1c17fb88d8a7d7482b68280deebbc1fbf",
-	"unstructured-120-1": "5aeb48b6715d370b9d4c2fee19b65a4b6adc68e69dff2ff22bc2a899b588da0c",
-	"unstructured-120-2": "9a937ad6a3f25876d3c802af5d9876ddcc4d50ee5a95fc62ef9c537770b80419",
-	"unstructured-120-3": "342e212761d4787d8f47dd19c607289236109f25fe1124879901a88daa34dfb8",
-	"unstructured-200-1": "c09785ea5da4a6aa1d4b278a7f90aaf00a4740bf78669ca96d0bd3bf3478025f",
-	"unstructured-200-2": "4aa7694a62f251f81035aab47b4d3f54aadb21f2b582dd5bd809b839d3a209dd",
-	"unstructured-200-3": "8235556fe88122caaaa24f15984cdb2808ac773ead5039a78f2c6f1110759683",
-	"unstructured-40-1":  "605687595aa322e96dc8f8838668002dfee63423b7117d7f9b4f5366c5864499",
-	"unstructured-40-2":  "462005a0e13b31d290c30fb0d281b314a9bafbaa160f8e17c0bcfd7e3e643746",
-	"unstructured-40-3":  "906db4d2efd7f026923b868eefb7007ac75dcc6ffb533c5a98734999a672a40b",
-	"unstructured-400-1": "9c7c9357775f02fc78dbc9ac46f8a853b289784e99ef56dc527b98a18fa1ca3b",
-	"unstructured-400-2": "7fb26622b6bbf73b9727d5eea0e16886d4176a22bca44e9dcc8d8415c4ade91d",
-	"unstructured-400-3": "1bbbd6d2fb5970f043403941022207d0f96aa4db93cceb5440094ee7368301a7",
+	"errors":              "53cd3a67f6e89e83dda35e9018ce0485de1b189b3905e6580f21facc7e448957",
+	"multiproc-1":         "e2d6512d3c6886e507c7070016681be826405408017de69575e9593ae72fa4a1",
+	"multiproc-1-explain": "2a2e27fa463fbd50e2d16868576f37fe42342afd5f7a6c4a82625a1106a6eac6",
+	"multiproc-2":         "7ac04a3ed2e13727e7cbfa04387d4159771f53c702d30737551d71e390ad5bcb",
+	"multiproc-2-explain": "caa4a36de615fb6a5f2dcc5a8f651c9c35a21178061239a77033b69b097cb79d",
+	"multiproc-3":         "a61be6c8fe365f6e1fbb937694de261bdb6c58cf4e5b50f9dd1f60367899e0ee",
+	"multiproc-3-explain": "7f09f0d509d50c9b1f702a2d5248e600865365087bf6dcd03d498ed96433646d",
+	"multiproc-4":         "81dbbe8feea2eea58966a0f77de558558b81a88f4ec3520221447c6b7ad4d667",
+	"multiproc-4-explain": "a72abb9aede555c8fcb4980d7dd3162ad2b23704145b35ad70ff07b9c4ac5ba9",
+	"paper-Figure-1-a":    "31a998aaf7103ea5f6318ed910794edbc28755470c81265456e4cc71ead61cb9",
+	"paper-Figure-10-a":   "866e6473bfb4d69429fc345a300bfc852eccc22a98f6642513e7e40c48e65438",
+	"paper-Figure-14-a":   "ea55b77f0e11a35042bd62cf0fb321b575d1e56306d9731ed7e2b321b6a125c3",
+	"paper-Figure-16-a":   "a4999a95dacab8d3228f1d9c83a697cc65efc8e54765f89a45a10bcad87e80ae",
+	"paper-Figure-3-a":    "6ae9f0387c315fb2ea6704e522fba99af9c570b17d984a63d892e2789baa0047",
+	"paper-Figure-5-a":    "77acea91dc595a9101780df68d5d7af5e93eddef286273fdb6c0e88e1c7674ee",
+	"paper-Figure-8-a":    "39fa5f78f5152524b652f56c9398eee8dbe30e9b2aa40725d27c605cb1c8d1b5",
+	"session":             "e8f8d9229e4f13eb0183c3c27e79e5b9ca634b8566160ff73245bf1b5233f95b",
+	"session-sdg-explain": "01cf85248baa2f6b8765a377e6c5e98fb0fe56291bad1364aef1f069cc2f9c58",
+	"structured-120-1":    "2d2260acead30643bc15e879bd3a5004ae2c7235e296c398e487ecb0b4b59df1",
+	"structured-120-2":    "168c860662e00909e2957565c8e47cbb871cb2a26e7aa24183c9eae8cbb0ed3e",
+	"structured-120-3":    "9f3a71ee7ff91860cad7085d0f52bbb8c1fdd1ea412f273b1fa577c39b64d7de",
+	"structured-200-1":    "4a3ec84541b81b1b8ae15c2ab8f23bad8a8dfb785697492e156b11d8a2bc351c",
+	"structured-200-2":    "ffe4624ad44d26ba247ec441ea95a356c099a16e09a2ae6673fc8e8a267a17f5",
+	"structured-200-3":    "9a47f54b26f0f824d4e3276538ef7b7bd6832841ca7c02aa9e677fe8f378012a",
+	"structured-40-1":     "c043fffd8ea24da90d6611b29ec29420709d28e160ed5dc9beb8b8f1135335a2",
+	"structured-40-2":     "6be6b4006a482d3db16e480d8cdf18bb65460d7da77e7c88cca13a2d1a5851b9",
+	"structured-40-3":     "8f0c4134b8ac40148e95f09409a4d5bcba467f126502a9746e1df9b5e8a2ee5d",
+	"structured-400-1":    "377b1ec66f891dafc3e3f01fb5fb81652249f124d65fe68f9b5dd4b90f602976",
+	"structured-400-2":    "d648d9a014219d8c9eaa6e9d9f11fa4ce6bc4a3bb0620cd285df36e54347dd02",
+	"structured-400-3":    "cdd3fe5581bfb43936f8480ed5b381c1c17fb88d8a7d7482b68280deebbc1fbf",
+	"unstructured-120-1":  "5aeb48b6715d370b9d4c2fee19b65a4b6adc68e69dff2ff22bc2a899b588da0c",
+	"unstructured-120-2":  "9a937ad6a3f25876d3c802af5d9876ddcc4d50ee5a95fc62ef9c537770b80419",
+	"unstructured-120-3":  "342e212761d4787d8f47dd19c607289236109f25fe1124879901a88daa34dfb8",
+	"unstructured-200-1":  "c09785ea5da4a6aa1d4b278a7f90aaf00a4740bf78669ca96d0bd3bf3478025f",
+	"unstructured-200-2":  "4aa7694a62f251f81035aab47b4d3f54aadb21f2b582dd5bd809b839d3a209dd",
+	"unstructured-200-3":  "8235556fe88122caaaa24f15984cdb2808ac773ead5039a78f2c6f1110759683",
+	"unstructured-40-1":   "605687595aa322e96dc8f8838668002dfee63423b7117d7f9b4f5366c5864499",
+	"unstructured-40-2":   "462005a0e13b31d290c30fb0d281b314a9bafbaa160f8e17c0bcfd7e3e643746",
+	"unstructured-40-3":   "906db4d2efd7f026923b868eefb7007ac75dcc6ffb533c5a98734999a672a40b",
+	"unstructured-400-1":  "9c7c9357775f02fc78dbc9ac46f8a853b289784e99ef56dc527b98a18fa1ca3b",
+	"unstructured-400-2":  "7fb26622b6bbf73b9727d5eea0e16886d4176a22bca44e9dcc8d8415c4ade91d",
+	"unstructured-400-3":  "1bbbd6d2fb5970f043403941022207d0f96aa4db93cceb5440094ee7368301a7",
 }
 
 // pinnedRequestID is the request ID every digest request carries.
@@ -158,7 +165,11 @@ func TestResponseDigest(t *testing.T) {
 			if len(crits) == 0 {
 				t.Fatal("no write criteria")
 			}
-			h := sha256.New()
+			// A procedure program's explain responses are digested apart
+			// from its text responses, under name-explain, so the sdg
+			// text bytes are pinned on their own.
+			h, hExplain := sha256.New(), sha256.New()
+			split := len(prog.Procs) > 0
 			for _, c := range crits {
 				for _, algo := range algos {
 					for _, explain := range []bool{false, true} {
@@ -168,7 +179,11 @@ func TestResponseDigest(t *testing.T) {
 						}
 						target := "/slice?" + q.Encode()
 						rec, body := digestDo(t, s, http.MethodPost, target, "text/plain", src)
-						putDigest(h, body)
+						if explain && split {
+							putDigest(hExplain, body)
+						} else {
+							putDigest(h, body)
+						}
 						if rec.Code == http.StatusUnprocessableEntity && (algo == "structured" || algo == "conservative") {
 							continue // Figures 12 and 13 refuse unstructured jumps
 						}
@@ -188,16 +203,20 @@ func TestResponseDigest(t *testing.T) {
 				}
 			}
 			checkDigest(t, name, h)
+			if split {
+				checkDigest(t, name+"-explain", hExplain)
+			}
 		})
 	}
 }
 
 // TestResponseDigestSession pins the session responses: the open, a
 // patched, a partial and a full edit (with and without explain and
-// sdg), and the close.
+// sdg), and the close. The sdg explain edit is digested on its own,
+// under session-sdg-explain.
 func TestResponseDigestSession(t *testing.T) {
 	s := digestServer()
-	h := sha256.New()
+	h, hExplain := sha256.New(), sha256.New()
 	const src = "read(a);\nread(b);\nif (a < b && b > 0) {\n  c = a + 1;\n}\nd = b + 1;\nx = c;\ny = x;\nwrite(y);\n"
 	rec, body := digestDo(t, s, http.MethodPost, "/session", "text/plain", src)
 	if rec.Code != http.StatusCreated {
@@ -224,7 +243,11 @@ func TestResponseDigestSession(t *testing.T) {
 		if !strings.Contains(string(body), `"edits": [`) {
 			t.Fatalf("patch %s: no incremental edits in %s", step.query, body)
 		}
-		putDigest(h, body)
+		if strings.Contains(step.query, "algo=sdg&explain=1") {
+			putDigest(hExplain, body)
+		} else {
+			putDigest(h, body)
+		}
 	}
 	rec, body = digestDo(t, s, http.MethodDelete, "/session/"+id, "", "")
 	if rec.Code != http.StatusOK {
@@ -232,6 +255,7 @@ func TestResponseDigestSession(t *testing.T) {
 	}
 	putDigest(h, body)
 	checkDigest(t, "session", h)
+	checkDigest(t, "session-sdg-explain", hExplain)
 }
 
 // TestResponseDigestErrors pins the error envelope for a program
