@@ -946,39 +946,37 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 // delta. A nil body means the failure was already answered.
 func (s *server) renderSlice(w http.ResponseWriter, r *http.Request, a *core.Analysis, algo string, c core.Criterion, explain bool) (*sliceResponse, *core.Slice) {
 	resp := &sliceResponse{Var: c.Var, Line: c.Line}
+	var sl *core.Slice
+	var explainer interface {
+		Explain() (*core.Provenance, error)
+	}
 	if algo == "sdg" {
 		ps, err := a.ProgramSet()
-		var sl *core.InterSlice
+		var is *core.InterSlice
 		if err == nil {
-			sl, err = ps.SliceInterproc(c)
+			is, err = ps.SliceInterproc(c)
 		}
 		if err != nil {
 			s.failErr(w, r, "slice", err)
 			return nil, nil
 		}
+		resp.Algorithm, resp.Lines, resp.Traversals, resp.Text = is.Algorithm, is.Lines(), is.Traversals, is.Format()
+		resp.JumpLines = is.JumpLines()
+		explainer = is
+	} else {
+		var err error
+		if sl, err = baselines.Slice(a, algo, c); err != nil {
+			s.failErr(w, r, "slice", err)
+			return nil, nil
+		}
 		resp.Algorithm, resp.Lines, resp.Traversals, resp.Text = sl.Algorithm, sl.Lines(), sl.Traversals, sl.Format()
-		for _, u := range ps.Units {
-			for _, nid := range sl.PerProc[u.Index].JumpsAdded {
-				resp.JumpLines = append(resp.JumpLines, u.Sub.CFG.Nodes[nid].Line)
-			}
+		for _, nid := range sl.JumpsAdded {
+			resp.JumpLines = append(resp.JumpLines, a.CFG.Nodes[nid].Line)
 		}
-		sort.Ints(resp.JumpLines)
-		if explain {
-			resp.Reasons = sl.EdgeReasons()
-		}
-		return resp, nil
-	}
-	sl, err := baselines.Slice(a, algo, c)
-	if err != nil {
-		s.failErr(w, r, "slice", err)
-		return nil, nil
-	}
-	resp.Algorithm, resp.Lines, resp.Traversals, resp.Text = sl.Algorithm, sl.Lines(), sl.Traversals, sl.Format()
-	for _, nid := range sl.JumpsAdded {
-		resp.JumpLines = append(resp.JumpLines, a.CFG.Nodes[nid].Line)
+		explainer = sl
 	}
 	if explain {
-		p, err := sl.Explain()
+		p, err := explainer.Explain()
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				s.failErr(w, r, "explain", err)

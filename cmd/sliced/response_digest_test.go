@@ -34,13 +34,13 @@ import (
 var responseDigests = map[string]string{
 	"errors":              "53cd3a67f6e89e83dda35e9018ce0485de1b189b3905e6580f21facc7e448957",
 	"multiproc-1":         "e2d6512d3c6886e507c7070016681be826405408017de69575e9593ae72fa4a1",
-	"multiproc-1-explain": "2a2e27fa463fbd50e2d16868576f37fe42342afd5f7a6c4a82625a1106a6eac6",
+	"multiproc-1-explain": "7d86f9fda40f4cdfb0d8b12c0a6b45195c1910e4c9597a521761784010dca3c2",
 	"multiproc-2":         "7ac04a3ed2e13727e7cbfa04387d4159771f53c702d30737551d71e390ad5bcb",
-	"multiproc-2-explain": "caa4a36de615fb6a5f2dcc5a8f651c9c35a21178061239a77033b69b097cb79d",
+	"multiproc-2-explain": "98b06b103be404e586ea89c973ba1deb3b7bf22bd1f1037b1f3269142523b3cd",
 	"multiproc-3":         "a61be6c8fe365f6e1fbb937694de261bdb6c58cf4e5b50f9dd1f60367899e0ee",
-	"multiproc-3-explain": "7f09f0d509d50c9b1f702a2d5248e600865365087bf6dcd03d498ed96433646d",
+	"multiproc-3-explain": "e75b59b8bc8cea0863ca302a8c5240f3e7fbe36b36ed9c117392a6f7f08c94d0",
 	"multiproc-4":         "81dbbe8feea2eea58966a0f77de558558b81a88f4ec3520221447c6b7ad4d667",
-	"multiproc-4-explain": "a72abb9aede555c8fcb4980d7dd3162ad2b23704145b35ad70ff07b9c4ac5ba9",
+	"multiproc-4-explain": "fd094eda8792320a68520226072f0f561d442b9d62ed437cd33dc752d9e0932d",
 	"paper-Figure-1-a":    "31a998aaf7103ea5f6318ed910794edbc28755470c81265456e4cc71ead61cb9",
 	"paper-Figure-10-a":   "866e6473bfb4d69429fc345a300bfc852eccc22a98f6642513e7e40c48e65438",
 	"paper-Figure-14-a":   "ea55b77f0e11a35042bd62cf0fb321b575d1e56306d9731ed7e2b321b6a125c3",
@@ -49,7 +49,7 @@ var responseDigests = map[string]string{
 	"paper-Figure-5-a":    "77acea91dc595a9101780df68d5d7af5e93eddef286273fdb6c0e88e1c7674ee",
 	"paper-Figure-8-a":    "39fa5f78f5152524b652f56c9398eee8dbe30e9b2aa40725d27c605cb1c8d1b5",
 	"session":             "e8f8d9229e4f13eb0183c3c27e79e5b9ca634b8566160ff73245bf1b5233f95b",
-	"session-sdg-explain": "01cf85248baa2f6b8765a377e6c5e98fb0fe56291bad1364aef1f069cc2f9c58",
+	"session-sdg-explain": "b6012fcf755f71699c0fcecc2c3de7b09974de3c38b6c4e183d6d9e40cabe8e3",
 	"structured-120-1":    "2d2260acead30643bc15e879bd3a5004ae2c7235e296c398e487ecb0b4b59df1",
 	"structured-120-2":    "168c860662e00909e2957565c8e47cbb871cb2a26e7aa24183c9eae8cbb0ed3e",
 	"structured-120-3":    "9f3a71ee7ff91860cad7085d0f52bbb8c1fdd1ea412f273b1fa577c39b64d7de",

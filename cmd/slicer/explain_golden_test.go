@@ -13,13 +13,15 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden sn
 // TestGoldenExplain snapshots the full -explain listings for the
 // paper's two worked jump examples and pins the jump-rule evidence to
 // the exact nearest-postdominator/nearest-lexical-successor pairs the
-// paper derives. Regenerate deliberately with
+// paper derives. A third case pins the interprocedural listing, which
+// has the same form. Regenerate deliberately with
 //
 //	go test -run TestGoldenExplain -update-golden ./cmd/slicer
 func TestGoldenExplain(t *testing.T) {
 	cases := []struct {
 		name     string
 		file     string
+		algo     string
 		varName  string
 		line     string
 		mustHave []string
@@ -58,11 +60,34 @@ func TestGoldenExplain(t *testing.T) {
 				" 15: write(positives);  // criterion",
 			},
 		},
+		{
+			name:    "procs-two",
+			file:    "procs-two.mc",
+			algo:    "sdg",
+			varName: "sum",
+			line:    "10",
+			// The call on line 8 is in because the callee's entry is
+			// (call from 1, the declaration) and its argument feeds the
+			// callee's formal (param-in); the declaration line carries
+			// the formal-out the call's copy-back reads (param-out).
+			// The second call, for cnt, stays out.
+			mustHave: []string{
+				"  1: proc add(s, x) {  // entry;",
+				"param-out from 8",
+				"  8: call add(sum, a);  // control-dep from 8; call from 1; param-in from 1; summary from 8; data-dep from 10",
+				" 10: write(sum);  // criterion",
+			},
+			mustMiss: []string{"  9: call add(cnt, b);"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			src := filepath.Join("..", "..", "testdata", c.file)
-			out, err := runCLI(t, "-var", c.varName, "-line", c.line, "-explain", src)
+			algo := c.algo
+			if algo == "" {
+				algo = "agrawal"
+			}
+			out, err := runCLI(t, "-algo", algo, "-var", c.varName, "-line", c.line, "-explain", src)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,10 +43,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
-
-	"sort"
 	"strconv"
+	"strings"
 
 	"jumpslice/internal/baselines"
 	"jumpslice/internal/core"
@@ -112,7 +110,21 @@ func run(args []string, out io.Writer) error {
 		if *graph != "" || *flatten || *restructureFlag {
 			return fmt.Errorf("-graph, -flatten and -restructure are not supported with -algo sdg")
 		}
-		return runSDG(out, a, c, *lines, *stats, *explain)
+		ps, err := a.ProgramSet()
+		if err != nil {
+			return err
+		}
+		is, err := ps.SliceInterproc(c)
+		if err != nil {
+			return err
+		}
+		return printSlice(out, is, is.Algorithm, c, *lines, *explain, *stats, func() {
+			st := ps.SDG.Stats()
+			fmt.Fprintf(out, "\n// traversals: %d\n", is.Traversals)
+			fmt.Fprintf(out, "// jumps added beyond conventional: %d\n", is.JumpsAdded)
+			fmt.Fprintf(out, "// sdg: %d procs, %d vertices, %d summary edges (%d worklist rounds)\n",
+				st.Procs, st.Verts, st.SummaryEdges, st.SummaryRounds)
+		})
 	}
 
 	if *restructureFlag {
@@ -166,46 +178,21 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	if *lines {
-		var parts []string
-		for _, l := range s.Lines() {
-			parts = append(parts, fmt.Sprintf("%d", l))
-		}
-		fmt.Fprintln(out, strings.Join(parts, " "))
-		return nil
-	}
-
-	if *explain {
-		p, err := s.Explain()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "// %s slice with respect to %s, annotated with provenance\n", s.Algorithm, c)
-		fmt.Fprint(out, p.Listing())
-		if *stats {
-			printStats(out, s)
-		}
-		return nil
-	}
-
-	fmt.Fprintf(out, "// %s slice with respect to %s\n", s.Algorithm, c)
-	fmt.Fprint(out, s.Format())
-	if *stats {
-		printStats(out, s)
-	}
-	return nil
+	return printSlice(out, s, s.Algorithm, c, *lines, *explain, *stats, func() { printStats(out, s) })
 }
 
-// runSDG computes and prints the interprocedural (HRB two-pass) slice.
-func runSDG(out io.Writer, a *core.Analysis, c core.Criterion, lines, stats, explain bool) error {
-	ps, err := a.ProgramSet()
-	if err != nil {
-		return err
-	}
-	s, err := ps.SliceInterproc(c)
-	if err != nil {
-		return err
-	}
+// slice is what the output modes need of an intraprocedural or an
+// interprocedural slice.
+type slice interface {
+	Lines() []int
+	Format() string
+	Explain() (*core.Provenance, error)
+}
+
+// printSlice prints a slice in the selected output mode: its line
+// numbers, its annotated listing or its text, then with -stats the
+// trailer printStats prints.
+func printSlice(out io.Writer, s slice, algorithm string, c core.Criterion, lines, explain, stats bool, printStats func()) error {
 	if lines {
 		var parts []string
 		for _, l := range s.Lines() {
@@ -214,28 +201,19 @@ func runSDG(out io.Writer, a *core.Analysis, c core.Criterion, lines, stats, exp
 		fmt.Fprintln(out, strings.Join(parts, " "))
 		return nil
 	}
-	fmt.Fprintf(out, "// sdg slice with respect to %s\n", c)
-	fmt.Fprint(out, s.Format())
 	if explain {
-		reasons := s.EdgeReasons()
-		var rlines []int
-		for l := range reasons {
-			rlines = append(rlines, l)
+		p, err := s.Explain()
+		if err != nil {
+			return err
 		}
-		sort.Ints(rlines)
-		fmt.Fprintf(out, "\n// interprocedural edges into each line:\n")
-		for _, l := range rlines {
-			for _, r := range reasons[l] {
-				fmt.Fprintf(out, "// line %d: %s\n", l, r)
-			}
-		}
+		fmt.Fprintf(out, "// %s slice with respect to %s, annotated with provenance\n", algorithm, c)
+		fmt.Fprint(out, p.Listing())
+	} else {
+		fmt.Fprintf(out, "// %s slice with respect to %s\n", algorithm, c)
+		fmt.Fprint(out, s.Format())
 	}
 	if stats {
-		st := ps.SDG.Stats()
-		fmt.Fprintf(out, "\n// traversals: %d\n", s.Traversals)
-		fmt.Fprintf(out, "// jumps added beyond conventional: %d\n", s.JumpsAdded)
-		fmt.Fprintf(out, "// sdg: %d procs, %d vertices, %d summary edges (%d worklist rounds)\n",
-			st.Procs, st.Verts, st.SummaryEdges, st.SummaryRounds)
+		printStats()
 	}
 	return nil
 }

@@ -53,3 +53,47 @@ func TestFormatAllocs(t *testing.T) {
 		t.Errorf("Slice.Format allocates %.0f times, ceiling 2", n)
 	}
 }
+
+// TestExplainAllocs pins the cost of explaining a slice and rendering
+// its reasons and listing, on BenchmarkSingleCriterion's four slices
+// (progen Structured, 400 statements, 3000 to 5500 records each).
+// Explain fills one flat table, and LineReasons and Listing render
+// into pooled buffers, so each slice costs the same 16 allocations
+// however many records it has; the ceiling leaves room for a pool the
+// collector emptied. A per-node map of record slices with one sort
+// closure per node allocated about 3100 times per slice.
+func TestExplainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		prog := progen.Structured(progen.Config{Seed: seed, Stmts: 400})
+		a, err := core.Analyze(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crits := progen.WriteCriteria(prog)
+		s, err := a.Agrawal(core.Criterion{Var: crits[len(crits)-1].Var, Line: crits[len(crits)-1].Line})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p *core.Provenance
+		explain := func() {
+			if p, err = s.Explain(); err != nil {
+				t.Fatal(err)
+			}
+			_ = p.LineReasons()
+			_ = p.Listing()
+		}
+		explain() // warm the pools
+		n := testing.AllocsPerRun(20, explain)
+		records := 0
+		for id := 0; id < p.Len(); id++ {
+			records += len(p.Reasons(id))
+		}
+		t.Logf("seed %d: %d-node slice, %d records: %.0f allocations", seed, s.Nodes.Len(), records, n)
+		if n > 20 {
+			t.Errorf("seed %d: explain with rendering allocates %.0f times, ceiling 20", seed, n)
+		}
+	}
+}

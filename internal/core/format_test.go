@@ -19,11 +19,12 @@ func formatViaMaterialize(s *Slice) string {
 // TestPropertyFormatMatchesMaterialize pins Format, which prints the
 // projection straight from the original AST, to lang.Format of the
 // materialized program, byte for byte: on every algorithm's slice of
-// every write criterion of the corpus, and on arbitrary node sets
-// with arbitrary label retargetings (a baseline builds its own sets,
-// and a set need not be closed under anything), which reach the
-// emptied-branch, emptied-else, trailing-clause and label rules the
-// algorithms' slices rarely combine.
+// every write criterion of the corpus, on the interprocedural slice of
+// every main write criterion of a MultiProc corpus, and on arbitrary
+// node sets with arbitrary label retargetings (a baseline builds its
+// own sets, and a set need not be closed under anything), which reach
+// the emptied-branch, emptied-else, trailing-clause and label rules
+// the algorithms' slices rarely combine.
 func TestPropertyFormatMatchesMaterialize(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	algos := []func(*Analysis, Criterion) (*Slice, error){
@@ -112,6 +113,13 @@ write(z);
 				}
 			}
 			check(i, s)
+		}
+	}
+	// Interprocedural slices print one projection per kept unit.
+	for _, is := range multiProcSlices(t) {
+		cases++
+		if got, want := is.Format(), lang.Format(is.Materialize(), lang.PrintOptions{LineNumbers: true}); got != want {
+			t.Fatalf("sdg %s: Format\n%s\nwant\n%s", is.Criterion, got, want)
 		}
 	}
 	if cases < 2000 {

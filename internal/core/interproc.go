@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"jumpslice/internal/bits"
@@ -258,27 +258,12 @@ func (ps *ProgramSet) SliceInterproc(c Criterion) (*InterSlice, error) {
 	if u == nil {
 		return nil, fmt.Errorf("core: no statement at line %d", c.Line)
 	}
-	seeds, err := u.Sub.resolveCriterion(c)
+	vseeds, err := ps.criterionVerts(u, c)
 	if err != nil {
 		return nil, err
 	}
 	g := ps.SDG
 	cancel := u.Sub.cancelf
-	vseeds := make([]int, 0, len(seeds)+1)
-	for _, id := range seeds {
-		vseeds = append(vseeds, g.StmtVert(u.Index, id))
-		// A criterion resolving to a call node means the variable is
-		// defined by the call's copy-out or used by its arguments;
-		// seed the parameter vertices carrying it, or the closure
-		// would stop at the call statement without entering the
-		// callee.
-		if u.Sub.CFG.Nodes[id].Kind == cfg.KindCall {
-			if aov, ok := g.ActualOutVertByVar(u.Index, id, c.Var); ok {
-				vseeds = append(vseeds, aov)
-			}
-			vseeds = append(vseeds, g.ActualInVertsMentioning(u.Index, id, c.Var)...)
-		}
-	}
 	// The dummy entry is in every slice by construction (covers
 	// criteria in dead code), as in conventionalWith.
 	vseeds = append(vseeds, g.EntryVert(u.Index))
@@ -370,6 +355,32 @@ func (ps *ProgramSet) SliceInterproc(c Criterion) (*InterSlice, error) {
 		ps.o.Tr.SliceDone("sdg", v2.Len())
 	}
 	return s, nil
+}
+
+// criterionVerts resolves the criterion in unit u, the unit owning its
+// line, to the SDG vertices it seeds.
+func (ps *ProgramSet) criterionVerts(u *ProcUnit, c Criterion) ([]int, error) {
+	seeds, err := u.Sub.resolveCriterion(c)
+	if err != nil {
+		return nil, err
+	}
+	g := ps.SDG
+	vseeds := make([]int, 0, len(seeds)+1)
+	for _, id := range seeds {
+		vseeds = append(vseeds, g.StmtVert(u.Index, id))
+		// A criterion resolving to a call node means the variable is
+		// defined by the call's copy-out or used by its arguments;
+		// seed the parameter vertices carrying it, or the closure
+		// would stop at the call statement without entering the
+		// callee.
+		if u.Sub.CFG.Nodes[id].Kind == cfg.KindCall {
+			if aov, ok := g.ActualOutVertByVar(u.Index, id, c.Var); ok {
+				vseeds = append(vseeds, aov)
+			}
+			vseeds = append(vseeds, g.ActualInVertsMentioning(u.Index, id, c.Var)...)
+		}
+	}
+	return vseeds, nil
 }
 
 func unitLabel(u *ProcUnit) string {
@@ -464,17 +475,39 @@ func (e funcEngine) grow(set *bits.Set, seed int) error {
 // Lines returns the sorted union of the per-unit slice lines — the
 // paper-figure representation of the interprocedural slice.
 func (s *InterSlice) Lines() []int {
-	seen := map[int]bool{}
+	var lines []int
 	for _, sl := range s.PerProc {
-		for _, l := range sl.Lines() {
-			seen[l] = true
+		lines = append(lines, sl.Lines()...)
+	}
+	slices.Sort(lines)
+	return slices.Compact(lines)
+}
+
+// memberLines returns the sorted source lines of every vertex of the
+// slice: its statement lines, plus the declaration line of each
+// procedure whose entry or formals are in it.
+func (s *InterSlice) memberLines() []int {
+	g := s.Set.SDG
+	var lines []int
+	for v := s.V2.NextSet(0); v >= 0; v = s.V2.NextSet(v + 1) {
+		if l := g.VertLine(v); l > 0 {
+			lines = append(lines, l)
 		}
 	}
-	lines := make([]int, 0, len(seen))
-	for l := range seen {
-		lines = append(lines, l)
+	slices.Sort(lines)
+	return slices.Compact(lines)
+}
+
+// JumpLines returns the sorted source lines of the jumps the
+// per-procedure repair admitted.
+func (s *InterSlice) JumpLines() []int {
+	var lines []int
+	for i, sl := range s.PerProc {
+		for _, id := range sl.JumpsAdded {
+			lines = append(lines, s.Set.Units[i].Sub.CFG.Nodes[id].Line)
+		}
 	}
-	sort.Ints(lines)
+	slices.Sort(lines)
 	return lines
 }
 
@@ -513,6 +546,8 @@ func (s *InterSlice) keptUnits() []bool {
 // kept procedure is materialized from its local projection with the
 // intraprocedural machinery (including per-procedure label
 // retargeting), and reassembled around the materialized main body.
+// Format prints the same program without building it; Materialize
+// stays as its test oracle.
 func (s *InterSlice) Materialize() *lang.Program {
 	keep := s.keptUnits()
 	out := &lang.Program{}
@@ -535,50 +570,108 @@ func (s *InterSlice) Materialize() *lang.Program {
 	return out
 }
 
-// Format pretty-prints the materialized slice with original line
-// numbers, procedures first, matching the paper's figure style.
+// Format pretty-prints the slice with original line numbers,
+// procedures first, matching the paper's figure style. The text is
+// lang.Format of Materialize's program, printed straight from the
+// original AST with one projection per kept unit.
 func (s *InterSlice) Format() string {
-	return lang.Format(s.Materialize(), lang.PrintOptions{LineNumbers: true})
+	keep := s.keptUnits()
+	last := len(s.PerProc) - 1
+	procs := make([]lang.ProjectedBody, last)
+	for i := range procs {
+		if keep[i] {
+			procs[i] = s.PerProc[i].projectedBody()
+		}
+	}
+	return lang.FormatProjection(s.Set.Prog, s.PerProc[last].projectedBody(), procs, lang.PrintOptions{LineNumbers: true})
 }
 
-// EdgeReasons maps each slice line to the interprocedural evidence
-// that pulled it in: for every slice vertex depending on a vertex at
-// that line through a call, param-in, param-out, or summary edge, a
-// reason string naming the edge kind and the depending vertex.
-// Intraprocedural kinds (control, data, invariant) are omitted — the
-// per-procedure explain machinery covers those.
-func (s *InterSlice) EdgeReasons() map[int][]string {
-	g := s.Set.SDG
-	seen := map[int]map[string]bool{}
-	for v := s.V2.NextSet(0); v >= 0; v = s.V2.NextSet(v + 1) {
+// Explain computes the provenance of the interprocedural slice over
+// its SDG vertices: the criterion's seed vertices, each touched unit's
+// entry, every SDG edge between two members, and each unit's
+// jump-rule admissions. Control and data edges give the control-dep
+// and data-dep kinds; an invariant edge gives cond-jump or
+// switch-enclosure, whichever of the unit's two tables holds it; the
+// call, param-in, param-out and summary edges give their own kinds.
+// Every member has a record whose evidence is in the slice, which the
+// property tests assert over MultiProc corpora.
+func (s *InterSlice) Explain() (*Provenance, error) {
+	seeds, err := s.Set.criterionVerts(s.Set.Units[s.CriterionProc], s.Criterion)
+	if err != nil {
+		return nil, fmt.Errorf("core: explain %s: %w", s.Criterion, err)
+	}
+	p := &Provenance{Inter: s}
+	p.recs, p.start = fillTable(s.Set.SDG.NumVerts(), func(t *table) { s.emitReasons(t, seeds) })
+	return p, nil
+}
+
+// emitReasons emits every record of the slice into t, kind by kind.
+func (s *InterSlice) emitReasons(t *table, seeds []int) {
+	g, set := s.Set.SDG, s.V2
+	for _, v := range seeds {
+		if set.Has(v) {
+			t.add(v, dep(ReasonCriterion, -1))
+		}
+	}
+	for _, u := range s.Set.Units {
+		if e := g.EntryVert(u.Index); set.Has(e) {
+			t.add(e, dep(ReasonEntry, -1))
+		}
+	}
+	s.emitEdges(t, ReasonDataDep)
+	s.emitEdges(t, ReasonControlDep)
+	for _, u := range s.Set.Units {
+		sl := s.PerProc[u.Index]
+		for i, j := range sl.JumpsAdded {
+			r := sl.JumpRules[i]
+			t.add(g.StmtVert(u.Index, j), Reason{
+				Kind:      ReasonJumpRule,
+				From:      -1,
+				NearestPD: g.StmtVert(u.Index, r.NearestPD),
+				NearestLS: g.StmtVert(u.Index, r.NearestLS),
+			})
+		}
+	}
+	for _, k := range [...]ReasonKind{ReasonCondJump, ReasonSwitchEnclosure, ReasonCall, ReasonParamIn, ReasonParamOut, ReasonSummary} {
+		s.emitEdges(t, k)
+	}
+}
+
+// emitEdges emits the records of kind k: one per SDG edge of that kind
+// from a member v to a member d, justifying d with evidence v.
+func (s *InterSlice) emitEdges(t *table, k ReasonKind) {
+	g, set := s.Set.SDG, s.V2
+	for v := set.NextSet(0); v >= 0; v = set.NextSet(v + 1) {
 		for _, d := range g.Deps(v) {
-			switch d.Kind {
-			case sdg.EdgeCall, sdg.EdgeParamIn, sdg.EdgeParamOut, sdg.EdgeSummary:
-			default:
-				continue
+			if set.Has(d.To) && s.edgeReason(v, d) == k {
+				t.add(d.To, dep(k, v))
 			}
-			if !s.V2.Has(d.To) {
-				continue
-			}
-			line := g.VertLine(d.To)
-			if line <= 0 {
-				continue
-			}
-			reason := fmt.Sprintf("%s edge from %s", d.Kind, g.VertString(v))
-			if seen[line] == nil {
-				seen[line] = map[string]bool{}
-			}
-			seen[line][reason] = true
 		}
 	}
-	out := make(map[int][]string, len(seen))
-	for line, rs := range seen {
-		list := make([]string, 0, len(rs))
-		for r := range rs {
-			list = append(list, r)
-		}
-		sort.Strings(list)
-		out[line] = list
+}
+
+// edgeReasons maps each SDG edge kind to its record kind; an invariant
+// edge is decided by edgeReason.
+var edgeReasons = [sdg.NumEdgeKinds]ReasonKind{
+	sdg.EdgeControl:  ReasonControlDep,
+	sdg.EdgeData:     ReasonDataDep,
+	sdg.EdgeCall:     ReasonCall,
+	sdg.EdgeParamIn:  ReasonParamIn,
+	sdg.EdgeParamOut: ReasonParamOut,
+	sdg.EdgeSummary:  ReasonSummary,
+}
+
+// edgeReason maps the SDG edge from v to its record kind. An invariant
+// edge is a conditional jump when the unit's condJumpOf table holds it,
+// and a switch enclosure otherwise.
+func (s *InterSlice) edgeReason(v int, d sdg.Dep) ReasonKind {
+	if d.Kind != sdg.EdgeInvariant {
+		return edgeReasons[d.Kind]
 	}
-	return out
+	g := s.Set.SDG
+	from := g.Vert(v)
+	if s.Set.Units[from.Proc].Sub.condJumpOf[from.Node] == g.Vert(d.To).Node {
+		return ReasonCondJump
+	}
+	return ReasonSwitchEnclosure
 }

@@ -306,8 +306,12 @@ func TestSliceInterprocExplainNamesParamEdges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("slice: %v", err)
 	}
+	p, err := s.Explain()
+	if err != nil {
+		t.Fatalf("explain: %v", err)
+	}
 	var all []string
-	for _, rs := range s.EdgeReasons() {
+	for _, rs := range p.LineReasons() {
 		all = append(all, rs...)
 	}
 	joined := strings.Join(all, "\n")

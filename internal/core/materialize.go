@@ -68,8 +68,15 @@ func (s *Slice) Materialize() *lang.Program {
 // its preorder ordinal (cfg.FirstStmt), so no pruned copy is built and
 // no statement is looked up by pointer.
 func (s *Slice) Format() string {
+	return lang.FormatProjection(s.Analysis.Prog, s.projectedBody(), nil, lang.PrintOptions{LineNumbers: true})
+}
+
+// projectedBody is the slice as the printer sees the body it was
+// computed over: its projection and the labels retargeted past the
+// body's last statement.
+func (s *Slice) projectedBody() lang.ProjectedBody {
 	p := newSliceProjection(s)
-	return lang.FormatProjection(s.Analysis.Prog, p, p.labelsAt(s.Analysis.CFG.Exit.ID), lang.PrintOptions{LineNumbers: true})
+	return lang.ProjectedBody{Proj: p, Trailing: p.labelsAt(s.Analysis.CFG.Exit.ID)}
 }
 
 // sliceProjection is a slice as the printer sees it: its node set and

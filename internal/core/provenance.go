@@ -3,12 +3,13 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/lang"
+	"jumpslice/internal/sdg"
 )
 
 // Provenance mode: explain, per statement, why it is in a slice.
@@ -23,6 +24,11 @@ import (
 // rule, whose evidence is captured at admission time in
 // Slice.JumpRules because later admissions move both "nearest in
 // slice" answers.
+//
+// Both slicers explain into the same table. An intraprocedural slice
+// keys it by flowgraph node; an interprocedural slice keys it by SDG
+// vertex, with the same kinds for the edges a procedure's own tables
+// encode and four more for the edges between procedures.
 
 // ReasonKind classifies one provenance record.
 type ReasonKind uint8
@@ -60,6 +66,21 @@ const (
 	// in-slice predicate From (or, From being a switch tag, enclosed
 	// by the in-slice switch).
 	ReasonJumpCandidate
+	// ReasonCall: the call statement is in because the entry of its
+	// callee, From, is (an SDG call edge; the callee's entry renders
+	// as the procedure's declaration line).
+	ReasonCall
+	// ReasonParamIn: the call's actual-in vertex passes the argument
+	// that the in-slice formal-in From receives (an SDG param-in edge).
+	ReasonParamIn
+	// ReasonParamOut: the procedure's formal-out vertex returns the
+	// value that the in-slice actual-out From copies back (an SDG
+	// param-out edge).
+	ReasonParamOut
+	// ReasonSummary: the actual-in vertex reaches the in-slice
+	// actual-out From of the same call through the callee (an SDG
+	// summary edge: a dependence along a same-level path).
+	ReasonSummary
 )
 
 // String names the kind as it appears in listings and JSON.
@@ -81,6 +102,14 @@ func (k ReasonKind) String() string {
 		return "switch-enclosure"
 	case ReasonJumpCandidate:
 		return "jump-candidate"
+	case ReasonCall:
+		return "call"
+	case ReasonParamIn:
+		return "param-in"
+	case ReasonParamOut:
+		return "param-out"
+	case ReasonSummary:
+		return "summary"
 	}
 	return fmt.Sprintf("ReasonKind(%d)", int(k))
 }
@@ -90,9 +119,9 @@ type Reason struct {
 	Kind ReasonKind
 	// From is the node ID of the evidence source — the in-slice
 	// dependent statement (data/control dep), the conditional-jump
-	// predicate, the enclosed case statement, or the candidate-rule
-	// predicate. -1 when the kind carries no source (criterion,
-	// entry, jump-rule).
+	// predicate, the enclosed case statement, the candidate-rule
+	// predicate, or the in-slice end of an SDG edge. -1 when the kind
+	// carries no source (criterion, entry, jump-rule).
 	From int
 	// NearestPD and NearestLS carry the jump rule's admission
 	// evidence (node IDs; either may be the Exit node, "end of
@@ -101,14 +130,71 @@ type Reason struct {
 	NearestLS int
 }
 
-// Provenance maps every node of a slice to its reason records.
+// Provenance holds the reason records of a slice's members in one
+// flat table ordered by node: the records of node n are Reasons(n),
+// sorted by (Kind, From, NearestPD, NearestLS).
 type Provenance struct {
+	// Slice is the explained intraprocedural slice, whose flowgraph
+	// nodes key the table; Inter is the explained interprocedural
+	// slice, whose SDG vertices key it. Exactly one is set.
 	Slice *Slice
-	// Reasons holds, for each node ID in the slice, at least one
-	// reason, sorted by (Kind, From, NearestPD, NearestLS).
-	Reasons map[int][]Reason
+	Inter *InterSlice
+
+	recs  []Reason
+	start []int32 // node n's records are recs[start[n]:start[n+1]]
 	// lines caches LineReasons.
 	lines map[int][]string
+}
+
+// Reasons returns the records of node id; none for a node outside the
+// slice. Shared; do not modify.
+func (p *Provenance) Reasons(id int) []Reason { return p.recs[p.start[id]:p.start[id+1]] }
+
+// Len returns the number of node IDs the table covers: every ID below
+// it may be passed to Reasons.
+func (p *Provenance) Len() int { return len(p.start) - 1 }
+
+// table is a provenance table under construction; see fillTable.
+type table struct {
+	start []int32
+	recs  []Reason
+	fill  bool
+}
+
+// fillTable builds the table of node IDs below nodes from one emitting
+// walk, run twice: the first run counts each node's records, a prefix
+// sum turns the counts into offsets, and the second run places each
+// record at its node's cursor. The walk emits kind by kind, and within
+// a kind visits the evidence in ascending order, so each node's run
+// comes out sorted without a per-node sort.
+func fillTable(nodes int, emit func(*table)) ([]Reason, []int32) {
+	t := &table{start: make([]int32, nodes+1)}
+	emit(t)
+	for i := 1; i < len(t.start); i++ {
+		t.start[i] += t.start[i-1]
+	}
+	t.recs, t.fill = make([]Reason, t.start[nodes]), true
+	emit(t)
+	// The filling run advanced each start[n] to node n's end, that is
+	// to start[n+1]; shifting restores the offsets.
+	copy(t.start[1:], t.start[:nodes])
+	t.start[0] = 0
+	return t.recs, t.start
+}
+
+func (t *table) add(node int, r Reason) {
+	if !t.fill {
+		t.start[node+1]++
+		return
+	}
+	t.recs[t.start[node]] = r
+	t.start[node]++
+}
+
+// dep is the record of an edge of the slicing relation out of the
+// in-slice node from.
+func dep(k ReasonKind, from int) Reason {
+	return Reason{Kind: k, From: from, NearestPD: -1, NearestLS: -1}
 }
 
 // Explain computes the provenance of the slice: one or more reason
@@ -121,91 +207,75 @@ type Provenance struct {
 // flowgraph of Ball–Horwitz, say) records are best-effort: the
 // dependence-edge reasons still hold, but rule records may be absent.
 func (s *Slice) Explain() (*Provenance, error) {
-	a := s.Analysis
-	set := s.Nodes
-	p := &Provenance{Slice: s, Reasons: make(map[int][]Reason, set.Len())}
-	add := func(node int, r Reason) {
-		p.Reasons[node] = append(p.Reasons[node], r)
-	}
-
-	// Criterion seeds. The slice was produced from this criterion, so
-	// resolution cannot newly fail; the error is forwarded anyway
-	// rather than swallowed.
-	seeds, err := a.resolveCriterion(s.Criterion)
+	// The slice was produced from this criterion, so resolution cannot
+	// newly fail; the error is forwarded anyway rather than swallowed.
+	seeds, err := s.Analysis.resolveCriterion(s.Criterion)
 	if err != nil {
 		return nil, fmt.Errorf("core: explain %s: %w", s.Criterion, err)
 	}
+	p := &Provenance{Slice: s}
+	p.recs, p.start = fillTable(s.Analysis.CFG.NumNodes(), func(t *table) { s.emitReasons(t, seeds) })
+	return p, nil
+}
+
+// emitReasons emits every record of the slice into t, kind by kind.
+func (s *Slice) emitReasons(t *table, seeds []int) {
+	a, set := s.Analysis, s.Nodes
 	for _, v := range seeds {
 		if set.Has(v) {
-			add(v, Reason{Kind: ReasonCriterion, From: -1, NearestPD: -1, NearestLS: -1})
+			t.add(v, dep(ReasonCriterion, -1))
 		}
 	}
-
 	// The dummy entry predicate.
 	if entry := a.CFG.Entry.ID; set.Has(entry) {
-		add(entry, Reason{Kind: ReasonEntry, From: -1, NearestPD: -1, NearestLS: -1})
+		t.add(entry, dep(ReasonEntry, -1))
 	}
-
-	// Edges of the slicing relation out of slice members: t in slice
-	// and t dependent on s — or bringing s by the conditional-jump
-	// adaptation (Section 3) or switch enclosure — justifies s.
-	// Iterating members in ascending order keeps record order
-	// deterministic before the final sort.
-	for t := set.NextSet(0); t >= 0; t = set.NextSet(t + 1) {
-		for _, d := range a.PDG.DataDeps(t) {
+	// Edges of the slicing relation out of slice members: m in slice
+	// and m dependent on d — or bringing d by the conditional-jump
+	// adaptation (Section 3) or switch enclosure — justifies d.
+	for m := set.NextSet(0); m >= 0; m = set.NextSet(m + 1) {
+		for _, d := range a.PDG.DataDeps(m) {
 			if set.Has(d) {
-				add(d, Reason{Kind: ReasonDataDep, From: t, NearestPD: -1, NearestLS: -1})
+				t.add(d, dep(ReasonDataDep, m))
 			}
 		}
-		for _, d := range a.PDG.ControlDeps(t) {
+	}
+	for m := set.NextSet(0); m >= 0; m = set.NextSet(m + 1) {
+		for _, d := range a.PDG.ControlDeps(m) {
 			if set.Has(d) {
-				add(d, Reason{Kind: ReasonControlDep, From: t, NearestPD: -1, NearestLS: -1})
+				t.add(d, dep(ReasonControlDep, m))
 			}
 		}
-		if j := a.condJumpOf[t]; j >= 0 && set.Has(j) {
-			add(j, Reason{Kind: ReasonCondJump, From: t, NearestPD: -1, NearestLS: -1})
-		}
-		if sw := a.enclosingSwitch[t]; sw >= 0 && set.Has(sw) {
-			add(sw, Reason{Kind: ReasonSwitchEnclosure, From: t, NearestPD: -1, NearestLS: -1})
-		}
 	}
-
 	// Jump admissions. JumpRules is parallel to JumpsAdded when the
 	// nearest-PD/nearest-LS rule drove the additions (Figures 7 and
 	// 12 and the dynamic repair); the Figure 13 algorithm admits by
-	// the candidate rule instead, reconstructed post hoc below.
-	if len(s.JumpRules) == len(s.JumpsAdded) {
+	// the candidate rule instead, reconstructed post hoc below. A jump
+	// is admitted once, so it carries one such record.
+	rules := len(s.JumpRules) == len(s.JumpsAdded)
+	if rules {
 		for i, j := range s.JumpsAdded {
-			add(j, Reason{
-				Kind:      ReasonJumpRule,
-				From:      -1,
-				NearestPD: s.JumpRules[i].NearestPD,
-				NearestLS: s.JumpRules[i].NearestLS,
-			})
+			r := s.JumpRules[i]
+			t.add(j, Reason{Kind: ReasonJumpRule, From: -1, NearestPD: r.NearestPD, NearestLS: r.NearestLS})
 		}
-	} else {
+	}
+	for m := set.NextSet(0); m >= 0; m = set.NextSet(m + 1) {
+		if j := a.condJumpOf[m]; j >= 0 && set.Has(j) {
+			t.add(j, dep(ReasonCondJump, m))
+		}
+	}
+	for m := set.NextSet(0); m >= 0; m = set.NextSet(m + 1) {
+		if sw := a.enclosingSwitch[m]; sw >= 0 && set.Has(sw) {
+			t.add(sw, dep(ReasonSwitchEnclosure, m))
+		}
+	}
+	if !rules {
 		for _, j := range s.JumpsAdded {
 			if from := a.candidateEvidence(j, set); from >= 0 {
-				add(j, Reason{Kind: ReasonJumpCandidate, From: from, NearestPD: -1, NearestLS: -1})
+				t.add(j, dep(ReasonJumpCandidate, from))
 			}
 		}
 	}
-
-	for _, rs := range p.Reasons {
-		sort.Slice(rs, func(i, j int) bool {
-			if rs[i].Kind != rs[j].Kind {
-				return rs[i].Kind < rs[j].Kind
-			}
-			if rs[i].From != rs[j].From {
-				return rs[i].From < rs[j].From
-			}
-			if rs[i].NearestPD != rs[j].NearestPD {
-				return rs[i].NearestPD < rs[j].NearestPD
-			}
-			return rs[i].NearestLS < rs[j].NearestLS
-		})
-	}
-	return p, nil
 }
 
 // candidateEvidence returns an in-slice predicate (or switch tag)
@@ -251,17 +321,54 @@ func (p *Provenance) appendReason(b []byte, r Reason) []byte {
 	return append(b, ')')
 }
 
-// appendLoc appends node id as its source line, "end" for the Exit
+// appendLoc appends node id as its source line, "end" for an Exit
 // node, or "n<id>" for a node without a line.
 func (p *Provenance) appendLoc(b []byte, id int) []byte {
-	a := p.Slice.Analysis
-	if id == a.CFG.Exit.ID {
+	line, end := p.loc(id)
+	if end {
 		return append(b, "end"...)
 	}
-	if l := a.CFG.Nodes[id].Line; l > 0 {
-		return strconv.AppendInt(b, int64(l), 10)
+	if line > 0 {
+		return strconv.AppendInt(b, int64(line), 10)
 	}
 	return strconv.AppendInt(append(b, 'n'), int64(id), 10)
+}
+
+// loc returns node id's source line (0 for none) and whether it is an
+// Exit node: a flowgraph node's own line, or an SDG vertex's line
+// (sdg.Graph.VertLine).
+func (p *Provenance) loc(id int) (line int, end bool) {
+	if p.Slice != nil {
+		g := p.Slice.Analysis.CFG
+		return g.Nodes[id].Line, id == g.Exit.ID
+	}
+	g := p.Inter.Set.SDG
+	v := g.Vert(id)
+	return g.VertLine(id), v.Kind == sdg.VertStmt && v.Node == g.Procs[v.Proc].CFG.Exit.ID
+}
+
+// scratch is the reusable working memory of LineReasons and Listing:
+// both render into a pooled buffer and copy out only the finished
+// text, so their allocations do not grow with the records.
+type scratch struct {
+	buf   []byte
+	spans []reasonSpan
+}
+
+// reasonSpan locates one rendered reason of a line in scratch.buf.
+type reasonSpan struct{ line, start, end int }
+
+var scratches = sync.Pool{New: func() any { return &scratch{buf: make([]byte, 0, 64<<10)} }}
+
+// maxPooledScratch bounds the buffers returned to the pool, so one
+// huge slice does not pin its buffer's memory.
+const maxPooledScratch = 1 << 20
+
+func putScratch(sc *scratch) {
+	if cap(sc.buf) <= maxPooledScratch {
+		sc.buf, sc.spans = sc.buf[:0], sc.spans[:0]
+		scratches.Put(sc)
+	}
 }
 
 // LineReasons folds the node-level records down to source lines: for
@@ -275,35 +382,34 @@ func (p *Provenance) LineReasons() map[int][]string {
 	if p.lines != nil {
 		return p.lines
 	}
-	a := p.Slice.Analysis
-	// Node IDs ascend with listing order, so per-line strings come
-	// out in derivation order before dedup.
-	ids := make([]int, 0, len(p.Reasons))
-	total := 0
-	for id, rs := range p.Reasons {
-		ids = append(ids, id)
-		total += len(rs)
-	}
-	sort.Ints(ids)
-	// Render every reason into one buffer; the strings are slices of
-	// a single copy of it.
-	type span struct{ line, start, end int }
-	var buf []byte
-	spans := make([]span, 0, total)
-	for _, id := range ids {
-		line := a.CFG.Nodes[id].Line
+	// Render every reason into one buffer, in node order; the strings
+	// are slices of a single copy of it.
+	sc := scratches.Get().(*scratch)
+	defer putScratch(sc)
+	buf, spans := sc.buf, sc.spans
+	lines := 0
+	for id := 0; id < p.Len(); id++ {
+		rs := p.Reasons(id)
+		if len(rs) == 0 {
+			continue
+		}
+		line, _ := p.loc(id)
 		if line <= 0 {
 			continue // Entry and synthesized nodes have no listing line
 		}
-		for _, r := range p.Reasons[id] {
+		if len(spans) == 0 || spans[len(spans)-1].line != line {
+			lines++
+		}
+		for _, r := range rs {
 			start := len(buf)
 			buf = p.appendReason(buf, r)
-			spans = append(spans, span{line, start, len(buf)})
+			spans = append(spans, reasonSpan{line, start, len(buf)})
 		}
 	}
+	sc.buf, sc.spans = buf, spans
 	all := string(buf)
 	strs := make([]string, 0, len(spans))
-	out := map[int][]string{}
+	out := make(map[int][]string, lines)
 	// Consecutive spans mostly share a line; each such run becomes one
 	// capacity-capped window of strs.
 	for i := 0; i < len(spans); {
@@ -324,16 +430,27 @@ func (p *Provenance) LineReasons() map[int][]string {
 	return out
 }
 
-// Listing renders the annotated slice: every slice line with its
-// original source text and its reason records as a trailing comment.
+// Listing renders the annotated slice: every line of a slice member
+// with its original source text and its reason records as a trailing
+// comment. An interprocedural listing also carries the declaration
+// line of each procedure whose entry or formals are in the slice.
 //
 //	2: positives = 0;  // data-dep from 8
 //	7: continue;  // jump-rule(nearest-PD=3, nearest-LS=8)
 func (p *Provenance) Listing() string {
-	texts := lang.LineTexts(p.Slice.Analysis.Prog)
+	var prog *lang.Program
+	var lines []int
+	if p.Slice != nil {
+		prog, lines = p.Slice.Analysis.Prog, p.Slice.Lines()
+	} else {
+		prog, lines = p.Inter.Set.Prog, p.Inter.memberLines()
+	}
+	texts := lang.LineTexts(prog)
 	reasons := p.LineReasons()
-	var b []byte
-	for _, line := range p.Slice.Lines() {
+	sc := scratches.Get().(*scratch)
+	defer putScratch(sc)
+	b := sc.buf
+	for _, line := range lines {
 		var text string
 		if line < len(texts) {
 			text = strings.TrimRight(texts[line], " \t")
@@ -353,5 +470,6 @@ func (p *Provenance) Listing() string {
 		}
 		b = append(b, '\n')
 	}
+	sc.buf = b
 	return string(b)
 }

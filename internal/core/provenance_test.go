@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,20 +32,25 @@ func checkProvenance(t *testing.T, label string, a *core.Analysis, s *core.Slice
 
 	// Completeness: every member is explained.
 	for _, id := range s.StatementNodes() {
-		if len(p.Reasons[id]) == 0 {
+		if len(p.Reasons(id)) == 0 {
 			t.Errorf("%s: node %d (line %d) in slice with no reason",
 				label, id, a.CFG.Nodes[id].Line)
 		}
 	}
-	if entry := a.CFG.Entry.ID; s.Nodes.Has(entry) && len(p.Reasons[entry]) == 0 {
+	if entry := a.CFG.Entry.ID; s.Nodes.Has(entry) && len(p.Reasons(entry)) == 0 {
 		t.Errorf("%s: entry node has no reason", label)
 	}
 
 	// Soundness: reasons only reference in-slice evidence, and no
-	// reason is attached to a node outside the slice.
-	for id, rs := range p.Reasons {
-		if !s.Nodes.Has(id) {
+	// reason is attached to a node outside the slice. Each node's
+	// records are sorted.
+	for id := 0; id < p.Len(); id++ {
+		rs := p.Reasons(id)
+		if len(rs) > 0 && !s.Nodes.Has(id) {
 			t.Errorf("%s: node %d has reasons but is not in the slice", label, id)
+		}
+		if !slices.IsSortedFunc(rs, compareReasons) {
+			t.Errorf("%s: node %d: records out of order: %v", label, id, rs)
 		}
 		for _, r := range rs {
 			if r.From >= 0 && !s.Nodes.Has(r.From) {
@@ -71,7 +78,7 @@ func checkProvenance(t *testing.T, label string, a *core.Analysis, s *core.Slice
 			continue
 		}
 		found := false
-		for _, r := range p.Reasons[v] {
+		for _, r := range p.Reasons(v) {
 			if r.Kind == core.ReasonCriterion {
 				found = true
 			}
@@ -85,7 +92,7 @@ func checkProvenance(t *testing.T, label string, a *core.Analysis, s *core.Slice
 	if len(s.JumpRules) == len(s.JumpsAdded) {
 		for _, j := range s.JumpsAdded {
 			found := false
-			for _, r := range p.Reasons[j] {
+			for _, r := range p.Reasons(j) {
 				if r.Kind == core.ReasonJumpRule {
 					found = true
 				}
@@ -95,6 +102,12 @@ func checkProvenance(t *testing.T, label string, a *core.Analysis, s *core.Slice
 			}
 		}
 	}
+}
+
+// compareReasons orders records by (Kind, From, NearestPD, NearestLS).
+func compareReasons(a, b core.Reason) int {
+	return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.From, b.From),
+		cmp.Compare(a.NearestPD, b.NearestPD), cmp.Compare(a.NearestLS, b.NearestLS))
 }
 
 // TestPropertyProvenanceSoundAndComplete checks provenance on the

@@ -116,6 +116,17 @@ func (pr *printer) program(p *Program) {
 
 // proc prints one procedure declaration with its body indented.
 func (pr *printer) proc(d *ProcDecl) {
+	pr.procHeader(d)
+	pr.depth++
+	for _, s := range d.Body {
+		pr.stmt(s)
+	}
+	pr.depth--
+	pr.text(Pos{}, "}")
+}
+
+// procHeader prints a declaration's first line, "proc f(a, b) {".
+func (pr *printer) procHeader(d *ProcDecl) {
 	start := pr.begin(d.P)
 	pr.buf = append(pr.buf, "proc "...)
 	pr.buf = append(pr.buf, d.Name...)
@@ -128,12 +139,6 @@ func (pr *printer) proc(d *ProcDecl) {
 	}
 	pr.buf = append(pr.buf, ") {"...)
 	pr.end(d.P, start)
-	pr.depth++
-	for _, s := range d.Body {
-		pr.stmt(s)
-	}
-	pr.depth--
-	pr.text(Pos{}, "}")
 }
 
 // begin starts a line: the line-number prefix, if enabled, and the

@@ -3,10 +3,10 @@ package lang
 import "strconv"
 
 // Projection selects what a projected listing (FormatProjection) keeps
-// of a program. Statements are named by preorder ordinal: the
+// of one statement list. Statements are named by preorder ordinal: the
 // node-bearing statements — every statement except label wrappers and
 // non-empty blocks — numbered from 0 in the order a preorder walk of
-// the body meets them, a compound before its branches. This is the
+// the list meets them, a compound before its branches. This is the
 // order cfg.Build numbers flowgraph nodes in, so a slice can answer
 // both methods straight from its node set.
 type Projection interface {
@@ -18,9 +18,19 @@ type Projection interface {
 	Labels(ord int) []string
 }
 
-// FormatProjection prints the projection of p's body that proj
-// selects, without building it: the listing is the one Format prints
-// for the program that keeps
+// ProjectedBody is one statement list of a projected listing — the
+// main body or a procedure's — as FormatProjection prints it: what
+// Proj keeps of it, followed by one "L: ;" statement per Trailing
+// label, in order. Ordinals restart from 0 in each body.
+type ProjectedBody struct {
+	Proj     Projection
+	Trailing []string
+}
+
+// FormatProjection prints the projection of p that main and procs
+// select, without building it: the listing is the one Format prints
+// for the program that keeps the declaration of each procedure i with
+// a non-nil procs[i].Proj, and in each kept body (and the main body)
 //
 //   - every kept simple statement, with its Labels in front;
 //   - every compound statement that is kept or has a kept statement
@@ -32,24 +42,40 @@ type Projection interface {
 //   - every block with a kept statement inside, and every label
 //     wrapper around a kept statement;
 //
-// followed by one "L: ;" statement per trailing label, in order. No
-// statement of p is kept for its own sake if it is an empty block.
-// Procedure declarations are not printed.
+// then the body's trailing labels. No statement of p is kept for its
+// own sake if it is an empty block. Declarations without an entry in
+// procs are not printed.
 //
 // Subtrees are printed speculatively and cut back when nothing in them
 // is kept, so the walk visits each statement once.
-func FormatProjection(p *Program, proj Projection, trailing []string, opts PrintOptions) string {
-	x := projector{pr: newPrinter(opts), proj: proj}
-	for _, s := range p.Body {
+func FormatProjection(p *Program, main ProjectedBody, procs []ProjectedBody, opts PrintOptions) string {
+	x := projector{pr: newPrinter(opts)}
+	for i, d := range p.Procs {
+		if i < len(procs) && procs[i].Proj != nil {
+			x.pr.procHeader(d)
+			x.pr.depth++
+			x.body(d.Body, procs[i])
+			x.pr.depth--
+			x.pr.text(Pos{}, "}")
+		}
+	}
+	x.body(p.Body, main)
+	return x.pr.done()
+}
+
+// body prints the projection of one statement list and its trailing
+// labels.
+func (x *projector) body(list []Stmt, b ProjectedBody) {
+	x.proj, x.ord = b.Proj, 0
+	for _, s := range list {
 		x.stmt(s, false)
 	}
-	for _, l := range trailing {
+	for _, l := range b.Trailing {
 		start := x.pr.begin(Pos{})
 		x.pr.buf = append(x.pr.buf, l...)
 		x.pr.buf = append(x.pr.buf, ": ;"...)
 		x.pr.end(Pos{}, start)
 	}
-	return x.pr.done()
 }
 
 type projector struct {

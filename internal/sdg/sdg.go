@@ -666,16 +666,16 @@ func (g *Graph) ProcVertRange(pi int) (lo, hi int) {
 }
 
 // VertLine maps a vertex to the source line it should be attributed
-// to: statements and actuals use their node's line, formals use the
-// procedure declaration's line.
+// to: statements and actuals use their node's line, and formals and a
+// procedure's entry use the procedure declaration's line (0 for
+// main's).
 func (g *Graph) VertLine(id int) int {
 	v := g.Verts[id]
-	switch v.Kind {
-	case VertFormalIn, VertFormalOut:
-		return g.Procs[v.Proc].DeclLine
-	default:
-		return g.Procs[v.Proc].CFG.Nodes[v.Node].Line
+	p := g.Procs[v.Proc]
+	if v.Kind == VertFormalIn || v.Kind == VertFormalOut || v.Node == p.CFG.Entry.ID {
+		return p.DeclLine
 	}
+	return p.CFG.Nodes[v.Node].Line
 }
 
 // VertString renders a vertex for diagnostics and explain payloads:
