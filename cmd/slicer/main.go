@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -222,8 +223,14 @@ func printSlice(out io.Writer, s slice, algorithm string, c core.Criterion, line
 func printStats(out io.Writer, s *core.Slice) {
 	fmt.Fprintf(out, "\n// traversals: %d\n", s.Traversals)
 	fmt.Fprintf(out, "// jumps added beyond conventional: %d\n", len(s.JumpsAdded))
-	for label, l := range s.RelabeledLines() {
-		if l == 0 {
+	relabeled := s.RelabeledLines()
+	labels := make([]string, 0, len(relabeled))
+	for label := range relabeled {
+		labels = append(labels, label)
+	}
+	slices.Sort(labels)
+	for _, label := range labels {
+		if l := relabeled[label]; l == 0 {
 			fmt.Fprintf(out, "// label %s re-attached past the last statement\n", label)
 		} else {
 			fmt.Fprintf(out, "// label %s re-attached to line %d\n", label, l)

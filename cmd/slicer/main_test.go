@@ -106,6 +106,11 @@ func TestStatsOutput(t *testing.T) {
 			t.Errorf("stats missing %q:\n%s", want, out)
 		}
 	}
+	// The retargeted labels print in label order, so the output is the
+	// same on every run.
+	if !strings.Contains(out, "// label L6 re-attached to line 7\n// label L8 re-attached to line 9\n") {
+		t.Errorf("relabeled labels out of order:\n%s", out)
+	}
 }
 
 func TestErrors(t *testing.T) {

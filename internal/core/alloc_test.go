@@ -58,7 +58,7 @@ func TestFormatAllocs(t *testing.T) {
 // its reasons and listing, on BenchmarkSingleCriterion's four slices
 // (progen Structured, 400 statements, 3000 to 5500 records each).
 // Explain fills one flat table, and LineReasons and Listing render
-// into pooled buffers, so each slice costs the same 16 allocations
+// into pooled buffers, so each slice costs 16 or 17 allocations
 // however many records it has; the ceiling leaves room for a pool the
 // collector emptied. A per-node map of record slices with one sort
 // closure per node allocated about 3100 times per slice.

@@ -600,8 +600,11 @@ func (s *InterSlice) Explain() (*Provenance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: explain %s: %w", s.Criterion, err)
 	}
-	p := &Provenance{Inter: s}
-	p.recs, p.start = fillTable(s.Set.SDG.NumVerts(), func(t *table) { s.emitReasons(t, seeds) })
+	p := &Provenance{Inter: s, table: newTable(s.Set.SDG.NumVerts())}
+	s.emitReasons(&p.table, seeds)
+	p.sum()
+	s.emitReasons(&p.table, seeds)
+	p.done()
 	return p, nil
 }
 

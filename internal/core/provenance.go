@@ -140,8 +140,7 @@ type Provenance struct {
 	Slice *Slice
 	Inter *InterSlice
 
-	recs  []Reason
-	start []int32 // node n's records are recs[start[n]:start[n+1]]
+	table
 	// lines caches LineReasons.
 	lines map[int][]string
 }
@@ -154,33 +153,20 @@ func (p *Provenance) Reasons(id int) []Reason { return p.recs[p.start[id]:p.star
 // it may be passed to Reasons.
 func (p *Provenance) Len() int { return len(p.start) - 1 }
 
-// table is a provenance table under construction; see fillTable.
+// table is the record table: node n's records are
+// recs[start[n]:start[n+1]]. A slicer builds it from one emitting walk,
+// run twice: after newTable, the first run counts each node's records,
+// sum turns the counts into offsets, the second run places each record
+// at its node's cursor, and done restores the offsets. The walk emits
+// kind by kind, and within a kind visits the evidence in ascending
+// order, so each node's run comes out sorted without a per-node sort.
 type table struct {
-	start []int32
 	recs  []Reason
+	start []int32
 	fill  bool
 }
 
-// fillTable builds the table of node IDs below nodes from one emitting
-// walk, run twice: the first run counts each node's records, a prefix
-// sum turns the counts into offsets, and the second run places each
-// record at its node's cursor. The walk emits kind by kind, and within
-// a kind visits the evidence in ascending order, so each node's run
-// comes out sorted without a per-node sort.
-func fillTable(nodes int, emit func(*table)) ([]Reason, []int32) {
-	t := &table{start: make([]int32, nodes+1)}
-	emit(t)
-	for i := 1; i < len(t.start); i++ {
-		t.start[i] += t.start[i-1]
-	}
-	t.recs, t.fill = make([]Reason, t.start[nodes]), true
-	emit(t)
-	// The filling run advanced each start[n] to node n's end, that is
-	// to start[n+1]; shifting restores the offsets.
-	copy(t.start[1:], t.start[:nodes])
-	t.start[0] = 0
-	return t.recs, t.start
-}
+func newTable(nodes int) table { return table{start: make([]int32, nodes+1)} }
 
 func (t *table) add(node int, r Reason) {
 	if !t.fill {
@@ -189,6 +175,21 @@ func (t *table) add(node int, r Reason) {
 	}
 	t.recs[t.start[node]] = r
 	t.start[node]++
+}
+
+// sum ends the counting run: start[n] becomes node n's first slot.
+func (t *table) sum() {
+	for i := 1; i < len(t.start); i++ {
+		t.start[i] += t.start[i-1]
+	}
+	t.recs, t.fill = make([]Reason, t.start[len(t.start)-1]), true
+}
+
+// done ends the filling run, which advanced each start[n] to node n's
+// end, that is to start[n+1]; shifting restores the offsets.
+func (t *table) done() {
+	copy(t.start[1:], t.start[:len(t.start)-1])
+	t.start[0] = 0
 }
 
 // dep is the record of an edge of the slicing relation out of the
@@ -213,8 +214,11 @@ func (s *Slice) Explain() (*Provenance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: explain %s: %w", s.Criterion, err)
 	}
-	p := &Provenance{Slice: s}
-	p.recs, p.start = fillTable(s.Analysis.CFG.NumNodes(), func(t *table) { s.emitReasons(t, seeds) })
+	p := &Provenance{Slice: s, table: newTable(s.Analysis.CFG.NumNodes())}
+	s.emitReasons(&p.table, seeds)
+	p.sum()
+	s.emitReasons(&p.table, seeds)
+	p.done()
 	return p, nil
 }
 

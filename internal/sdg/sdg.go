@@ -666,13 +666,13 @@ func (g *Graph) ProcVertRange(pi int) (lo, hi int) {
 }
 
 // VertLine maps a vertex to the source line it should be attributed
-// to: statements and actuals use their node's line, and formals and a
-// procedure's entry use the procedure declaration's line (0 for
-// main's).
+// to: statements and actuals use their node's line, and the vertices at
+// a procedure's entry node — the entry itself and the formals — use the
+// procedure declaration's line (0 for main's).
 func (g *Graph) VertLine(id int) int {
 	v := g.Verts[id]
 	p := g.Procs[v.Proc]
-	if v.Kind == VertFormalIn || v.Kind == VertFormalOut || v.Node == p.CFG.Entry.ID {
+	if v.Node == p.CFG.Entry.ID {
 		return p.DeclLine
 	}
 	return p.CFG.Nodes[v.Node].Line
