@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -22,7 +23,6 @@ import (
 	"jumpslice/internal/core"
 	"jumpslice/internal/dom"
 	"jumpslice/internal/dynslice"
-	"jumpslice/internal/exps"
 	"jumpslice/internal/incremental"
 	"jumpslice/internal/lang"
 	"jumpslice/internal/paper"
@@ -129,52 +129,45 @@ func BenchmarkAlgorithms(b *testing.B) {
 // scalingSizes are the program sizes of the E3 sweep.
 var scalingSizes = []int{25, 100, 400, 1600}
 
-// BenchmarkScalingAgrawal measures the Figure 7 algorithm against
-// program size on the structured corpus.
-func BenchmarkScalingAgrawal(b *testing.B) {
-	benchScaling(b, func(a *core.Analysis, c core.Criterion) (*core.Slice, error) {
-		return a.Agrawal(c)
-	})
-}
-
-// BenchmarkScalingConventional is the conventional baseline's sweep.
-func BenchmarkScalingConventional(b *testing.B) {
-	benchScaling(b, func(a *core.Analysis, c core.Criterion) (*core.Slice, error) {
-		return a.Conventional(c)
-	})
-}
-
-// BenchmarkScalingConservative is the Figure 13 sweep, showing the
-// on-the-fly variant's overhead is essentially the conventional
-// algorithm's.
-func BenchmarkScalingConservative(b *testing.B) {
-	benchScaling(b, func(a *core.Analysis, c core.Criterion) (*core.Slice, error) {
-		return a.AgrawalConservative(c)
-	})
-}
-
-// BenchmarkScalingBallHorwitz is the augmented-PDG baseline's sweep.
-// Note Ball–Horwitz rebuilds the augmented graph per slice, which is
-// where its overhead against Agrawal comes from — the paper's
-// "leaves the flowgraph and the PDG intact" argument, measured.
-func BenchmarkScalingBallHorwitz(b *testing.B) {
-	benchScaling(b, baselines.BallHorwitz)
-}
-
-func benchScaling(b *testing.B, run func(*core.Analysis, core.Criterion) (*core.Slice, error)) {
+// BenchmarkScaling is E3: the wall clock of one slice (analysis
+// excluded) for every algorithm in baselines.ByName against program
+// size on the structured corpus, plus the batch engine's marginal
+// per-slice cost: a single-criterion SliceAll on a warm condensation.
+// Ball–Horwitz rebuilds the augmented graph per slice, which is where
+// its overhead against Agrawal comes from — the paper's "leaves the
+// flowgraph and the PDG intact" argument, measured.
+func BenchmarkScaling(b *testing.B) {
+	names := make([]string, 0, len(baselines.ByName))
+	for name := range baselines.ByName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	for _, size := range scalingSizes {
-		size := size
-		b.Run(fmt.Sprintf("stmts=%d", size), func(b *testing.B) {
-			p := progen.Structured(progen.Config{Seed: 7, Stmts: size})
-			a, err := core.Analyze(p)
-			if err != nil {
+		p := progen.Structured(progen.Config{Seed: 7, Stmts: size})
+		a, err := core.Analyze(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		crits := progen.WriteCriteria(p)
+		c := core.Criterion{Var: crits[len(crits)-1].Var, Line: crits[len(crits)-1].Line}
+		for _, name := range names {
+			run := baselines.ByName[name]
+			b.Run(fmt.Sprintf("%s/stmts=%d", name, size), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := run(a, c); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("agrawal-batch/stmts=%d", size), func(b *testing.B) {
+			batch := []core.Criterion{c}
+			if _, err := a.SliceAll(batch); err != nil { // warm the condensation
 				b.Fatal(err)
 			}
-			crits := progen.WriteCriteria(p)
-			c := core.Criterion{Var: crits[len(crits)-1].Var, Line: crits[len(crits)-1].Line}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := run(a, c); err != nil {
+				if _, err := a.SliceAll(batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -314,31 +307,6 @@ func BenchmarkCachedSlice(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCorpusParallel measures the slicebench corpus evaluation
-// serial vs parallel (the -parallel flag's worker pool), on the E1
-// precision experiment — the parallel path produces identical tables,
-// so on a multicore machine the speedup is free (on one CPU it shows
-// the pool's overhead is negligible).
-func BenchmarkCorpusParallel(b *testing.B) {
-	base := exps.Options{Seeds: 24, Stmts: 40}
-	workerSet := []int{1, 4}
-	if n := exps.DefaultParallel(); n > 4 {
-		workerSet = append(workerSet, n)
-	}
-	for _, workers := range workerSet {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			o := base
-			o.Parallel = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := exps.Precision(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAnalyze measures analysis construction (flowgraph +

@@ -1,22 +1,27 @@
-package exps
+package main
 
-import "testing"
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+)
 
 // TestClusterDeterministicAndSane pins E9's contract: the table is a
 // pure function of (seeds, stmts), and each row's measures live in
 // the ranges consistent hashing promises.
 func TestClusterDeterministicAndSane(t *testing.T) {
-	o := Options{Seeds: 60, Stmts: 20, Parallel: 4}
-	rows, err := Cluster(o)
+	o := options{ctx: context.Background(), seeds: 60, stmts: 20, parallel: 4}
+	rows, err := clusterTable(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(ClusterNodeCounts) {
-		t.Fatalf("%d rows, want %d", len(rows), len(ClusterNodeCounts))
+	if len(rows) != len(clusterNodeCounts) {
+		t.Fatalf("%d rows, want %d", len(rows), len(clusterNodeCounts))
 	}
 	for _, r := range rows {
-		if r.Keys != o.Seeds {
-			t.Fatalf("n=%d keys=%d, want %d", r.Nodes, r.Keys, o.Seeds)
+		if r.Keys != o.seeds {
+			t.Fatalf("n=%d keys=%d, want %d", r.Nodes, r.Keys, o.seeds)
 		}
 		if r.Balance < 1 {
 			t.Fatalf("n=%d balance %v < 1 (max/mean cannot undercut the mean)", r.Nodes, r.Balance)
@@ -41,7 +46,8 @@ func TestClusterDeterministicAndSane(t *testing.T) {
 	}
 
 	// Determinism across runs and parallelism.
-	again, err := Cluster(Options{Seeds: 60, Stmts: 20, Parallel: 1})
+	o.parallel = 1
+	again, err := clusterTable(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,5 +55,28 @@ func TestClusterDeterministicAndSane(t *testing.T) {
 		if rows[i] != again[i] {
 			t.Fatalf("row %d differs across parallelism: %+v vs %+v", i, rows[i], again[i])
 		}
+	}
+}
+
+// BenchmarkCorpusParallel measures the corpus sweep serial vs parallel
+// (the -parallel flag's worker pool) on the E1 precision table. The
+// parallel path produces identical tables, so on a multicore machine
+// the speedup is free (on one CPU it shows the pool's overhead is
+// negligible).
+func BenchmarkCorpusParallel(b *testing.B) {
+	workerSet := []int{1, 4}
+	if n := runtime.GOMAXPROCS(0); n > 4 {
+		workerSet = append(workerSet, n)
+	}
+	sel := map[string]bool{"precision": true}
+	for _, workers := range workerSet {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			o := options{ctx: context.Background(), seeds: 24, stmts: 40, parallel: workers}
+			for i := 0; i < b.N; i++ {
+				if err := sweepCorpora(o, sel, &Report{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"jumpslice/internal/exps"
 	"jumpslice/internal/obs"
 )
 
@@ -68,96 +67,50 @@ func TestDeterministicTables(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial is the seed-order reduction guarantee: a
+// parallel run prints the same tables as a serial one. For -exp all
+// that is everything before the wall-clock E7 and E8 tables.
 func TestParallelMatchesSerial(t *testing.T) {
-	var serial, parallel strings.Builder
-	args := []string{"-exp", "precision", "-seeds", "8", "-stmts", "20"}
-	if err := run(context.Background(), append(args, "-parallel", "1"), &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), append(args, "-parallel", "4"), &parallel); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != parallel.String() {
-		t.Errorf("parallel run differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial.String(), parallel.String())
-	}
-}
-
-// TestCacheParallelMatchesSerial extends the byte-identical-tables
-// guarantee to the run's shared analysis cache: a parallel run prints
-// the same tables and the same cache summary as a serial one. The
-// summary only exposes scheduling-independent totals — misses count
-// distinct programs (singleflight runs one build per key) and
-// hits+coalesced count every reuse, however the pool interleaved them.
-func TestCacheParallelMatchesSerial(t *testing.T) {
-	var serial, parallel strings.Builder
-	args := []string{"-exp", "all", "-seeds", "4", "-stmts", "15"}
-	if err := run(context.Background(), append(args, "-parallel", "1"), &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), append(args, "-parallel", "8"), &parallel); err != nil {
-		t.Fatal(err)
-	}
-	// The E3 cells are wall-clock measurements — nondeterministic by
-	// nature, cache or not — so compare everything around them: the
-	// deterministic tables before and the cache summary after.
-	split := func(s string) (tables, summary string) {
-		t.Helper()
-		i := strings.Index(s, "\nE3:")
-		j := strings.LastIndex(s, "\ncache: ")
-		if i < 0 || j < 0 {
-			t.Fatalf("output missing E3 table or cache summary:\n%s", s)
+	for _, tc := range []struct {
+		args []string
+		upTo string // compare the output before this marker, if set
+	}{
+		{args: []string{"-exp", "precision", "-seeds", "8", "-stmts", "20"}},
+		{args: []string{"-exp", "all", "-seeds", "4", "-stmts", "15"}, upTo: "\nE7:"},
+	} {
+		var serial, parallel strings.Builder
+		if err := run(context.Background(), append(tc.args, "-parallel", "1"), &serial); err != nil {
+			t.Fatal(err)
 		}
-		return s[:i], s[j:]
-	}
-	st, ss := split(serial.String())
-	pt, ps := split(parallel.String())
-	if st != pt {
-		t.Errorf("cached parallel tables differ from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", st, pt)
-	}
-	if ss != ps {
-		t.Errorf("cache summary differs across parallelism: %q vs %q", ss, ps)
+		if err := run(context.Background(), append(tc.args, "-parallel", "4"), &parallel); err != nil {
+			t.Fatal(err)
+		}
+		s, p := serial.String(), parallel.String()
+		if tc.upTo != "" {
+			i, j := strings.Index(s, tc.upTo), strings.Index(p, tc.upTo)
+			if i < 0 || j < 0 {
+				t.Fatalf("%v: output missing %q:\n%s", tc.args, tc.upTo, s)
+			}
+			s, p = s[:i], p[:j]
+		}
+		if s != p {
+			t.Errorf("%v: parallel run differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", tc.args, s, p)
+		}
 	}
 }
 
-// TestCacheReuseAcrossExperiments asserts the point of the shared
-// analysis cache: an -all run analyzes each generated program once and
-// reuses it for every later experiment, and the -json report embeds
-// the accounting.
-func TestCacheReuseAcrossExperiments(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.json")
-	var sb strings.Builder
-	if err := run(context.Background(), []string{"-exp", "all", "-seeds", "4", "-stmts", "15",
-		"-json", path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report exps.Report
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Cache == nil {
-		t.Fatal("-json report has no cache snapshot")
-	}
-	st := report.Cache
-	// E1, E2, E4 and E6 each analyze 4 seeds × 2 corpora over the same
-	// programs, and E3 analyzes 4 sizes × 11 rows of one program each:
-	// misses = 8 corpus programs + 4 timing programs, everything else
-	// reused.
-	if st.Misses != 12 {
-		t.Errorf("misses = %d, want 12 distinct programs (stats: %+v)", st.Misses, st)
-	}
-	if st.Hits+st.Coalesced == 0 {
-		t.Errorf("no analyses reused across experiments (stats: %+v)", st)
-	}
-	if st.Bytes <= 0 || st.Entries != 12 {
-		t.Errorf("ledger = %d bytes %d entries, want positive bytes and 12 entries", st.Bytes, st.Entries)
-	}
-	if !strings.Contains(sb.String(), "cache: ") {
-		t.Errorf("run printed no cache summary:\n%s", sb.String())
+// TestRejectsBadSeeds: a corpus needs at least one program; fewer
+// used to panic (E1, E9) or print NaN rows (E6).
+func TestRejectsBadSeeds(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "cluster", "-seeds", "0"},
+		{"-exp", "precision", "-seeds", "-3"},
+		{"-exp", "dynamic", "-seeds", "0", "-json", filepath.Join(t.TempDir(), "f.json")},
+	} {
+		var sb strings.Builder
+		if err := run(context.Background(), args, &sb); err == nil || !strings.Contains(err.Error(), "-seeds") {
+			t.Errorf("run(%v) = %v, want a -seeds error", args, err)
+		}
 	}
 }
 
@@ -174,7 +127,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report exps.Report
+	var report Report
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatalf("JSON does not round-trip: %v", err)
 	}
@@ -188,7 +141,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again exps.Report
+	var again Report
 	if err := json.Unmarshal(back, &again); err != nil {
 		t.Fatalf("re-marshaled JSON does not parse: %v", err)
 	}
@@ -320,7 +273,7 @@ func TestTraceFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report exps.Report
+	var report Report
 	if err := json.Unmarshal(reportData, &report); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +315,7 @@ func TestIncrTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report exps.Report
+	var report Report
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatal(err)
 	}

@@ -326,6 +326,10 @@ func percentiles(ns []int64) Percentiles {
 	}
 }
 
+// requestTimeout bounds each HTTP exchange; one that outlives it is
+// recorded as a transport error.
+const requestTimeout = 5 * time.Second
+
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sliceload", flag.ContinueOnError)
 	targetsFlag := fs.String("targets", "127.0.0.1:7070", "comma-separated host:port list of sliced daemons")
@@ -337,7 +341,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	stmts := fs.Int("stmts", 30, "approximate statements per corpus program")
 	zipfS := fs.Float64("zipf", 1.2, "zipf skew over the corpus (s parameter; <= 1 = uniform)")
 	seed := fs.Int64("seed", 1, "corpus and traffic seed")
-	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
 	jsonPath := fs.String("json", "", "also write the report as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -347,6 +350,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *clients <= 0 {
 		return fmt.Errorf("-clients must be positive")
+	}
+	if *corpusN < 1 {
+		return fmt.Errorf("-corpus must be at least 1, got %d", *corpusN)
 	}
 	var targets []string
 	for _, t := range strings.Split(*targetsFlag, ",") {
@@ -380,7 +386,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	client := &http.Client{
-		Timeout: *timeout,
+		Timeout: requestTimeout,
 		Transport: &http.Transport{
 			MaxIdleConns:        *clients * 2,
 			MaxIdleConnsPerHost: *clients,

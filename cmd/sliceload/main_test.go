@@ -242,6 +242,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-clients", "0"},
 		{"-targets", " , "},
 		{"-mix", "bogus=1"},
+		{"-corpus", "0"},
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, &out); err == nil {

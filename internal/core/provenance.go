@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -338,6 +337,33 @@ func (p *Provenance) appendLoc(b []byte, id int) []byte {
 	return strconv.AppendInt(append(b, 'n'), int64(id), 10)
 }
 
+// key returns the rendered key of reason r on line: the locations of
+// exactly the evidence appendReason prints for r's kind.
+func (p *Provenance) key(line int, r Reason) reasonKey {
+	k := reasonKey{line: line, kind: r.Kind}
+	switch r.Kind {
+	case ReasonCriterion, ReasonEntry:
+	case ReasonJumpRule:
+		k.e1, k.e2 = p.locKey(r.NearestPD), p.locKey(r.NearestLS)
+	default:
+		k.e1 = p.locKey(r.From)
+	}
+	return k
+}
+
+// locKey encodes what appendLoc prints for node id as a nonzero int:
+// the line, -1 for "end", or -2-id for "n<id>".
+func (p *Provenance) locKey(id int) int {
+	line, end := p.loc(id)
+	switch {
+	case end:
+		return -1
+	case line > 0:
+		return line
+	}
+	return -2 - id
+}
+
 // loc returns node id's source line (0 for none) and whether it is an
 // Exit node: a flowgraph node's own line, or an SDG vertex's line
 // (sdg.Graph.VertLine).
@@ -357,10 +383,62 @@ func (p *Provenance) loc(id int) (line int, end bool) {
 type scratch struct {
 	buf   []byte
 	spans []reasonSpan
+	seen  keySet
 }
 
 // reasonSpan locates one rendered reason of a line in scratch.buf.
 type reasonSpan struct{ line, start, end int }
+
+// reasonKey identifies the text a reason renders to on a line: its
+// kind and the locations (locKey) of the evidence that kind prints.
+// Two reasons on one line render the same text exactly when their
+// keys are equal.
+type reasonKey struct {
+	line, e1, e2 int
+	kind         ReasonKind
+}
+
+// keySet is a linear-probing set of reason keys: slots holds indexes
+// into keys plus one, zero marking a free slot.
+type keySet struct {
+	keys  []reasonKey
+	slots []int32
+	shift uint // 64 - log2(len(slots))
+}
+
+// reset empties the set and sizes it for up to n keys at most half
+// full.
+func (s *keySet) reset(n int) {
+	size, shift := 16, uint(60)
+	for size < 2*n {
+		size, shift = size<<1, shift-1
+	}
+	if cap(s.slots) < size {
+		s.slots = make([]int32, size)
+	} else {
+		s.slots = s.slots[:size]
+		clear(s.slots)
+	}
+	s.keys, s.shift = s.keys[:0], shift
+}
+
+// add inserts k and reports whether it was not yet present.
+func (s *keySet) add(k reasonKey) bool {
+	h := uint64(k.line)*0x9e3779b97f4a7c15 ^ uint64(k.e1)*0xbf58476d1ce4e5b9 ^
+		uint64(k.e2)*0x94d049bb133111eb ^ uint64(k.kind)
+	mask := len(s.slots) - 1
+	for i := int((h * 0x9e3779b97f4a7c15) >> s.shift); ; i = (i + 1) & mask {
+		j := s.slots[i]
+		if j == 0 {
+			s.keys = append(s.keys, k)
+			s.slots[i] = int32(len(s.keys))
+			return true
+		}
+		if s.keys[j-1] == k {
+			return false
+		}
+	}
+}
 
 var scratches = sync.Pool{New: func() any { return &scratch{buf: make([]byte, 0, 64<<10)} }}
 
@@ -391,6 +469,7 @@ func (p *Provenance) LineReasons() map[int][]string {
 	sc := scratches.Get().(*scratch)
 	defer putScratch(sc)
 	buf, spans := sc.buf, sc.spans
+	sc.seen.reset(len(p.recs))
 	lines := 0
 	for id := 0; id < p.Len(); id++ {
 		rs := p.Reasons(id)
@@ -405,6 +484,9 @@ func (p *Provenance) LineReasons() map[int][]string {
 			lines++
 		}
 		for _, r := range rs {
+			if !sc.seen.add(p.key(line, r)) {
+				continue // the line already carries this text
+			}
 			start := len(buf)
 			buf = p.appendReason(buf, r)
 			spans = append(spans, reasonSpan{line, start, len(buf)})
@@ -419,10 +501,7 @@ func (p *Provenance) LineReasons() map[int][]string {
 	for i := 0; i < len(spans); {
 		line, from := spans[i].line, len(strs)
 		for ; i < len(spans) && spans[i].line == line; i++ {
-			str := all[spans[i].start:spans[i].end]
-			if !slices.Contains(strs[from:], str) && !slices.Contains(out[line], str) {
-				strs = append(strs, str)
-			}
+			strs = append(strs, all[spans[i].start:spans[i].end])
 		}
 		if prev, ok := out[line]; ok {
 			out[line] = append(prev, strs[from:]...)

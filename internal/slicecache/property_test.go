@@ -3,10 +3,11 @@ package slicecache_test
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 
+	"jumpslice/internal/baselines"
 	"jumpslice/internal/core"
-	"jumpslice/internal/exps"
 	"jumpslice/internal/lang"
 	"jumpslice/internal/progen"
 	"jumpslice/internal/slicecache"
@@ -14,13 +15,18 @@ import (
 
 // TestCachedMatchesUncached is the end-to-end soundness property: for
 // 240 generated programs (120 seeds from each corpus) and every
-// algorithm the experiments sweep, slicing through the cache yields
+// algorithm in baselines.ByName, slicing through the cache yields
 // byte-identical results to slicing a freshly analyzed program — the
 // same slice lines and the same materialized program text. The cache
 // is shared across the corpus, so later seeds also exercise the hit
 // path (every program is queried twice: miss then hit).
 func TestCachedMatchesUncached(t *testing.T) {
 	cache := slicecache.New(slicecache.Options{})
+	algos := make([]string, 0, len(baselines.ByName))
+	for name := range baselines.ByName {
+		algos = append(algos, name)
+	}
+	sort.Strings(algos)
 	corpora := []struct {
 		name string
 		gen  func(progen.Config) *lang.Program
@@ -72,26 +78,23 @@ func TestCachedMatchesUncached(t *testing.T) {
 						t.Fatalf("seed %d pass %d: outcome %v, want %v", seed, pass, out, want)
 					}
 					view := cached.Rebind(context.Background(), nil, nil)
-					for _, algo := range exps.Algorithms() {
-						if algo.Structured && corpus.name != "structured" {
-							continue
-						}
-						ws, werr := algo.Run(fresh, crit)
-						gs, gerr := algo.Run(view, crit)
+					for _, name := range algos {
+						ws, werr := baselines.ByName[name](fresh, crit)
+						gs, gerr := baselines.ByName[name](view, crit)
 						if (werr == nil) != (gerr == nil) {
 							t.Fatalf("seed %d %s: error mismatch: uncached %v, cached %v",
-								seed, algo.Name, werr, gerr)
+								seed, name, werr, gerr)
 						}
 						if werr != nil {
 							continue
 						}
 						if w, g := fmt.Sprint(ws.Lines()), fmt.Sprint(gs.Lines()); w != g {
 							t.Fatalf("seed %d %s: cached slice lines %s, uncached %s",
-								seed, algo.Name, g, w)
+								seed, name, g, w)
 						}
 						if w, g := ws.Format(), gs.Format(); w != g {
 							t.Fatalf("seed %d %s: materialized slice differs\nuncached:\n%s\ncached:\n%s",
-								seed, algo.Name, w, g)
+								seed, name, w, g)
 						}
 					}
 				}
