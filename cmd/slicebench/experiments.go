@@ -168,13 +168,20 @@ type ClusterRow struct {
 	MovedOnLeave float64 `json:"moved_on_leave"`
 }
 
-// algorithms are the intraprocedural algorithms E1 and E2 sweep, in
-// table order: each table label with its baselines.ByName key.
-// Structured-only algorithms are not run on unstructured programs.
-var algorithms = []struct {
+// algorithm is one intraprocedural algorithm of the E1 and E2 tables:
+// its table label and its baselines.ByName key. A structured-only
+// algorithm is not run on unstructured programs.
+type algorithm struct {
 	label, key string
 	structured bool
-}{
+}
+
+// fig7 is the baselines.ByName key of the Figure 7 algorithm, whose
+// slices E4 and E6 also measure.
+const fig7 = "agrawal"
+
+// algorithms are the algorithms E1 and E2 sweep, in table order.
+var algorithms = []algorithm{
 	{"conventional", "conventional", false},
 	{"agrawal (Fig 7)", "agrawal", false},
 	{"structured (Fig 12)", "structured", true},
@@ -299,9 +306,9 @@ type algoTally struct{ cases, stmts, jumps, sound int }
 func sweepCorpora(o options, sel map[string]bool, r *Report) error {
 	algos := algorithms
 	if !sel["precision"] && !sel["soundness"] {
-		algos = algorithms[1:2] // E4 and E6 need only the Figure 7 slice
+		i := slices.IndexFunc(algorithms, func(al algorithm) bool { return al.key == fig7 })
+		algos = algorithms[i : i+1] // E4 and E6 need only the Figure 7 slice
 	}
-	const fig7 = "agrawal"
 	for _, corpus := range corpora {
 		parts, err := runSeeds(o.ctx, o.seeds, o.parallel, func(seed int64) (seedTally, error) {
 			p := corpus.gen(progen.Config{Seed: seed, Stmts: o.stmts})
@@ -341,7 +348,7 @@ func sweepCorpora(o options, sel map[string]bool, r *Report) error {
 							at.jumps++
 						}
 					}
-					if want != nil {
+					if sel["soundness"] {
 						good, err := sound(s, want)
 						if err != nil {
 							return seedTally{}, err

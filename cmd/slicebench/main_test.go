@@ -99,8 +99,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRejectsBadSeeds: a corpus needs at least one program; fewer
-// used to panic (E1, E9) or print NaN rows (E6).
+// TestRejectsBadSeeds: a corpus needs at least one program. With
+// none, E9 would index an empty key list and E6 would divide by zero.
 func TestRejectsBadSeeds(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "cluster", "-seeds", "0"},

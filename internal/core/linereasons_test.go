@@ -11,9 +11,9 @@ import (
 	"jumpslice/internal/progen"
 )
 
-// lineReasonsByString is what LineReasons computed before it
-// deduplicated by rendered key: every reason rendered in node order,
-// each line keeping the first occurrence of each string.
+// lineReasonsByString is the reference LineReasons: every reason
+// rendered in node order, each line keeping the first occurrence of
+// each string.
 func lineReasonsByString(p *Provenance) map[int][]string {
 	out := map[int][]string{}
 	for id := 0; id < p.Len(); id++ {
