@@ -68,34 +68,46 @@ func TestDeterministicTables(t *testing.T) {
 }
 
 // TestParallelMatchesSerial is the seed-order reduction guarantee: a
-// parallel run prints the same tables as a serial one. For -exp all
-// that is everything before the wall-clock E7 and E8 tables.
+// parallel run prints the same tables as a serial one.
 func TestParallelMatchesSerial(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		upTo string // compare the output before this marker, if set
-	}{
-		{args: []string{"-exp", "precision", "-seeds", "8", "-stmts", "20"}},
-		{args: []string{"-exp", "all", "-seeds", "4", "-stmts", "15"}, upTo: "\nE7:"},
-	} {
-		var serial, parallel strings.Builder
-		if err := run(context.Background(), append(tc.args, "-parallel", "1"), &serial); err != nil {
-			t.Fatal(err)
+	var serial, parallel strings.Builder
+	args := []string{"-exp", "precision", "-seeds", "8", "-stmts", "20"}
+	if err := run(context.Background(), append(args, "-parallel", "1"), &serial); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), append(args, "-parallel", "4"), &parallel); err != nil {
+		t.Fatal(err)
+	}
+	if serial.String() != parallel.String() {
+		t.Errorf("parallel run differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serial.String(), parallel.String())
+	}
+}
+
+// TestCacheParallelMatchesSerial extends that guarantee to -exp all,
+// where the corpus sweep shares each analyzed program across E1, E2, E4
+// and E6: a parallel run prints the same tables as a serial one. The E7
+// and E8 tables after them are wall-clock measurements, so compare
+// everything before them.
+func TestCacheParallelMatchesSerial(t *testing.T) {
+	var serial, parallel strings.Builder
+	args := []string{"-exp", "all", "-seeds", "4", "-stmts", "15"}
+	if err := run(context.Background(), append(args, "-parallel", "1"), &serial); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), append(args, "-parallel", "8"), &parallel); err != nil {
+		t.Fatal(err)
+	}
+	tables := func(s string) string {
+		t.Helper()
+		i := strings.Index(s, "\nE7:")
+		if i < 0 {
+			t.Fatalf("output missing E7 table:\n%s", s)
 		}
-		if err := run(context.Background(), append(tc.args, "-parallel", "4"), &parallel); err != nil {
-			t.Fatal(err)
-		}
-		s, p := serial.String(), parallel.String()
-		if tc.upTo != "" {
-			i, j := strings.Index(s, tc.upTo), strings.Index(p, tc.upTo)
-			if i < 0 || j < 0 {
-				t.Fatalf("%v: output missing %q:\n%s", tc.args, tc.upTo, s)
-			}
-			s, p = s[:i], p[:j]
-		}
-		if s != p {
-			t.Errorf("%v: parallel run differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", tc.args, s, p)
-		}
+		return s[:i]
+	}
+	if st, pt := tables(serial.String()), tables(parallel.String()); st != pt {
+		t.Errorf("parallel tables differ from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", st, pt)
 	}
 }
 
