@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"jumpslice/internal/baselines"
+	"jumpslice/internal/bits"
 	"jumpslice/internal/core"
 	"jumpslice/internal/incremental"
 	"jumpslice/internal/lang"
@@ -33,13 +34,33 @@ import (
 )
 
 // session is the daemon-side record of one open document: its current
-// source text and the identity its analysis is cached under. mu
-// serializes edits to this session; concurrent PATCHes of different
-// sessions do not contend.
+// source text, the identity its analysis is cached under, and the
+// slice it last served. mu serializes edits to this session;
+// concurrent PATCHes of different sessions do not contend.
 type session struct {
 	mu     sync.Mutex
 	id     string
 	source string
+	last   lastSlice
+}
+
+// lastSlice is the slice a session served on the analysis it has
+// committed: the pre-edit slice of the next PATCH, when that PATCH
+// asks for the same algorithm and criterion. The cached analysis the
+// next PATCH reads back is a Rebind of the one this slice ran on, so
+// the node IDs agree. The zero value (no algorithm) records nothing;
+// a session holds it whenever its committed analysis changed without
+// a slice being served (a failed criterion, explain or request).
+type lastSlice struct {
+	algo  string
+	crit  core.Criterion
+	nodes *bits.Set // intraprocedural algorithms
+	lines []int     // algo=sdg, whose node numbering is per procedure
+}
+
+// is reports whether l is the slice of algo and crit.
+func (l *lastSlice) is(algo string, crit core.Criterion) bool {
+	return l.algo != "" && l.algo == algo && l.crit == crit
 }
 
 // sessionFor resolves the {id} path suffix of /session/{id} to the
@@ -203,9 +224,12 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	ri.setStmts(stmts)
 
 	// The edit is committed before slicing: the session now holds the
-	// new program whether or not the criterion below resolves.
+	// new program whether or not the criterion below resolves. Until
+	// a slice of it is served, no slice of it is known.
 	sess.source = newSrc
 	s.cache.PutKey(key, newSrc, detached)
+	last := sess.last
+	sess.last = lastSlice{}
 
 	body, sl := s.renderSlice(w, r, a, algo, crit, explain)
 	if body == nil {
@@ -213,7 +237,11 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := &sessionPatchResponse{sliceResponse: *body, Session: sess.id, Incremental: stats}
 	if prev != nil {
-		resp.LinesAdded, resp.LinesRemoved = sliceDelta(prev, a, algo, crit, sl, resp.Lines)
+		resp.LinesAdded, resp.LinesRemoved = sliceDelta(prev, a, &last, algo, crit, sl, resp.Lines)
+	}
+	sess.last = lastSlice{algo: algo, crit: crit, lines: resp.Lines}
+	if sl != nil {
+		sess.last.nodes, sess.last.lines = sl.Nodes, nil
 	}
 	resp.Request = id
 	resp.DurationNS = time.Since(start).Nanoseconds()
@@ -239,7 +267,10 @@ func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// apply computes the session's post-edit source text.
+// apply computes the session's post-edit source text. A one-line
+// edit replaces the line's bytes in place; lines are numbered as
+// strings.Split(source, "\n") numbers them, except that the empty
+// element after a final newline (or of an empty source) is no line.
 func (req *patchRequest) apply(source string) (string, error) {
 	if req.Edit == nil {
 		return req.Source, nil
@@ -249,41 +280,73 @@ func (req *patchRequest) apply(source string) (string, error) {
 		return "", httpErrorf(http.StatusBadRequest, "bad_request",
 			`unsupported edit op %q (want "replace")`, e.Op)
 	}
-	lines := strings.Split(source, "\n")
-	if e.Line < 1 || e.Line > len(lines) || (e.Line == len(lines) && lines[e.Line-1] == "") {
+	lo, ok := lineStart(source, e.Line)
+	if !ok {
 		return "", httpErrorf(http.StatusBadRequest, "bad_request",
 			"edit line %d outside the program (1..%d)", e.Line, strings.Count(source, "\n"))
 	}
-	lines[e.Line-1] = e.Text
-	return strings.Join(lines, "\n"), nil
+	hi := len(source)
+	if i := strings.IndexByte(source[lo:], '\n'); i >= 0 {
+		hi = lo + i
+	}
+	return source[:lo] + e.Text + source[hi:], nil
+}
+
+// lineStart returns the byte offset at which the 1-based line n of
+// source starts, or false if source has no line n.
+func lineStart(source string, n int) (int, bool) {
+	if n < 1 {
+		return 0, false
+	}
+	lo := 0
+	for ; n > 1; n-- {
+		i := strings.IndexByte(source[lo:], '\n')
+		if i < 0 {
+			return 0, false
+		}
+		lo += i + 1
+	}
+	return lo, lo < len(source)
 }
 
 // sliceDelta reports the line-level delta between the pre- and
-// post-edit slices of one criterion. The pre-edit slice is computed
-// against the previous (still warm) analysis; a criterion the old
-// program cannot resolve yields no delta. Intraprocedural slices are
-// compared node by node through the allocation-free set-difference
-// view; sdg slices (sl nil), whose node numbering is per procedure,
-// by their line sets.
-func sliceDelta(prev, cur *core.Analysis, algo string, crit core.Criterion, sl *core.Slice, lines []int) (added, removed []int) {
+// post-edit slices of one criterion. The pre-edit slice is the one the
+// session served last when that was of the same algorithm and
+// criterion; otherwise it is computed against the previous (still
+// warm) analysis, and a criterion the old program cannot resolve
+// yields no delta. Intraprocedural slices are compared node by node
+// through the allocation-free set-difference view; sdg slices (sl
+// nil), whose node numbering is per procedure, by their line sets.
+func sliceDelta(prev, cur *core.Analysis, last *lastSlice, algo string, crit core.Criterion, sl *core.Slice, lines []int) (added, removed []int) {
+	known := last.is(algo, crit)
 	if sl == nil {
-		ps, err := prev.ProgramSet()
-		if err != nil {
-			return nil, nil
+		old := last.lines
+		if !known {
+			ps, err := prev.ProgramSet()
+			if err != nil {
+				return nil, nil
+			}
+			psl, err := ps.SliceInterproc(crit)
+			if err != nil {
+				return nil, nil
+			}
+			old = psl.Lines()
 		}
-		psl, err := ps.SliceInterproc(crit)
-		if err != nil {
-			return nil, nil
-		}
-		old := psl.Lines()
 		return missingLines(lines, old), missingLines(old, lines)
 	}
-	psl, err := baselines.Slice(prev, algo, crit)
-	if err != nil || psl.Nodes.Cap() != sl.Nodes.Cap() {
+	old := last.nodes
+	if !known {
+		psl, err := baselines.Slice(prev, algo, crit)
+		if err != nil {
+			return nil, nil
+		}
+		old = psl.Nodes
+	}
+	if old.Cap() != sl.Nodes.Cap() {
 		return nil, nil
 	}
-	added = deltaLines(sl.Nodes.Diff(psl.Nodes), cur)
-	removed = deltaLines(psl.Nodes.Diff(sl.Nodes), prev)
+	added = deltaLines(sl.Nodes.Diff(old), cur)
+	removed = deltaLines(old.Diff(sl.Nodes), prev)
 	return added, removed
 }
 

@@ -138,6 +138,22 @@ func (s *Set) UnionWith(other *Set) bool {
 	return changed
 }
 
+// UnionWithin adds to s the members of other that belong to mask,
+// and reports whether s changed. All three sets must have the same
+// capacity.
+func (s *Set) UnionWithin(other, mask *Set) bool {
+	s.sameCap(other)
+	s.sameCap(mask)
+	changed := false
+	for i, w := range other.words {
+		if w &= mask.words[i]; w&^s.words[i] != 0 {
+			s.words[i] |= w
+			changed = true
+		}
+	}
+	return changed
+}
+
 // IntersectWith removes members of s not present in other.
 func (s *Set) IntersectWith(other *Set) {
 	s.sameCap(other)

@@ -145,6 +145,8 @@ type Graph struct {
 	stmtOnce sync.Once
 	// LabelNode maps each goto label to its target node.
 	LabelNode map[string]*Node
+	// edges counts the flow edges, every node's Out summed.
+	edges int
 	// arena is the contiguous backing Build carves nodes from;
 	// outArena/inArena back the initial Out/In slices the same way
 	// (two slots per node; wider fan-out spills to the allocator).
@@ -231,6 +233,10 @@ func (g *Graph) entryOf(s lang.Stmt) *Node {
 // NumNodes returns the node count (implements the dom.Directed
 // interface together with Succs/Preds).
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
+
+// NumEdges returns the flow edge count: the sum over nodes of
+// len(Out), kept as edges are added.
+func (g *Graph) NumEdges() int { return g.edges }
 
 // Succs returns the successor IDs of node i.
 func (g *Graph) Succs(i int) []int { return g.Nodes[i].Succs() }
@@ -368,6 +374,7 @@ func (g *Graph) addEdge(from, to *Node, label string) {
 	}
 	from.Out = append(from.Out, Edge{From: from.ID, To: to.ID, Label: label})
 	to.In = append(to.In, from.ID)
+	g.edges++
 }
 
 // Build constructs the flowgraph of a program. It returns an error

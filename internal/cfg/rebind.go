@@ -34,6 +34,7 @@ func Rebind(prev *Graph, p *lang.Program) (*Graph, bool) {
 		Prog:      p,
 		Nodes:     make([]*Node, n),
 		LabelNode: make(map[string]*Node, len(prev.LabelNode)),
+		edges:     prev.edges, // every node keeps its edges
 	}
 	copy(g.Nodes, prev.Nodes)
 

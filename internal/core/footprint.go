@@ -45,11 +45,7 @@ func (a *Analysis) Footprint() int64 {
 		return total
 	}
 	n := int64(a.CFG.NumNodes())
-	var edges int64
-	for v := 0; v < int(n); v++ {
-		edges += int64(len(a.PDG.Deps(v)))
-		edges += int64(len(a.CFG.Succs(v)))
-	}
+	edges := int64(a.PDG.NumDeps() + a.CFG.NumEdges())
 	defs := int64(len(a.RD.Defs))
 
 	const (

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/dataflow"
@@ -22,7 +23,8 @@ type IncrStats struct {
 	// Outcome names the tier that ran: "patched" (flowgraph shape and
 	// every definition survived; only edited dependence rows were
 	// recomputed), "partial" (shape survived but a definition changed,
-	// so dataflow was re-run), or "full" (a clean cold analysis).
+	// so the moved variables' reaching definitions were re-solved), or
+	// "full" (a clean cold analysis).
 	Outcome string `json:"outcome"`
 	// PhasesReused / PhasesRecomputed partition the cold pipeline's
 	// phases by whether the previous result was carried over.
@@ -79,9 +81,12 @@ func resolveIncrMetrics(rec *obs.Registry) incrMetrics {
 //     If the previous analysis had built its batch condensation and
 //     the edit provably neither merges nor splits a dependence SCC,
 //     the condensation and its memoized closures are patched over too.
-//   - Same shape but with a changed definition re-runs dataflow and
-//     the PDG merge on top of the reused shape-derived structures
-//     ("partial").
+//   - Same shape but with a changed definition ("partial") re-solves
+//     reaching definitions for the variables whose definitions moved
+//     only, and re-derives the dependence rows of the nodes using
+//     them, on top of the reused shape-derived structures. An edit
+//     that gives a variable its first definition or takes its last
+//     re-runs dataflow and the PDG merge instead.
 //
 // The freshly built flowgraph is verified node-for-node against the
 // previous one before anything is reused, so a differ bug degrades to
@@ -166,6 +171,11 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		a.gotoNodes[i] = g2.Nodes[n.ID]
 	}
 
+	edited, ok := editedNodes(g2, sc.Replaced)
+	if !ok {
+		return full("edited statement has no flowgraph node")
+	}
+	rd, rows, rebound := prev.RD.Rebound(g2, edited)
 	defChanged := false
 	for _, r := range sc.Replaced {
 		if r.DefChanged {
@@ -175,27 +185,38 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	}
 	if defChanged {
 		// Partial tier: a definition site changed variables, so the
-		// reaching-definitions frontier moved — re-run dataflow and
-		// the PDG merge on the reused shape-derived structures.
+		// reaching-definitions frontier moved. Only the moved
+		// variables' definitions are re-solved, and only the rows of
+		// the nodes using them (or edited) re-derived; an edit that
+		// changes which variables are defined at all re-runs dataflow
+		// and the PDG merge on the reused shape-derived structures.
 		stats.Outcome = "partial"
 		stats.PhasesReused = 4     // postdominators, cdg, lst, worklists
 		stats.PhasesRecomputed = 3 // cfg, dataflow, pdg
-		a.RD = dataflow.Reach(g2)
-		if err := a.checkCancel("reanalyze"); err != nil {
-			return nil, nil, err
+		if rebound {
+			a.RD = rd
+			a.PDG = prev.PDG.Rederive(g2, a.CDG, movedRows(prev.PDG, rd, rows))
+		} else {
+			a.RD = dataflow.Reach(g2)
+			if err := a.checkCancel("reanalyze"); err != nil {
+				return nil, nil, err
+			}
+			a.PDG = pdg.Build(g2, a.CDG, a.RD)
 		}
-		a.PDG = pdg.Build(g2, a.CDG, a.RD)
 	} else {
 		// Patched tier: same definitions everywhere, so reaching
 		// definitions are untouched; only the edited statements' data
 		// dependence rows can differ.
+		if !rebound {
+			return full("definition changed under a patched edit")
+		}
 		stats.Outcome = "patched"
 		stats.PhasesReused = 5     // postdominators, cdg, dataflow, lst, worklists
 		stats.PhasesRecomputed = 2 // cfg, pdg rows
-		a.RD = prev.RD.WithGraph(g2)
-		changed, ok := editedRows(g2, a.RD, sc.Replaced)
-		if !ok {
-			return full("edited statement has no flowgraph node")
+		a.RD = rd
+		changed := make([]pdg.Row, len(rows))
+		for i, n := range rows {
+			changed[i] = pdg.Row{Node: n, Deps: rd.AppendDataDeps(nil, n)}
 		}
 		a.PDG = prev.PDG.Rederive(g2, a.CDG, changed)
 		a.patchCondensation(prev, changed, stats)
@@ -205,28 +226,47 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	return a, stats, nil
 }
 
-// editedRows returns the data dependence rows of the nodes of g
-// bearing the replaced statements, resolved in one pass over g's
-// nodes: a rebound graph has no statement index (Slice.Format prints
-// without one), and building it would cost a map insert per node. ok
-// is false if some replaced statement has no node. The rows come out
-// in node order, one per node.
-func editedRows(g *cfg.Graph, rd *dataflow.ReachingDefs, replaced []incremental.Replacement) ([]pdg.Row, bool) {
+// editedNodes returns the IDs of the nodes of g bearing the replaced
+// statements, ascending, resolved in one pass over g's nodes: a
+// rebound graph has no statement index (Slice.Format prints without
+// one), and building it would cost a map insert per node. ok is false
+// if some replaced statement has no node.
+func editedNodes(g *cfg.Graph, replaced []incremental.Replacement) ([]int, bool) {
 	want := make(map[lang.Stmt]bool, len(replaced))
 	for _, r := range replaced {
 		want[lang.Unlabel(r.New)] = true
 	}
-	changed := make([]pdg.Row, 0, len(replaced))
+	edited := make([]int, 0, len(replaced))
 	for _, n := range g.Nodes {
 		if len(want) == 0 {
 			break
 		}
 		if n.Stmt != nil && want[n.Stmt] {
 			delete(want, n.Stmt)
-			changed = append(changed, pdg.Row{Node: n.ID, Deps: rd.DataDepsOf(n)})
+			edited = append(edited, n.ID)
 		}
 	}
-	return changed, len(want) == 0
+	return edited, len(want) == 0
+}
+
+// movedRows returns the data dependence rows, under rd, of the nodes
+// in rows that differ from p's: what Rederive must overlay after a
+// definition move. A node using a moved variable often keeps its row
+// (the move did not change which definitions reach it), and leaving
+// it out keeps the overlay, and its flattening, small.
+func movedRows(p *pdg.Graph, rd *dataflow.ReachingDefs, rows []int) []pdg.Row {
+	var out []pdg.Row
+	flat := make([]int, 0, 4*len(rows))
+	for _, n := range rows {
+		lo := len(flat)
+		flat = rd.AppendDataDeps(flat, n)
+		if slices.Equal(flat[lo:], p.DataDeps(n)) {
+			flat = flat[:lo]
+			continue
+		}
+		out = append(out, pdg.Row{Node: n, Deps: flat[lo:len(flat):len(flat)]})
+	}
+	return out
 }
 
 // patchCondensation tries to carry the previous analysis's batch

@@ -18,6 +18,8 @@
 package dataflow
 
 import (
+	"slices"
+
 	"jumpslice/internal/bits"
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/lang"
@@ -404,25 +406,246 @@ func (r *ReachingDefs) DataDeps() [][]int {
 }
 
 // DataDepsOf returns the sorted set of node IDs a single node is
-// directly data dependent on. The node may belong to a
+// directly data dependent on, reading the variables it uses off its
+// statement rather than the use table. The node may belong to a
 // shape-identical copy of the analyzed graph — only its ID, kind, and
-// statement are consulted — which is how the incremental engine
-// recomputes the dependence row of an edited statement against an
-// unchanged reaching-definitions result.
+// statement are consulted — so it answers for an edited statement
+// against reaching definitions computed before the edit.
 func (r *ReachingDefs) DataDepsOf(n *cfg.Node) []int {
 	var names [8]string
 	var ids [8]int
 	return r.appendRow(nil, n.ID, r.appendUseIDs(ids[:0], names[:0], n))
 }
 
-// WithGraph returns a view of the same reaching-definitions result
-// bound to a different flowgraph, which must be shape-identical to
-// the analyzed one (same node IDs, kinds, and definition sites). The
-// In sets and definition index are shared — they are immutable
-// after Reach — so the view is free; it exists so a reused dataflow
-// result answers queries about nodes of a freshly rebuilt graph.
-func (r *ReachingDefs) WithGraph(g *cfg.Graph) *ReachingDefs {
-	q := *r
+// Rebound returns the reaching definitions of g, a shape-identical
+// rebinding of r's graph (same node IDs, kinds and definition sites,
+// as cfg.Rebind makes) whose nodes edited, ascending, carry replaced
+// statements, together with the nodes whose data dependence rows may
+// differ from r's, ascending. It is the incremental engine's dataflow
+// step for a same-shape edit.
+//
+// Such an edit keeps every definition index: definitions are numbered
+// in node order, and a replaced statement defines as many variables
+// as the one it replaced. What can change is the variable a definition
+// belongs to (an assignment or read retargeted) and the variables an
+// edited node uses. Reaching definitions are separable — whether
+// definition d reaches node n depends only on which nodes define d's
+// variable — so the In bits of every variable none of whose
+// definitions moved are r's. Only the moved variables' definitions,
+// old and new, are re-solved, by a fixpoint over their bits alone.
+// The rows that can change are the edited nodes' and those of every
+// node that uses a moved variable. Without a moved definition the In
+// sets are shared outright and the rows are the edited nodes'.
+//
+// ok is false when the edit changes which variables are defined at all
+// (a variable gains its first definition or loses its last) or how
+// many definitions an edited node has: either renumbers what r would
+// share, and the caller runs Reach instead.
+func (r *ReachingDefs) Rebound(g *cfg.Graph, edited []int) (q *ReachingDefs, rows []int, ok bool) {
+	type move struct {
+		def, v int
+		name   string
+	}
+	var moves []move
+	var names []string
+	for _, n := range edited {
+		names = appendDefs(names[:0], g.Nodes[n])
+		lo := r.defOff[n]
+		if len(names) != r.defOff[n+1]-lo {
+			return nil, nil, false
+		}
+		for i, name := range names {
+			v, ok := r.vars[name]
+			if !ok {
+				return nil, nil, false // its first definition
+			}
+			if r.defVar[lo+i] != v {
+				moves = append(moves, move{lo + i, v, name})
+			}
+		}
+	}
+	cp := *r // shares In and the definition index until they change
+	q = &cp
 	q.g = g
-	return &q
+	q.useOff, q.useVar = r.reboundUses(g, edited)
+	if len(moves) == 0 {
+		return q, edited, true
+	}
+
+	// Renumber the moved definitions' variables; moved marks the
+	// variables that lost or gained one.
+	q.Defs = slices.Clone(r.Defs)
+	q.defVar = slices.Clone(r.defVar)
+	q.varDefs = slices.Clone(r.varDefs)
+	moved := make([]bool, len(r.varDefs))
+	for _, m := range moves {
+		for _, v := range [2]int{r.defVar[m.def], m.v} {
+			if !moved[v] {
+				moved[v] = true
+				q.varDefs[v] = r.varDefs[v].Clone()
+			}
+		}
+		q.varDefs[r.defVar[m.def]].Remove(m.def)
+		q.varDefs[m.v].Add(m.def)
+		q.defVar[m.def] = m.v
+		q.Defs[m.def].Var = m.name
+	}
+	mask := bits.New(len(r.Defs))
+	for v, mv := range moved {
+		if mv {
+			if q.varDefs[v].Empty() {
+				return nil, nil, false // its last definition
+			}
+			mask.UnionWith(q.varDefs[v])
+		}
+	}
+	q.In = q.resolve(r.In, mask, moved)
+
+	rows = make([]int, 0, len(edited))
+	next := 0 // edited[next] is the next edited node
+	for n := range g.Nodes {
+		use := next < len(edited) && edited[next] == n
+		if use {
+			next++
+		}
+		for _, v := range q.useVar[q.useOff[n]:q.useOff[n+1]] {
+			use = use || moved[v]
+		}
+		if use {
+			rows = append(rows, n)
+		}
+	}
+	return q, rows, true
+}
+
+// resolve returns the In table of q: prevIn with the bits of the
+// definitions in mask, every definition of the variables moved marks,
+// re-solved by the fixpoint Reach runs. The fixpoint runs on the new
+// sets themselves, with those bits cleared: a predecessor's other bits
+// are the solution already, so only the bits in mask are carried
+// along edges. Only a node defining a moved variable transfers
+// anything and keeps an out set of its own; every other node's out
+// set, within mask, is its in set.
+func (q *ReachingDefs) resolve(prevIn []*bits.Set, mask *bits.Set, moved []bool) []*bits.Set {
+	g := q.g
+	nn := len(g.Nodes)
+	sets := bits.NewSlab(nn, len(q.Defs))
+	for n, s := range sets {
+		s.Copy(prevIn[n])
+		s.DifferenceWith(mask)
+	}
+	// slot[n]-1 is the out set of a node defining a moved variable
+	// (slot 0: none).
+	slot := make([]int, nn)
+	t := 0
+	for n := range g.Nodes {
+		for d := q.defOff[n]; d < q.defOff[n+1] && slot[n] == 0; d++ {
+			if moved[q.defVar[d]] {
+				t++
+				slot[n] = t
+			}
+		}
+	}
+	out := bits.NewSlab(t, len(q.Defs))
+	outOf := func(n int) *bits.Set {
+		if t := slot[n]; t > 0 {
+			return out[t-1]
+		}
+		return sets[n]
+	}
+	tmp := bits.New(len(q.Defs))
+	// transfer recomputes n's out set, if it has one apart, and reports
+	// whether its out set grew, given whether its in set did.
+	transfer := func(n int, grew bool) bool {
+		if slot[n] == 0 {
+			return grew
+		}
+		tmp.Copy(sets[n])
+		tmp.IntersectWith(mask)
+		lo, hi := q.defOff[n], q.defOff[n+1]
+		for d := lo; d < hi; d++ {
+			if v := q.defVar[d]; moved[v] {
+				tmp.DifferenceWith(q.varDefs[v])
+			}
+		}
+		for d := lo; d < hi; d++ {
+			if moved[q.defVar[d]] {
+				tmp.Add(d)
+			}
+		}
+		return out[slot[n]-1].UnionWith(tmp)
+	}
+
+	// Round-robin passes in reverse postorder, as Reach runs, but a
+	// pass visits only the nodes a predecessor's out set grew into
+	// since their last visit (all of them, on the first pass).
+	order := reversePostorder(g)
+	pending := make([]bool, nn)
+	for _, n := range order {
+		pending[n] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range order {
+			if !pending[n] {
+				continue
+			}
+			pending[n] = false
+			grew := false
+			for _, p := range g.Nodes[n].In {
+				grew = sets[n].UnionWithin(outOf(p), mask) || grew
+			}
+			if transfer(n, grew) {
+				changed = true
+				for _, e := range g.Nodes[n].Out {
+					pending[e.To] = true
+				}
+			}
+		}
+	}
+	return sets
+}
+
+// reboundUses returns the use table of a rebinding of r's graph whose
+// nodes edited, ascending, carry new statements: r's rows, with the
+// edited nodes' recomputed. It is r's own table when no edited row
+// changed.
+func (r *ReachingDefs) reboundUses(g *cfg.Graph, edited []int) (useOff, useVar []int) {
+	var names []string
+	var fresh []int
+	off := make([]int, len(edited)+1)
+	same := true
+	for i, n := range edited {
+		off[i] = len(fresh)
+		fresh = r.appendUseIDs(fresh, names[:0], g.Nodes[n])
+		same = same && slices.Equal(fresh[off[i]:], r.useVar[r.useOff[n]:r.useOff[n+1]])
+	}
+	if same {
+		return r.useOff, r.useVar
+	}
+	off[len(edited)] = len(fresh)
+	nn := len(r.useOff) - 1
+	useOff = make([]int, nn+1)
+	useVar = make([]int, 0, len(r.useVar)+len(fresh))
+	from := 0 // the first node not yet copied
+	for i := 0; i <= len(edited); i++ {
+		n := nn
+		if i < len(edited) {
+			n = edited[i]
+		}
+		// Nodes from..n-1 keep their rows, shifted.
+		shift := len(useVar) - r.useOff[from]
+		for m := from; m < n; m++ {
+			useOff[m] = r.useOff[m] + shift
+		}
+		useVar = append(useVar, r.useVar[r.useOff[from]:r.useOff[n]]...)
+		if n == nn {
+			break
+		}
+		useOff[n] = len(useVar)
+		useVar = append(useVar, fresh[off[i]:off[i+1]]...)
+		from = n + 1
+	}
+	useOff[nn] = len(useVar)
+	return useOff, useVar
 }

@@ -147,8 +147,9 @@ func equalInts(a, b []int) bool {
 // TestRederiveChainMatchesModel derives a long chain of graphs, each
 // from the previous one with a few rows replaced — an editing session
 // — past several overlay flattenings, and checks every row of every
-// graph in the chain against a plain [][]int model, and that no
-// derivation disturbs the graph it was derived from.
+// graph in the chain against a plain [][]int model (NumDeps against
+// the model's row lengths), and that no derivation disturbs the graph
+// it was derived from.
 func TestRederiveChainMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g, p := build(t, lang.Format(progen.Unstructured(progen.Config{Seed: 5, Stmts: 40}), lang.PrintOptions{}))
@@ -165,11 +166,16 @@ func TestRederiveChainMatchesModel(t *testing.T) {
 	}
 	check := func(step int, q *Graph, want snapshot) {
 		t.Helper()
+		edges := 0
 		for v := 0; v < n; v++ {
 			if !equalInts(q.DataDeps(v), want.data[v]) || !equalInts(q.Deps(v), want.deps[v]) {
 				t.Fatalf("step %d node %d: rows %v / %v, want %v / %v",
 					step, v, q.DataDeps(v), q.Deps(v), want.data[v], want.deps[v])
 			}
+			edges += len(want.deps[v])
+		}
+		if q.NumDeps() != edges {
+			t.Fatalf("step %d: NumDeps %d, rows hold %d", step, q.NumDeps(), edges)
 		}
 	}
 	type link struct {

@@ -118,43 +118,74 @@ func appendMerged(dst, a, b []int) []int {
 // shares every dependence row of p except those of the nodes in
 // newDataDeps, whose data rows are replaced and re-merged with control
 // dependence. It is the incremental engine's PDG step: after a
-// same-shape edit, only the edited statements' data-dependence rows
-// can differ, so rebuilding the whole graph is wasted work. The
-// result shares p's row tables outright and overlays only the edited
-// rows (flattening once a chain of derivations has overlaid more than
-// maxOverlay). p is not modified.
+// same-shape edit, only some nodes' data-dependence rows can differ,
+// so rebuilding the whole graph is wasted work. The result shares p's
+// row tables outright and overlays only the replaced rows; once a
+// chain of derivations has overlaid more than maxOverlay rows it
+// copies p's tables with the overlay folded in instead. p is not
+// modified.
 func (p *Graph) Rederive(g *cfg.Graph, cd *cdg.Graph, newDataDeps []Row) *Graph {
 	q := &Graph{CFG: g, CDG: cd, data: p.data, deps: p.deps}
+	// A replaced row's merged row is left nil until it is known
+	// whether it goes into the overlay or straight into fresh tables.
 	over := make([]overlayRow, len(p.over), len(p.over)+len(newDataDeps))
 	copy(over, p.over)
 	for _, r := range newDataDeps {
-		n := r.Node
-		o := overlayRow{node: n, data: r.Deps, deps: appendMerged(nil, r.Deps, cd.ParentIDs(n))}
-		if i, ok := searchOverlay(over, n); ok {
+		o := overlayRow{node: r.Node, data: r.Deps}
+		if i, ok := searchOverlay(over, r.Node); ok {
 			over[i] = o
 		} else {
 			over = slices.Insert(over, i, o)
 		}
 	}
-	q.over = over
 	if len(over) > maxOverlay {
-		q.flatten()
+		q.data, q.deps = p.flatten(over, cd)
+		return q
 	}
+	for i := range over {
+		if o := &over[i]; o.deps == nil {
+			o.deps = appendMerged(nil, o.data, cd.ParentIDs(o.node))
+		}
+	}
+	q.over = over
 	return q
 }
 
-// flatten folds the overlay into fresh row tables.
-func (p *Graph) flatten() {
+// flatten returns p's row tables with the rows in over, ascending by
+// node, folded in; an overlay row without a merged row is merged with
+// cd's control dependences. The rows between overlaid nodes are
+// copied as runs.
+func (p *Graph) flatten(over []overlayRow, cd *cdg.Graph) (data, deps rows) {
 	nn := len(p.data.off) - 1
-	data := rows{off: make([]int, nn+1), flat: make([]int, 0, len(p.data.flat)+len(p.over))}
-	deps := rows{off: make([]int, nn+1), flat: make([]int, 0, len(p.deps.flat)+len(p.over))}
-	for n := 0; n < nn; n++ {
-		data.off[n], deps.off[n] = len(data.flat), len(deps.flat)
-		data.flat = append(data.flat, p.DataDeps(n)...)
-		deps.flat = append(deps.flat, p.Deps(n)...)
+	data = rows{off: make([]int, nn+1), flat: make([]int, 0, len(p.data.flat)+len(p.data.flat)/8)}
+	deps = rows{off: make([]int, nn+1), flat: make([]int, 0, len(p.deps.flat)+len(p.deps.flat)/8)}
+	from := 0 // the first node not yet copied
+	for _, o := range over {
+		data.appendRun(p.data, from, o.node)
+		deps.appendRun(p.deps, from, o.node)
+		data.flat = append(data.flat, o.data...)
+		if o.deps != nil {
+			deps.flat = append(deps.flat, o.deps...)
+		} else {
+			deps.flat = appendMerged(deps.flat, o.data, cd.ParentIDs(o.node))
+		}
+		from = o.node + 1
 	}
-	data.off[nn], deps.off[nn] = len(data.flat), len(deps.flat)
-	p.data, p.deps, p.over = data, deps, nil
+	data.appendRun(p.data, from, nn)
+	deps.appendRun(p.deps, from, nn)
+	return data, deps
+}
+
+// appendRun appends rows from..to-1 of src to r, whose rows before
+// from are filled, and starts row to (or ends the table, at to = the
+// row count) where they end.
+func (r *rows) appendRun(src rows, from, to int) {
+	shift := len(r.flat) - src.off[from]
+	for n := from; n < to; n++ {
+		r.off[n] = src.off[n] + shift
+	}
+	r.flat = append(r.flat, src.flat[src.off[from]:src.off[to]]...)
+	r.off[to] = len(r.flat)
 }
 
 // searchOverlay returns where node n's row is, or belongs, in over.
@@ -179,6 +210,17 @@ func (p *Graph) DataDeps(n int) []int {
 		}
 	}
 	return p.data.row(n)
+}
+
+// NumDeps returns the dependence edge count: the sum over nodes of
+// len(Deps(n)), read off the merged table and adjusted by the
+// overlay, so it costs a lookup per overlaid row, not a walk.
+func (p *Graph) NumDeps() int {
+	n := len(p.deps.flat)
+	for _, o := range p.over {
+		n += len(o.deps) - len(p.deps.row(o.node))
+	}
+	return n
 }
 
 // ControlDeps returns the nodes n is directly control dependent on,
