@@ -397,12 +397,13 @@ func BenchmarkMaterialize(b *testing.B) {
 // BenchmarkSingleCriterion measures what one request for one slice
 // costs on a cached analysis — the daemon's per-request work — split
 // into its layers: the conventional closure, the Figure 7 repair on
-// top of it, and printing the Figure 7 slice. The programs are
-// 400-statement structured progen programs (switches included) on
-// four seeds, each sliced on its last write criterion. benchgate pins
-// agrawal:conventional, so the repair's invariant bookkeeping stays
-// proportional to what the repair adds rather than to the program's
-// switch-enclosed node count.
+// top of it, printing the Figure 7 slice, and explaining it. The
+// programs are 400-statement structured progen programs (switches
+// included) on four seeds, each sliced on its last write criterion.
+// benchgate pins agrawal:conventional, so the repair's invariant
+// bookkeeping stays proportional to what the repair adds rather than
+// to the program's switch-enclosed node count, and explain:agrawal,
+// so an explain response stays cheap next to the slice it explains.
 func BenchmarkSingleCriterion(b *testing.B) {
 	type task struct {
 		a *core.Analysis
@@ -446,6 +447,22 @@ func BenchmarkSingleCriterion(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, tk := range tasks {
 				_ = tk.s.Format()
+			}
+		}
+	})
+	// explain is what an explain response adds to the slice: the
+	// provenance and the rendering the daemon appends its reasons and
+	// listing from.
+	b.Run("explain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, tk := range tasks {
+				p, err := tk.s.Explain()
+				if err != nil {
+					b.Fatal(err)
+				}
+				r := p.Render()
+				r.Listing()
+				r.Release()
 			}
 		}
 	})

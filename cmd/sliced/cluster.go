@@ -264,8 +264,8 @@ func (s *server) serveResult(ctx context.Context, w http.ResponseWriter, r *http
 		if s.writeRecord(w, r, data, tier, "", id, start) {
 			return true
 		}
-		// The record failed to decode (should be impossible past the
-		// disk CRC); recompute and overwrite it.
+		// The record is torn or in an older layout; recompute and
+		// overwrite it.
 	}
 	c := s.cluster
 	if c == nil {
@@ -301,44 +301,31 @@ func (s *server) serveResult(ctx context.Context, w http.ResponseWriter, r *http
 	return true
 }
 
-// writeRecord decodes a canonical result record, stamps this
+// writeRecord serves a stored result record, stamped with this
 // request's delivery metadata (ID and wall-clock duration — the two
-// fields deliberately zeroed in storage), and writes it. It reports
-// false, writing nothing, if the record does not decode.
+// fields deliberately zeroed in storage). It reports false, writing
+// nothing, if data is not a record (see isRecord).
 func (s *server) writeRecord(w http.ResponseWriter, r *http.Request, data []byte, tier, peer string, id uint64, start time.Time) bool {
-	var resp sliceResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
+	if !isRecord(data) {
 		return false
 	}
-	resp.Request = id
-	resp.DurationNS = time.Since(start).Nanoseconds()
 	w.Header().Set("X-Cache", tier)
 	if tier == obs.RoutePeerFill {
 		w.Header().Set("X-Sliced-Route", obs.RoutePeerFill)
 		w.Header().Set("X-Sliced-Peer", peer)
 	}
-	ri := reqInfoFrom(r)
-	ri.setSliceLines(len(resp.Lines))
-	writeResponse(w, http.StatusOK, &resp)
+	reqInfoFrom(r).setSliceLines(recordLines(data))
+	stampRecord(w, data, id, start)
 	return true
 }
 
-// storeResult serializes a computed response into its canonical
-// record — Request and DurationNS zeroed, so the record is a pure
-// function of the request tuple — and writes it through the result
-// tiers for peers and restarts to find.
-func (s *server) storeResult(rkey slicecache.ResultKey, resp *sliceResponse) {
-	if s.results == nil {
-		return
-	}
-	rec := *resp
-	rec.Request = 0
-	rec.DurationNS = 0
-	data, err := json.Marshal(&rec)
-	if err != nil {
-		return
-	}
+// storeResult writes a computed response's canonical record — a pure
+// function of the request tuple — through the result tiers for peers
+// and restarts to find, and returns it.
+func (s *server) storeResult(rkey slicecache.ResultKey, resp *sliceResponse) []byte {
+	data := appendRecord(resp)
 	s.results.Put(rkey, data)
+	return data
 }
 
 // handleFill (GET /internal/fill?key=) serves one serialized result

@@ -109,7 +109,7 @@ func postNode(t *testing.T, addr, query, body string, hdr map[string]string) (*h
 // pure function of the request tuple.
 func normalizeResponse(t *testing.T, body []byte) []byte {
 	t.Helper()
-	var sr sliceResponse
+	var sr wireSlice
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("undecodable slice response: %v\n%s", err, body)
 	}

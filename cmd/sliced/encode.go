@@ -9,7 +9,9 @@ package main
 //   - two-space indentation and a trailing newline;
 //   - omitempty fields dropped when empty; a nil slice is null, an
 //     empty one [];
-//   - map[int] keys sorted as decimal strings ("10" before "9");
+//   - the explain response's reasons object, which encoding/json
+//     would encode from a map[int][]string, keyed by line with the
+//     keys in decimal-string order ("10" before "9");
 //   - strings escaped as encoding/json does by default: <, > and &
 //     as \u003c, \u003e and \u0026; U+2028 and U+2029 as \u2028 and
 //     \u2029; every invalid UTF-8 byte as \ufffd; \b, \f, \n, \r and
@@ -19,13 +21,19 @@ package main
 // TestAppenderMatchesEncodingJSON compares the two encoders on
 // adversarial values. The /debug endpoints, whose bodies are
 // arbitrary snapshot structs off the hot path, keep writeJSON.
+//
+// A stored result record is the response body with request and
+// duration_ns zeroed; serving it stamps the two values back in
+// (stampRecord), so a result hit never decodes or re-encodes.
 
 import (
 	"bytes"
+	"cmp"
 	"net/http"
 	"slices"
 	"strconv"
 	"sync"
+	"time"
 	"unicode/utf8"
 
 	"jumpslice/internal/core"
@@ -37,7 +45,7 @@ type jsonEnc struct {
 	buf   []byte
 	depth int
 	first bool
-	keys  []int // scratch for sorting map keys
+	keys  []int // scratch for ordering the reasons object's keys
 }
 
 // Pooled buffers start at maxPooledJSON, so a response that fits is
@@ -60,13 +68,78 @@ func writeResponse(w http.ResponseWriter, status int, v jsonResponse) {
 	e := jsonEncs.Get().(*jsonEnc)
 	v.appendJSON(e)
 	e.buf = append(e.buf, '\n')
+	e.send(w, status)
+}
+
+// send writes the appended body with the given status and releases
+// e.
+func (e *jsonEnc) send(w http.ResponseWriter, status int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(e.buf)
+	e.release()
+}
+
+// release returns e to the pool.
+func (e *jsonEnc) release() {
 	if cap(e.buf) <= maxPooledJSON {
 		*e = jsonEnc{buf: e.buf[:0], keys: e.keys[:0]}
 		jsonEncs.Put(e)
 	}
+}
+
+// A result record is a slice response body with request and
+// duration_ns zeroed. Every such body opens with the request member
+// and closes with duration_ns, so the record starts with recordHead
+// and ends with recordTail, and the two zeros sit at fixed offsets.
+const (
+	stampRequest  = "{\n  \"request\": "
+	stampDuration = ",\n  \"duration_ns\": "
+	recordHead    = stampRequest + "0,\n"
+	recordTail    = stampDuration + "0\n}\n"
+)
+
+// appendRecord returns the record of r, in memory of its own.
+func appendRecord(r *sliceResponse) []byte {
+	rec := *r
+	rec.Request, rec.DurationNS = 0, 0
+	e := jsonEncs.Get().(*jsonEnc)
+	rec.appendJSON(e)
+	e.buf = append(e.buf, '\n')
+	data := bytes.Clone(e.buf)
+	e.release()
+	return data
+}
+
+// isRecord reports whether data is framed as a record. A torn record,
+// or one a daemon stored as compact JSON, is not.
+func isRecord(data []byte) bool {
+	return len(data) >= len(recordHead)+len(recordTail) &&
+		bytes.HasPrefix(data, []byte(recordHead)) && bytes.HasSuffix(data, []byte(recordTail))
+}
+
+// recordLines returns the length of a record's lines array: its
+// elements sit one per line, and no string member holds a raw newline,
+// so the first "\n  \"lines\": [" is that member's key.
+func recordLines(data []byte) int {
+	_, rest, ok := bytes.Cut(data, []byte("\n  \"lines\": ["))
+	if !ok {
+		return 0 // null
+	}
+	elems, _, _ := bytes.Cut(rest, []byte("]"))
+	return max(0, bytes.Count(elems, []byte("\n"))-1)
+}
+
+// stampRecord sends record data as a 200 response carrying request id
+// and the wall-clock duration since start.
+func stampRecord(w http.ResponseWriter, data []byte, id uint64, start time.Time) {
+	e := jsonEncs.Get().(*jsonEnc)
+	e.buf = append(e.buf, stampRequest...)
+	e.buf = strconv.AppendUint(e.buf, id, 10)
+	e.buf = append(e.buf, data[len(stampRequest)+len("0"):len(data)-len("0\n}\n")]...)
+	e.buf = strconv.AppendInt(e.buf, time.Since(start).Nanoseconds(), 10)
+	e.buf = append(e.buf, "\n}\n"...)
+	e.send(w, http.StatusOK)
 }
 
 // open starts an object or array.
@@ -146,44 +219,67 @@ func (e *jsonEnc) ints(name string, v []int) {
 	e.close(']')
 }
 
-// stringList appends a []string value (not a member): null when nil.
-func (e *jsonEnc) stringList(v []string) {
-	if v == nil {
-		e.buf = append(e.buf, "null"...)
-		return
+// provenance appends the reasons and listing members of an explained
+// slice, rendered once straight from its provenance: reasons as
+// encoding/json encodes a map[int][]string of each line's texts, and
+// the listing as a string.
+func (e *jsonEnc) provenance(p *core.Provenance) {
+	rd := p.Render()
+	defer rd.Release()
+	if n := rd.Lines(); n > 0 {
+		e.key("reasons")
+		e.keys = e.keys[:0]
+		for i := range n {
+			e.keys = append(e.keys, i)
+		}
+		slices.SortFunc(e.keys, func(i, j int) int { return compareLines(rd.Line(i), rd.Line(j)) })
+		e.open('{')
+		for _, i := range e.keys {
+			e.elem()
+			e.buf = append(e.buf, '"')
+			e.buf = strconv.AppendInt(e.buf, int64(rd.Line(i)), 10)
+			e.buf = append(e.buf, `": `...)
+			e.open('[')
+			for j := range rd.NumReasons(i) {
+				e.elem()
+				e.buf = appendJSONString(e.buf, rd.Reason(i, j))
+			}
+			e.close(']')
+		}
+		e.close('}')
 	}
-	e.open('[')
-	for _, s := range v {
-		e.elem()
-		e.buf = appendJSONString(e.buf, s)
+	if listing := rd.Listing(); len(listing) > 0 {
+		e.key("listing")
+		e.buf = appendJSONString(e.buf, listing)
 	}
-	e.close(']')
 }
 
-// reasons appends a non-empty map[int][]string member, keys in the
-// order encoding/json sorts them: as decimal strings.
-func (e *jsonEnc) reasons(name string, m map[int][]string) {
-	e.key(name)
-	e.keys = e.keys[:0]
-	for k := range m {
-		e.keys = append(e.keys, k)
+// compareLines orders two lines (positive ints) as their decimal
+// strings compare, which is the order of the reasons object's keys,
+// without formatting them: the longer is cut to the shorter's length,
+// and on a tie the shorter, which is the smaller, comes first.
+func compareLines(a, b int) int {
+	x, y := a, b
+	for px, py := pow10(a), pow10(b); px != py; {
+		if px > py {
+			x, px = x/10, px/10
+		} else {
+			y, py = y/10, py/10
+		}
 	}
-	slices.SortFunc(e.keys, compareDecimal)
-	e.open('{')
-	for _, k := range e.keys {
-		e.elem()
-		e.buf = append(e.buf, '"')
-		e.buf = strconv.AppendInt(e.buf, int64(k), 10)
-		e.buf = append(e.buf, `": `...)
-		e.stringList(m[k])
+	if x != y {
+		return cmp.Compare(x, y)
 	}
-	e.close('}')
+	return cmp.Compare(a, b)
 }
 
-// compareDecimal orders two ints as their decimal strings compare.
-func compareDecimal(a, b int) int {
-	var x, y [20]byte
-	return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
+// pow10 returns the largest power of ten not above the positive x.
+func pow10(x int) int {
+	p := 1
+	for x >= 10 {
+		x, p = x/10, p*10
+	}
+	return p
 }
 
 const lowerHex = "0123456789abcdef"
@@ -202,7 +298,7 @@ var jsonSafe = func() (t [256]bool) {
 
 // appendJSONString appends s as a JSON string literal, escaped as
 // encoding/json escapes it with HTML escaping on.
-func appendJSONString(dst []byte, s string) []byte {
+func appendJSONString[S ~string | ~[]byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -233,7 +329,7 @@ func appendJSONString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)
@@ -273,11 +369,8 @@ func (r *sliceResponse) appendFields(e *jsonEnc) {
 		e.intField("traversals", int64(r.Traversals))
 	}
 	e.stringField("text", r.Text)
-	if len(r.Reasons) > 0 {
-		e.reasons("reasons", r.Reasons)
-	}
-	if r.Listing != "" {
-		e.stringField("listing", r.Listing)
+	if r.Provenance != nil {
+		e.provenance(r.Provenance)
 	}
 	e.intField("duration_ns", r.DurationNS)
 }

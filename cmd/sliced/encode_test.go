@@ -7,12 +7,16 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
+	"jumpslice/internal/baselines"
 	"jumpslice/internal/core"
 	"jumpslice/internal/incremental"
 	"jumpslice/internal/lang"
+	"jumpslice/internal/paper"
 	"jumpslice/internal/progen"
 )
 
@@ -27,6 +31,59 @@ func referenceJSON(t testing.TB, v any) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// wireSlice is the slice response in the plain form encoding/json
+// encodes, as the daemon sent it before the appender rendered explain
+// members from a provenance: the reference for the appender, and what
+// tests decode responses into.
+type wireSlice struct {
+	Request    uint64           `json:"request"`
+	Algorithm  string           `json:"algorithm"`
+	Var        string           `json:"var"`
+	Line       int              `json:"line"`
+	Lines      []int            `json:"lines"`
+	JumpLines  []int            `json:"jump_lines,omitempty"`
+	Traversals int              `json:"traversals,omitempty"`
+	Text       string           `json:"text"`
+	Reasons    map[int][]string `json:"reasons,omitempty"`
+	Listing    string           `json:"listing,omitempty"`
+	DurationNS int64            `json:"duration_ns"`
+}
+
+// wirePatch is sessionPatchResponse in plain form.
+type wirePatch struct {
+	wireSlice
+	Session      string          `json:"session"`
+	Incremental  *core.IncrStats `json:"incremental"`
+	LinesAdded   []int           `json:"lines_added"`
+	LinesRemoved []int           `json:"lines_removed"`
+}
+
+// wireOf is r in plain form: its provenance as LineReasons and
+// Listing.
+func wireOf(r *sliceResponse) wireSlice {
+	w := wireSlice{
+		Request: r.Request, Algorithm: r.Algorithm, Var: r.Var, Line: r.Line, Lines: r.Lines,
+		JumpLines: r.JumpLines, Traversals: r.Traversals, Text: r.Text, DurationNS: r.DurationNS,
+	}
+	if r.Provenance != nil {
+		w.Reasons, w.Listing = r.Provenance.LineReasons(), r.Provenance.Listing()
+	}
+	return w
+}
+
+// reference is encoding/json's rendering of v, through the plain form
+// for the slice responses.
+func reference(t testing.TB, v jsonResponse) []byte {
+	t.Helper()
+	switch v := v.(type) {
+	case *sliceResponse:
+		return referenceJSON(t, wireOf(v))
+	case *sessionPatchResponse:
+		return referenceJSON(t, wirePatch{wireOf(&v.sliceResponse), v.Session, v.Incremental, v.LinesAdded, v.LinesRemoved})
+	}
+	return referenceJSON(t, v)
 }
 
 func appended(v jsonResponse) []byte {
@@ -96,7 +153,7 @@ func randStrings(rng *rand.Rand) []string {
 	return out
 }
 
-func randSliceResponse(rng *rand.Rand) sliceResponse {
+func randSliceResponse(t testing.TB, rng *rand.Rand) sliceResponse {
 	r := sliceResponse{
 		Request:    rng.Uint64() >> uint(rng.Intn(64)),
 		Algorithm:  randString(rng),
@@ -106,19 +163,52 @@ func randSliceResponse(rng *rand.Rand) sliceResponse {
 		JumpLines:  randInts(rng),
 		Traversals: randInt(rng) * rng.Intn(2),
 		Text:       randString(rng),
-		Listing:    randString(rng),
 		DurationNS: int64(randInt(rng)),
 	}
-	switch rng.Intn(3) {
-	case 1:
-		r.Reasons = map[int][]string{}
-	case 2:
-		r.Reasons = map[int][]string{}
-		for n := rng.Intn(12) + 1; n > 0; n-- {
-			r.Reasons[randInt(rng)] = randStrings(rng)
-		}
+	if ps := paperProvenances(t); rng.Intn(2) == 0 {
+		r.Provenance = ps[rng.Intn(len(ps))]
 	}
 	return r
+}
+
+var paperProvs struct {
+	once  sync.Once
+	provs []*core.Provenance
+}
+
+// paperProvenances returns the provenance of the last write criterion
+// of each of the paper's figures, under each intraprocedural
+// algorithm that slices it. Reason texts and listings come only from
+// provenances, so these are the values the appender's explain members
+// take; the adversarial strings reach the same escaper through
+// TestAppendJSONStringBytes.
+func paperProvenances(t testing.TB) []*core.Provenance {
+	paperProvs.once.Do(func() {
+		for _, f := range paper.All() {
+			prog, err := lang.Parse(f.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := core.Analyze(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crits := progen.WriteCriteria(prog)
+			c := crits[len(crits)-1]
+			for _, algo := range knownAlgos[:len(knownAlgos)-1] {
+				sl, err := baselines.Slice(a, algo, core.Criterion{Var: c.Var, Line: c.Line})
+				if err != nil {
+					continue // Figures 12 and 13 refuse unstructured jumps
+				}
+				p, err := sl.Explain()
+				if err != nil {
+					t.Fatal(err)
+				}
+				paperProvs.provs = append(paperProvs.provs, p)
+			}
+		}
+	})
+	return paperProvs.provs
 }
 
 func randIncrStats(rng *rand.Rand) *core.IncrStats {
@@ -155,11 +245,11 @@ func TestAppenderMatchesEncodingJSON(t *testing.T) {
 		var v jsonResponse
 		switch i % 4 {
 		case 0:
-			r := randSliceResponse(rng)
+			r := randSliceResponse(t, rng)
 			v = &r
 		case 1:
 			v = &sessionPatchResponse{
-				sliceResponse: randSliceResponse(rng),
+				sliceResponse: randSliceResponse(t, rng),
 				Session:       randString(rng),
 				Incremental:   randIncrStats(rng),
 				LinesAdded:    randInts(rng),
@@ -180,28 +270,45 @@ func TestAppenderMatchesEncodingJSON(t *testing.T) {
 				RequestID: rng.Uint64() >> uint(rng.Intn(64)),
 			}}
 		}
-		if got, want := appended(v), referenceJSON(t, v); !bytes.Equal(got, want) {
+		if got, want := appended(v), reference(t, v); !bytes.Equal(got, want) {
 			t.Fatalf("case %d (%T): appender\n%s\nencoding/json\n%s", i, v, got, want)
 		}
 	}
 }
 
-// TestCompareDecimal pins the reason-key order: decimal strings, so
-// "-1" < "-10" < "0" < "10" < "9".
-func TestCompareDecimal(t *testing.T) {
-	keys := []int{9, 10, -10, 0, -1, 100, -2}
-	r := &sliceResponse{Reasons: map[int][]string{}}
-	for _, k := range keys {
-		r.Reasons[k] = []string{"r"}
+// TestAppendJSONStringBytes: reason texts and the listing are
+// appended from bytes, and escape exactly as strings do.
+func TestAppendJSONStringBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		s := randString(rng)
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, []byte(s)); !bytes.Equal(got, want) {
+			t.Fatalf("%q: appended %s, encoding/json %s", s, got, want)
+		}
 	}
-	if got, want := appended(r), referenceJSON(t, r); !bytes.Equal(got, want) {
-		t.Fatalf("appender\n%s\nencoding/json\n%s", got, want)
-	}
+}
+
+// TestCompareLines pins the reason-key order: decimal strings, so
+// "10" < "100" < "9", computed without formatting.
+func TestCompareLines(t *testing.T) {
 	for _, c := range []struct{ a, b, want int }{
-		{9, 10, 1}, {10, 9, -1}, {-1, -10, -1}, {-10, 0, -1}, {0, 0, 0}, {100, 10, 1}, {-2, -10, 1},
+		{9, 10, 1}, {10, 9, -1}, {100, 10, 1}, {1, 1, 0}, {99, 100, 1}, {100, 99, -1},
 	} {
-		if got := compareDecimal(c.a, c.b); got != c.want {
-			t.Errorf("compareDecimal(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		if got := compareLines(c.a, c.b); got != c.want {
+			t.Errorf("compareLines(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+	// The 9/10/99/100 boundaries and their neighbours, pairwise.
+	lines := []int{1, 2, 9, 10, 11, 19, 20, 90, 99, 100, 101, 109, 110, 990, 999, 1000, 1001, 12345}
+	for _, a := range lines {
+		for _, b := range lines {
+			if got, want := compareLines(a, b), strings.Compare(strconv.Itoa(a), strconv.Itoa(b)); got != want {
+				t.Errorf("compareLines(%d, %d) = %d, want %d", a, b, got, want)
+			}
 		}
 	}
 }
@@ -223,7 +330,7 @@ func explainResponse(t testing.TB) *sliceResponse {
 	s := newServer(testConfig(), io.Discard)
 	rec := httptest.NewRecorder()
 	resp, _ := s.renderSlice(rec, httptest.NewRequest("POST", "/slice", nil), a, "agrawal", core.Criterion{Var: c.Var, Line: c.Line}, true)
-	if resp == nil || len(resp.Reasons) < 10 {
+	if resp == nil || resp.Provenance == nil || len(resp.Provenance.LineReasons()) < 10 {
 		t.Fatalf("no explain response: %s", rec.Body.Bytes())
 	}
 	resp.Request, resp.DurationNS = 123456, 987654321
@@ -239,11 +346,12 @@ func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardResponse) WriteHeader(int)             {}
 
 // TestWriteResponseAllocs bounds the allocations of sending an
-// explain response: the buffer and the key scratch are pooled, so
-// what remains is the Content-Type header value.
+// explain response: the buffer, the key scratch and the rendering are
+// pooled and the line texts memoized, so what remains is the
+// Content-Type header value.
 func TestWriteResponseAllocs(t *testing.T) {
 	resp := explainResponse(t)
-	if got, want := appended(resp), referenceJSON(t, resp); !bytes.Equal(got, want) {
+	if got, want := appended(resp), reference(t, resp); !bytes.Equal(got, want) {
 		t.Fatalf("appender\n%s\nencoding/json\n%s", got, want)
 	}
 	if raceEnabled {
@@ -283,8 +391,8 @@ func TestWriteResponseConcurrent(t *testing.T) {
 	resps := make([]*sliceResponse, 8)
 	want := make([][]byte, len(resps))
 	for i := range resps {
-		r := randSliceResponse(rng)
-		resps[i], want[i] = &r, referenceJSON(t, &r)
+		r := randSliceResponse(t, rng)
+		resps[i], want[i] = &r, reference(t, &r)
 	}
 	var wg sync.WaitGroup
 	for i := range resps {

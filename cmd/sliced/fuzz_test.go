@@ -84,26 +84,28 @@ func FuzzHandleSlice(f *testing.F) {
 }
 
 // FuzzAppendResponse compares the response appender with
-// encoding/json on arbitrary strings and reason keys, in every
-// response type the appender encodes.
+// encoding/json on arbitrary strings, in every response type the
+// appender encodes, and the byte-slice escaper that reason texts and
+// listings go through with the string one.
 func FuzzAppendResponse(f *testing.F) {
-	f.Add("write(x);", "data-dep from 3", 10, -9, true)
-	f.Add("if (a < b && c > d)\n", "\t\"\\  \xff\xc3\x01\x7f", -1, 10, false)
-	f.Fuzz(func(t *testing.T, text, reason string, k1, k2 int, emptyList bool) {
+	f.Add("write(x);", "data-dep from 3", 10, -9)
+	f.Add("if (a < b && c > d)\n", "\t\"\\  \xff\xc3\x01\x7f", -1, 10)
+	f.Fuzz(func(t *testing.T, text, reason string, k1, k2 int) {
 		r := &sliceResponse{
-			Algorithm: reason, Var: text, Line: k1, Lines: []int{k1, k2}, Text: text, Listing: reason,
-			Reasons: map[int][]string{k1: {text, reason}, k2: nil},
-		}
-		if emptyList {
-			r.Reasons[k2] = []string{}
+			Algorithm: reason, Var: text, Line: k1, Lines: []int{k1, k2}, Text: text,
 		}
 		p := &sessionPatchResponse{sliceResponse: *r, Session: text, Incremental: &core.IncrStats{
 			Outcome: reason, Fallback: text,
 			Edits: []incremental.Edit{{Op: incremental.Op(k1), Line: k2, Text: text}},
 		}}
 		for _, v := range []jsonResponse{r, p, &sessionResponse{Session: text}, &apiError{Error: errorBody{Code: text, Message: reason}}} {
-			if got, want := appended(v), referenceJSON(t, v); !bytes.Equal(got, want) {
+			if got, want := appended(v), reference(t, v); !bytes.Equal(got, want) {
 				t.Fatalf("%T: appender\n%s\nencoding/json\n%s", v, got, want)
+			}
+		}
+		for _, s := range []string{text, reason} {
+			if got, want := appendJSONString(nil, []byte(s)), appendJSONString(nil, s); !bytes.Equal(got, want) {
+				t.Fatalf("%q: bytes escape as %s, the string as %s", s, got, want)
 			}
 		}
 	})

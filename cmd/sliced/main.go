@@ -708,8 +708,9 @@ type sliceRequest struct {
 	Algo   string `json:"algo"` // "" = agrawal (Figure 7)
 }
 
-// sliceResponse is the /slice response. Reasons and Listing are only
-// present with ?explain=1.
+// sliceResponse is the /slice response. With ?explain=1 it carries
+// the slice's provenance, from which the appender renders the reasons
+// and listing members between text and duration_ns.
 type sliceResponse struct {
 	Request    uint64           `json:"request"`
 	Algorithm  string           `json:"algorithm"`
@@ -719,8 +720,7 @@ type sliceResponse struct {
 	JumpLines  []int            `json:"jump_lines,omitempty"`
 	Traversals int              `json:"traversals,omitempty"`
 	Text       string           `json:"text"`
-	Reasons    map[int][]string `json:"reasons,omitempty"`
-	Listing    string           `json:"listing,omitempty"`
+	Provenance *core.Provenance `json:"-"`
 	DurationNS int64            `json:"duration_ns"`
 }
 
@@ -933,11 +933,16 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	if resp == nil {
 		return // renderSlice already answered
 	}
-	resp.Request = id
-	resp.DurationNS = time.Since(start).Nanoseconds()
 	ri.setSliceLines(len(resp.Lines))
-	s.storeResult(rkey, resp)
-	writeResponse(w, http.StatusOK, resp)
+	if s.results == nil {
+		resp.Request = id
+		resp.DurationNS = time.Since(start).Nanoseconds()
+		writeResponse(w, http.StatusOK, resp)
+		return
+	}
+	// The stored record is the response less the request's own two
+	// values, so the response is the record stamped.
+	stampRecord(w, s.storeResult(rkey, resp), id, start)
 }
 
 // renderSlice computes one slice of a as the response body /slice and
@@ -985,8 +990,7 @@ func (s *server) renderSlice(w http.ResponseWriter, r *http.Request, a *core.Ana
 			s.fail(w, r, http.StatusInternalServerError, "explain_failed", "explain: %v", err)
 			return nil, nil
 		}
-		resp.Reasons = p.LineReasons()
-		resp.Listing = p.Listing()
+		resp.Provenance = p
 	}
 	return resp, sl
 }

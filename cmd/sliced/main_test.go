@@ -54,7 +54,7 @@ func newTestServerConfig(t *testing.T, cfg config) (*server, *httptest.Server) {
 	return s, ts
 }
 
-func postSlice(t *testing.T, ts *httptest.Server, query, body string) (*http.Response, *sliceResponse) {
+func postSlice(t *testing.T, ts *httptest.Server, query, body string) (*http.Response, *wireSlice) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/slice?"+query, "text/plain", strings.NewReader(body))
 	if err != nil {
@@ -65,7 +65,7 @@ func postSlice(t *testing.T, ts *httptest.Server, query, body string) (*http.Res
 		data, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST /slice?%s: status %d: %s", query, resp.StatusCode, data)
 	}
-	var sr sliceResponse
+	var sr wireSlice
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestSliceJSONBodyWithExplain(t *testing.T) {
 		data, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var sr sliceResponse
+	var sr wireSlice
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

@@ -159,17 +159,25 @@ func (s *server) postmortemOnFatal(err error) error {
 	return err
 }
 
-// writeBundleFile creates one bundle artifact.
+// writeBundleFile writes one bundle artifact under a temporary name
+// and renames it into place, so no artifact is visible before it is
+// complete: meta.json's presence then means the bundle is. A failed
+// write leaves nothing behind.
 func writeBundleFile(dir, name string, write func(*os.File) error) error {
-	f, err := os.Create(filepath.Join(dir, name))
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path + ".tmp")
 	if err != nil {
 		return fmt.Errorf("postmortem: %w", err)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("postmortem: %s: %w", name, err)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("postmortem: %s: %w", name, err)
 	}
 	return nil

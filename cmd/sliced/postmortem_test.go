@@ -7,7 +7,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -285,6 +287,44 @@ func TestWritePostmortemDisabled(t *testing.T) {
 	s.postmortemOnPanic()
 	if s.pmPanic.Load() {
 		t.Error("panic latch tripped with bundles disabled")
+	}
+}
+
+// TestBundleFileAppearsComplete: an artifact is not visible under its
+// name while it is being written, and a failed write leaves nothing in
+// the bundle, so meta.json's presence means the bundle is complete.
+func TestBundleFileAppearsComplete(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "meta.json")
+	err := writeBundleFile(dir, "meta.json", func(f *os.File) error {
+		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("meta.json visible while being written (stat: %v)", err)
+		}
+		_, err := f.WriteString("{}\n")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "{}\n" {
+		t.Fatalf("meta.json = %q, %v", data, err)
+	}
+	if err := writeBundleFile(dir, "slo.json", func(f *os.File) error {
+		f.WriteString("{")
+		return errors.New("disk full")
+	}); err == nil {
+		t.Fatal("a failed write reported success")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "meta.json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("bundle holds %v, want only meta.json", names)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestExplainParamStrict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sr sliceResponse
+		var sr wireSlice
 		decodeInto(t, resp, http.StatusOK, &sr)
 		if sr.Listing == "" || len(sr.Reasons) == 0 {
 			t.Fatalf("explain=%s: no provenance in response", v)
@@ -93,7 +93,7 @@ func TestExplainParamStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr sliceResponse
+	var sr wireSlice
 	decodeInto(t, resp, http.StatusOK, &sr)
 	if sr.Listing != "" || len(sr.Reasons) != 0 {
 		t.Fatal("explain=0 still produced provenance")
@@ -272,13 +272,13 @@ func TestSessionSDG(t *testing.T) {
 	if got := resp.Header.Get("X-Incremental"); got != "full" {
 		t.Errorf("X-Incremental = %q, want full", got)
 	}
-	var pr sessionPatchResponse
+	var pr wirePatch
 	decodeInto(t, resp, http.StatusOK, &pr)
 	if fmt.Sprint(pr.LinesAdded) != "[7]" || fmt.Sprint(pr.LinesRemoved) != "[4]" {
 		t.Errorf("delta +%v -%v, want +[7] -[4]", pr.LinesAdded, pr.LinesRemoved)
 	}
 	_, cold := postSlice(t, ts, query, strings.Replace(sdgTestProgram, "call add(sum, a);", "call add(sum, cnt);", 1))
-	got := pr.sliceResponse
+	got := pr.wireSlice
 	got.Request, got.DurationNS, cold.Request, cold.DurationNS = 0, 0, 0, 0
 	if !reflect.DeepEqual(got, *cold) {
 		t.Errorf("session sdg slice differs from a cold /slice:\n%+v\n%+v", got, *cold)

@@ -448,9 +448,11 @@ func (s *Slice) Has(id int) bool { return s.Nodes.Has(id) }
 // conditional jump's predicate and jump share a line) is always the
 // previous line; one pass with one allocation suffices. A program
 // whose positions do not ascend with its statements is sorted after.
-func (s *Slice) Lines() []int {
+func (s *Slice) Lines() []int { return s.appendLines(make([]int, 0, s.Nodes.Len())) }
+
+// appendLines appends Lines to lines, which must be empty.
+func (s *Slice) appendLines(lines []int) []int {
 	nodes := s.Analysis.CFG.Nodes
-	lines := make([]int, 0, s.Nodes.Len())
 	ascending := true
 	for id := s.Nodes.NextSet(0); id >= 0; id = s.Nodes.NextSet(id + 1) {
 		l := nodes[id].Line

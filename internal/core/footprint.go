@@ -17,7 +17,11 @@ package core
 //   - per-edge cost: the PDG adjacency lists (data + merged deps) and
 //     their CDG/CFG counterparts;
 //   - the reaching-definitions bitsets: one set (In) per node, one
-//     word per 64 definition sites, plus the definition index.
+//     word per 64 definition sites, plus the definition index;
+//   - the program's line texts, which the first listing of one of its
+//     slices prints and every view then shares: charged per node
+//     whether or not they were printed yet, so the cost is fixed at
+//     insertion.
 //
 // An analysis of a program with procedures is charged for every
 // unit plus its system dependence graph, summary edges included once
@@ -50,12 +54,13 @@ func (a *Analysis) Footprint() int64 {
 
 	const (
 		perNode = 320 // cfg.Node + tree/worklist slots + AST statement
+		perText = 48  // the node's line of the listing texts
 		perEdge = 48  // adjacency slice elements across PDG/CDG/CFG
 		perDef  = 64  // dataflow.Def index entry
 		fixed   = 512 // struct headers of the Analysis and its graphs
 	)
 	condJumpIndex := int64(len(a.condJumpOf)) * 8
-	return fixed + n*perNode + edges*perEdge + defs*perDef + condJumpIndex + reachSetBytes(n, defs)
+	return fixed + n*(perNode+perText) + edges*perEdge + defs*perDef + condJumpIndex + reachSetBytes(n, defs)
 }
 
 // reachSetBytes is the footprint's definition term: the one n×defs

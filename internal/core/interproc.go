@@ -56,6 +56,9 @@ type ProgramSet struct {
 
 	o  obs.Observer
 	sm sdgMetrics
+	// texts memoizes Prog's line texts for listings; shared by every
+	// view of the set, and with the analysis it belongs to.
+	texts *lineTexts
 
 	// summaries serializes the summary worklist, the SDG's only
 	// writer after Build, across every view of the set.
@@ -84,6 +87,9 @@ type setState struct {
 	once sync.Once
 	ps   *ProgramSet
 	err  error
+	// texts are the program's line texts, for listings of its slices
+	// of either kind; the program set points at them.
+	texts lineTexts
 }
 
 // AnalyzeProgramSet analyzes a program that may declare procedures
@@ -103,7 +109,7 @@ func AnalyzeProgramSet(prog *lang.Program) (*ProgramSet, error) {
 func (a *Analysis) ProgramSet() (*ProgramSet, error) {
 	st := a.set
 	st.once.Do(func() {
-		st.ps, st.err = newProgramSet(a.Prog, []*ProcUnit{{Sub: a.Rebind(nil, nil, nil)}}, a.o)
+		st.ps, st.err = newProgramSet(a.Prog, []*ProcUnit{{Sub: a.Rebind(nil, nil, nil)}}, a.o, &st.texts)
 	})
 	if st.err != nil {
 		return nil, st.err
@@ -145,20 +151,20 @@ func analyzeProcs(ctx context.Context, prog *lang.Program, o obs.Observer) (*Ana
 	if err := analyzeBody("", nil, prog.Body, prog.Labels); err != nil {
 		return nil, err
 	}
-	ps, err := newProgramSet(prog, units, o)
+	st := &setState{}
+	ps, err := newProgramSet(prog, units, o, &st.texts)
 	if err != nil {
 		return nil, err
 	}
+	st.once.Do(func() { st.ps = ps })
 	a := ps.MainUnit().Sub.Rebind(ctx, o.Reg, o.Tr)
-	a.Prog = prog
-	a.set = &setState{}
-	a.set.once.Do(func() { a.set.ps = ps })
+	a.Prog, a.set = prog, st
 	return a, nil
 }
 
 // newProgramSet builds the SDG over already-analyzed units, numbering
-// them in order.
-func newProgramSet(prog *lang.Program, units []*ProcUnit, o obs.Observer) (*ProgramSet, error) {
+// them in order; texts memoizes prog's line texts.
+func newProgramSet(prog *lang.Program, units []*ProcUnit, o obs.Observer, texts *lineTexts) (*ProgramSet, error) {
 	defer o.StartSpan("phase.analyze.sdg").End()
 
 	infos := make([]*sdg.ProcInfo, len(units))
@@ -184,7 +190,7 @@ func newProgramSet(prog *lang.Program, units []*ProcUnit, o obs.Observer) (*Prog
 	if err != nil {
 		return nil, err
 	}
-	return &ProgramSet{Prog: prog, Units: units, SDG: g, summaries: &sync.Mutex{}}, nil
+	return &ProgramSet{Prog: prog, Units: units, SDG: g, texts: texts, summaries: &sync.Mutex{}}, nil
 }
 
 // MainUnit returns the unit of the top-level statements.
@@ -483,12 +489,11 @@ func (s *InterSlice) Lines() []int {
 	return slices.Compact(lines)
 }
 
-// memberLines returns the sorted source lines of every vertex of the
-// slice: its statement lines, plus the declaration line of each
-// procedure whose entry or formals are in it.
-func (s *InterSlice) memberLines() []int {
+// appendMemberLines appends to the empty lines the sorted source
+// lines of every vertex of the slice: its statement lines, plus the
+// declaration line of each procedure whose entry or formals are in it.
+func (s *InterSlice) appendMemberLines(lines []int) []int {
 	g := s.Set.SDG
-	var lines []int
 	for v := s.V2.NextSet(0); v >= 0; v = s.V2.NextSet(v + 1) {
 		if l := g.VertLine(v); l > 0 {
 			lines = append(lines, l)

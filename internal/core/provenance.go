@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,8 +142,9 @@ type Provenance struct {
 	Inter *InterSlice
 
 	table
-	// lines caches LineReasons.
-	lines map[int][]string
+	// lines and listing cache LineReasons and Listing.
+	lines   map[int][]string
+	listing string
 }
 
 // Reasons returns the records of node id; none for a node outside the
@@ -377,17 +380,31 @@ func (p *Provenance) loc(id int) (line int, end bool) {
 	return g.VertLine(id), v.Kind == sdg.VertStmt && v.Node == g.Procs[v.Proc].CFG.Exit.ID
 }
 
-// scratch is the reusable working memory of LineReasons and Listing:
-// both render into a pooled buffer and copy out only the finished
-// text, so their allocations do not grow with the records.
-type scratch struct {
-	buf   []byte
+// Rendering is a provenance rendered once for output: the
+// deduplicated reason texts of each slice line, grouped by line in
+// ascending order, and on demand the annotated listing. It lives in
+// pooled memory, so rendering allocates nothing once the pool is warm;
+// everything it returns is valid until Release.
+//
+// LineReasons and Listing are adapters over it; the daemon appends
+// from it straight into a response.
+type Rendering struct {
+	p *Provenance
+	// buf holds the reason texts, then the listing once asked for.
+	buf []byte
+	// spans locates each reason text in buf, grouped by line; runs
+	// holds one entry per line with reasons, ascending.
 	spans []reasonSpan
+	runs  []lineRun
+	lines []int // scratch for the listing's slice lines
 	seen  keySet
 }
 
-// reasonSpan locates one rendered reason of a line in scratch.buf.
+// reasonSpan locates one rendered reason of a line in Rendering.buf.
 type reasonSpan struct{ line, start, end int }
+
+// lineRun is one line's reasons: spans[from:to].
+type lineRun struct{ line, from, to int }
 
 // reasonKey identifies the text a reason renders to on a line: its
 // kind and the locations (locKey) of the evidence that kind prints.
@@ -440,37 +457,21 @@ func (s *keySet) add(k reasonKey) bool {
 	}
 }
 
-var scratches = sync.Pool{New: func() any { return &scratch{buf: make([]byte, 0, 64<<10)} }}
+var renderings = sync.Pool{New: func() any { return &Rendering{buf: make([]byte, 0, 64<<10)} }}
 
-// maxPooledScratch bounds the buffers returned to the pool, so one
+// maxPooledRendering bounds the buffers returned to the pool, so one
 // huge slice does not pin its buffer's memory.
-const maxPooledScratch = 1 << 20
+const maxPooledRendering = 1 << 20
 
-func putScratch(sc *scratch) {
-	if cap(sc.buf) <= maxPooledScratch {
-		sc.buf, sc.spans = sc.buf[:0], sc.spans[:0]
-		scratches.Put(sc)
-	}
-}
-
-// LineReasons folds the node-level records down to source lines: for
-// each line of the slice, the deduplicated, deterministically ordered
-// reason strings of every node on that line. This is the
-// machine-checkable form the facade and the -explain flag expose.
-//
-// The map is built on the first call and shared by later calls and
-// by Listing, so callers must not modify it.
-func (p *Provenance) LineReasons() map[int][]string {
-	if p.lines != nil {
-		return p.lines
-	}
-	// Render every reason into one buffer, in node order; the strings
-	// are slices of a single copy of it.
-	sc := scratches.Get().(*scratch)
-	defer putScratch(sc)
-	buf, spans := sc.buf, sc.spans
-	sc.seen.reset(len(p.recs))
-	lines := 0
+// Render renders the provenance's reasons. A line's reasons are those
+// of every node on it, deduplicated by text, in node order and within
+// a node in record order.
+func (p *Provenance) Render() *Rendering {
+	r := renderings.Get().(*Rendering)
+	r.p = p
+	buf, spans := r.buf, r.spans
+	r.seen.reset(len(p.recs))
+	sorted := true
 	for id := 0; id < p.Len(); id++ {
 		rs := p.Reasons(id)
 		if len(rs) == 0 {
@@ -480,37 +481,54 @@ func (p *Provenance) LineReasons() map[int][]string {
 		if line <= 0 {
 			continue // Entry and synthesized nodes have no listing line
 		}
-		if len(spans) == 0 || spans[len(spans)-1].line != line {
-			lines++
-		}
-		for _, r := range rs {
-			if !sc.seen.add(p.key(line, r)) {
+		for _, rec := range rs {
+			if !r.seen.add(p.key(line, rec)) {
 				continue // the line already carries this text
 			}
 			start := len(buf)
-			buf = p.appendReason(buf, r)
+			buf = p.appendReason(buf, rec)
+			sorted = sorted && (len(spans) == 0 || spans[len(spans)-1].line <= line)
 			spans = append(spans, reasonSpan{line, start, len(buf)})
 		}
 	}
-	sc.buf, sc.spans = buf, spans
-	all := string(buf)
-	strs := make([]string, 0, len(spans))
-	out := make(map[int][]string, lines)
-	// Consecutive spans mostly share a line; each such run becomes one
-	// capacity-capped window of strs.
-	for i := 0; i < len(spans); {
-		line, from := spans[i].line, len(strs)
-		for ; i < len(spans) && spans[i].line == line; i++ {
-			strs = append(strs, all[spans[i].start:spans[i].end])
-		}
-		if prev, ok := out[line]; ok {
-			out[line] = append(prev, strs[from:]...)
-		} else {
-			out[line] = strs[from:len(strs):len(strs)]
-		}
+	// Node order mostly follows the lines; where it does not (an SDG's
+	// parameter vertices, a program whose positions do not ascend), a
+	// stable sort groups each line's texts and keeps their order.
+	if !sorted {
+		slices.SortStableFunc(spans, func(a, b reasonSpan) int { return cmp.Compare(a.line, b.line) })
 	}
-	p.lines = out
-	return out
+	runs := r.runs
+	for i := 0; i < len(spans); {
+		from := i
+		for i++; i < len(spans) && spans[i].line == spans[from].line; i++ {
+		}
+		runs = append(runs, lineRun{spans[from].line, from, i})
+	}
+	r.buf, r.spans, r.runs = buf, spans, runs
+	return r
+}
+
+// Release returns r to the pool; nothing r returned may be used after.
+func (r *Rendering) Release() {
+	if cap(r.buf) <= maxPooledRendering {
+		*r = Rendering{buf: r.buf[:0], spans: r.spans[:0], runs: r.runs[:0], lines: r.lines[:0], seen: r.seen}
+		renderings.Put(r)
+	}
+}
+
+// Lines returns the number of lines with reasons.
+func (r *Rendering) Lines() int { return len(r.runs) }
+
+// Line returns the i-th line with reasons, in ascending order.
+func (r *Rendering) Line(i int) int { return r.runs[i].line }
+
+// NumReasons returns the number of reason texts of the i-th line.
+func (r *Rendering) NumReasons(i int) int { return r.runs[i].to - r.runs[i].from }
+
+// Reason returns the j-th reason text of the i-th line.
+func (r *Rendering) Reason(i, j int) []byte {
+	sp := r.spans[r.runs[i].from+j]
+	return r.buf[sp.start:sp.end]
 }
 
 // Listing renders the annotated slice: every line of a slice member
@@ -520,20 +538,19 @@ func (p *Provenance) LineReasons() map[int][]string {
 //
 //	2: positives = 0;  // data-dep from 8
 //	7: continue;  // jump-rule(nearest-PD=3, nearest-LS=8)
-func (p *Provenance) Listing() string {
-	var prog *lang.Program
-	var lines []int
+func (r *Rendering) Listing() []byte {
+	p := r.p
+	var texts []string
 	if p.Slice != nil {
-		prog, lines = p.Slice.Analysis.Prog, p.Slice.Lines()
+		texts = p.Slice.Analysis.set.texts.of(p.Slice.Analysis.Prog)
+		r.lines = p.Slice.appendLines(r.lines[:0])
 	} else {
-		prog, lines = p.Inter.Set.Prog, p.Inter.memberLines()
+		texts = p.Inter.Set.texts.of(p.Inter.Set.Prog)
+		r.lines = p.Inter.appendMemberLines(r.lines[:0])
 	}
-	texts := lang.LineTexts(prog)
-	reasons := p.LineReasons()
-	sc := scratches.Get().(*scratch)
-	defer putScratch(sc)
-	b := sc.buf
-	for _, line := range lines {
+	b := r.buf
+	start, run := len(b), 0
+	for _, line := range r.lines {
 		var text string
 		if line < len(texts) {
 			text = strings.TrimRight(texts[line], " \t")
@@ -543,16 +560,76 @@ func (p *Provenance) Listing() string {
 		}
 		b = lang.AppendLineNumber(b, line)
 		b = append(b, text...)
-		for i, r := range reasons[line] {
-			if i == 0 {
-				b = append(b, "  // "...)
-			} else {
-				b = append(b, "; "...)
+		for run < len(r.runs) && r.runs[run].line < line {
+			run++
+		}
+		if run < len(r.runs) && r.runs[run].line == line {
+			for j := range r.NumReasons(run) {
+				if j == 0 {
+					b = append(b, "  // "...)
+				} else {
+					b = append(b, "; "...)
+				}
+				b = append(b, r.Reason(run, j)...)
 			}
-			b = append(b, r...)
 		}
 		b = append(b, '\n')
 	}
-	sc.buf = b
-	return string(b)
+	r.buf = b
+	return b[start:]
+}
+
+// LineReasons folds the node-level records down to source lines: for
+// each line of the slice, the deduplicated, deterministically ordered
+// reason strings of every node on that line. This is the
+// machine-checkable form the facade and the -explain flag expose.
+//
+// The map is shared by later calls, so callers must not modify it.
+func (p *Provenance) LineReasons() map[int][]string {
+	p.adapt()
+	return p.lines
+}
+
+// Listing returns Rendering.Listing as a string.
+func (p *Provenance) Listing() string {
+	p.adapt()
+	return p.listing
+}
+
+// adapt renders the provenance once for LineReasons and Listing, which
+// callers mostly want together. Every string of both is a slice of one
+// copy of the rendering; each line's reasons are a capacity-capped
+// window of strs.
+func (p *Provenance) adapt() {
+	if p.lines != nil {
+		return
+	}
+	r := p.Render()
+	defer r.Release()
+	n := len(r.Listing())
+	all := string(r.buf)
+	strs := make([]string, 0, len(r.spans))
+	out := make(map[int][]string, len(r.runs))
+	for _, run := range r.runs {
+		from := len(strs)
+		for _, sp := range r.spans[run.from:run.to] {
+			strs = append(strs, all[sp.start:sp.end])
+		}
+		out[run.line] = strs[from:len(strs):len(strs)]
+	}
+	p.lines, p.listing = out, all[len(all)-n:]
+}
+
+// lineTexts memoizes lang.LineTexts of one program for the listings of
+// all its slices. Like setState, which holds it, it is shared by every
+// Rebind view of the analysis.
+type lineTexts struct {
+	once  sync.Once
+	texts []string
+}
+
+// of returns the line texts of p, the program t belongs to.
+func (t *lineTexts) of(p *lang.Program) []string {
+	t.once.Do(func() { t.texts = lang.LineTexts(p) })
+	return t.texts
 }
