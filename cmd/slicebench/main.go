@@ -114,11 +114,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	o := options{ctx: ctx, seeds: *seeds, stmts: *stmts, parallel: *parallel}
 	if *metricsPath != "" {
 		o.rec = obs.NewRegistry()
-		// Runtime vitals ride along in the same registry; Scrub drops
-		// every runtime.* instrument before snapshots are compared, so
-		// the sampler never perturbs cross-parallelism determinism.
-		sampler := obs.StartRuntimeSampler(o.rec, 500*time.Millisecond)
-		defer sampler.Stop()
 	}
 	var fr *obs.FlightRecorder
 	if *tracePath != "" {
@@ -188,6 +183,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\nwrote JSON results to %s\n", *jsonPath)
 	}
 	if *metricsPath != "" {
+		// Runtime vitals ride along in the same registry; Scrub drops
+		// every runtime.* instrument before snapshots are compared, so
+		// they never perturb cross-parallelism determinism.
+		o.rec.SampleRuntime()
 		if err := writeJSON(*metricsPath, o.rec.Snapshot()); err != nil {
 			return err
 		}

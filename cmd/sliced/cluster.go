@@ -79,8 +79,8 @@ type clusterState struct {
 // config: the disk store (when -disk-dir is set), the result cache
 // (when clustering or the disk tier is on), and the ring, peer
 // prober, and fill client (when -peers is set). It must run before
-// the first request, like openSpool; serveOn does, and cluster tests
-// call it directly.
+// the first request; serveOn does, and cluster tests call it
+// directly.
 func (s *server) openCluster() error {
 	if s.cfg.DiskDir != "" {
 		st, err := disk.Open(disk.Options{

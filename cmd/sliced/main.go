@@ -61,10 +61,6 @@
 //	                    slowest-request exemplars.
 //	GET  /debug/build   the binary's build provenance (go version,
 //	                    module path, VCS revision).
-//	GET  /debug/spool   the durable telemetry spool's live stats:
-//	                    resident segments and bytes, enqueue/write/
-//	                    drop counters, and the active segment pointer
-//	                    ({"enabled":false} when -spool-dir is unset).
 //	GET  /debug/cluster the cluster's membership and tier view: ring
 //	                    nodes, per-peer health, and result/disk tier
 //	                    occupancy ({"enabled":false} when neither
@@ -75,29 +71,23 @@
 //	                    miss — peers fall back to computing.
 //	GET  /healthz       liveness probe; reports the build revision.
 //
-// The access log emits one line per request (-log-format text or
-// json; the JSON form is the same wide event /debug/requests serves).
-// -slo sets objectives (e.g. p99=50ms,err=1%), -runtime-sample the
-// runtime health sampling interval, and -pprof exposes net/http/pprof
-// under /debug/pprof/.
+// The access log emits one line per request on stderr (-log-format
+// text or json; the JSON form is the same wide event /debug/requests
+// serves). -slo sets objectives (e.g. p99=50ms,err=1%), and -pprof
+// exposes net/http/pprof under /debug/pprof/. Runtime vitals (the
+// jumpslice_runtime_* series) are read on each /metrics scrape.
 //
 // # Durability
 //
-// -spool-dir enables the durable telemetry spool: every wide event
-// (span log included) is journaled asynchronously into rotating
-// segments of CRC-framed, deflate-compressed JSON lines under a hard
-// -spool-bytes disk budget, so the request history survives restarts
-// and crashes and can be queried offline with cmd/slicequery. The enqueue is a
-// non-blocking bounded queue — the request path never waits on the
-// disk; a backed-up spool drops records and counts them in the
-// jumpslice_spool_* series and /debug/spool.
+// The JSON access log is the durable request record: whatever
+// captures stderr keeps it, and cmd/slicequery -log queries it
+// offline, after a restart or a crash.
 //
 // -postmortem-dir enables post-mortem bundles: on SIGUSR1, on the
 // first recovered panic, and on a fatal exit the daemon writes one
 // self-contained directory (flight-recorder drain, recent wide
-// events, SLO snapshot, goroutine dump, build info, spool pointer) an
-// operator can attach to an incident. See postmortem.go for the
-// bundle schema.
+// events, SLO snapshot, goroutine dump, build info) an operator can
+// attach to an incident. See postmortem.go for the bundle schema.
 //
 // # Clustering
 //
@@ -195,7 +185,6 @@ import (
 	"jumpslice/internal/core"
 	"jumpslice/internal/lang"
 	"jumpslice/internal/obs"
-	"jumpslice/internal/obs/spool"
 	"jumpslice/internal/slicecache"
 	"jumpslice/internal/slicecache/disk"
 )
@@ -231,9 +220,6 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 		return err
 	})
 	fs.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "serve net/http/pprof under /debug/pprof/")
-	fs.DurationVar(&cfg.RuntimeSample, "runtime-sample", cfg.RuntimeSample, "runtime health sampling interval (0 disables)")
-	fs.StringVar(&cfg.SpoolDir, "spool-dir", cfg.SpoolDir, "durable telemetry spool directory (empty disables)")
-	fs.Int64Var(&cfg.SpoolBytes, "spool-bytes", cfg.SpoolBytes, "spool disk budget in bytes (oldest segments reclaimed)")
 	fs.StringVar(&cfg.PostmortemDir, "postmortem-dir", cfg.PostmortemDir, "post-mortem bundle directory for SIGUSR1/panic/fatal-exit snapshots (empty disables)")
 	fs.Func("peers", "comma-separated `host:port` list of every node in the fleet, self included (empty disables clustering)", func(v string) error {
 		cfg.PeerList = nil
@@ -301,14 +287,6 @@ type config struct {
 	Objectives obs.SLOObjectives
 	// Pprof serves net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
-	// RuntimeSample is the runtime health sampling interval; <=0
-	// disables the sampler.
-	RuntimeSample time.Duration
-	// SpoolDir enables the durable telemetry spool when non-empty;
-	// SpoolBytes is its hard disk budget (<=0 means the spool
-	// package's default).
-	SpoolDir   string
-	SpoolBytes int64
 	// PostmortemDir enables post-mortem bundles (SIGUSR1, first
 	// recovered panic, fatal exit) when non-empty.
 	PostmortemDir string
@@ -337,16 +315,13 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		Addr:        "127.0.0.1:8080",
-		Timeout:     10 * time.Second,
-		MaxBody:     1 << 20,
-		MaxStmts:    20000,
-		MaxInflight: 2 * runtime.GOMAXPROCS(0),
-		CacheBytes:  slicecache.DefaultMaxBytes,
-		LogFormat:   "text",
-		// Runtime health is cheap (one ReadMemStats per sample) and on
-		// by default; -runtime-sample 0 turns it off.
-		RuntimeSample: 5 * time.Second,
+		Addr:          "127.0.0.1:8080",
+		Timeout:       10 * time.Second,
+		MaxBody:       1 << 20,
+		MaxStmts:      20000,
+		MaxInflight:   2 * runtime.GOMAXPROCS(0),
+		CacheBytes:    slicecache.DefaultMaxBytes,
+		LogFormat:     "text",
 		ProbeInterval: time.Second,
 		DiskBytes:     disk.DefaultMaxBytes,
 		ResultBytes:   32 << 20,
@@ -372,17 +347,6 @@ func serveOn(ln net.Listener, s *server) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if s.cfg.RuntimeSample > 0 {
-		s.sampler = obs.StartRuntimeSampler(s.reg, s.cfg.RuntimeSample)
-		defer s.sampler.Stop()
-	}
-	if err := s.openSpool(); err != nil {
-		return err
-	}
-	// Close on the way out so the active segment is sealed and
-	// indexed even when the listener failed — a clean shutdown must
-	// leave a fully readable spool directory.
-	defer s.spool.Close()
 	if err := s.openCluster(); err != nil {
 		return err
 	}
@@ -458,20 +422,14 @@ type server struct {
 	// slo the per-endpoint sliding-window tracker behind /debug/slo
 	// and the jumpslice_http_* metrics; incrTier pre-resolves the
 	// http.incr.{patched,partial,full} counters the middleware bumps;
-	// build is the binary's provenance, resolved once; sampler is the
-	// runtime health goroutine (serveOn lifecycle only).
+	// build is the binary's provenance, resolved once. pmPanic
+	// rate-limits panic-triggered post-mortem bundles to one per
+	// process.
 	requests *obs.RequestLog
 	slo      *obs.SLOTracker
 	incrTier map[string]*obs.Counter
 	build    buildDetails
-	sampler  *obs.RuntimeSampler
-	// spool is the durable wide-event journal (nil when -spool-dir is
-	// unset); it is assigned by openSpool before any request is
-	// served, and the nil *spool.Spool is a valid no-op. pmPanic
-	// rate-limits panic-triggered post-mortem bundles to one per
-	// process.
-	spool   *spool.Spool
-	pmPanic atomic.Bool
+	pmPanic  atomic.Bool
 	// unblock releases requests parked by the "block" failpoint; the
 	// resilience tests close it to let in-flight work finish.
 	unblock chan struct{}
@@ -540,9 +498,6 @@ func newServer(cfg config, logw io.Writer) *server {
 	mux.HandleFunc("/debug/build", s.methods(map[string]http.HandlerFunc{
 		http.MethodGet: s.handleBuild,
 	}))
-	mux.HandleFunc("/debug/spool", s.methods(map[string]http.HandlerFunc{
-		http.MethodGet: s.handleSpool,
-	}))
 	mux.HandleFunc("/debug/cluster", s.methods(map[string]http.HandlerFunc{
 		http.MethodGet: s.handleClusterDebug,
 	}))
@@ -572,28 +527,6 @@ func newServer(cfg config, logw io.Writer) *server {
 // mux. Recovery sits inside the instrumentation so a recovered panic
 // still produces a wide event with its request ID and a 500 response.
 func (s *server) Handler() http.Handler { return s.instrument(s.recoverPanics(s.mux)) }
-
-// openSpool starts the durable telemetry spool when -spool-dir is
-// configured. It must run before the first request is served (serveOn
-// does; tests exercising the spool directly call it too) — the
-// instrument middleware reads s.spool unguarded, relying on that
-// ordering.
-func (s *server) openSpool() error {
-	if s.cfg.SpoolDir == "" {
-		return nil
-	}
-	sp, err := spool.Open(spool.Options{
-		Dir:      s.cfg.SpoolDir,
-		MaxBytes: s.cfg.SpoolBytes,
-		Recorder: s.reg,
-	})
-	if err != nil {
-		return err
-	}
-	s.spool = sp
-	s.logger.Printf("telemetry spool on %s (budget %d bytes)", s.cfg.SpoolDir, sp.Stats().MaxBytes)
-	return nil
-}
 
 type ctxKey int
 
@@ -1097,6 +1030,7 @@ func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.reg.SampleRuntime()
 	obs.WritePrometheus(w, s.reg.Snapshot())
 	obs.WriteSLOPrometheus(w, s.slo.Snapshot())
 }

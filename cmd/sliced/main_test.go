@@ -492,7 +492,7 @@ func TestSliceSDGRejectsProcsOnIntraproceduralAlgos(t *testing.T) {
 	}
 }
 
-// TestParseFlags pins the command line: exactly the 19 flags, each
+// TestParseFlags pins the command line: exactly the 16 flags, each
 // default written once (in defaultConfig), the flags CI passes
 // accepted, and limits that admit nothing refused instead of silently
 // replaced.
@@ -503,8 +503,7 @@ func TestParseFlags(t *testing.T) {
 	sort.Strings(names)
 	want := []string{"addr", "cache-bytes", "disk-bytes", "disk-dir", "log-format",
 		"max-body", "max-inflight", "max-stmts", "peers", "postmortem-dir", "pprof",
-		"probe-interval", "result-bytes", "runtime-sample", "self", "slo",
-		"spool-bytes", "spool-dir", "timeout"}
+		"probe-interval", "result-bytes", "self", "slo", "timeout"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("flags = %v\nwant    %v", names, want)
 	}
@@ -519,12 +518,11 @@ func TestParseFlags(t *testing.T) {
 
 	// The command lines of CI's sliced-smoke and cluster-smoke jobs.
 	got, err = parseFlags([]string{"-addr", "127.0.0.1:8321", "-slo", "p99=50ms,err=1%",
-		"-runtime-sample", "1s", "-log-format", "json", "-spool-dir", "/tmp/spool",
-		"-postmortem-dir", "/tmp/pm"})
+		"-log-format", "json", "-postmortem-dir", "/tmp/pm"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Objectives.Latency != 50*time.Millisecond || got.LogFormat != "json" || got.RuntimeSample != time.Second {
+	if got.Objectives.Latency != 50*time.Millisecond || got.LogFormat != "json" || got.PostmortemDir != "/tmp/pm" {
 		t.Errorf("sliced-smoke flags parsed as %+v", got)
 	}
 	got, err = parseFlags([]string{"-addr", "127.0.0.1:8331", "-peers", "127.0.0.1:8331, 127.0.0.1:8332",

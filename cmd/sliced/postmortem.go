@@ -22,9 +22,6 @@ package main
 //	                -bundle).
 //	slo.json        the sliding-window SLO snapshot (/debug/slo).
 //	goroutines.txt  a full goroutine dump.
-//	spool.json      the durable spool's stats, including the active
-//	                segment pointer — the bridge from this bundle to
-//	                the long-horizon history on disk.
 //
 // Bundles triggered by recovered panics are rate-limited to one per
 // process: the first panic writes the evidence, a panic storm must
@@ -39,7 +36,6 @@ import (
 	"time"
 
 	"jumpslice/internal/obs"
-	"jumpslice/internal/obs/spool"
 )
 
 // postmortemMeta is the bundle's meta.json payload.
@@ -56,19 +52,6 @@ type postmortemMeta struct {
 	WideEvents     int    `json:"wide_events"`
 }
 
-// spoolDetails is the bundle's spool.json (and /debug/spool) payload.
-type spoolDetails struct {
-	Enabled bool        `json:"enabled"`
-	Stats   spool.Stats `json:"stats,omitempty"`
-}
-
-func (s *server) spoolDetails() spoolDetails {
-	if s.spool == nil {
-		return spoolDetails{}
-	}
-	return spoolDetails{Enabled: true, Stats: s.spool.Stats()}
-}
-
 // writePostmortem writes one bundle and returns its directory. An
 // empty -postmortem-dir disables bundles; callers get an error naming
 // that, not a surprise directory.
@@ -81,10 +64,6 @@ func (s *server) writePostmortem(reason string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("postmortem: %w", err)
 	}
-
-	// Flush the spool first so the active segment pointer in
-	// spool.json points at bytes that are actually on disk.
-	s.spool.Sync()
 
 	events := s.requests.Events()
 	if err := writeBundleFile(dir, "flight.jsonl", func(f *os.File) error {
@@ -101,9 +80,6 @@ func (s *server) writePostmortem(reason string) (string, error) {
 		return dir, err
 	}
 	if err := writeBundleJSON(dir, "build.json", s.build); err != nil {
-		return dir, err
-	}
-	if err := writeBundleJSON(dir, "spool.json", s.spoolDetails()); err != nil {
 		return dir, err
 	}
 	if err := writeBundleFile(dir, "goroutines.txt", func(f *os.File) error {

@@ -1,9 +1,9 @@
 package main
 
-// Tests for the durable spool wiring and post-mortem bundles: the
-// golden bundle schema (every artifact present and parseable after a
-// real SIGUSR1), the once-per-process panic bundle, and the spool's
-// place in the request path (instrument middleware → spool → scan).
+// Tests for post-mortem bundles: the golden bundle schema (every
+// artifact present and parseable after a real SIGUSR1), the
+// once-per-process panic bundle, and artifacts that appear only
+// complete.
 
 import (
 	"encoding/json"
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"jumpslice/internal/obs"
-	"jumpslice/internal/obs/spool"
 )
 
 // bundleArtifacts is the golden schema: every file a complete bundle
@@ -32,7 +31,6 @@ var bundleArtifacts = []string{
 	"flight.jsonl",
 	"requests.jsonl",
 	"slo.json",
-	"spool.json",
 	"goroutines.txt",
 }
 
@@ -60,17 +58,16 @@ func findBundle(t *testing.T, dir string, deadline time.Duration) string {
 }
 
 // TestPostmortemBundleGoldenSchema drives the real operator path: a
-// daemon running with a spool and a post-mortem dir receives SIGUSR1
-// and must write a bundle containing every artifact in the golden
-// schema, each one parseable, with meta/spool contents consistent
-// with the requests actually served.
+// daemon running with a post-mortem dir receives SIGUSR1 and must
+// write a bundle containing every artifact in the golden schema, each
+// one parseable, with meta contents consistent with the requests
+// actually served.
 func TestPostmortemBundleGoldenSchema(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.SpoolDir = t.TempDir()
 	cfg.PostmortemDir = t.TempDir()
 	s := newServer(cfg, io.Discard)
 	done := make(chan error, 1)
@@ -137,21 +134,6 @@ func TestPostmortemBundleGoldenSchema(t *testing.T) {
 		t.Error("build.json missing revision")
 	}
 
-	var details spoolDetails
-	readJSON(t, filepath.Join(bundle, "spool.json"), &details)
-	if !details.Enabled {
-		t.Error("spool.json should report the spool enabled")
-	}
-	if details.Stats.Dir != cfg.SpoolDir {
-		t.Errorf("spool.json dir = %q, want %q", details.Stats.Dir, cfg.SpoolDir)
-	}
-	if details.Stats.ActiveSegment == "" {
-		t.Error("spool.json missing the active segment pointer")
-	}
-	if details.Stats.Written == 0 {
-		t.Error("spool.json reports zero written records after a served request")
-	}
-
 	sliceSeen := false
 	for _, ev := range readJSONL(t, filepath.Join(bundle, "requests.jsonl")) {
 		if ev.Endpoint == "/slice" && ev.Status == http.StatusOK {
@@ -170,20 +152,6 @@ func TestPostmortemBundleGoldenSchema(t *testing.T) {
 	dump, err := os.ReadFile(filepath.Join(bundle, "goroutines.txt"))
 	if err != nil || !strings.Contains(string(dump), "goroutine") {
 		t.Errorf("goroutines.txt should be a goroutine dump (err=%v)", err)
-	}
-
-	// The bundle promised the spool was synced: the active segment it
-	// points at must hold the served request on disk right now.
-	found := false
-	err = spool.Scan(cfg.SpoolDir, obs.Filter{Endpoint: "/slice"}, func(ev *obs.WideEvent, _ []byte) error {
-		found = true
-		return spool.ErrStop
-	})
-	if err != nil {
-		t.Fatalf("scanning spool: %v", err)
-	}
-	if !found {
-		t.Error("spool scan did not find the served /slice request")
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
@@ -325,86 +293,5 @@ func TestBundleFileAppearsComplete(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Errorf("bundle holds %v, want only meta.json", names)
-	}
-}
-
-// TestSpoolWiring pins the request path: events served through the
-// instrument middleware land in the on-disk spool, and /debug/spool
-// reports the spool's health.
-func TestSpoolWiring(t *testing.T) {
-	cfg := testConfig()
-	cfg.SpoolDir = t.TempDir()
-	s, ts := newTestServerConfig(t, cfg)
-	if err := s.openSpool(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.spool.Close()
-
-	postSlice(t, ts, "var=positives&line=14", fig5(t))
-	resp, err := http.Get(ts.URL + "/debug/spool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var details spoolDetails
-	if err := json.NewDecoder(resp.Body).Decode(&details); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !details.Enabled || details.Stats.Enqueued == 0 {
-		t.Errorf("/debug/spool = %+v, want enabled with enqueued > 0", details)
-	}
-
-	s.spool.Sync()
-	var got []obs.WideEvent
-	err = spool.Scan(cfg.SpoolDir, obs.Filter{}, func(ev *obs.WideEvent, _ []byte) error {
-		got = append(got, *ev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both the /slice POST and the /debug/spool GET pass through the
-	// instrument middleware; at least the first must be on disk (the
-	// GET's event may still be in flight behind the sync barrier).
-	sliceSeen := false
-	for _, ev := range got {
-		if ev.Endpoint == "/slice" {
-			sliceSeen = true
-			if len(ev.Phases) == 0 {
-				t.Error("spooled /slice event lost its phase timings")
-			}
-			if ev.Outcome != "ok" || ev.Status != http.StatusOK {
-				t.Errorf("spooled /slice event = %+v, want ok/200", ev)
-			}
-		}
-	}
-	if !sliceSeen {
-		t.Errorf("spool holds %d events but not the /slice request", len(got))
-	}
-}
-
-// TestSpoolDisabledByDefault pins the zero-config behavior: no
-// -spool-dir means a nil spool, which the middleware and /debug/spool
-// must both tolerate.
-func TestSpoolDisabledByDefault(t *testing.T) {
-	s, ts := newTestServer(t)
-	if err := s.openSpool(); err != nil {
-		t.Fatal(err)
-	}
-	if s.spool != nil {
-		t.Fatal("spool opened without -spool-dir")
-	}
-	postSlice(t, ts, "var=positives&line=14", fig5(t))
-	resp, err := http.Get(ts.URL + "/debug/spool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var details spoolDetails
-	if err := json.NewDecoder(resp.Body).Decode(&details); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if details.Enabled {
-		t.Error("/debug/spool reports enabled with no spool configured")
 	}
 }

@@ -11,23 +11,34 @@ import (
 	"time"
 
 	"jumpslice/internal/obs"
-	"jumpslice/internal/obs/spool"
 )
 
 // TestOneFilterThreeSurfaces serves a mixed set of requests to a
-// daemon with a spool and a post-mortem directory, writes a bundle,
-// and requires every filter to select the same request IDs from
-// /debug/requests, a spool scan, and the bundle's requests.jsonl.
+// daemon with the JSON access log and a post-mortem directory, writes
+// a bundle, and requires every filter to select the same request IDs
+// from /debug/requests, the access log (read as slicequery -log reads
+// it, past the panic's stack trace), and the bundle's requests.jsonl.
 func TestOneFilterThreeSurfaces(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxInflight = 1
-	cfg.SpoolDir = t.TempDir()
+	cfg.LogFormat = "json"
 	cfg.PostmortemDir = t.TempDir()
-	s, ts := newTestServerConfig(t, cfg)
-	if err := s.openSpool(); err != nil {
-		t.Fatal(err)
+	var logbuf syncBuffer
+	s := newServer(cfg, &logbuf)
+	ts := newLoggingTestServer(t, s)
+	logged := func(f obs.Filter) []uint64 {
+		t.Helper()
+		var ids []uint64
+		if err := obs.ReadJSONL(strings.NewReader(logbuf.String()), func(ev *obs.WideEvent, _ []byte) error {
+			if f.Match(ev) {
+				ids = append(ids, ev.Req)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("reading the access log: %v", err)
+		}
+		return ids
 	}
-	defer s.spool.Close()
 
 	send := func(method, path, fail, body string) int {
 		t.Helper()
@@ -75,25 +86,28 @@ func TestOneFilterThreeSurfaces(t *testing.T) {
 	close(s.unblock)
 	<-done
 
-	// The middleware records an event after the client may already
-	// have its response; wait until every served request is recorded.
-	last := uint64(s.reqID.Load())
-	for deadline := time.Now().Add(5 * time.Second); s.requests.Written() < last || s.spool.Stats().Enqueued < int64(last); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("events recorded: ring %d, spool %d; want %d", s.requests.Written(), s.spool.Stats().Enqueued, last)
-		}
-	}
-	bundle, err := s.writePostmortem("query") // syncs the spool first
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Each surface's IDs, sorted, restricted to the traffic above (the
 	// /debug/requests reads below add events of their own).
+	last := uint64(s.reqID.Load())
 	served := func(ids []uint64) []uint64 {
 		ids = slices.DeleteFunc(ids, func(id uint64) bool { return id > last })
 		slices.Sort(ids)
 		return ids
+	}
+	// The middleware records and logs an event after the client may
+	// already have its response; wait until every served request is
+	// in both.
+	for deadline := time.Now().Add(5 * time.Second); s.requests.Written() < last || uint64(len(served(logged(obs.Filter{})))) < last; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("events recorded: ring %d, log %d; want %d", s.requests.Written(), len(served(logged(obs.Filter{}))), last)
+		}
+	}
+	if !strings.Contains(logbuf.String(), "runtime/debug.Stack(") {
+		t.Fatal("the access log holds no recovered panic's stack trace")
+	}
+	bundle, err := s.writePostmortem("query")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		query string
@@ -119,22 +133,17 @@ func TestOneFilterThreeSurfaces(t *testing.T) {
 			t.Errorf("%s: /debug/requests matched nothing", c.query)
 		}
 
-		var spooled []uint64
-		if err := spool.Scan(cfg.SpoolDir, c.f, func(ev *obs.WideEvent, _ []byte) error {
-			spooled = append(spooled, ev.Req)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		spooled = served(spooled)
+		logs := served(logged(c.f))
 
 		f, err := os.Open(filepath.Join(bundle, "requests.jsonl"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var bundled []uint64
-		err = obs.ReadJSONL(f, &c.f, func(ev *obs.WideEvent, _ []byte) error {
-			bundled = append(bundled, ev.Req)
+		err = obs.ReadJSONL(f, func(ev *obs.WideEvent, _ []byte) error {
+			if c.f.Match(ev) {
+				bundled = append(bundled, ev.Req)
+			}
 			return nil
 		})
 		f.Close()
@@ -143,8 +152,8 @@ func TestOneFilterThreeSurfaces(t *testing.T) {
 		}
 		bundled = served(bundled)
 
-		if !slices.Equal(ring, spooled) || !slices.Equal(ring, bundled) {
-			t.Errorf("%s: /debug/requests %v, spool %v, bundle %v", c.query, ring, spooled, bundled)
+		if !slices.Equal(ring, logs) || !slices.Equal(ring, bundled) {
+			t.Errorf("%s: /debug/requests %v, access log %v, bundle %v", c.query, ring, logs, bundled)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func endpointOf(path string) string {
 	switch path {
 	case "/slice", "/session", "/metrics", "/healthz",
 		"/debug/flight", "/debug/trace", "/debug/cache",
-		"/debug/requests", "/debug/slo", "/debug/build", "/debug/spool",
+		"/debug/requests", "/debug/slo", "/debug/build",
 		"/debug/cluster", "/internal/fill":
 		return path
 	}
@@ -187,7 +187,6 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			Phases:      ri.spans.Spans(),
 		}
 		s.requests.Record(ev)
-		s.spool.Enqueue(ev)
 		s.slo.Observe(ev.Endpoint, ev.Status, ev.Outcome == obs.OutcomeShed, dur, id)
 		if c := s.incrTier[ev.Incremental]; c != nil {
 			c.Add(1)
@@ -199,7 +198,10 @@ func (s *server) instrument(next http.Handler) http.Handler {
 // logAccess emits one access log line per request. Both formats carry
 // the wide event's scalar fields; the JSON format additionally
 // carries the per-phase timings (too noisy for a text line, and the
-// JSON consumer is a machine anyway).
+// JSON consumer is a machine anyway). A JSON line is the daemon's
+// durable request record: obs.ReadJSONL (slicequery -log) reads it
+// back, so it must stay the event's json.Marshal bytes, on one line
+// after the logger's time stamp.
 func (s *server) logAccess(ev *obs.WideEvent) {
 	if s.cfg.LogFormat == "json" {
 		data, err := json.Marshal(ev)
@@ -315,14 +317,6 @@ func requestsQuery(q url.Values) (f obs.Filter, n int, err error) {
 		err = obs.CheckRoute(f.Route)
 	}
 	return f, n, err
-}
-
-// handleSpool (GET /debug/spool) reports the durable telemetry
-// spool's health: resident segments and bytes against the budget,
-// enqueue/write/drop totals, and the active segment pointer. With no
-// -spool-dir configured it reports {"enabled": false}.
-func (s *server) handleSpool(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.spoolDetails())
 }
 
 // handleSLO (GET /debug/slo) serves the sliding-window SLO view:

@@ -1,14 +1,19 @@
 // Command slicequery is the offline analytics half of the sliced
 // telemetry plane: it answers questions about requests the daemon
-// served in the past, from the durable artifacts the daemon left
-// behind — a telemetry spool directory (-spool) or a post-mortem
-// bundle (-bundle). It needs no running daemon and no dependencies
-// beyond the standard library.
+// served in the past, from the durable records the daemon left
+// behind — its log as written with -log-format json (-log) or a
+// post-mortem bundle (-bundle). It needs no running daemon and no
+// dependencies beyond the standard library.
 //
 // Usage:
 //
-//	slicequery -spool DIR [flags] [command]
+//	slicequery -log FILE [flags] [command]
 //	slicequery -bundle DIR [flags] [command]
+//
+// -log reads the daemon's stderr as captured: the logger's time
+// stamps are stripped, lines that hold no wide event (start-up and
+// shutdown lines, a recovered panic's stack trace) are skipped, and a
+// torn final line, the write a crash cut short, is dropped.
 //
 // Commands:
 //
@@ -18,8 +23,8 @@
 //	           per-phase pipeline breakdown
 //	list       one line per matching event, oldest first
 //	request    full reconstruction of one request by -id; with -raw,
-//	           the stored JSON record verbatim (byte-for-byte what
-//	           the daemon wrote)
+//	           the JSON record verbatim (byte-for-byte what the daemon
+//	           wrote, without the log's time stamp)
 //
 // Filters (combine freely; all must match). They build the same
 // obs.Filter that GET /debug/requests applies to the daemon's
@@ -38,9 +43,9 @@
 //
 // Examples:
 //
-//	slicequery -spool /var/lib/sliced/spool summary
-//	slicequery -spool spool -outcome error -since 1h top
-//	slicequery -spool spool -id 1742 -raw request
+//	slicequery -log /var/log/sliced.log summary
+//	slicequery -log sliced.log -outcome error -since 1h top
+//	slicequery -log sliced.log -id 1742 -raw request
 //	slicequery -bundle /var/lib/sliced/pm/bundle-...-panic summary
 package main
 
@@ -57,7 +62,6 @@ import (
 	"time"
 
 	"jumpslice/internal/obs"
-	"jumpslice/internal/obs/spool"
 )
 
 func main() {
@@ -73,8 +77,8 @@ func main() {
 	os.Exit(code)
 }
 
-// record is one matching event plus the raw stored bytes it was
-// parsed from (the daemon's exact json.Marshal output).
+// record is one matching event plus the raw bytes it was parsed from
+// (the daemon's exact json.Marshal output).
 type record struct {
 	ev  obs.WideEvent
 	raw []byte
@@ -84,7 +88,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("slicequery", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		spoolDir  = fs.String("spool", "", "telemetry spool directory to query")
+		logFile   = fs.String("log", "", "daemon log (written with -log-format json) to query")
 		bundleDir = fs.String("bundle", "", "post-mortem bundle directory to query")
 		since     = fs.String("since", "", "only events at or after this time (RFC3339, unix ns, or duration ago)")
 		until     = fs.String("until", "", "only events at or before this time (RFC3339, unix ns, or duration ago)")
@@ -98,7 +102,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		raw       = fs.Bool("raw", false, "request command: print the stored JSON record verbatim")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: slicequery (-spool DIR | -bundle DIR) [flags] [summary|top|list|request]\n")
+		fmt.Fprintf(stderr, "usage: slicequery (-log FILE | -bundle DIR) [flags] [summary|top|list|request]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(argv); err != nil {
@@ -113,9 +117,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "slicequery: "+format+"\n", args...)
 		return 1
 	}
-	if (*spoolDir == "") == (*bundleDir == "") {
+	if (*logFile == "") == (*bundleDir == "") {
 		fs.Usage()
-		return fail("exactly one of -spool or -bundle is required")
+		return fail("exactly one of -log or -bundle is required")
 	}
 	if *outcome != "" {
 		if err := obs.CheckOutcome(*outcome); err != nil {
@@ -147,18 +151,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	var recs []record
-	keep := func(ev *obs.WideEvent, line []byte) error {
-		recs = append(recs, record{ev: *ev, raw: append([]byte(nil), line...)})
-		return nil
-	}
 	source := ""
 	switch {
-	case *spoolDir != "":
-		source = fmt.Sprintf("spool %s", *spoolDir)
-		err = spool.Scan(*spoolDir, f, keep)
+	case *logFile != "":
+		source = "log " + *logFile
+		var n int
+		if recs, n, err = readEvents(*logFile, &f); err == nil && n == 0 {
+			err = fmt.Errorf("%s holds no wide events; sliced logs them with -log-format json", *logFile)
+		}
 	default:
-		source = fmt.Sprintf("bundle %s", *bundleDir)
-		err = readBundle(*bundleDir, &f, keep)
+		source = "bundle " + *bundleDir
+		recs, _, err = readEvents(filepath.Join(*bundleDir, "requests.jsonl"), &f)
 	}
 	if err != nil {
 		return fail("%v", err)
@@ -207,19 +210,26 @@ func parseTime(s string) (int64, error) {
 	return 0, fmt.Errorf("want RFC3339 time, unix nanoseconds, or a duration like 15m, got %q", s)
 }
 
-// readBundle streams a post-mortem bundle's requests.jsonl through
-// fn, with the same filter a spool scan applies.
-func readBundle(dir string, f *obs.Filter, fn func(ev *obs.WideEvent, line []byte) error) error {
-	path := filepath.Join(dir, "requests.jsonl")
+// readEvents reads the wide events of a log or a bundle's
+// requests.jsonl and returns those that match f, and how many events
+// the file holds, matching or not.
+func readEvents(path string, f *obs.Filter) (recs []record, n int, err error) {
 	file, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	defer file.Close()
-	if err := obs.ReadJSONL(file, f, fn); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	err = obs.ReadJSONL(file, func(ev *obs.WideEvent, line []byte) error {
+		n++
+		if f.Match(ev) {
+			recs = append(recs, record{ev: *ev, raw: append([]byte(nil), line...)})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, n, fmt.Errorf("%s: %w", path, err)
 	}
-	return nil
+	return recs, n, nil
 }
 
 func findRequest(recs []record, id uint64) *record {
@@ -296,8 +306,8 @@ func printSummary(w io.Writer, source string, recs []record) {
 		fmt.Fprintf(w, "  %-12s %7d  %5.1f%%\n", name, n, 100*float64(n)/float64(len(recs)))
 	}
 
-	// Routes appear only for clustered traffic; an unclustered spool
-	// prints no routes section at all.
+	// Routes appear only for clustered traffic; an unclustered daemon's
+	// events print no routes section at all.
 	if len(routes) > 0 {
 		fmt.Fprintf(w, "routes:\n")
 		rnames := make([]string, 0, len(routes))

@@ -3,13 +3,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"jumpslice/internal/obs"
-	"jumpslice/internal/obs/spool"
 )
 
 // seedEvents is the fixture fleet: a mix of endpoints, statuses,
@@ -48,24 +48,51 @@ func seedEvents() []obs.WideEvent {
 	return evs
 }
 
-// makeSpool writes the fixture events into a fresh spool directory.
-func makeSpool(t *testing.T) string {
+// panicTrace is a recovered panic's log message after its first line:
+// a line that starts as a wide event does but belongs to the message,
+// then a Go stack trace, whose argument lists hold braces.
+const panicTrace = `{"req":99,"note":"inside a panic message"}
+goroutine 42 [running]:
+runtime/debug.Stack()
+	/usr/local/go/src/runtime/debug/stack.go:26 +0x5e
+main.(*server).recoverPanics.func1.1()
+	/src/cmd/sliced/main.go:652 +0x8b
+panic({0x8a1b20?, 0xc0001a2f30?})
+	/usr/local/go/src/runtime/panic.go:785 +0x132
+main.(*server).handleSlice(0xc000132000, {0x9d7c58, 0xc00021e0e0}, 0xc000244000)
+	/src/cmd/sliced/main.go:701 +0x45`
+
+// writeLog writes evs as the daemon's stderr under -log-format json:
+// every line time-stamped by the daemon's logger, a start-up line
+// first, a recovered panic's stack trace after the third event, and
+// last one more event torn halfway by a crash.
+func writeLog(t *testing.T, evs []obs.WideEvent) string {
 	t.Helper()
-	dir := t.TempDir()
-	s, err := spool.Open(spool.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range seedEvents() {
-		if !s.Enqueue(ev) {
-			t.Fatal("enqueue rejected")
+	var b strings.Builder
+	lg := log.New(&b, "", log.LstdFlags|log.Lmicroseconds)
+	lg.Print("sliced listening on http://127.0.0.1:8080 (flight recorder: 65536 events, timeout 10s)")
+	for i, ev := range evs {
+		data, err := json.Marshal(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg.Print(string(data))
+		if i == 2 {
+			lg.Printf("req=%d panic: boom\n%s", ev.Req, panicTrace)
 		}
 	}
-	if err := s.Close(); err != nil {
+	torn, _ := json.Marshal(&obs.WideEvent{Req: 21, Endpoint: "/slice", Status: 200, Outcome: "ok"})
+	lg.Print(string(torn))
+	data := b.String()
+	path := filepath.Join(t.TempDir(), "sliced.log")
+	if err := os.WriteFile(path, []byte(data[:len(data)-len(torn)/2]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return dir
+	return path
 }
+
+// makeLog writes the fixture events as a daemon log.
+func makeLog(t *testing.T) string { return writeLog(t, seedEvents()) }
 
 // makeBundle writes the fixture events as a bundle's requests.jsonl.
 func makeBundle(t *testing.T) string {
@@ -97,9 +124,9 @@ func query(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-func TestSummaryFromSpool(t *testing.T) {
-	dir := makeSpool(t)
-	out := query(t, "-spool", dir, "summary")
+func TestSummaryFromLog(t *testing.T) {
+	logf := makeLog(t)
+	out := query(t, "-log", logf, "summary")
 	for _, want := range []string{
 		"events: 20",
 		"ok", "error",
@@ -117,15 +144,15 @@ func TestSummaryFromSpool(t *testing.T) {
 }
 
 func TestSummaryIsDefaultCommand(t *testing.T) {
-	dir := makeSpool(t)
-	if got, want := query(t, "-spool", dir), query(t, "-spool", dir, "summary"); got != want {
+	logf := makeLog(t)
+	if got, want := query(t, "-log", logf), query(t, "-log", logf, "summary"); got != want {
 		t.Error("bare invocation and explicit summary disagree")
 	}
 }
 
 func TestTopShowsPhaseBreakdown(t *testing.T) {
-	dir := makeSpool(t)
-	out := query(t, "-spool", dir, "-n", "3", "top")
+	logf := makeLog(t)
+	out := query(t, "-log", logf, "-n", "3", "top")
 	if !strings.Contains(out, "top 3 slowest of 20 events") {
 		t.Errorf("top header wrong:\n%s", out)
 	}
@@ -142,33 +169,33 @@ func TestTopShowsPhaseBreakdown(t *testing.T) {
 }
 
 func TestFilters(t *testing.T) {
-	dir := makeSpool(t)
-	out := query(t, "-spool", dir, "-outcome", "error", "list")
+	logf := makeLog(t)
+	out := query(t, "-log", logf, "-outcome", "error", "list")
 	if n := strings.Count(out, "req="); n != 2 {
 		t.Errorf("outcome=error matched %d events, want 2:\n%s", n, out)
 	}
-	out = query(t, "-spool", dir, "-endpoint", "/healthz", "-n", "0", "list")
+	out = query(t, "-log", logf, "-endpoint", "/healthz", "-n", "0", "list")
 	if n := strings.Count(out, "req="); n != 4 {
 		t.Errorf("endpoint=/healthz matched %d events, want 4 (i=5,10,15,20):\n%s", n, out)
 	}
-	out = query(t, "-spool", dir, "-min-ms", "18", "-n", "0", "list")
+	out = query(t, "-log", logf, "-min-ms", "18", "-n", "0", "list")
 	if n := strings.Count(out, "req="); n != 3 {
 		t.Errorf("min-ms=18 matched %d events, want 3 (18,19,20ms):\n%s", n, out)
 	}
-	out = query(t, "-spool", dir, "-status", "500", "-n", "0", "list")
+	out = query(t, "-log", logf, "-status", "500", "-n", "0", "list")
 	if n := strings.Count(out, "req="); n != 2 {
 		t.Errorf("status=500 matched %d events, want 2:\n%s", n, out)
 	}
 	// Unix-nanosecond time bounds: events 1..20 at i*1ms.
-	out = query(t, "-spool", dir, "-since", "15000000", "-n", "0", "list")
+	out = query(t, "-log", logf, "-since", "15000000", "-n", "0", "list")
 	if n := strings.Count(out, "req="); n != 6 {
 		t.Errorf("since=15ms matched %d events, want 6 (15..20):\n%s", n, out)
 	}
 }
 
 func TestRequestReconstruction(t *testing.T) {
-	dir := makeSpool(t)
-	out := query(t, "-spool", dir, "-id", "3", "request")
+	logf := makeLog(t)
+	out := query(t, "-log", logf, "-id", "3", "request")
 	for _, want := range []string{
 		"request 3",
 		"POST /slice",
@@ -183,16 +210,16 @@ func TestRequestReconstruction(t *testing.T) {
 }
 
 // TestRequestRawIsByteForByte pins the acceptance criterion: -raw
-// must reproduce exactly the bytes the daemon stored — which are
-// exactly json.Marshal of the wide event.
+// must reproduce exactly the bytes the daemon logged after the time
+// stamp — which are exactly json.Marshal of the wide event.
 func TestRequestRawIsByteForByte(t *testing.T) {
-	dir := makeSpool(t)
+	logf := makeLog(t)
 	for _, ev := range seedEvents() {
 		want, err := json.Marshal(&ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := query(t, "-spool", dir, "-id", fmt.Sprint(ev.Req), "-raw", "request")
+		out := query(t, "-log", logf, "-id", fmt.Sprint(ev.Req), "-raw", "request")
 		if got := strings.TrimSuffix(out, "\n"); got != string(want) {
 			t.Fatalf("req=%d raw mismatch:\n got %s\nwant %s", ev.Req, got, want)
 		}
@@ -220,17 +247,27 @@ func TestBundleSource(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	dir := makeSpool(t)
+	logf := makeLog(t)
+	// A daemon left at -log-format text, and a log whose torn event is
+	// not its last line.
+	textLog := filepath.Join(t.TempDir(), "text.log")
+	os.WriteFile(textLog, []byte("2026/01/02 15:04:05.000001 sliced listening on http://127.0.0.1:8080\n"+
+		"2026/01/02 15:04:05.000002 req=1 POST /slice 200 1ms bytes=10 outcome=ok\n"), 0o644)
+	full, _ := os.ReadFile(logf)
+	cutLog := filepath.Join(t.TempDir(), "cut.log")
+	os.WriteFile(cutLog, append(full, "\n2026/01/02 15:04:05.000003 sliced listening on http://127.0.0.1:8080\n"...), 0o644)
 	cases := [][]string{
-		{},                                        // no source
-		{"-spool", dir, "-bundle", dir},           // both sources
-		{"-spool", dir, "-outcome", "nope"},       // invalid outcome
-		{"-spool", dir, "request"},                // request without -id
-		{"-spool", dir, "-id", "999", "request"},  // unknown request
-		{"-spool", dir, "-since", "yesterday"},    // unparseable time
-		{"-spool", dir, "frobnicate"},             // unknown command
-		{"-bundle", t.TempDir(), "summary"},       // bundle without requests.jsonl
-		{"-spool", filepath.Join(dir, "missing")}, // missing spool dir
+		{},                                      // no source
+		{"-log", logf, "-bundle", t.TempDir()},  // both sources
+		{"-log", logf, "-outcome", "nope"},      // invalid outcome
+		{"-log", logf, "request"},               // request without -id
+		{"-log", logf, "-id", "999", "request"}, // unknown request
+		{"-log", logf, "-since", "yesterday"},   // unparseable time
+		{"-log", logf, "frobnicate"},            // unknown command
+		{"-bundle", t.TempDir(), "summary"},     // bundle without requests.jsonl
+		{"-log", logf + ".missing"},             // missing log
+		{"-log", textLog},                       // no wide events
+		{"-log", cutLog},                        // an event cut short mid-log
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder
@@ -240,27 +277,28 @@ func TestErrors(t *testing.T) {
 			t.Errorf("slicequery %v failed silently", args)
 		}
 	}
+	var out, errb strings.Builder
+	run([]string{"-log", textLog}, &out, &errb)
+	if !strings.Contains(errb.String(), "-log-format json") {
+		t.Errorf("a log with no wide events should point at -log-format json, got %q", errb.String())
+	}
 }
 
 func TestDurationSince(t *testing.T) {
-	dir := makeSpool(t)
+	logf := makeLog(t)
 	// All fixture events are in 1970; "1h ago" excludes everything.
-	out := query(t, "-spool", dir, "-since", "1h", "summary")
+	out := query(t, "-log", logf, "-since", "1h", "summary")
 	if !strings.Contains(out, "events: 0") {
 		t.Errorf("duration -since should exclude epoch-era events:\n%s", out)
 	}
 }
 
 // TestRouteFilterAndDisplay covers the cluster attribution fields: a
-// spool of routed traffic filters by -route, breaks routes out in the
+// log of routed traffic filters by -route, breaks routes out in the
 // summary, and carries route/peer onto list lines and the request
 // reconstruction.
 func TestRouteFilterAndDisplay(t *testing.T) {
-	dir := t.TempDir()
-	s, err := spool.Open(spool.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var evs []obs.WideEvent
 	for i := 1; i <= 9; i++ {
 		ev := obs.WideEvent{
 			Req: uint64(i), TimeNS: int64(i) * 1_000_000,
@@ -274,15 +312,11 @@ func TestRouteFilterAndDisplay(t *testing.T) {
 		case i%3 == 1:
 			ev.Route, ev.Peer = "peer-fill", "127.0.0.1:9002"
 		}
-		if !s.Enqueue(ev) {
-			t.Fatal("enqueue rejected")
-		}
+		evs = append(evs, ev)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	logf := writeLog(t, evs)
 
-	out := query(t, "-spool", dir, "-route", "proxied", "-n", "0", "list")
+	out := query(t, "-log", logf, "-route", "proxied", "-n", "0", "list")
 	if n := strings.Count(out, "req="); n != 3 {
 		t.Errorf("-route proxied matched %d events, want 3:\n%s", n, out)
 	}
@@ -290,25 +324,25 @@ func TestRouteFilterAndDisplay(t *testing.T) {
 		t.Errorf("list line missing route attribution:\n%s", out)
 	}
 
-	out = query(t, "-spool", dir, "summary")
+	out = query(t, "-log", logf, "summary")
 	if !strings.Contains(out, "routes:") ||
 		!strings.Contains(out, "proxied") || !strings.Contains(out, "peer-fill") {
 		t.Errorf("summary missing routes breakdown:\n%s", out)
 	}
 
-	out = query(t, "-spool", dir, "-id", "1", "request")
+	out = query(t, "-log", logf, "-id", "1", "request")
 	if !strings.Contains(out, "cluster:  route=peer-fill peer=127.0.0.1:9002") {
 		t.Errorf("request reconstruction missing cluster line:\n%s", out)
 	}
 
 	// An invalid route is rejected, same contract as -outcome.
 	var o, e strings.Builder
-	if code := run([]string{"-spool", dir, "-route", "bogus"}, &o, &e); code == 0 {
+	if code := run([]string{"-log", logf, "-route", "bogus"}, &o, &e); code == 0 {
 		t.Error("-route bogus accepted")
 	}
 
-	// An unclustered spool prints no routes section.
-	out = query(t, "-spool", makeSpool(t), "summary")
+	// An unclustered daemon's log prints no routes section.
+	out = query(t, "-log", makeLog(t), "summary")
 	if strings.Contains(out, "routes:") {
 		t.Errorf("unclustered summary grew a routes section:\n%s", out)
 	}

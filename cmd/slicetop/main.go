@@ -3,9 +3,9 @@
 // GET /debug/slo and renders throughput, latency percentiles, error
 // and shed rates, burn rates against the daemon's SLO objectives,
 // cache effectiveness, the incremental reuse tier mix, runtime
-// health, and the durable telemetry spool's disk residency and drop
-// count — everything an operator watches during a rollout, in one
-// screen, with no dependencies beyond a terminal.
+// health, and the cluster and result tiers — everything an operator
+// watches during a rollout, in one screen, with no dependencies beyond
+// a terminal.
 //
 // Usage:
 //
@@ -235,7 +235,7 @@ func render(w io.Writer, cur, prev *sample, base string) error {
 			int64(patched), int64(partial), int64(full), 100*(patched+partial)/total)
 	}
 
-	// Runtime health (present when the daemon's sampler is on).
+	// Runtime health (sampled by the daemon on each /metrics scrape).
 	if g := cur.get("jumpslice_runtime_goroutines"); g > 0 {
 		fmt.Fprintf(w, "\nruntime: %d goroutines on %d procs, heap %s (next GC %s), %d GC cycles",
 			int64(g), int64(cur.get("jumpslice_runtime_gomaxprocs")),
@@ -247,15 +247,6 @@ func render(w io.Writer, cur, prev *sample, base string) error {
 				shortDur(int64(cur.get("jumpslice_runtime_gc_pause_ns_sum")/n)))
 		}
 		fmt.Fprintln(w)
-	}
-
-	// Spool health (present when the daemon runs with -spool-dir).
-	if enq := cur.get("jumpslice_spool_enqueued_total"); enq > 0 {
-		fmt.Fprintf(w, "spool: %d segments, %s resident, %d written, %d dropped\n",
-			int64(cur.get("jumpslice_spool_segments")),
-			humanBytes(cur.get("jumpslice_spool_resident_bytes")),
-			int64(cur.get("jumpslice_spool_written_total")),
-			int64(cur.get("jumpslice_spool_dropped_total")))
 	}
 
 	// Cluster health (present when the daemon runs with -peers).

@@ -61,16 +61,6 @@ jumpslice_runtime_heap_alloc_bytes 2097152
 jumpslice_runtime_gc_pause_ns_bucket{le="+Inf"} 4
 jumpslice_runtime_gc_pause_ns_sum 400000
 jumpslice_runtime_gc_pause_ns_count 4
-# TYPE jumpslice_spool_enqueued_total counter
-jumpslice_spool_enqueued_total 55
-# TYPE jumpslice_spool_written_total counter
-jumpslice_spool_written_total 54
-# TYPE jumpslice_spool_dropped_total counter
-jumpslice_spool_dropped_total 1
-# TYPE jumpslice_spool_segments gauge
-jumpslice_spool_segments 3
-# TYPE jumpslice_spool_resident_bytes gauge
-jumpslice_spool_resident_bytes 5242880
 # TYPE jumpslice_http_requests_total counter
 jumpslice_http_requests_total{endpoint="/slice"} 40
 jumpslice_http_requests_total{endpoint="/metrics"} 2
@@ -155,7 +145,6 @@ func TestOnceSnapshot(t *testing.T) {
 		"8 patched / 0 partial / 2 full", // incremental mix
 		"12 goroutines on 8 procs",
 		"avg pause 100µs", // 400000/4 ns
-		"spool: 3 segments, 5.0MiB resident, 54 written, 1 dropped",
 		"cluster: 1/2 peers up, 25 local / 10 proxied / 5 peer-filled, fills 62.5% hit, 1 CORRUPT",
 		"results: 2.0KiB in 4 entries memory, disk 4.0KiB in 9 entries over 2 segments (3 warm hits)",
 		"slices: 42 total",

@@ -22,7 +22,7 @@ func lineReasonsByString(p *Provenance) map[int][]string {
 			continue
 		}
 		for _, r := range p.Reasons(id) {
-			if str := string(p.appendReason(nil, r)); !slices.Contains(out[line], str) {
+			if str := string(p.key(line, r).appendText(nil)); !slices.Contains(out[line], str) {
 				out[line] = append(out[line], str)
 			}
 		}

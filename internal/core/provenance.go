@@ -299,49 +299,8 @@ func (a *Analysis) candidateEvidence(v int, set interface{ Has(int) bool }) int 
 	return -1
 }
 
-// appendReason appends one reason rendered with source-line
-// coordinates (the paper's figures speak in lines): "data-dep from 8",
-// "jump-rule(nearest-PD=13, nearest-LS=8)". The Exit node renders as
-// "end" (end of program).
-func (p *Provenance) appendReason(b []byte, r Reason) []byte {
-	switch r.Kind {
-	case ReasonCriterion, ReasonEntry:
-		return append(b, r.Kind.String()...)
-	case ReasonJumpRule:
-		b = append(b, "jump-rule(nearest-PD="...)
-		b = p.appendLoc(b, r.NearestPD)
-		b = append(b, ", nearest-LS="...)
-		b = p.appendLoc(b, r.NearestLS)
-	case ReasonCondJump, ReasonJumpCandidate:
-		b = append(b, r.Kind.String()...)
-		b = append(b, "(pred="...)
-		b = p.appendLoc(b, r.From)
-	case ReasonSwitchEnclosure:
-		b = append(b, "switch-enclosure(stmt="...)
-		b = p.appendLoc(b, r.From)
-	default:
-		b = append(b, r.Kind.String()...)
-		b = append(b, " from "...)
-		return p.appendLoc(b, r.From)
-	}
-	return append(b, ')')
-}
-
-// appendLoc appends node id as its source line, "end" for an Exit
-// node, or "n<id>" for a node without a line.
-func (p *Provenance) appendLoc(b []byte, id int) []byte {
-	line, end := p.loc(id)
-	if end {
-		return append(b, "end"...)
-	}
-	if line > 0 {
-		return strconv.AppendInt(b, int64(line), 10)
-	}
-	return strconv.AppendInt(append(b, 'n'), int64(id), 10)
-}
-
 // key returns the rendered key of reason r on line: the locations of
-// exactly the evidence appendReason prints for r's kind.
+// exactly the evidence r's kind prints.
 func (p *Provenance) key(line int, r Reason) reasonKey {
 	k := reasonKey{line: line, kind: r.Kind}
 	switch r.Kind {
@@ -354,8 +313,9 @@ func (p *Provenance) key(line int, r Reason) reasonKey {
 	return k
 }
 
-// locKey encodes what appendLoc prints for node id as a nonzero int:
-// the line, -1 for "end", or -2-id for "n<id>".
+// locKey encodes how node id prints as a nonzero int: its line, -1
+// for an Exit node ("end"), or -2-id for a node without a line
+// ("n<id>").
 func (p *Provenance) locKey(id int) int {
 	line, end := p.loc(id)
 	switch {
@@ -413,6 +373,45 @@ type lineRun struct{ line, from, to int }
 type reasonKey struct {
 	line, e1, e2 int
 	kind         ReasonKind
+}
+
+// appendText appends the text of k's reason, in source-line
+// coordinates (the paper's figures speak in lines): "data-dep from 8",
+// "jump-rule(nearest-PD=13, nearest-LS=8)". The Exit node renders as
+// "end" (end of program).
+func (k reasonKey) appendText(b []byte) []byte {
+	switch k.kind {
+	case ReasonCriterion, ReasonEntry:
+		return append(b, k.kind.String()...)
+	case ReasonJumpRule:
+		b = append(b, "jump-rule(nearest-PD="...)
+		b = appendLocKey(b, k.e1)
+		b = append(b, ", nearest-LS="...)
+		b = appendLocKey(b, k.e2)
+	case ReasonCondJump, ReasonJumpCandidate:
+		b = append(b, k.kind.String()...)
+		b = append(b, "(pred="...)
+		b = appendLocKey(b, k.e1)
+	case ReasonSwitchEnclosure:
+		b = append(b, "switch-enclosure(stmt="...)
+		b = appendLocKey(b, k.e1)
+	default:
+		b = append(b, k.kind.String()...)
+		b = append(b, " from "...)
+		return appendLocKey(b, k.e1)
+	}
+	return append(b, ')')
+}
+
+// appendLocKey appends the location that locKey encoded as loc.
+func appendLocKey(b []byte, loc int) []byte {
+	switch {
+	case loc == -1:
+		return append(b, "end"...)
+	case loc > 0:
+		return strconv.AppendInt(b, int64(loc), 10)
+	}
+	return strconv.AppendInt(append(b, 'n'), int64(-2-loc), 10)
 }
 
 // keySet is a linear-probing set of reason keys: slots holds indexes
@@ -482,11 +481,12 @@ func (p *Provenance) Render() *Rendering {
 			continue // Entry and synthesized nodes have no listing line
 		}
 		for _, rec := range rs {
-			if !r.seen.add(p.key(line, rec)) {
+			k := p.key(line, rec)
+			if !r.seen.add(k) {
 				continue // the line already carries this text
 			}
 			start := len(buf)
-			buf = p.appendReason(buf, rec)
+			buf = k.appendText(buf)
 			sorted = sorted && (len(spans) == 0 || spans[len(spans)-1].line <= line)
 			spans = append(spans, reasonSpan{line, start, len(buf)})
 		}

@@ -231,6 +231,10 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// gcMu guards lastGC, the GC cycle up to which SampleRuntime has
+	// observed pauses.
+	gcMu   sync.Mutex
+	lastGC uint32
 }
 
 // NewRegistry returns an empty collecting registry.
@@ -384,15 +388,15 @@ func (r *Registry) Snapshot() *Snapshot {
 // not rebuilt", and how reuses split between them depends on whether
 // the second request arrived during or after the first's build — pure
 // scheduling. The fold keeps the deterministic total. Finally it
-// drops every instrument under the "runtime.", "http.", "spool.",
-// "cluster.", "disk." and "result." prefixes entirely — runtime-health
-// samples (goroutine counts, heap sizes, GC pause counts),
-// request-serving telemetry, the durable spool's rotation/drop
-// accounting, and the cluster/disk/result-cache tiers depend on the
-// machine, the scheduler, disk speed, peer timing, and the sampling
-// clock, so even their observation counts are nondeterministic. Two runs of the same
-// deterministic workload produce byte-identical scrubbed snapshots at
-// any parallelism; cmd/slicebench's determinism test relies on this.
+// drops every instrument under the "runtime.", "http.", "cluster.",
+// "disk." and "result." prefixes entirely — runtime-health samples
+// (goroutine counts, heap sizes, GC pause counts), request-serving
+// telemetry, and the cluster/disk/result-cache tiers depend on the
+// machine, the scheduler, disk speed, peer timing, and when a scrape
+// samples, so even their observation counts are nondeterministic. Two
+// runs of the same deterministic workload produce byte-identical
+// scrubbed snapshots at any parallelism; cmd/slicebench's determinism
+// test relies on this.
 func (s *Snapshot) Scrub() *Snapshot {
 	for i := range s.Histograms {
 		if s.Histograms[i].Unit == UnitNanoseconds {
@@ -438,12 +442,9 @@ func (s *Snapshot) Scrub() *Snapshot {
 
 // scrubbedName reports whether an instrument is scheduling- or
 // environment-dependent in its entirety and must not survive Scrub.
-// spool.* instruments count: segment rotation and queue drops depend
-// on disk speed and batching timing, not on the analysis under test.
 func scrubbedName(name string) bool {
 	return strings.HasPrefix(name, "runtime.") ||
 		strings.HasPrefix(name, "http.") ||
-		strings.HasPrefix(name, "spool.") ||
 		strings.HasPrefix(name, "cluster.") ||
 		strings.HasPrefix(name, "disk.") ||
 		strings.HasPrefix(name, "result.")

@@ -158,23 +158,23 @@ func TestScrubFoldsCacheSplit(t *testing.T) {
 
 // TestScrubDropsEnvironmentPrefixes asserts Scrub removes every
 // instrument whose whole existence is machine/scheduling-dependent:
-// runtime health samples, request-serving telemetry, and the durable
-// spool's disk accounting.
+// runtime health samples, request-serving telemetry, and the cluster,
+// disk and result tiers' accounting.
 func TestScrubDropsEnvironmentPrefixes(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jumps.analyzed").Add(4)
 	r.Counter("runtime.gc_cycles").Add(2)
 	r.Counter("http.incr.patched").Add(9)
-	r.Counter("spool.enqueued").Add(7)
-	r.Counter("spool.dropped").Add(1)
-	r.Gauge("spool.resident_bytes").Set(4096)
-	r.Gauge("spool.segments").Set(3)
-	r.Histogram("spool.batch", UnitCount).Observe(5)
+	r.Counter("cluster.fills").Add(7)
+	r.Counter("disk.dropped").Add(1)
+	r.Gauge("disk.resident_bytes").Set(4096)
+	r.Gauge("result.entries").Set(3)
+	r.Histogram("cluster.hop_ns", UnitCount).Observe(5)
 	data, err := json.Marshal(r.Snapshot().Scrub())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gone := range []string{"runtime.", "http.", "spool."} {
+	for _, gone := range []string{"runtime.", "http.", "cluster.", "disk.", "result."} {
 		if strings.Contains(string(data), gone) {
 			t.Errorf("scrubbed snapshot still carries %s instruments:\n%s", gone, data)
 		}

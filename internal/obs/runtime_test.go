@@ -3,15 +3,11 @@ package obs
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
 func TestRuntimeSamplerRecordsVitals(t *testing.T) {
 	reg := NewRegistry()
-	s := StartRuntimeSampler(reg, 100*time.Millisecond)
-	defer s.Stop()
-	// The first sample is synchronous: gauges are populated before
-	// StartRuntimeSampler returns.
+	reg.SampleRuntime()
 	if got := reg.Gauge("runtime.goroutines").Value(); got < 1 {
 		t.Errorf("runtime.goroutines = %d, want >= 1", got)
 	}
@@ -26,26 +22,28 @@ func TestRuntimeSamplerRecordsVitals(t *testing.T) {
 	}
 }
 
+// TestRuntimeSamplerObservesGCPauses: each sample observes exactly the
+// pauses of the GC cycles completed since the one before, so forced
+// cycles show up once and a sample with no new cycle adds nothing.
 func TestRuntimeSamplerObservesGCPauses(t *testing.T) {
 	reg := NewRegistry()
-	s := StartRuntimeSampler(reg, 100*time.Millisecond)
-	before := reg.Histogram("runtime.gc_pause_ns", UnitNanoseconds).Count()
-	runtime.GC()
-	runtime.GC()
-	// Wait for the ticker to pick the cycles up.
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Histogram("runtime.gc_pause_ns", UnitNanoseconds).Count() < before+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("gc_pause_ns count stuck at %d after 2 forced GCs",
-				reg.Histogram("runtime.gc_pause_ns", UnitNanoseconds).Count())
+	pauses := reg.Histogram("runtime.gc_pause_ns", UnitNanoseconds)
+	cycles := reg.Gauge("runtime.gc_cycles")
+	reg.SampleRuntime()
+	for i := 0; i < 3; i++ {
+		before, c0 := pauses.Count(), cycles.Value()
+		for range i {
+			runtime.GC()
 		}
-		time.Sleep(20 * time.Millisecond)
+		reg.SampleRuntime()
+		c1 := cycles.Value()
+		if c1-c0 < int64(i) {
+			t.Fatalf("%d forced GCs advanced runtime.gc_cycles by %d", i, c1-c0)
+		}
+		if got := pauses.Count() - before; int64(got) != c1-c0 {
+			t.Errorf("%d new GC cycles observed %d pauses, want one each", c1-c0, got)
+		}
 	}
-	s.Stop()
-	// Stop is idempotent and nil-safe.
-	s.Stop()
-	var nilS *RuntimeSampler
-	nilS.Stop()
 }
 
 // TestScrubDropsRuntimeAndHTTP pins the determinism contract: every
@@ -100,9 +98,8 @@ func TestScrubDropsRuntimeAndHTTP(t *testing.T) {
 	}
 }
 
-// A nil registry is a valid, disabled sink: the sampler runs and
-// stops without recording anywhere.
+// A nil registry is a valid, disabled sink: sampling records nowhere.
 func TestRuntimeSamplerNilRegistry(t *testing.T) {
 	var reg *Registry
-	StartRuntimeSampler(reg, 100*time.Millisecond).Stop()
+	reg.SampleRuntime()
 }

@@ -20,18 +20,20 @@ package obs
 //
 // This file is also the one place that knows how recorded events are
 // queried: the outcome and route taxonomies, the Filter that
-// /debug/requests, the spool and slicequery all match with, and the
-// reader of the JSON-lines format (WriteJSONL's, and the JSON access
-// log's) that the spool and post-mortem bundles store.
+// /debug/requests and slicequery both match with, and the one reader
+// of the two durable records, a post-mortem bundle's WriteJSONL lines
+// and the daemon's JSON access log.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
 	"strings"
 	"sync"
+	"time"
 )
 
 // The outcome taxonomy: how a request ended (WideEvent.Outcome).
@@ -270,34 +272,75 @@ func (f *Filter) Match(ev *WideEvent) bool {
 		(f.Req == 0 || ev.Req == f.Req)
 }
 
-// MaxLine bounds one JSON-lines record, newline included: ReadJSONL
-// cannot read a longer line, so the spool drops such a record instead
-// of storing it.
-const MaxLine = 1 << 20
+// maxLine bounds one line ReadJSONL reads, newline included.
+const maxLine = 1 << 20
 
-// ReadJSONL streams the wide events of a JSON-lines stream (one
-// WriteJSONL or access-log record per line) through fn. Each
-// non-blank line is decoded and, when it matches f, handed over with
-// its raw bytes, valid only during the call. A line that does not
-// decode, a read error, or an error from fn ends the stream and is
-// returned as it is.
-func ReadJSONL(r io.Reader, f *Filter, fn func(ev *WideEvent, raw []byte) error) error {
+// logPrefix is the layout of the prefix a log.Logger with
+// log.LstdFlags|log.Lmicroseconds writes before each line, as the
+// daemon's logger does.
+const logPrefix = "2006/01/02 15:04:05.000000 "
+
+// ReadJSONL streams the wide events of one of the two durable records
+// through fn: a post-mortem bundle's requests.jsonl (WriteJSONL's
+// lines) or the daemon's log as written with -log-format json. Each
+// event is handed over with its raw JSON bytes, valid only during the
+// call; a caller selects with Filter.Match.
+//
+// A log is told apart by the prefix its logger writes, which is
+// stripped. From the first line that carries it on, the lines that
+// hold no wide event are skipped: a prefixed line whose text is not a
+// JSON object (the listening and shutdown lines) and every unprefixed
+// one (the rest of a multi-line message, such as a recovered panic's
+// stack trace). Before it, every non-blank line must be a wide event.
+//
+// A final line with no newline that does not decode is the write a
+// crash cut short, and ends the stream quietly; that loses at most
+// one event. Any other line that does not decode, a read error, or an
+// error from fn ends the stream and is returned as it is.
+func ReadJSONL(r io.Reader, fn func(ev *WideEvent, raw []byte) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, MaxLine)
+	sc.Buffer(nil, maxLine)
+	torn := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		if atEOF && len(data) > 0 {
+			torn = true
+			return len(data), data, nil
+		}
+		return 0, nil, nil
+	})
+	logged := false
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		line, prefixed := cutLogPrefix(sc.Bytes())
+		logged = logged || prefixed
+		if len(line) == 0 || logged && (!prefixed || line[0] != '{') {
 			continue
 		}
 		ev := &WideEvent{}
 		if err := json.Unmarshal(line, ev); err != nil {
+			if torn {
+				return nil
+			}
 			return err
 		}
-		if f.Match(ev) {
-			if err := fn(ev, line); err != nil {
-				return err
-			}
+		if err := fn(ev, line); err != nil {
+			return err
 		}
 	}
 	return sc.Err()
+}
+
+// cutLogPrefix strips a leading logPrefix-shaped time stamp from line
+// and reports whether there was one.
+func cutLogPrefix(line []byte) ([]byte, bool) {
+	n := len(logPrefix)
+	if len(line) < n || line[0] < '0' || line[0] > '9' || line[n-1] != ' ' {
+		return line, false
+	}
+	if _, err := time.Parse(logPrefix[:n-1], string(line[:n-1])); err != nil {
+		return line, false
+	}
+	return line[n:], true
 }

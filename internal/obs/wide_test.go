@@ -214,8 +214,8 @@ func TestRequestLogQuery(t *testing.T) {
 }
 
 // TestReadJSONLRoundTrip writes events with WriteJSONL and reads them
-// back: blank lines are skipped, the filter applies, the raw line is
-// the stored bytes, and a malformed line is an error.
+// back: blank lines are skipped, the raw line is the stored bytes,
+// and a malformed line is an error.
 func TestReadJSONLRoundTrip(t *testing.T) {
 	evs := []WideEvent{
 		{Req: 1, Endpoint: "/slice", Status: 200, Outcome: OutcomeOK},
@@ -228,17 +228,20 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 	}
 	lines := strings.SplitAfter(buf.String(), "\n")
 	var got []uint64
-	err := ReadJSONL(strings.NewReader("\n"+buf.String()+"\n"), &Filter{Endpoint: "/slice"}, func(ev *WideEvent, raw []byte) error {
+	f := Filter{Endpoint: "/slice"}
+	err := ReadJSONL(strings.NewReader("\n"+buf.String()+"\n"), func(ev *WideEvent, raw []byte) error {
 		if want := strings.TrimSuffix(lines[ev.Req-1], "\n"); string(raw) != want {
 			t.Errorf("raw line %q, want %q", raw, want)
 		}
-		got = append(got, ev.Req)
+		if f.Match(ev) {
+			got = append(got, ev.Req)
+		}
 		return nil
 	})
 	if err != nil || !slices.Equal(got, []uint64{1, 2}) {
 		t.Fatalf("ReadJSONL = %v, %v; want [1 2]", got, err)
 	}
-	if err := ReadJSONL(strings.NewReader("{\"req\":1}\nnot json\n"), &Filter{}, func(*WideEvent, []byte) error { return nil }); err == nil {
+	if err := ReadJSONL(strings.NewReader("{\"req\":1}\nnot json\n"), func(*WideEvent, []byte) error { return nil }); err == nil {
 		t.Error("malformed line read without error")
 	}
 }

@@ -1,7 +1,8 @@
 // Package seglog is an append-only log of CRC-framed records spread
-// over numbered segment files in one directory. It is the one module
-// that knows that on-disk layout: the disk result tier and the
-// telemetry spool both keep their records as its frames.
+// over numbered segment files in one directory: the on-disk layout of
+// the disk result tier (internal/slicecache/disk), which keeps each
+// serialized result record as one frame and indexes the frames by the
+// content-hash key at the head of each payload.
 //
 // A directory holds seg-NNNNNNNN.log files, oldest (lowest number)
 // first, and each segment is a run of frames with nothing between
@@ -14,16 +15,17 @@
 // is truncated away, so the file never runs ahead of the ledger. When
 // the active segment reaches SegmentBytes it is synced and closed and
 // the next one starts. Reclaim deletes whole sealed segments, oldest
-// first, while the log is over MaxBytes.
+// first, while the log is over MaxBytes, so the tier's disk budget
+// evicts its oldest records a segment at a time.
 //
 // The one crash rule: Open reads frame headers only and truncates each
 // segment at the first frame that is zero-length, longer than
 // MaxFrameBytes, or runs past the end of its file — the torn tail of a
 // write a crash cut short. Payload CRCs are checked when a frame is
-// read: Read reports a mismatch as ErrCorrupt, and Frames stops at the
-// first torn or corrupt frame. Frames are not synced one by one: a
-// process crash loses no frame Append returned, and a machine crash at
-// most those the OS had not yet written back.
+// read: Read reports a mismatch as ErrCorrupt, which the tier answers
+// as a miss. Frames are not synced one by one: a process crash loses
+// no frame Append returned, and a machine crash at most those the OS
+// had not yet written back.
 //
 // Files without the seg- prefix and .log suffix are not the log's: it
 // never reads, counts or deletes them.
@@ -91,10 +93,9 @@ type Frame struct {
 
 // Stats is a point-in-time account of a Log.
 type Stats struct {
-	Segments  int    // sealed segments and the active one
-	Bytes     int64  // size of every segment, active included
-	Active    string // the active segment's path; "" after Close
-	Truncated int    // torn tails Open cut
+	Segments  int   // sealed segments and the active one
+	Bytes     int64 // size of every segment, active included
+	Truncated int   // torn tails Open cut
 }
 
 // segFile is the active segment's file; tests substitute one whose
@@ -119,14 +120,14 @@ type Log struct {
 	truncated int
 }
 
-// Path is the file name of segment id in dir.
-func Path(dir string, id int64) string {
+// segPath is the file name of segment id in dir.
+func segPath(dir string, id int64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", prefix, id, suffix))
 }
 
-// List returns dir's segments, oldest first, each with its current
+// list returns dir's segments, oldest first, each with its current
 // file size.
-func List(dir string) ([]Segment, error) {
+func list(dir string) ([]Segment, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("seglog: %w", err)
@@ -162,7 +163,7 @@ func Open(opts Options, visit func(f Frame, head []byte)) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("seglog: %w", err)
 	}
-	segs, err := List(opts.Dir)
+	segs, err := list(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +232,7 @@ func scan(seg Segment, maxFrame int64, visit func(Frame, []byte)) (int64, error)
 
 // create starts segment id as the active segment.
 func (l *Log) create(id int64) error {
-	path := Path(l.opts.Dir, id)
+	path := segPath(l.opts.Dir, id)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("seglog: %w", err)
@@ -281,20 +282,6 @@ func (l *Log) Append(parts ...[]byte) (Frame, bool, error) {
 	return fr, l.roll() == nil, nil
 }
 
-// Roll seals the active segment and starts the next one. Rolling an
-// empty active segment does nothing.
-func (l *Log) Roll() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errClosed
-	}
-	if l.active.Bytes == 0 {
-		return nil
-	}
-	return l.roll()
-}
-
 // roll seals the active segment and starts the next. Caller holds
 // l.mu.
 func (l *Log) roll() error {
@@ -330,7 +317,7 @@ func (l *Log) Reclaim() []Segment {
 
 // Read returns frame f's payload, or ErrCorrupt if it fails its CRC.
 func (l *Log) Read(f Frame) ([]byte, error) {
-	file, err := os.Open(Path(l.opts.Dir, f.Seg))
+	file, err := os.Open(segPath(l.opts.Dir, f.Seg))
 	if err != nil {
 		return nil, fmt.Errorf("seglog: %w", err)
 	}
@@ -349,7 +336,7 @@ func (l *Log) Read(f Frame) ([]byte, error) {
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{Segments: len(l.sealed), Bytes: l.bytes, Active: l.active.Path, Truncated: l.truncated}
+	st := Stats{Segments: len(l.sealed), Bytes: l.bytes, Truncated: l.truncated}
 	if l.f != nil {
 		st.Segments++
 	}
@@ -358,7 +345,7 @@ func (l *Log) Stats() Stats {
 
 // Close syncs and closes the active segment, which joins the sealed
 // ones; an active segment that holds no frame is removed instead.
-// Append and Roll fail afterwards; Stats and Reclaim still work.
+// Append fails afterwards; Stats and Reclaim still work.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -379,29 +366,4 @@ func (l *Log) Close() error {
 		return fmt.Errorf("seglog: %w", err)
 	}
 	return nil
-}
-
-// Frames reads the segment file at path and returns its payloads in
-// order, up to the first frame that is torn or fails its CRC. It reads
-// a live segment safely: a frame still being written ends the list
-// like a torn tail.
-func Frames(path string) ([][]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("seglog: %w", err)
-	}
-	var out [][]byte
-	for len(data) >= HeaderSize {
-		n := uint64(binary.LittleEndian.Uint32(data))
-		if n == 0 || HeaderSize+n > uint64(len(data)) {
-			break
-		}
-		p := data[HeaderSize : HeaderSize+n]
-		if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(data[4:]) {
-			break
-		}
-		out = append(out, p)
-		data = data[HeaderSize+n:]
-	}
-	return out, nil
 }

@@ -17,7 +17,9 @@ import (
 const headerSize = seglog.HeaderSize + keySize
 
 // segPath is the path of the store's segment id.
-func segPath(dir string, id int64) string { return seglog.Path(dir, id) }
+func segPath(dir string, id int64) string {
+	return filepath.Join(dir, fmt.Sprintf("seg-%08d.log", id))
+}
 
 func keyN(n int) Key {
 	return Key(sha256.Sum256([]byte(fmt.Sprintf("key-%d", n))))
