@@ -35,9 +35,6 @@ type options struct {
 	// All workers share it: the instruments are atomic and sums
 	// commute, so the counters are identical at any parallelism.
 	rec *obs.Registry
-	// tracer, when non-nil, journals trace events for every seed into
-	// its lock-free flight recorder.
-	tracer *obs.Tracer
 }
 
 // Report bundles every experiment's rows for -json. Experiments that
@@ -53,18 +50,6 @@ type Report struct {
 	E7       []IncrRow      `json:"incremental,omitempty"`
 	E8       []SDGRow       `json:"sdg,omitempty"`
 	E9       []ClusterRow   `json:"cluster,omitempty"`
-	// Trace is the flight recorder's accounting after a -trace run:
-	// how many events the run published, how many the bounded ring
-	// evicted, and how many remained buffered.
-	Trace *TraceStats `json:"trace,omitempty"`
-}
-
-// TraceStats is the flight-recorder accounting of one traced run.
-type TraceStats struct {
-	Capacity int    `json:"capacity"`
-	Written  uint64 `json:"events_written"`
-	Dropped  uint64 `json:"events_dropped"`
-	Buffered int    `json:"events_buffered"`
 }
 
 // PrecisionRow is one E1 table row: mean slice sizes for an
@@ -312,7 +297,7 @@ func sweepCorpora(o options, sel map[string]bool, r *Report) error {
 	for _, corpus := range corpora {
 		parts, err := runSeeds(o.ctx, o.seeds, o.parallel, func(seed int64) (seedTally, error) {
 			p := corpus.gen(progen.Config{Seed: seed, Stmts: o.stmts})
-			a, err := core.AnalyzeObservedContext(o.ctx, p, o.rec, o.tracer)
+			a, err := core.AnalyzeObservedContext(o.ctx, p, o.rec, nil)
 			if err != nil {
 				return seedTally{}, fmt.Errorf("seed %d: %w", seed, err)
 			}
@@ -495,7 +480,7 @@ func sdgTable(o options) ([]SDGRow, error) {
 		}
 		parts, err := runSeeds(o.ctx, o.seeds, o.parallel, func(seed int64) (totals, error) {
 			p := progen.MultiProc(progen.Config{Seed: seed, Stmts: o.stmts, Procs: np})
-			a, err := core.AnalyzeObservedContext(o.ctx, p, o.rec, o.tracer)
+			a, err := core.AnalyzeObservedContext(o.ctx, p, o.rec, nil)
 			if err != nil {
 				return totals{}, fmt.Errorf("seed %d: %w", seed, err)
 			}
@@ -635,7 +620,7 @@ func incrTable(o options) ([]IncrRow, error) {
 	for _, corpus := range corpora {
 		parts, err := runSeeds(o.ctx, o.seeds, o.parallel, func(seed int64) (totals, error) {
 			p := corpus.gen(progen.Config{Seed: seed, Stmts: o.stmts})
-			prev, err := core.AnalyzeObservedContext(o.ctx, p, o.rec, o.tracer)
+			prev, err := core.AnalyzeObservedContext(o.ctx, p, o.rec, nil)
 			if err != nil {
 				return totals{}, fmt.Errorf("seed %d: %w", seed, err)
 			}
@@ -653,13 +638,13 @@ func incrTable(o options) ([]IncrRow, error) {
 					continue
 				}
 				start := time.Now()
-				_, stats, err := core.ReanalyzeProgram(o.ctx, prev, p2, o.rec, o.tracer)
+				_, stats, err := core.ReanalyzeProgram(o.ctx, prev, p2, o.rec, nil)
 				incr := time.Since(start)
 				if err != nil {
 					return totals{}, fmt.Errorf("seed %d line %d: %w", seed, e.line, err)
 				}
 				start = time.Now()
-				if _, err := core.AnalyzeObservedContext(o.ctx, p2, o.rec, o.tracer); err != nil {
+				if _, err := core.AnalyzeObservedContext(o.ctx, p2, o.rec, nil); err != nil {
 					return totals{}, fmt.Errorf("seed %d line %d: cold: %w", seed, e.line, err)
 				}
 				cold := time.Since(start)

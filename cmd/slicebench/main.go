@@ -29,13 +29,6 @@
 //	                  histograms, traversal/jump counters, closure
 //	                  cache statistics) as JSON; counter values are
 //	                  identical at any -parallel
-//	-trace FILE       journal trace events (phase spans, traversal
-//	                  passes, jump admissions with rule evidence,
-//	                  closure-cache activity) into a 65536-event
-//	                  flight recorder and write them as Chrome
-//	                  trace_event JSON, loadable in chrome://tracing
-//	                  and Perfetto; -json reports then carry the
-//	                  flight recorder's written/dropped accounting
 //	-cpuprofile FILE  write a runtime/pprof CPU profile of the run
 //	-memprofile FILE  write a heap profile at exit
 package main
@@ -82,7 +75,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for corpus evaluation")
 	jsonPath := fs.String("json", "", "also write results as JSON to this file")
 	metricsPath := fs.String("metrics", "", "write the pipeline metrics snapshot as JSON to this file")
-	tracePath := fs.String("trace", "", "write the run's trace as Chrome trace_event JSON to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -114,11 +106,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	o := options{ctx: ctx, seeds: *seeds, stmts: *stmts, parallel: *parallel}
 	if *metricsPath != "" {
 		o.rec = obs.NewRegistry()
-	}
-	var fr *obs.FlightRecorder
-	if *tracePath != "" {
-		fr = obs.NewFlightRecorder(obs.FlightCapacity)
-		o.tracer = obs.NewTracer(fr)
 	}
 	report := &Report{Seeds: o.seeds, Stmts: o.stmts, Parallel: o.parallel}
 
@@ -160,22 +147,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	if fr != nil {
-		report.Trace = &TraceStats{Capacity: fr.Cap(), Written: fr.Written(), Dropped: fr.Dropped(), Buffered: len(fr.Events())}
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteChromeTrace(f, fr.Events()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote chrome trace to %s (%d events buffered, %d written, %d dropped)\n",
-			*tracePath, report.Trace.Buffered, report.Trace.Written, report.Trace.Dropped)
-	}
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, report); err != nil {
 			return err

@@ -242,71 +242,6 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestTraceFlag smoke-tests -trace: the file must be valid Chrome
-// trace_event JSON with at least one event, and a -json report from
-// the same run must carry the flight recorder's drop accounting.
-func TestTraceFlag(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
-	jsonPath := filepath.Join(dir, "out.json")
-	var sb strings.Builder
-	err := run(context.Background(), []string{"-exp", "traversals", "-seeds", "4", "-stmts", "15",
-		"-trace", tracePath, "-json", jsonPath}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "wrote chrome trace to") {
-		t.Errorf("missing trace confirmation line:\n%s", sb.String())
-	}
-
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &trace); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(trace.TraceEvents) == 0 {
-		t.Fatal("trace has no events")
-	}
-	for i, ev := range trace.TraceEvents {
-		if ev.Name == "" || (ev.Ph != "X" && ev.Ph != "i") {
-			t.Fatalf("event %d malformed: %+v", i, ev)
-		}
-	}
-
-	reportData, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report Report
-	if err := json.Unmarshal(reportData, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Trace == nil {
-		t.Fatal("report.Trace missing with -trace set")
-	}
-	if report.Trace.Capacity != obs.FlightCapacity {
-		t.Errorf("trace capacity = %d, want %d", report.Trace.Capacity, obs.FlightCapacity)
-	}
-	if report.Trace.Written == 0 {
-		t.Error("flight recorder wrote no events")
-	}
-	if report.Trace.Written < uint64(report.Trace.Buffered) {
-		t.Errorf("written %d < buffered %d", report.Trace.Written, report.Trace.Buffered)
-	}
-	if report.Trace.Dropped != report.Trace.Written-uint64(report.Trace.Buffered) {
-		t.Errorf("drop accounting inconsistent: written %d, buffered %d, dropped %d",
-			report.Trace.Written, report.Trace.Buffered, report.Trace.Dropped)
-	}
-}
-
 // TestIncrTable covers E7 end to end: the printed table, the tier
 // counts (the replayed script has one edit per tier per line, so the
 // partition must be exact thirds), and the -json report rows.

@@ -94,12 +94,10 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		{"unknown path", "/nope", "GET", "", "", ts, 404, "not_found"},
 		{"method not allowed on /slice", "/slice", "GET", "", "", ts, 405, "method_not_allowed"},
 		{"method not allowed on /metrics", "/metrics", "POST", "", "text/plain", ts, 405, "method_not_allowed"},
-		{"debug flight bad n", "/debug/flight?n=x", "GET", "", "", ts, 422, "invalid_parameter"},
-		{"debug flight negative n", "/debug/flight?n=-3", "GET", "", "", ts, 422, "invalid_parameter"},
-		{"debug flight empty n", "/debug/flight?n=", "GET", "", "", ts, 422, "invalid_parameter"},
-		{"debug trace missing id", "/debug/trace", "GET", "", "", ts, 400, "bad_request"},
-		{"debug trace bad id", "/debug/trace?id=-1", "GET", "", "", ts, 400, "bad_request"},
-		{"debug trace unknown id", "/debug/trace?id=424242", "GET", "", "", ts, 404, "not_found"},
+		{"debug requests bad id", "/debug/requests?id=x", "GET", "", "", ts, 422, "invalid_parameter"},
+		{"debug requests negative id", "/debug/requests?id=-3", "GET", "", "", ts, 422, "invalid_parameter"},
+		{"debug requests empty id", "/debug/requests?id=", "GET", "", "", ts, 422, "invalid_parameter"},
+		{"debug requests zero id", "/debug/requests?id=0", "GET", "", "", ts, 422, "invalid_parameter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,8 +207,8 @@ func TestOverloadSheds(t *testing.T) {
 
 // TestClientDisconnectCancelsAnalysis is the end-to-end cancellation
 // check: a client that goes away mid-analysis aborts the pipeline
-// cooperatively, observable as a "cancel" trace event in the flight
-// recorder and a core.cancellations tick in /metrics.
+// cooperatively, observable as a core.cancellations tick in the
+// registry and in /metrics.
 func TestClientDisconnectCancelsAnalysis(t *testing.T) {
 	cfg := testConfig()
 	cfg.Timeout = time.Minute // only the disconnect should cancel
@@ -237,13 +235,14 @@ func TestClientDisconnectCancelsAnalysis(t *testing.T) {
 		done <- err
 	}()
 
-	// Hang up as soon as the request's pipeline publishes its first
-	// trace event — analysis of an 8000-statement program has hundreds
-	// of milliseconds still ahead of it at that point.
+	// Hang up as soon as the request's pipeline ends its first phase
+	// span — analysis of an 8000-statement program has hundreds of
+	// milliseconds still ahead of it at that point.
+	cfgSpans := s.reg.Histogram("phase.analyze.cfg", obs.UnitNanoseconds)
 	deadline := time.Now().Add(10 * time.Second)
-	for s.fr.Written() == 0 {
+	for cfgSpans.Count() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no trace events; analysis never started")
+			t.Fatal("no phase span ended; analysis never started")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -253,22 +252,13 @@ func TestClientDisconnectCancelsAnalysis(t *testing.T) {
 		t.Fatalf("client error = %v, want context canceled", err)
 	}
 
-	// The pipeline notices asynchronously; poll for the journaled
+	// The pipeline notices asynchronously; poll for the counted
 	// cancellation.
+	cancellations := s.reg.Counter("core.cancellations")
 	deadline = time.Now().Add(10 * time.Second)
-	for {
-		sawCancel := false
-		for _, ev := range s.fr.Events() {
-			if ev.Kind == obs.KindCancel {
-				sawCancel = true
-				break
-			}
-		}
-		if sawCancel {
-			break
-		}
+	for cancellations.Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no cancel trace event after client disconnect")
+			t.Fatal("core.cancellations did not move after client disconnect")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -1,7 +1,7 @@
 // Command sliced is an observable slicing daemon: it serves the
 // repository's slicing algorithms over HTTP, with every request
-// journaled into an in-process flight recorder and aggregated into
-// the pipeline metrics registry.
+// summarized into one wide event and aggregated into the pipeline
+// metrics registry.
 //
 // Endpoints:
 //
@@ -42,18 +42,15 @@
 //	GET  /metrics       Prometheus text exposition (v0.0.4) of the
 //	                    metrics registry: slice/traversal/jump
 //	                    counters and phase histograms.
-//	GET  /debug/flight  the flight recorder's buffered events (the
-//	                    last 65536) as JSONL, oldest first (?n=
-//	                    limits to the last n events).
-//	GET  /debug/trace   ?id=N renders one request's events as Chrome
-//	                    trace_event JSON (chrome://tracing, Perfetto).
 //	GET  /debug/cache   the analysis cache's live counters and byte
 //	                    ledger as JSON.
 //	GET  /debug/requests the wide-event ring: one JSON record for each
 //	                    of the last 1024 requests with status,
 //	                    duration, phase timings, cache/incremental
-//	                    tiers, and outcome (?status= ?min_ms=
-//	                    ?endpoint= ?n= filter it).
+//	                    tiers, and outcome (?id= ?status= ?min_ms=
+//	                    ?endpoint= ?outcome= ?route= ?n= filter it;
+//	                    ?id=N is one request's phases, in completion
+//	                    order).
 //	GET  /debug/slo     per-endpoint SLO view over a one-minute
 //	                    sliding window (10 rotating buckets):
 //	                    percentiles, error/shed rates, burn rates
@@ -85,9 +82,9 @@
 //
 // -postmortem-dir enables post-mortem bundles: on SIGUSR1, on the
 // first recovered panic, and on a fatal exit the daemon writes one
-// self-contained directory (flight-recorder drain, recent wide
-// events, SLO snapshot, goroutine dump, build info) an operator can
-// attach to an incident. See postmortem.go for the bundle schema.
+// self-contained directory (recent wide events, SLO snapshot,
+// goroutine dump, build info) an operator can attach to an incident.
+// See postmortem.go for the bundle schema.
 //
 // # Clustering
 //
@@ -108,8 +105,8 @@
 // and internal/slicecache/disk.
 //
 // Every request gets a monotonically increasing ID, echoed in the
-// X-Request-ID response header and stamped on its trace events, so a
-// /slice response can be correlated with /debug/trace?id=. The
+// X-Request-ID response header and stamped on its wide event, so a
+// /slice response can be correlated with /debug/requests?id=. The
 // daemon shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests.
 //
@@ -173,7 +170,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,9 +258,9 @@ func parseFlags(args []string) (config, error) {
 	return cfg, nil
 }
 
-// Fixed sizes of the in-memory telemetry: the flight recorder holds
-// obs.FlightCapacity events, /debug/requests the last requestRing
-// wide events, and /debug/slo a sloWindow split into 10 buckets.
+// Fixed sizes of the in-memory telemetry: /debug/requests holds the
+// last requestRing wide events, and /debug/slo a sloWindow split into
+// 10 buckets.
 const (
 	requestRing = 1024
 	sloWindow   = time.Minute
@@ -372,16 +368,16 @@ func serveOn(ln net.Listener, s *server) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	s.logger.Printf("sliced listening on http://%s (flight recorder: %d events, timeout %s, max body %d, max stmts %d, max inflight %d)",
-		ln.Addr(), s.fr.Cap(), s.cfg.Timeout, s.cfg.MaxBody, s.cfg.MaxStmts, s.cfg.MaxInflight)
+	s.logger.Printf("sliced listening on http://%s (timeout %s, max body %d, max stmts %d, max inflight %d)",
+		ln.Addr(), s.cfg.Timeout, s.cfg.MaxBody, s.cfg.MaxStmts, s.cfg.MaxInflight)
 
 	select {
 	case err := <-errc:
 		return s.postmortemOnFatal(err)
 	case <-ctx.Done():
 	}
-	s.logger.Printf("sliced shutting down (%d requests served, %d shed, %d events written, %d dropped)",
-		s.reqID.Load(), s.shed.Load(), s.fr.Written(), s.fr.Dropped())
+	s.logger.Printf("sliced shutting down (%d requests served, %d shed)",
+		s.reqID.Load(), s.shed.Load())
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
@@ -395,14 +391,11 @@ func serveOn(ln net.Listener, s *server) error {
 
 // server holds the daemon's shared observability state. All fields
 // are safe for concurrent use: the registry's counters/histograms are
-// atomic, the flight recorder is lock-free, per-request tracers are
-// derived (not mutated) from the root tracer, and the admission gate
+// atomic, each request's SpanLog is its own, and the admission gate
 // is a buffered channel.
 type server struct {
 	cfg    config
 	reg    *obs.Registry
-	fr     *obs.FlightRecorder
-	tr     *obs.Tracer
 	reqID  atomic.Int64
 	shed   atomic.Int64 // requests answered 503 by the admission gate
 	logger *log.Logger
@@ -447,13 +440,11 @@ func newServer(cfg config, logw io.Writer) *server {
 	s := &server{
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
-		fr:       obs.NewFlightRecorder(obs.FlightCapacity),
 		logger:   log.New(logw, "", log.LstdFlags|log.Lmicroseconds),
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		unblock:  make(chan struct{}),
 		sessions: map[string]*session{},
 	}
-	s.tr = obs.NewTracer(s.fr)
 	s.requests = obs.NewRequestLog(requestRing)
 	s.slo = obs.NewSLOTracker(sloWindow, 10, cfg.Objectives)
 	s.incrTier = map[string]*obs.Counter{
@@ -479,12 +470,6 @@ func newServer(cfg config, logw io.Writer) *server {
 	}))
 	mux.HandleFunc("/metrics", s.methods(map[string]http.HandlerFunc{
 		http.MethodGet: s.handleMetrics,
-	}))
-	mux.HandleFunc("/debug/flight", s.methods(map[string]http.HandlerFunc{
-		http.MethodGet: s.handleFlight,
-	}))
-	mux.HandleFunc("/debug/trace", s.methods(map[string]http.HandlerFunc{
-		http.MethodGet: s.handleTrace,
 	}))
 	mux.HandleFunc("/debug/cache", s.methods(map[string]http.HandlerFunc{
 		http.MethodGet: s.handleCache,
@@ -660,7 +645,7 @@ type sliceResponse struct {
 // apiError is the structured error envelope every non-2xx response
 // carries: a stable machine-readable code, a human message, the HTTP
 // status (so the body is self-describing in logs), and the request ID
-// for correlation with the access log and /debug/trace.
+// for correlation with the access log and /debug/requests?id=.
 type apiError struct {
 	Error errorBody `json:"error"`
 }
@@ -837,7 +822,6 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	id := requestID(r)
-	tr := s.tracerFor(r)
 	ri := reqInfoFrom(r)
 	ri.setAlgo(req.Algo)
 	start := time.Now()
@@ -857,7 +841,7 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	a := s.analysisFor(ctx, w, r, req.Source, tr)
+	a := s.analysisFor(ctx, w, r, req.Source)
 	if a == nil {
 		return // analysisFor already answered
 	}
@@ -934,12 +918,12 @@ func (s *server) renderSlice(w http.ResponseWriter, r *http.Request, a *core.Ana
 // procedures. Its errors are httpErrors (client faults keep their
 // status through the cache's negative entries) or pipeline errors for
 // failErr to map.
-func (s *server) buildAnalysis(ctx context.Context, source string, tr *obs.Tracer) (*core.Analysis, error) {
+func (s *server) buildAnalysis(ctx context.Context, source string, spans *obs.SpanLog) (*core.Analysis, error) {
 	prog, n, err := s.parseProgram(source)
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.AnalyzeObservedContext(ctx, prog, s.reg, tr)
+	a, err := core.AnalyzeObservedContext(ctx, prog, s.reg, spans)
 	if err != nil {
 		return nil, err
 	}
@@ -963,22 +947,22 @@ func (s *server) parseProgram(source string) (*lang.Program, int, error) {
 }
 
 // analysisFor produces the request's analysis through the cache,
-// bound to this request's deadline and trace. The build runs under
+// bound to this request's deadline and span log. The build runs under
 // the cache's own context (the result outlives this request); parse
 // and size-limit faults ride the cache's negative entries, so
 // repeated malformed programs are refused from memory. A nil return
 // means the response — error or 304 — was already written.
-func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http.Request, source string, tr *obs.Tracer) *core.Analysis {
+func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http.Request, source string) *core.Analysis {
+	spans := reqInfoFrom(r).spanLog()
 	a, outcome, err := s.cache.Get(ctx, source, func(bctx context.Context) (*core.Analysis, error) {
-		return s.buildAnalysis(bctx, source, tr)
+		return s.buildAnalysis(bctx, source, spans)
 	})
 	w.Header().Set("X-Cache", outcome.String())
-	tr.Instant("cache."+outcome.String(), 1)
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
 		return nil
 	}
-	return a.Rebind(ctx, s.reg, tr)
+	return a.Rebind(ctx, s.reg, spans)
 }
 
 // detach readies an analysis for the cache: a program with
@@ -1033,50 +1017,4 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.SampleRuntime()
 	obs.WritePrometheus(w, s.reg.Snapshot())
 	obs.WriteSLOPrometheus(w, s.slo.Snapshot())
-}
-
-func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	events := s.fr.Events()
-	// The n parameter is validated strictly: a request that says
-	// "limit to n" but sends garbage gets a 422 naming the fault, not
-	// a silently unlimited dump.
-	if vs, present := r.URL.Query()["n"]; present {
-		v := ""
-		if len(vs) > 0 {
-			v = vs[0]
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.fail(w, r, http.StatusUnprocessableEntity, "invalid_parameter",
-				"parameter n must be a non-negative integer, got %q", v)
-			return
-		}
-		if n < len(events) {
-			events = events[len(events)-n:]
-		}
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Flight-Written", strconv.FormatUint(s.fr.Written(), 10))
-	w.Header().Set("X-Flight-Dropped", strconv.FormatUint(s.fr.Dropped(), 10))
-	obs.WriteJSONL(w, events)
-}
-
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query().Get("id")
-	if v == "" {
-		s.fail(w, r, http.StatusBadRequest, "bad_request", "missing id parameter")
-		return
-	}
-	id, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, "bad_request", "bad id %q: %v", v, err)
-		return
-	}
-	events := s.fr.RequestEvents(id)
-	if len(events) == 0 {
-		s.fail(w, r, http.StatusNotFound, "not_found", "no buffered events for request %d (evicted or never traced)", id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	obs.WriteChromeTrace(w, events)
 }

@@ -3,11 +3,10 @@ package main
 // Post-mortem bundles: when something goes wrong — a recovered panic,
 // an operator's SIGUSR1, or a fatal exit — the daemon snapshots every
 // in-memory telemetry surface into one self-contained directory under
-// -postmortem-dir. The in-memory planes (flight recorder, wide-event
-// ring, SLO windows) are deliberately lossy and die with the process;
-// the bundle is the moment they get written down, so the evidence for
-// an incident can be attached to it instead of evaporating on
-// restart.
+// -postmortem-dir. The in-memory planes (wide-event ring, SLO
+// windows) are deliberately lossy and die with the process; the
+// bundle is the moment they get written down, so the evidence for an
+// incident can be attached to it instead of evaporating on restart.
 //
 // A bundle directory contains:
 //
@@ -15,8 +14,6 @@ package main
 //	                process's serving totals; written LAST, so its
 //	                presence marks the bundle complete.
 //	build.json      the binary's provenance (/debug/build).
-//	flight.jsonl    the flight recorder's drained events, oldest
-//	                first (the /debug/flight wire format).
 //	requests.jsonl  the wide-event ring: the last N requests, one
 //	                JSON wide event per line (readable by slicequery
 //	                -bundle).
@@ -45,11 +42,9 @@ type postmortemMeta struct {
 	Written   string `json:"written_at"`
 	PID       int    `json:"pid"`
 	// Serving totals at bundle time.
-	RequestsServed int64  `json:"requests_served"`
-	RequestsShed   int64  `json:"requests_shed"`
-	FlightWritten  uint64 `json:"flight_written"`
-	FlightDropped  uint64 `json:"flight_dropped"`
-	WideEvents     int    `json:"wide_events"`
+	RequestsServed int64 `json:"requests_served"`
+	RequestsShed   int64 `json:"requests_shed"`
+	WideEvents     int   `json:"wide_events"`
 }
 
 // writePostmortem writes one bundle and returns its directory. An
@@ -66,11 +61,6 @@ func (s *server) writePostmortem(reason string) (string, error) {
 	}
 
 	events := s.requests.Events()
-	if err := writeBundleFile(dir, "flight.jsonl", func(f *os.File) error {
-		return obs.WriteJSONL(f, s.fr.Events())
-	}); err != nil {
-		return dir, err
-	}
 	if err := writeBundleFile(dir, "requests.jsonl", func(f *os.File) error {
 		return obs.WriteJSONL(f, events)
 	}); err != nil {
@@ -97,8 +87,6 @@ func (s *server) writePostmortem(reason string) (string, error) {
 		PID:            os.Getpid(),
 		RequestsServed: s.reqID.Load(),
 		RequestsShed:   s.shed.Load(),
-		FlightWritten:  s.fr.Written(),
-		FlightDropped:  s.fr.Dropped(),
 		WideEvents:     len(events),
 	}
 	if err := writeBundleJSON(dir, "meta.json", meta); err != nil {

@@ -28,7 +28,6 @@ import (
 var bundleArtifacts = []string{
 	"meta.json",
 	"build.json",
-	"flight.jsonl",
 	"requests.jsonl",
 	"slo.json",
 	"goroutines.txt",
@@ -107,7 +106,7 @@ func TestPostmortemBundleGoldenSchema(t *testing.T) {
 			t.Errorf("bundle missing artifact %s: %v", name, err)
 			continue
 		}
-		if info.Size() == 0 && name != "flight.jsonl" && name != "requests.jsonl" {
+		if info.Size() == 0 && name != "requests.jsonl" {
 			t.Errorf("bundle artifact %s is empty", name)
 		}
 	}

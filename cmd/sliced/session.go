@@ -126,8 +126,7 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	tr := s.tracerFor(r)
-	a, err := s.buildAnalysis(ctx, source, tr)
+	a, err := s.buildAnalysis(ctx, source, reqInfoFrom(r).spanLog())
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
 		return
@@ -176,7 +175,6 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	id := requestID(r)
-	tr := s.tracerFor(r)
 	ri := reqInfoFrom(r)
 	ri.setAlgo(algo)
 	start := time.Now()
@@ -211,7 +209,7 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	a, stats, err := core.ReanalyzeProgram(ctx, prev, prog, s.reg, tr)
+	a, stats, err := core.ReanalyzeProgram(ctx, prev, prog, s.reg, ri.spanLog())
 	var detached *core.Analysis
 	if err == nil {
 		detached, err = s.detach(a, stmts)

@@ -13,7 +13,7 @@ package main
 // log stream and the queryable view can never disagree. The event
 // also feeds the per-endpoint SLO window, whose per-bucket slowest
 // request ID (the exemplar) links a latency spike straight back to
-// GET /debug/trace?id=.
+// that request's wide event at GET /debug/requests?id=.
 //
 // Handlers annotate the in-flight event through a *reqInfo carried in
 // the request context; all reqInfo setters are nil-safe so handlers
@@ -93,12 +93,6 @@ func reqInfoFrom(r *http.Request) *reqInfo {
 	return ri
 }
 
-// tracerFor derives the request's tracer: events stamped with the
-// request ID, spans teed into the wide event's phase collector.
-func (s *server) tracerFor(r *http.Request) *obs.Tracer {
-	return s.tr.ForRequest(requestID(r)).WithSpans(reqInfoFrom(r).spanLog())
-}
-
 // endpointOf normalizes a request path to its bounded-cardinality
 // route label: dynamic segments collapse ("/session/17" →
 // "/session/{id}"), unknown paths fold to "(other)" so a URL scanner
@@ -106,8 +100,7 @@ func (s *server) tracerFor(r *http.Request) *obs.Tracer {
 func endpointOf(path string) string {
 	switch path {
 	case "/slice", "/session", "/metrics", "/healthz",
-		"/debug/flight", "/debug/trace", "/debug/cache",
-		"/debug/requests", "/debug/slo", "/debug/build",
+		"/debug/cache", "/debug/requests", "/debug/slo", "/debug/build",
 		"/debug/cluster", "/internal/fill":
 		return path
 	}
@@ -247,6 +240,7 @@ func (s *server) logAccess(ev *obs.WideEvent) {
 // filter that says "status 5xx please" but sends garbage answers a
 // structured 422, never a silently unfiltered dump.
 //
+//	?id=N         only the event of request N (its X-Request-ID)
 //	?status=N     only events with that exact response status
 //	?min_ms=N     only events at least N milliseconds slow
 //	?endpoint=E   only events on that normalized endpoint
@@ -284,6 +278,12 @@ func requestsQuery(q url.Values) (f obs.Filter, n int, err error) {
 		return i, nil
 	}
 	n = -1
+	if q.Has("id") {
+		v := q.Get("id")
+		if f.Req, err = strconv.ParseUint(v, 10, 64); err != nil || f.Req == 0 {
+			return f, n, fmt.Errorf("id must be a positive integer, got %q", v)
+		}
+	}
 	if q.Has("status") {
 		if f.Status, err = intParam("status", 100, 599); err != nil {
 			return f, n, err

@@ -293,22 +293,17 @@ func TestSLOViewAndExemplarTrace(t *testing.T) {
 	}
 
 	// The exemplar — the window's slowest request — must resolve at
-	// /debug/trace?id=: the aggregate-to-drill-down edge.
+	// /debug/requests?id=: the aggregate-to-drill-down edge.
 	ex := slice.Exemplars[0]
 	if ex.Request == 0 || ex.DurNS <= 0 {
 		t.Fatalf("exemplar: %+v", ex)
 	}
-	tresp, err := http.Get(fmt.Sprintf("%s/debug/trace?id=%d", ts.URL, ex.Request))
-	if err != nil {
-		t.Fatal(err)
+	got := getRequests(t, ts.URL, fmt.Sprintf("?id=%d", ex.Request))
+	if got.Count != 1 || got.Requests[0].Req != ex.Request || got.Requests[0].DurationNS != ex.DurNS {
+		t.Fatalf("exemplar %+v resolved to %+v, want its one wide event", ex, got.Requests)
 	}
-	defer tresp.Body.Close()
-	if tresp.StatusCode != http.StatusOK {
-		t.Fatalf("exemplar trace: status %d, want 200", tresp.StatusCode)
-	}
-	data, _ := io.ReadAll(tresp.Body)
-	if !bytes.Contains(data, []byte("traceEvents")) {
-		t.Errorf("exemplar trace is not Chrome trace JSON: %.120s", data)
+	if len(got.Requests[0].Phases) == 0 {
+		t.Error("exemplar's wide event carries no phases")
 	}
 }
 

@@ -70,7 +70,7 @@ func writeLog(t *testing.T, evs []obs.WideEvent) string {
 	t.Helper()
 	var b strings.Builder
 	lg := log.New(&b, "", log.LstdFlags|log.Lmicroseconds)
-	lg.Print("sliced listening on http://127.0.0.1:8080 (flight recorder: 65536 events, timeout 10s)")
+	lg.Print("sliced listening on http://127.0.0.1:8080 (timeout 10s, max body 1048576, max stmts 20000, max inflight 2)")
 	for i, ev := range evs {
 		data, err := json.Marshal(&ev)
 		if err != nil {

@@ -210,7 +210,7 @@ func render(w io.Writer, cur, prev *sample, base string) error {
 		slow = slow[:3]
 	}
 	if len(slow) > 0 {
-		fmt.Fprintln(w, "\nslowest (→ /debug/trace?id=)")
+		fmt.Fprintln(w, "\nslowest (→ /debug/requests?id=)")
 		for _, s := range slow {
 			fmt.Fprintf(w, "  %-16s req=%d %s\n", s.endpoint, s.ex.Request, shortDur(s.ex.DurNS))
 		}

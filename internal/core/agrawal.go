@@ -48,7 +48,7 @@ func (a *Analysis) agrawalWith(c Criterion, eng depEngine) (*Slice, error) {
 	}
 	s.JumpsAdded, s.JumpRules, s.Traversals = jumps, rules, traversals
 	s.Relabeled = a.retargetLabels(set)
-	a.recordSlice(s.Algorithm, set)
+	a.recordSlice(set)
 	return s, nil
 }
 
@@ -80,7 +80,6 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 	for {
 		traversals++
 		a.m.traversals.Add(1)
-		a.o.Tr.Traversal("fig7", traversals)
 		if err := a.checkCancel("fig7"); err != nil {
 			return nil, nil, traversals, err
 		}
@@ -106,7 +105,6 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 			jumpsAdded = append(jumpsAdded, v)
 			rules = append(rules, JumpRule{NearestPD: pd, NearestLS: ls})
 			a.m.jumpsAdmitted.Add(1)
-			a.o.Tr.JumpAdmitted("fig7", v, pd, ls)
 			changed = true
 		}
 		if !changed {
@@ -149,20 +147,16 @@ func (a *Analysis) agrawalLSTWith(c Criterion, eng depEngine) (*Slice, error) {
 	}
 	s.JumpsAdded, s.JumpRules, s.Traversals = jumps, rules, traversals
 	s.Relabeled = a.retargetLabels(set)
-	a.recordSlice(s.Algorithm, set)
+	a.recordSlice(set)
 	return s, nil
 }
 
-// recordSlice reports a finished slice to the registry and the trace:
-// one slice counted, its final node count observed, one trace event
-// named after the algorithm. A single nil-check each when recording
-// and tracing are disabled.
-func (a *Analysis) recordSlice(algo string, set *bits.Set) {
+// recordSlice reports a finished slice to the registry: one slice
+// counted, its final node count observed. A single nil-check when
+// recording is disabled.
+func (a *Analysis) recordSlice(set *bits.Set) {
 	a.m.slices.Add(1)
 	if a.m.sliceNodes != nil {
 		a.m.sliceNodes.Observe(int64(set.Len()))
-	}
-	if a.o.Tr != nil {
-		a.o.Tr.SliceDone(algo, set.Len())
 	}
 }

@@ -133,13 +133,11 @@ type Analysis struct {
 	// Rebind view for the same reasons (see setState).
 	set *setState
 
-	// o is the observer every phase span and slicing call reports to:
-	// the metrics registry and the request-scoped tracer, both nil
-	// unless AnalyzeObservedContext or Rebind was given them. m holds
-	// the instruments pre-resolved from o.Reg (see observe), so hot
-	// paths pay a single nil-check per event when recording is
-	// disabled; every trace emission is nil-checked inside the tracer,
-	// so the untraced hot path pays the same single-branch cost.
+	// o is the observer every phase span reports to: the metrics
+	// registry and the request's span log, both nil unless
+	// AnalyzeObservedContext or Rebind was given them. m holds the
+	// instruments pre-resolved from o.Reg (see observe), so hot paths
+	// pay a single nil-check per event when recording is disabled.
 	o obs.Observer
 	m coreMetrics
 
@@ -174,7 +172,7 @@ type coreMetrics struct {
 	// time a canceled context aborted an analysis or slicing call.
 	cancellations *obs.Counter
 	// closure is what the batch engine reports each condensation
-	// lookup to: the closure-cache counters and this view's tracer.
+	// lookup to: the closure-cache counters.
 	closure pdg.Instruments
 }
 
@@ -196,7 +194,6 @@ func (a *Analysis) observe(o obs.Observer) {
 		m.closure.Builds = r.Counter("pdg.closure_builds")
 	}
 	a.o = o
-	a.m.closure.Tracer = o.Tr
 }
 
 // batchState is the shared lazily-built batch-engine state of one
@@ -214,34 +211,34 @@ type batchState struct {
 // Analyze parses nothing: it takes an already-parsed program and
 // derives the flowgraph, postdominator tree, dependence graphs, and
 // lexical successor tree. Equivalent to AnalyzeObservedContext with
-// no context, registry or tracer.
+// no context, registry or span log.
 func Analyze(prog *lang.Program) (*Analysis, error) {
 	return AnalyzeObservedContext(context.Background(), prog, nil, nil)
 }
 
 // AnalyzeObservedContext is Analyze under a request context, a
-// metrics registry and a tracer (nil for either means none), folded
+// metrics registry and a span log (nil for either means none), folded
 // into one obs.Observer. Each construction phase is timed by one
 // "phase.analyze.*" span whose duration feeds both sinks (cfg →
 // postdominators → cdg → dataflow → pdg → lst → worklists; the lazy
 // batch condensation reports under "phase.analyze.condense"), and
-// every slicing call on the result reports its traversals, jump
-// admissions with their Figure 7 evidence, closure-cache activity and
-// slice sizes to both.
+// every slicing call on the result counts its traversals, jump
+// admissions, closure-cache activity and slice sizes in the registry.
+// Each admitted jump's Figure 7 evidence is carried by the Slice
+// itself (JumpRules), which Explain renders.
 //
 // ctx is checked at every phase boundary and, cooperatively, by every
 // slicing call (see cancel.go for the cadences). When it is canceled
-// or its deadline expires, the in-flight call journals a cancellation
-// trace event, counts it under core.cancellations, and returns an
-// error wrapping ctx.Err(). A context that can never be canceled
-// disables the checks.
+// or its deadline expires, the in-flight call counts it under
+// core.cancellations and returns an error wrapping ctx.Err(). A
+// context that can never be canceled disables the checks.
 //
 // A program that declares procedures is analyzed per procedure and
 // its system dependence graph built (see ProgramSet); the result
 // carries the whole program in Prog and the main body's structures,
 // and only the sdg slicer applies to it.
-func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Registry, tr *obs.Tracer) (*Analysis, error) {
-	o := obs.Observer{Reg: reg, Tr: tr}
+func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Registry, spans *obs.SpanLog) (*Analysis, error) {
+	o := obs.Observer{Reg: reg, Spans: spans}
 	if len(prog.Procs) > 0 {
 		return analyzeProcs(ctx, prog, o)
 	}

@@ -14,10 +14,9 @@ import (
 // hundred node visits (internal/pdg's cancelCheckNodes and
 // cancelCheckComps). A canceled context therefore aborts an in-flight
 // analysis within a bounded amount of work, the observed cancellation
-// is journaled as a trace event (kind "cancel", named after the site
-// that noticed) and counted under core.cancellations, and the entry
-// point returns an error wrapping context.Canceled or
-// context.DeadlineExceeded for the caller to classify.
+// is counted under core.cancellations, and the entry point returns an
+// error wrapping context.Canceled or context.DeadlineExceeded, named
+// after the site that noticed, for the caller to classify.
 //
 // An Analysis built without a cancelable context (Analyze, or
 // AnalyzeObservedContext with context.Background) pays a single
@@ -52,8 +51,8 @@ func (a *Analysis) Context() context.Context {
 
 // checkCancel reports pending cancellation: nil while the Analysis's
 // context (if any) is live, and otherwise an error wrapping the
-// context's error, after journaling one cancellation event naming the
-// detection site and counting it under core.cancellations.
+// context's error and naming the detection site, after counting it
+// under core.cancellations.
 func (a *Analysis) checkCancel(where string) error {
 	if a.ctx == nil {
 		return nil
@@ -68,6 +67,5 @@ func (a *Analysis) checkCancel(where string) error {
 // detection site.
 func (a *Analysis) canceled(where string, err error) error {
 	a.m.cancellations.Add(1)
-	a.o.Tr.Canceled(where)
 	return fmt.Errorf("core: %s: %w", where, err)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,8 +99,8 @@ func criteriaOf(t *testing.T, a *Analysis) []Criterion {
 // Agrawal slice consumes, then replays the same slice with the
 // countdown set to each intermediate value. Every replay must fail
 // with an error wrapping context.Canceled (never a panic, never a
-// wrong slice), and must journal a "cancel" trace event naming the
-// site that noticed.
+// wrong slice), must name the site that noticed, and must count
+// exactly one core.cancellations.
 func TestCancelMidSlice(t *testing.T) {
 	p := progen.Unstructured(progen.Config{Seed: 7, Stmts: 60})
 
@@ -123,10 +124,9 @@ func TestCancelMidSlice(t *testing.T) {
 	}
 
 	for k := int64(0); k < sliceChecks; k++ {
-		fr := obs.NewFlightRecorder(256)
 		reg := obs.NewRegistry()
 		ctx := newCountdownCtx(budget)
-		a, err := AnalyzeObservedContext(ctx, p, reg, obs.NewTracer(fr))
+		a, err := AnalyzeObservedContext(ctx, p, reg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,19 +143,15 @@ func TestCancelMidSlice(t *testing.T) {
 		if s != nil {
 			t.Errorf("k=%d: canceled slice returned a non-nil result", k)
 		}
-		cancels := 0
-		for _, ev := range fr.Events() {
-			if ev.Kind == obs.KindCancel {
-				cancels++
-				switch ev.Name {
-				case "fig7", "closure", "normalize", "analyze":
-				default:
-					t.Errorf("k=%d: cancel event at unexpected site %q", k, ev.Name)
-				}
-			}
+		sites := 0
+		for _, site := range []string{"fig7", "closure", "normalize", "analyze"} {
+			sites += strings.Count(err.Error(), "core: "+site+": ")
 		}
-		if cancels != 1 {
-			t.Errorf("k=%d: journaled %d cancel events, want exactly 1", k, cancels)
+		if sites != 1 {
+			t.Errorf("k=%d: err %q names %d known cancellation sites, want 1", k, err, sites)
+		}
+		if got := reg.Counter("core.cancellations").Value(); got != 1 {
+			t.Errorf("k=%d: core.cancellations = %d, want exactly 1", k, got)
 		}
 	}
 

@@ -22,7 +22,7 @@ func (a *Analysis) Conventional(c Criterion) (*Slice, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.recordSlice("conventional", s.Nodes)
+	a.recordSlice(s.Nodes)
 	return s, nil
 }
 

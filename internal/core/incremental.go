@@ -57,7 +57,7 @@ func resolveIncrMetrics(rec *obs.Registry) incrMetrics {
 
 // ReanalyzeProgram re-derives an Analysis for prog, reusing whatever
 // the previous analysis proves still valid. The result is always
-// exactly what AnalyzeObservedContext(ctx, prog, reg, tr) would
+// exactly what AnalyzeObservedContext(ctx, prog, reg, spans) would
 // produce — reuse never depends on the differ being clever, only on
 // the structural safety checks holding — so callers can treat it as a
 // faster analysis. prev may be nil (a plain cold analysis). prog may
@@ -91,8 +91,8 @@ func resolveIncrMetrics(rec *obs.Registry) incrMetrics {
 // The freshly built flowgraph is verified node-for-node against the
 // previous one before anything is reused, so a differ bug degrades to
 // a full run, never to a wrong slice.
-func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, reg *obs.Registry, tr *obs.Tracer) (*Analysis, *IncrStats, error) {
-	o := obs.Observer{Reg: reg, Tr: tr}
+func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, reg *obs.Registry, spans *obs.SpanLog) (*Analysis, *IncrStats, error) {
+	o := obs.Observer{Reg: reg, Spans: spans}
 	im := resolveIncrMetrics(reg)
 	defer o.StartSpan("phase.reanalyze").End()
 
@@ -104,7 +104,7 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		stats.PhasesRecomputed = numPhases
 		im.fallbacks.Add(1)
 		im.recomputed.Add(numPhases)
-		a, err := AnalyzeObservedContext(ctx, prog, reg, tr)
+		a, err := AnalyzeObservedContext(ctx, prog, reg, spans)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -104,7 +104,7 @@ func AnalyzeProgramSet(prog *lang.Program) (*ProgramSet, error) {
 }
 
 // ProgramSet returns the analysis's program set, bound to this view's
-// context, registry and tracer: criteria resolve, and closures and
+// context, registry and span log: criteria resolve, and closures and
 // the summary worklist cancel, through them.
 func (a *Analysis) ProgramSet() (*ProgramSet, error) {
 	st := a.set
@@ -120,7 +120,7 @@ func (a *Analysis) ProgramSet() (*ProgramSet, error) {
 	v.Units = make([]*ProcUnit, len(st.ps.Units))
 	for i, u := range st.ps.Units {
 		cp := *u
-		cp.Sub = u.Sub.Rebind(a.ctx, a.o.Reg, a.o.Tr)
+		cp.Sub = u.Sub.Rebind(a.ctx, a.o.Reg, a.o.Spans)
 		v.Units[i] = &cp
 	}
 	return &v, nil
@@ -133,7 +133,7 @@ func (a *Analysis) ProgramSet() (*ProgramSet, error) {
 func analyzeProcs(ctx context.Context, prog *lang.Program, o obs.Observer) (*Analysis, error) {
 	var units []*ProcUnit
 	analyzeBody := func(name string, decl *lang.ProcDecl, body []lang.Stmt, labels map[string]*lang.LabeledStmt) error {
-		sub, err := AnalyzeObservedContext(ctx, &lang.Program{Body: body, Labels: labels}, o.Reg, o.Tr)
+		sub, err := AnalyzeObservedContext(ctx, &lang.Program{Body: body, Labels: labels}, o.Reg, o.Spans)
 		if err != nil {
 			if name == "" {
 				return fmt.Errorf("core: analyzing main: %w", err)
@@ -157,7 +157,7 @@ func analyzeProcs(ctx context.Context, prog *lang.Program, o obs.Observer) (*Ana
 		return nil, err
 	}
 	st.once.Do(func() { st.ps = ps })
-	a := ps.MainUnit().Sub.Rebind(ctx, o.Reg, o.Tr)
+	a := ps.MainUnit().Sub.Rebind(ctx, o.Reg, o.Spans)
 	a.Prog, a.set = prog, st
 	return a, nil
 }
@@ -357,9 +357,6 @@ func (ps *ProgramSet) SliceInterproc(c Criterion) (*InterSlice, error) {
 	}
 	ps.sm.slices.Add(1)
 	ps.sm.jumpsAdmitted.Add(int64(s.JumpsAdded))
-	if ps.o.Tr != nil {
-		ps.o.Tr.SliceDone("sdg", v2.Len())
-	}
 	return s, nil
 }
 

@@ -57,7 +57,6 @@ func (a *Analysis) structuredWith(c Criterion, eng depEngine) (*Slice, error) {
 	for {
 		s.Traversals++
 		a.m.traversals.Add(1)
-		a.o.Tr.Traversal("fig12", s.Traversals)
 		if err := a.checkCancel("fig12"); err != nil {
 			return nil, err
 		}
@@ -94,7 +93,6 @@ func (a *Analysis) structuredWith(c Criterion, eng depEngine) (*Slice, error) {
 			s.JumpsAdded = append(s.JumpsAdded, v)
 			s.JumpRules = append(s.JumpRules, JumpRule{NearestPD: pd, NearestLS: ls})
 			a.m.jumpsAdmitted.Add(1)
-			a.o.Tr.JumpAdmitted("fig12", v, pd, ls)
 			changed = true
 		}
 		if !changed {
@@ -105,7 +103,7 @@ func (a *Analysis) structuredWith(c Criterion, eng depEngine) (*Slice, error) {
 		}
 	}
 	s.Relabeled = a.retargetLabels(set)
-	a.recordSlice(s.Algorithm, set)
+	a.recordSlice(set)
 	return s, nil
 }
 
@@ -147,7 +145,6 @@ func (a *Analysis) conservativeWith(c Criterion, eng depEngine) (*Slice, error) 
 		changed = false
 		pass++
 		a.m.traversals.Add(1)
-		a.o.Tr.Traversal("fig13", pass)
 		if err := a.checkCancel("fig13"); err != nil {
 			return nil, err
 		}
@@ -167,15 +164,12 @@ func (a *Analysis) conservativeWith(c Criterion, eng depEngine) (*Slice, error) 
 				}
 				s.JumpsAdded = append(s.JumpsAdded, j.ID)
 				a.m.jumpsAdmitted.Add(1)
-				// Figure 13 admits by the candidate rule, not the
-				// nearest-PD/nearest-LS test; no evidence to carry.
-				a.o.Tr.JumpAdmitted("fig13", j.ID, -1, -1)
 				changed = true
 			}
 		}
 	}
 	s.Relabeled = a.retargetLabels(set)
-	a.recordSlice(s.Algorithm, set)
+	a.recordSlice(set)
 	return s, nil
 }
 

@@ -1,7 +1,7 @@
 package obs
 
-// Exporters: events as JSONL, trace events as Chrome trace_event JSON, and
-// Registry snapshots in the Prometheus text exposition format.
+// Exporters: wide events as JSONL, and Registry and SLO snapshots in
+// the Prometheus text exposition format.
 
 import (
 	"encoding/json"
@@ -11,10 +11,10 @@ import (
 	"strings"
 )
 
-// WriteJSONL writes one JSON object per event, one event per line —
-// the /debug/flight wire format for trace events and the
-// requests.jsonl format for wide events, greppable and `jq`-able.
-func WriteJSONL[T any](w io.Writer, events []T) error {
+// WriteJSONL writes one JSON object per wide event, one event per
+// line — a post-mortem bundle's requests.jsonl, greppable and
+// `jq`-able.
+func WriteJSONL(w io.Writer, events []WideEvent) error {
 	enc := json.NewEncoder(w)
 	for i := range events {
 		if err := enc.Encode(&events[i]); err != nil {
@@ -22,75 +22,6 @@ func WriteJSONL[T any](w io.Writer, events []T) error {
 		}
 	}
 	return nil
-}
-
-// chromeEvent is one trace_event record. The subset emitted here —
-// complete events ("X") and thread-scoped instants ("i") with
-// microsecond timestamps — loads in chrome://tracing and Perfetto.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"`
-	Dur  float64           `json:"dur,omitempty"`
-	PID  int               `json:"pid"`
-	TID  uint64            `json:"tid"`
-	S    string            `json:"s,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// chromeTrace is the JSON-object trace container format.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// WriteChromeTrace renders events in the Chrome trace_event JSON
-// format (object form, loadable in chrome://tracing and Perfetto).
-// Spans become complete ("X") events, everything else thread-scoped
-// instants ("i"); each request's events land on their own track (tid =
-// request ID). Timestamps are rebased to the earliest event so the
-// viewer opens at t=0 with full microsecond precision.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	var base int64
-	for i, e := range events {
-		if i == 0 || e.TS < base {
-			base = e.TS
-		}
-	}
-	tr := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(events)), DisplayTimeUnit: "ms"}
-	for _, e := range events {
-		ce := chromeEvent{
-			Name: e.Name,
-			Cat:  e.Kind.String(),
-			TS:   float64(e.TS-base) / 1e3,
-			PID:  1,
-			TID:  e.Req,
-		}
-		switch e.Kind {
-		case KindSpan:
-			ce.Ph, ce.Dur = "X", float64(e.Dur)/1e3
-		default:
-			ce.Ph, ce.S = "i", "t"
-		}
-		args := map[string]string{"seq": fmt.Sprintf("%d", e.Seq)}
-		if e.Node >= 0 {
-			args["node"] = fmt.Sprintf("%d", e.Node)
-		}
-		if e.PD >= 0 {
-			args["nearest_pd"] = fmt.Sprintf("%d", e.PD)
-		}
-		if e.LS >= 0 {
-			args["nearest_ls"] = fmt.Sprintf("%d", e.LS)
-		}
-		if e.N != 0 {
-			args["n"] = fmt.Sprintf("%d", e.N)
-		}
-		ce.Args = args
-		tr.TraceEvents = append(tr.TraceEvents, ce)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&tr)
 }
 
 // promLabel escapes a Prometheus label value (backslash, quote,

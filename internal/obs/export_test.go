@@ -2,8 +2,28 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 )
+
+// TestWriteJSONLRoundTrips checks WriteJSONL's one-object-per-line
+// format, the requests.jsonl wire format of a post-mortem bundle.
+func TestWriteJSONLRoundTrips(t *testing.T) {
+	evs := []WideEvent{{Req: 3, Endpoint: "/slice", Status: 200, Phases: []PhaseDur{{Name: "phase.analyze", NS: 13}}}}
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	line := strings.TrimSpace(buf.String())
+	var got map[string]any
+	if err := json.Unmarshal([]byte(line), &got); err != nil {
+		t.Fatalf("JSONL line not valid JSON: %v\n%s", err, line)
+	}
+	if got["req"] != float64(3) || got["endpoint"] != "/slice" || got["status"] != float64(200) {
+		t.Errorf("JSONL fields = %v", got)
+	}
+}
 
 // TestPrometheusGolden pins the exact exposition bytes for a fixed
 // snapshot: counter naming (_total), histogram unit suffixing, sparse

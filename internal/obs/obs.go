@@ -1,6 +1,6 @@
 // Package obs is the repository's dependency-free observability core:
 // atomic counters, fixed-bucket histograms, and an Observer whose one
-// Span per phase feeds the metrics registry and the request trace.
+// Span per phase feeds the metrics registry and the request's SpanLog.
 //
 // The design optimizes for the disabled case. The nil *Registry hands
 // out nil *Counter / nil *Histogram, the zero Observer hands out zero
@@ -178,14 +178,14 @@ func (h *Histogram) Sum() int64 {
 }
 
 // Observer is one request's observability handle: the metrics
-// registry its spans and counters aggregate into, and the tracer that
-// journals its events. Either may be nil, and the zero Observer
-// records nothing. Instrumented code holds one Observer value instead
-// of threading the two sinks side by side, so every phase is timed by
-// exactly one Span.
+// registry its spans and counters aggregate into, and the SpanLog that
+// collects its phase durations for the wide event. Either may be nil,
+// and the zero Observer records nothing. Instrumented code holds one
+// Observer value instead of threading the two sinks side by side, so
+// every phase is timed by exactly one Span.
 type Observer struct {
-	Reg *Registry
-	Tr  *Tracer
+	Reg   *Registry
+	Spans *SpanLog
 }
 
 // Span times one phase for every sink of an Observer. The zero Span
@@ -193,7 +193,7 @@ type Observer struct {
 // reads the clock nor records.
 type Span struct {
 	h     *Histogram
-	tr    *Tracer
+	spans *SpanLog
 	name  string
 	start time.Time
 }
@@ -204,21 +204,20 @@ func (o Observer) StartSpan(name string) Span {
 	if o == (Observer{}) {
 		return Span{}
 	}
-	return Span{h: o.Reg.Histogram(name, UnitNanoseconds), tr: o.Tr, name: name, start: time.Now()}
+	return Span{h: o.Reg.Histogram(name, UnitNanoseconds), spans: o.Spans, name: name, start: time.Now()}
 }
 
-// End stops the span and feeds its one duration to every sink: the
-// registry's duration histogram of the span's name, the tracer's
-// flight recorder as a span event, and the tracer's SpanLog when it
-// has one. It returns the duration; on a no-op span it returns 0
-// without touching the clock.
+// End stops the span and feeds its one duration to both sinks: the
+// registry's duration histogram of the span's name and the SpanLog.
+// It returns the duration; on a no-op span it returns 0 without
+// touching the clock.
 func (s Span) End() time.Duration {
-	if s.h == nil && s.tr == nil {
+	if s.h == nil && s.spans == nil {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.h.Observe(int64(d))
-	s.tr.span(s.name, s.start, d)
+	s.spans.Add(s.name, int64(d))
 	return d
 }
 

@@ -16,8 +16,8 @@ package obs
 // Each bucket also remembers its slowest request's ID: the exemplar.
 // A p99 spike in a dashboard is only actionable if the operator can
 // get from the aggregate back to a concrete request; the exemplar is
-// that edge — its ID resolves at /debug/trace?id= while the flight
-// recorder still holds the events.
+// that edge — its ID resolves at /debug/requests?id= while the
+// request ring still holds its wide event.
 //
 // Burn rate follows the standard error-budget formulation: with an
 // objective of "err <= 1%", an observed window error rate of 2% burns
@@ -228,8 +228,9 @@ func (t *SLOTracker) Observe(endpoint string, status int, shed bool, dur time.Du
 }
 
 // Exemplar points from a window bucket back at a concrete request:
-// the slowest one the bucket saw. Its ID resolves at /debug/trace?id=
-// while the flight recorder still buffers the request's events.
+// the slowest one the bucket saw. Its ID resolves at
+// /debug/requests?id= while the request ring still holds its wide
+// event.
 type Exemplar struct {
 	// BucketStartNS is the bucket's wall-clock start, nanoseconds
 	// since the Unix epoch.

@@ -46,47 +46,12 @@ func BenchmarkRequestLogRecord(b *testing.B) {
 	}
 }
 
+// BenchmarkSpanLogTee is one phase span ending into both sinks: the
+// registry histogram and a fresh request's SpanLog.
 func BenchmarkSpanLogTee(b *testing.B) {
-	fr := NewFlightRecorder(1 << 10)
+	reg := NewRegistry()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sl := &SpanLog{}
-		tr := NewTracer(fr).ForRequest(uint64(i)).WithSpans(sl)
-		Observer{Tr: tr}.StartSpan("phase.analyze").End()
-	}
-}
-
-// BenchmarkFlightEventsWrapped snapshots a daemon-sized ring (65536
-// slots) filled to half a lap past full, so the head sits mid-ring.
-func BenchmarkFlightEventsWrapped(b *testing.B) {
-	const capacity = 1 << 16
-	fr := NewFlightRecorder(capacity)
-	tr := NewTracer(fr)
-	for i := 0; i < capacity+capacity/2; i++ {
-		tr.Instant("e", int64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(fr.Events()) != capacity {
-			b.Fatal("short snapshot")
-		}
-	}
-}
-
-// BenchmarkFlightRequestEventsWrapped is the /debug/trace?id= lookup
-// on the same wrapped daemon-sized ring, here written by requests of
-// 40 events each: one request's events out of 65536 buffered.
-func BenchmarkFlightRequestEventsWrapped(b *testing.B) {
-	const capacity, perReq = 1 << 16, 40
-	fr := NewFlightRecorder(capacity)
-	for i := 0; i < capacity+capacity/2; i++ {
-		NewTracer(fr).ForRequest(uint64(i/perReq)).Instant("e", int64(i))
-	}
-	req := uint64(capacity / perReq) // a request in the middle of the ring
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(fr.RequestEvents(req)) != perReq {
-			b.Fatal("short request view")
-		}
+		Observer{Reg: reg, Spans: &SpanLog{}}.StartSpan("phase.analyze").End()
 	}
 }

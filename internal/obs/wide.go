@@ -2,9 +2,8 @@ package obs
 
 // Wide events: one canonical structured record per served request.
 //
-// Where the Tracer journals what happened *inside* one request (phase
-// by phase, admission by admission) and the Registry aggregates
-// across all of them, a WideEvent is the request's one-line summary —
+// Where the Registry aggregates across all requests, a WideEvent is
+// one request's one-line summary —
 // endpoint, status, duration, byte count, per-phase timings, cache
 // and incremental tiers, slice size, and how the request ended. It is
 // the record an operator greps for ("show me every 5xx slower than
@@ -12,9 +11,8 @@ package obs
 // line and the queryable ring never disagree.
 //
 // Events are kept in a RequestLog, a bounded mutex-guarded ring of
-// the most recent N events. Unlike the FlightRecorder the write rate
-// here is one event per *request* (not per phase or per jump), so a
-// plain mutex costs nothing measurable and keeps readers exactly
+// the most recent N events. The write rate is one event per request,
+// so a plain mutex costs nothing measurable and keeps readers exactly
 // consistent. The nil *RequestLog and nil *SpanLog are valid no-ops,
 // matching the package's one-nil-check discipline.
 //
@@ -76,18 +74,19 @@ func checkIn(field, v string, set []string) error {
 	return fmt.Errorf("%s must be one of %s, got %q", field, strings.Join(set, "|"), v)
 }
 
-// PhaseDur is one completed phase of a request: the span name as the
-// tracer published it, and its elapsed nanoseconds.
+// PhaseDur is one completed phase of a request: the span name, and
+// its elapsed nanoseconds.
 type PhaseDur struct {
 	Name string `json:"name"`
 	NS   int64  `json:"ns"`
 }
 
 // SpanLog accumulates the completed phase spans of one request, in
-// completion order. A Tracer returned by WithSpans tees every span it
-// publishes into the log, so the daemon can attach exact per-phase
-// timings to the request's wide event without scanning the (lossy,
-// shared) flight recorder. The nil SpanLog is a valid no-op.
+// completion order. Every Span of an Observer carrying the log adds
+// its duration here as it ends — the same nanoseconds it feeds the
+// registry's phase histogram — so the daemon attaches exact per-phase
+// timings to the request's wide event. The nil SpanLog is a valid
+// no-op.
 type SpanLog struct {
 	mu    sync.Mutex
 	spans []PhaseDur
@@ -124,7 +123,7 @@ func (l *SpanLog) Spans() []PhaseDur {
 // and no cache tier) are empty and omitted from JSON.
 type WideEvent struct {
 	// Req is the request ID — the same number X-Request-ID carries, so
-	// the event joins against /debug/trace?id= and the access log.
+	// the event resolves at /debug/requests?id= and in the access log.
 	Req uint64 `json:"req"`
 	// TimeNS is the request's arrival time, nanoseconds since the
 	// Unix epoch.

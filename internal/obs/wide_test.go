@@ -97,11 +97,11 @@ func TestRequestLogConcurrentWriters(t *testing.T) {
 }
 
 func TestSpanLogCollects(t *testing.T) {
-	fr := NewFlightRecorder(16)
+	reg := NewRegistry()
 	sl := &SpanLog{}
-	tr := NewTracer(fr).ForRequest(7).WithSpans(sl)
-	Observer{Tr: tr}.StartSpan("cfg").End()
-	Observer{Tr: tr}.StartSpan("pdg").End()
+	o := Observer{Reg: reg, Spans: sl}
+	o.StartSpan("cfg").End()
+	o.StartSpan("pdg").End()
 	spans := sl.Spans()
 	if len(spans) != 2 || spans[0].Name != "cfg" || spans[1].Name != "pdg" {
 		t.Fatalf("Spans = %+v, want cfg then pdg", spans)
@@ -110,21 +110,16 @@ func TestSpanLogCollects(t *testing.T) {
 		if s.NS < 0 {
 			t.Errorf("span %s has negative duration %d", s.Name, s.NS)
 		}
+		// The log must not replace the histogram: both saw the one
+		// duration.
+		if h := reg.Histogram(s.Name, UnitNanoseconds); h.Count() != 1 || h.Sum() != s.NS {
+			t.Errorf("histogram %s = count %d sum %d, want 1 and %d", s.Name, h.Count(), h.Sum(), s.NS)
+		}
 	}
-	// The tee must not replace publication: the recorder saw both.
-	if got := len(fr.RequestEvents(7)); got != 2 {
-		t.Fatalf("flight recorder has %d events for req 7, want 2", got)
-	}
-}
-
-// TestSpanLogSurvivesForRequest checks the collector propagates when
-// the daemon derives per-request tracers in either order.
-func TestSpanLogSurvivesForRequest(t *testing.T) {
-	fr := NewFlightRecorder(16)
-	sl := &SpanLog{}
-	tr := NewTracer(fr).WithSpans(sl).ForRequest(9)
-	Observer{Tr: tr}.StartSpan("dataflow").End()
-	if got := sl.Spans(); len(got) != 1 || got[0].Name != "dataflow" {
+	// A SpanLog alone (no registry) still collects.
+	only := &SpanLog{}
+	Observer{Spans: only}.StartSpan("dataflow").End()
+	if got := only.Spans(); len(got) != 1 || got[0].Name != "dataflow" {
 		t.Fatalf("Spans = %+v, want [dataflow]", got)
 	}
 }
@@ -135,13 +130,14 @@ func TestSpanLogNilSafe(t *testing.T) {
 	if sl.Spans() != nil {
 		t.Error("nil SpanLog is not a no-op")
 	}
-	// WithSpans(nil) leaves the tracer usable and un-teed.
-	tr := NewTracer(NewFlightRecorder(4)).WithSpans(nil)
-	Observer{Tr: tr}.StartSpan("x").End()
-	// Nil tracer stays nil through WithSpans.
-	var nilTr *Tracer
-	if nilTr.WithSpans(&SpanLog{}) != nil {
-		t.Error("nil tracer should stay nil")
+	// A registry-only Observer times into the histogram and nowhere
+	// else; the zero Observer reads no clock.
+	reg := NewRegistry()
+	if d := (Observer{Reg: reg}).StartSpan("x").End(); reg.Histogram("x", UnitNanoseconds).Sum() != int64(d) {
+		t.Error("registry-only span lost its duration")
+	}
+	if d := (Observer{}).StartSpan("x").End(); d != 0 {
+		t.Errorf("zero Observer span = %v, want 0", d)
 	}
 }
 

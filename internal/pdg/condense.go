@@ -40,13 +40,10 @@ type Condensation struct {
 // reports each lookup to the view that made it. A request is one
 // closure lookup (one seed of a Grow); a hit is a
 // request answered from an already-memoized component closure; a
-// build is one component closure being materialized. Tracer receives
-// one event per hit and per build, giving request traces the cache
-// behaviour the counters only total up. Nil fields record nothing,
-// and so does a nil *Instruments.
+// build is one component closure being materialized. Nil fields
+// record nothing, and so does a nil *Instruments.
 type Instruments struct {
 	Requests, Hits, Builds *obs.Counter
-	Tracer                 *obs.Tracer
 }
 
 // uninstrumented stands in for a nil *Instruments.
@@ -285,7 +282,6 @@ func (c *Condensation) ensure(target int, cancel func() error, in *Instruments) 
 	in.Requests.Add(1)
 	if s := c.closure[target]; s != nil {
 		in.Hits.Add(1)
-		in.Tracer.CacheHit(target)
 		return s, nil
 	}
 	n := len(c.comp)
@@ -311,7 +307,6 @@ func (c *Condensation) ensure(target int, cancel func() error, in *Instruments) 
 		}
 		c.closure[i] = s
 		in.Builds.Add(1)
-		in.Tracer.CacheBuild(i)
 	}
 	return c.closure[target], nil
 }

@@ -30,7 +30,7 @@
 //     cancellation errors are never cached: they describe the caller,
 //     not the content.
 //
-// Cached analyses are stored detached (no context, no tracer); callers
+// Cached analyses are stored detached (no context, no span log); callers
 // bind a cached Analysis to their own request with core.Rebind before
 // slicing. The cache reports hits, misses, coalesced waiters, negative
 // hits, evictions and resident bytes both through Stats and, when an
