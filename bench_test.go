@@ -564,12 +564,14 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 	// and whose dependence SCC is a singleton so the memoized closures
 	// survive.
 	line, text := 0, ""
+	texts := lang.LineTexts(p) // the edit keeps the line's labels
 	for _, s := range lang.Statements(p) {
 		as, ok := s.(*lang.AssignStmt)
 		if !ok {
 			continue
 		}
-		cand := fmt.Sprintf("%s = %s + 1;", as.Name, as.Name)
+		labels := strings.TrimSuffix(texts[as.Pos().Line], lang.StmtString(as))
+		cand := fmt.Sprintf("%s%s = %s + 1;", labels, as.Name, as.Name)
 		p2, ok := incremental.SpliceLine(p, as.Pos().Line, cand)
 		if !ok {
 			continue

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -566,13 +567,19 @@ type edit struct {
 // actually reached is measured, not assumed — that is the point of
 // the experiment.
 func incrEdits(p *lang.Program) []edit {
+	// SpliceLine takes the whole line, so each edit keeps the line's
+	// labels: the listing's text less the statement's.
+	texts := lang.LineTexts(p)
+	prefix := func(as *lang.AssignStmt) string {
+		return strings.TrimSuffix(texts[as.Pos().Line], lang.StmtString(as))
+	}
 	var cands []*lang.AssignStmt
 	for _, s := range lang.Statements(p) {
 		as, ok := s.(*lang.AssignStmt)
 		if !ok {
 			continue
 		}
-		if _, ok := incremental.SpliceLine(p, as.Pos().Line, as.Name+" = 0;"); ok {
+		if _, ok := incremental.SpliceLine(p, as.Pos().Line, prefix(as)+as.Name+" = 0;"); ok {
 			cands = append(cands, as)
 		}
 	}
@@ -588,17 +595,17 @@ func incrEdits(p *lang.Program) []edit {
 	}
 	var edits []edit
 	for _, as := range picks {
-		line := as.Pos().Line
+		line, labels := as.Pos().Line, prefix(as)
 		edits = append(edits,
 			// Same defined variable, new expression: shape and defs
 			// survive, so the patched tier should absorb it.
-			edit{line, fmt.Sprintf("%s = %s + 1;", as.Name, as.Name)},
+			edit{line, fmt.Sprintf("%s%s = %s + 1;", labels, as.Name, as.Name)},
 			// New defined variable: shape survives but a definition
 			// moved, so dataflow must re-run (partial tier).
-			edit{line, fmt.Sprintf("e7_%s = %s;", as.Name, as.Name)},
+			edit{line, fmt.Sprintf("%se7_%s = %s;", labels, as.Name, as.Name)},
 			// Statement kind change: the flowgraph rebind refuses and
 			// the engine falls back to a full cold run.
-			edit{line, fmt.Sprintf("write(%s);", as.Name)},
+			edit{line, fmt.Sprintf("%swrite(%s);", labels, as.Name)},
 		)
 	}
 	return edits

@@ -13,6 +13,7 @@ import (
 
 	"jumpslice/internal/core"
 	"jumpslice/internal/incremental"
+	"jumpslice/internal/lang"
 )
 
 // FuzzHandleSlice drives the /slice handler with arbitrary bodies and
@@ -107,6 +108,52 @@ func FuzzAppendResponse(f *testing.F) {
 			if got, want := appendJSONString(nil, []byte(s)), appendJSONString(nil, s); !bytes.Equal(got, want) {
 				t.Fatalf("%q: bytes escape as %s, the string as %s", s, got, want)
 			}
+		}
+	})
+}
+
+// FuzzPatchSplice checks the PATCH handler's fast path on arbitrary
+// sources: when the old line holds one statement (holdsOneStatement)
+// and SpliceLine accepts the edit, the edited source parses to the
+// spliced program. Unlike incremental's FuzzSpliceLine, the source is
+// not formatted first, so a line may share tokens with statements
+// that start elsewhere.
+func FuzzPatchSplice(f *testing.F) {
+	if fig3, err := os.ReadFile("../../testdata/fig3-a.mc"); err == nil {
+		f.Add(string(fig3), 8, "L8: positives = positives + 2;")
+		f.Add(string(fig3), 7, "goto L14;")
+	}
+	f.Add("read(x);\nif (x > 0)\n  y = 1;\nelse y = 2;\nwrite(y);\n", 4, "y = 3;")
+	f.Add("switch (x) {\ncase 1: y = y + 1;\n}\n", 2, "y = 2;")
+	f.Add("while (x > 0) {\n  x = x - 1; }\n", 2, "x = 0;")
+	f.Add("x = 1; /* open\n*/ y = 2;\n", 1, "x = 2;")
+	f.Add("L:\nx = 1;\ngoto L;\n", 2, "x = 2;")
+	f.Fuzz(func(t *testing.T, src string, line int, text string) {
+		p, err := lang.Parse(src)
+		if err != nil {
+			return
+		}
+		req := &patchRequest{Edit: &editRequest{Op: "replace", Line: line, Text: text}}
+		edited, old, err := req.apply(src)
+		if err != nil || !holdsOneStatement(old, line) {
+			return
+		}
+		q, ok := incremental.SpliceLine(p, line, text)
+		if !ok {
+			return
+		}
+		want, err := lang.Parse(edited)
+		if err != nil {
+			t.Fatalf("line %d %q spliced, but the edited source does not parse: %v", line, text, err)
+		}
+		if sc := incremental.Diff(want, q); !sc.Identical {
+			t.Fatalf("line %d %q: splice differs from the reparse: %s", line, text, sc.Mismatch)
+		}
+		if got, w := lang.Format(q, lang.PrintOptions{}), lang.Format(want, lang.PrintOptions{}); got != w {
+			t.Fatalf("line %d %q: splice formats differently:\n%s\nvs\n%s", line, text, got, w)
+		}
+		if got, w := lang.CountStatements(q), lang.CountStatements(want); got != w {
+			t.Fatalf("line %d %q: %d statements, reparse %d", line, text, got, w)
 		}
 	})
 }

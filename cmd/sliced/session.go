@@ -182,7 +182,7 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
-	newSrc, err := req.apply(sess.source)
+	newSrc, oldLine, err := req.apply(sess.source)
 	if err != nil {
 		s.failErr(w, r, "edit", err)
 		return
@@ -197,9 +197,9 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	// way, and falls back to the full pipeline when prev is nil.
 	var prog *lang.Program
 	var stmts int
-	if prev != nil && req.Edit != nil {
-		// A splice swaps one simple statement for one, so the
-		// statement count carries over.
+	if prev != nil && req.Edit != nil && holdsOneStatement(oldLine, req.Edit.Line) {
+		// A splice swaps one line statement for one with the same
+		// statement count, so the count carries over.
 		prog, _ = incremental.SpliceLine(prev.Prog, req.Edit.Line, req.Edit.Text)
 		stmts = prev.Stmts
 	}
@@ -265,29 +265,41 @@ func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// apply computes the session's post-edit source text. A one-line
-// edit replaces the line's bytes in place; lines are numbered as
-// strings.Split(source, "\n") numbers them, except that the empty
-// element after a final newline (or of an empty source) is no line.
-func (req *patchRequest) apply(source string) (string, error) {
+// apply computes the session's post-edit source text and returns the
+// text of the line a one-line edit replaced ("" for a source swap). A
+// one-line edit replaces the line's bytes in place; lines are
+// numbered as strings.Split(source, "\n") numbers them, except that
+// the empty element after a final newline (or of an empty source) is
+// no line.
+func (req *patchRequest) apply(source string) (edited, old string, err error) {
 	if req.Edit == nil {
-		return req.Source, nil
+		return req.Source, "", nil
 	}
 	e := req.Edit
 	if e.Op != "replace" {
-		return "", httpErrorf(http.StatusBadRequest, "bad_request",
+		return "", "", httpErrorf(http.StatusBadRequest, "bad_request",
 			`unsupported edit op %q (want "replace")`, e.Op)
 	}
 	lo, ok := lineStart(source, e.Line)
 	if !ok {
-		return "", httpErrorf(http.StatusBadRequest, "bad_request",
+		return "", "", httpErrorf(http.StatusBadRequest, "bad_request",
 			"edit line %d outside the program (1..%d)", e.Line, strings.Count(source, "\n"))
 	}
 	hi := len(source)
 	if i := strings.IndexByte(source[lo:], '\n'); i >= 0 {
 		hi = lo + i
 	}
-	return source[:lo] + e.Text + source[hi:], nil
+	return source[:lo] + e.Text + source[hi:], source[lo:hi], nil
+}
+
+// holdsOneStatement reports whether line n of the source, the given
+// text, is one statement and nothing else. SpliceLine sees the tree,
+// not the source, and relies on that: a token of another statement on
+// the line (an else, a case label, a brace) or a comment opened there
+// would be replaced with the line but survive the splice.
+func holdsOneStatement(text string, n int) bool {
+	_, err := lang.ParseStmt(text, n, 0)
+	return err == nil
 }
 
 // lineStart returns the byte offset at which the 1-based line n of

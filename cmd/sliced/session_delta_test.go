@@ -54,7 +54,7 @@ func TestPatchApplyMatchesSplit(t *testing.T) {
 		{"single line without newline", "a;", 1, "X"},
 	} {
 		req := &patchRequest{Edit: &editRequest{Op: "replace", Line: tc.line, Text: "X"}}
-		got, err := req.apply(tc.source)
+		got, _, err := req.apply(tc.source)
 		ref, refErr := applyBySplit(tc.source, tc.line, "X")
 		if (err == nil) != (refErr == nil) || got != ref {
 			t.Errorf("%s: apply = %q, %v; split = %q, %v", tc.name, got, err, ref, refErr)

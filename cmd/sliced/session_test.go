@@ -6,11 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"jumpslice/internal/lang"
 	"jumpslice/internal/slicecache"
 )
 
@@ -379,5 +382,93 @@ func TestSessionPatchIsNotAnEviction(t *testing.T) {
 	metrics, _ := io.ReadAll(mresp.Body)
 	if m := regexp.MustCompile(`jumpslice_cache_evictions_total (\d+)`).FindSubmatch(metrics); m == nil || string(m[1]) != "0" {
 		t.Errorf("want jumpslice_cache_evictions_total 0 in /metrics:\n%s", metrics)
+	}
+}
+
+// TestSessionLabelEditsMatchReparse: a PATCH is answered from the
+// program its edited source parses to, labels included. Dropping a
+// label a goto targets leaves an invalid program (422, as a cold POST
+// /slice of that source answers); dropping one no goto targets serves
+// the cold slice, whose text no longer shows the label.
+func TestSessionLabelEditsMatchReparse(t *testing.T) {
+	_, ts := newTestServer(t)
+	data, err := os.ReadFile("../../testdata/fig3-a.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	id := openSession(t, ts, string(data))
+	const query = "var=sum&line=14"
+
+	// Line 5 still says goto L8.
+	expectAPIError(t, patchEdit(t, ts, id, query, 8, "positives = positives + 2;"),
+		http.StatusUnprocessableEntity, "invalid_program")
+	dropped := slices.Clone(lines)
+	dropped[7] = "positives = positives + 2;"
+	resp, err := http.Post(ts.URL+"/slice?"+query, "text/plain", strings.NewReader(strings.Join(dropped, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectAPIError(t, resp, http.StatusUnprocessableEntity, "invalid_program")
+
+	// Retarget line 9's goto off L12; then L12 can go.
+	for _, e := range []struct {
+		line int
+		text string
+	}{{9, "if (x % 2 != 0) goto L13;"}, {12, "sum = sum + f3(x);"}} {
+		resp := patchEdit(t, ts, id, query, e.line, e.text)
+		if got := resp.Header.Get("X-Incremental"); got != "full" {
+			t.Errorf("line %d %q: X-Incremental = %q, want full", e.line, e.text, got)
+		}
+		var pr wirePatch
+		decodeInto(t, resp, http.StatusOK, &pr)
+		lines[e.line-1] = e.text
+		_, cold := postSlice(t, ts, query, strings.Join(lines, "\n"))
+		if pr.Text != cold.Text || !slices.Equal(pr.Lines, cold.Lines) {
+			t.Errorf("line %d %q: served %v\n%s\ncold %v\n%s", e.line, e.text, pr.Lines, pr.Text, cold.Lines, cold.Text)
+		}
+		if e.line == 12 && strings.Contains(pr.Text, "L12") {
+			t.Errorf("label L12 dropped, but the served slice still shows it:\n%s", pr.Text)
+		}
+	}
+}
+
+// TestSessionEditOfSharedLineMatchesReparse: the tree does not show
+// every token of a line (an else keyword, a case label, a closing
+// brace), so an edit of a line holding more than its statement must
+// be answered from the reparse of the edited source, not a splice.
+func TestSessionEditOfSharedLineMatchesReparse(t *testing.T) {
+	_, ts := newTestServer(t)
+	const src = `read(x);
+if (x > 0)
+  y = 1;
+else y = 2;
+switch (x) {
+case 1: y = y + 1;
+}
+while (x > 0) {
+  x = x - 1; }
+write(y);
+`
+	const query = "var=y&line=10"
+	for _, e := range []struct {
+		line int
+		text string
+	}{{4, "y = 3;"}, {6, "y = y + 2;"}, {9, "  x = x - 2;"}} {
+		id := openSession(t, ts, src)
+		lines := strings.Split(src, "\n")
+		lines[e.line-1] = e.text
+		edited := strings.Join(lines, "\n")
+		resp := patchEdit(t, ts, id, query, e.line, e.text)
+		if _, err := lang.Parse(edited); err != nil {
+			expectAPIError(t, resp, http.StatusUnprocessableEntity, "invalid_program")
+			continue
+		}
+		var pr wirePatch
+		decodeInto(t, resp, http.StatusOK, &pr)
+		_, cold := postSlice(t, ts, query, edited)
+		if pr.Text != cold.Text || !slices.Equal(pr.Lines, cold.Lines) {
+			t.Errorf("line %d %q: served %v\n%s\ncold %v\n%s", e.line, e.text, pr.Lines, pr.Text, cold.Lines, cold.Text)
+		}
 	}
 }

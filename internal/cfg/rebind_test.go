@@ -3,6 +3,7 @@ package cfg_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"jumpslice/internal/cfg"
@@ -139,11 +140,12 @@ write(x);
 
 // TestRebindAfterSpliceSharesUntouchedNodes re-splices every
 // splicable line of the paper's goto figure and of generated
-// unstructured programs (labeled statements that gotos target
-// included) and checks the rebound graph against a fresh Build. It
-// must share every node whose statement the splice kept and whose
-// target is shared, copy the rest, keep every jump target inside the
-// rebound graph, and leave the donor graph untouched.
+// unstructured programs, each source line over itself with its labels
+// (labeled statements that gotos target and one-line conditional
+// gotos included), and checks the rebound graph against a fresh
+// Build. It must share every node whose statement the splice kept and
+// whose target is shared, copy the rest, keep every jump target inside
+// the rebound graph, and leave the donor graph untouched.
 func TestRebindAfterSpliceSharesUntouchedNodes(t *testing.T) {
 	srcs := []string{paper.Fig3().Source}
 	for seed := int64(0); seed < 6; seed++ {
@@ -156,12 +158,9 @@ func TestRebindAfterSpliceSharesUntouchedNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for line := 1; line <= len(prev.Nodes)+1; line++ {
-			s := lang.StmtAtLine(p, line)
-			if s == nil {
-				continue
-			}
-			p2, ok := incremental.SpliceLine(p, line, lang.StmtString(lang.Unlabel(s)))
+		lines := strings.Split(src, "\n")
+		for line := 1; line <= len(lines); line++ {
+			p2, ok := incremental.SpliceLine(p, line, lines[line-1])
 			if !ok {
 				continue
 			}

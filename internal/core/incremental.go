@@ -62,7 +62,13 @@ func resolveIncrMetrics(rec *obs.Registry) incrMetrics {
 // the structural safety checks holding — so callers can treat it as a
 // faster analysis. prev may be nil (a plain cold analysis). prog may
 // come from a full parse or from incremental.SpliceLine, which avoids
-// the reparse that would otherwise dominate a one-line edit.
+// the reparse that would otherwise dominate a one-line edit: it
+// splices any line statement, labeled lines, goto retargets and
+// break/continue swaps included, and yields the program the reparse
+// would. The tier is decided here alone, from prev and prog, so a
+// spliced program lands in the same tier as its reparse (a goto
+// retarget or a break/continue swap changes the flowgraph and runs
+// "full").
 //
 // Tier decision:
 //

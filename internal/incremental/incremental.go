@@ -451,38 +451,49 @@ type flat struct {
 	bare uint64 // fingerprint excluding labels
 }
 
+// flatten lists p's node-bearing statements in lexical order: exactly
+// the statements lang.CountStatements counts, so out is sized once.
 func flatten(p *lang.Program) []flat {
-	var out []flat
-	var visit func(s lang.Stmt, labels []string)
-	visit = func(s lang.Stmt, labels []string) {
+	out := make([]flat, 0, lang.CountStatements(p))
+	// labels is the label chain being walked. One buffer serves every
+	// chain: a chain ends at its statement, which hashes it before any
+	// nested statement starts a chain of its own.
+	var labels []string
+	var visit func(s lang.Stmt)
+	visit = func(s lang.Stmt) {
+		if l, ok := s.(*lang.LabeledStmt); ok {
+			labels = append(labels, l.Label)
+			visit(l.Stmt)
+			return
+		}
+		chain := labels
+		labels = labels[:0]
 		switch s := s.(type) {
 		case nil, *lang.EmptyStmt:
-		case *lang.LabeledStmt:
-			visit(s.Stmt, append(labels, s.Label))
 		case *lang.BlockStmt:
 			for _, t := range s.List {
-				visit(t, nil)
+				visit(t)
 			}
 		case *lang.IfStmt:
-			out = append(out, newFlat(s, labels))
-			visit(s.Then, nil)
-			visit(s.Else, nil)
+			out = append(out, newFlat(s, chain))
+			visit(s.Then)
+			visit(s.Else)
 		case *lang.WhileStmt:
-			out = append(out, newFlat(s, labels))
-			visit(s.Body, nil)
+			out = append(out, newFlat(s, chain))
+			visit(s.Body)
 		case *lang.SwitchStmt:
-			out = append(out, newFlat(s, labels))
+			out = append(out, newFlat(s, chain))
 			for _, c := range s.Cases {
 				for _, t := range c.Body {
-					visit(t, nil)
+					visit(t)
 				}
 			}
 		default:
-			out = append(out, newFlat(s, labels))
+			out = append(out, newFlat(s, chain))
 		}
 	}
 	for _, s := range p.Body {
-		visit(s, nil)
+		visit(s)
 	}
 	return out
 }
@@ -538,47 +549,58 @@ func editScript(old, new *lang.Program) []Edit {
 // ---------------------------------------------------------------------
 // Single-line splice.
 
-// SpliceLine parses text as a single simple statement and splices it
-// into p at the statement occupying the given source line, returning
-// the new program. It is the fast path for one-line edits: only the
-// replacement statement is parsed, and the rest of the tree is shared
-// with p (containers along the path to the target are copied, so p is
-// never mutated).
+// SpliceLine replaces source line line of p with text, the whole new
+// line as an editor sends it, and returns the new program. Only text
+// is parsed (lang.ParseStmt); the rest of the tree is shared with p,
+// and the containers on the path to the line are copied, so p is
+// never mutated.
 //
-// The result is structurally identical to reparsing the whole edited
-// source. SpliceLine returns ok=false — and callers fall back to a
-// full reparse — whenever that equivalence cannot be guaranteed
-// cheaply: p declares procedures (the splice rebuilds only the main
-// body), the text spans lines, is not exactly one unlabeled simple
-// statement (gotos fail their standalone parse because the label is
-// out of scope, which conveniently routes label-sensitive edits to
-// the fallback), the line does not hold exactly one simple statement
-// of p, or anything else shares that line.
+// The line must hold one line statement of p, and text must be one
+// line statement. A line statement is a simple statement (assign,
+// read, write, goto, break, continue, return or empty), optionally
+// labeled, or an else-less if on one line whose then-arm is an
+// unlabeled simple statement ("L3: if (eof()) goto L14;").
 //
-// Column positions inside the spliced statement are those of the
-// standalone parse; nothing downstream of parsing reads columns, so
-// this is unobservable.
+// A splice is accepted only when reparsing the edited source would
+// succeed and give the same program. SpliceLine checks the rules a
+// reparse would apply itself:
+//
+//   - Labels: the labels text writes must be the line's label chain
+//     exactly, so the label set, and with it every other goto, is
+//     unchanged.
+//   - Jump scope: a goto, break or continue in text must pass
+//     lang.CheckJump in the line's loop and switch context, which the
+//     spine walk that copies the containers computes.
+//   - Statement count: a simple statement replaces a simple one and a
+//     one-line if a one-line if, with lang.CountStatements of the
+//     program unchanged (an empty statement counts nothing). Swapping
+//     an if for a simple statement is refused: in a then-arm with an
+//     else on the next line, an else-less if would capture the else.
+//   - Nesting: text nests no deeper at the line than Parse allows.
+//
+// Everything else returns ok=false, and callers fall back to a full
+// reparse: p declares procedures (the splice rebuilds only the main
+// body); text spans lines or is not one line statement (a call
+// statement, a compound statement, two statements, a syntax error);
+// the line holds anything but one line statement of p (a multi-line
+// or compound statement, or a second statement).
+//
+// SpliceLine sees the tree, not the source, so it cannot see tokens
+// on the line that belong to no statement starting there (an else, a
+// case label, a closing brace, a comment left open). Every line of a
+// formatted program is free of them; a caller holding arbitrary
+// source checks the old line too (cmd/sliced parses it with
+// lang.ParseStmt).
 func SpliceLine(p *lang.Program, line int, text string) (*lang.Program, bool) {
 	if len(p.Procs) > 0 || strings.ContainsAny(text, "\n\r") {
 		return nil, false
 	}
-	np, err := lang.Parse(text)
-	if err != nil || len(np.Body) != 1 {
-		return nil, false
-	}
-	repl := np.Body[0]
-	switch repl.(type) {
-	case *lang.AssignStmt, *lang.ReadStmt, *lang.WriteStmt,
-		*lang.BreakStmt, *lang.ContinueStmt, *lang.ReturnStmt, *lang.EmptyStmt:
-	default:
-		return nil, false
-	}
-	target, ok := simpleStmtAtLine(p, line)
+	target, ok := lineStmtAt(p, line)
 	if !ok {
 		return nil, false
 	}
-	setStmtLine(repl, line)
-	body, ok := replaceInList(p.Body, target, repl)
+	sp := &splice{labels: p.Labels, line: line, text: text, target: target}
+	body, ok := sp.list(p.Body, 0, false, false)
 	if !ok {
 		return nil, false
 	}
@@ -592,10 +614,161 @@ func SpliceLine(p *lang.Program, line int, text string) (*lang.Program, bool) {
 	return q, true
 }
 
-// fixLabels re-points label-map entries at wrapper copies made by the
-// splice. It walks old and new in lockstep and descends only where
-// the pointers differ — the copied spine — so its cost is the spine,
-// not the program.
+// lineKind classifies a statement with its labels stripped: whether it
+// is a line statement, whether it is the one-line if form, and what
+// lang.CountStatements counts of it.
+func lineKind(s lang.Stmt) (ok, isIf bool, count int) {
+	switch s := s.(type) {
+	case *lang.EmptyStmt:
+		return true, false, 0
+	case *lang.AssignStmt, *lang.ReadStmt, *lang.WriteStmt, *lang.GotoStmt,
+		*lang.BreakStmt, *lang.ContinueStmt, *lang.ReturnStmt:
+		return true, false, 1
+	case *lang.IfStmt:
+		if s.Else != nil {
+			return false, false, 0
+		}
+		if simple, isIf, n := lineKind(s.Then); simple && !isIf {
+			return true, true, 1 + n
+		}
+	}
+	return false, false, 0
+}
+
+// splice carries one SpliceLine call through the spine walk.
+type splice struct {
+	labels map[string]*lang.LabeledStmt // p's label scope
+	line   int
+	text   string
+	target lang.Stmt // outermost statement on the line: its first label wrapper, if any
+}
+
+// replacement parses the text as the target's replacement, given the
+// target's context: depth enclosing statements, inside a loop and/or a
+// switch. It returns nil when the splice must be refused.
+func (sp *splice) replacement(depth int, inLoop, inSwitch bool) lang.Stmt {
+	repl, err := lang.ParseStmt(sp.text, sp.line, depth)
+	if err != nil {
+		return nil
+	}
+	o, n := sp.target, repl
+	for {
+		ol, oLabeled := o.(*lang.LabeledStmt)
+		nl, nLabeled := n.(*lang.LabeledStmt)
+		if oLabeled != nLabeled || oLabeled && ol.Label != nl.Label {
+			return nil
+		}
+		if !oLabeled {
+			break
+		}
+		o, n = ol.Stmt, nl.Stmt
+	}
+	_, oIf, oCount := lineKind(o)
+	ok, nIf, nCount := lineKind(n)
+	if !ok || nIf != oIf || nCount != oCount {
+		return nil
+	}
+	if s, ok := n.(*lang.IfStmt); ok {
+		n = s.Then // an if changes no jump context
+	}
+	if lang.CheckJump(n, sp.labels, inLoop, inSwitch) != nil {
+		return nil
+	}
+	return repl
+}
+
+// stmt returns s with the target replaced, copying only the containers
+// along the path (the rest of the tree is shared). ok reports that
+// the target was found in s's subtree and its replacement accepted.
+// depth, inLoop and inSwitch are s's context, as lang.CheckJump and
+// lang.ParseStmt take it. The search is pruned like collectLine's:
+// subtrees provably ending before the line, and everything after the
+// first statement past it, are never entered.
+func (sp *splice) stmt(s lang.Stmt, depth int, inLoop, inSwitch bool) (lang.Stmt, bool) {
+	if s == sp.target {
+		repl := sp.replacement(depth, inLoop, inSwitch)
+		return repl, repl != nil
+	}
+	if s == nil || s.Pos().Line > sp.line {
+		return s, false
+	}
+	depth++
+	switch s := s.(type) {
+	case *lang.LabeledStmt:
+		if inner, ok := sp.stmt(s.Stmt, depth, inLoop, inSwitch); ok {
+			c := *s
+			c.Stmt = inner
+			return &c, true
+		}
+	case *lang.BlockStmt:
+		if list, ok := sp.list(s.List, depth, inLoop, inSwitch); ok {
+			c := *s
+			c.List = list
+			return &c, true
+		}
+	case *lang.IfStmt:
+		if s.Else == nil || s.Else.Pos().Line >= sp.line {
+			if then, ok := sp.stmt(s.Then, depth, inLoop, inSwitch); ok {
+				c := *s
+				c.Then = then
+				return &c, true
+			}
+		}
+		if s.Else != nil {
+			if els, ok := sp.stmt(s.Else, depth, inLoop, inSwitch); ok {
+				c := *s
+				c.Else = els
+				return &c, true
+			}
+		}
+	case *lang.WhileStmt:
+		if body, ok := sp.stmt(s.Body, depth, true, false); ok {
+			c := *s
+			c.Body = body
+			return &c, true
+		}
+	case *lang.SwitchStmt:
+		for i, cc := range s.Cases {
+			if i+1 < len(s.Cases) && s.Cases[i+1].Pos().Line < sp.line {
+				continue
+			}
+			if body, ok := sp.list(cc.Body, depth, inLoop, true); ok {
+				c := *s
+				c.Cases = make([]*lang.CaseClause, len(s.Cases))
+				copy(c.Cases, s.Cases)
+				nc := *cc
+				nc.Body = body
+				c.Cases[i] = &nc
+				return &c, true
+			}
+		}
+	}
+	return s, false
+}
+
+// list is stmt over a statement list whose statements have the given
+// context.
+func (sp *splice) list(list []lang.Stmt, depth int, inLoop, inSwitch bool) ([]lang.Stmt, bool) {
+	for i, s := range list {
+		if i+1 < len(list) {
+			if next := list[i+1]; next != nil && next.Pos().Line < sp.line {
+				continue // the target can't be inside s
+			}
+		}
+		if ns, ok := sp.stmt(s, depth, inLoop, inSwitch); ok {
+			out := make([]lang.Stmt, len(list))
+			copy(out, list)
+			out[i] = ns
+			return out, true
+		}
+	}
+	return nil, false
+}
+
+// fixLabels re-points label-map entries at the wrappers the splice
+// copied along the spine or parsed from the text. It walks old and
+// new in lockstep and descends only where the pointers differ — the
+// copied spine — so its cost is the spine, not the program.
 func fixLabels(old, new []lang.Stmt, labels map[string]*lang.LabeledStmt) {
 	for i := range new {
 		fixLabelsStmt(old[i], new[i], labels)
@@ -636,45 +809,58 @@ func fixLabelsStmt(o, n lang.Stmt, labels map[string]*lang.LabeledStmt) {
 	}
 }
 
-// simpleStmtAtLine finds the unique simple statement on the given
-// line. It demands that every statement node positioned on that line
-// is either the target or one of its label wrappers, and that the
-// target's expressions sit on the same line — together these
-// guarantee a textual replacement of the line touches exactly this
-// statement.
-func simpleStmtAtLine(p *lang.Program, line int) (lang.Stmt, bool) {
+// lineStmtAt finds the line statement occupying the given line and
+// returns its outermost node (its first label wrapper, if labeled).
+// It demands that every statement node positioned on the line is that
+// statement, one of its label wrappers or, for a one-line if, its
+// then-arm, and that their expressions sit on the line too; together
+// these guarantee a textual replacement of the line touches exactly
+// this statement.
+func lineStmtAt(p *lang.Program, line int) (lang.Stmt, bool) {
 	var hits []lang.Stmt
 	collectLine(p.Body, line, &hits)
 	if len(hits) == 0 {
 		return nil, false
 	}
-	// Walk order visits wrappers before their inner statement, so a
-	// legal hit list is one label chain ending at the target.
-	for i := 0; i+1 < len(hits); i++ {
+	// Walk order visits wrappers before their inner statement, and an
+	// if before its then-arm.
+	i := 0
+	for ; i+1 < len(hits); i++ {
 		l, ok := hits[i].(*lang.LabeledStmt)
-		if !ok || l.Stmt != hits[i+1] {
+		if !ok {
+			break
+		}
+		if l.Stmt != hits[i+1] {
 			return nil, false
 		}
 	}
-	s := hits[len(hits)-1]
-	switch s := s.(type) {
-	case *lang.AssignStmt:
-		if !exprOnLine(s.Value, line) {
-			return nil, false
-		}
-	case *lang.WriteStmt:
-		if !exprOnLine(s.Value, line) {
-			return nil, false
-		}
-	case *lang.ReturnStmt:
-		if !exprOnLine(s.Value, line) {
-			return nil, false
-		}
-	case *lang.ReadStmt, *lang.GotoStmt, *lang.BreakStmt, *lang.ContinueStmt, *lang.EmptyStmt:
-	default:
+	s, rest := hits[i], hits[i+1:]
+	if ok, _, _ := lineKind(s); !ok {
 		return nil, false
 	}
-	return s, true
+	if is, isIf := s.(*lang.IfStmt); isIf {
+		if len(rest) != 1 || rest[0] != is.Then || !exprOnLine(is.Cond, line) {
+			return nil, false
+		}
+		s, rest = is.Then, nil
+	}
+	if len(rest) != 0 || !exprOnLine(stmtExpr(s), line) {
+		return nil, false
+	}
+	return hits[0], true
+}
+
+// stmtExpr returns the expression of a simple statement, or nil.
+func stmtExpr(s lang.Stmt) lang.Expr {
+	switch s := s.(type) {
+	case *lang.AssignStmt:
+		return s.Value
+	case *lang.WriteStmt:
+		return s.Value
+	case *lang.ReturnStmt:
+		return s.Value
+	}
+	return nil
 }
 
 func exprOnLine(e lang.Expr, line int) bool {
@@ -697,54 +883,6 @@ func exprOnLine(e lang.Expr, line int) bool {
 		return e.P.Line == line && exprOnLine(e.X, line) && exprOnLine(e.Y, line)
 	default:
 		return e.Pos().Line == line
-	}
-}
-
-// setStmtLine repositions a freshly parsed simple statement (and its
-// expressions) onto the target line.
-func setStmtLine(s lang.Stmt, line int) {
-	switch s := s.(type) {
-	case *lang.AssignStmt:
-		s.P.Line = line
-		setExprLine(s.Value, line)
-	case *lang.ReadStmt:
-		s.P.Line = line
-	case *lang.WriteStmt:
-		s.P.Line = line
-		setExprLine(s.Value, line)
-	case *lang.ReturnStmt:
-		s.P.Line = line
-		setExprLine(s.Value, line)
-	case *lang.BreakStmt:
-		s.P.Line = line
-	case *lang.ContinueStmt:
-		s.P.Line = line
-	case *lang.EmptyStmt:
-		s.P.Line = line
-	case *lang.GotoStmt:
-		s.P.Line = line
-	}
-}
-
-func setExprLine(e lang.Expr, line int) {
-	switch e := e.(type) {
-	case nil:
-	case *lang.IntLit:
-		e.P.Line = line
-	case *lang.Ident:
-		e.P.Line = line
-	case *lang.CallExpr:
-		e.P.Line = line
-		for _, a := range e.Args {
-			setExprLine(a, line)
-		}
-	case *lang.UnaryExpr:
-		e.P.Line = line
-		setExprLine(e.X, line)
-	case *lang.BinaryExpr:
-		e.P.Line = line
-		setExprLine(e.X, line)
-		setExprLine(e.Y, line)
 	}
 }
 
@@ -810,89 +948,6 @@ func collectLineStmt(s lang.Stmt, line int, hits *[]lang.Stmt) bool {
 		return collectLineStmt(s.Stmt, line, hits)
 	}
 	return true
-}
-
-// replaceStmt returns s with target replaced by repl, copying only
-// the containers along the path (the rest of the tree is shared).
-// ok reports whether target was found in s's subtree. The search is
-// pruned like collectLine's: target sits on repl's line, so subtrees
-// provably ending before that line — and everything after the first
-// statement past it — are never entered.
-func replaceStmt(s, target, repl lang.Stmt) (lang.Stmt, bool) {
-	if s == target {
-		return repl, true
-	}
-	if s == nil || s.Pos().Line > repl.Pos().Line {
-		return s, false
-	}
-	switch s := s.(type) {
-	case *lang.LabeledStmt:
-		if inner, ok := replaceStmt(s.Stmt, target, repl); ok {
-			c := *s
-			c.Stmt = inner
-			return &c, true
-		}
-	case *lang.BlockStmt:
-		if list, ok := replaceInList(s.List, target, repl); ok {
-			c := *s
-			c.List = list
-			return &c, true
-		}
-	case *lang.IfStmt:
-		if s.Else == nil || s.Else.Pos().Line >= repl.Pos().Line {
-			if then, ok := replaceStmt(s.Then, target, repl); ok {
-				c := *s
-				c.Then = then
-				return &c, true
-			}
-		}
-		if s.Else != nil {
-			if els, ok := replaceStmt(s.Else, target, repl); ok {
-				c := *s
-				c.Else = els
-				return &c, true
-			}
-		}
-	case *lang.WhileStmt:
-		if body, ok := replaceStmt(s.Body, target, repl); ok {
-			c := *s
-			c.Body = body
-			return &c, true
-		}
-	case *lang.SwitchStmt:
-		for i, cc := range s.Cases {
-			if i+1 < len(s.Cases) && s.Cases[i+1].Pos().Line < repl.Pos().Line {
-				continue
-			}
-			if body, ok := replaceInList(cc.Body, target, repl); ok {
-				c := *s
-				c.Cases = make([]*lang.CaseClause, len(s.Cases))
-				copy(c.Cases, s.Cases)
-				nc := *cc
-				nc.Body = body
-				c.Cases[i] = &nc
-				return &c, true
-			}
-		}
-	}
-	return s, false
-}
-
-func replaceInList(list []lang.Stmt, target, repl lang.Stmt) ([]lang.Stmt, bool) {
-	for i, s := range list {
-		if i+1 < len(list) {
-			if next := list[i+1]; next != nil && next.Pos().Line < repl.Pos().Line {
-				continue // target can't be inside s
-			}
-		}
-		if ns, ok := replaceStmt(s, target, repl); ok {
-			out := make([]lang.Stmt, len(list))
-			copy(out, list)
-			out[i] = ns
-			return out, true
-		}
-	}
-	return nil, false
 }
 
 // ---------------------------------------------------------------------

@@ -136,14 +136,15 @@ func TestSpliceLineEquivalence(t *testing.T) {
 		{8, "L8: positives = positives - 1;"}, // labeled target line, label kept
 		{14, "L14: write(sum + 1);"},
 		{15, "return;"},
+		{7, "goto L14;"},                 // goto retarget
+		{13, "  goto L8;"},               // indented
+		{5, "if (x > 1) goto L12;"},      // one-line if retarget
+		{3, "L3: if (eof()) goto L3;"},   // labeled one-line if
+		{9, "if (x % 2 != 0) write(x);"}, // one-line if over an assignment arm
 	} {
-		text := tc.text
-		if i := strings.Index(text, ": "); i >= 0 {
-			text = text[i+2:] // splice takes the statement without its label
-		}
-		q, ok := SpliceLine(p, tc.line, text)
+		q, ok := SpliceLine(p, tc.line, tc.text)
 		if !ok {
-			t.Fatalf("SpliceLine(%d, %q) refused", tc.line, text)
+			t.Fatalf("SpliceLine(%d, %q) refused", tc.line, tc.text)
 		}
 		want := parse(t, editLine(t, base, tc.line, tc.text))
 		if sc := Diff(want, q); !sc.Identical {
@@ -163,24 +164,107 @@ func TestSpliceLineEquivalence(t *testing.T) {
 }
 
 func TestSpliceLineRefusals(t *testing.T) {
-	p := parse(t, base)
+	const loops = `L1: while (x > 0) {
+  switch (x) {
+  case 1:
+    x = x - 1;
+    break;
+  default:
+    if (x > 5) continue;
+    x = 0;
+  }
+}
+if (y)
+  y = 1;
+else
+  y = 2;
+if (x)
+  x = 2;
+if (x > 0) x = y +
+  1;
+switch (y) {
+case 1:
+  y = 0;
+  break;
+}
+`
 	for _, tc := range []struct {
 		name string
+		src  string
 		line int
 		text string
 	}{
-		{"multiline", 6, "x = 1;\ny = 2;"},
-		{"two statements", 6, "x = 1; y = 2;"},
-		{"compound", 6, "if (x) y = 1;"},
-		{"goto out of scope", 6, "goto L3;"},
-		{"labeled", 6, "L77: x = 1;"},
-		{"parse error", 6, "x = ;"},
-		{"no such line", 99, "x = 1;"},
-		{"compound target", 5, "x = 1;"},
+		{"multiline", base, 6, "x = 1;\ny = 2;"},
+		{"two statements", base, 6, "x = 1; y = 2;"},
+		{"if over assignment", base, 6, "if (x) y = 1;"},
+		{"assignment over if", base, 5, "x = 1;"},
+		{"goto out of scope", base, 6, "goto L99;"},
+		{"labeled", base, 6, "L77: x = 1;"},
+		{"labels dropped", base, 8, "positives = positives + 2;"},
+		{"label renamed", base, 8, "L9: positives = positives + 2;"},
+		{"label added to a labeled line", base, 8, "L7: L8: positives = 1;"},
+		{"empty over assignment", base, 6, ";"},
+		{"empty then-arm", base, 5, "if (x > 0) ;"},
+		{"else added", base, 5, "if (x > 0) goto L8; else goto L3;"},
+		{"then-arm labeled", base, 5, "if (x > 0) L20: goto L8;"},
+		{"call statement", base, 6, "call f(x);"},
+		{"comment left open", base, 6, "x = 1; /* until later"},
+		{"parse error", base, 6, "x = ;"},
+		{"no such line", base, 99, "x = 1;"},
+		{"multi-line target", loops, 1, "L1: x = 1;"},
+		{"compound target", loops, 2, "x = 1;"},
+		{"continue outside loop", loops, 14, "  continue;"},
+		{"break outside loop or switch", loops, 12, "  break;"},
+		{"then-arm on its own line", loops, 15, "if (x) x = 3;"},
+		{"then-arm expression spans lines", loops, 17, "if (x > 0) x = 1;"},
+		{"if over a then-arm with an else", loops, 12, "  if (y) ;"},
 	} {
+		p := parse(t, tc.src)
 		if _, ok := SpliceLine(p, tc.line, tc.text); ok {
 			t.Errorf("%s: SpliceLine accepted", tc.name)
 		}
+	}
+	// The loop/switch context is the target's own: the same jumps are
+	// accepted where a reparse accepts them.
+	p := parse(t, loops)
+	for _, tc := range []struct {
+		line int
+		text string
+	}{
+		{4, "    continue;"},
+		{5, "    continue;"},
+		{7, "    if (x > 5) break;"},
+		{8, "    goto L1;"},
+		{21, "  break;"},
+	} {
+		q, ok := SpliceLine(p, tc.line, tc.text)
+		if !ok {
+			t.Errorf("line %d %q: SpliceLine refused", tc.line, tc.text)
+			continue
+		}
+		want := parse(t, editLine(t, loops, tc.line, tc.text))
+		if sc := Diff(want, q); !sc.Identical {
+			t.Errorf("line %d: splice differs from reparse: %s", tc.line, sc.Mismatch)
+		}
+	}
+}
+
+// TestSpliceLineNestingBound: a text nested deep enough to pass alone
+// but not at its line's depth is refused, as Parse refuses the edited
+// source.
+func TestSpliceLineNestingBound(t *testing.T) {
+	const depth = 990
+	src := strings.Repeat("{\n", depth) + "x = 1;\n" + strings.Repeat("}\n", depth)
+	p := parse(t, src)
+	deep := "x = " + strings.Repeat("(", 20) + "1" + strings.Repeat(")", 20) + ";"
+	if _, err := lang.Parse(editLine(t, src, depth+1, deep)); err == nil {
+		t.Fatal("the deep edit parses; the test needs a deeper program")
+	}
+	if _, ok := SpliceLine(p, depth+1, deep); ok {
+		t.Fatal("SpliceLine accepted an edit Parse rejects as too deep")
+	}
+	if _, ok := SpliceLine(p, depth+1, "x = (1);"); !ok {
+		t.Fatal("SpliceLine refused a shallow edit of a deep line")
 	}
 }
 

@@ -122,6 +122,11 @@ func (lx *Lexer) Next() Token {
 	c := lx.peek()
 	switch {
 	case c == 0:
+		if lx.off < len(lx.src) {
+			// A NUL byte is not the end of the input: ending there
+			// would drop the rest of the program without an error.
+			lx.errorf(pos, "unexpected NUL byte")
+		}
 		return Token{Kind: EOF, Pos: pos}
 	case isDigit(c):
 		start := lx.off

@@ -103,6 +103,8 @@ func TestTokenizeErrors(t *testing.T) {
 		{"x = a & b;", "did you mean '&&'"},
 		{"x = a | b;", "did you mean '||'"},
 		{"/* unterminated", "unterminated block comment"},
+		{"x = 1;\x00y = 2;", "unexpected NUL byte"},
+		{"x = 1; // \x00", "unexpected NUL byte"},
 	}
 	for _, c := range cases {
 		_, err := Tokenize(c.src)
@@ -113,6 +115,14 @@ func TestTokenizeErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Tokenize(%q): error %q, want substring %q", c.src, err, c.wantSub)
 		}
+	}
+}
+
+// TestParseRejectsNUL: a NUL byte once ended the input silently, so
+// Parse accepted the program before it and dropped the rest.
+func TestParseRejectsNUL(t *testing.T) {
+	if _, err := Parse("x = 1;\x00y = ;"); err == nil {
+		t.Fatal("Parse accepted a program cut short by a NUL byte")
 	}
 }
 

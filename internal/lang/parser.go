@@ -77,6 +77,29 @@ func Parse(src string) (*Program, error) {
 	return p.prog, nil
 }
 
+// ParseStmt parses src as exactly one statement, positioned as if src
+// were source line line of a program, with the parser already depth
+// statements deep. It applies no program-level check: labels are
+// neither recorded nor resolved, and jumps are not scope-checked
+// (CheckJump does that against the program the statement joins).
+// Anything before or after the one statement is an error.
+func ParseStmt(src string, line, depth int) (Stmt, error) {
+	p := &Parser{lx: &Lexer{src: src, line: line, col: 1}, depth: depth}
+	s := p.parseStmt()
+	if t := p.peek(); p.err == nil && t.Kind != EOF {
+		p.errorf(t.Pos, "expected end of statement, found %s", t)
+	}
+	if p.err == nil {
+		if lerr := p.lx.Err(); lerr != nil {
+			return nil, lerr
+		}
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return s, nil
+}
+
 // MustParse is Parse but panics on error. It is intended for the
 // built-in corpus and tests, where the source is known-good.
 func MustParse(src string) *Program {
@@ -243,6 +266,9 @@ func (p *Parser) parseLabeled() Stmt {
 	p.expect(Colon)
 	inner := p.parseStmt()
 	l := &LabeledStmt{P: name.Pos, Label: name.Text, Stmt: inner}
+	if p.labels == nil {
+		return l // ParseStmt: no label scope
+	}
 	if _, dup := p.labels[name.Text]; dup {
 		p.errorf(name.Pos, "duplicate label %q", name.Text)
 	} else {
@@ -551,20 +577,10 @@ func (p *Parser) validate() error {
 				}
 			}
 		}
+		if jerr := CheckJump(s, labels, inLoop, inSwitch); jerr != nil && err == nil {
+			err = jerr
+		}
 		switch s := s.(type) {
-		case nil:
-		case *GotoStmt:
-			if _, ok := labels[s.Label]; !ok {
-				report(s.P, "goto to undefined label %q", s.Label)
-			}
-		case *BreakStmt:
-			if !inLoop && !inSwitch {
-				report(s.P, "break outside loop or switch")
-			}
-		case *ContinueStmt:
-			if !inLoop {
-				report(s.P, "continue outside loop")
-			}
 		case *ReadStmt:
 			if inProc {
 				report(s.P, "read is not allowed in a procedure body (input is read by main)")
@@ -645,6 +661,30 @@ func (p *Parser) validate() error {
 		}
 	})
 	return err
+}
+
+// CheckJump applies the jump-scope rule to s, a statement of the scope
+// whose labels are given, inside a loop if inLoop and inside a switch
+// if inSwitch: a goto's label must exist, break must be inside a loop
+// or a switch, and continue inside a loop. It returns nil for every
+// other statement. Parse checks every statement with it, and
+// incremental.SpliceLine the statement it splices.
+func CheckJump(s Stmt, labels map[string]*LabeledStmt, inLoop, inSwitch bool) error {
+	switch s := s.(type) {
+	case *GotoStmt:
+		if _, ok := labels[s.Label]; !ok {
+			return &SyntaxError{Pos: s.P, Msg: fmt.Sprintf("goto to undefined label %q", s.Label)}
+		}
+	case *BreakStmt:
+		if !inLoop && !inSwitch {
+			return &SyntaxError{Pos: s.P, Msg: "break outside loop or switch"}
+		}
+	case *ContinueStmt:
+		if !inLoop {
+			return &SyntaxError{Pos: s.P, Msg: "continue outside loop"}
+		}
+	}
+	return nil
 }
 
 // stmtIntrinsics returns the intrinsic functions called directly by

@@ -278,3 +278,61 @@ func TestStatementLinesMatchSource(t *testing.T) {
 		}
 	}
 }
+
+func TestParseStmt(t *testing.T) {
+	s, err := ParseStmt("  L2: L1: if (x > 0) goto L9;  // note", 7, 0)
+	if err != nil {
+		t.Fatalf("ParseStmt: %v", err)
+	}
+	l, ok := s.(*LabeledStmt)
+	if !ok || l.Label != "L2" || l.P != (Pos{Line: 7, Col: 3}) {
+		t.Fatalf("outer statement %#v, want L2 wrapper at 7:3", s)
+	}
+	is, ok := Unlabel(s).(*IfStmt)
+	if !ok || is.Then.(*GotoStmt).Label != "L9" || is.Cond.Pos().Line != 7 {
+		t.Fatalf("inner statement %#v, want the conditional goto on line 7", Unlabel(s))
+	}
+	for _, src := range []string{
+		"x = 1; y = 2;", // two statements
+		"",              // none
+		"else x = 1;",   // a token of another statement
+		"x = 1; }",      // likewise
+		"x = 1; /* left open",
+		"x = ;",
+	} {
+		if _, err := ParseStmt(src, 1, 0); err == nil {
+			t.Errorf("ParseStmt(%q) accepted", src)
+		}
+	}
+	// No program-level check: the goto's label and the break's loop
+	// are the caller's to check (CheckJump).
+	if _, err := ParseStmt("L: L: break;", 1, 0); err != nil {
+		t.Errorf("ParseStmt applied a program-level check: %v", err)
+	}
+	// depth counts against the nesting bound as in Parse.
+	if _, err := ParseStmt("x = (1);", 1, maxNestingDepth-2); err == nil {
+		t.Error("ParseStmt ignored the depth it starts at")
+	}
+}
+
+func TestCheckJump(t *testing.T) {
+	labels := map[string]*LabeledStmt{"L": {Label: "L"}}
+	for _, tc := range []struct {
+		s                Stmt
+		inLoop, inSwitch bool
+		ok               bool
+	}{
+		{&GotoStmt{Label: "L"}, false, false, true},
+		{&GotoStmt{Label: "M"}, true, true, false},
+		{&BreakStmt{}, false, false, false},
+		{&BreakStmt{}, true, false, true},
+		{&BreakStmt{}, false, true, true},
+		{&ContinueStmt{}, false, true, false},
+		{&ContinueStmt{}, true, false, true},
+		{&AssignStmt{Name: "x", Value: &IntLit{}}, false, false, true},
+	} {
+		if err := CheckJump(tc.s, labels, tc.inLoop, tc.inSwitch); (err == nil) != tc.ok {
+			t.Errorf("CheckJump(%T, loop %v, switch %v) = %v, want ok %v", tc.s, tc.inLoop, tc.inSwitch, err, tc.ok)
+		}
+	}
+}
