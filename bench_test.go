@@ -532,13 +532,15 @@ func BenchmarkExtensions(b *testing.B) {
 }
 
 // BenchmarkIncrementalEdit measures the editor loop on the 400-stmt
-// structured corpus program: a one-line expression edit re-sliced via
-// the incremental engine (SpliceLine into the previous AST, then
-// ReanalyzeProgram reusing every shape-pure phase) against a cold
-// parse-and-analyze of the edited text. The acceptance target —
-// gated in benchgate — is incremental < 5% of cold; the edit is
-// asserted to land in the "patched" tier and to produce a slice
-// byte-identical to the cold run before timing.
+// structured corpus program, timing what the sliced daemon does for a
+// patched-tier PATCH: SpliceLine the one-line edit into the previous
+// AST, ReanalyzeProgram reusing every shape-pure phase, then slice the
+// criterion with Agrawal (the daemon slices through baselines.Slice,
+// the per-call engine). The cold side parses and analyzes the edited
+// text and slices the same criterion. The acceptance target — gated
+// in benchgate — is incremental < 5% of cold; the edit is asserted to
+// land in the "patched" tier and to produce the cold run's slice
+// before timing.
 func BenchmarkIncrementalEdit(b *testing.B) {
 	p := progen.Structured(progen.Config{Seed: 7, Stmts: 400})
 	src := lang.Format(p, lang.PrintOptions{})
@@ -551,18 +553,9 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// The session holds a warmed analysis: its batch condensation is
-	// built once and patched across edits, exactly what the sliced
-	// daemon's PATCH handler does.
-	if _, err := prev.SliceAll([]core.Criterion{c}); err != nil {
-		b.Fatal(err)
-	}
-
-	// Pick a line SpliceLine accepts whose edit stays in the patched
-	// tier with a patchable condensation: an unlabeled assignment,
-	// rewritten with the same target variable so no definition moves,
-	// and whose dependence SCC is a singleton so the memoized closures
-	// survive.
+	// Pick the last line SpliceLine accepts whose edit stays in the
+	// patched tier: an assignment rewritten with the same target
+	// variable, so no definition moves.
 	line, text := 0, ""
 	texts := lang.LineTexts(p) // the edit keeps the line's labels
 	for _, s := range lang.Statements(p) {
@@ -576,20 +569,16 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 		if !ok {
 			continue
 		}
-		inc, stats, err := core.ReanalyzeProgram(ctx, prev, p2, nil, nil)
+		_, stats, err := core.ReanalyzeProgram(ctx, prev, p2, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.Outcome == "patched" && stats.CondensationPatched {
-			// Keep the last (latest) candidate: closures of components
-			// below the edit survive the patch, so a late edit shares
-			// most of the warmed work — the common editor case.
+		if stats.Outcome == "patched" {
 			line, text = as.Pos().Line, cand
-			_ = inc
 		}
 	}
 	if line == 0 {
-		b.Fatal("no condensation-patchable assignment found in the corpus program")
+		b.Fatal("no patched-tier assignment edit found in the corpus program")
 	}
 	lines := strings.Split(src, "\n")
 	lines[line-1] = text
@@ -604,7 +593,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 	}
 
 	// Correctness gate before timing: the incremental re-analysis must
-	// be patched-tier and slice byte-identically to the cold rebuild.
+	// be patched-tier and slice to the cold rebuild's node set.
 	p2, ok := incremental.SpliceLine(prev.Prog, line, text)
 	if !ok {
 		b.Fatal("SpliceLine refused the benchmark edit")
@@ -613,11 +602,10 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if stats.Outcome != "patched" || !stats.CondensationPatched {
-		b.Fatalf("benchmark edit landed in tier %q (fallback %q, condensation %v), want patched",
-			stats.Outcome, stats.Fallback, stats.CondensationPatched)
+	if stats.Outcome != "patched" {
+		b.Fatalf("benchmark edit landed in tier %q (fallback %q), want patched", stats.Outcome, stats.Fallback)
 	}
-	iss, err := inc.SliceAll([]core.Criterion{c})
+	is, err := inc.Agrawal(c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -629,7 +617,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !iss[0].Nodes.Equal(cs.Nodes) {
+	if !is.Nodes.Equal(cs.Nodes) {
 		b.Fatal("incremental and cold slices differ")
 	}
 
@@ -654,7 +642,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := a.SliceAll([]core.Criterion{c}); err != nil {
+			if _, err := a.Agrawal(c); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -615,9 +615,9 @@ func incrEdits(p *lang.Program) []edit {
 // through the incremental re-analysis engine and report how edits
 // distribute over the reuse tiers, plus the wall-clock ratio of the
 // incremental path against a cold re-analysis of the same edited
-// program. The base analysis is warmed with one SliceAll — the state
-// a sliced session holds — so condensation patching is exercised;
-// that warm, private analysis is why E7 keeps its own corpus loop.
+// program. Each seed's donor is a plain analysis, as a sliced
+// session's is (no served path builds the batch condensation); that
+// private donor is why E7 keeps its own corpus loop.
 func incrTable(o options) ([]IncrRow, error) {
 	type totals struct {
 		edits, patched, partial, full int
@@ -630,13 +630,6 @@ func incrTable(o options) ([]IncrRow, error) {
 			prev, err := core.AnalyzeObservedContext(o.ctx, p, o.rec, nil)
 			if err != nil {
 				return totals{}, fmt.Errorf("seed %d: %w", seed, err)
-			}
-			wcs := progen.WriteCriteria(p)
-			if len(wcs) > 0 {
-				c := core.Criterion{Var: wcs[len(wcs)-1].Var, Line: wcs[len(wcs)-1].Line}
-				if _, err := prev.SliceAll([]core.Criterion{c}); err != nil {
-					return totals{}, fmt.Errorf("seed %d: warm slice: %w", seed, err)
-				}
 			}
 			var t totals
 			for _, e := range incrEdits(p) {

@@ -396,7 +396,6 @@ func appendIncrStats(e *jsonEnc, st *core.IncrStats) {
 	e.stringField("outcome", st.Outcome)
 	e.intField("phases_reused", int64(st.PhasesReused))
 	e.intField("phases_recomputed", int64(st.PhasesRecomputed))
-	e.boolField("condensation_patched", st.CondensationPatched)
 	if st.Fallback != "" {
 		e.stringField("fallback", st.Fallback)
 	}

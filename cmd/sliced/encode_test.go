@@ -216,11 +216,10 @@ func randIncrStats(rng *rand.Rand) *core.IncrStats {
 		return nil
 	}
 	st := &core.IncrStats{
-		Outcome:             randString(rng),
-		PhasesReused:        randInt(rng),
-		PhasesRecomputed:    randInt(rng),
-		CondensationPatched: rng.Intn(2) == 0,
-		Fallback:            randString(rng),
+		Outcome:          randString(rng),
+		PhasesReused:     randInt(rng),
+		PhasesRecomputed: randInt(rng),
+		Fallback:         randString(rng),
 	}
 	switch rng.Intn(3) {
 	case 1:

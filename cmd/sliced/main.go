@@ -68,11 +68,11 @@
 //	                    miss — peers fall back to computing.
 //	GET  /healthz       liveness probe; reports the build revision.
 //
-// The access log emits one line per request on stderr (-log-format
-// text or json; the JSON form is the same wide event /debug/requests
-// serves). -slo sets objectives (e.g. p99=50ms,err=1%), and -pprof
-// exposes net/http/pprof under /debug/pprof/. Runtime vitals (the
-// jumpslice_runtime_* series) are read on each /metrics scrape.
+// The access log emits one line per request on stderr: the request's
+// wide event as JSON, the same one /debug/requests serves. -slo sets
+// objectives (e.g. p99=50ms,err=1%), and -pprof exposes net/http/pprof
+// under /debug/pprof/. Runtime vitals (the jumpslice_runtime_* series)
+// are read on each /metrics scrape.
 //
 // # Durability
 //
@@ -210,7 +210,6 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.IntVar(&cfg.MaxStmts, "max-stmts", cfg.MaxStmts, "parsed statement count limit per program")
 	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /slice requests before shedding load")
 	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "analysis cache budget in bytes")
-	fs.StringVar(&cfg.LogFormat, "log-format", cfg.LogFormat, "access log format: text or json (one wide event per line)")
 	fs.Func("slo", "SLO `objectives`, e.g. p99=50ms,err=1% (enables burn rates)", func(v string) (err error) {
 		cfg.Objectives, err = obs.ParseObjectives(v)
 		return err
@@ -235,8 +234,7 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 }
 
 // parseFlags parses the command line over defaultConfig. A limit that
-// admits nothing and an unknown log format are errors, not silently
-// replaced by their defaults.
+// admits nothing is an error, not silently replaced by its default.
 func parseFlags(args []string) (config, error) {
 	cfg := defaultConfig()
 	if err := newFlagSet(&cfg).Parse(args); err != nil {
@@ -249,8 +247,6 @@ func parseFlags(args []string) (config, error) {
 		return cfg, fmt.Errorf("-max-stmts: %d admits no program", cfg.MaxStmts)
 	case cfg.MaxInflight <= 0:
 		return cfg, fmt.Errorf("-max-inflight: %d admits no request", cfg.MaxInflight)
-	case cfg.LogFormat != "text" && cfg.LogFormat != "json":
-		return cfg, fmt.Errorf("-log-format: unknown format %q (want text or json)", cfg.LogFormat)
 	}
 	if len(cfg.PeerList) > 0 && cfg.Self == "" {
 		cfg.Self = cfg.Addr
@@ -275,10 +271,6 @@ type config struct {
 	MaxStmts    int           // parsed statement-count limit
 	MaxInflight int           // /slice admission slots before shedding
 	CacheBytes  int64         // analysis cache budget; <=0 means the default
-	// LogFormat selects the access log encoding: "text" (one
-	// key=value line per request) or "json" (the request's wide event
-	// as one JSON object per line). Both carry the same fields.
-	LogFormat string
 	// Objectives are the parsed -slo targets.
 	Objectives obs.SLOObjectives
 	// Pprof serves net/http/pprof under /debug/pprof/ when set.
@@ -317,7 +309,6 @@ func defaultConfig() config {
 		MaxStmts:      20000,
 		MaxInflight:   2 * runtime.GOMAXPROCS(0),
 		CacheBytes:    slicecache.DefaultMaxBytes,
-		LogFormat:     "text",
 		ProbeInterval: time.Second,
 		DiskBytes:     disk.DefaultMaxBytes,
 		ResultBytes:   32 << 20,
@@ -734,7 +725,8 @@ func (s *server) failErr(w http.ResponseWriter, r *http.Request, stage string, e
 // the LST-driven Figure 7 variant, and the conventional slicer).
 var knownAlgos = []string{"agrawal", "agrawal-lst", "structured", "conservative", "conventional", "sdg"}
 
-// parseSliceRequest decodes either request form, enforcing the body
+// parseSliceRequest decodes either request form (a JSON body is
+// recognised as jsonBody says, as on /session), enforcing the body
 // byte limit; query parameters override the JSON body's criterion.
 // Every error is a client fault with its own status: oversized body
 // 413, undecodable body or missing criterion 400, unknown algorithm
@@ -745,7 +737,7 @@ func (s *server) parseSliceRequest(w http.ResponseWriter, r *http.Request) (*sli
 		return nil, err
 	}
 	req := &sliceRequest{}
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
+	if jsonBody(r, body) {
 		if err := json.Unmarshal(body, req); err != nil {
 			return nil, httpErrorf(http.StatusBadRequest, "bad_request", "decoding JSON body: %v", err)
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,6 +102,22 @@ func TestSliceFig5RawBody(t *testing.T) {
 	}
 	if sr.Text == "" || !strings.Contains(sr.Text, "continue") {
 		t.Errorf("materialized text should contain the kept continue:\n%s", sr.Text)
+	}
+}
+
+// TestJSONBodyByContent sends one JSON body under each content type
+// clients use: /slice recognises it by content, as /session does,
+// since curl -d labels JSON as a form.
+func TestJSONBodyByContent(t *testing.T) {
+	_, ts := newTestServer(t)
+	const body = `{"source":"read(x);\nwrite(x);\n","var":"x","line":2}`
+	for _, ct := range []string{"application/json", "application/x-www-form-urlencoded", ""} {
+		var sr wireSlice
+		decodeInto(t, do(t, http.MethodPost, ts.URL+"/slice", ct, body), http.StatusOK, &sr)
+		if !slices.Equal(sr.Lines, []int{1, 2}) {
+			t.Errorf("POST /slice as %q: lines %v, want [1 2]", ct, sr.Lines)
+		}
+		decodeInto(t, do(t, http.MethodPost, ts.URL+"/session", ct, body), http.StatusCreated, &sessionResponse{})
 	}
 }
 
@@ -400,7 +417,7 @@ func TestSliceSDGRejectsProcsOnIntraproceduralAlgos(t *testing.T) {
 	}
 }
 
-// TestParseFlags pins the command line: exactly the 16 flags, each
+// TestParseFlags pins the command line: exactly the 15 flags, each
 // default written once (in defaultConfig), the flags CI passes
 // accepted, and limits that admit nothing refused instead of silently
 // replaced.
@@ -409,7 +426,7 @@ func TestParseFlags(t *testing.T) {
 	cfg := defaultConfig()
 	newFlagSet(&cfg).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	sort.Strings(names)
-	want := []string{"addr", "cache-bytes", "disk-bytes", "disk-dir", "log-format",
+	want := []string{"addr", "cache-bytes", "disk-bytes", "disk-dir",
 		"max-body", "max-inflight", "max-stmts", "peers", "postmortem-dir", "pprof",
 		"probe-interval", "result-bytes", "self", "slo", "timeout"}
 	if !reflect.DeepEqual(names, want) {
@@ -426,11 +443,11 @@ func TestParseFlags(t *testing.T) {
 
 	// The command lines of CI's sliced-smoke and cluster-smoke jobs.
 	got, err = parseFlags([]string{"-addr", "127.0.0.1:8321", "-slo", "p99=50ms,err=1%",
-		"-log-format", "json", "-postmortem-dir", "/tmp/pm"})
+		"-postmortem-dir", "/tmp/pm"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Objectives.Latency != 50*time.Millisecond || got.LogFormat != "json" || got.PostmortemDir != "/tmp/pm" {
+	if got.Objectives.Latency != 50*time.Millisecond || got.PostmortemDir != "/tmp/pm" {
 		t.Errorf("sliced-smoke flags parsed as %+v", got)
 	}
 	got, err = parseFlags([]string{"-addr", "127.0.0.1:8331", "-peers", "127.0.0.1:8331, 127.0.0.1:8332",
@@ -447,7 +464,7 @@ func TestParseFlags(t *testing.T) {
 		{"-max-inflight", "0"},
 		{"-max-body", "-1"},
 		{"-max-stmts", "0"},
-		{"-log-format", "xml"},
+		{"-log-format", "json"}, // retired: JSON is the only access log
 		{"-slo", "p99"},
 		{"-flight", "64"},
 	} {

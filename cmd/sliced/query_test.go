@@ -14,14 +14,13 @@ import (
 )
 
 // TestOneFilterThreeSurfaces serves a mixed set of requests to a
-// daemon with the JSON access log and a post-mortem directory, writes
-// a bundle, and requires every filter to select the same request IDs
-// from /debug/requests, the access log (read as slicequery -log reads
-// it, past the panic's stack trace), and the bundle's requests.jsonl.
+// daemon with a post-mortem directory, writes a bundle, and requires
+// every filter to select the same request IDs from /debug/requests,
+// the access log (read as slicequery -log reads it, past the panic's
+// stack trace), and the bundle's requests.jsonl.
 func TestOneFilterThreeSurfaces(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxInflight = 1
-	cfg.LogFormat = "json"
 	cfg.PostmortemDir = t.TempDir()
 	var logbuf syncBuffer
 	s := newServer(cfg, &logbuf)

@@ -48,8 +48,8 @@ var responseDigests = map[string]string{
 	"paper-Figure-3-a":    "6ae9f0387c315fb2ea6704e522fba99af9c570b17d984a63d892e2789baa0047",
 	"paper-Figure-5-a":    "77acea91dc595a9101780df68d5d7af5e93eddef286273fdb6c0e88e1c7674ee",
 	"paper-Figure-8-a":    "39fa5f78f5152524b652f56c9398eee8dbe30e9b2aa40725d27c605cb1c8d1b5",
-	"session":             "e8f8d9229e4f13eb0183c3c27e79e5b9ca634b8566160ff73245bf1b5233f95b",
-	"session-sdg-explain": "b6012fcf755f71699c0fcecc2c3de7b09974de3c38b6c4e183d6d9e40cabe8e3",
+	"session":             "2e5fceb9dda6cc5d38c43e67ae567378effebf7bfb7c38ff9c47a536e3cd29ce",
+	"session-sdg-explain": "9490ab9b12ce1d0e057782ccf8ab05eb9a3487268d55918bc010bc365e9df2d7",
 	"structured-120-1":    "2d2260acead30643bc15e879bd3a5004ae2c7235e296c398e487ecb0b4b59df1",
 	"structured-120-2":    "168c860662e00909e2957565c8e47cbb871cb2a26e7aa24183c9eae8cbb0ed3e",
 	"structured-120-3":    "9f3a71ee7ff91860cad7085d0f52bbb8c1fdd1ea412f273b1fa577c39b64d7de",

@@ -472,3 +472,43 @@ write(y);
 		}
 	}
 }
+
+// TestServedPathsBuildNoCondensation pins that no served path builds
+// the batch condensation (SliceAll's engine): /slice under every
+// algorithm, with and without explain, and a session through each
+// reuse tier plus an sdg PATCH all slice through the per-call engine,
+// so none records a phase.analyze.condense span or a closure lookup.
+func TestServedPathsBuildNoCondensation(t *testing.T) {
+	s, ts := newTestServer(t)
+	src := fig5(t)
+	for _, algo := range knownAlgos {
+		for _, explain := range []string{"0", "1"} {
+			postSlice(t, ts, "var=positives&line=14&algo="+algo+"&explain="+explain, src)
+		}
+	}
+	const sessionSrc = "read(a);\nread(b);\nif (a < b && b > 0) {\n  c = a + 1;\n}\nd = b + 1;\nx = c;\ny = x;\nwrite(y);\n"
+	id := openSession(t, ts, sessionSrc)
+	for _, step := range []struct {
+		query, contentType, body, tier string
+	}{
+		{"var=y&line=9", "application/json", `{"edit":{"op":"replace","line":4,"text":"  c = a + 2;"}}`, "patched"},
+		{"var=y&line=9&explain=1", "application/json", `{"edit":{"op":"replace","line":6,"text":"c = b + 1;"}}`, "partial"},
+		{"var=y&line=9", "text/plain", sessionSrc + "write(x);\n", "full"},
+		{"var=x&line=10&algo=sdg", "application/json", `{"edit":{"op":"replace","line":10,"text":"write(d);"}}`, "patched"},
+	} {
+		resp := do(t, http.MethodPatch, ts.URL+"/session/"+id+"?"+step.query, step.contentType, step.body)
+		decodeInto(t, resp, http.StatusOK, &wirePatch{})
+		if got := resp.Header.Get("X-Incremental"); got != step.tier {
+			t.Fatalf("PATCH %s: X-Incremental = %q, want %q", step.query, got, step.tier)
+		}
+	}
+	snap := s.reg.Snapshot()
+	for _, h := range snap.Histograms {
+		if h.Name == "phase.analyze.condense" && h.Count != 0 {
+			t.Errorf("phase.analyze.condense observed %d times on served paths", h.Count)
+		}
+	}
+	if got := s.reg.Counter("pdg.closure_requests").Value(); got != 0 {
+		t.Errorf("pdg.closure_requests = %d on served paths, want 0", got)
+	}
+}

@@ -188,51 +188,17 @@ func (s *server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// logAccess emits one access log line per request. Both formats carry
-// the wide event's scalar fields; the JSON format additionally
-// carries the per-phase timings (too noisy for a text line, and the
-// JSON consumer is a machine anyway). A JSON line is the daemon's
-// durable request record: obs.ReadJSONL (slicequery -log) reads it
-// back, so it must stay the event's json.Marshal bytes, on one line
-// after the logger's time stamp.
+// logAccess emits one access log line per request: the wide event's
+// json.Marshal bytes, on one line after the logger's time stamp. The
+// line is the daemon's durable request record, which obs.ReadJSONL
+// (slicequery -log) reads back.
 func (s *server) logAccess(ev *obs.WideEvent) {
-	if s.cfg.LogFormat == "json" {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			s.logger.Printf("req=%d access-log marshal failed: %v", ev.Req, err)
-			return
-		}
-		s.logger.Print(string(data))
+	data, err := json.Marshal(ev)
+	if err != nil {
+		s.logger.Printf("req=%d access-log marshal failed: %v", ev.Req, err)
 		return
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "req=%d %s %s %d %s bytes=%d outcome=%s",
-		ev.Req, ev.Method, ev.Path, ev.Status, time.Duration(ev.DurationNS), ev.BytesOut, ev.Outcome)
-	if ev.ErrorCode != "" {
-		fmt.Fprintf(&sb, " code=%s", ev.ErrorCode)
-	}
-	if ev.Cache != "" {
-		fmt.Fprintf(&sb, " cache=%s", ev.Cache)
-	}
-	if ev.Incremental != "" {
-		fmt.Fprintf(&sb, " incr=%s", ev.Incremental)
-	}
-	if ev.Route != "" {
-		fmt.Fprintf(&sb, " route=%s", ev.Route)
-	}
-	if ev.Peer != "" {
-		fmt.Fprintf(&sb, " peer=%s", ev.Peer)
-	}
-	if ev.Algo != "" {
-		fmt.Fprintf(&sb, " algo=%s", ev.Algo)
-	}
-	if ev.Stmts > 0 {
-		fmt.Fprintf(&sb, " stmts=%d", ev.Stmts)
-	}
-	if ev.SliceLines > 0 {
-		fmt.Fprintf(&sb, " slice=%d", ev.SliceLines)
-	}
-	s.logger.Print(sb.String())
+	s.logger.Print(string(data))
 }
 
 // handleRequests (GET /debug/requests) serves the wide-event ring,

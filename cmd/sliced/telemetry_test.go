@@ -524,43 +524,42 @@ func TestWideEventStmtsMatchProgram(t *testing.T) {
 	}
 }
 
+// TestAccessLogFormats pins the one access log format: a request's
+// wide event as JSON on one line, which obs.ReadJSONL (slicequery
+// -log) reads back byte for byte as the event /debug/requests holds.
 func TestAccessLogFormats(t *testing.T) {
-	// Text format: one key=value line per request.
 	var buf syncBuffer
-	cfg := testConfig()
-	s := newServer(cfg, &buf)
+	s := newServer(testConfig(), &buf)
 	ts := newLoggingTestServer(t, s)
 	postSlice(t, ts, "var=positives&line=14", fig5(t))
-	line := lastLine(buf.String())
-	for _, want := range []string{"req=1 POST /slice 200", "outcome=ok", "cache=miss", "algo=agrawal", "bytes="} {
-		if !strings.Contains(line, want) {
-			t.Errorf("text access log %q missing %q", line, want)
+	ring := s.requests.Events()
+	if len(ring) != 1 {
+		t.Fatalf("%d events recorded, want 1", len(ring))
+	}
+	want, err := json.Marshal(&ring[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []obs.WideEvent
+	if err := obs.ReadJSONL(strings.NewReader(buf.String()), func(ev *obs.WideEvent, raw []byte) error {
+		logged = append(logged, *ev)
+		if !bytes.Equal(raw, want) {
+			t.Errorf("access log line\n%s\nwant the recorded event\n%s", raw, want)
 		}
+		return nil
+	}); err != nil {
+		t.Fatalf("reading the access log: %v\n%s", err, buf.String())
 	}
-
-	// JSON format: the same wide event as one JSON object per line.
-	var jbuf syncBuffer
-	jcfg := testConfig()
-	jcfg.LogFormat = "json"
-	js := newServer(jcfg, &jbuf)
-	jts := newLoggingTestServer(t, js)
-	postSlice(t, jts, "var=positives&line=14", fig5(t))
-	jline := lastLine(jbuf.String())
-	idx := strings.Index(jline, "{")
-	if idx < 0 {
-		t.Fatalf("JSON access log line carries no object: %q", jline)
+	if len(logged) != 1 {
+		t.Fatalf("%d wide events in the access log, want 1:\n%s", len(logged), buf.String())
 	}
-	var ev obs.WideEvent
-	if err := json.Unmarshal([]byte(jline[idx:]), &ev); err != nil {
-		t.Fatalf("JSON access log line does not parse: %v: %q", err, jline)
-	}
-	// Identical fields in both formats: what text prints, JSON carries.
-	if ev.Method != "POST" || ev.Path != "/slice" || ev.Status != 200 ||
+	ev := logged[0]
+	if ev.Req != 1 || ev.Method != "POST" || ev.Path != "/slice" || ev.Status != 200 ||
 		ev.Outcome != "ok" || ev.Cache != "miss" || ev.Algo != "agrawal" || ev.BytesOut <= 0 {
-		t.Errorf("JSON access log event: %+v", ev)
+		t.Errorf("access log event: %+v", ev)
 	}
 	if len(ev.Phases) == 0 {
-		t.Error("JSON access log event missing phase durations")
+		t.Error("access log event missing phase durations")
 	}
 }
 

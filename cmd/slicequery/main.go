@@ -1,7 +1,7 @@
 // Command slicequery is the offline analytics half of the sliced
 // telemetry plane: it answers questions about requests the daemon
 // served in the past, from the durable records the daemon left
-// behind — its log as written with -log-format json (-log) or a
+// behind — its log, one JSON wide event per request (-log), or a
 // post-mortem bundle (-bundle). It needs no running daemon and no
 // dependencies beyond the standard library.
 //
@@ -88,7 +88,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("slicequery", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		logFile   = fs.String("log", "", "daemon log (written with -log-format json) to query")
+		logFile   = fs.String("log", "", "daemon log (its captured stderr) to query")
 		bundleDir = fs.String("bundle", "", "post-mortem bundle directory to query")
 		since     = fs.String("since", "", "only events at or after this time (RFC3339, unix ns, or duration ago)")
 		until     = fs.String("until", "", "only events at or before this time (RFC3339, unix ns, or duration ago)")
@@ -157,7 +157,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		source = "log " + *logFile
 		var n int
 		if recs, n, err = readEvents(*logFile, &f); err == nil && n == 0 {
-			err = fmt.Errorf("%s holds no wide events; sliced logs them with -log-format json", *logFile)
+			err = fmt.Errorf("%s holds no wide events; sliced logs one per request on its stderr", *logFile)
 		}
 	default:
 		source = "bundle " + *bundleDir

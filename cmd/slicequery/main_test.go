@@ -62,7 +62,7 @@ panic({0x8a1b20?, 0xc0001a2f30?})
 main.(*server).handleSlice(0xc000132000, {0x9d7c58, 0xc00021e0e0}, 0xc000244000)
 	/src/cmd/sliced/main.go:701 +0x45`
 
-// writeLog writes evs as the daemon's stderr under -log-format json:
+// writeLog writes evs as the daemon's stderr:
 // every line time-stamped by the daemon's logger, a start-up line
 // first, a recovered panic's stack trace after the third event, and
 // last one more event torn halfway by a crash.
@@ -248,8 +248,8 @@ func TestBundleSource(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	logf := makeLog(t)
-	// A daemon left at -log-format text, and a log whose torn event is
-	// not its last line.
+	// A log in the text access log format sliced no longer writes, and
+	// a log whose torn event is not its last line.
 	textLog := filepath.Join(t.TempDir(), "text.log")
 	os.WriteFile(textLog, []byte("2026/01/02 15:04:05.000001 sliced listening on http://127.0.0.1:8080\n"+
 		"2026/01/02 15:04:05.000002 req=1 POST /slice 200 1ms bytes=10 outcome=ok\n"), 0o644)
@@ -279,8 +279,8 @@ func TestErrors(t *testing.T) {
 	}
 	var out, errb strings.Builder
 	run([]string{"-log", textLog}, &out, &errb)
-	if !strings.Contains(errb.String(), "-log-format json") {
-		t.Errorf("a log with no wide events should point at -log-format json, got %q", errb.String())
+	if !strings.Contains(errb.String(), "holds no wide events") {
+		t.Errorf("a log with no wide events should say so, got %q", errb.String())
 	}
 }
 

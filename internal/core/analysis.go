@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"jumpslice/internal/bits"
 	"jumpslice/internal/cdg"
@@ -197,15 +196,11 @@ func (a *Analysis) observe(o obs.Observer) {
 }
 
 // batchState is the shared lazily-built batch-engine state of one
-// Analysis and all its Rebind views. The condensation sits behind an
-// atomic pointer for two reasons: Reanalyze pre-seeds it with a
-// patched condensation before the Analysis is shared (the once then
-// observes the seed and skips its build), and Reanalyze peeks at a
-// *previous* Analysis's condensation while other views of it may be
-// slicing concurrently.
+// Analysis and all its Rebind views: cond is written once, inside
+// once.Do, and read only after it, so the once orders every access.
 type batchState struct {
 	once sync.Once
-	cond atomic.Pointer[pdg.Condensation]
+	cond *pdg.Condensation
 }
 
 // Analyze parses nothing: it takes an already-parsed program and

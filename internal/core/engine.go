@@ -89,15 +89,12 @@ func (a *Analysis) engine() depEngine { return bfsEngine{a} }
 // shares the memoized component closures.
 func (a *Analysis) batchEngine() depEngine {
 	a.batch.once.Do(func() {
-		if a.batch.cond.Load() != nil {
-			return // pre-seeded by the incremental engine
-		}
 		defer a.o.StartSpan("phase.analyze.condense").End()
 		rows := make([][]int, a.CFG.NumNodes())
 		for v := range rows {
 			rows[v] = a.relationRow(v)
 		}
-		a.batch.cond.Store(pdg.Condense(rows))
+		a.batch.cond = pdg.Condense(rows)
 	})
-	return condEngine{a, a.batch.cond.Load()}
+	return condEngine{a, a.batch.cond}
 }

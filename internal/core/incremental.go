@@ -30,10 +30,6 @@ type IncrStats struct {
 	// phases by whether the previous result was carried over.
 	PhasesReused     int `json:"phases_reused"`
 	PhasesRecomputed int `json:"phases_recomputed"`
-	// CondensationPatched reports that the previous analysis's batch
-	// condensation (with its memoized closures) survived via
-	// Condensation.Patched instead of being dropped for lazy rebuild.
-	CondensationPatched bool `json:"condensation_patched"`
 	// Fallback is the reason a full run happened ("" otherwise).
 	Fallback string `json:"fallback,omitempty"`
 	// Edits is the statement-level edit script of the diff, for
@@ -84,15 +80,16 @@ func resolveIncrMetrics(rec *obs.Registry) incrMetrics {
 //     worklists (they are pure functions of flowgraph shape, or of
 //     shape plus definition sites); only the flowgraph is rebuilt and
 //     the edited statements' dependence rows recomputed ("patched").
-//     If the previous analysis had built its batch condensation and
-//     the edit provably neither merges nor splits a dependence SCC,
-//     the condensation and its memoized closures are patched over too.
 //   - Same shape but with a changed definition ("partial") re-solves
 //     reaching definitions for the variables whose definitions moved
 //     only, and re-derives the dependence rows of the nodes using
 //     them, on top of the reused shape-derived structures. An edit
 //     that gives a variable its first definition or takes its last
 //     re-runs dataflow and the PDG merge instead.
+//
+// Every tier starts the result's batch condensation empty: no served
+// path slices through SliceAll, so a batch call on the result
+// condenses lazily, as on a cold analysis.
 //
 // The freshly built flowgraph is verified node-for-node against the
 // previous one before anything is reused, so a differ bug degrades to
@@ -225,7 +222,6 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 			changed[i] = pdg.Row{Node: n, Deps: rd.AppendDataDeps(nil, n)}
 		}
 		a.PDG = prev.PDG.Rederive(g2, a.CDG, changed)
-		a.patchCondensation(prev, changed, stats)
 	}
 	im.reused.Add(int64(stats.PhasesReused))
 	im.recomputed.Add(int64(stats.PhasesRecomputed))
@@ -273,33 +269,4 @@ func movedRows(p *pdg.Graph, rd *dataflow.ReachingDefs, rows []int) []pdg.Row {
 		out = append(out, pdg.Row{Node: n, Deps: flat[lo:len(flat):len(flat)]})
 	}
 	return out
-}
-
-// patchCondensation tries to carry the previous analysis's batch
-// condensation — and its memoized component closures — across a
-// patched-tier edit. The previous condensation is read through its
-// atomic slot (other views of prev may be slicing concurrently) and
-// is never modified; Patched refuses any edit that might merge or
-// split a component, in which case the new analysis simply rebuilds
-// its condensation lazily on the next SliceAll.
-func (a *Analysis) patchCondensation(prev *Analysis, changed []pdg.Row, stats *IncrStats) {
-	prevCond := prev.batch.cond.Load()
-	if prevCond == nil {
-		return
-	}
-	// The edited nodes' rows of the slicing relation, built as
-	// batchEngine builds every row. The invariant tables are
-	// shape-derived and did not change — only the dependence part of
-	// each edited row did.
-	rows := make([]pdg.Row, len(changed))
-	for i, r := range changed {
-		rows[i] = pdg.Row{Node: r.Node, Deps: a.relationRow(r.Node)}
-	}
-	q, ok := prevCond.Patched(rows)
-	if !ok {
-		return
-	}
-	a.batch.cond.Store(q)
-	stats.CondensationPatched = true
-	stats.PhasesReused++ // the condensation survived as an eighth phase
 }

@@ -34,18 +34,6 @@ L14: write(sum);
 write(positives);
 `
 
-// straightSrc is loop-free, so every augmented-dependence SCC is a
-// singleton and a one-line expression edit is condensation-patchable.
-const straightSrc = `read(a);
-read(b);
-c = a + b;
-d = c * 2;
-e = d - a;
-write(c);
-write(d);
-write(e);
-`
-
 func editSrcLine(t *testing.T, src string, line int, text string) string {
 	t.Helper()
 	lines := strings.Split(src, "\n")
@@ -257,30 +245,6 @@ func TestReanalyzeSpliceLine(t *testing.T) {
 		[]Criterion{{Var: "sum", Line: 14}, {Var: "positives", Line: 15}})
 }
 
-// TestReanalyzeCondensationPatched warms the previous analysis's
-// batch condensation, applies a patchable edit (straight-line code,
-// so every SCC is a singleton), and checks the condensation survived
-// and still answers batch queries exactly like a cold build.
-func TestReanalyzeCondensationPatched(t *testing.T) {
-	prev := analyzeSrc(t, straightSrc)
-	crits := []Criterion{{Var: "c", Line: 6}, {Var: "e", Line: 8}}
-	if _, err := prev.SliceAll(crits); err != nil {
-		t.Fatalf("warming SliceAll: %v", err)
-	}
-	newSrc := editSrcLine(t, straightSrc, 5, "e = d - a + b;")
-	a, stats, err := reanalyze(prev, newSrc)
-	if err != nil {
-		t.Fatalf("Reanalyze: %v", err)
-	}
-	if stats.Outcome != "patched" {
-		t.Fatalf("outcome %q (fallback %q), want patched", stats.Outcome, stats.Fallback)
-	}
-	if !stats.CondensationPatched {
-		t.Fatalf("condensation was not patched: %+v", stats)
-	}
-	requireSameSlices(t, "condensation patch", a, analyzeSrc(t, newSrc), crits)
-}
-
 // TestReanalyzeCounters checks the incr.* counters the session daemon
 // exports: reused/recomputed phase counts per tier, and fallbacks.
 func TestReanalyzeCounters(t *testing.T) {
@@ -339,10 +303,9 @@ func TestReanalyzePreviousSurvives(t *testing.T) {
 
 // TestReanalyzeConcurrentWithDonorSlicing derives patched
 // re-analyses of one warmed donor while other goroutines slice the
-// donor: the rebound flowgraph shares the donor's nodes, the PDG its
-// row tables and the patched condensation its components, so all of
-// the donor's state must stay read-only. Every result must match a
-// cold analysis (run with -race).
+// donor: the rebound flowgraph shares the donor's nodes and the PDG
+// its row tables, so all of the donor's state must stay read-only.
+// Every result must match a cold analysis (run with -race).
 func TestReanalyzeConcurrentWithDonorSlicing(t *testing.T) {
 	prev := MustAnalyze(progen.Unstructured(progen.Config{Seed: 3, Stmts: 60}))
 	var crits []Criterion
@@ -360,7 +323,7 @@ func TestReanalyzeConcurrentWithDonorSlicing(t *testing.T) {
 		}
 		return sb.String(), nil
 	}
-	want, err := formats(prev) // also warms the condensation Patched reuses
+	want, err := formats(prev) // also builds the donor's condensation
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,8 +474,8 @@ func TestReanalyzePropertyByteIdentity(t *testing.T) {
 					t.Fatalf("%s seed %d: analyze: %v", corpus.name, seed, err)
 				}
 				for step := 0; step < edits; step++ {
-					// Warm the donor's condensation so patched edits
-					// exercise Condensation.Patched, not just lazy rebuild.
+					// Build the donor's condensation, as a batch
+					// caller would, before it becomes a donor.
 					if _, err := cur.SliceAll(writeCriteria(cur.Prog, 2)); err != nil {
 						t.Fatalf("%s seed %d step %d: warm SliceAll: %v", corpus.name, seed, step, err)
 					}

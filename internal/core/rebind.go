@@ -8,10 +8,11 @@ import (
 
 // Rebind returns a view of the Analysis bound to a different request:
 // a shallow copy sharing every derived structure — flowgraph, trees,
-// dependence graphs, precomputed worklists, the lazily-built batch
-// condensation with its memoized closures, and the program set with
-// its summary edges — but carrying its own context, registry and
-// span log, which the view's ProgramSet inherits. It is the primitive
+// dependence graphs, precomputed worklists, the batch condensation
+// with its memoized closures (built once, by whichever view first
+// slices in batch), and the program set with its summary edges — but
+// carrying its own context, registry and span log, which the view's
+// ProgramSet inherits. It is the primitive
 // the analysis cache is built on: one Analysis is computed once,
 // cached in a detached form (Rebind(nil, reg, nil)), and each request
 // that hits the cache gets a view wired to its own deadline and phase

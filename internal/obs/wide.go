@@ -281,7 +281,7 @@ const logPrefix = "2006/01/02 15:04:05.000000 "
 
 // ReadJSONL streams the wide events of one of the two durable records
 // through fn: a post-mortem bundle's requests.jsonl (WriteJSONL's
-// lines) or the daemon's log as written with -log-format json. Each
+// lines) or the daemon's log, one wide event per request. Each
 // event is handed over with its raw JSON bytes, valid only during the
 // call; a caller selects with Filter.Match.
 //

@@ -26,7 +26,7 @@ type Condensation struct {
 	// succOff/succFlat hold, as compressed sparse rows, the components
 	// each component's members depend on (deduped, itself excluded):
 	// component c's are succFlat[succOff[c]:succOff[c+1]]. Pointer-free,
-	// so Patched's copy is a plain memmove the collector never scans.
+	// so the collector never scans them.
 	succOff  []int
 	succFlat []int
 
@@ -155,101 +155,6 @@ func Condense(adj [][]int) *Condensation {
 	c.succOff[len(c.comps)] = len(c.succFlat)
 	c.closure = make([]*bits.Set, len(c.comps))
 	return c
-}
-
-// Patched returns a condensation equivalent to condensing the
-// relation that differs from c's only at the given rows (each row is
-// its node's new full adjacency row), or ok=false when the edit might
-// merge or split a component. The safety precondition, checked per
-// edited node n: n's component is a singleton, and every dependence
-// in the new row lies in a strictly smaller component (or is n
-// itself — a self-loop like "x = x + 1" in a loop keeps n a singleton
-// SCC). Under that precondition the component partition and the
-// topological numbering invariant both survive unchanged: no new
-// path can lead back into n's component, because dependence edges
-// never increase component indices.
-//
-// c is not modified — it may be shared by concurrently running
-// slices of the previous analysis. The patched condensation shares
-// the memoized closures of every component below the smallest edited
-// one (they cannot reach an edited row; closures are read-only by
-// contract) and drops the rest for lazy rebuild. Everything else it
-// holds is either shared or pointer-free.
-func (c *Condensation) Patched(rows []Row) (*Condensation, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keep := len(c.comps)
-	for _, r := range rows {
-		n, cn := r.Node, c.comp[r.Node]
-		if len(c.comps[cn]) != 1 {
-			return nil, false
-		}
-		for _, d := range r.Deps {
-			if d != n && c.comp[d] >= cn {
-				return nil, false
-			}
-		}
-		if cn < keep {
-			keep = cn
-		}
-	}
-	// An edited node is its component's only member, so its new row
-	// alone determines the component's successors. The edited rows
-	// are spliced into a copy of the successor table between the
-	// unchanged runs; when no row changes length the offsets are
-	// shared.
-	type succEdit struct {
-		cid  int
-		succ []int
-	}
-	eds := make([]succEdit, 0, len(rows))
-	sameLen := true
-	for _, r := range rows {
-		cn := c.comp[r.Node]
-		var sc []int
-		for _, d := range r.Deps {
-			if dc := c.comp[d]; dc != cn && !containsInt(sc, dc) {
-				sc = append(sc, dc)
-			}
-		}
-		sameLen = sameLen && len(sc) == len(c.succs(cn))
-		eds = append(eds, succEdit{cn, sc})
-		for i := len(eds) - 1; i > 0 && eds[i].cid < eds[i-1].cid; i-- {
-			eds[i], eds[i-1] = eds[i-1], eds[i]
-		}
-	}
-	q := &Condensation{comp: c.comp, comps: c.comps, succOff: c.succOff}
-	q.succFlat = make([]int, 0, len(c.succFlat)+len(rows))
-	done := 0
-	for _, e := range eds {
-		q.succFlat = append(q.succFlat, c.succFlat[done:c.succOff[e.cid]]...)
-		q.succFlat = append(q.succFlat, e.succ...)
-		done = c.succOff[e.cid+1]
-	}
-	q.succFlat = append(q.succFlat, c.succFlat[done:]...)
-	if !sameLen {
-		q.succOff = make([]int, len(c.succOff))
-		shift := 0
-		for cid, k := 0, 0; cid < len(c.succOff); cid++ {
-			q.succOff[cid] = c.succOff[cid] + shift
-			if k < len(eds) && eds[k].cid == cid {
-				shift += len(eds[k].succ) - len(c.succs(cid))
-				k++
-			}
-		}
-	}
-	q.closure = make([]*bits.Set, len(c.closure))
-	copy(q.closure[:keep], c.closure[:keep])
-	return q, true
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // succs returns the components component cid's members depend on.

@@ -42,9 +42,8 @@ func (r rows) row(n int) []int {
 	return r.flat[lo:hi:hi]
 }
 
-// Row is one node's replacement row of a node-indexed relation: the
-// input of Rederive (data dependences) and of Condensation.Patched
-// (full adjacency). A list of rows names each node at most once.
+// Row is one node's replacement data dependence row, the input of
+// Rederive. A list of rows names each node at most once.
 type Row struct {
 	Node int
 	Deps []int
