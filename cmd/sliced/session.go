@@ -283,7 +283,7 @@ func (req *patchRequest) apply(source string) (edited, old string, err error) {
 	lo, ok := lineStart(source, e.Line)
 	if !ok {
 		return "", "", httpErrorf(http.StatusBadRequest, "bad_request",
-			"edit line %d outside the program (1..%d)", e.Line, strings.Count(source, "\n"))
+			"edit line %d outside the program (1..%d)", e.Line, lineCount(source))
 	}
 	hi := len(source)
 	if i := strings.IndexByte(source[lo:], '\n'); i >= 0 {
@@ -317,6 +317,16 @@ func lineStart(source string, n int) (int, bool) {
 		lo += i + 1
 	}
 	return lo, lo < len(source)
+}
+
+// lineCount returns the number of lines of source as lineStart
+// numbers them: a final newline ends the last line, it starts none.
+func lineCount(source string) int {
+	n := strings.Count(source, "\n")
+	if source != "" && !strings.HasSuffix(source, "\n") {
+		n++
+	}
+	return n
 }
 
 // sliceDelta reports the line-level delta between the pre- and

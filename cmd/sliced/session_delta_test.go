@@ -21,8 +21,12 @@ import (
 // the byte-offset version must agree with.
 func applyBySplit(source string, line int, text string) (string, error) {
 	lines := strings.Split(source, "\n")
-	if line < 1 || line > len(lines) || (line == len(lines) && lines[line-1] == "") {
-		return "", fmt.Errorf("edit line %d outside the program (1..%d)", line, strings.Count(source, "\n"))
+	n := len(lines)
+	if lines[n-1] == "" {
+		n-- // a final newline ends the last line, it starts none
+	}
+	if line < 1 || line > n {
+		return "", fmt.Errorf("edit line %d outside the program (1..%d)", line, n)
 	}
 	lines[line-1] = text
 	return strings.Join(lines, "\n"), nil
@@ -67,6 +71,29 @@ func TestPatchApplyMatchesSplit(t *testing.T) {
 		}
 		if tc.want != "" && got != tc.want {
 			t.Errorf("%s: apply = %q (err %v), want %q", tc.name, got, err, tc.want)
+		}
+	}
+}
+
+// TestPatchOutOfRangeCountsLines pins the line count an out-of-range
+// edit reports: the program's lines, with or without a final newline.
+func TestPatchOutOfRangeCountsLines(t *testing.T) {
+	for _, tc := range []struct {
+		source string
+		line   int
+		want   string
+	}{
+		{"x = 1;\nwrite(x);", 3, "edit line 3 outside the program (1..2)"},
+		{"x = 1;\nwrite(x);\n", 3, "edit line 3 outside the program (1..2)"},
+		{"x = 1;", 0, "edit line 0 outside the program (1..1)"},
+		{"x = 1;\n", 2, "edit line 2 outside the program (1..1)"},
+		{"x = 1;\n\n", 3, "edit line 3 outside the program (1..2)"},
+		{"\n", 2, "edit line 2 outside the program (1..1)"},
+		{"", 1, "edit line 1 outside the program (1..0)"},
+	} {
+		req := &patchRequest{Edit: &editRequest{Op: "replace", Line: tc.line, Text: "X"}}
+		if _, _, err := req.apply(tc.source); err == nil || err.Error() != tc.want {
+			t.Errorf("apply(%q) line %d: error %v, want %q", tc.source, tc.line, err, tc.want)
 		}
 	}
 }

@@ -8,12 +8,12 @@ package main
 // per-phase pipeline timings, cache and incremental tiers, slice
 // size, and how the request ended (ok / client_error / error / shed /
 // timeout / canceled / panic). The same record is (a) emitted as the
-// access log line — text or JSON, identical fields either way — and
-// (b) kept in a bounded ring served by GET /debug/requests, so the
-// log stream and the queryable view can never disagree. The event
-// also feeds the per-endpoint SLO window, whose per-bucket slowest
-// request ID (the exemplar) links a latency spike straight back to
-// that request's wide event at GET /debug/requests?id=.
+// JSON access log line and (b) kept in a bounded ring served by GET
+// /debug/requests, so the log stream and the queryable view can never
+// disagree. The event also feeds the per-endpoint SLO window, whose
+// per-bucket slowest request ID (the exemplar) links a latency spike
+// straight back to that request's wide event at GET
+// /debug/requests?id=.
 //
 // Handlers annotate the in-flight event through a *reqInfo carried in
 // the request context; all reqInfo setters are nil-safe so handlers

@@ -10,16 +10,21 @@
 //     nearest postdominator in the slice differs from its nearest
 //     lexical successor in the slice, closing the slice under the
 //     dependences of each added jump.
+//   - AgrawalLST — the Figure 7 algorithm driven by the lexical
+//     successor tree's preorder, the paper's alternative driver.
 //   - AgrawalStructured — the Figure 12 algorithm for structured
-//     programs: a single traversal, candidates restricted to jumps
-//     directly control dependent on a predicate already in the slice,
-//     no dependence closure needed.
+//     programs: the same test, applied only to candidates — jumps
+//     directly control dependent on a predicate already in the slice.
 //   - AgrawalConservative — the Figure 13 algorithm: include every
-//     jump directly control dependent on a predicate in the slice.
-//     Needs neither the postdominator tree traversal nor the lexical
-//     successor tree, at the cost of possibly larger slices.
+//     candidate. Needs neither the nearest-postdominator nor the
+//     nearest-lexical-successor test, at the cost of possibly larger
+//     slices.
 //
-// All four share an Analysis, which packages the flowgraph, the
+// The four jump-aware algorithms run one jump-admission loop to a
+// fixpoint (repairJumps); they differ only in which jumps a pass
+// visits and which rule admits one (see algorithm).
+//
+// All five share an Analysis, which packages the flowgraph, the
 // postdominator tree, the control/data/program dependence graphs and
 // the lexical successor tree of one program. The paper's key selling
 // point — the flowgraph and the PDG stay untouched; only the separate
@@ -114,10 +119,13 @@ type Analysis struct {
 	// preserved, so traversal results are unchanged.
 
 	// jumpsPDT lists the live jump node IDs in postdominator-tree
-	// preorder (Figure 7's traversal order); jumpsLST is its lexical-
-	// successor-tree twin (the paper's alternative driver).
+	// preorder (the Figure 7 and Figure 12 traversal order); jumpsLST
+	// is its lexical-successor-tree twin (the paper's alternative
+	// driver), and jumpsLex lists them in lexical order (source line,
+	// then ID: cfg.Graph.Jumps), the order Figure 13 visits them in.
 	jumpsPDT []int
 	jumpsLST []int
+	jumpsLex []int
 	// gotoNodes lists the goto statement nodes, in node order, for
 	// label retargeting.
 	gotoNodes []*cfg.Node
@@ -158,9 +166,10 @@ type coreMetrics struct {
 	// traversals counts fixpoint passes of the jump-detection loops
 	// (Figures 7, 12 and 13), including each final unproductive one.
 	traversals *obs.Counter
-	// jumpsExamined counts candidate jumps tested by the nearest-
-	// postdominator/lexical-successor rule; jumpsAdmitted counts the
-	// tests that admitted the jump into the slice.
+	// jumpsExamined counts the candidate jumps the jump-admission
+	// loop examined: every live jump outside the slice for Figure 7,
+	// and the condition-(i) candidates among them for Figures 12 and
+	// 13. jumpsAdmitted counts those admitted into the slice.
 	jumpsExamined *obs.Counter
 	jumpsAdmitted *obs.Counter
 	// sliceNodes is the distribution of final slice sizes (node
@@ -327,6 +336,11 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, reg *obs.Re
 	}
 	a.jumpsPDT = a.filterLiveJumps(a.PDT.Preorder())
 	a.jumpsLST = a.filterLiveJumps(a.LST.Preorder())
+	for _, j := range g.Jumps() {
+		if a.live[j.ID] {
+			a.jumpsLex = append(a.jumpsLex, j.ID)
+		}
+	}
 	a.condJumpOf = make([]int, len(g.Nodes))
 	for _, n := range g.Nodes {
 		a.condJumpOf[n.ID] = -1
@@ -371,9 +385,9 @@ func MustAnalyze(prog *lang.Program) *Analysis {
 // satisfy it exactly when they transfer control forward to a statement
 // their own control would eventually fall through to.
 func (a *Analysis) Structured() bool {
-	for _, j := range a.CFG.Jumps() {
-		if j.Target == nil {
-			continue // unresolved; cannot happen after a successful Build
+	for _, j := range a.CFG.Nodes {
+		if !j.Kind.IsJump() || j.Target == nil {
+			continue // not a jump, or unresolved (cannot happen after a successful Build)
 		}
 		if j.Target.ID == a.CFG.Exit.ID {
 			continue // returns target Exit, the LST root: always a successor
@@ -390,15 +404,19 @@ type Slice struct {
 	Analysis  *Analysis
 	Criterion Criterion
 	// Algorithm names the producing algorithm ("conventional",
-	// "agrawal", "agrawal-structured", "agrawal-conservative", or a
-	// baseline's name).
+	// "agrawal", "agrawal-lst", "agrawal-structured",
+	// "agrawal-conservative", or a baseline's name).
 	Algorithm string
 	// Nodes is the set of flowgraph node IDs in the slice (Entry may
 	// be present from control dependence closure; Exit never is).
 	Nodes *bits.Set
-	// Traversals is the number of postdominator tree preorder
-	// traversals performed, counting the final unproductive one
-	// (Figure 7 only; 1 for Figure 12, 0 otherwise).
+	// Traversals is the number of tree preorder traversals the
+	// jump-admission loop performed to reach its fixpoint, counting
+	// the final unproductive one: postdominator tree traversals for
+	// Figures 7 and 12, lexical successor tree traversals for
+	// AgrawalLST. It is 0 for Figure 13, which visits the jumps in
+	// lexical order and traverses no tree, and for the conventional
+	// slice.
 	Traversals int
 	// JumpsAdded lists the node IDs of jump statements the jump-aware
 	// phase added beyond the conventional slice, in addition order.

@@ -20,7 +20,7 @@ func (a *Analysis) SliceAll(crits []Criterion) ([]*Slice, error) {
 	eng := a.batchEngine()
 	out := make([]*Slice, len(crits))
 	for i, c := range crits {
-		s, err := a.agrawalWith(c, eng)
+		s, err := a.slice(c, figure7, eng)
 		if err != nil {
 			return nil, fmt.Errorf("core: SliceAll criterion %d (%s): %w", i, c, err)
 		}

@@ -128,7 +128,7 @@ func TestPropertyWorklistMatchesSeedRepair(t *testing.T) {
 				e    depEngine
 			}{{"bfs", a.engine()}, {"condensation", a.batchEngine()}} {
 				set := conv.Nodes.Clone()
-				jumps, _, traversals, err := a.repairJumps(set, a.jumpsPDT, eng.e)
+				jumps, _, traversals, err := a.repairJumps(set, figure7, eng.e)
 				if err != nil {
 					t.Fatalf("%s seed %d %s [%s]: repairJumps: %v", corpus, seed, c, eng.name, err)
 				}

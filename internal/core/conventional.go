@@ -18,45 +18,7 @@ import (
 // Ottenstein PDG slice and is correct; on programs with jumps it is
 // the baseline the paper's Figures 3-b and 5-b show to be wrong.
 func (a *Analysis) Conventional(c Criterion) (*Slice, error) {
-	s, err := a.conventionalWith(c, a.engine())
-	if err != nil {
-		return nil, err
-	}
-	a.recordSlice(s.Nodes)
-	return s, nil
-}
-
-// conventionalWith is Conventional parameterized by the closure
-// engine, shared by the single-criterion and batch entry points. The
-// closure walks the slicing relation (see depEngine), so the slice
-// already satisfies the conditional-jump adaptation and switch
-// enclosure. The context is checked once up front: a closure smaller
-// than the engines' cadence never consults it.
-func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) {
-	if err := a.checkCancel("closure"); err != nil {
-		return nil, err
-	}
-	seeds, err := a.resolveCriterion(c)
-	if err != nil {
-		return nil, err
-	}
-	set, err := eng.backwardClosure(seeds)
-	if err != nil {
-		return nil, err
-	}
-	// The dummy entry predicate (the paper's node 0) is in every
-	// slice by construction. The closure reaches it through any live
-	// statement's control dependence chain; seeding it explicitly
-	// also covers criteria in dead code, whose statements have no
-	// dependence path to anything.
-	set.Add(a.CFG.Entry.ID)
-	return &Slice{
-		Analysis:  a,
-		Criterion: c,
-		Algorithm: "conventional",
-		Nodes:     set,
-		Relabeled: a.retargetLabels(set),
-	}, nil
+	return a.slice(c, conventional, a.engine())
 }
 
 // conditionalJumpOf returns the jump node of a conditional jump

@@ -168,6 +168,7 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	a.enclosingSwitch = prev.enclosingSwitch
 	a.jumpsPDT = prev.jumpsPDT
 	a.jumpsLST = prev.jumpsLST
+	a.jumpsLex = prev.jumpsLex
 	a.condJumpOf = prev.condJumpOf
 	a.gotoNodes = make([]*cfg.Node, len(prev.gotoNodes))
 	for i, n := range prev.gotoNodes {

@@ -271,7 +271,7 @@ func (ps *ProgramSet) SliceInterproc(c Criterion) (*InterSlice, error) {
 	g := ps.SDG
 	cancel := u.Sub.cancelf
 	// The dummy entry is in every slice by construction (covers
-	// criteria in dead code), as in conventionalWith.
+	// criteria in dead code), as in Analysis.slice.
 	vseeds = append(vseeds, g.EntryVert(u.Index))
 
 	v1, err := g.Closure(vseeds, sdg.PassOne, cancel)
@@ -317,7 +317,7 @@ func (ps *ProgramSet) SliceInterproc(c Criterion) (*InterSlice, error) {
 				continue
 			}
 			local := s.localSet(un)
-			jumps, rules, trav, err := un.Sub.repairJumps(local, un.Sub.jumpsPDT, funcEngine{s: s, u: un})
+			jumps, rules, trav, err := un.Sub.repairJumps(local, figure7, funcEngine{s: s, u: un})
 			s.Traversals += trav
 			if err != nil {
 				return nil, fmt.Errorf("core: sdg repair in %s: %w", unitLabel(un), err)

@@ -41,7 +41,7 @@ func passNormalize(a *Analysis, set *bits.Set) {
 // passEngine runs every algorithm of this package on the oracle:
 // plain pdg.GrowClosure dependence closures, each followed by
 // passNormalize. Every closure the algorithms take is normalized in
-// both formulations (the Entry node conventionalWith adds afterwards
+// both formulations (the Entry node Analysis.slice adds afterwards
 // takes part in no invariant), so the two must agree step for step.
 type passEngine struct{ a *Analysis }
 
@@ -79,17 +79,7 @@ func oracleCorpus(t *testing.T, seeds int) []*lang.Program {
 // returns the node set, JumpsAdded, JumpRules and Traversals it
 // returns when every closure is normalized by the oracle instead.
 func TestPropertyRelationClosureMatchesPasses(t *testing.T) {
-	type algo struct {
-		name string
-		run  func(a *Analysis, c Criterion, eng depEngine) (*Slice, error)
-	}
-	algos := []algo{
-		{"conventional", (*Analysis).conventionalWith},
-		{"agrawal", (*Analysis).agrawalWith},
-		{"agrawal-lst", (*Analysis).agrawalLSTWith},
-		{"structured", (*Analysis).structuredWith},
-		{"conservative", (*Analysis).conservativeWith},
-	}
+	algos := []*algorithm{conventional, figure7, figure7LST, figure12, figure13}
 	cases, grew := 0, 0
 	for i, p := range oracleCorpus(t, 40) {
 		a, err := Analyze(p)
@@ -100,8 +90,8 @@ func TestPropertyRelationClosureMatchesPasses(t *testing.T) {
 		for _, wc := range progen.WriteCriteria(p) {
 			c := Criterion{Var: wc.Var, Line: wc.Line}
 			for _, al := range algos {
-				want, werr := al.run(a, c, oracle)
-				got, gerr := al.run(a, c, a.engine())
+				want, werr := a.slice(c, al, oracle)
+				got, gerr := a.slice(c, al, a.engine())
 				if werr != nil || gerr != nil {
 					if errors.Is(werr, ErrUnstructured) && errors.Is(gerr, ErrUnstructured) {
 						continue
@@ -121,7 +111,7 @@ func TestPropertyRelationClosureMatchesPasses(t *testing.T) {
 				if got.Traversals != want.Traversals {
 					t.Errorf("program %d %s %s: relation traversals %d, oracle %d", i, c, al.name, got.Traversals, want.Traversals)
 				}
-				if al.name == "conventional" {
+				if al == conventional {
 					raw := a.PDG.BackwardClosure(mustSeeds(t, a, c))
 					raw.Add(a.CFG.Entry.ID)
 					if !raw.Equal(got.Nodes) {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"jumpslice/internal/cfg"
 	"jumpslice/internal/lang"
 	"jumpslice/internal/sdg"
 )
@@ -277,26 +276,11 @@ func (s *Slice) emitReasons(t *table, seeds []int) {
 	}
 	if !rules {
 		for _, j := range s.JumpsAdded {
-			if from := a.candidateEvidence(j, set); from >= 0 {
+			if from := a.candidate(j, set); from >= 0 {
 				t.add(j, dep(ReasonJumpCandidate, from))
 			}
 		}
 	}
-}
-
-// candidateEvidence returns an in-slice predicate (or switch tag)
-// that makes jump v a Figure 13 candidate, or -1.
-func (a *Analysis) candidateEvidence(v int, set interface{ Has(int) bool }) int {
-	for _, pid := range a.CDG.ParentIDs(v) {
-		n := a.CFG.Nodes[pid]
-		if (n.Kind == cfg.KindEntry || n.Kind.IsPredicate()) && set.Has(pid) {
-			return pid
-		}
-	}
-	if sw := a.enclosingSwitch[v]; sw >= 0 && set.Has(sw) {
-		return sw
-	}
-	return -1
 }
 
 // key returns the rendered key of reason r on line: the locations of

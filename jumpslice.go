@@ -135,8 +135,8 @@ type Result struct {
 	// with the original line numbers, labels re-associated per the
 	// paper's final step.
 	Text string
-	// Traversals counts postdominator-tree preorder passes (Figure 7
-	// family only).
+	// Traversals counts the tree preorder passes of the jump-detection
+	// fixpoint (Figures 7 and 12; 0 for Figure 13 and conventional).
 	Traversals int
 	// JumpLines are the lines of jump statements the jump-aware phase
 	// added beyond the conventional slice, in discovery order.
