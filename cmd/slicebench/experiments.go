@@ -144,7 +144,7 @@ type ClusterRow struct {
 	// shard, the ring's vnode count bounds how close it gets.
 	Balance float64 `json:"balance"`
 	// RemoteRate is the fraction of uniformly-ingressed requests whose
-	// owner is another node — each is one proxy (or peer-fill) hop.
+	// owner is another node — each is one proxy hop.
 	RemoteRate float64 `json:"remote_rate"`
 	// HotShare is the busiest node's share of the zipf request stream
 	// — how much of the hot head one shard absorbs.

@@ -257,6 +257,6 @@ func printCluster(out io.Writer, o options, rows []ClusterRow) {
 		fmt.Fprintf(out, "%6d %8d %9.3f %9.1f%% %9.1f%% %11.1f%%\n",
 			r.Nodes, r.Keys, r.Balance, 100*r.RemoteRate, 100*r.HotShare, 100*r.MovedOnLeave)
 	}
-	fmt.Fprintln(out, "(remote = requests a random-ingress node must proxy or peer-fill; consistent")
+	fmt.Fprintln(out, "(remote = requests a random-ingress node must proxy; consistent")
 	fmt.Fprintln(out, " hashing keeps moved/leave near 1/n where rehashing would move (n-1)/n)")
 }

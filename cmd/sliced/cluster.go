@@ -2,8 +2,7 @@ package main
 
 // The daemon's cluster plane: consistent-hash routing over the
 // program's content address, transparent proxying to the ring owner,
-// peer cache fill on local miss, and the disk-backed result tier that
-// makes restarts warm.
+// and the disk-backed result tier that makes restarts warm.
 //
 // The flow for one clustered /slice request:
 //
@@ -15,13 +14,15 @@ package main
 //  2. The serving node consults its result cache (memory over disk).
 //     A hit answers without touching the pipeline (X-Cache: result or
 //     disk).
-//  3. On a miss, cluster mode asks ring-adjacent peers for the
-//     serialized record (X-Cache: peer-fill). A fill that fails —
-//     peers down, record absent, record corrupt — falls back to local
-//     compute; it can degrade latency, never a response.
-//  4. A locally computed response is serialized canonically (the
-//     per-request fields zeroed) and written through to the result
-//     tiers, making it available to peers and to the next restart.
+//  3. On a miss the node computes locally. The response is serialized
+//     canonically (the per-request fields zeroed) and written through
+//     to the result tiers, so the next request for the same tuple and
+//     the next restart find it.
+//
+// The proxy is the only remote path. Every request reaches its
+// owner, so no other node holds the owner's records in steady state;
+// after a -peers change a moved key costs one cold miss on its new
+// owner.
 //
 // Routing is over the analysis key (the whole program source), not
 // the result key (source + criterion + algorithm): all criteria of
@@ -31,9 +32,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -51,36 +50,26 @@ import (
 // says.
 const routedFromHeader = "X-Sliced-Routed-From"
 
-// fillCandidates is how many ring-adjacent peers a cache fill tries,
-// fillTimeout the deadline of one fill hop, and probeTimeout the peer
-// health probe's deadline.
-const (
-	fillCandidates = 2
-	fillTimeout    = 500 * time.Millisecond
-	probeTimeout   = 500 * time.Millisecond
-)
+// probeTimeout is the peer health probe's deadline.
+const probeTimeout = 500 * time.Millisecond
 
 // clusterState is the daemon's routing fabric; nil when -peers is
 // unset.
 type clusterState struct {
-	self   string
-	ring   *cluster.Ring
-	peers  *cluster.Peers
-	filler *cluster.Filler
-	client *http.Client // proxy transport
+	self  string
+	ring  *cluster.Ring
+	peers *cluster.Peers
 
 	localServes *obs.Counter
 	proxied     *obs.Counter
 	proxyErrors *obs.Counter
-	fillServes  *obs.Counter
 }
 
 // openCluster brings up the persistence and routing tiers from the
 // config: the disk store (when -disk-dir is set), the result cache
-// (when clustering or the disk tier is on), and the ring, peer
-// prober, and fill client (when -peers is set). It must run before
-// the first request; serveOn does, and cluster tests call it
-// directly.
+// (when clustering or the disk tier is on), and the ring and peer
+// prober (when -peers is set). It must run before the first request;
+// serveOn does, and cluster tests call it directly.
 func (s *server) openCluster() error {
 	if s.cfg.DiskDir != "" {
 		st, err := disk.Open(disk.Options{
@@ -114,23 +103,14 @@ func (s *server) openCluster() error {
 		Recorder: s.reg,
 	})
 	c := &clusterState{
-		self:   s.cfg.Self,
-		ring:   cluster.NewRing(nodes),
-		peers:  peers,
-		client: &http.Client{Timeout: s.cfg.Timeout + 5*time.Second},
+		self:  s.cfg.Self,
+		ring:  cluster.NewRing(nodes),
+		peers: peers,
 
 		localServes: s.reg.Counter("cluster.local_serves"),
 		proxied:     s.reg.Counter("cluster.proxied"),
 		proxyErrors: s.reg.Counter("cluster.proxy_errors"),
-		fillServes:  s.reg.Counter("cluster.fill_serves"),
 	}
-	c.filler = cluster.NewFiller(cluster.FillOptions{
-		Timeout:  fillTimeout,
-		MaxBytes: s.cfg.MaxBody * 16,
-		Validate: validateRecord,
-		Peers:    peers,
-		Recorder: s.reg,
-	})
 	peers.Start()
 	s.cluster = c
 	s.logger.Printf("cluster mode: self=%s peers=%d vnodes=%d", c.self, len(s.cfg.PeerList), cluster.Vnodes)
@@ -145,21 +125,6 @@ func (s *server) closeCluster() {
 	if s.disk != nil {
 		s.disk.Close()
 	}
-}
-
-// validateRecord vets a peer-filled record before it is trusted: it
-// must decode as a slice response that actually carries a slice. A
-// record failing here counts cluster.fill_corrupt and the fill moves
-// on — a corrupt peer costs a recompute, never a bad answer.
-func validateRecord(data []byte) error {
-	var resp sliceResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return err
-	}
-	if resp.Algorithm == "" || len(resp.Lines) == 0 {
-		return fmt.Errorf("record missing algorithm or lines")
-	}
-	return nil
 }
 
 // resultKeyFor derives the result-record address for one request: the
@@ -196,9 +161,13 @@ func (s *server) routeSlice(ctx context.Context, w http.ResponseWriter, r *http.
 // proxySlice forwards the request to owner, streaming the response
 // back. The forwarded request carries the parsed body re-encoded as
 // JSON (the original body is already consumed), the routed-from hop
-// marker, and the conditional/failpoint headers. It reports whether a
-// response was relayed; a transport failure marks the owner down and
-// returns false so the caller serves locally.
+// marker, and the conditional/failpoint headers. The hop is bounded
+// by the request's context alone: its deadline when -timeout is set,
+// otherwise the client's patience. It reports whether a response was
+// written. A hop that fails while the request is still live marks the
+// owner down and returns false so the caller serves locally; a hop
+// cut short by the request's own cancellation or deadline blames no
+// one and answers as the local pipeline would.
 func (s *server) proxySlice(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, owner string) bool {
 	c := s.cluster
 	body, err := json.Marshal(req)
@@ -220,8 +189,13 @@ func (s *server) proxySlice(ctx context.Context, w http.ResponseWriter, r *http.
 			preq.Header.Set(h, v)
 		}
 	}
-	resp, err := c.client.Do(preq)
+	resp, err := http.DefaultClient.Do(preq)
 	if err != nil {
+		if ctx.Err() != nil {
+			setProxied(w, owner)
+			s.failErr(w, r, "proxy", ctx.Err())
+			return true
+		}
 		c.proxyErrors.Add(1)
 		c.peers.MarkDown(owner)
 		return false
@@ -243,125 +217,48 @@ func (s *server) relayProxy(w http.ResponseWriter, resp *http.Response, owner st
 			h.Set(name, v)
 		}
 	}
-	h.Set("X-Sliced-Route", obs.RouteProxied)
-	h.Set("X-Sliced-Peer", owner)
+	setProxied(w, owner)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	return true
 }
 
-// serveResult answers a /slice request from the result tiers —
-// memory, disk, then peer fill — reporting whether a response was
-// written. A false return means every tier missed and the caller must
-// compute; rkey is where the computed record should then be stored.
-// It requires a result tier (s.results non-nil).
-func (s *server) serveResult(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, rkey slicecache.ResultKey, id uint64, start time.Time) bool {
-	if data, src := s.results.Get(rkey); src != slicecache.ResultMiss {
-		tier := "result"
-		if src == slicecache.ResultDisk {
-			tier = "disk"
-		}
-		if s.writeRecord(w, r, data, tier, "", id, start) {
-			return true
-		}
-		// The record is torn or in an older layout; recompute and
-		// overwrite it.
-	}
-	c := s.cluster
-	if c == nil {
-		return false
-	}
-	// Peer fill: ask the ring-adjacent nodes (the previous/next owners
-	// of this program's key) that are currently up.
-	key := slicecache.KeyOf(req.Source)
-	var candidates []string
-	for _, cand := range c.ring.Candidates(key[:], fillCandidates+1, c.self) {
-		if len(candidates) < fillCandidates && c.peers.Up(cand) {
-			candidates = append(candidates, cand)
-		}
-	}
-	if len(candidates) == 0 {
-		return false
-	}
-	var hdr http.Header
-	if s.cfg.Failpoints {
-		if v := r.Header.Get("X-Sliced-Fail"); v != "" {
-			hdr = http.Header{"X-Sliced-Fail": []string{v}}
-		}
-	}
-	res, err := c.filler.Fill(ctx, rkey.Hex(), candidates, hdr)
-	if err != nil {
-		return false // fills are best-effort; compute locally
-	}
-	if !s.writeRecord(w, r, res.Data, obs.RoutePeerFill, res.Peer, id, start) {
-		return false
-	}
-	c.fillServes.Add(1)
-	s.results.Put(rkey, res.Data)
-	return true
+// setProxied marks a response as placed on the proxy route to owner.
+func setProxied(w http.ResponseWriter, owner string) {
+	w.Header().Set("X-Sliced-Route", obs.RouteProxied)
+	w.Header().Set("X-Sliced-Peer", owner)
 }
 
-// writeRecord serves a stored result record, stamped with this
-// request's delivery metadata (ID and wall-clock duration — the two
-// fields deliberately zeroed in storage). It reports false, writing
-// nothing, if data is not a record (see isRecord).
-func (s *server) writeRecord(w http.ResponseWriter, r *http.Request, data []byte, tier, peer string, id uint64, start time.Time) bool {
-	if !isRecord(data) {
+// serveResult answers a /slice request from the result tiers —
+// memory, then disk — stamping the stored record with this request's
+// delivery metadata (ID and wall-clock duration, the two fields
+// zeroed in storage). It reports whether a response was written. A
+// false return means both tiers missed, or held a torn record or one
+// in an older layout (see isRecord), and the caller must compute; rkey
+// is where the computed record should then be stored. It requires a
+// result tier (s.results non-nil).
+func (s *server) serveResult(w http.ResponseWriter, r *http.Request, rkey slicecache.ResultKey, id uint64, start time.Time) bool {
+	data, src := s.results.Get(rkey)
+	if src == slicecache.ResultMiss || !isRecord(data) {
 		return false
 	}
-	w.Header().Set("X-Cache", tier)
-	if tier == obs.RoutePeerFill {
-		w.Header().Set("X-Sliced-Route", obs.RoutePeerFill)
-		w.Header().Set("X-Sliced-Peer", peer)
+	tier := "result"
+	if src == slicecache.ResultDisk {
+		tier = "disk"
 	}
+	w.Header().Set("X-Cache", tier)
 	reqInfoFrom(r).setSliceLines(recordLines(data))
 	stampRecord(w, data, id, start)
 	return true
 }
 
 // storeResult writes a computed response's canonical record — a pure
-// function of the request tuple — through the result tiers for peers
-// and restarts to find, and returns it.
+// function of the request tuple — through the result tiers for later
+// requests and restarts to find, and returns it.
 func (s *server) storeResult(rkey slicecache.ResultKey, resp *sliceResponse) []byte {
 	data := appendRecord(resp)
 	s.results.Put(rkey, data)
 	return data
-}
-
-// handleFill (GET /internal/fill?key=) serves one serialized result
-// record to a peer, from cache state only: it never computes, never
-// proxies, and never fills in turn, which is what makes a fill
-// structurally one hop. The key parameter is validated strictly.
-func (s *server) handleFill(w http.ResponseWriter, r *http.Request) {
-	if s.results == nil {
-		s.fail(w, r, http.StatusNotFound, "not_found", "result cache not enabled (-peers or -disk-dir)")
-		return
-	}
-	v := r.URL.Query().Get("key")
-	raw, err := hex.DecodeString(v)
-	if err != nil || len(raw) != len(slicecache.ResultKey{}) {
-		s.fail(w, r, http.StatusUnprocessableEntity, "invalid_parameter",
-			"parameter key must be %d hex characters, got %q", 2*len(slicecache.ResultKey{}), v)
-		return
-	}
-	var key slicecache.ResultKey
-	copy(key[:], raw)
-	data, src := s.results.Get(key)
-	if src == slicecache.ResultMiss {
-		s.fail(w, r, http.StatusNotFound, "not_found", "no record for key %s", v)
-		return
-	}
-	// The fill-corrupt failpoint serves a torn record so the e2e tests
-	// can prove the requesting side survives corruption.
-	if s.cfg.Failpoints && r.Header.Get("X-Sliced-Fail") == "fill-corrupt" {
-		data = data[:len(data)/2]
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", map[slicecache.ResultSource]string{
-		slicecache.ResultMemory: "result",
-		slicecache.ResultDisk:   "disk",
-	}[src])
-	w.Write(data)
 }
 
 // handleClusterDebug (GET /debug/cluster) reports the routing

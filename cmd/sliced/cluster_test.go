@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"jumpslice/internal/obs"
+	"jumpslice/internal/paper"
 	"jumpslice/internal/slicecache"
 )
 
@@ -23,7 +26,7 @@ type clusterNode struct {
 // startCluster boots n daemons that all share the same static peer
 // list, waits until every node sees every other node up, and tears
 // the fleet down with the test.
-func startCluster(t *testing.T, n int, mutate func(i int, cfg *config)) []*clusterNode {
+func startCluster(t testing.TB, n int, mutate func(i int, cfg *config)) []*clusterNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -67,6 +70,23 @@ func startCluster(t *testing.T, n int, mutate func(i int, cfg *config)) []*clust
 		}
 	}
 	return nodes
+}
+
+// bootDisk starts a daemon with a disk result tier on dir;
+// resultBytes > 0 overrides the in-memory tier's budget.
+func bootDisk(tb testing.TB, dir string, resultBytes int64) (*server, *httptest.Server, func()) {
+	tb.Helper()
+	cfg := testConfig()
+	cfg.DiskDir = dir
+	if resultBytes > 0 {
+		cfg.ResultBytes = resultBytes
+	}
+	s := newServer(cfg, io.Discard)
+	if err := s.openCluster(); err != nil {
+		tb.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	return s, ts, func() { ts.Close(); s.closeCluster() }
 }
 
 // nodeByAddr indexes a fleet by address.
@@ -122,109 +142,106 @@ func normalizeResponse(t *testing.T, body []byte) []byte {
 	return out
 }
 
-// TestClusterRoutingFillAndProxy is the acceptance choreography: a
-// record computed on one node is answered everywhere — by peer fill
-// on the key's owner, from memory afterwards, and through a
-// transparent proxy from a non-owner — always byte-identical to a
-// single-node daemon's answer.
-func TestClusterRoutingFillAndProxy(t *testing.T) {
+// TestClusterRoutingAndProxy is the acceptance choreography: every
+// paper figure under every algorithm, with and without explain, is
+// computed once by its owner and then answered from the owner's
+// result tier — directly, or through a transparent proxy from each
+// non-owner — always byte-identical to a single-node daemon's answer.
+// The owner's miss computes locally: no peer sees any request but
+// its health probes while it runs.
+func TestClusterRoutingAndProxy(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
-	src := fig5(t)
-	const query = "var=positives&line=14"
+	_, solo := newTestServer(t)
+	soloAddr := strings.TrimPrefix(solo.URL, "http://")
 
-	key := slicecache.KeyOf(src)
-	owner := nodeByAddr(nodes, nodes[0].s.cluster.ring.Owner(key[:]))
-	if owner == nil {
-		t.Fatal("ring named an owner outside the fleet")
+	type missWindow struct {
+		owner    *clusterNode
+		from, to int64
 	}
-	// Seed a non-owner: the routed-from marker forces local serving, so
-	// this node computes and stores the record without consulting the
-	// ring.
-	var seed *clusterNode
+	var misses []missWindow
+	for _, f := range paper.All() {
+		key := slicecache.KeyOf(f.Source)
+		owner := nodeByAddr(nodes, nodes[0].s.cluster.ring.Owner(key[:]))
+		if owner == nil {
+			t.Fatal("ring named an owner outside the fleet")
+		}
+		analyzed := false
+		for _, algo := range knownAlgos {
+			for _, explain := range []string{"0", "1"} {
+				query := fmt.Sprintf("var=%s&line=%d&algo=%s&explain=%s", f.Criterion.Var, f.Criterion.Line, algo, explain)
+				what := f.Name + " " + query
+				soloResp, soloBody := postNode(t, soloAddr, query, f.Source, nil)
+				if soloResp.StatusCode != http.StatusOK {
+					// Figures 12 and 13 refuse unstructured jumps; every
+					// node refuses the same way.
+					want := decodeErr(t, soloBody)
+					for _, nd := range nodes {
+						resp, body := postNode(t, nd.addr, query, f.Source, nil)
+						if got := decodeErr(t, body); resp.StatusCode != soloResp.StatusCode || got.Code != want.Code {
+							t.Fatalf("%s on %s: %d %q, solo %d %q", what, nd.addr, resp.StatusCode, got.Code, soloResp.StatusCode, want.Code)
+						}
+					}
+					continue
+				}
+				want := normalizeResponse(t, soloBody)
+
+				// The owner's first answer is computed: the figure's
+				// first tuple analyzes it, later tuples reuse the
+				// analysis.
+				first := "hit"
+				if !analyzed {
+					first, analyzed = "miss", true
+				}
+				from := time.Now().UnixNano()
+				resp, body := postNode(t, owner.addr, query, f.Source, nil)
+				misses = append(misses, missWindow{owner, from, time.Now().UnixNano()})
+				checkServed(t, what+" (owner, first)", resp, body, want, first, obs.RouteLocal, owner.addr, "")
+				for _, nd := range append([]*clusterNode{owner}, nodes...) {
+					resp, body := postNode(t, nd.addr, query, f.Source, nil)
+					if nd == owner {
+						checkServed(t, what+" (owner)", resp, body, want, "result", obs.RouteLocal, owner.addr, "")
+					} else {
+						checkServed(t, what+" (via "+nd.addr+")", resp, body, want, "result", obs.RouteProxied, owner.addr, owner.addr)
+					}
+				}
+			}
+		}
+	}
+	if len(misses) == 0 {
+		t.Fatal("no request was served")
+	}
+	for _, m := range misses {
+		for _, nd := range nodes {
+			if nd == m.owner {
+				continue
+			}
+			for _, ev := range nd.s.requests.Query(obs.Filter{SinceNS: m.from, UntilNS: m.to}, -1) {
+				if ev.Endpoint != "/healthz" {
+					t.Fatalf("peer %s saw %s %s during the owner's miss", nd.addr, ev.Method, ev.Path)
+				}
+			}
+		}
+	}
+
+	// The loop guard: a request that already hopped is served where it
+	// lands, whoever owns it.
+	src := fig5(t)
+	key := slicecache.KeyOf(src)
+	var other *clusterNode
 	for _, nd := range nodes {
-		if nd != owner {
-			seed = nd
+		if nd.addr != nodes[0].s.cluster.ring.Owner(key[:]) {
+			other = nd
 			break
 		}
 	}
-	resp, body := postNode(t, seed.addr, query, src, map[string]string{routedFromHeader: "test"})
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
-		t.Fatalf("seed request: status %d X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
-	}
-	if got := resp.Header.Get("X-Sliced-Route"); got != "local" {
-		t.Fatalf("hopped request route = %q, want local (loop guard)", got)
-	}
-
-	// Reference: a plain single-node daemon with no cluster plane.
-	_, solo := newTestServer(t)
-	soloResp, err := http.Post(solo.URL+"/slice?"+query, "text/plain", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloBody, _ := io.ReadAll(soloResp.Body)
-	soloResp.Body.Close()
-	want := normalizeResponse(t, soloBody)
-	if got := normalizeResponse(t, body); string(got) != string(want) {
-		t.Fatalf("seed node body diverges from single-node:\n%s\nvs\n%s", got, want)
-	}
-
-	// The owner misses locally and fills from the seed peer.
-	resp, body = postNode(t, owner.addr, query, src, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner request: status %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Cache"); got != "peer-fill" {
-		t.Fatalf("owner X-Cache = %q, want peer-fill", got)
-	}
-	if got := resp.Header.Get("X-Sliced-Route"); got != "peer-fill" {
-		t.Fatalf("owner route = %q, want peer-fill", got)
-	}
-	if got := resp.Header.Get("X-Sliced-Peer"); got != seed.addr {
-		t.Fatalf("fill peer = %q, want the seed %q", got, seed.addr)
-	}
-	if got := normalizeResponse(t, body); string(got) != string(want) {
-		t.Fatalf("peer-filled body diverges from single-node:\n%s\nvs\n%s", got, want)
-	}
-
-	// The fill promoted the record: the owner now answers from memory.
-	resp, body = postNode(t, owner.addr, query, src, nil)
-	if got := resp.Header.Get("X-Cache"); got != "result" {
-		t.Fatalf("owner second X-Cache = %q, want result", got)
-	}
-	if got := normalizeResponse(t, body); string(got) != string(want) {
-		t.Fatal("memory-served body diverges")
-	}
-
-	// The third node proxies to the owner transparently.
-	var third *clusterNode
-	for _, nd := range nodes {
-		if nd != owner && nd != seed {
-			third = nd
-		}
-	}
-	resp, body = postNode(t, third.addr, query, src, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("proxied request: status %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Sliced-Route"); got != "proxied" {
-		t.Fatalf("third-node route = %q, want proxied", got)
-	}
-	if got := resp.Header.Get("X-Sliced-Node"); got != owner.addr {
-		t.Fatalf("proxied X-Sliced-Node = %q, want the owner %q", got, owner.addr)
-	}
-	if got := resp.Header.Get("X-Sliced-Peer"); got != owner.addr {
-		t.Fatalf("proxied X-Sliced-Peer = %q, want %q", got, owner.addr)
-	}
-	if got := resp.Header.Get("X-Cache"); got != "result" {
-		t.Fatalf("proxied X-Cache = %q, want result (the owner's verdict rides through)", got)
-	}
-	if got := normalizeResponse(t, body); string(got) != string(want) {
-		t.Fatal("proxied body diverges")
+	resp, _ := postNode(t, other.addr, "var=positives&line=14", src, map[string]string{routedFromHeader: "test"})
+	if got := resp.Header.Get("X-Sliced-Route"); resp.StatusCode != http.StatusOK || got != obs.RouteLocal {
+		t.Fatalf("hopped request: status %d route %q, want 200 local (loop guard)", resp.StatusCode, got)
 	}
 
 	// The wide events carry the route taxonomy, and the ?route= filter
 	// is strict.
-	r, err := http.Get("http://" + third.addr + "/debug/requests?route=proxied")
+	r, err := http.Get("http://" + other.addr + "/debug/requests?route=proxied")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,56 +255,52 @@ func TestClusterRoutingFillAndProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Body.Close()
-	if len(page.Requests) != 1 || page.Requests[0].Peer != owner.addr {
-		t.Fatalf("?route=proxied returned %+v", page.Requests)
+	if len(page.Requests) == 0 {
+		t.Fatal("?route=proxied returned no events")
 	}
-	r, err = http.Get("http://" + third.addr + "/debug/requests?route=bogus")
-	if err != nil {
-		t.Fatal(err)
+	for _, ev := range page.Requests {
+		if ev.Route != obs.RouteProxied || ev.Peer == "" || ev.Peer == other.addr {
+			t.Fatalf("?route=proxied returned %+v", ev)
+		}
 	}
-	io.Copy(io.Discard, r.Body)
-	r.Body.Close()
-	if r.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("?route=bogus answered %d, want 422", r.StatusCode)
+	for _, route := range []string{"bogus", "peer-fill"} {
+		r, err = http.Get("http://" + other.addr + "/debug/requests?route=" + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := decodeEnvelope(t, r)
+		r.Body.Close()
+		if r.StatusCode != http.StatusUnprocessableEntity || env.Code != "invalid_parameter" {
+			t.Fatalf("?route=%s answered %d %q, want 422 invalid_parameter", route, r.StatusCode, env.Code)
+		}
 	}
 }
 
-// A corrupt peer fill — every candidate serving torn records — must
-// fall back to local compute: 200, correct body, cluster.fill_corrupt
-// counted, never a 5xx.
-func TestClusterFillCorruptFallsBackToCompute(t *testing.T) {
-	nodes := startCluster(t, 3, nil)
-	src := fig5(t)
-	const query = "var=positives&line=14"
+// decodeErr decodes an error envelope from a response body.
+func decodeErr(t *testing.T, body []byte) errorBody {
+	t.Helper()
+	var ae apiError
+	if err := json.Unmarshal(body, &ae); err != nil {
+		t.Fatalf("error body is not the JSON envelope: %v\n%s", err, body)
+	}
+	return ae.Error
+}
 
-	key := slicecache.KeyOf(src)
-	owner := nodeByAddr(nodes, nodes[0].s.cluster.ring.Owner(key[:]))
-	var seed *clusterNode
-	for _, nd := range nodes {
-		if nd != owner {
-			seed = nd
-			break
+// checkServed asserts one clustered /slice answer: status 200, the
+// cache tier, route, serving node and proxy peer ("" for none), and a
+// body that normalizes to want.
+func checkServed(t *testing.T, what string, resp *http.Response, body, want []byte, cache, route, node, peer string) {
+	t.Helper()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", what, resp.StatusCode, body)
+	}
+	for _, h := range [][2]string{{"X-Cache", cache}, {"X-Sliced-Route", route}, {"X-Sliced-Node", node}, {"X-Sliced-Peer", peer}} {
+		if got := resp.Header.Get(h[0]); got != h[1] {
+			t.Fatalf("%s: %s = %q, want %q", what, h[0], got, h[1])
 		}
 	}
-	if resp, _ := postNode(t, seed.addr, query, src, map[string]string{routedFromHeader: "test"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("seed: status %d", resp.StatusCode)
-	}
-
-	// The failpoint header rides the fill fetch, so every candidate
-	// that holds the record serves it torn.
-	resp, body := postNode(t, owner.addr, query, src, map[string]string{"X-Sliced-Fail": "fill-corrupt"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("corrupt-fill request answered %d, want 200 via local compute: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("X-Cache = %q, want miss (fell back to compute)", got)
-	}
-	var sr sliceResponse
-	if err := json.Unmarshal(body, &sr); err != nil || len(sr.Lines) == 0 {
-		t.Fatalf("fallback body broken: %v %s", err, body)
-	}
-	if got := owner.s.reg.Counter("cluster.fill_corrupt").Value(); got < 1 {
-		t.Fatalf("cluster.fill_corrupt = %d, want >= 1", got)
+	if got := normalizeResponse(t, body); string(got) != string(want) {
+		t.Fatalf("%s: body diverges from single-node:\n%s\nvs\n%s", what, got, want)
 	}
 }
 
@@ -323,65 +336,15 @@ func TestClusterOwnerDownDegradesToLocal(t *testing.T) {
 	}
 }
 
-// The fill endpoint validates its key strictly and serves cache state
-// only.
-func TestFillEndpointValidation(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testConfig()
-	cfg.DiskDir = dir
-	s := newServer(cfg, io.Discard)
-	if err := s.openCluster(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.closeCluster)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	for _, bad := range []string{"", "zz", "abc123", strings.Repeat("q", 64)} {
-		r, err := http.Get(ts.URL + "/internal/fill?key=" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env apiError
-		if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != "invalid_parameter" {
-			t.Fatalf("key=%q answered %d code %q, want 422 invalid_parameter", bad, r.StatusCode, env.Error.Code)
-		}
-	}
-	// A well-formed but absent key is a 404 miss.
-	r, err := http.Get(ts.URL + "/internal/fill?key=" + strings.Repeat("ab", 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, r.Body)
-	r.Body.Close()
-	if r.StatusCode != http.StatusNotFound {
-		t.Fatalf("absent key answered %d, want 404", r.StatusCode)
-	}
-}
-
 // TestClusterWarmRestartFromDisk is the warm-restart acceptance: a
 // record computed before a restart is served after it straight from
 // the disk tier, with zero pipeline work on the restarted node.
 func TestClusterWarmRestartFromDisk(t *testing.T) {
 	dir := t.TempDir()
-	boot := func() (*server, *httptest.Server, func()) {
-		cfg := testConfig()
-		cfg.DiskDir = dir
-		s := newServer(cfg, io.Discard)
-		if err := s.openCluster(); err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		return s, ts, func() { ts.Close(); s.closeCluster() }
-	}
 	src := fig5(t)
 	const query = "var=positives&line=14"
 
-	s1, ts1, stop1 := boot()
+	s1, ts1, stop1 := bootDisk(t, dir, 0)
 	resp1, sr1 := postSlice(t, ts1, query, src)
 	if got := resp1.Header.Get("X-Cache"); got != "miss" {
 		t.Fatalf("first request X-Cache = %q, want miss", got)
@@ -398,7 +361,7 @@ func TestClusterWarmRestartFromDisk(t *testing.T) {
 	}
 	stop1()
 
-	s2, ts2, stop2 := boot()
+	s2, ts2, stop2 := bootDisk(t, dir, 0)
 	defer stop2()
 	resp3, sr3 := postSlice(t, ts2, query, src)
 	if got := resp3.Header.Get("X-Cache"); got != "disk" {
@@ -441,5 +404,77 @@ func TestClusterWarmRestartFromDisk(t *testing.T) {
 	r.Body.Close()
 	if !dbg.Enabled || dbg.Tiers.Result == nil || dbg.Tiers.Disk == nil || dbg.Tiers.Disk.Entries == 0 {
 		t.Fatalf("/debug/cluster = %+v", dbg)
+	}
+}
+
+// A proxied request cut short by its own client or deadline must not
+// blame the owner: the hop failed because the request ended, not
+// because the owner is unhealthy. Marking it down would serve every
+// key it owns degraded until the next probe. The hang-up case runs
+// under -timeout 0, where the hop has no deadline of its own.
+func TestClusterProxyCancelKeepsOwnerUp(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		timeout       time.Duration // the fleet's -timeout
+		clientTimeout time.Duration
+		outcome       string
+	}{
+		{"client hang-up", 0, 200 * time.Millisecond, obs.OutcomeCanceled},
+		{"request deadline", 200 * time.Millisecond, 0, obs.OutcomeTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := startCluster(t, 3, func(_ int, cfg *config) { cfg.Timeout = tc.timeout })
+			src := fig5(t)
+			key := slicecache.KeyOf(src)
+			owner := nodeByAddr(nodes, nodes[0].s.cluster.ring.Owner(key[:]))
+			var ingress *clusterNode
+			for _, nd := range nodes {
+				if nd != owner {
+					ingress = nd
+					break
+				}
+			}
+			// The ingress passes the block failpoint; the forwarded
+			// header parks the request on the owner until the hop is
+			// abandoned.
+			close(ingress.s.unblock)
+			transitions := ingress.s.reg.Counter("cluster.probe_transitions").Value()
+
+			req, err := http.NewRequest(http.MethodPost, "http://"+ingress.addr+"/slice?var=positives&line=14", strings.NewReader(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("X-Sliced-Fail", "block")
+			resp, err := (&http.Client{Timeout: tc.clientTimeout}).Do(req)
+			if err == nil {
+				resp.Body.Close()
+				if tc.clientTimeout > 0 || resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("blocked request answered %d", resp.StatusCode)
+				}
+			}
+			// Wait for the ingress to finish the request: its wide
+			// event is recorded last.
+			var evs []obs.WideEvent
+			deadline := time.Now().Add(5 * time.Second)
+			for len(evs) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the ingress never finished the request")
+				}
+				time.Sleep(5 * time.Millisecond)
+				evs = ingress.s.requests.Query(obs.Filter{Endpoint: "/slice"}, -1)
+			}
+			if ev := evs[0]; ev.Outcome != tc.outcome || ev.Route != obs.RouteProxied || ev.Peer != owner.addr {
+				t.Errorf("request logged outcome %q route %q peer %q, want %s, proxied to %s", ev.Outcome, ev.Route, ev.Peer, tc.outcome, owner.addr)
+			}
+			if got := ingress.s.reg.Counter("cluster.proxy_errors").Value(); got != 0 {
+				t.Errorf("cluster.proxy_errors = %d, want 0", got)
+			}
+			if got := ingress.s.reg.Counter("cluster.probe_transitions").Value(); got != transitions {
+				t.Errorf("probe transitions went %d -> %d: the healthy owner was marked down", transitions, got)
+			}
+			if !ingress.s.cluster.peers.Up(owner.addr) {
+				t.Error("the healthy owner is down on the ingress")
+			}
+		})
 	}
 }

@@ -62,10 +62,6 @@
 //	                    nodes, per-peer health, and result/disk tier
 //	                    occupancy ({"enabled":false} when neither
 //	                    -peers nor -disk-dir is set).
-//	GET  /internal/fill peer cache-fill protocol (?key= names a
-//	                    serialized result record by hex address); for
-//	                    node-to-node use, answering 404 on a local
-//	                    miss — peers fall back to computing.
 //	GET  /healthz       liveness probe; reports the build revision.
 //
 // The access log emits one line per request on stderr: the request's
@@ -93,16 +89,17 @@
 // node's entry, defaulting to -addr). Requests are routed by the
 // program's SHA-256 content address over a consistent-hash ring (128
 // virtual nodes per node): a request landing on a non-owner is
-// proxied to the owner, and an owner's local miss first tries a
-// one-hop peer fill (500 ms per hop) before computing.
-// X-Sliced-Node, X-Sliced-Route (local, proxied, peer-fill) and
+// proxied to the owner, which answers from its result tier or
+// computes. X-Sliced-Node, X-Sliced-Route (local, proxied) and
 // X-Sliced-Peer on every response say who served it and how; health
 // probes (-probe-interval) gate hops, never ownership, so a dead
-// peer degrades to local computation. -disk-dir adds a disk-backed
-// result tier (-disk-bytes budget; -result-bytes bounds the
-// in-memory record cache) so a restarted node serves its prior
-// results as X-Cache: disk without recomputing. See internal/cluster
-// and internal/slicecache/disk.
+// peer degrades to local computation. -peers or -disk-dir turns on
+// the in-memory result tier (-result-bytes budget), which answers a
+// repeated request as X-Cache: result; -disk-dir backs it with a
+// disk tier (-disk-bytes budget) so a restarted node serves its prior
+// results as X-Cache: disk without recomputing. A solo daemon without
+// either flag has no result tier. See internal/cluster and
+// internal/slicecache/disk.
 //
 // Every request gets a monotonically increasing ID, echoed in the
 // X-Request-ID response header and stamped on its wide event, so a
@@ -121,7 +118,8 @@
 //	                 The deadline — and a client disconnect — cancels
 //	                 the slicing pipeline cooperatively mid-fixpoint
 //	                 (see internal/core); timeouts answer 503,
-//	                 disconnects are logged as 499.
+//	                 disconnects are logged as 499. In a cluster it
+//	                 bounds the proxy hop too; 0 means no deadline.
 //	-max-body N      request body byte limit (default 1 MiB); larger
 //	                 bodies answer 413.
 //	-max-stmts N     parsed statement-count limit (default 20000);
@@ -177,7 +175,6 @@ import (
 	"time"
 
 	"jumpslice/internal/baselines"
-	"jumpslice/internal/cluster"
 	"jumpslice/internal/core"
 	"jumpslice/internal/lang"
 	"jumpslice/internal/obs"
@@ -229,7 +226,7 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "peer health probe cadence")
 	fs.StringVar(&cfg.DiskDir, "disk-dir", cfg.DiskDir, "disk-backed result tier directory for warm restarts (empty disables)")
 	fs.Int64Var(&cfg.DiskBytes, "disk-bytes", cfg.DiskBytes, "disk result tier budget in bytes (oldest segments reclaimed)")
-	fs.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes")
+	fs.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes (the tier exists only with -peers or -disk-dir)")
 	return fs
 }
 
@@ -280,9 +277,8 @@ type config struct {
 	PostmortemDir string
 	// Failpoints enables the X-Sliced-Fail request header, which
 	// injects failures into the serving path (value "panic" panics
-	// inside the handler, "block" parks the request until released,
-	// "fill-corrupt" makes /internal/fill serve torn records). It
-	// exists for the resilience tests and is never enabled by a flag;
+	// inside the handler, "block" parks the request until released).
+	// It exists for the resilience tests and is never enabled by a flag;
 	// production requests carrying the header are unaffected.
 	Failpoints bool
 	// PeerList is the fleet's full static membership (host:port, self
@@ -476,9 +472,6 @@ func newServer(cfg config, logw io.Writer) *server {
 	}))
 	mux.HandleFunc("/debug/cluster", s.methods(map[string]http.HandlerFunc{
 		http.MethodGet: s.handleClusterDebug,
-	}))
-	mux.HandleFunc(cluster.FillPath, s.methods(map[string]http.HandlerFunc{
-		http.MethodGet: s.handleFill,
 	}))
 	if cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", httppprof.Index)
@@ -769,10 +762,6 @@ func (s *server) failpoint(w http.ResponseWriter, r *http.Request) (handled bool
 		return false
 	case "panic":
 		panic("injected failure (X-Sliced-Fail: panic)")
-	case "fill-corrupt":
-		// Handled at /internal/fill serve time (and propagated to fill
-		// fetches); the slicing path itself is unaffected.
-		return false
 	case "block":
 		select {
 		case <-s.unblock:
@@ -820,16 +809,16 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 
 	// Cluster placement: a request for a program owned by another node
 	// is proxied there (one hop max), then the local result tiers —
-	// memory, disk, peer fill — get a chance to answer before the
-	// pipeline runs. Every tier is best-effort: any failure falls
-	// through to local compute.
+	// memory, disk — get a chance to answer before the pipeline runs.
+	// Every tier is best-effort: any failure falls through to local
+	// compute.
 	if s.routeSlice(ctx, w, r, req) {
 		return
 	}
 	if s.cluster != nil || s.results != nil {
 		w.Header().Set("X-Sliced-Route", obs.RouteLocal)
 	}
-	if s.results != nil && s.serveResult(ctx, w, r, req, rkey, id, start) {
+	if s.results != nil && s.serveResult(w, r, rkey, id, start) {
 		return
 	}
 

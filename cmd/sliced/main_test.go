@@ -46,7 +46,7 @@ func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	return newTestServerConfig(t, testConfig())
 }
 
-func newTestServerConfig(t *testing.T, cfg config) (*server, *httptest.Server) {
+func newTestServerConfig(t testing.TB, cfg config) (*server, *httptest.Server) {
 	t.Helper()
 	s := newServer(cfg, io.Discard)
 	ts := httptest.NewServer(s.Handler())

@@ -135,10 +135,9 @@ func TestRecordLines(t *testing.T) {
 	}
 }
 
-// TestResultRecordRecomputed: a stored record that is torn (what the
-// fill-corrupt failpoint serves) or compact JSON (the layout earlier
-// daemons stored) is not served; the request is computed and the
-// record overwritten.
+// TestResultRecordRecomputed: a stored record that is torn (a write
+// cut short) or compact JSON (the layout earlier daemons stored) is
+// not served; the request is computed and the record overwritten.
 func TestResultRecordRecomputed(t *testing.T) {
 	src := fig5(t)
 	rkey := resultKeyFor(&sliceRequest{Source: src, Var: "positives", Line: 14, Algo: "agrawal"}, true)

@@ -101,7 +101,7 @@ func endpointOf(path string) string {
 	switch path {
 	case "/slice", "/session", "/metrics", "/healthz",
 		"/debug/cache", "/debug/requests", "/debug/slo", "/debug/build",
-		"/debug/cluster", "/internal/fill":
+		"/debug/cluster":
 		return path
 	}
 	if strings.HasPrefix(path, "/session/") {
@@ -214,7 +214,7 @@ func (s *server) logAccess(ev *obs.WideEvent) {
 //	              outcome taxonomy: ok, client_error, error, shed,
 //	              timeout, canceled, panic)
 //	?route=R      only events cluster routing placed that way (one of
-//	              local, proxied, peer-fill)
+//	              local, proxied)
 //	?n=N          at most the newest N matching events
 func (s *server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	f, n, err := requestsQuery(r.URL.Query())

@@ -11,7 +11,7 @@
 // -seed; workers pick programs through a zipf distribution (-zipf)
 // so a hot head of the corpus dominates, the way real content-
 // addressed traffic does — that skew is what exercises the fleet's
-// peer-fill and result tiers. Each program keeps a fixed slicing
+// proxy and result tiers. Each program keeps a fixed slicing
 // criterion, so repeats are byte-identical requests.
 //
 // Operations (weighted by -mix):

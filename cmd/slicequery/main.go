@@ -36,7 +36,7 @@
 //	-endpoint E           the normalized route ("/slice")
 //	-status N             the exact response status
 //	-outcome O            ok|client_error|error|shed|timeout|canceled|panic
-//	-route R              local|proxied|peer-fill — how a clustered
+//	-route R              local|proxied — how a clustered
 //	                      daemon answered (events from an unclustered
 //	                      daemon carry no route and never match)
 //	-min-ms N             at least N milliseconds slow
@@ -95,7 +95,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		endpoint  = fs.String("endpoint", "", "only events on this normalized endpoint")
 		status    = fs.Int("status", 0, "only events with this exact response status")
 		outcome   = fs.String("outcome", "", "only events with this outcome (ok|client_error|error|shed|timeout|canceled|panic)")
-		route     = fs.String("route", "", "only events answered via this cluster route (local|proxied|peer-fill)")
+		route     = fs.String("route", "", "only events answered via this cluster route (local|proxied)")
 		minMS     = fs.Int64("min-ms", 0, "only events at least this many milliseconds slow")
 		topN      = fs.Int("n", 10, "row limit for top and list (0 = unlimited for list)")
 		reqID     = fs.Uint64("id", 0, "request ID for the request command")

@@ -306,11 +306,8 @@ func TestRouteFilterAndDisplay(t *testing.T) {
 			Status: 200, DurationNS: 1_000_000, Outcome: "ok",
 			Route: "local",
 		}
-		switch {
-		case i%3 == 0:
+		if i%3 == 0 {
 			ev.Route, ev.Peer = "proxied", "127.0.0.1:9001"
-		case i%3 == 1:
-			ev.Route, ev.Peer = "peer-fill", "127.0.0.1:9002"
 		}
 		evs = append(evs, ev)
 	}
@@ -326,19 +323,22 @@ func TestRouteFilterAndDisplay(t *testing.T) {
 
 	out = query(t, "-log", logf, "summary")
 	if !strings.Contains(out, "routes:") ||
-		!strings.Contains(out, "proxied") || !strings.Contains(out, "peer-fill") {
+		!strings.Contains(out, "proxied") || !strings.Contains(out, "local") {
 		t.Errorf("summary missing routes breakdown:\n%s", out)
 	}
 
-	out = query(t, "-log", logf, "-id", "1", "request")
-	if !strings.Contains(out, "cluster:  route=peer-fill peer=127.0.0.1:9002") {
+	out = query(t, "-log", logf, "-id", "3", "request")
+	if !strings.Contains(out, "cluster:  route=proxied peer=127.0.0.1:9001") {
 		t.Errorf("request reconstruction missing cluster line:\n%s", out)
 	}
 
-	// An invalid route is rejected, same contract as -outcome.
-	var o, e strings.Builder
-	if code := run([]string{"-log", logf, "-route", "bogus"}, &o, &e); code == 0 {
-		t.Error("-route bogus accepted")
+	// An invalid route is rejected, same contract as -outcome; the
+	// retired peer-fill route is as unknown as any other.
+	for _, route := range []string{"bogus", "peer-fill"} {
+		var o, e strings.Builder
+		if code := run([]string{"-log", logf, "-route", route}, &o, &e); code == 0 {
+			t.Errorf("-route %s accepted", route)
+		}
 	}
 
 	// An unclustered daemon's log prints no routes section.

@@ -251,20 +251,10 @@ func render(w io.Writer, cur, prev *sample, base string) error {
 
 	// Cluster health (present when the daemon runs with -peers).
 	if peers := cur.get("jumpslice_cluster_peers"); peers > 0 {
-		fills := cur.get("jumpslice_cluster_fills_total")
-		fillHits := cur.get("jumpslice_cluster_fill_hits_total")
-		fmt.Fprintf(w, "cluster: %d/%d peers up, %d local / %d proxied / %d peer-filled",
+		fmt.Fprintf(w, "cluster: %d/%d peers up, %d local / %d proxied\n",
 			int64(cur.get("jumpslice_cluster_peers_up")), int64(peers),
 			int64(cur.get("jumpslice_cluster_local_serves_total")),
-			int64(cur.get("jumpslice_cluster_proxied_total")),
-			int64(cur.get("jumpslice_cluster_fill_serves_total")))
-		if fills > 0 {
-			fmt.Fprintf(w, ", fills %.1f%% hit", 100*fillHits/fills)
-		}
-		if corrupt := cur.get("jumpslice_cluster_fill_corrupt_total"); corrupt > 0 {
-			fmt.Fprintf(w, ", %d CORRUPT", int64(corrupt))
-		}
-		fmt.Fprintln(w)
+			int64(cur.get("jumpslice_cluster_proxied_total")))
 	}
 
 	// Result/disk tiers (present with -peers or -disk-dir).

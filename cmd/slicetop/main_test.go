@@ -72,14 +72,6 @@ jumpslice_cluster_peers_up 1
 jumpslice_cluster_local_serves_total 25
 # TYPE jumpslice_cluster_proxied_total counter
 jumpslice_cluster_proxied_total 10
-# TYPE jumpslice_cluster_fill_serves_total counter
-jumpslice_cluster_fill_serves_total 5
-# TYPE jumpslice_cluster_fills_total counter
-jumpslice_cluster_fills_total 8
-# TYPE jumpslice_cluster_fill_hits_total counter
-jumpslice_cluster_fill_hits_total 5
-# TYPE jumpslice_cluster_fill_corrupt_total counter
-jumpslice_cluster_fill_corrupt_total 1
 # TYPE jumpslice_result_puts_total counter
 jumpslice_result_puts_total 12
 # TYPE jumpslice_result_resident_bytes gauge
@@ -145,7 +137,7 @@ func TestOnceSnapshot(t *testing.T) {
 		"8 patched / 0 partial / 2 full", // incremental mix
 		"12 goroutines on 8 procs",
 		"avg pause 100µs", // 400000/4 ns
-		"cluster: 1/2 peers up, 25 local / 10 proxied / 5 peer-filled, fills 62.5% hit, 1 CORRUPT",
+		"cluster: 1/2 peers up, 25 local / 10 proxied\n",
 		"results: 2.0KiB in 4 entries memory, disk 4.0KiB in 9 entries over 2 segments (3 warm hits)",
 		"slices: 42 total",
 	} {

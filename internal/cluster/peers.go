@@ -233,7 +233,7 @@ func (p *Peers) Up(addr string) bool {
 }
 
 // MarkDown records a data-path failure against addr (a failed proxy
-// or fill), so routing reacts faster than the next probe sweep.
+// hop), so routing reacts faster than the next probe sweep.
 func (p *Peers) MarkDown(addr string) {
 	if pr := p.peers[addr]; pr != nil {
 		p.report(pr, false)

@@ -1,5 +1,5 @@
 // Package cluster turns a set of independent sliced daemons into a
-// shardable fleet. It is stdlib-only and owns the three mechanisms a
+// shardable fleet. It is stdlib-only and owns the two mechanisms a
 // static-membership cluster needs:
 //
 //   - a consistent-hash ring (Ring) with virtual nodes, mapping the
@@ -9,13 +9,7 @@
 //   - a peer table (Peers) with a lightweight HTTP health probe per
 //     peer, marking nodes up and down with exponential backoff so a
 //     dead owner degrades routing to local serving instead of
-//     erroring;
-//   - a peer-fill client (Filler) that fetches a serialized result
-//     record from another node's cache on a local miss, with
-//     singleflight suppression (concurrent misses of one key cost one
-//     network fetch), a per-hop deadline, and a protocol that cannot
-//     loop: a fill request is served from cache state only and never
-//     triggers another hop.
+//     erroring.
 //
 // Membership is static — the fleet is configured with -peers on every
 // node — and routing is deterministic over the full configured list,
@@ -132,29 +126,4 @@ func (r *Ring) search(h uint64) int {
 		return 0
 	}
 	return i
-}
-
-// Candidates returns up to n distinct nodes in ring order starting at
-// key's owner, skipping exclude. This is the peer-fill preference
-// order: the nodes that owned (or would own) the key under nearby
-// ring configurations, i.e. the nodes most likely to hold it warm
-// after a membership change.
-func (r *Ring) Candidates(key []byte, n int, exclude string) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	seen := make(map[int32]bool, n+1)
-	start := r.search(keyHash(key))
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if seen[p.node] {
-			continue
-		}
-		seen[p.node] = true
-		if node := r.nodes[p.node]; node != exclude {
-			out = append(out, node)
-		}
-	}
-	return out
 }

@@ -116,79 +116,10 @@ func TestRingBalanceWithin15Percent(t *testing.T) {
 	}
 }
 
-// Candidates walks the ring in owner order: the first candidate is
-// the owner, every node appears at most once, and excluding the owner
-// yields the fill preference order (the previous/next owners, i.e.
-// the nodes that hold the key warm across a membership change).
-func TestRingCandidates(t *testing.T) {
-	nodes := testNodes(4)
-	r := NewRing(nodes)
-	for _, k := range testKeys(200) {
-		owner := r.Owner(k)
-		all := r.Candidates(k, 4, "")
-		if len(all) != 4 || all[0] != owner {
-			t.Fatalf("candidates %v should start with owner %q", all, owner)
-		}
-		seen := map[string]bool{}
-		for _, c := range all {
-			if seen[c] {
-				t.Fatalf("duplicate candidate %q in %v", c, all)
-			}
-			seen[c] = true
-		}
-		rest := r.Candidates(k, 3, owner)
-		if len(rest) != 3 {
-			t.Fatalf("excluding owner gave %v", rest)
-		}
-		for _, c := range rest {
-			if c == owner {
-				t.Fatalf("owner %q not excluded from %v", owner, rest)
-			}
-		}
-		// The exclusion preserves relative order.
-		for i, c := range rest {
-			if all[i+1] != c {
-				t.Fatalf("candidate order changed under exclusion: %v vs %v", all, rest)
-			}
-		}
-	}
-}
-
-// A key that moved to a new owner after a join keeps its old owner as
-// a fill candidate: the new owner asking Candidates(key, n, self)
-// must reach the node that computed the key before the change. This
-// is the property the peer-fill path relies on.
-func TestRingFillCandidateCoversOldOwner(t *testing.T) {
-	keys := testKeys(20000)
-	nodes := testNodes(3)
-	before := NewRing(nodes)
-	after := NewRing(append(append([]string{}, nodes...), "10.0.1.99:8080"))
-	for _, k := range keys {
-		ob, oa := before.Owner(k), after.Owner(k)
-		if ob == oa {
-			continue // did not move
-		}
-		found := false
-		for _, c := range after.Candidates(k, 3, oa) {
-			if c == ob {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("moved key: old owner %q not in new owner's candidates %v",
-				ob, after.Candidates(k, 3, oa))
-		}
-	}
-}
-
 func TestRingEmptyAndSingle(t *testing.T) {
 	empty := NewRing(nil)
 	if got := empty.Owner([]byte("k")); got != "" {
 		t.Fatalf("empty ring owner = %q", got)
-	}
-	if got := empty.Candidates([]byte("k"), 3, ""); got != nil {
-		t.Fatalf("empty ring candidates = %v", got)
 	}
 	one := NewRing([]string{"a:1"})
 	for _, k := range testKeys(50) {

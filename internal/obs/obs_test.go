@@ -165,7 +165,7 @@ func TestScrubDropsEnvironmentPrefixes(t *testing.T) {
 	r.Counter("jumps.analyzed").Add(4)
 	r.Counter("runtime.gc_cycles").Add(2)
 	r.Counter("http.incr.patched").Add(9)
-	r.Counter("cluster.fills").Add(7)
+	r.Counter("cluster.proxied").Add(7)
 	r.Counter("disk.dropped").Add(1)
 	r.Gauge("disk.resident_bytes").Set(4096)
 	r.Gauge("result.entries").Set(3)

@@ -48,14 +48,13 @@ const (
 // The route taxonomy: how cluster routing placed a request
 // (WideEvent.Route).
 const (
-	RouteLocal    = "local"     // served by this node
-	RouteProxied  = "proxied"   // forwarded to the ring owner
-	RoutePeerFill = "peer-fill" // served from a record fetched off a peer
+	RouteLocal   = "local"   // served by this node
+	RouteProxied = "proxied" // forwarded to the ring owner
 )
 
 var (
 	outcomes = []string{OutcomeOK, OutcomeClientError, OutcomeError, OutcomeShed, OutcomeTimeout, OutcomeCanceled, OutcomePanic}
-	routes   = []string{RouteLocal, RouteProxied, RoutePeerFill}
+	routes   = []string{RouteLocal, RouteProxied}
 )
 
 // CheckOutcome reports an error unless o is one of the outcome
@@ -152,14 +151,14 @@ type WideEvent struct {
 	Stmts      int    `json:"stmts,omitempty"`
 	SliceLines int    `json:"slice_lines,omitempty"`
 	// Cache is the cache tier that answered ("hit", "miss",
-	// "coalesced", and in cluster mode "result", "disk", "peer-fill");
+	// "coalesced", and with a result tier "result", "disk");
 	// Incremental the session reuse tier ("patched", "partial",
 	// "full").
 	Cache       string `json:"cache,omitempty"`
 	Incremental string `json:"incremental,omitempty"`
 	// Route says how cluster routing placed the request: one of the
 	// Route* constants, empty outside cluster mode. Peer names the
-	// other node involved: the proxy target or the fill source.
+	// other node involved: the proxy target.
 	Route string `json:"route,omitempty"`
 	Peer  string `json:"peer,omitempty"`
 	// Phases are the request's completed pipeline phase durations, in

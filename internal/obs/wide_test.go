@@ -248,7 +248,7 @@ func TestCheckTaxonomies(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	for _, r := range []string{"local", "proxied", "peer-fill"} {
+	for _, r := range []string{"local", "proxied"} {
 		if err := CheckRoute(r); err != nil {
 			t.Error(err)
 		}
@@ -256,7 +256,9 @@ func TestCheckTaxonomies(t *testing.T) {
 	if err := CheckOutcome("OK"); err == nil || err.Error() != `outcome must be one of ok|client_error|error|shed|timeout|canceled|panic, got "OK"` {
 		t.Errorf("CheckOutcome(OK) = %v", err)
 	}
-	if err := CheckRoute(""); err == nil || err.Error() != `route must be one of local|proxied|peer-fill, got ""` {
-		t.Errorf("CheckRoute(\"\") = %v", err)
+	for _, r := range []string{"", "peer-fill"} {
+		if err := CheckRoute(r); err == nil || err.Error() != `route must be one of local|proxied, got "`+r+`"` {
+			t.Errorf("CheckRoute(%q) = %v", r, err)
+		}
 	}
 }

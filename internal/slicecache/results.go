@@ -13,13 +13,14 @@ import (
 // memoizes the expensive middle of the pipeline (a *core.Analysis,
 // which is pointer-rich and deliberately not serializable), the
 // ResultCache memoizes finished answers — the canonical JSON of one
-// slice response — keyed by the full request tuple. Serialized bytes
-// are what can cross process boundaries, so this tier is what peer
-// fill ships between nodes and what the disk tier persists across
-// restarts.
+// slice response — keyed by the full request tuple. A record is plain
+// bytes, so the disk tier can persist it across restarts. The daemon
+// builds this tier only with -peers or -disk-dir: there, a repeated
+// request skips even the slice and the response encoding; a solo
+// daemon relies on the analysis cache alone.
 
 // resultKeyVersion names the response encoding whose records are
-// cached; bumping it orphans every stale record on disk and in peers.
+// cached; bumping it orphans every stale record on disk.
 const resultKeyVersion = "jumpslice/result-record/v1\x00"
 
 // ResultKey is the content address of one finished result: SHA-256
@@ -42,8 +43,8 @@ func ResultKeyOf(fields ...string) ResultKey {
 	return k
 }
 
-// Hex renders the key as lowercase hex, the form the cluster's
-// /internal/fill?key= parameter carries.
+// Hex renders the key as lowercase hex, the form the daemon's ETag
+// carries.
 func (k ResultKey) Hex() string { return hex.EncodeToString(k[:]) }
 
 // ResultSource reports which tier answered a ResultCache.Get.
