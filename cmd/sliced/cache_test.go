@@ -19,8 +19,10 @@ import (
 )
 
 // TestCacheMissThenHit asserts the X-Cache header narrates the cache's
-// verdict — first request for a program is a miss, repeats are hits —
-// and that the cached path answers byte-identically to the first.
+// verdict — the first request for a program is a miss, later requests
+// that the result tier has not seen are analysis hits, and identical
+// repeats are result hits — and that the cached paths answer with the
+// first request's slice.
 func TestCacheMissThenHit(t *testing.T) {
 	_, ts := newTestServer(t)
 	fig := fig5(t)
@@ -29,17 +31,26 @@ func TestCacheMissThenHit(t *testing.T) {
 	if got := resp1.Header.Get("X-Cache"); got != "miss" {
 		t.Errorf("first request X-Cache = %q, want miss", got)
 	}
-	resp2, sr2 := postSlice(t, ts, "var=positives&line=14", fig)
+	// Explain is part of the result key, so this misses the result
+	// tier and hits the analysis cache.
+	resp2, sr2 := postSlice(t, ts, "var=positives&line=14&explain=1", fig)
 	if got := resp2.Header.Get("X-Cache"); got != "hit" {
 		t.Errorf("second request X-Cache = %q, want hit", got)
 	}
 	if fmt.Sprint(sr1.Lines) != fmt.Sprint(sr2.Lines) || sr1.Text != sr2.Text {
 		t.Errorf("cached response differs from uncached: %v vs %v", sr1.Lines, sr2.Lines)
 	}
+	resp3, sr3 := postSlice(t, ts, "var=positives&line=14", fig)
+	if got := resp3.Header.Get("X-Cache"); got != "result" {
+		t.Errorf("identical repeat X-Cache = %q, want result", got)
+	}
+	if fmt.Sprint(sr1.Lines) != fmt.Sprint(sr3.Lines) || sr1.Text != sr3.Text {
+		t.Errorf("replayed response differs from computed: %v vs %v", sr1.Lines, sr3.Lines)
+	}
 	// A different algorithm on the same program still hits: one
 	// analysis serves every algorithm.
-	resp3, _ := postSlice(t, ts, "var=positives&line=14&algo=conventional", fig)
-	if got := resp3.Header.Get("X-Cache"); got != "hit" {
+	resp4, _ := postSlice(t, ts, "var=positives&line=14&algo=conventional", fig)
+	if got := resp4.Header.Get("X-Cache"); got != "hit" {
 		t.Errorf("different-algo request X-Cache = %q, want hit", got)
 	}
 }
@@ -101,7 +112,12 @@ func TestDebugCacheEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	fig := fig5(t)
 	postSlice(t, ts, "var=positives&line=14", fig)
-	postSlice(t, ts, "var=positives&line=14", fig)
+	postSlice(t, ts, "var=positives&line=14&explain=1", fig)
+	// The result tier answers an identical repeat without asking the
+	// analysis cache, so the counters below do not move.
+	if resp, _ := postSlice(t, ts, "var=positives&line=14", fig); resp.Header.Get("X-Cache") != "result" {
+		t.Errorf("identical repeat X-Cache = %q, want result", resp.Header.Get("X-Cache"))
+	}
 
 	resp, err := http.Get(ts.URL + "/debug/cache")
 	if err != nil {
@@ -225,9 +241,11 @@ func TestCacheCoalescing(t *testing.T) {
 	}
 }
 
-// TestCacheSDGHit asserts algo=sdg rides the analysis cache: a repeat
-// answers X-Cache: hit with the same body, and the summary-edge
-// worklist, which the miss ran before caching, does not run again.
+// TestCacheSDGHit asserts algo=sdg rides the analysis cache: the same
+// criterion without explain answers X-Cache: hit with the same slice,
+// an identical repeat answers result with the same body, and the
+// summary-edge worklist, which the miss ran before caching, does not
+// run again.
 func TestCacheSDGHit(t *testing.T) {
 	s, ts := newTestServer(t)
 	const query = "var=sum&line=10&algo=sdg&explain=1"
@@ -239,16 +257,26 @@ func TestCacheSDGHit(t *testing.T) {
 	if edges == 0 {
 		t.Fatal("the miss computed no summary edges")
 	}
-	resp2, sr2 := postSlice(t, ts, query, sdgTestProgram)
+	resp2, sr2 := postSlice(t, ts, "var=sum&line=10&algo=sdg", sdgTestProgram)
 	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("repeated sdg request X-Cache = %q, want hit", got)
+		t.Errorf("sdg request without explain X-Cache = %q, want hit", got)
+	}
+	resp3, sr3 := postSlice(t, ts, query, sdgTestProgram)
+	if got := resp3.Header.Get("X-Cache"); got != "result" {
+		t.Errorf("repeated sdg request X-Cache = %q, want result", got)
 	}
 	if got := s.reg.Counter("sdg.summary_edges").Value(); got != edges {
 		t.Errorf("sdg.summary_edges moved on a hit: %d → %d", edges, got)
 	}
-	sr1.Request, sr1.DurationNS, sr2.Request, sr2.DurationNS = 0, 0, 0, 0
-	if !reflect.DeepEqual(sr1, sr2) {
-		t.Errorf("cached sdg response differs:\n%+v\n%+v", sr1, sr2)
+	sr1.Request, sr1.DurationNS, sr3.Request, sr3.DurationNS = 0, 0, 0, 0
+	if !reflect.DeepEqual(sr1, sr3) {
+		t.Errorf("replayed sdg response differs:\n%+v\n%+v", sr1, sr3)
+	}
+	unexplained := *sr1
+	unexplained.Reasons, unexplained.Listing = nil, ""
+	sr2.Request, sr2.DurationNS = 0, 0
+	if !reflect.DeepEqual(&unexplained, sr2) {
+		t.Errorf("cached sdg response differs:\n%+v\n%+v", &unexplained, sr2)
 	}
 }
 

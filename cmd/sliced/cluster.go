@@ -2,9 +2,11 @@ package main
 
 // The daemon's cluster plane: consistent-hash routing over the
 // program's content address, transparent proxying to the ring owner,
-// and the disk-backed result tier that makes restarts warm.
+// and the disk-backed result tier that makes restarts warm. The
+// in-memory result tier under it is every daemon's, clustered or not.
 //
-// The flow for one clustered /slice request:
+// The flow for one /slice request (step 1 only under -peers, the disk
+// only under -disk-dir):
 //
 //  1. The ring (built over the full static -peers list) names the
 //     owner of the program's content address. A request landing on
@@ -66,10 +68,10 @@ type clusterState struct {
 }
 
 // openCluster brings up the persistence and routing tiers from the
-// config: the disk store (when -disk-dir is set), the result cache
-// (when clustering or the disk tier is on), and the ring and peer
-// prober (when -peers is set). It must run before the first request;
-// serveOn does, and cluster tests call it directly.
+// config: the disk store under the result tier (when -disk-dir is
+// set), and the ring and peer prober (when -peers is set). It must run
+// before the first request; serveOn does, and cluster tests call it
+// directly.
 func (s *server) openCluster() error {
 	if s.cfg.DiskDir != "" {
 		st, err := disk.Open(disk.Options{
@@ -81,14 +83,10 @@ func (s *server) openCluster() error {
 			return err
 		}
 		s.disk = st
+		// No request has touched newServer's memory tier yet, so the
+		// tier is rebuilt over the store rather than attached to it.
+		s.results = s.newResults()
 		s.logger.Printf("disk result tier on %s (budget %d bytes)", s.cfg.DiskDir, st.Stats().MaxBytes)
-	}
-	if s.cfg.DiskDir != "" || len(s.cfg.PeerList) > 0 {
-		s.results = slicecache.NewResultCache(slicecache.ResultOptions{
-			MaxBytes: s.cfg.ResultBytes,
-			Disk:     s.disk,
-			Recorder: s.reg,
-		})
 	}
 	if len(s.cfg.PeerList) == 0 {
 		return nil
@@ -229,14 +227,23 @@ func setProxied(w http.ResponseWriter, owner string) {
 	w.Header().Set("X-Sliced-Peer", owner)
 }
 
+// newResults builds the result tier from the config: a memory LRU of
+// -result-bytes over the disk store, if one is open.
+func (s *server) newResults() *slicecache.ResultCache {
+	return slicecache.NewResultCache(slicecache.ResultOptions{
+		MaxBytes: s.cfg.ResultBytes,
+		Disk:     s.disk,
+		Recorder: s.reg,
+	})
+}
+
 // serveResult answers a /slice request from the result tiers —
 // memory, then disk — stamping the stored record with this request's
 // delivery metadata (ID and wall-clock duration, the two fields
 // zeroed in storage). It reports whether a response was written. A
 // false return means both tiers missed, or held a torn record or one
 // in an older layout (see isRecord), and the caller must compute; rkey
-// is where the computed record should then be stored. It requires a
-// result tier (s.results non-nil).
+// is where the computed record should then be stored.
 func (s *server) serveResult(w http.ResponseWriter, r *http.Request, rkey slicecache.ResultKey, id uint64, start time.Time) bool {
 	data, src := s.results.Get(rkey)
 	if src == slicecache.ResultMiss || !isRecord(data) {
@@ -247,25 +254,29 @@ func (s *server) serveResult(w http.ResponseWriter, r *http.Request, rkey slicec
 		tier = "disk"
 	}
 	w.Header().Set("X-Cache", tier)
-	reqInfoFrom(r).setSliceLines(recordLines(data))
-	stampRecord(w, data, id, start)
+	rec := recordBody(data)
+	ri := reqInfoFrom(r)
+	ri.setStmts(recordStmts(data))
+	ri.setSliceLines(recordLines(rec))
+	stampRecord(w, rec, id, start)
 	return true
 }
 
 // storeResult writes a computed response's canonical record — a pure
-// function of the request tuple — through the result tiers for later
-// requests and restarts to find, and returns it.
-func (s *server) storeResult(rkey slicecache.ResultKey, resp *sliceResponse) []byte {
-	data := appendRecord(resp)
+// function of the request tuple — and its program's statement count
+// stmts through the result tiers for later requests and restarts to
+// find, and returns the record.
+func (s *server) storeResult(rkey slicecache.ResultKey, resp *sliceResponse, stmts int) []byte {
+	data := appendRecord(resp, stmts)
 	s.results.Put(rkey, data)
-	return data
+	return recordBody(data)
 }
 
 // handleClusterDebug (GET /debug/cluster) reports the routing
 // fabric's live state: self, ring membership, per-peer health, and
-// the result/disk tier ledgers. Without -peers it reports what is
-// enabled ({"enabled":false} when neither clustering nor the disk
-// tier is on).
+// the result/disk tier ledgers. enabled says whether the cluster plane
+// is on: a ring (-peers) or a disk tier (-disk-dir). The memory result
+// tier is every daemon's, so its ledger is always reported.
 func (s *server) handleClusterDebug(w http.ResponseWriter, r *http.Request) {
 	type tierStats struct {
 		Result *slicecache.ResultStats `json:"result,omitempty"`
@@ -279,14 +290,12 @@ func (s *server) handleClusterDebug(w http.ResponseWriter, r *http.Request) {
 		Peers   []cluster.PeerState `json:"peers,omitempty"`
 		Tiers   tierStats           `json:"tiers"`
 	}{}
-	if s.results != nil {
-		st := s.results.ResultStats()
-		out.Tiers.Result = &st
-		out.Enabled = true
-	}
+	st := s.results.ResultStats()
+	out.Tiers.Result = &st
 	if s.disk != nil {
 		st := s.disk.Stats()
 		out.Tiers.Disk = &st
+		out.Enabled = true
 	}
 	if c := s.cluster; c != nil {
 		out.Enabled = true

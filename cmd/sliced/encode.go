@@ -23,12 +23,14 @@ package main
 // arbitrary snapshot structs off the hot path, keep writeJSON.
 //
 // A stored result record is the response body with request and
-// duration_ns zeroed; serving it stamps the two values back in
-// (stampRecord), so a result hit never decodes or re-encodes.
+// duration_ns zeroed, behind the program's statement count; serving
+// it stamps the two values back in (stampRecord), so a result hit
+// never decodes or re-encodes.
 
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"net/http"
 	"slices"
 	"strconv"
@@ -92,37 +94,53 @@ func (e *jsonEnc) release() {
 // duration_ns zeroed. Every such body opens with the request member
 // and closes with duration_ns, so the record starts with recordHead
 // and ends with recordTail, and the two zeros sit at fixed offsets.
+// The tiers store it behind a stmtsWidth-byte big-endian prefix
+// holding the program's statement count, which a hit logs in its wide
+// event without the analysis.
 const (
 	stampRequest  = "{\n  \"request\": "
 	stampDuration = ",\n  \"duration_ns\": "
 	recordHead    = stampRequest + "0,\n"
 	recordTail    = stampDuration + "0\n}\n"
+	stmtsWidth    = 4
 )
 
-// appendRecord returns the record of r, in memory of its own.
-func appendRecord(r *sliceResponse) []byte {
+// appendRecord returns the stored value of r, a response to a program
+// of stmts statements, in memory of its own.
+func appendRecord(r *sliceResponse, stmts int) []byte {
 	rec := *r
 	rec.Request, rec.DurationNS = 0, 0
 	e := jsonEncs.Get().(*jsonEnc)
 	rec.appendJSON(e)
 	e.buf = append(e.buf, '\n')
-	data := bytes.Clone(e.buf)
+	data := binary.BigEndian.AppendUint32(make([]byte, 0, stmtsWidth+len(e.buf)), uint32(stmts))
+	data = append(data, e.buf...)
 	e.release()
 	return data
 }
 
-// isRecord reports whether data is framed as a record. A torn record,
-// or one a daemon stored as compact JSON, is not.
+// isRecord reports whether a stored value is a statement count and a
+// framed record. A torn record, or one a daemon stored as compact
+// JSON, is not.
 func isRecord(data []byte) bool {
-	return len(data) >= len(recordHead)+len(recordTail) &&
-		bytes.HasPrefix(data, []byte(recordHead)) && bytes.HasSuffix(data, []byte(recordTail))
+	if len(data) < stmtsWidth+len(recordHead)+len(recordTail) {
+		return false
+	}
+	body := recordBody(data)
+	return bytes.HasPrefix(body, []byte(recordHead)) && bytes.HasSuffix(body, []byte(recordTail))
 }
+
+// recordStmts returns the statement count a stored value carries.
+func recordStmts(data []byte) int { return int(binary.BigEndian.Uint32(data)) }
+
+// recordBody returns the record a stored value carries.
+func recordBody(data []byte) []byte { return data[stmtsWidth:] }
 
 // recordLines returns the length of a record's lines array: its
 // elements sit one per line, and no string member holds a raw newline,
 // so the first "\n  \"lines\": [" is that member's key.
-func recordLines(data []byte) int {
-	_, rest, ok := bytes.Cut(data, []byte("\n  \"lines\": ["))
+func recordLines(rec []byte) int {
+	_, rest, ok := bytes.Cut(rec, []byte("\n  \"lines\": ["))
 	if !ok {
 		return 0 // null
 	}
@@ -130,13 +148,13 @@ func recordLines(data []byte) int {
 	return max(0, bytes.Count(elems, []byte("\n"))-1)
 }
 
-// stampRecord sends record data as a 200 response carrying request id
+// stampRecord sends record rec as a 200 response carrying request id
 // and the wall-clock duration since start.
-func stampRecord(w http.ResponseWriter, data []byte, id uint64, start time.Time) {
+func stampRecord(w http.ResponseWriter, rec []byte, id uint64, start time.Time) {
 	e := jsonEncs.Get().(*jsonEnc)
 	e.buf = append(e.buf, stampRequest...)
 	e.buf = strconv.AppendUint(e.buf, id, 10)
-	e.buf = append(e.buf, data[len(stampRequest)+len("0"):len(data)-len("0\n}\n")]...)
+	e.buf = append(e.buf, rec[len(stampRequest)+len("0"):len(rec)-len("0\n}\n")]...)
 	e.buf = strconv.AppendInt(e.buf, time.Since(start).Nanoseconds(), 10)
 	e.buf = append(e.buf, "\n}\n"...)
 	e.send(w, http.StatusOK)

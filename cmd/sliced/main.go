@@ -13,12 +13,15 @@
 //	                    annotated listing to the response.
 //	                    Responses carry a strong ETag derived from the
 //	                    request (the slicer is deterministic), honour
-//	                    If-None-Match with 304, and report the analysis
-//	                    cache's verdict in X-Cache: hit, miss, or
-//	                    coalesced (joined another request's in-flight
-//	                    analysis). Every algorithm, algo=sdg included,
-//	                    goes through the one cached analysis of the
-//	                    program; only sdg accepts procedure
+//	                    If-None-Match with 304, and say in X-Cache what
+//	                    answered: result (the result tier replayed an
+//	                    identical earlier request's response), disk
+//	                    (the same, from -disk-dir), or the analysis
+//	                    cache's verdict on a computed response: hit,
+//	                    miss, or coalesced (joined another request's
+//	                    in-flight analysis). Every algorithm, algo=sdg
+//	                    included, goes through the one cached analysis
+//	                    of the program; only sdg accepts procedure
 //	                    declarations.
 //	POST /session       open an incremental editor session: the body
 //	                    is the program source (raw, or JSON
@@ -33,7 +36,9 @@
 //	                    or a full source replacement. X-Incremental
 //	                    reports the reuse tier (patched, partial,
 //	                    full; always full for programs with
-//	                    procedures) and the response body includes
+//	                    procedures), X-Cache whether the session's
+//	                    analysis was still cached (hit) or had been
+//	                    evicted (miss), and the response body includes
 //	                    the lines added/removed against the pre-edit
 //	                    slice. A failed edit leaves the session
 //	                    unchanged.
@@ -60,8 +65,8 @@
 //	                    module path, VCS revision).
 //	GET  /debug/cluster the cluster's membership and tier view: ring
 //	                    nodes, per-peer health, and result/disk tier
-//	                    occupancy ({"enabled":false} when neither
-//	                    -peers nor -disk-dir is set).
+//	                    occupancy; "enabled" is true when -peers or
+//	                    -disk-dir is set.
 //	GET  /healthz       liveness probe; reports the build revision.
 //
 // The access log emits one line per request on stderr: the request's
@@ -93,13 +98,12 @@
 // computes. X-Sliced-Node, X-Sliced-Route (local, proxied) and
 // X-Sliced-Peer on every response say who served it and how; health
 // probes (-probe-interval) gate hops, never ownership, so a dead
-// peer degrades to local computation. -peers or -disk-dir turns on
-// the in-memory result tier (-result-bytes budget), which answers a
-// repeated request as X-Cache: result; -disk-dir backs it with a
-// disk tier (-disk-bytes budget) so a restarted node serves its prior
-// results as X-Cache: disk without recomputing. A solo daemon without
-// either flag has no result tier. See internal/cluster and
-// internal/slicecache/disk.
+// peer degrades to local computation. Every daemon, clustered or not,
+// keeps an in-memory result tier (-result-bytes budget) that answers a
+// repeated request as X-Cache: result; -disk-dir backs it with a disk
+// tier (-disk-bytes budget) so a restarted node serves its prior
+// results as X-Cache: disk without recomputing. See internal/cluster
+// and internal/slicecache/disk.
 //
 // Every request gets a monotonically increasing ID, echoed in the
 // X-Request-ID response header and stamped on its wide event, so a
@@ -132,6 +136,9 @@
 //	                 source, so repeated and concurrent requests for
 //	                 the same program skip the whole pipeline; N
 //	                 concurrent identical requests run one analysis.
+//	-result-bytes N  result tier budget (default 32 MiB): finished
+//	                 responses, replayed for identical requests. With
+//	                 -cache-bytes it bounds the daemon's caches.
 //
 // A panic while serving one request is recovered, logged with its
 // stack, and answered as a 500 naming the request ID; the daemon
@@ -226,7 +233,7 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "peer health probe cadence")
 	fs.StringVar(&cfg.DiskDir, "disk-dir", cfg.DiskDir, "disk-backed result tier directory for warm restarts (empty disables)")
 	fs.Int64Var(&cfg.DiskBytes, "disk-bytes", cfg.DiskBytes, "disk result tier budget in bytes (oldest segments reclaimed)")
-	fs.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes (the tier exists only with -peers or -disk-dir)")
+	fs.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes")
 	return fs
 }
 
@@ -414,10 +421,10 @@ type server struct {
 	// resilience tests close it to let in-flight work finish.
 	unblock chan struct{}
 	// cluster is the routing fabric (nil without -peers); results the
-	// two-tier serialized result cache (nil unless -peers or -disk-dir
-	// enables it); disk the persistent tier under it (nil without
-	// -disk-dir). All are assigned by openCluster before any request
-	// is served.
+	// two-tier serialized result cache, which newServer builds for every
+	// daemon; disk the persistent tier under it (nil without -disk-dir).
+	// openCluster assigns cluster and disk, and rebuilds results over
+	// disk, before any request is served.
 	cluster *clusterState
 	results *slicecache.ResultCache
 	disk    *disk.Store
@@ -444,6 +451,7 @@ func newServer(cfg config, logw io.Writer) *server {
 		MaxBytes: cfg.CacheBytes,
 		Recorder: s.reg,
 	})
+	s.results = s.newResults()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/slice", s.methods(map[string]http.HandlerFunc{
 		http.MethodPost: s.gated(s.handleSlice),
@@ -815,10 +823,10 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	if s.routeSlice(ctx, w, r, req) {
 		return
 	}
-	if s.cluster != nil || s.results != nil {
+	if s.cluster != nil || s.disk != nil {
 		w.Header().Set("X-Sliced-Route", obs.RouteLocal)
 	}
-	if s.results != nil && s.serveResult(w, r, rkey, id, start) {
+	if s.serveResult(w, r, rkey, id, start) {
 		return
 	}
 
@@ -832,15 +840,9 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return // renderSlice already answered
 	}
 	ri.setSliceLines(len(resp.Lines))
-	if s.results == nil {
-		resp.Request = id
-		resp.DurationNS = time.Since(start).Nanoseconds()
-		writeResponse(w, http.StatusOK, resp)
-		return
-	}
 	// The stored record is the response less the request's own two
 	// values, so the response is the record stamped.
-	stampRecord(w, s.storeResult(rkey, resp), id, start)
+	stampRecord(w, s.storeResult(rkey, resp, a.Stmts), id, start)
 }
 
 // renderSlice computes one slice of a as the response body /slice and

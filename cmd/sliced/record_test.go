@@ -15,6 +15,7 @@ import (
 
 	"jumpslice/internal/core"
 	"jumpslice/internal/lang"
+	"jumpslice/internal/paper"
 	"jumpslice/internal/progen"
 )
 
@@ -91,8 +92,9 @@ func unstamped(body []byte) string {
 const recordTarget = "/slice?var=positives&line=14&algo=agrawal&explain=1"
 
 // TestResultRecordReplays: the stored record is the response with
-// request and duration_ns zeroed, and a result hit sends it stamped
-// with this request's ID and duration, without decoding it.
+// request and duration_ns zeroed, behind the program's statement
+// count, and a result hit sends it stamped with this request's ID and
+// duration, without decoding it.
 func TestResultRecordReplays(t *testing.T) {
 	s := digestServer()
 	src := fig5(t)
@@ -102,8 +104,11 @@ func TestResultRecordReplays(t *testing.T) {
 	}
 	rkey := resultKeyFor(&sliceRequest{Source: src, Var: "positives", Line: 14, Algo: "agrawal"}, true)
 	data, _ := s.results.Get(rkey)
-	if !isRecord(data) || string(data) != unstamped(first.Body.Bytes()) {
+	if !isRecord(data) || string(recordBody(data)) != unstamped(first.Body.Bytes()) {
 		t.Fatalf("stored record is not the zeroed response:\n%s", data)
+	}
+	if got, want := recordStmts(data), statementsOf(t, src); got != want {
+		t.Errorf("recordStmts = %d, want %d", got, want)
 	}
 	second := recordDo(s, recordTarget, src, 8)
 	if tier := second.Header().Get("X-Cache"); tier != "result" {
@@ -116,11 +121,74 @@ func TestResultRecordReplays(t *testing.T) {
 	if w.Request != 8 || w.DurationNS <= 0 {
 		t.Errorf("replay stamped request %d, duration_ns %d; want 8 and a positive duration", w.Request, w.DurationNS)
 	}
-	if unstamped(second.Body.Bytes()) != string(data) {
+	if unstamped(second.Body.Bytes()) != string(recordBody(data)) {
 		t.Errorf("replay differs from the record beyond the stamps:\n%s", second.Body.Bytes())
 	}
-	if got := recordLines(data); got != len(w.Lines) {
+	if got := recordLines(recordBody(data)); got != len(w.Lines) {
 		t.Errorf("recordLines = %d, want %d", got, len(w.Lines))
+	}
+}
+
+// TestResultReplayMatchesComputed: for every paper figure under every
+// algorithm, with and without explain, an identical repeat is
+// answered from the result tier with the computed response's bytes,
+// request and duration_ns aside. A refused tuple is never stored: its
+// repeat is refused again.
+func TestResultReplayMatchesComputed(t *testing.T) {
+	s := newServer(testConfig(), io.Discard)
+	id, replays := uint64(0), 0
+	for _, f := range paper.All() {
+		for _, algo := range knownAlgos {
+			for _, explain := range []string{"0", "1"} {
+				target := fmt.Sprintf("/slice?var=%s&line=%d&algo=%s&explain=%s", f.Criterion.Var, f.Criterion.Line, algo, explain)
+				id += 2
+				computed := recordDo(s, target, f.Source, id-1)
+				replayed := recordDo(s, target, f.Source, id)
+				what := f.Name + " " + target
+				if computed.Code != http.StatusOK {
+					if replayed.Code != computed.Code || replayed.Header().Get("X-Cache") == "result" {
+						t.Errorf("%s: refused %d, then %d from %q", what, computed.Code, replayed.Code, replayed.Header().Get("X-Cache"))
+					}
+					continue
+				}
+				if got := replayed.Header().Get("X-Cache"); got != "result" {
+					t.Errorf("%s: repeat X-Cache = %q, want result", what, got)
+				}
+				if unstamped(replayed.Body.Bytes()) != unstamped(computed.Body.Bytes()) {
+					t.Errorf("%s: replay\n%s\ncomputed\n%s", what, replayed.Body.Bytes(), computed.Body.Bytes())
+				}
+				replays++
+			}
+		}
+	}
+	if replays == 0 {
+		t.Fatal("no tuple was answered")
+	}
+	t.Logf("%d replays of %d tuples", replays, id/2)
+}
+
+// TestWideEventStmtsAfterDiskReopen: a disk hit on a reopened daemon
+// logs the program's statement count, which the record carries, not
+// 0.
+func TestWideEventStmtsAfterDiskReopen(t *testing.T) {
+	dir := t.TempDir()
+	src := fig5(t)
+	const query = "var=positives&line=14"
+	_, ts, stop := bootDisk(t, dir, 0)
+	postSlice(t, ts, query, src)
+	stop()
+
+	_, ts, stop = bootDisk(t, dir, 0)
+	defer stop()
+	if resp, _ := postSlice(t, ts, query, src); resp.Header.Get("X-Cache") != "disk" {
+		t.Fatalf("post-reopen X-Cache = %q, want disk", resp.Header.Get("X-Cache"))
+	}
+	page := getRequests(t, ts.URL, "?endpoint=/slice")
+	if page.Count != 1 {
+		t.Fatalf("slice events: %+v", page)
+	}
+	if ev, want := page.Requests[0], statementsOf(t, src); ev.Cache != "disk" || ev.Stmts != want || ev.SliceLines == 0 {
+		t.Errorf("disk hit event: cache %q stmts %d slice %d, want disk, %d, nonzero", ev.Cache, ev.Stmts, ev.SliceLines, want)
 	}
 }
 
@@ -128,8 +196,8 @@ func TestResultRecordReplays(t *testing.T) {
 // null, empty and several.
 func TestRecordLines(t *testing.T) {
 	for _, lines := range [][]int{nil, {}, {3}, {1, 10, 100}} {
-		data := appendRecord(&sliceResponse{Algorithm: "a", Var: "lines", Lines: lines, Text: "lines: [\n"})
-		if got := recordLines(data); got != len(lines) {
+		data := appendRecord(&sliceResponse{Algorithm: "a", Var: "lines", Lines: lines, Text: "lines: [\n"}, 7)
+		if got := recordLines(recordBody(data)); got != len(lines) {
 			t.Errorf("lines %v: recordLines = %d", lines, got)
 		}
 	}
@@ -145,14 +213,14 @@ func TestResultRecordRecomputed(t *testing.T) {
 		"torn": func(t *testing.T, rec []byte) []byte { return rec[:len(rec)/2] },
 		"compact": func(t *testing.T, rec []byte) []byte {
 			var w wireSlice
-			if err := json.Unmarshal(rec, &w); err != nil {
+			if err := json.Unmarshal(recordBody(rec), &w); err != nil {
 				t.Fatal(err)
 			}
 			out, err := json.Marshal(&w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return out
+			return append(rec[:stmtsWidth:stmtsWidth], out...)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -175,4 +243,14 @@ func TestResultRecordRecomputed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// statementsOf parses src and returns its statement count.
+func statementsOf(t *testing.T, src string) int {
+	t.Helper()
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lang.CountStatements(prog)
 }

@@ -17,7 +17,6 @@ import (
 	"jumpslice/internal/lang"
 	"jumpslice/internal/paper"
 	"jumpslice/internal/progen"
-	"jumpslice/internal/slicecache"
 )
 
 // responseDigests pins the exact bytes the daemon sends for a fixed
@@ -104,13 +103,12 @@ func responseCorpus() map[string]string {
 	return out
 }
 
-// digestServer is a daemon with the analysis cache and an in-memory
-// result tier, so a repeated request is answered from its stored
-// record.
+// digestServer is a daemon whose result tier holds the whole digest
+// corpus, so a repeated request is answered from its stored record.
 func digestServer() *server {
-	s := newServer(testConfig(), io.Discard)
-	s.results = slicecache.NewResultCache(slicecache.ResultOptions{MaxBytes: 64 << 20, Recorder: s.reg})
-	return s
+	cfg := testConfig()
+	cfg.ResultBytes = 64 << 20
+	return newServer(cfg, io.Discard)
 }
 
 // digestDo sends one request straight to the route mux with the

@@ -148,9 +148,10 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 // one-line replacement or a full source swap — re-analyzes through
 // the incremental engine, and re-slices the given criterion. The
 // X-Incremental header reports the reuse tier ("patched", "partial",
-// "full"); the body carries the slice plus its delta against the
-// pre-edit slice. A failed edit (bad line, parse error, size limit)
-// leaves the session exactly as it was.
+// "full"), and X-Cache whether the session's analysis was still cached
+// ("hit") or had been evicted ("miss"); the body carries the slice
+// plus its delta against the pre-edit slice. A failed edit (bad line,
+// parse error, size limit) leaves the session exactly as it was.
 func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessionFor(w, r)
 	if sess == nil {
@@ -188,7 +189,12 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := slicecache.SessionKey(sess.id)
-	prev, _ := s.cache.GetKey(key) // nil after eviction: plain cold run
+	prev, warm := s.cache.GetKey(key) // nil after eviction: plain cold run
+	verdict := slicecache.Miss
+	if warm {
+		verdict = slicecache.Hit
+	}
+	w.Header().Set("X-Cache", verdict.String())
 
 	// Fast path: a one-line edit against a warm analysis is spliced
 	// into the previous AST without reparsing the program. Anything

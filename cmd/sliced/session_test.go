@@ -237,6 +237,39 @@ func TestSessionEvictedRebuildsFull(t *testing.T) {
 	decodeInto(t, resp, http.StatusOK, &pr)
 }
 
+// TestSessionPatchCacheVerdict: a PATCH reports in X-Cache whether the
+// session's analysis was still cached, so an evicted session's full
+// rebuild is told apart from a large edit's in the wide event too.
+func TestSessionPatchCacheVerdict(t *testing.T) {
+	s, ts := newTestServer(t)
+	id := openSession(t, ts, fig5(t))
+	resp := patchEdit(t, ts, id, "var=positives&line=14", 2, "positives = 1;")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || got != "hit" {
+		t.Fatalf("warm session PATCH: status %d X-Cache %q, want 200 hit", resp.StatusCode, got)
+	}
+	if !s.cache.DeleteKey(slicecache.SessionKey(id)) {
+		t.Fatal("session analysis was not resident")
+	}
+	resp = patchEdit(t, ts, id, "var=positives&line=14", 2, "positives = 2;")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || got != "miss" {
+		t.Fatalf("evicted session PATCH: status %d X-Cache %q, want 200 miss", resp.StatusCode, got)
+	}
+	page := getRequests(t, ts.URL, "?endpoint=/session/{id}")
+	if page.Count != 2 {
+		t.Fatalf("session patch events: %+v", page)
+	}
+	if got := page.Requests[0].Cache; got != "hit" {
+		t.Errorf("warm PATCH event cache = %q, want hit", got)
+	}
+	if ev := page.Requests[1]; ev.Cache != "miss" || ev.Incremental != "full" {
+		t.Errorf("evicted PATCH event cache %q incremental %q, want miss and full", ev.Cache, ev.Incremental)
+	}
+}
+
 // TestSessionDeltaReporting: an edit that changes a definition the
 // slice depends on must surface the slice delta line-by-line.
 func TestSessionDeltaReporting(t *testing.T) {

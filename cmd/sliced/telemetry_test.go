@@ -112,9 +112,10 @@ func TestWideEventRecordsSliceRequest(t *testing.T) {
 		t.Errorf("phases %v missing phase.analyze.cfg", ev.Phases)
 	}
 
-	// A second identical request is a cache hit: no pipeline phases,
-	// tier "hit".
-	postSlice(t, ts, "var=positives&line=14", fig5(t))
+	// A second request on the program that the result tier has not
+	// seen (explain is part of its key) is an analysis-cache hit: no
+	// pipeline phases, tier "hit".
+	postSlice(t, ts, "var=positives&line=14&explain=1", fig5(t))
 	page = getRequests(t, ts.URL, "?endpoint=/slice")
 	if page.Count != 2 {
 		t.Fatalf("count = %d, want 2", page.Count)
@@ -122,6 +123,18 @@ func TestWideEventRecordsSliceRequest(t *testing.T) {
 	hit := page.Requests[1]
 	if hit.Cache != "hit" {
 		t.Errorf("second request cache tier = %q, want hit", hit.Cache)
+	}
+	// An identical repeat of the first is a result-tier hit with the
+	// first request's annotations.
+	postSlice(t, ts, "var=positives&line=14", fig5(t))
+	page = getRequests(t, ts.URL, "?endpoint=/slice")
+	if page.Count != 3 {
+		t.Fatalf("count = %d, want 3", page.Count)
+	}
+	replay := page.Requests[2]
+	if replay.Cache != "result" || replay.Stmts != ev.Stmts || replay.SliceLines != ev.SliceLines || len(replay.Phases) != 0 {
+		t.Errorf("identical repeat: cache %q stmts %d slice %d phases %v; want result, %d, %d, none",
+			replay.Cache, replay.Stmts, replay.SliceLines, replay.Phases, ev.Stmts, ev.SliceLines)
 	}
 }
 
@@ -166,7 +179,7 @@ func TestRequestsFilters(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	postSlice(t, ts, "var=positives&line=14", fig5(t))
+	postSlice(t, ts, "var=positives&line=14&explain=1", fig5(t))
 
 	if page := getRequests(t, ts.URL, "?status=404"); page.Count != 1 || page.Requests[0].Status != 404 {
 		t.Errorf("status filter: %+v", page)
@@ -188,6 +201,10 @@ func TestRequestsFilters(t *testing.T) {
 	}
 	if page := getRequests(t, ts.URL, ""); page.Written < 3 || page.Capacity != 1024 {
 		t.Errorf("ring accounting: written=%d cap=%d", page.Written, page.Capacity)
+	}
+	postSlice(t, ts, "var=positives&line=14", fig5(t))
+	if page := getRequests(t, ts.URL, "?endpoint=/slice&n=1"); page.Count != 1 || page.Requests[0].Cache != "result" {
+		t.Errorf("identical repeat must answer from the result tier: %+v", page)
 	}
 }
 

@@ -24,7 +24,8 @@ var tierSizes = []int{16, 200, 1650}
 //	cold       a never-seen program posted to its owner in a 3-node
 //	           fleet: parse, analyze, slice, format, store the record
 //	analysis   a solo daemon's analysis-cache hit: slice, format and
-//	           append the response
+//	           append the response; the result tier is smaller than
+//	           one record, so no request replays one
 //	result     the owner's in-memory result tier
 //	disk       a daemon whose disk store was reopened; the memory tier
 //	           is smaller than one record, so every request reads disk
@@ -33,7 +34,9 @@ var tierSizes = []int{16, 200, 1650}
 // Run it with: go test ./cmd/sliced -run '^$' -bench ServeTiers
 func BenchmarkServeTiers(b *testing.B) {
 	nodes := startCluster(b, 3, nil)
-	_, solo := newTestServerConfig(b, testConfig())
+	soloCfg := testConfig()
+	soloCfg.ResultBytes = 1
+	_, solo := newTestServerConfig(b, soloCfg)
 	seq := 0 // numbers the cold programs across every run of every size
 	for _, budget := range tierSizes {
 		p := progen.Unstructured(progen.Config{Seed: 1, Stmts: budget})

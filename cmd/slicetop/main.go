@@ -257,7 +257,8 @@ func render(w io.Writer, cur, prev *sample, base string) error {
 			int64(cur.get("jumpslice_cluster_proxied_total")))
 	}
 
-	// Result/disk tiers (present with -peers or -disk-dir).
+	// Result/disk tiers (present once the daemon stored a record, or
+	// with -disk-dir).
 	if puts := cur.get("jumpslice_result_puts_total"); puts > 0 || cur.get("jumpslice_disk_entries") > 0 {
 		fmt.Fprintf(w, "results: %s in %d entries memory",
 			humanBytes(cur.get("jumpslice_result_resident_bytes")),

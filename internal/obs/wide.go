@@ -150,14 +150,14 @@ type WideEvent struct {
 	Algo       string `json:"algo,omitempty"`
 	Stmts      int    `json:"stmts,omitempty"`
 	SliceLines int    `json:"slice_lines,omitempty"`
-	// Cache is the cache tier that answered ("hit", "miss",
-	// "coalesced", and with a result tier "result", "disk");
-	// Incremental the session reuse tier ("patched", "partial",
-	// "full").
+	// Cache is the cache tier that answered a slice ("result",
+	// "disk", or the analysis cache's "hit", "miss", "coalesced"), or
+	// a session PATCH's analysis lookup ("hit", "miss"); Incremental
+	// the session reuse tier ("patched", "partial", "full").
 	Cache       string `json:"cache,omitempty"`
 	Incremental string `json:"incremental,omitempty"`
 	// Route says how cluster routing placed the request: one of the
-	// Route* constants, empty outside cluster mode. Peer names the
+	// Route* constants, empty unless -peers or -disk-dir is set. Peer names the
 	// other node involved: the proxy target.
 	Route string `json:"route,omitempty"`
 	Peer  string `json:"peer,omitempty"`

@@ -14,14 +14,14 @@ import (
 // which is pointer-rich and deliberately not serializable), the
 // ResultCache memoizes finished answers — the canonical JSON of one
 // slice response — keyed by the full request tuple. A record is plain
-// bytes, so the disk tier can persist it across restarts. The daemon
-// builds this tier only with -peers or -disk-dir: there, a repeated
-// request skips even the slice and the response encoding; a solo
-// daemon relies on the analysis cache alone.
+// bytes, so the disk tier can persist it across restarts. Every
+// daemon builds this tier: a repeated request skips even the slice and
+// the response encoding.
 
-// resultKeyVersion names the response encoding whose records are
-// cached; bumping it orphans every stale record on disk.
-const resultKeyVersion = "jumpslice/result-record/v1\x00"
+// resultKeyVersion names the layout of the cached records (v2 puts
+// the program's statement count before the response); bumping it
+// orphans every stale record on disk.
+const resultKeyVersion = "jumpslice/result-record/v2\x00"
 
 // ResultKey is the content address of one finished result: SHA-256
 // over the version tag and the request tuple.
