@@ -34,7 +34,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -157,32 +156,27 @@ func (s *server) routeSlice(ctx context.Context, w http.ResponseWriter, r *http.
 }
 
 // proxySlice forwards the request to owner, streaming the response
-// back. The forwarded request carries the parsed body re-encoded as
-// JSON (the original body is already consumed), the routed-from hop
-// marker, and the conditional/failpoint headers. The hop is bounded
-// by the request's context alone: its deadline when -timeout is set,
-// otherwise the client's patience. It reports whether a response was
-// written. A hop that fails while the request is still live marks the
-// owner down and returns false so the caller serves locally; a hop
-// cut short by the request's own cancellation or deadline blames no
-// one and answers as the local pipeline would.
+// back. The forwarded request carries the client's body bytes,
+// Content-Type and query string, the routed-from hop marker, and the
+// conditional/failpoint headers. The hop is bounded by the request's
+// context alone: its deadline when -timeout is set, otherwise the
+// client's patience. It reports whether a response was written. A
+// hop that fails while the request is still live marks the owner down
+// and returns false so the caller serves locally; a hop cut short by
+// the request's own cancellation or deadline blames no one and
+// answers as the local pipeline would.
 func (s *server) proxySlice(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, owner string) bool {
 	c := s.cluster
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
 	u := "http://" + owner + "/slice"
 	if q := r.URL.RawQuery; q != "" {
 		u += "?" + q
 	}
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
+	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(req.body))
 	if err != nil {
 		return false
 	}
-	preq.Header.Set("Content-Type", "application/json")
 	preq.Header.Set(routedFromHeader, c.self)
-	for _, h := range []string{"If-None-Match", "X-Sliced-Fail"} {
+	for _, h := range []string{"Content-Type", "If-None-Match", "X-Sliced-Fail"} {
 		if v := r.Header.Get(h); v != "" {
 			preq.Header.Set(h, v)
 		}

@@ -478,3 +478,42 @@ func TestClusterProxyCancelKeepsOwnerUp(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterProxyForwardsClientBody pins the hop to the bytes the
+// client sent: a body within -max-body at the ingress is within it at
+// the owner, in both request forms. The limit is the JSON body's
+// exact size; the raw body is smaller, and any re-encoding of either
+// (escaped '<', an added "algo" member) would exceed it.
+func TestClusterProxyForwardsClientBody(t *testing.T) {
+	src := fig5(t)
+	var buf strings.Builder
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(map[string]any{"source": src, "var": "positives", "line": 14}); err != nil {
+		t.Fatal(err)
+	}
+	jsonSrc := buf.String()
+	nodes := startCluster(t, 2, func(_ int, cfg *config) { cfg.MaxBody = int64(len(jsonSrc)) })
+	key := slicecache.KeyOf(src)
+	owner := nodeByAddr(nodes, nodes[0].s.cluster.ring.Owner(key[:]))
+	ingress := nodes[0]
+	if ingress == owner {
+		ingress = nodes[1]
+	}
+	for _, tc := range []struct {
+		name, query, body, contentType string
+	}{
+		{"raw source with query", "var=positives&line=14&algo=agrawal-lst", src, "text/plain"},
+		{"JSON with criterion in body", "", jsonSrc, "application/json"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hdr := map[string]string{"Content-Type": tc.contentType}
+			direct, directBody := postNode(t, owner.addr, tc.query, tc.body, hdr)
+			if direct.StatusCode != http.StatusOK {
+				t.Fatalf("owner answered %d: %s", direct.StatusCode, directBody)
+			}
+			resp, body := postNode(t, ingress.addr, tc.query, tc.body, hdr)
+			checkServed(t, "via "+ingress.addr, resp, body, normalizeResponse(t, directBody), "result", obs.RouteProxied, owner.addr, owner.addr)
+		})
+	}
+}

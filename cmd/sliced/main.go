@@ -407,14 +407,11 @@ type server struct {
 	sessions map[string]*session
 	// requests is the bounded wide-event ring behind /debug/requests;
 	// slo the per-endpoint sliding-window tracker behind /debug/slo
-	// and the jumpslice_http_* metrics; incrTier pre-resolves the
-	// http.incr.{patched,partial,full} counters the middleware bumps;
-	// build is the binary's provenance, resolved once. pmPanic
-	// rate-limits panic-triggered post-mortem bundles to one per
-	// process.
+	// and the jumpslice_http_* metrics; build is the binary's
+	// provenance, resolved once. pmPanic rate-limits panic-triggered
+	// post-mortem bundles to one per process.
 	requests *obs.RequestLog
 	slo      *obs.SLOTracker
-	incrTier map[string]*obs.Counter
 	build    buildDetails
 	pmPanic  atomic.Bool
 	// unblock releases requests parked by the "block" failpoint; the
@@ -441,11 +438,6 @@ func newServer(cfg config, logw io.Writer) *server {
 	}
 	s.requests = obs.NewRequestLog(requestRing)
 	s.slo = obs.NewSLOTracker(sloWindow, 10, cfg.Objectives)
-	s.incrTier = map[string]*obs.Counter{
-		"patched": s.reg.Counter("http.incr.patched"),
-		"partial": s.reg.Counter("http.incr.partial"),
-		"full":    s.reg.Counter("http.incr.full"),
-	}
 	s.build = readBuildDetails()
 	s.cache = slicecache.New(slicecache.Options{
 		MaxBytes: cfg.CacheBytes,
@@ -616,6 +608,10 @@ type sliceRequest struct {
 	Var    string `json:"var"`
 	Line   int    `json:"line"`
 	Algo   string `json:"algo"` // "" = agrawal (Figure 7)
+	// body is the request body as read, which a proxied hop forwards
+	// unchanged so the owner parses, and size-checks, what the client
+	// sent.
+	body []byte
 }
 
 // sliceResponse is the /slice response. With ?explain=1 it carries
@@ -737,7 +733,7 @@ func (s *server) parseSliceRequest(w http.ResponseWriter, r *http.Request) (*sli
 	if err != nil {
 		return nil, err
 	}
-	req := &sliceRequest{}
+	req := &sliceRequest{body: body}
 	if jsonBody(r, body) {
 		if err := json.Unmarshal(body, req); err != nil {
 			return nil, httpErrorf(http.StatusBadRequest, "bad_request", "decoding JSON body: %v", err)
@@ -875,9 +871,7 @@ func (s *server) renderSlice(w http.ResponseWriter, r *http.Request, a *core.Ana
 			return nil, nil
 		}
 		resp.Algorithm, resp.Lines, resp.Traversals, resp.Text = sl.Algorithm, sl.Lines(), sl.Traversals, sl.Format()
-		for _, nid := range sl.JumpsAdded {
-			resp.JumpLines = append(resp.JumpLines, a.CFG.Nodes[nid].Line)
-		}
+		resp.JumpLines = sl.JumpLines()
 		explainer = sl
 	}
 	if explain {

@@ -139,8 +139,8 @@ func outcomeOf(ri *reqInfo, status int) string {
 
 // instrument is the outermost middleware: it assigns the request ID,
 // measures the whole exchange, assembles the wide event, records it
-// into the request ring and the SLO window, bumps the per-tier
-// http.incr.* counters, and emits the access log line.
+// into the request ring and the SLO window, and emits the access log
+// line.
 func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := uint64(s.reqID.Add(1))
@@ -181,9 +181,6 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		}
 		s.requests.Record(ev)
 		s.slo.Observe(ev.Endpoint, ev.Status, ev.Outcome == obs.OutcomeShed, dur, id)
-		if c := s.incrTier[ev.Incremental]; c != nil {
-			c.Add(1)
-		}
 		s.logAccess(&ev)
 	})
 }

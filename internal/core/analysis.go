@@ -460,6 +460,18 @@ func (s *Slice) Has(id int) bool { return s.Nodes.Has(id) }
 // whose positions do not ascend with its statements is sorted after.
 func (s *Slice) Lines() []int { return s.appendLines(make([]int, 0, s.Nodes.Len())) }
 
+// JumpLines returns the source lines of JumpsAdded in the same
+// (discovery) order, nil when the jump-aware phase added none. Unlike
+// InterSlice.JumpLines it does not sort: responses list the jumps in
+// the order the slicer admitted them.
+func (s *Slice) JumpLines() []int {
+	var lines []int
+	for _, id := range s.JumpsAdded {
+		lines = append(lines, s.Analysis.CFG.Nodes[id].Line)
+	}
+	return lines
+}
+
 // appendLines appends Lines to lines, which must be empty.
 func (s *Slice) appendLines(lines []int) []int {
 	nodes := s.Analysis.CFG.Nodes

@@ -95,10 +95,7 @@ func TestFigure10SecondTraversalAddsNode4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var addedLines []int
-	for _, id := range s.JumpsAdded {
-		addedLines = append(addedLines, a.CFG.Nodes[id].Line)
-	}
+	addedLines := s.JumpLines()
 	// Preorder visits jump 4 first (rejected in traversal 1), then 7,
 	// then 2; traversal 2 accepts 4.
 	want := []int{7, 2, 4}
@@ -120,10 +117,7 @@ func TestFigure3JumpOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var addedLines []int
-	for _, id := range s.JumpsAdded {
-		addedLines = append(addedLines, a.CFG.Nodes[id].Line)
-	}
+	addedLines := s.JumpLines()
 	if !reflect.DeepEqual(addedLines, []int{13, 7}) {
 		t.Errorf("jumps added = %v, want [13 7]", addedLines)
 	}

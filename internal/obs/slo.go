@@ -124,7 +124,6 @@ type sloBucket struct {
 	errors int64 // 5xx other than sheds
 	sheds  int64 // admission-gate 503s
 	slow   int64 // requests over the latency objective
-	sum    int64 // total nanoseconds
 	hist   [NumBuckets]int64
 	maxDur int64  // slowest request this bucket saw …
 	maxReq uint64 // … and its ID: the exemplar
@@ -143,8 +142,6 @@ type sloWindow struct {
 	totalCount  int64
 	totalErrors int64
 	totalSheds  int64
-	totalSum    int64
-	totalHist   [NumBuckets]int64
 }
 
 // SLOTracker aggregates request outcomes into per-endpoint sliding
@@ -217,11 +214,7 @@ func (t *SLOTracker) Observe(endpoint string, status int, shed bool, dur time.Du
 	if t.obj.Latency > 0 && dur > t.obj.Latency {
 		b.slow++
 	}
-	hb := bucketOf(ns)
-	b.hist[hb]++
-	w.totalHist[hb]++
-	b.sum += ns
-	w.totalSum += ns
+	b.hist[bucketOf(ns)]++
 	if ns >= b.maxDur {
 		b.maxDur, b.maxReq = ns, req
 	}

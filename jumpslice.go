@@ -169,17 +169,19 @@ func (s *Slicer) SliceWith(algo Algorithm, variable string, line int) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	return result(algo, sl), nil
+}
+
+// result is the facade's view of a slice computed by algo.
+func result(algo Algorithm, sl *core.Slice) *Result {
+	return &Result{
 		Algorithm:   algo,
 		Lines:       sl.Lines(),
 		Text:        sl.Format(),
 		Traversals:  sl.Traversals,
+		JumpLines:   sl.JumpLines(),
 		RelabeledTo: sl.RelabeledLines(),
 	}
-	for _, id := range sl.JumpsAdded {
-		res.JumpLines = append(res.JumpLines, s.analysis.CFG.Nodes[id].Line)
-	}
-	return res, nil
 }
 
 // Explanation is a slice with its provenance: why each statement is
@@ -222,18 +224,8 @@ func (s *Slicer) ExplainWith(algo Algorithm, variable string, line int) (*Explan
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Algorithm:   algo,
-		Lines:       sl.Lines(),
-		Text:        sl.Format(),
-		Traversals:  sl.Traversals,
-		RelabeledTo: sl.RelabeledLines(),
-	}
-	for _, id := range sl.JumpsAdded {
-		res.JumpLines = append(res.JumpLines, s.analysis.CFG.Nodes[id].Line)
-	}
 	return &Explanation{
-		Result:  res,
+		Result:  result(algo, sl),
 		Reasons: p.LineReasons(),
 		Listing: p.Listing(),
 	}, nil
@@ -263,17 +255,7 @@ func (s *Slicer) SliceAll(crits []Criterion) ([]*Result, error) {
 	}
 	out := make([]*Result, len(slices))
 	for i, sl := range slices {
-		res := &Result{
-			Algorithm:   Agrawal,
-			Lines:       sl.Lines(),
-			Text:        sl.Format(),
-			Traversals:  sl.Traversals,
-			RelabeledTo: sl.RelabeledLines(),
-		}
-		for _, id := range sl.JumpsAdded {
-			res.JumpLines = append(res.JumpLines, s.analysis.CFG.Nodes[id].Line)
-		}
-		out[i] = res
+		out[i] = result(Agrawal, sl)
 	}
 	return out, nil
 }
@@ -289,17 +271,7 @@ func (s *Slicer) DynamicSlice(variable string, line int, input []int64) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Algorithm:   "dynamic",
-		Lines:       sl.Lines(),
-		Text:        sl.Format(),
-		Traversals:  sl.Traversals,
-		RelabeledTo: sl.RelabeledLines(),
-	}
-	for _, id := range sl.JumpsAdded {
-		res.JumpLines = append(res.JumpLines, s.analysis.CFG.Nodes[id].Line)
-	}
-	return res, nil
+	return result("dynamic", sl), nil
 }
 
 // ForwardSlice computes the forward (impact) slice: every statement
