@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"jumpslice/internal/cfg"
 	"jumpslice/internal/core"
 	"jumpslice/internal/incremental"
 	"jumpslice/internal/lang"
@@ -146,8 +147,8 @@ func FuzzPatchSplice(f *testing.F) {
 		if err != nil {
 			t.Fatalf("line %d %q spliced, but the edited source does not parse: %v", line, text, err)
 		}
-		if sc := incremental.Diff(want, q); !sc.Identical {
-			t.Fatalf("line %d %q: splice differs from the reparse: %s", line, text, sc.Mismatch)
+		if _, edited, _, mismatch := cfg.Rebind(cfg.MustBuild(want), q); mismatch != "" || len(edited) > 0 {
+			t.Fatalf("line %d %q: splice differs from the reparse: mismatch %q, edited nodes %v", line, text, mismatch, edited)
 		}
 		if got, w := lang.Format(q, lang.PrintOptions{}), lang.Format(want, lang.PrintOptions{}); got != w {
 			t.Fatalf("line %d %q: splice formats differently:\n%s\nvs\n%s", line, text, got, w)

@@ -25,9 +25,9 @@ func TestStatementOrdinals(t *testing.T) {
 	}
 	for i, p := range progs {
 		g := cfg.MustBuild(p)
-		rebound, ok := cfg.Rebind(g, p)
-		if !ok {
-			t.Fatalf("program %d: rebind onto itself refused", i)
+		rebound, _, _, mismatch := cfg.Rebind(g, p)
+		if mismatch != "" {
+			t.Fatalf("program %d: rebind onto itself refused: %s", i, mismatch)
 		}
 		for _, gr := range []*cfg.Graph{g, rebound} {
 			ord := 0

@@ -1,23 +1,43 @@
 package cfg
 
-import "jumpslice/internal/lang"
+import (
+	"fmt"
+	"slices"
+
+	"jumpslice/internal/lang"
+)
+
+// rebindMismatch is the reason Rebind gives when p agrees with prev's
+// program but not with prev's node table.
+const rebindMismatch = "flowgraph rebind mismatch"
 
 // Rebind builds the flowgraph of p by rebinding prev's node table
-// onto p's statements instead of re-running the builder. It is the
-// incremental engine's fast path for a same-shape edit: edges, jump
-// targets and label attachments are structural, so when p has exactly
-// the statement shape of prev's program, the graphs are identical
-// except for the Stmt pointers and line numbers each node carries.
+// onto p's statements instead of re-running the builder, and is the
+// incremental engine's one decision whether an edit kept the
+// flowgraph. It walks prev.Prog and p in lockstep, in the order Build
+// allocates nodes, and compares at each statement position everything
+// the graph is made of: statement-sequence lengths, label chains,
+// statement kinds, goto labels, else presence, case counts and case
+// values. No edge depends on anything else (an expression never does),
+// so when they all agree the graphs are identical except for the
+// statement and line each node carries.
 //
-// Rebind re-verifies the shape claim as it walks: every node position
-// must get a statement of the matching kind, label wrappers must
-// attach the same labels to the same node IDs as before, and every
-// goto must resolve to its previous target. Any inconsistency returns
-// ok=false and the caller falls back to a full Build — like the AST
-// differ, Rebind degrades to a slower run, never to a wrong graph.
-// (Case values and branch arity are the differ's responsibility: a
-// changed case value relabels switch edges without moving any node,
-// which the differ rejects as a shape mismatch before Rebind runs.)
+// On success edited lists, ascending, the IDs of the nodes whose
+// statement changed an expression (lang.ExprEqual) or its defined
+// variable, and defChanged reports that some edited node defines a
+// different variable (lang.Def): the edits that move reaching
+// definitions. Source positions are not compared; a statement that
+// only moved lines is rebound, not edited. Node IDs follow preorder,
+// so edited is in preorder too.
+//
+// On the first difference Rebind stops and returns its reason as
+// mismatch, and the caller builds from scratch. The walk also holds p
+// to prev's node table: each position must be free and of the
+// statement's kind, each label wrapper must re-attach the label prev's
+// node carries, and, after the walk, every node and label must have
+// been claimed and every goto must resolve to its previous target. A
+// donor graph that disagrees with its own program fails these as
+// "flowgraph rebind mismatch".
 //
 // Nodes are immutable once a graph is built, so the rebound graph
 // shares with prev every node whose statement p kept (the same
@@ -28,9 +48,9 @@ import "jumpslice/internal/lang"
 // must therefore never be extended with AddEdge. The statement→node
 // index is left for NodeFor to build lazily; most rebound graphs are
 // only ever queried by node ID.
-func Rebind(prev *Graph, p *lang.Program) (*Graph, bool) {
+func Rebind(prev *Graph, p *lang.Program) (g *Graph, edited []int, defChanged bool, mismatch string) {
 	n := len(prev.Nodes)
-	g := &Graph{
+	g = &Graph{
 		Prog:      p,
 		Nodes:     make([]*Node, n),
 		LabelNode: make(map[string]*Node, len(prev.LabelNode)),
@@ -39,19 +59,14 @@ func Rebind(prev *Graph, p *lang.Program) (*Graph, bool) {
 	copy(g.Nodes, prev.Nodes)
 
 	r := &rebinder{g: g, next: 2} // Build creates Entry (0) and Exit (1) first
-	for _, s := range p.Body {
-		if _, ok := r.walk(s); !ok {
-			return nil, false
-		}
+	if _, ok := r.list(prev.Prog.Body, p.Body); !ok {
+		return nil, nil, false, r.mismatch
 	}
-	if r.next != n {
-		return nil, false // fewer statements than node positions
-	}
-	// Every label of the previous graph must have been re-attached
-	// (labelsSeen counts wrapper visits; label names were checked
-	// against each node's list as they were seen).
-	if r.labelsSeen != len(prev.LabelNode) {
-		return nil, false
+	// Every node position and every label of the previous graph must
+	// have been claimed (labelsSeen counts wrapper visits; label names
+	// were checked against each node's list as they were seen).
+	if r.next != n || r.labelsSeen != len(prev.LabelNode) {
+		return nil, nil, false, rebindMismatch
 	}
 	// A jump whose target was copied must point at the copy, which
 	// makes the jump itself a copy when it was shared; a label chain
@@ -75,15 +90,15 @@ func Rebind(prev *Graph, p *lang.Program) (*Graph, bool) {
 	}
 	g.Entry = g.Nodes[prev.Entry.ID]
 	g.Exit = g.Nodes[prev.Exit.ID]
-	// Belt and braces for jumps: each goto must resolve through the
-	// rebuilt label map to the node its edge already points at.
+	// Each goto must resolve through the rebuilt label map to the node
+	// its edge already points at.
 	for _, gt := range r.gotos {
 		target, ok := g.LabelNode[gt.stmt.Label]
 		if !ok || gt.node.Target == nil || target.ID != gt.node.Target.ID {
-			return nil, false
+			return nil, nil, false, rebindMismatch
 		}
 	}
-	return g, true
+	return g, r.edited, r.defChanged, ""
 }
 
 // rebinder pairs p's statements with prev's node positions in the
@@ -93,6 +108,9 @@ type rebinder struct {
 	next       int
 	labelsSeen int
 	gotos      []pendingGoto
+	edited     []int
+	defChanged bool
+	mismatch   string
 	// labelAt counts labels attached per node so wrapper order can be
 	// checked against the node's (shared) label list.
 	labelAt map[int]int
@@ -104,21 +122,29 @@ type rebinder struct {
 	block int // size of the last block
 }
 
-// take claims the next node position for s, verifying the kind, and
-// binds s to it — sharing the donor node when it already holds s.
-func (r *rebinder) take(kind Kind, s lang.Stmt) (*Node, bool) {
-	if r.next >= len(r.g.Nodes) {
-		return nil, false
+// fail records the reason the walk stops and returns false.
+func (r *rebinder) fail(format string, args ...any) bool {
+	r.mismatch = fmt.Sprintf(format, args...)
+	return false
+}
+
+// take claims the next node position for s, which replaces o there,
+// verifying the kind, and binds s to it — sharing the donor node when
+// it already holds s. changed marks the node edited.
+func (r *rebinder) take(kind Kind, o, s lang.Stmt, changed bool) (*Node, bool) {
+	if r.next >= len(r.g.Nodes) || r.g.Nodes[r.next].Kind != kind {
+		return nil, r.fail(rebindMismatch)
 	}
 	n := r.g.Nodes[r.next]
-	if n.Kind != kind {
-		return nil, false
-	}
 	if line := s.Pos().Line; n.Stmt != s || n.Line != line {
 		n = r.copyNode(n)
 		n.Stmt = s
 		n.Line = line
 		r.g.Nodes[r.next] = n
+	}
+	if changed {
+		r.edited = append(r.edited, r.next)
+		r.defChanged = r.defChanged || lang.Def(o) != lang.Def(s)
 	}
 	r.next++
 	return n, true
@@ -140,86 +166,168 @@ func (r *rebinder) copyNode(pn *Node) *Node {
 	return nn
 }
 
-// walk rebinds s's subtree and returns s's entry node — the node
-// control reaches when entering s — which is what a label wrapper
-// attaches to.
-func (r *rebinder) walk(s lang.Stmt) (*Node, bool) {
-	switch s := s.(type) {
-	case nil:
-		return nil, true
-	case *lang.AssignStmt:
-		return r.take(KindAssign, s)
-	case *lang.ReadStmt:
-		return r.take(KindRead, s)
-	case *lang.WriteStmt:
-		return r.take(KindWrite, s)
-	case *lang.GotoStmt:
-		n, ok := r.take(KindGoto, s)
-		if ok {
-			r.gotos = append(r.gotos, pendingGoto{node: n, stmt: s})
-		}
-		return n, ok
-	case *lang.BreakStmt:
-		return r.take(KindBreak, s)
-	case *lang.ContinueStmt:
-		return r.take(KindContinue, s)
-	case *lang.ReturnStmt:
-		return r.take(KindReturn, s)
-	case *lang.EmptyStmt:
-		return r.take(KindSkip, s)
-	case *lang.IfStmt:
-		n, ok := r.take(KindPredicate, s)
+// list rebinds the statement list s, which stands where prev's program
+// has o, and returns the entry node of its first statement.
+func (r *rebinder) list(o, s []lang.Stmt) (*Node, bool) {
+	if len(o) != len(s) {
+		return nil, r.fail("statement sequence length %d vs %d", len(o), len(s))
+	}
+	var entry *Node
+	for i := range s {
+		n, ok := r.walk(o[i], s[i])
 		if !ok {
 			return nil, false
 		}
-		if _, ok := r.walk(s.Then); !ok {
+		if i == 0 {
+			entry = n
+		}
+	}
+	return entry, true
+}
+
+// labelChain lists s's label wrappers, outermost first.
+func labelChain(s lang.Stmt) []string {
+	var labels []string
+	for l, ok := s.(*lang.LabeledStmt); ok; l, ok = l.Stmt.(*lang.LabeledStmt) {
+		labels = append(labels, l.Label)
+	}
+	return labels
+}
+
+// walk rebinds s's subtree where prev's program has o and returns
+// s's entry node — the node control reaches when entering s — which
+// is what a label wrapper attaches to. The label chains are compared
+// first: a label rename retargets gotos, so it is a shape change, not
+// an edit. Each case compares o with s only when they are not the same
+// statement, which a splice shares off the edited path.
+func (r *rebinder) walk(o, s lang.Stmt) (*Node, bool) {
+	ol, oLabeled := o.(*lang.LabeledStmt)
+	sl, sLabeled := s.(*lang.LabeledStmt)
+	for (oLabeled || sLabeled) && ol != sl {
+		if !oLabeled || !sLabeled || ol.Label != sl.Label {
+			return nil, r.fail("line %d: labels %v vs %v", lang.Unlabel(s).Pos().Line, labelChain(o), labelChain(s))
+		}
+		ol, oLabeled = ol.Stmt.(*lang.LabeledStmt)
+		sl, sLabeled = sl.Stmt.(*lang.LabeledStmt)
+	}
+	switch o := o.(type) {
+	case nil:
+		if s == nil {
+			return nil, true
+		}
+	case *lang.AssignStmt:
+		if t, ok := s.(*lang.AssignStmt); ok {
+			return r.take(KindAssign, o, t, o != t && (o.Name != t.Name || !lang.ExprEqual(o.Value, t.Value)))
+		}
+	case *lang.ReadStmt:
+		if t, ok := s.(*lang.ReadStmt); ok {
+			return r.take(KindRead, o, t, o.Name != t.Name)
+		}
+	case *lang.WriteStmt:
+		if t, ok := s.(*lang.WriteStmt); ok {
+			return r.take(KindWrite, o, t, o != t && !lang.ExprEqual(o.Value, t.Value))
+		}
+	case *lang.ReturnStmt:
+		if t, ok := s.(*lang.ReturnStmt); ok {
+			return r.take(KindReturn, o, t, o != t && !lang.ExprEqual(o.Value, t.Value))
+		}
+	case *lang.GotoStmt:
+		t, ok := s.(*lang.GotoStmt)
+		if !ok {
+			break
+		}
+		if o.Label != t.Label {
+			return nil, r.fail("line %d: goto target %s vs %s", t.Pos().Line, o.Label, t.Label)
+		}
+		n, ok := r.take(KindGoto, o, t, false)
+		if ok {
+			r.gotos = append(r.gotos, pendingGoto{node: n, stmt: t})
+		}
+		return n, ok
+	case *lang.BreakStmt:
+		if _, ok := s.(*lang.BreakStmt); ok {
+			return r.take(KindBreak, o, s, false)
+		}
+	case *lang.ContinueStmt:
+		if _, ok := s.(*lang.ContinueStmt); ok {
+			return r.take(KindContinue, o, s, false)
+		}
+	case *lang.EmptyStmt:
+		if _, ok := s.(*lang.EmptyStmt); ok {
+			return r.take(KindSkip, o, s, false)
+		}
+	case *lang.BlockStmt:
+		t, ok := s.(*lang.BlockStmt)
+		if !ok {
+			break
+		}
+		entry, ok := r.list(o.List, t.List)
+		if ok && len(o.List) == 0 {
+			return r.take(KindSkip, o, t, false)
+		}
+		return entry, ok
+	case *lang.IfStmt:
+		t, ok := s.(*lang.IfStmt)
+		if !ok {
+			break
+		}
+		if (o.Else == nil) != (t.Else == nil) {
+			return nil, r.fail("line %d: else branch added or removed", t.Pos().Line)
+		}
+		n, ok := r.take(KindPredicate, o, t, o != t && !lang.ExprEqual(o.Cond, t.Cond))
+		if !ok {
 			return nil, false
 		}
-		if _, ok := r.walk(s.Else); !ok {
+		if _, ok := r.walk(o.Then, t.Then); !ok {
+			return nil, false
+		}
+		if _, ok := r.walk(o.Else, t.Else); !ok {
 			return nil, false
 		}
 		return n, true
 	case *lang.WhileStmt:
-		n, ok := r.take(KindPredicate, s)
+		t, ok := s.(*lang.WhileStmt)
+		if !ok {
+			break
+		}
+		n, ok := r.take(KindPredicate, o, t, o != t && !lang.ExprEqual(o.Cond, t.Cond))
 		if !ok {
 			return nil, false
 		}
-		if _, ok := r.walk(s.Body); !ok {
+		if _, ok := r.walk(o.Body, t.Body); !ok {
 			return nil, false
 		}
 		return n, true
 	case *lang.SwitchStmt:
-		n, ok := r.take(KindSwitch, s)
+		t, ok := s.(*lang.SwitchStmt)
+		if !ok {
+			break
+		}
+		if len(o.Cases) != len(t.Cases) {
+			return nil, r.fail("line %d: case count %d vs %d", t.Pos().Line, len(o.Cases), len(t.Cases))
+		}
+		for i, oc := range o.Cases {
+			if tc := t.Cases[i]; oc.IsDefault != tc.IsDefault || !slices.Equal(oc.Values, tc.Values) {
+				return nil, r.fail("line %d: case arm %d labels differ", t.Pos().Line, i)
+			}
+		}
+		n, ok := r.take(KindSwitch, o, t, o != t && !lang.ExprEqual(o.Tag, t.Tag))
 		if !ok {
 			return nil, false
 		}
-		for _, c := range s.Cases {
-			for _, st := range c.Body {
-				if _, ok := r.walk(st); !ok {
-					return nil, false
-				}
+		for i, oc := range o.Cases {
+			if _, ok := r.list(oc.Body, t.Cases[i].Body); !ok {
+				return nil, false
 			}
 		}
 		return n, true
-	case *lang.BlockStmt:
-		if len(s.List) == 0 {
-			return r.take(KindSkip, s)
-		}
-		var entry *Node
-		for i, st := range s.List {
-			n, ok := r.walk(st)
-			if !ok {
-				return nil, false
-			}
-			if i == 0 {
-				entry = n
-			}
-		}
-		return entry, true
 	case *lang.LabeledStmt:
-		target, ok := r.walk(s.Stmt)
-		if !ok || target == nil {
+		target, ok := r.walk(o.Stmt, s.(*lang.LabeledStmt).Stmt)
+		if !ok {
 			return nil, false
+		}
+		if target == nil {
+			return nil, r.fail(rebindMismatch)
 		}
 		// The node's label list is shared with prev; the wrapper chain
 		// must re-attach the same labels in the same order.
@@ -227,14 +335,15 @@ func (r *rebinder) walk(s lang.Stmt) (*Node, bool) {
 			r.labelAt = make(map[int]int)
 		}
 		i := r.labelAt[target.ID]
-		if i >= len(target.Labels) || target.Labels[i] != s.Label {
-			return nil, false
+		if i >= len(target.Labels) || target.Labels[i] != o.Label {
+			return nil, r.fail(rebindMismatch)
 		}
 		r.labelAt[target.ID] = i + 1
 		r.labelsSeen++
-		r.g.LabelNode[s.Label] = target
+		r.g.LabelNode[o.Label] = target
 		return target, true
 	default:
-		return nil, false
+		return nil, r.fail("line %d: unhandled statement %T", o.Pos().Line, o)
 	}
+	return nil, r.fail("line %d: statement kind %T vs %T", s.Pos().Line, o, s)
 }

@@ -2,6 +2,7 @@ package cfg_test
 
 import (
 	"fmt"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -99,9 +100,9 @@ func TestRebindMatchesBuild(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		p2 := lang.MustParse(c.src)
-		got, ok := cfg.Rebind(prev, p2)
-		if !ok {
-			t.Fatalf("%s: Rebind refused a same-shape program", c.name)
+		got, _, _, mismatch := cfg.Rebind(prev, p2)
+		if mismatch != "" {
+			t.Fatalf("%s: Rebind refused a same-shape program: %s", c.name, mismatch)
 		}
 		want, err := cfg.Build(p2)
 		if err != nil {
@@ -112,7 +113,10 @@ func TestRebindMatchesBuild(t *testing.T) {
 }
 
 // TestRebindRefusesShapeChanges feeds Rebind programs whose shape
-// differs from the donor graph; every one must be refused.
+// differs from the donor graph's program; every one must be refused
+// with the first difference in preorder. The moved loop boundary and
+// the added else keep every node's kind in preorder and move only
+// edges.
 func TestRebindRefusesShapeChanges(t *testing.T) {
 	const src = `read(x);
 L1: if (x > 0) {
@@ -121,20 +125,131 @@ L1: if (x > 0) {
 }
 write(x);
 `
-	prev, err := cfg.Build(lang.MustParse(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, bad := range map[string]string{
-		"extra statement":  "read(x);\nL1: if (x > 0) {\n    x = x - 1;\n    goto L1;\n}\nwrite(x);\nwrite(x);\n",
-		"fewer statements": "read(x);\nL1: if (x > 0) {\n    x = x - 1;\n    goto L1;\n}\n",
-		"kind change":      "read(x);\nL1: if (x > 0) {\n    read(x);\n    goto L1;\n}\nwrite(x);\n",
-		"label rename":     "read(x);\nL2: if (x > 0) {\n    x = x - 1;\n    goto L2;\n}\nwrite(x);\n",
-		"label moved":      "read(x);\nif (x > 0) {\n    L1: x = x - 1;\n    goto L1;\n}\nwrite(x);\n",
+	for _, c := range []struct{ name, from, to, why string }{
+		{"extra statement", src, "read(x);\nL1: if (x > 0) {\n    x = x - 1;\n    goto L1;\n}\nwrite(x);\nwrite(x);\n",
+			"statement sequence length 3 vs 4"},
+		{"fewer statements", src, "read(x);\nL1: if (x > 0) {\n    x = x - 1;\n    goto L1;\n}\n",
+			"statement sequence length 3 vs 2"},
+		{"kind change", src, "read(x);\nL1: if (x > 0) {\n    read(x);\n    goto L1;\n}\nwrite(x);\n",
+			"line 3: statement kind *lang.AssignStmt vs *lang.ReadStmt"},
+		{"label rename", src, "read(x);\nL2: if (x > 0) {\n    x = x - 1;\n    goto L2;\n}\nwrite(x);\n",
+			"line 2: labels [L1] vs [L2]"},
+		{"label moved", src, "read(x);\nif (x > 0) {\n    L1: x = x - 1;\n    goto L1;\n}\nwrite(x);\n",
+			"line 2: labels [L1] vs []"},
+		{"moved loop boundary",
+			"read(x);\nwhile (x > 0) {\n    x = x - 1;\n}\ny = 2;\nwrite(y);\n",
+			"read(x);\nwhile (x > 0) {\n    x = x - 1;\n    y = 2;\n}\nwrite(y);\n",
+			"statement sequence length 4 vs 3"},
+		{"added else", "if (x > 0) x = 1; y = 2;\n", "if (x > 0) x = 1; else y = 2;\n",
+			"statement sequence length 2 vs 1"},
+		{"else only", "if (x > 0) x = 1; y = 2;\n", "if (x > 0) x = 1; else y = 2; y = 2;\n",
+			"line 1: else branch added or removed"},
+		{"case value", "switch (x) {\ncase 1: y = 1;\n}\n", "switch (x) {\ncase 2: y = 1;\n}\n",
+			"line 1: case arm 0 labels differ"},
+		{"case count", "switch (x) {\ncase 1: y = 1;\n}\n", "switch (x) {\ncase 1: y = 1;\ncase 2:\n}\n",
+			"line 1: case count 1 vs 2"},
 	} {
-		if _, ok := cfg.Rebind(prev, lang.MustParse(bad)); ok {
-			t.Errorf("%s: Rebind accepted a shape change", name)
+		prev := cfg.MustBuild(lang.MustParse(c.from))
+		if g, _, _, mismatch := cfg.Rebind(prev, lang.MustParse(c.to)); mismatch != c.why || g != nil {
+			t.Errorf("%s: Rebind gave mismatch %q, want %q", c.name, mismatch, c.why)
 		}
+	}
+}
+
+// fig3src is the paper's Figure 3 program, the donor of the edit
+// tests below.
+const fig3src = `sum = 0;
+positives = 0;
+L3: if (eof()) goto L14;
+read(x);
+if (x > 0) goto L8;
+sum = sum + f1(x);
+goto L3;
+L8: positives = positives + 1;
+if (x % 2 != 0) goto L12;
+sum = sum + f2(x);
+goto L3;
+L12: sum = sum + f3(x);
+goto L3;
+L14: write(sum);
+write(positives);
+`
+
+// editLine returns src with its line-th line replaced by text.
+func editLine(src string, line int, text string) string {
+	lines := strings.Split(src, "\n")
+	lines[line-1] = text
+	return strings.Join(lines, "\n")
+}
+
+// rebindFig3 rebinds the parse of to onto Figure 3's flowgraph.
+func rebindFig3(to string) (g *cfg.Graph, edited []int, defChanged bool, mismatch string) {
+	return cfg.Rebind(cfg.MustBuild(lang.MustParse(fig3src)), lang.MustParse(to))
+}
+
+func TestRebindIdentical(t *testing.T) {
+	g, edited, defChanged, mismatch := rebindFig3(fig3src)
+	if g == nil || len(edited) != 0 || defChanged || mismatch != "" {
+		t.Fatalf("identical programs: edited %v, defChanged %v, mismatch %q", edited, defChanged, mismatch)
+	}
+}
+
+func TestRebindExpressionChange(t *testing.T) {
+	g, edited, defChanged, mismatch := rebindFig3(editLine(fig3src, 6, "sum = sum + f1(x) + 1;"))
+	if mismatch != "" || len(edited) != 1 || defChanged {
+		t.Fatalf("expression change: edited %v, defChanged %v, mismatch %q", edited, defChanged, mismatch)
+	}
+	if n := g.Nodes[edited[0]]; n.Line != 6 || lang.StmtString(n.Stmt) != "sum = sum + f1(x) + 1;" {
+		t.Fatalf("edited node %v, want line 6's new statement", n)
+	}
+}
+
+func TestRebindDefChange(t *testing.T) {
+	g, edited, defChanged, mismatch := rebindFig3(editLine(fig3src, 1, "total = 0;"))
+	if mismatch != "" || len(edited) != 1 || !defChanged || g.Nodes[edited[0]].Line != 1 {
+		t.Fatalf("def change: edited %v, defChanged %v, mismatch %q", edited, defChanged, mismatch)
+	}
+}
+
+// TestRebindStructuralChange: an inserted statement is a shape change,
+// and the fallback's edit script reports it as one insert.
+func TestRebindStructuralChange(t *testing.T) {
+	to := editLine(fig3src, 5, "extra = 0;\n"+strings.Split(fig3src, "\n")[4])
+	if _, _, _, mismatch := rebindFig3(to); mismatch != "statement sequence length 15 vs 16" {
+		t.Fatalf("insert: mismatch %q", mismatch)
+	}
+	inserts := 0
+	for _, e := range incremental.EditScript(lang.MustParse(fig3src), lang.MustParse(to)) {
+		if e.Op == incremental.OpInsert {
+			inserts++
+		}
+	}
+	if inserts != 1 {
+		t.Fatalf("want 1 insert edit, got %d", inserts)
+	}
+}
+
+// TestRebindRelabel: a label rename retargets gotos, so it is a shape
+// change; the fallback's edit script reports one relabel.
+func TestRebindRelabel(t *testing.T) {
+	to := strings.ReplaceAll(fig3src, "L12", "L99")
+	if _, _, _, mismatch := rebindFig3(to); mismatch != "line 9: goto target L12 vs L99" {
+		t.Fatalf("relabel: mismatch %q", mismatch)
+	}
+	relabels := 0
+	for _, e := range incremental.EditScript(lang.MustParse(fig3src), lang.MustParse(to)) {
+		if e.Op == incremental.OpRelabel {
+			relabels++
+		}
+	}
+	if relabels != 1 {
+		t.Fatalf("want 1 relabel edit, got %d", relabels)
+	}
+}
+
+func TestRebindJumpTargetChange(t *testing.T) {
+	if _, _, _, mismatch := rebindFig3(editLine(fig3src, 7, "goto L14;")); mismatch != "line 7: goto target L3 vs L14" {
+		t.Fatalf("goto retarget: mismatch %q", mismatch)
 	}
 }
 
@@ -166,9 +281,9 @@ func TestRebindAfterSpliceSharesUntouchedNodes(t *testing.T) {
 			}
 			spliced++
 			name := fmt.Sprintf("program %d line %d", i, line)
-			got, ok := cfg.Rebind(prev, p2)
-			if !ok {
-				t.Fatalf("%s: Rebind refused a splice", name)
+			got, _, _, mismatch := cfg.Rebind(prev, p2)
+			if mismatch != "" {
+				t.Fatalf("%s: Rebind refused a splice: %s", name, mismatch)
 			}
 			want, err := cfg.Build(p2)
 			if err != nil {
@@ -199,4 +314,67 @@ func TestRebindAfterSpliceSharesUntouchedNodes(t *testing.T) {
 	if spliced < 50 || retargeted == 0 {
 		t.Fatalf("%d splices exercised, %d jumps retargeted at a copied node; want both", spliced, retargeted)
 	}
+}
+
+// assignLine matches a formatted assignment line, capturing its
+// indentation and labels and its target variable.
+var assignLine = regexp.MustCompile(`^(\s*(?:\w+: )*)(\w+) = .*;$`)
+
+// FuzzRebind rebinds one program's flowgraph onto another program.
+// Whenever Rebind accepts, its graph must be Build's node for node,
+// its edited set exactly the node positions whose statements print
+// differently, and defChanged exactly whether one of them defines a
+// different variable.
+func FuzzRebind(f *testing.F) {
+	f.Add("read(x);\nwhile (x > 0) {\n    x = x - 1;\n}\ny = 2;\nwrite(y);\n",
+		"read(x);\nwhile (x > 0) {\n    x = x - 1;\n    y = 2;\n}\nwrite(y);\n")
+	f.Add("if (x > 0) x = 1; y = 2;\n", "if (x > 0) x = 1; else y = 2;\n")
+	for _, fig := range paper.All() {
+		f.Add(fig.Source, fig.Source)
+		f.Add(fig.Source, strings.Replace(fig.Source, "x", "y", 1))
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		for _, gen := range []func(progen.Config) *lang.Program{progen.Structured, progen.Unstructured} {
+			src := lang.Format(gen(progen.Config{Seed: seed, Stmts: 30}), lang.PrintOptions{})
+			lines := strings.Split(src, "\n")
+			for i := len(lines) - 1; i >= 0; i-- {
+				if m := assignLine.FindStringSubmatch(lines[i]); m != nil {
+					f.Add(src, editLine(src, i+1, m[1]+m[2]+" = 1;"))
+					f.Add(src, editLine(src, i+1, m[1]+"w = "+m[2]+";"))
+					break
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, from, to string) {
+		p, err := lang.Parse(from)
+		if err != nil {
+			return
+		}
+		q, err := lang.Parse(to)
+		if err != nil {
+			return
+		}
+		prev := cfg.MustBuild(p)
+		g, edited, defChanged, mismatch := cfg.Rebind(prev, q)
+		if mismatch != "" {
+			if g != nil || edited != nil || defChanged {
+				t.Fatalf("refused (%s) with a result", mismatch)
+			}
+			return
+		}
+		requireSameGraph(t, "rebind", q, g, cfg.MustBuild(q))
+		var want []int
+		wantDef := false
+		for id := cfg.FirstStmt; id < len(g.Nodes); id++ {
+			o, n := prev.Nodes[id].Stmt, g.Nodes[id].Stmt
+			if lang.StmtString(o) != lang.StmtString(n) {
+				want = append(want, id)
+				wantDef = wantDef || lang.Def(o) != lang.Def(n)
+			}
+		}
+		if !slices.Equal(edited, want) || defChanged != wantDef {
+			t.Fatalf("edited %v defChanged %v, want %v %v", edited, defChanged, want, wantDef)
+		}
+	})
 }

@@ -32,8 +32,10 @@ type IncrStats struct {
 	PhasesRecomputed int `json:"phases_recomputed"`
 	// Fallback is the reason a full run happened ("" otherwise).
 	Fallback string `json:"fallback,omitempty"`
-	// Edits is the statement-level edit script of the diff, for
-	// reporting.
+	// Edits reports the statement-level edits: the replaced
+	// statements in preorder when the flowgraph survived, or
+	// incremental.EditScript's insert/delete/relabel/replace script
+	// when a shape change forced a full run.
 	Edits []incremental.Edit `json:"edits,omitempty"`
 }
 
@@ -54,31 +56,34 @@ func resolveIncrMetrics(rec *obs.Registry) incrMetrics {
 // ReanalyzeProgram re-derives an Analysis for prog, reusing whatever
 // the previous analysis proves still valid. The result is always
 // exactly what AnalyzeObservedContext(ctx, prog, reg, spans) would
-// produce — reuse never depends on the differ being clever, only on
-// the structural safety checks holding — so callers can treat it as a
-// faster analysis. prev may be nil (a plain cold analysis). prog may
-// come from a full parse or from incremental.SpliceLine, which avoids
-// the reparse that would otherwise dominate a one-line edit: it
-// splices any line statement, labeled lines, goto retargets and
-// break/continue swaps included, and yields the program the reparse
-// would. The tier is decided here alone, from prev and prog, so a
-// spliced program lands in the same tier as its reparse (a goto
-// retarget or a break/continue swap changes the flowgraph and runs
-// "full").
+// produce, so callers can treat it as a faster analysis. prev may be
+// nil (a plain cold analysis). prog may come from a full parse or
+// from incremental.SpliceLine, which avoids the reparse that would
+// otherwise dominate a one-line edit: it splices any line statement,
+// labeled lines, goto retargets and break/continue swaps included,
+// and yields the program the reparse would. The tier is decided here
+// alone, from prev and prog, so a spliced program lands in the same
+// tier as its reparse (a goto retarget or a break/continue swap
+// changes the flowgraph and runs "full").
 //
 // Tier decision:
 //
 //   - A program with procedures on either side is analyzed cold
 //     ("full"): reuse is per flowgraph, and such a program has one
 //     per procedure.
-//   - The ASTs are diffed statement by statement. Any structural
-//     difference — statement inserted, deleted, kind changed, label or
-//     goto target or case value changed — falls back to a cold
-//     AnalyzeObservedContext ("full").
+//   - One cfg.Rebind walk of prev's program and prog in lockstep
+//     decides the rest, before anything is reused. Any difference in
+//     the flowgraph's makings (a statement inserted or deleted, a kind,
+//     label, goto target, else branch or case value changed) falls
+//     back to a cold AnalyzeObservedContext ("full"), reporting the
+//     fingerprint edit script. Otherwise the flowgraph is prev's,
+//     rebound onto prog's statements, and Rebind names the nodes
+//     whose statement changed and whether any defines a different
+//     variable.
 //   - Same shape with every definition intact reuses the
 //     postdominator tree, CDG, LST, dataflow and all precomputed
 //     worklists (they are pure functions of flowgraph shape, or of
-//     shape plus definition sites); only the flowgraph is rebuilt and
+//     shape plus definition sites); only the flowgraph is rebound and
 //     the edited statements' dependence rows recomputed ("patched").
 //   - Same shape but with a changed definition ("partial") re-solves
 //     reaching definitions for the variables whose definitions moved
@@ -90,10 +95,6 @@ func resolveIncrMetrics(rec *obs.Registry) incrMetrics {
 // Every tier starts the result's batch condensation empty: no served
 // path slices through SliceAll, so a batch call on the result
 // condenses lazily, as on a cold analysis.
-//
-// The freshly built flowgraph is verified node-for-node against the
-// previous one before anything is reused, so a differ bug degrades to
-// a full run, never to a wrong slice.
 func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, reg *obs.Registry, spans *obs.SpanLog) (*Analysis, *IncrStats, error) {
 	o := obs.Observer{Reg: reg, Spans: spans}
 	im := resolveIncrMetrics(reg)
@@ -120,21 +121,18 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	if len(prog.Procs) > 0 || len(prev.Prog.Procs) > 0 {
 		return full("program declares procedures")
 	}
-	sc := incremental.Diff(prev.Prog, prog)
-	stats.Edits = sc.Edits
-	if !sc.SameShape {
-		return full(sc.Mismatch)
+	g2, edited, defChanged, mismatch := cfg.Rebind(prev.CFG, prog)
+	if mismatch != "" {
+		stats.Edits = incremental.EditScript(prev.Prog, prog)
+		return full(mismatch)
 	}
-
-	// Re-derive the flowgraph by rebinding the previous node table
-	// onto the new statements — the graph is structural, so a
-	// same-shape program has the same one. Rebind re-verifies the
-	// shape claim position by position (kinds, labels, goto targets)
-	// and refuses anything the differ should have caught, so a differ
-	// bug degrades to a full run, never to a wrong graph.
-	g2, ok := cfg.Rebind(prev.CFG, prog)
-	if !ok {
-		return full("flowgraph rebind mismatch")
+	for _, id := range edited {
+		n := g2.Nodes[id]
+		stats.Edits = append(stats.Edits, incremental.Edit{
+			Op:   incremental.OpReplace,
+			Line: n.Line,
+			Text: lang.StmtString(n.Stmt),
+		})
 	}
 
 	a := &Analysis{
@@ -175,18 +173,7 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		a.gotoNodes[i] = g2.Nodes[n.ID]
 	}
 
-	edited, ok := editedNodes(g2, sc.Replaced)
-	if !ok {
-		return full("edited statement has no flowgraph node")
-	}
 	rd, rows, rebound := prev.RD.Rebound(g2, edited)
-	defChanged := false
-	for _, r := range sc.Replaced {
-		if r.DefChanged {
-			defChanged = true
-			break
-		}
-	}
 	if defChanged {
 		// Partial tier: a definition site changed variables, so the
 		// reaching-definitions frontier moved. Only the moved
@@ -227,29 +214,6 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	im.reused.Add(int64(stats.PhasesReused))
 	im.recomputed.Add(int64(stats.PhasesRecomputed))
 	return a, stats, nil
-}
-
-// editedNodes returns the IDs of the nodes of g bearing the replaced
-// statements, ascending, resolved in one pass over g's nodes: a
-// rebound graph has no statement index (Slice.Format prints without
-// one), and building it would cost a map insert per node. ok is false
-// if some replaced statement has no node.
-func editedNodes(g *cfg.Graph, replaced []incremental.Replacement) ([]int, bool) {
-	want := make(map[lang.Stmt]bool, len(replaced))
-	for _, r := range replaced {
-		want[lang.Unlabel(r.New)] = true
-	}
-	edited := make([]int, 0, len(replaced))
-	for _, n := range g.Nodes {
-		if len(want) == 0 {
-			break
-		}
-		if n.Stmt != nil && want[n.Stmt] {
-			delete(want, n.Stmt)
-			edited = append(edited, n.ID)
-		}
-	}
-	return edited, len(want) == 0
 }
 
 // movedRows returns the data dependence rows, under rd, of the nodes

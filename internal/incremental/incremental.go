@@ -1,23 +1,17 @@
-// Package incremental compares two versions of a program at the
-// statement level and answers the questions the incremental
-// re-analysis engine in internal/core asks: did the flowgraph shape
-// survive the edit, which statements changed, and did any of them
-// change the variable it defines? It also provides SpliceLine, a
-// single-statement reparse-and-splice that turns a one-line text edit
-// into a new AST without paying a full reparse — the cost that would
-// otherwise dominate an editor-speed re-slice.
+// Package incremental holds the program-level half of an incremental
+// edit. SpliceLine is a single-statement reparse-and-splice that
+// turns a one-line text edit into a new AST without paying a full
+// reparse, the cost that would otherwise dominate an editor-speed
+// re-slice. EditScript is the statement-level edit script a full
+// re-analysis reports.
 //
-// The differ is deliberately conservative: its positive answers
-// ("same shape", "only these statements changed") are derived from a
-// lockstep structural walk of both syntax trees, never from
-// heuristics, so a reuse engine acting on them cannot produce results
-// that differ from a cold analysis. Anything the walk cannot prove
-// identical in shape is reported as a mismatch, which callers treat
-// as "run the full pipeline".
+// Whether an edit kept the flowgraph, which statements it changed and
+// whether any of them defines a different variable is not decided
+// here: cfg.Rebind decides all three in its one lockstep walk of the
+// old and new programs.
 package incremental
 
 import (
-	"fmt"
 	"strings"
 
 	"jumpslice/internal/lang"
@@ -53,288 +47,13 @@ func (o Op) String() string {
 	return "unknown"
 }
 
-// Edit is one entry of the statement-level edit script. Line is the
+// Edit is one entry of a statement-level edit script. Line is the
 // statement's source line in the new program (for deletes, in the old
 // program); Text is a one-line rendering of the statement.
 type Edit struct {
 	Op   Op     `json:"op"`
 	Line int    `json:"line"`
 	Text string `json:"text"`
-}
-
-// Replacement pairs an old statement with the same-shape new
-// statement that replaced it. Old and New are the node-bearing
-// statements (label wrappers stripped), so cfg.Graph.NodeFor accepts
-// them directly. DefChanged reports that the variable the statement
-// defines changed — the distinction that decides whether reaching
-// definitions must be recomputed.
-type Replacement struct {
-	Old, New   lang.Stmt
-	DefChanged bool
-}
-
-// Script is the result of diffing two programs.
-type Script struct {
-	// Identical reports that the walk found no difference at all:
-	// same shape, no expression or definition changed anywhere.
-	// (Statement positions are not compared; an identical script may
-	// still carry different line numbers.)
-	Identical bool
-	// SameShape reports that both programs have the same statement
-	// structure: same statement kinds in the same nesting, same
-	// labels, same goto targets, same case values. When true, the
-	// flowgraphs built from the two programs are structurally
-	// identical node for node, and Replaced lists every pair that
-	// differs.
-	SameShape bool
-	// Replaced lists, when SameShape, the statement pairs whose
-	// expressions or defined variable differ.
-	Replaced []Replacement
-	// Mismatch is a human-readable reason SameShape is false, or "".
-	Mismatch string
-	// Edits is a statement-level edit script for reporting: replace /
-	// relabel for paired statements, insert / delete for the rest.
-	// It is derived from fingerprint anchoring and is informational —
-	// reuse decisions are made from SameShape and Replaced only.
-	Edits []Edit
-}
-
-// Diff structurally compares two programs statement by statement.
-func Diff(old, new *lang.Program) *Script {
-	d := &differ{}
-	sc := &Script{SameShape: d.stmts(old.Body, new.Body)}
-	if sc.SameShape {
-		sc.Replaced = d.replaced
-		sc.Identical = len(d.replaced) == 0
-		// Same shape means no statement was inserted, deleted or
-		// relabeled, so the edit script is exactly the replacements —
-		// no need for the fingerprint-anchored pass (which would
-		// re-hash every statement and dominate an editor-speed edit).
-		for _, r := range d.replaced {
-			sc.Edits = append(sc.Edits, Edit{
-				Op:   OpReplace,
-				Line: r.New.Pos().Line,
-				Text: lang.StmtString(r.New),
-			})
-		}
-	} else {
-		sc.Mismatch = d.mismatch
-		sc.Edits = editScript(old, new)
-	}
-	return sc
-}
-
-// differ carries the state of the lockstep shape walk.
-type differ struct {
-	replaced []Replacement
-	mismatch string
-}
-
-func (d *differ) fail(format string, args ...any) bool {
-	if d.mismatch == "" {
-		d.mismatch = fmt.Sprintf(format, args...)
-	}
-	return false
-}
-
-func (d *differ) stmts(old, new []lang.Stmt) bool {
-	if len(old) != len(new) {
-		return d.fail("statement sequence length %d vs %d", len(old), len(new))
-	}
-	for i := range old {
-		if !d.stmt(old[i], new[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// stmt compares one statement position of both programs. Labels are
-// part of the shape: a label rename retargets gotos, so it cannot be
-// treated as a same-shape replacement.
-func (d *differ) stmt(o, n lang.Stmt) bool {
-	if o == n {
-		// Pointer-identical subtrees (SpliceLine shares everything but
-		// the edited spine with the donor program) are trivially equal.
-		return true
-	}
-	oi, olabels := unwrap(o)
-	ni, nlabels := unwrap(n)
-	if !equalStrings(olabels, nlabels) {
-		return d.fail("line %d: labels %v vs %v", ni.Pos().Line, olabels, nlabels)
-	}
-	switch os := oi.(type) {
-	case *lang.AssignStmt:
-		ns, ok := ni.(*lang.AssignStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		if os.Name != ns.Name {
-			d.replace(oi, ni, true)
-		} else if !ExprEqual(os.Value, ns.Value) {
-			d.replace(oi, ni, false)
-		}
-	case *lang.ReadStmt:
-		ns, ok := ni.(*lang.ReadStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		if os.Name != ns.Name {
-			d.replace(oi, ni, true)
-		}
-	case *lang.WriteStmt:
-		ns, ok := ni.(*lang.WriteStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		if !ExprEqual(os.Value, ns.Value) {
-			d.replace(oi, ni, false)
-		}
-	case *lang.ReturnStmt:
-		ns, ok := ni.(*lang.ReturnStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		if !ExprEqual(os.Value, ns.Value) {
-			d.replace(oi, ni, false)
-		}
-	case *lang.GotoStmt:
-		ns, ok := ni.(*lang.GotoStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		if os.Label != ns.Label {
-			return d.fail("line %d: goto target %s vs %s", ni.Pos().Line, os.Label, ns.Label)
-		}
-	case *lang.BreakStmt:
-		if _, ok := ni.(*lang.BreakStmt); !ok {
-			return d.failKind(oi, ni)
-		}
-	case *lang.ContinueStmt:
-		if _, ok := ni.(*lang.ContinueStmt); !ok {
-			return d.failKind(oi, ni)
-		}
-	case *lang.EmptyStmt:
-		if _, ok := ni.(*lang.EmptyStmt); !ok {
-			return d.failKind(oi, ni)
-		}
-	case *lang.BlockStmt:
-		ns, ok := ni.(*lang.BlockStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		return d.stmts(os.List, ns.List)
-	case *lang.IfStmt:
-		ns, ok := ni.(*lang.IfStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		if (os.Else == nil) != (ns.Else == nil) {
-			return d.fail("line %d: else branch added or removed", ni.Pos().Line)
-		}
-		if !ExprEqual(os.Cond, ns.Cond) {
-			d.replace(oi, ni, false)
-		}
-		if !d.stmt(os.Then, ns.Then) {
-			return false
-		}
-		if os.Else != nil && !d.stmt(os.Else, ns.Else) {
-			return false
-		}
-	case *lang.WhileStmt:
-		ns, ok := ni.(*lang.WhileStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		if !ExprEqual(os.Cond, ns.Cond) {
-			d.replace(oi, ni, false)
-		}
-		return d.stmt(os.Body, ns.Body)
-	case *lang.SwitchStmt:
-		ns, ok := ni.(*lang.SwitchStmt)
-		if !ok {
-			return d.failKind(oi, ni)
-		}
-		if len(os.Cases) != len(ns.Cases) {
-			return d.fail("line %d: case count %d vs %d", ni.Pos().Line, len(os.Cases), len(ns.Cases))
-		}
-		for i := range os.Cases {
-			oc, nc := os.Cases[i], ns.Cases[i]
-			if oc.IsDefault != nc.IsDefault || !equalInt64s(oc.Values, nc.Values) {
-				return d.fail("line %d: case arm %d labels differ", ni.Pos().Line, i)
-			}
-		}
-		if !ExprEqual(os.Tag, ns.Tag) {
-			d.replace(oi, ni, false)
-		}
-		for i := range os.Cases {
-			if !d.stmts(os.Cases[i].Body, ns.Cases[i].Body) {
-				return false
-			}
-		}
-	default:
-		return d.fail("line %d: unhandled statement %T", oi.Pos().Line, oi)
-	}
-	return true
-}
-
-func (d *differ) failKind(o, n lang.Stmt) bool {
-	return d.fail("line %d: statement kind %T vs %T", n.Pos().Line, o, n)
-}
-
-func (d *differ) replace(o, n lang.Stmt, defChanged bool) {
-	d.replaced = append(d.replaced, Replacement{Old: o, New: n, DefChanged: defChanged})
-}
-
-// unwrap strips LabeledStmt wrappers, returning the inner statement
-// and the label chain in wrapper order.
-func unwrap(s lang.Stmt) (lang.Stmt, []string) {
-	var labels []string
-	for {
-		l, ok := s.(*lang.LabeledStmt)
-		if !ok {
-			return s, labels
-		}
-		labels = append(labels, l.Label)
-		s = l.Stmt
-	}
-}
-
-// ExprEqual reports whether two expressions are structurally equal,
-// ignoring source positions. A nil expression equals only nil.
-func ExprEqual(a, b lang.Expr) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	switch a := a.(type) {
-	case *lang.IntLit:
-		b, ok := b.(*lang.IntLit)
-		return ok && a.Value == b.Value
-	case *lang.Ident:
-		b, ok := b.(*lang.Ident)
-		return ok && a.Name == b.Name
-	case *lang.CallExpr:
-		b, ok := b.(*lang.CallExpr)
-		if !ok || a.Name != b.Name || len(a.Args) != len(b.Args) {
-			return false
-		}
-		for i := range a.Args {
-			if !ExprEqual(a.Args[i], b.Args[i]) {
-				return false
-			}
-		}
-		return true
-	case *lang.UnaryExpr:
-		b, ok := b.(*lang.UnaryExpr)
-		return ok && a.Op == b.Op && ExprEqual(a.X, b.X)
-	case *lang.BinaryExpr:
-		b, ok := b.(*lang.BinaryExpr)
-		return ok && a.Op == b.Op && ExprEqual(a.X, b.X) && ExprEqual(a.Y, b.Y)
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------
@@ -510,10 +229,12 @@ func newFlat(s lang.Stmt, labels []string) flat {
 	return flat{stmt: s, line: s.Pos().Line, full: uint64(full), bare: uint64(bare)}
 }
 
-// editScript derives the reporting edit script by fingerprint
-// anchoring: trim the common prefix and suffix of the flattened
-// statement lists, then pair the middles positionally.
-func editScript(old, new *lang.Program) []Edit {
+// EditScript derives the statement-level edit script from old to new
+// by fingerprint anchoring: trim the common prefix and suffix of the
+// flattened statement lists, then pair the middles positionally. It
+// is a report for a full re-analysis, not a reuse decision: replace
+// and relabel for paired statements, insert and delete for the rest.
+func EditScript(old, new *lang.Program) []Edit {
 	of, nf := flatten(old), flatten(new)
 	i := 0
 	for i < len(of) && i < len(nf) && of[i].full == nf[i].full {
@@ -946,33 +667,6 @@ func collectLineStmt(s lang.Stmt, line int, hits *[]lang.Stmt) bool {
 		return collectLine(s.List, line, hits)
 	case *lang.LabeledStmt:
 		return collectLineStmt(s.Stmt, line, hits)
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------
-// Small helpers.
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
 	}
 	return true
 }

@@ -1,9 +1,11 @@
 package incremental
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"jumpslice/internal/cfg"
 	"jumpslice/internal/lang"
 )
 
@@ -43,86 +45,15 @@ func editLine(t *testing.T, src string, line int, text string) string {
 	return strings.Join(lines, "\n")
 }
 
-func TestDiffIdentical(t *testing.T) {
-	a, b := parse(t, base), parse(t, base)
-	sc := Diff(a, b)
-	if !sc.Identical || !sc.SameShape || len(sc.Replaced) != 0 || len(sc.Edits) != 0 {
-		t.Fatalf("identical programs: %+v", sc)
+// sameProgram returns "" when q is want up to source positions: in
+// cfg.Rebind's one walk, q has want's statement shape and no edited
+// statement. Otherwise it returns what differs.
+func sameProgram(want, q *lang.Program) string {
+	_, edited, _, mismatch := cfg.Rebind(cfg.MustBuild(want), q)
+	if mismatch == "" && len(edited) > 0 {
+		return fmt.Sprintf("edited nodes %v", edited)
 	}
-}
-
-func TestDiffExpressionChange(t *testing.T) {
-	a := parse(t, base)
-	b := parse(t, editLine(t, base, 6, "sum = sum + f1(x) + 1;"))
-	sc := Diff(a, b)
-	if sc.Identical || !sc.SameShape {
-		t.Fatalf("expression change: Identical=%v SameShape=%v (%s)", sc.Identical, sc.SameShape, sc.Mismatch)
-	}
-	if len(sc.Replaced) != 1 || sc.Replaced[0].DefChanged {
-		t.Fatalf("Replaced = %+v", sc.Replaced)
-	}
-	if got := sc.Replaced[0].New.Pos().Line; got != 6 {
-		t.Fatalf("replaced line = %d, want 6", got)
-	}
-	if len(sc.Edits) != 1 || sc.Edits[0].Op != OpReplace || sc.Edits[0].Line != 6 {
-		t.Fatalf("Edits = %+v", sc.Edits)
-	}
-}
-
-func TestDiffDefChange(t *testing.T) {
-	a := parse(t, base)
-	b := parse(t, editLine(t, base, 1, "total = 0;"))
-	sc := Diff(a, b)
-	if !sc.SameShape || len(sc.Replaced) != 1 || !sc.Replaced[0].DefChanged {
-		t.Fatalf("def change: %+v", sc)
-	}
-}
-
-func TestDiffStructuralChange(t *testing.T) {
-	a := parse(t, base)
-	lines := strings.Split(base, "\n")
-	ins := strings.Join(append(lines[:4:4], append([]string{"extra = 0;"}, lines[4:]...)...), "\n")
-	b := parse(t, ins)
-	sc := Diff(a, b)
-	if sc.SameShape || sc.Mismatch == "" {
-		t.Fatalf("insert should break shape: %+v", sc)
-	}
-	var inserts int
-	for _, e := range sc.Edits {
-		if e.Op == OpInsert {
-			inserts++
-		}
-	}
-	if inserts != 1 {
-		t.Fatalf("want 1 insert edit, got %+v", sc.Edits)
-	}
-}
-
-func TestDiffRelabel(t *testing.T) {
-	a := parse(t, base)
-	src := strings.ReplaceAll(base, "L12", "L99")
-	b := parse(t, src)
-	sc := Diff(a, b)
-	if sc.SameShape {
-		t.Fatal("label rename must not be same-shape (gotos retarget)")
-	}
-	var relabels int
-	for _, e := range sc.Edits {
-		if e.Op == OpRelabel {
-			relabels++
-		}
-	}
-	if relabels != 1 {
-		t.Fatalf("want 1 relabel edit, got %+v", sc.Edits)
-	}
-}
-
-func TestDiffJumpTargetChange(t *testing.T) {
-	a := parse(t, base)
-	b := parse(t, editLine(t, base, 7, "goto L14;"))
-	if sc := Diff(a, b); sc.SameShape {
-		t.Fatal("goto retarget must not be same-shape")
-	}
+	return mismatch
 }
 
 func TestSpliceLineEquivalence(t *testing.T) {
@@ -147,8 +78,8 @@ func TestSpliceLineEquivalence(t *testing.T) {
 			t.Fatalf("SpliceLine(%d, %q) refused", tc.line, tc.text)
 		}
 		want := parse(t, editLine(t, base, tc.line, tc.text))
-		if sc := Diff(want, q); !sc.Identical {
-			t.Fatalf("splice(%d) differs from reparse: %+v", tc.line, sc)
+		if d := sameProgram(want, q); d != "" {
+			t.Fatalf("splice(%d) differs from reparse: %s", tc.line, d)
 		}
 		if got, wantSrc := lang.Format(q, lang.PrintOptions{}), lang.Format(want, lang.PrintOptions{}); got != wantSrc {
 			t.Fatalf("splice(%d) formats differently:\n%s\nvs\n%s", tc.line, got, wantSrc)
@@ -157,8 +88,8 @@ func TestSpliceLineEquivalence(t *testing.T) {
 			t.Fatalf("splice(%d): statement not repositioned", tc.line)
 		}
 		// The original tree is untouched.
-		if sc := Diff(p, parse(t, base)); !sc.Identical {
-			t.Fatalf("splice(%d) mutated the original program", tc.line)
+		if d := sameProgram(parse(t, base), p); d != "" {
+			t.Fatalf("splice(%d) mutated the original program: %s", tc.line, d)
 		}
 	}
 }
@@ -243,8 +174,8 @@ case 1:
 			continue
 		}
 		want := parse(t, editLine(t, loops, tc.line, tc.text))
-		if sc := Diff(want, q); !sc.Identical {
-			t.Errorf("line %d: splice differs from reparse: %s", tc.line, sc.Mismatch)
+		if d := sameProgram(want, q); d != "" {
+			t.Errorf("line %d: splice differs from reparse: %s", tc.line, d)
 		}
 	}
 }

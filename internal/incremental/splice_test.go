@@ -13,10 +13,12 @@ import (
 
 // checkSplice splices text over line of p, the parse of src, and
 // requires an accepted splice to equal the reparse of the edited
-// source: the reparse succeeds, the differ finds nothing, both format
-// alike, and both have the same labels (each map entry the wrapper in
-// its own tree) and statement count. It reports whether the splice
-// was accepted and whether the reparse succeeded.
+// source: the reparse succeeds, cfg.Rebind of the splice onto the
+// reparse's flowgraph finds no shape difference and no edited
+// statement, both format alike, and both have the same labels (each
+// map entry the wrapper in its own tree) and statement count. It
+// reports whether the splice was accepted and whether the reparse
+// succeeded.
 func checkSplice(t *testing.T, src string, p *lang.Program, line int, text string) (spliced, parsed bool) {
 	t.Helper()
 	q, spliced := SpliceLine(p, line, text)
@@ -36,8 +38,8 @@ func checkSplice(t *testing.T, src string, p *lang.Program, line int, text strin
 	if err != nil {
 		t.Fatalf("line %d %q: spliced, but the reparse fails: %v", line, text, err)
 	}
-	if sc := Diff(want, q); !sc.Identical {
-		t.Fatalf("line %d %q: splice differs from the reparse: %s %+v", line, text, sc.Mismatch, sc.Edits)
+	if d := sameProgram(want, q); d != "" {
+		t.Fatalf("line %d %q: splice differs from the reparse: %s", line, text, d)
 	}
 	if got, w := lang.Format(q, lang.PrintOptions{}), lang.Format(want, lang.PrintOptions{}); got != w {
 		t.Fatalf("line %d %q: splice formats differently:\n%s\nvs\n%s", line, text, got, w)

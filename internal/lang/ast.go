@@ -350,6 +350,43 @@ func ExprCalls(dst []string, e Expr) []string {
 	return dst
 }
 
+// ExprEqual reports whether two expressions are structurally equal,
+// ignoring source positions. A nil expression equals only nil.
+func ExprEqual(a, b Expr) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil {
+		return false
+	}
+	switch a := a.(type) {
+	case *IntLit:
+		b, ok := b.(*IntLit)
+		return ok && a.Value == b.Value
+	case *Ident:
+		b, ok := b.(*Ident)
+		return ok && a.Name == b.Name
+	case *CallExpr:
+		b, ok := b.(*CallExpr)
+		if !ok || a.Name != b.Name || len(a.Args) != len(b.Args) {
+			return false
+		}
+		for i := range a.Args {
+			if !ExprEqual(a.Args[i], b.Args[i]) {
+				return false
+			}
+		}
+		return true
+	case *UnaryExpr:
+		b, ok := b.(*UnaryExpr)
+		return ok && a.Op == b.Op && ExprEqual(a.X, b.X)
+	case *BinaryExpr:
+		b, ok := b.(*BinaryExpr)
+		return ok && a.Op == b.Op && ExprEqual(a.X, b.X) && ExprEqual(a.Y, b.Y)
+	}
+	return false
+}
+
 // Uses returns the sorted set of variables a statement reads directly
 // (not through nested statements): the right-hand side of an
 // assignment, the argument of write, the condition of if/while, the

@@ -387,12 +387,12 @@ func (r *Registry) Snapshot() *Snapshot {
 // not rebuilt", and how reuses split between them depends on whether
 // the second request arrived during or after the first's build — pure
 // scheduling. The fold keeps the deterministic total. Finally it
-// drops every instrument under the "runtime.", "http.", "cluster.",
-// "disk." and "result." prefixes entirely — runtime-health samples
-// (goroutine counts, heap sizes, GC pause counts), request-serving
-// telemetry, and the cluster/disk/result-cache tiers depend on the
-// machine, the scheduler, disk speed, peer timing, and when a scrape
-// samples, so even their observation counts are nondeterministic. Two
+// drops every instrument under the "runtime.", "cluster.", "disk."
+// and "result." prefixes entirely — runtime-health samples
+// (goroutine counts, heap sizes, GC pause counts) and the
+// cluster/disk/result-cache tiers depend on the machine, the
+// scheduler, disk speed, peer timing, and when a scrape samples, so
+// even their observation counts are nondeterministic. Two
 // runs of the same deterministic workload produce byte-identical
 // scrubbed snapshots at any parallelism; cmd/slicebench's determinism
 // test relies on this.
@@ -443,7 +443,6 @@ func (s *Snapshot) Scrub() *Snapshot {
 // environment-dependent in its entirety and must not survive Scrub.
 func scrubbedName(name string) bool {
 	return strings.HasPrefix(name, "runtime.") ||
-		strings.HasPrefix(name, "http.") ||
 		strings.HasPrefix(name, "cluster.") ||
 		strings.HasPrefix(name, "disk.") ||
 		strings.HasPrefix(name, "result.")

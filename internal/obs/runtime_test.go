@@ -46,14 +46,13 @@ func TestRuntimeSamplerObservesGCPauses(t *testing.T) {
 	}
 }
 
-// TestScrubDropsRuntimeAndHTTP pins the determinism contract: every
-// runtime.* and http.* instrument — including histogram observation
-// counts, which depend on GC scheduling — vanishes from a scrubbed
-// snapshot, while pipeline instruments survive.
-func TestScrubDropsRuntimeAndHTTP(t *testing.T) {
+// TestScrubDropsRuntime pins the determinism contract: every
+// runtime.* instrument — including histogram observation counts,
+// which depend on GC scheduling — vanishes from a scrubbed snapshot,
+// while pipeline instruments survive.
+func TestScrubDropsRuntime(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("core.slices").Add(3)
-	reg.Counter("http.incr.patched").Add(2)
 	reg.Gauge("runtime.goroutines").Set(14)
 	reg.Gauge("cache.resident_bytes").Set(100)
 	reg.Histogram("runtime.gc_pause_ns", UnitNanoseconds).Observe(5)
