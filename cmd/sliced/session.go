@@ -46,16 +46,18 @@ type session struct {
 
 // lastSlice is the slice a session served on the analysis it has
 // committed: the pre-edit slice of the next PATCH, when that PATCH
-// asks for the same algorithm and criterion. The cached analysis the
-// next PATCH reads back is a Rebind of the one this slice ran on, so
-// the node IDs agree. The zero value (no algorithm) records nothing;
-// a session holds it whenever its committed analysis changed without
-// a slice being served (a failed criterion, explain or request).
+// asks for the same algorithm and criterion, and the body that PATCH
+// answers with when the edit missed the slice (core.SliceStands). The
+// cached analysis the next PATCH reads back is a Rebind of the one
+// this slice ran on, so the node IDs agree. The zero value (no
+// algorithm) records nothing; a session holds it whenever its
+// committed analysis changed without a slice being served (a failed
+// criterion, explain or request).
 type lastSlice struct {
 	algo  string
 	crit  core.Criterion
-	nodes *bits.Set // intraprocedural algorithms
-	lines []int     // algo=sdg, whose node numbering is per procedure
+	nodes *bits.Set     // intraprocedural algorithms; sdg numbers nodes per procedure
+	body  sliceResponse // as served, without its provenance
 }
 
 // is reports whether l is the slice of algo and crit.
@@ -152,6 +154,12 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 // ("hit") or had been evicted ("miss"); the body carries the slice
 // plus its delta against the pre-edit slice. A failed edit (bad line,
 // parse error, size limit) leaves the session exactly as it was.
+//
+// A spliced one-line edit that missed the slice last served for the
+// same algorithm and criterion is not re-sliced: the served body
+// stands (core.SliceStands; the splice moves no line, so the lines and
+// the text stand too), with an empty delta, counted as
+// incr.slices_reused. Explain responses always re-slice.
 func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessionFor(w, r)
 	if sess == nil {
@@ -209,6 +217,7 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		prog, _ = incremental.SpliceLine(prev.Prog, req.Edit.Line, req.Edit.Text)
 		stmts = prev.Stmts
 	}
+	spliced := prog != nil
 	if prog == nil {
 		if prog, stmts, err = s.parseProgram(newSrc); err != nil {
 			s.failErr(w, r, "analyze", err)
@@ -235,18 +244,27 @@ func (s *server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	last := sess.last
 	sess.last = lastSlice{}
 
-	body, sl := s.renderSlice(w, r, a, algo, crit, explain)
-	if body == nil {
-		return // renderSlice already answered
+	var resp *sessionPatchResponse
+	if spliced && !explain && last.is(algo, crit) &&
+		core.SliceStands(prev, a, stats, last.body.Algorithm, crit, last.nodes) {
+		resp = &sessionPatchResponse{sliceResponse: last.body, Session: sess.id, Incremental: stats}
+		s.reg.Counter("incr.slices_reused").Add(1)
+	} else {
+		body, sl := s.renderSlice(w, r, a, algo, crit, explain)
+		if body == nil {
+			return // renderSlice already answered
+		}
+		resp = &sessionPatchResponse{sliceResponse: *body, Session: sess.id, Incremental: stats}
+		if prev != nil {
+			resp.LinesAdded, resp.LinesRemoved = sliceDelta(prev, a, &last, algo, crit, sl, resp.Lines)
+		}
+		last = lastSlice{algo: algo, crit: crit, body: *body}
+		last.body.Provenance = nil
+		if sl != nil {
+			last.nodes = sl.Nodes
+		}
 	}
-	resp := &sessionPatchResponse{sliceResponse: *body, Session: sess.id, Incremental: stats}
-	if prev != nil {
-		resp.LinesAdded, resp.LinesRemoved = sliceDelta(prev, a, &last, algo, crit, sl, resp.Lines)
-	}
-	sess.last = lastSlice{algo: algo, crit: crit, lines: resp.Lines}
-	if sl != nil {
-		sess.last.nodes, sess.last.lines = sl.Nodes, nil
-	}
+	sess.last = last
 	resp.Request = id
 	resp.DurationNS = time.Since(start).Nanoseconds()
 	ri.setSliceLines(len(resp.Lines))
@@ -346,7 +364,7 @@ func lineCount(source string) int {
 func sliceDelta(prev, cur *core.Analysis, last *lastSlice, algo string, crit core.Criterion, sl *core.Slice, lines []int) (added, removed []int) {
 	known := last.is(algo, crit)
 	if sl == nil {
-		old := last.lines
+		old := last.body.Lines
 		if !known {
 			ps, err := prev.ProgramSet()
 			if err != nil {

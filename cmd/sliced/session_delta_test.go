@@ -2,8 +2,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"slices"
 	"strings"
@@ -250,4 +252,111 @@ func TestSessionDeltaMatchesRecomputed(t *testing.T) {
 			t.Errorf("no %s step ran (%v)", k, kinds)
 		}
 	}
+}
+
+// perRequestFields matches the fields a reused PATCH body may differ in
+// from a fresh session's: the request, its duration and the session.
+var perRequestFields = regexp.MustCompile(`"(request|duration_ns|session)": ("\d+"|\d+)`)
+
+// TestSessionReusedSliceMatchesFresh drives sessions through random
+// one-line edits under the five core slicers. Every PATCH a session
+// answers from the slice it served last (incr.slices_reused counts
+// one) must be, byte for byte apart from request, duration_ns and
+// session, the body a fresh session on the same source gives for the
+// same edit, which has no slice to reuse. Both carry X-Cache and
+// X-Incremental.
+func TestSessionReusedSliceMatchesFresh(t *testing.T) {
+	s, ts := newTestServer(t)
+	algos := []string{"agrawal", "agrawal-lst", "structured", "conservative", "conventional"}
+	reused := s.reg.Counter("incr.slices_reused")
+	seeds := 6
+	if testing.Short() {
+		seeds = 2
+	}
+	perAlgo := map[string]int{}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		gen := progen.Structured
+		if seed%2 == 1 {
+			gen = progen.Unstructured
+		}
+		src := lang.Format(gen(progen.Config{Seed: int64(seed), Stmts: 40}), lang.PrintOptions{})
+		var crits []core.Criterion
+		for _, c := range progen.WriteCriteria(lang.MustParse(src)) {
+			crits = append(crits, core.Criterion{Var: c.Var, Line: c.Line})
+		}
+		id := openSession(t, ts, src)
+		algo, crit := algos[0], crits[0]
+		for step := 0; step < 40; step++ {
+			if rng.Intn(4) == 0 {
+				algo, crit = algos[rng.Intn(len(algos))], crits[rng.Intn(len(crits))]
+			}
+			query := fmt.Sprintf("var=%s&line=%d&algo=%s", crit.Var, crit.Line, algo)
+			lines := strings.Split(src, "\n")
+			var assigns []int
+			for i, l := range lines {
+				if deltaAssignRE.MatchString(l) {
+					assigns = append(assigns, i)
+				}
+			}
+			at := assigns[rng.Intn(len(assigns))]
+			m := deltaAssignRE.FindStringSubmatch(lines[at])
+			text := fmt.Sprintf("%s%s = %s + 1;", m[1], m[2], m[3])
+			if rng.Intn(2) == 0 {
+				other := deltaAssignRE.FindStringSubmatch(lines[assigns[rng.Intn(len(assigns))]])
+				text = fmt.Sprintf("%s%s = %s;", m[1], other[2], m[3])
+			}
+			before := reused.Value()
+			got, status, headers := patchBody(t, ts, id, query, at+1, text)
+			if status != http.StatusOK {
+				// Figures 12 and 13 refuse unstructured programs; the
+				// edit is committed all the same.
+				src = strings.Join(slices.Concat(lines[:at], []string{text}, lines[at+1:]), "\n")
+				continue
+			}
+			if reused.Value() != before {
+				perAlgo[algo]++
+				fresh := openSession(t, ts, src)
+				want, _, freshHeaders := patchBody(t, ts, fresh, query, at+1, text)
+				if reused.Value() != before+1 {
+					t.Fatalf("seed %d step %d: a fresh session reused a slice", seed, step)
+				}
+				if a, b := perRequestFields.ReplaceAll(got, nil), perRequestFields.ReplaceAll(want, nil); string(a) != string(b) {
+					t.Fatalf("seed %d step %d (%s %v, line %d %q): reused body\n%s\nfresh session's\n%s",
+						seed, step, algo, crit, at+1, text, got, want)
+				}
+				for _, h := range []string{"X-Cache", "X-Incremental"} {
+					if headers.Get(h) == "" || headers.Get(h) != freshHeaders.Get(h) {
+						t.Fatalf("seed %d step %d: reused %s %q, fresh %q", seed, step, h, headers.Get(h), freshHeaders.Get(h))
+					}
+				}
+			}
+			src = strings.Join(slices.Concat(lines[:at], []string{text}, lines[at+1:]), "\n")
+		}
+	}
+	t.Logf("reused PATCH bodies per algorithm: %v", perAlgo)
+	for _, algo := range algos {
+		if perAlgo[algo] == 0 {
+			t.Errorf("no %s slice was reused (%v)", algo, perAlgo)
+		}
+	}
+	resp := do(t, http.MethodGet, ts.URL+"/metrics", "", "")
+	defer resp.Body.Close()
+	metrics, _ := io.ReadAll(resp.Body)
+	if !regexp.MustCompile(`jumpslice_incr_slices_reused_total [1-9]`).Match(metrics) {
+		t.Errorf("metrics missing nonzero jumpslice_incr_slices_reused_total")
+	}
+}
+
+// patchBody PATCHes a one-line edit and returns the body, status and
+// headers.
+func patchBody(t *testing.T, ts *httptest.Server, id, query string, line int, text string) ([]byte, int, http.Header) {
+	t.Helper()
+	resp := patchEdit(t, ts, id, query, line, text)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, resp.StatusCode, resp.Header
 }

@@ -143,8 +143,14 @@ type Graph struct {
 
 	stmtNode map[lang.Stmt]*Node
 	stmtOnce sync.Once
-	// LabelNode maps each goto label to its target node.
-	LabelNode map[string]*Node
+	// LabelNode maps each goto label to its target node's ID. It is a
+	// function of shape alone, so every graph Rebind derives from a
+	// built one shares the built one's map; it is never written after
+	// Build returns.
+	LabelNode map[string]int
+	// spans holds the statement spans Rebind skips shared statements
+	// with, shared the same way.
+	spans *spans
 	// edges counts the flow edges, every node's Out summed.
 	edges int
 	// arena is the contiguous backing Build carves nodes from;
@@ -394,7 +400,8 @@ func BuildSized(p *lang.Program, hint int) (*Graph, error) {
 		Prog:      p,
 		Nodes:     make([]*Node, 0, n),
 		stmtNode:  make(map[lang.Stmt]*Node, n),
-		LabelNode: map[string]*Node{},
+		LabelNode: map[string]int{},
+		spans:     &spans{},
 		arena:     make([]Node, 0, n),
 		outArena:  make([]Edge, 0, 2*n),
 		inArena:   make([]int, 0, 2*n),
@@ -425,10 +432,11 @@ func BuildSized(p *lang.Program, hint int) (*Graph, error) {
 
 	// Resolve goto targets.
 	for _, pg := range b.gotos {
-		target, ok := g.LabelNode[pg.stmt.Label]
+		id, ok := g.LabelNode[pg.stmt.Label]
 		if !ok {
 			return nil, fmt.Errorf("cfg: goto to unknown label %q at line %d", pg.stmt.Label, pg.node.Line)
 		}
+		target := g.Nodes[id]
 		pg.node.Target = target
 		g.addEdge(pg.node, target, "")
 	}
@@ -507,7 +515,7 @@ func (b *builder) createNodes(s lang.Stmt) {
 		b.createNodes(s.Stmt)
 		target := b.entry(s.Stmt)
 		target.Labels = append(target.Labels, s.Label)
-		g.LabelNode[s.Label] = target
+		g.LabelNode[s.Label] = target.ID
 	default:
 		panic(fmt.Sprintf("cfg: unknown statement %T", s))
 	}

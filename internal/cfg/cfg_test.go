@@ -168,10 +168,10 @@ L1: if (eof()) goto L2;
 s = s + 1;
 goto L1;
 L2: write(s);`))
-	if got := g.LabelNode["L1"].Line; got != 2 {
+	if got := g.Nodes[g.LabelNode["L1"]].Line; got != 2 {
 		t.Errorf("L1 targets line %d, want 2", got)
 	}
-	if got := g.LabelNode["L2"].Line; got != 5 {
+	if got := g.Nodes[g.LabelNode["L2"]].Line; got != 5 {
 		t.Errorf("L2 targets line %d, want 5", got)
 	}
 	var gotos []*Node
@@ -261,10 +261,10 @@ func TestBuildEmptyCaseFallsThrough(t *testing.T) {
 
 func TestBuildLabelOnCompound(t *testing.T) {
 	g := MustBuild(lang.MustParse("Top: while (x) x = x - 1;\ngoto Top;"))
-	if got := g.LabelNode["Top"]; got.Kind != KindPredicate {
+	if got := g.Nodes[g.LabelNode["Top"]]; got.Kind != KindPredicate {
 		t.Errorf("Top targets %v, want the while predicate", got)
 	}
-	if got := g.LabelNode["Top"].Labels; len(got) != 1 || got[0] != "Top" {
+	if got := g.Nodes[g.LabelNode["Top"]].Labels; len(got) != 1 || got[0] != "Top" {
 		t.Errorf("labels on target = %v, want [Top]", got)
 	}
 }
@@ -283,11 +283,11 @@ func TestBuildEmptyProgram(t *testing.T) {
 
 func TestBuildEmptyStatementAndBlock(t *testing.T) {
 	g := MustBuild(lang.MustParse("L: ;\ngoto L;\nM: {}\n"))
-	if g.LabelNode["L"].Kind != KindSkip {
-		t.Errorf("L targets %v, want skip node", g.LabelNode["L"])
+	if l := g.Nodes[g.LabelNode["L"]]; l.Kind != KindSkip {
+		t.Errorf("L targets %v, want skip node", l)
 	}
-	if g.LabelNode["M"].Kind != KindSkip {
-		t.Errorf("M targets %v, want skip node for empty block", g.LabelNode["M"])
+	if m := g.Nodes[g.LabelNode["M"]]; m.Kind != KindSkip {
+		t.Errorf("M targets %v, want skip node for empty block", m)
 	}
 }
 
@@ -320,8 +320,7 @@ func TestReachableAndCanReachExit(t *testing.T) {
 func TestInfiniteLoopCannotReachExit(t *testing.T) {
 	g := MustBuild(lang.MustParse("L: goto L;\nwrite(x);"))
 	ok := g.CanReachExit()
-	loop := g.LabelNode["L"]
-	if ok[loop.ID] {
+	if ok[g.LabelNode["L"]] {
 		t.Error("self-loop goto should not reach exit")
 	}
 }
@@ -461,7 +460,7 @@ func TestMultipleLabelsOneStatement(t *testing.T) {
 	if len(n.Labels) != 2 {
 		t.Errorf("labels = %v, want [A B] (order irrelevant)", n.Labels)
 	}
-	if g.LabelNode["A"] != n || g.LabelNode["B"] != n {
+	if g.LabelNode["A"] != n.ID || g.LabelNode["B"] != n.ID {
 		t.Error("both labels should target the same node")
 	}
 }

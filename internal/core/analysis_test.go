@@ -153,7 +153,7 @@ End: y = 1;`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has(a.CFG.LabelNode["End"].ID) {
+	if !s.Has(a.CFG.LabelNode["End"]) {
 		// Only meaningful when the goto is kept and End's statement
 		// is not.
 		got := s.RelabeledLines()

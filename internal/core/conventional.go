@@ -88,11 +88,11 @@ func (a *Analysis) retargetLabels(set *bits.Set) map[string]int {
 			continue
 		}
 		label := lang.Unlabel(n.Stmt).(*lang.GotoStmt).Label
-		target := a.CFG.LabelNode[label]
-		if target == nil || set.Has(target.ID) {
+		target, ok := a.CFG.LabelNode[label]
+		if !ok || set.Has(target) {
 			continue
 		}
-		out[label] = a.nearestPostdomInSlice(target.ID, set)
+		out[label] = a.nearestPostdomInSlice(target, set)
 	}
 	return out
 }

@@ -233,8 +233,7 @@ func TestQuickRelabelingWellFormed(t *testing.T) {
 					return false
 				}
 				// The original target must be outside the slice.
-				target := a.CFG.LabelNode[label]
-				if target != nil && s.Has(target.ID) {
+				if target, ok := a.CFG.LabelNode[label]; ok && s.Has(target) {
 					return false
 				}
 			}

@@ -2,13 +2,14 @@
 // edit. SpliceLine is a single-statement reparse-and-splice that
 // turns a one-line text edit into a new AST without paying a full
 // reparse, the cost that would otherwise dominate an editor-speed
-// re-slice. EditScript is the statement-level edit script a full
+// re-slice. Edit is the statement-level edit a same-shape
 // re-analysis reports.
 //
 // Whether an edit kept the flowgraph, which statements it changed and
 // whether any of them defines a different variable is not decided
 // here: cfg.Rebind decides all three in its one lockstep walk of the
-// old and new programs.
+// old and new programs. A full re-analysis reports no edits: a shape
+// change has no statement-level edit the reuse tiers could act on.
 package incremental
 
 import (
@@ -20,251 +21,17 @@ import (
 // Op is the kind of a statement-level edit.
 type Op int
 
-const (
-	// OpReplace substitutes one statement for another at the same
-	// structural position.
-	OpReplace Op = iota
-	// OpRelabel changes only the label set attached to a statement.
-	OpRelabel
-	// OpInsert adds a statement not present in the old program.
-	OpInsert
-	// OpDelete removes a statement of the old program.
-	OpDelete
-)
+// OpReplace substitutes one statement for another at the same
+// structural position, the only edit a same-shape re-analysis makes.
+const OpReplace Op = 0
 
-// String returns the lower-case name of the op.
-func (o Op) String() string {
-	switch o {
-	case OpReplace:
-		return "replace"
-	case OpRelabel:
-		return "relabel"
-	case OpInsert:
-		return "insert"
-	case OpDelete:
-		return "delete"
-	}
-	return "unknown"
-}
-
-// Edit is one entry of a statement-level edit script. Line is the
-// statement's source line in the new program (for deletes, in the old
-// program); Text is a one-line rendering of the statement.
+// Edit is one entry of a statement-level edit report. Line is the
+// statement's source line in the new program; Text is a one-line
+// rendering of the statement.
 type Edit struct {
 	Op   Op     `json:"op"`
 	Line int    `json:"line"`
 	Text string `json:"text"`
-}
-
-// ---------------------------------------------------------------------
-// Statement fingerprints and the reporting edit script.
-
-// fnv64 is an FNV-1a accumulator over the structural content of a
-// statement, excluding source positions.
-type fnv64 uint64
-
-const (
-	fnvOffset fnv64 = 14695981039346656037
-	fnvPrime  fnv64 = 1099511628211
-)
-
-func (h *fnv64) byte(b byte) { *h = (*h ^ fnv64(b)) * fnvPrime }
-
-func (h *fnv64) str(s string) {
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
-	h.byte(0)
-}
-
-func (h *fnv64) i64(v int64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
-	}
-}
-
-func (h *fnv64) expr(e lang.Expr) {
-	switch e := e.(type) {
-	case nil:
-		h.byte('n')
-	case *lang.IntLit:
-		h.byte('i')
-		h.i64(e.Value)
-	case *lang.Ident:
-		h.byte('v')
-		h.str(e.Name)
-	case *lang.CallExpr:
-		h.byte('c')
-		h.str(e.Name)
-		h.i64(int64(len(e.Args)))
-		for _, a := range e.Args {
-			h.expr(a)
-		}
-	case *lang.UnaryExpr:
-		h.byte('u')
-		h.str(e.Op)
-		h.expr(e.X)
-	case *lang.BinaryExpr:
-		h.byte('b')
-		h.str(e.Op)
-		h.expr(e.X)
-		h.expr(e.Y)
-	}
-}
-
-// header hashes the shallow content of a node-bearing statement: its
-// kind, its defined variable or jump target, its header expression,
-// and for switches the case arms — but not nested bodies, which
-// appear as their own flattened entries.
-func (h *fnv64) header(s lang.Stmt) {
-	switch s := s.(type) {
-	case *lang.AssignStmt:
-		h.byte('=')
-		h.str(s.Name)
-		h.expr(s.Value)
-	case *lang.ReadStmt:
-		h.byte('r')
-		h.str(s.Name)
-	case *lang.WriteStmt:
-		h.byte('w')
-		h.expr(s.Value)
-	case *lang.IfStmt:
-		h.byte('I')
-		h.expr(s.Cond)
-		if s.Else != nil {
-			h.byte('e')
-		}
-	case *lang.WhileStmt:
-		h.byte('W')
-		h.expr(s.Cond)
-	case *lang.SwitchStmt:
-		h.byte('S')
-		h.expr(s.Tag)
-		for _, c := range s.Cases {
-			if c.IsDefault {
-				h.byte('d')
-			}
-			for _, v := range c.Values {
-				h.i64(v)
-			}
-			h.byte(';')
-		}
-	case *lang.GotoStmt:
-		h.byte('g')
-		h.str(s.Label)
-	case *lang.BreakStmt:
-		h.byte('B')
-	case *lang.ContinueStmt:
-		h.byte('C')
-	case *lang.ReturnStmt:
-		h.byte('R')
-		h.expr(s.Value)
-	}
-}
-
-// flat is one node-bearing statement of the flattened program.
-type flat struct {
-	stmt lang.Stmt
-	line int
-	full uint64 // fingerprint including labels
-	bare uint64 // fingerprint excluding labels
-}
-
-// flatten lists p's node-bearing statements in lexical order: exactly
-// the statements lang.CountStatements counts, so out is sized once.
-func flatten(p *lang.Program) []flat {
-	out := make([]flat, 0, lang.CountStatements(p))
-	// labels is the label chain being walked. One buffer serves every
-	// chain: a chain ends at its statement, which hashes it before any
-	// nested statement starts a chain of its own.
-	var labels []string
-	var visit func(s lang.Stmt)
-	visit = func(s lang.Stmt) {
-		if l, ok := s.(*lang.LabeledStmt); ok {
-			labels = append(labels, l.Label)
-			visit(l.Stmt)
-			return
-		}
-		chain := labels
-		labels = labels[:0]
-		switch s := s.(type) {
-		case nil, *lang.EmptyStmt:
-		case *lang.BlockStmt:
-			for _, t := range s.List {
-				visit(t)
-			}
-		case *lang.IfStmt:
-			out = append(out, newFlat(s, chain))
-			visit(s.Then)
-			visit(s.Else)
-		case *lang.WhileStmt:
-			out = append(out, newFlat(s, chain))
-			visit(s.Body)
-		case *lang.SwitchStmt:
-			out = append(out, newFlat(s, chain))
-			for _, c := range s.Cases {
-				for _, t := range c.Body {
-					visit(t)
-				}
-			}
-		default:
-			out = append(out, newFlat(s, chain))
-		}
-	}
-	for _, s := range p.Body {
-		visit(s)
-	}
-	return out
-}
-
-func newFlat(s lang.Stmt, labels []string) flat {
-	full := fnvOffset
-	for _, l := range labels {
-		full.byte('L')
-		full.str(l)
-	}
-	bare := fnvOffset
-	full.header(s)
-	bare.header(s)
-	return flat{stmt: s, line: s.Pos().Line, full: uint64(full), bare: uint64(bare)}
-}
-
-// EditScript derives the statement-level edit script from old to new
-// by fingerprint anchoring: trim the common prefix and suffix of the
-// flattened statement lists, then pair the middles positionally. It
-// is a report for a full re-analysis, not a reuse decision: replace
-// and relabel for paired statements, insert and delete for the rest.
-func EditScript(old, new *lang.Program) []Edit {
-	of, nf := flatten(old), flatten(new)
-	i := 0
-	for i < len(of) && i < len(nf) && of[i].full == nf[i].full {
-		i++
-	}
-	j := 0
-	for j < len(of)-i && j < len(nf)-i && of[len(of)-1-j].full == nf[len(nf)-1-j].full {
-		j++
-	}
-	om, nm := of[i:len(of)-j], nf[i:len(nf)-j]
-	var edits []Edit
-	k := 0
-	for ; k < len(om) && k < len(nm); k++ {
-		if om[k].full == nm[k].full {
-			// Unchanged statement trapped between two edits.
-			continue
-		}
-		op := OpReplace
-		if om[k].bare == nm[k].bare {
-			op = OpRelabel
-		}
-		edits = append(edits, Edit{Op: op, Line: nm[k].line, Text: lang.StmtString(nm[k].stmt)})
-	}
-	for _, f := range om[min(k, len(om)):] {
-		edits = append(edits, Edit{Op: OpDelete, Line: f.line, Text: lang.StmtString(f.stmt)})
-	}
-	for _, f := range nm[min(k, len(nm)):] {
-		edits = append(edits, Edit{Op: OpInsert, Line: f.line, Text: lang.StmtString(f.stmt)})
-	}
-	return edits
 }
 
 // ---------------------------------------------------------------------

@@ -198,22 +198,3 @@ func TestSpliceLineNestingBound(t *testing.T) {
 		t.Fatal("SpliceLine refused a shallow edit of a deep line")
 	}
 }
-
-func TestFingerprintStability(t *testing.T) {
-	a := parse(t, base)
-	b := parse(t, "x = 0;\n"+base) // everything shifts down one line
-	as, bs := lang.Statements(a), lang.Statements(b)[1:]
-	if len(as) != len(bs) {
-		t.Fatalf("statement counts differ: %d vs %d", len(as), len(bs))
-	}
-	for i := range as {
-		// Fingerprints ignore positions but label wrappers are not
-		// visible through lang.Statements; compare bare statements.
-		if newFlat(as[i], nil).full != newFlat(bs[i], nil).full {
-			t.Fatalf("fingerprint of statement %d not position-stable", i)
-		}
-	}
-	if newFlat(as[0], nil).full == newFlat(as[1], nil).full {
-		t.Fatal("distinct statements should fingerprint differently")
-	}
-}
