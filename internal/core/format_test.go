@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"jumpslice/internal/bits"
@@ -26,6 +27,35 @@ func formatViaMaterialize(s *Slice) string {
 // the emptied-branch, emptied-else, trailing-clause and label rules
 // the algorithms' slices rarely combine.
 func TestPropertyFormatMatchesMaterialize(t *testing.T) {
+	cases := 0
+	projectionSlices(t, func(i int, s *Slice) {
+		t.Helper()
+		cases++
+		if got, want := s.Format(), formatViaMaterialize(s); got != want {
+			t.Fatalf("program %d %s %s: Format\n%s\nwant\n%s", i, s.Criterion, s.Algorithm, got, want)
+		}
+	})
+	// Interprocedural slices print one projection per kept unit.
+	for _, is := range multiProcSlices(t) {
+		cases++
+		if got, want := is.Format(), lang.Format(is.Materialize(), lang.PrintOptions{LineNumbers: true}); got != want {
+			t.Fatalf("sdg %s: Format\n%s\nwant\n%s", is.Criterion, got, want)
+		}
+	}
+	if cases < 2000 {
+		t.Fatalf("only %d cases exercised", cases)
+	}
+}
+
+// projectionSlices calls visit on every intraprocedural slice the
+// projection tests check, with the index of its program: every
+// algorithm's slice of every write criterion of the corpus (the oracle
+// corpus, the paper figures and a handcrafted program of shapes the
+// generators never emit), and random node sets, first with the labels
+// retargeted as the algorithms would, then with arbitrary
+// retargetings. The inputs are a fixed function of the corpus.
+func projectionSlices(t *testing.T, visit func(i int, s *Slice)) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	algos := []func(*Analysis, Criterion) (*Slice, error){
 		(*Analysis).Conventional, (*Analysis).Agrawal,
@@ -57,14 +87,6 @@ L8: write(x);
 write(y);
 write(z);
 `))
-	cases := 0
-	check := func(i int, s *Slice) {
-		t.Helper()
-		cases++
-		if got, want := s.Format(), formatViaMaterialize(s); got != want {
-			t.Fatalf("program %d %s %s: Format\n%s\nwant\n%s", i, s.Criterion, s.Algorithm, got, want)
-		}
-	}
 	for i, p := range progs {
 		a, err := Analyze(p)
 		if err != nil {
@@ -73,7 +95,7 @@ write(z);
 		for _, wc := range progen.WriteCriteria(p) {
 			for _, run := range algos {
 				if s, err := run(a, Criterion{Var: wc.Var, Line: wc.Line}); err == nil {
-					check(i, s)
+					visit(i, s)
 				}
 			}
 		}
@@ -82,6 +104,7 @@ write(z);
 		for l := range a.CFG.LabelNode {
 			labels = append(labels, l)
 		}
+		sort.Strings(labels)
 		reps := 6
 		if i == len(progs)-1 {
 			reps = 400 // the handcrafted shapes
@@ -95,10 +118,10 @@ write(z);
 				}
 			}
 			s := &Slice{Analysis: a, Algorithm: "random", Nodes: set, Relabeled: a.retargetLabels(set)}
-			check(i, s)
+			visit(i, s)
 			// Arbitrary retargetings: labels on kept statements, on
 			// Exit, and several on one node.
-			s.Relabeled = map[string]int{}
+			s = &Slice{Analysis: a, Algorithm: "random", Nodes: set, Relabeled: map[string]int{}}
 			members := set.Members()
 			for j := 0; j < 1+rng.Intn(4); j++ {
 				target := a.CFG.Exit.ID
@@ -112,17 +135,7 @@ write(z);
 					s.Relabeled[l] = members[rng.Intn(len(members))]
 				}
 			}
-			check(i, s)
+			visit(i, s)
 		}
-	}
-	// Interprocedural slices print one projection per kept unit.
-	for _, is := range multiProcSlices(t) {
-		cases++
-		if got, want := is.Format(), lang.Format(is.Materialize(), lang.PrintOptions{LineNumbers: true}); got != want {
-			t.Fatalf("sdg %s: Format\n%s\nwant\n%s", is.Criterion, got, want)
-		}
-	}
-	if cases < 2000 {
-		t.Fatalf("only %d cases exercised", cases)
 	}
 }
