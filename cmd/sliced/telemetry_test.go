@@ -280,8 +280,12 @@ func TestSLOViewAndExemplarTrace(t *testing.T) {
 	cfg := testConfig()
 	cfg.Objectives = obs.SLOObjectives{Quantile: 0.99, Latency: 50 * time.Millisecond, ErrRate: 0.01}
 	_, ts := newTestServerConfig(t, cfg)
+	// Three distinct programs, so every request analyzes and records
+	// phases: a repeat would be a result-tier hit, and another
+	// criterion on the same program an analysis hit, neither with
+	// phases, and either may be the window's slowest request.
 	for i := 0; i < 3; i++ {
-		postSlice(t, ts, "var=positives&line=14", fig5(t))
+		postSlice(t, ts, "var=positives&line=14", fmt.Sprintf("%s// request %d\n", fig5(t), i))
 	}
 
 	resp, err := http.Get(ts.URL + "/debug/slo")

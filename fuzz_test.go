@@ -25,7 +25,8 @@ var critRe = regexp.MustCompile(`criterion:\s*(\w+)@(\d+)`)
 // every slicing algorithm, provenance — with arbitrary programs and
 // criteria. The invariants: no panic or hang anywhere; a computed
 // slice materializes to source that parses again (a slice is a
-// projection of the program); the Figure 7 slice's provenance is
+// projection of the program), and Format prints that program's
+// listing byte for byte; the Figure 7 slice's provenance is
 // computable whenever the slice is; and the per-call engine and the
 // batch condensation, which walk the same slicing relation, return the
 // same Figure 7 slice.
@@ -66,15 +67,21 @@ func FuzzSliceExplain(f *testing.F) {
 			return // unknown criterion, unstructured program, ...
 		}
 		// A slice is a projection of the program: materialize it and
-		// require the result to print and re-parse.
+		// require the result to print and re-parse, and the listing
+		// Format prints without building it to be that program's.
 		sl, err := s.coreSlice(algo, core.Criterion{Var: variable, Line: line})
 		if err != nil {
 			t.Fatalf("coreSlice failed after SliceWith succeeded: %v", err)
 		}
-		text := lang.Format(sl.Materialize(), lang.PrintOptions{})
+		m := sl.Materialize()
+		text := lang.Format(m, lang.PrintOptions{})
 		if _, err := lang.Parse(text); err != nil {
 			t.Fatalf("materialized %s slice does not re-parse: %v\nprogram:\n%s\nslice:\n%s",
 				algo, err, src, text)
+		}
+		if got, want := sl.Format(), lang.Format(m, lang.PrintOptions{LineNumbers: true}); got != want {
+			t.Fatalf("%s slice: Format\n%s\nwant the materialized program's\n%s\nprogram:\n%s",
+				algo, got, want, src)
 		}
 		if algo == Agrawal {
 			all, err := s.analysis.SliceAll([]core.Criterion{{Var: variable, Line: line}})

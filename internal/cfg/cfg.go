@@ -387,15 +387,7 @@ func (g *Graph) addEdge(from, to *Node, label string) {
 // only for structural problems the parser cannot detect; a
 // successfully parsed program always builds.
 func Build(p *lang.Program) (*Graph, error) {
-	return BuildSized(p, countNodes(p))
-}
-
-// BuildSized is Build with the node count supplied by the caller —
-// the incremental engine already knows it from the previous
-// flowgraph, saving the counting walk. The hint only sizes
-// allocations; a wrong hint costs speed, never correctness.
-func BuildSized(p *lang.Program, hint int) (*Graph, error) {
-	n := hint + 2 // + Entry, Exit
+	n := countNodes(p) + 2 // + Entry, Exit
 	g := &Graph{
 		Prog:      p,
 		Nodes:     make([]*Node, 0, n),

@@ -190,8 +190,9 @@ type LabeledStmt struct {
 	Stmt  Stmt
 }
 
-// EmptyStmt is a lone ";". It generates no flowgraph node; it exists
-// so retargeted labels can be printed at positions with no remaining
+// EmptyStmt is a lone ";". cfg.Build gives it a skip node, so it
+// takes a statement ordinal like any simple statement; it exists so
+// retargeted labels can be printed at positions with no remaining
 // statement ("L14:" before the end of a slice).
 type EmptyStmt struct {
 	P Pos

@@ -46,11 +46,11 @@ func Program(prog *lang.Program) (*lang.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromCFG(g)
+	return fromCFG(g)
 }
 
-// FromCFG restructures the program behind an already-built flowgraph.
-func FromCFG(g *cfg.Graph) (*lang.Program, error) {
+// fromCFG restructures the program behind an already-built flowgraph.
+func fromCFG(g *cfg.Graph) (*lang.Program, error) {
 	pcName := freshName(g.Prog, "pc")
 	tagName := freshName(g.Prog, "pctag")
 
